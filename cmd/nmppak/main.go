@@ -36,6 +36,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *simulate && *batches != 1 {
+		// CaptureTrace records a single-batch run; batching it would
+		// simulate a different assembly than the one written out.
+		fmt.Fprintf(os.Stderr, "nmppak: -simulate models a single-batch run; it cannot be combined with -batches %d\n", *batches)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	f, err := os.Open(*in)
 	if err != nil {
@@ -87,7 +94,6 @@ func writeContigs(path string, contigs []nmppak.Seq, minLen int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
 	var recs []fastx.Record
 	for i, c := range contigs {
 		if c.Len() < minLen {
@@ -96,6 +102,12 @@ func writeContigs(path string, contigs []nmppak.Seq, minLen int) {
 		recs = append(recs, fastx.Record{ID: fmt.Sprintf("contig_%d len=%d", i, c.Len()), Seq: c.String()})
 	}
 	if err := fastx.WriteFasta(f, recs, 70); err != nil {
+		f.Close()
+		log.Fatal(err)
+	}
+	// Close reports the final flush of the file; a failure here means the
+	// FASTA on disk is truncated.
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %d contigs to %s", len(recs), path)

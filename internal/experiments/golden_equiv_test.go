@@ -36,6 +36,14 @@ const (
 	goldenScale4Overlap = 3780697
 	goldenScale8Total   = 2110251
 	goldenScale8Overlap = 1941983
+	// The quick trace's content fingerprint and the FNV-64a of the 4-node
+	// default-config checkpoint blob taken before iteration 9 (20,453
+	// bytes), captured before the trace digest moved onto trace.Trace.
+	// They pin blob bytes across commits, not only across capture modes.
+	goldenTraceDigest = uint64(0xfc97c72f6ef76433)
+	goldenBlobHash    = uint64(0x12b3d31c7266b511)
+	goldenBlobLen     = 20453
+	goldenBlobIter    = 9
 )
 
 // TestGoldenEquivalence locks the full pipeline — counting, graph
@@ -136,4 +144,34 @@ func TestGoldenEquivalence(t *testing.T) {
 			t.Errorf("default topology = %q, want fullmesh", sres.Topology)
 		}
 	}
+
+	if d := tr.Digest(); d != goldenTraceDigest {
+		t.Errorf("trace digest = %#x, golden %#x", d, goldenTraceDigest)
+	}
+	blob, err := scaleout.Checkpoint(c.Reads, tr, scaleout.DefaultConfig(4), goldenBlobIter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBlob := func(how string, blob []byte) {
+		t.Helper()
+		h := fnv.New64a()
+		h.Write(blob)
+		if len(blob) != goldenBlobLen || h.Sum64() != goldenBlobHash {
+			t.Errorf("%s blob = %d bytes, hash %#x; golden %d bytes, %#x",
+				how, len(blob), h.Sum64(), goldenBlobLen, goldenBlobHash)
+		}
+	}
+	checkBlob("one-shot checkpoint", blob)
+	s, err := scaleout.NewSession(c.Reads, tr, scaleout.DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Step(goldenBlobIter); got != goldenBlobIter {
+		t.Fatalf("session stepped %d iterations, want %d", got, goldenBlobIter)
+	}
+	sblob, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBlob("session checkpoint", sblob)
 }

@@ -276,7 +276,7 @@ func checkpointHeader(cfg Config, net topo.Network, tr *trace.Trace, res *Result
 	return &CheckpointState{
 		Version:               CheckpointVersion,
 		ConfigDigest:          configDigest(cfg, net.Name()),
-		TraceDigest:           traceDigest(tr),
+		TraceDigest:           tr.Digest(),
 		Nodes:                 cfg.Nodes,
 		K:                     cfg.K,
 		Overlap:               cfg.Overlap,
@@ -593,7 +593,7 @@ func (ck *CheckpointState) matches(tr *trace.Trace, cfg Config, net topo.Network
 	if ck.ResumeIter > len(tr.Iterations) {
 		return fmt.Errorf("scaleout: checkpoint resumes at iteration %d, trace has %d", ck.ResumeIter, len(tr.Iterations))
 	}
-	if d := traceDigest(tr); d != ck.TraceDigest {
+	if d := tr.Digest(); d != ck.TraceDigest {
 		return fmt.Errorf("scaleout: trace digest %016x does not match checkpoint %016x", d, ck.TraceDigest)
 	}
 	return nil
@@ -630,53 +630,4 @@ func partitionerID(p Partitioner) string {
 	default:
 		return p.Name()
 	}
-}
-
-// traceDigest fingerprints the compaction trace's full contents — shape
-// plus every recorded operation (node keys and sizes, transfer routing
-// and payloads, update volumes) — so a blob cannot be restored against a
-// different trace that merely shares the shape. One FNV pass over the
-// packed fields; the quantile tables are derived from the node streams
-// and need no separate hashing.
-func traceDigest(tr *trace.Trace) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	w := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	w(uint64(tr.K))
-	w(uint64(len(tr.Iterations)))
-	for i := range tr.Iterations {
-		it := &tr.Iterations[i]
-		w(uint64(len(it.Nodes)))
-		w(uint64(len(it.Transfers)))
-		w(uint64(len(it.Updates)))
-		for j := range it.Nodes {
-			nd := &it.Nodes[j]
-			w(uint64(nd.Key))
-			w(uint64(uint32(nd.D1)) | uint64(uint32(nd.D2))<<32)
-			w(uint64(uint32(nd.Exts)) | uint64(uint32(nd.Wires))<<32)
-			if nd.Invalidated {
-				w(1)
-			} else {
-				w(0)
-			}
-		}
-		for j := range it.Transfers {
-			tn := &it.Transfers[j]
-			w(uint64(uint32(tn.SrcIdx)) | uint64(uint32(tn.DstIdx))<<32)
-			v := uint64(uint32(tn.TNBytes))
-			if tn.SuffixSide {
-				v |= 1 << 32
-			}
-			w(v)
-		}
-		for j := range it.Updates {
-			u := &it.Updates[j]
-			w(uint64(uint32(u.DstIdx)))
-			w(uint64(uint32(u.ReadBytes)) | uint64(uint32(u.WriteBytes))<<32)
-		}
-	}
-	return h.Sum64()
 }

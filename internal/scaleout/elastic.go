@@ -129,8 +129,8 @@ type elasticRun struct {
 
 	localTNs, remoteTNs, haloBytes int64 // committed logical traffic
 
-	cfgDigest, trDigest uint64
-	ring                []ringEntry
+	cfgDigest uint64
+	ring      []ringEntry
 
 	out elasticOutcome
 	pr  *probes
@@ -171,7 +171,6 @@ func newElasticRun(tr *trace.Trace, net topo.Network, cfg Config, res *Result, p
 		traces:    make([]*trace.Trace, n),
 		durations: make([][]sim.Cycle, n),
 		cfgDigest: configDigest(cfg, net.Name()),
-		trDigest:  traceDigest(tr),
 		pr:        pr,
 	}
 	if er.ckBPC <= 0 {
@@ -321,7 +320,7 @@ func (er *elasticRun) snapshot(it int) ([]byte, error) {
 	ck := &CheckpointState{
 		Version:               CheckpointVersion,
 		ConfigDigest:          er.cfgDigest,
-		TraceDigest:           er.trDigest,
+		TraceDigest:           er.tr.Digest(),
 		Nodes:                 er.n,
 		K:                     er.cfg.K,
 		Overlap:               er.cfg.Overlap,

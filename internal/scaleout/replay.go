@@ -32,24 +32,24 @@ type ShardedTrace struct {
 // the remote payload total. This is the unit of work ShardTrace applies
 // to every iteration at once and the rebalancing runtime applies one
 // iteration at a time, between migrations.
+//
+// It counts first and fills second, so every per-node slice is allocated
+// once at exactly the size it keeps (nil when empty): the allocation count
+// depends on n, not on the iteration's size.
 func shardIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [][]int64) (subs []trace.Iteration, localTNs, remoteTNs, haloBytes int64) {
-	owner := make([]int, len(iter.Nodes))
-	local := make([]int32, len(iter.Nodes))
-	subs = make([]trace.Iteration, n)
+	owner := make([]int32, len(iter.Nodes))
+	counts := make([]int32, 3*n) // per node: visits, local transfers, updates
+	nodeCnt, tnCnt, updCnt := counts[:n], counts[n:2*n], counts[2*n:]
 	for i := range iter.Nodes {
-		o := ownerOf(iter.Nodes[i].Key)
+		o := int32(ownerOf(iter.Nodes[i].Key))
 		owner[i] = o
-		local[i] = int32(len(subs[o].Nodes))
-		subs[o].Nodes = append(subs[o].Nodes, iter.Nodes[i])
+		nodeCnt[o]++
 	}
 	for _, tn := range iter.Transfers {
 		s, d := owner[tn.SrcIdx], owner[tn.DstIdx]
 		if s == d {
 			localTNs++
-			subs[s].Transfers = append(subs[s].Transfers, trace.TransferOp{
-				SrcIdx: local[tn.SrcIdx], DstIdx: local[tn.DstIdx],
-				TNBytes: tn.TNBytes, SuffixSide: tn.SuffixSide,
-			})
+			tnCnt[s]++
 			continue
 		}
 		remoteTNs++
@@ -57,12 +57,42 @@ func shardIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, ha
 		haloBytes += int64(tn.TNBytes)
 	}
 	for _, u := range iter.Updates {
+		updCnt[owner[u.DstIdx]]++
+	}
+
+	subs = make([]trace.Iteration, n)
+	for o := range subs {
+		if c := nodeCnt[o]; c > 0 {
+			subs[o].Nodes = make([]trace.NodeOp, 0, c)
+		}
+		if c := tnCnt[o]; c > 0 {
+			subs[o].Transfers = make([]trace.TransferOp, 0, c)
+		}
+		if c := updCnt[o]; c > 0 {
+			subs[o].Updates = make([]trace.UpdateOp, 0, c)
+		}
+	}
+	local := make([]int32, len(iter.Nodes))
+	for i := range iter.Nodes {
+		o := owner[i]
+		local[i] = int32(len(subs[o].Nodes))
+		subs[o].Nodes = append(subs[o].Nodes, iter.Nodes[i])
+	}
+	for _, tn := range iter.Transfers {
+		if s := owner[tn.SrcIdx]; s == owner[tn.DstIdx] {
+			subs[s].Transfers = append(subs[s].Transfers, trace.TransferOp{
+				SrcIdx: local[tn.SrcIdx], DstIdx: local[tn.DstIdx],
+				TNBytes: tn.TNBytes, SuffixSide: tn.SuffixSide,
+			})
+		}
+	}
+	for _, u := range iter.Updates {
 		o := owner[u.DstIdx]
 		subs[o].Updates = append(subs[o].Updates, trace.UpdateOp{
 			DstIdx: local[u.DstIdx], ReadBytes: u.ReadBytes, WriteBytes: u.WriteBytes,
 		})
 	}
-	for o := 0; o < n; o++ {
+	for o := range subs {
 		subs[o].Stats = iter.Stats
 		subs[o].Quantiles = trace.BuildQuantiles(subs[o].Nodes)
 	}

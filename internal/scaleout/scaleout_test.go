@@ -204,6 +204,55 @@ func TestShardTraceConservation(t *testing.T) {
 	}
 }
 
+// shardIteration sizes every per-node slice exactly (nil when empty), so
+// its allocation count is a function of the node count alone: the largest
+// and the smallest iteration of a trace cost the same bounded number of
+// allocations.
+func TestShardIterationExactSize(t *testing.T) {
+	reads := testReads(t, 15_000)
+	tr := testTrace(t, reads, 32, 3)
+	first, last := &tr.Iterations[0], &tr.Iterations[len(tr.Iterations)-1]
+	if len(first.Nodes) < 1000 {
+		t.Fatalf("iteration 0 has only %d nodes", len(first.Nodes))
+	}
+	for _, n := range []int{1, 4, 8} {
+		ownerOf := func(key dna.Kmer) int { return HashPartitioner{}.Owner(key, tr.K-1, n) }
+		for it := range tr.Iterations {
+			subs, _, _, _ := shardIteration(&tr.Iterations[it], n, ownerOf, mat(n))
+			for o := range subs {
+				s := &subs[o]
+				for _, c := range []struct {
+					what     string
+					len, cap int
+					isNil    bool
+				}{
+					{"nodes", len(s.Nodes), cap(s.Nodes), s.Nodes == nil},
+					{"transfers", len(s.Transfers), cap(s.Transfers), s.Transfers == nil},
+					{"updates", len(s.Updates), cap(s.Updates), s.Updates == nil},
+				} {
+					if c.len == 0 && !c.isNil {
+						t.Fatalf("n=%d iter %d node %d: empty %s slice is not nil", n, it, o, c.what)
+					}
+					if c.len != c.cap {
+						t.Fatalf("n=%d iter %d node %d: %s len %d cap %d", n, it, o, c.what, c.len, c.cap)
+					}
+				}
+			}
+		}
+		// owner, counts, local and the subs header, plus at most
+		// nodes/transfers/updates/quantiles per node.
+		bound := float64(4 + 4*n)
+		for _, iter := range []*trace.Iteration{first, last} {
+			halo := mat(n)
+			allocs := testing.AllocsPerRun(5, func() { shardIteration(iter, n, ownerOf, halo) })
+			if allocs > bound {
+				t.Fatalf("n=%d: sharding a %d-node iteration allocates %v times, bound %v",
+					n, len(iter.Nodes), allocs, bound)
+			}
+		}
+	}
+}
+
 // Two runs of the same configuration must agree cycle for cycle, and
 // scaling out must monotonically shrink total time on a
 // compute-dominated workload.

@@ -15,10 +15,13 @@
 package trace
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"sort"
+	"sync"
 
 	"nmppak/internal/compact"
 	"nmppak/internal/dna"
@@ -62,6 +65,11 @@ type Iteration struct {
 }
 
 // Trace is a complete compaction recording.
+//
+// A Trace is immutable once Builder.Trace or Load returns it: consumers
+// read it, possibly from many goroutines, and never modify its contents.
+// Digest relies on this to fingerprint the trace only once. Handle a Trace
+// through its pointer; it must not be copied by value.
 type Trace struct {
 	K          int
 	Iterations []Iteration
@@ -69,6 +77,9 @@ type Trace struct {
 	// population; the simulators map a key to a DIMM by quantile bucket,
 	// reproducing the paper's equal-population ascending-key partition.
 	Quantiles []dna.Kmer
+
+	digestOnce sync.Once
+	digest     uint64
 }
 
 // TotalNodeOps counts node visits across all iterations.
@@ -114,6 +125,61 @@ func dimmOf(q []dna.Kmer, key dna.Kmer, nDIMMs int) int {
 		d = nDIMMs - 1
 	}
 	return d
+}
+
+// Digest fingerprints the trace's full contents — shape plus every
+// recorded operation (node keys and sizes, transfer routing and payloads,
+// update volumes) — so a checkpoint cannot be restored against a different
+// trace that merely shares the shape. One FNV-1a pass over the packed
+// fields; the quantile tables are derived from the node streams and need
+// no separate hashing. The pass runs on the first call only: a Trace is
+// immutable, so later calls (from any goroutine) return the cached value.
+func (t *Trace) Digest() uint64 {
+	t.digestOnce.Do(func() { t.digest = t.computeDigest() })
+	return t.digest
+}
+
+func (t *Trace) computeDigest() uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	w := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	w(uint64(t.K))
+	w(uint64(len(t.Iterations)))
+	for i := range t.Iterations {
+		it := &t.Iterations[i]
+		w(uint64(len(it.Nodes)))
+		w(uint64(len(it.Transfers)))
+		w(uint64(len(it.Updates)))
+		for j := range it.Nodes {
+			nd := &it.Nodes[j]
+			w(uint64(nd.Key))
+			w(uint64(uint32(nd.D1)) | uint64(uint32(nd.D2))<<32)
+			w(uint64(uint32(nd.Exts)) | uint64(uint32(nd.Wires))<<32)
+			if nd.Invalidated {
+				w(1)
+			} else {
+				w(0)
+			}
+		}
+		for j := range it.Transfers {
+			tn := &it.Transfers[j]
+			w(uint64(uint32(tn.SrcIdx)) | uint64(uint32(tn.DstIdx))<<32)
+			v := uint64(uint32(tn.TNBytes))
+			if tn.SuffixSide {
+				v |= 1 << 32
+			}
+			w(v)
+		}
+		for j := range it.Updates {
+			u := &it.Updates[j]
+			w(uint64(uint32(u.DstIdx)))
+			w(uint64(uint32(u.ReadBytes)) | uint64(uint32(u.WriteBytes))<<32)
+		}
+	}
+	return h.Sum64()
 }
 
 // Save writes the trace with gob encoding.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"nmppak/internal/compact"
@@ -142,5 +143,75 @@ func TestDIMMOfEdgeCases(t *testing.T) {
 	max := tr2.DIMMOf(dna.Kmer(^uint64(0)), 8)
 	if max != 7 {
 		t.Fatalf("max key maps to %d want 7", max)
+	}
+}
+
+// The digest is a function of the trace's contents: a Save/Load round trip
+// reproduces it, and changing one recorded operation changes it.
+func TestDigestSurvivesRoundTrip(t *testing.T) {
+	tr := record(t, 2000, 3)
+	var buf bytes.Buffer
+	if err := tr.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	got, err := Load(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Digest() != tr.Digest() {
+		t.Fatalf("digest after round trip %#x, before %#x", got.Digest(), tr.Digest())
+	}
+	other, err := Load(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Iterations[len(other.Iterations)-1].Nodes[0].D2++
+	if other.Digest() == tr.Digest() {
+		t.Fatal("a trace with a different node size has the same digest")
+	}
+}
+
+// Only the first call hashes the trace; later calls read the cached value
+// without allocating.
+func TestDigestCachedAllocationFree(t *testing.T) {
+	tr := record(t, 2000, 3)
+	want := tr.Digest()
+	var got uint64
+	if allocs := testing.AllocsPerRun(100, func() { got = tr.Digest() }); allocs != 0 {
+		t.Fatalf("cached Digest allocates %v times per call", allocs)
+	}
+	if got != want {
+		t.Fatalf("second call %#x, first %#x", got, want)
+	}
+}
+
+// Concurrent first calls agree on one value (and are race-free under
+// -race).
+func TestDigestConcurrent(t *testing.T) {
+	tr := record(t, 2000, 3)
+	var buf bytes.Buffer
+	if err := tr.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const g = 8
+	got := make([]uint64, g)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = fresh.Digest()
+		}()
+	}
+	wg.Wait()
+	for i, d := range got {
+		if d != tr.Digest() {
+			t.Fatalf("goroutine %d digest %#x, want %#x", i, d, tr.Digest())
+		}
 	}
 }
