@@ -120,7 +120,8 @@ func (e *Engine) StepIteration(notBefore sim.Cycle) IterTiming {
 		start = e.clock
 	}
 	iter := &e.tr.Iterations[e.next]
-	is := newIterSim(&e.kernel, e.channels, e.cfg, e.tr, iter, start, &e.res)
+	is := acquireIterSim(&e.cfg)
+	is.reset(&e.kernel, e.channels, &e.cfg, e.tr, iter, start, &e.res)
 	is.kickoff()
 	e.kernel.Run()
 	end := e.kernel.Now()
@@ -136,6 +137,7 @@ func (e *Engine) StepIteration(notBefore sim.Cycle) IterTiming {
 	if is.lastCPU <= is.lastNMP {
 		e.res.HiddenCPUIters++
 	}
+	is.release()
 	e.clock = end
 	e.next++
 	return ti

@@ -185,13 +185,37 @@ func (t *Trace) computeDigest() uint64 {
 // Save writes the trace with gob encoding.
 func (t *Trace) Save(w io.Writer) error { return gob.NewEncoder(w).Encode(t) }
 
-// Load reads a trace written by Save.
+// Load reads a trace written by Save. The input is untrusted: a trace whose
+// operations reference nodes outside their iteration is rejected.
 func Load(r io.Reader) (*Trace, error) {
 	var t Trace
 	if err := gob.NewDecoder(r).Decode(&t); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
+	if err := t.validate(); err != nil {
+		return nil, err
+	}
 	return &t, nil
+}
+
+// validate checks that every transfer and update names nodes of its own
+// iteration (the simulators index node state by these positions).
+func (t *Trace) validate() error {
+	for i := range t.Iterations {
+		it := &t.Iterations[i]
+		n := int32(len(it.Nodes))
+		for j, tn := range it.Transfers {
+			if tn.SrcIdx < 0 || tn.SrcIdx >= n || tn.DstIdx < 0 || tn.DstIdx >= n {
+				return fmt.Errorf("trace: iteration %d: transfer %d routes node %d to node %d, outside its %d nodes", i, j, tn.SrcIdx, tn.DstIdx, n)
+			}
+		}
+		for j, u := range it.Updates {
+			if u.DstIdx < 0 || u.DstIdx >= n {
+				return fmt.Errorf("trace: iteration %d: update %d targets node %d, outside its %d nodes", i, j, u.DstIdx, n)
+			}
+		}
+	}
+	return nil
 }
 
 // Builder implements compact.Observer and accumulates a Trace.

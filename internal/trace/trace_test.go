@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -106,6 +108,58 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if got.TotalNodeOps() != tr.TotalNodeOps() || got.TotalTransfers() != tr.TotalTransfers() {
 		t.Fatal("totals mismatch")
+	}
+}
+
+// A saved trace is untrusted input: an operation naming a node outside its
+// iteration must make Load fail with the iteration in the error, not make
+// a later replay index out of range.
+func TestLoadRejectsOutOfRangeIndices(t *testing.T) {
+	tr := record(t, 2000, 3)
+	last := len(tr.Iterations) - 1
+	for _, tc := range []struct {
+		name    string
+		corrupt func(it *Iteration)
+	}{
+		{"transfer src negative", func(it *Iteration) { it.Transfers[0].SrcIdx = -1 }},
+		{"transfer src past end", func(it *Iteration) { it.Transfers[0].SrcIdx = int32(len(it.Nodes)) }},
+		{"transfer dst negative", func(it *Iteration) { it.Transfers[0].DstIdx = -5 }},
+		{"transfer dst past end", func(it *Iteration) { it.Transfers[0].DstIdx = 1 << 30 }},
+		{"update dst negative", func(it *Iteration) { it.Updates[0].DstIdx = -1 }},
+		{"update dst past end", func(it *Iteration) { it.Updates[0].DstIdx = int32(len(it.Nodes)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tr.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			bad, err := Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it := -1
+			for i := last; i >= 0; i-- {
+				if len(bad.Iterations[i].Transfers) > 0 && len(bad.Iterations[i].Updates) > 0 {
+					it = i
+					break
+				}
+			}
+			if it < 0 {
+				t.Fatal("trace has no iteration with both transfers and updates")
+			}
+			tc.corrupt(&bad.Iterations[it])
+			buf.Reset()
+			if err := bad.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Load(&buf)
+			if err == nil {
+				t.Fatal("Load accepted an out-of-range index")
+			}
+			if want := fmt.Sprintf("iteration %d:", it); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %q", err, want)
+			}
+		})
 	}
 }
 
