@@ -295,8 +295,10 @@ func benchAblationNoHybrid(b *testing.B) {
 
 // EventKernel is the perf baseline for scheduler work: a self-refilling
 // event population (as the hardware models produce) with a scattered
-// timestamp pattern, exercising heap push/pop and the FIFO tie-break. It
-// is exported so internal/sim's benchmark wrapper shares the body.
+// timestamp pattern, exercising radix-bucket pushes, refills and the FIFO
+// order of equal-time events. Each iteration starts a fresh Engine, so it
+// also covers taking the buckets from the pool and returning them. It is
+// exported so internal/sim's benchmark wrapper shares the body.
 func EventKernel(b *testing.B) {
 	const window = 512
 	b.ReportAllocs()
@@ -309,7 +311,7 @@ func EventKernel(b *testing.B) {
 			if n >= 100_000 {
 				return
 			}
-			// Two children at pseudo-random offsets keep the heap near
+			// Two children at pseudo-random offsets keep the queue near
 			// the window size without shrinking to a trivial population.
 			if n%2 == 0 {
 				e.After(sim.Cycle(n*7919%window)+1, spawn)

@@ -157,8 +157,8 @@ type machine struct {
 	chs []*dram.Channel
 	tr  *trace.Trace
 	bd  Breakdown
-	// eng is reused across passes (Reset keeps heap capacity), so steady-
-	// state scheduling does not allocate.
+	// eng is reused across passes; its event buckets come from the sim
+	// package's pool, so steady-state scheduling does not allocate.
 	eng sim.Engine
 	// Per-iteration TransferNode byte totals by source / destination.
 	tnOut map[int32]int
@@ -249,7 +249,6 @@ func (m *machine) pass(iter *trace.Iteration, start sim.Cycle, items []workItem)
 	ends := make([]sim.Cycle, threads)
 	eng := &m.eng
 	eng.Reset()
-	eng.Reserve(threads)
 	for th := 0; th < threads; th++ {
 		lo, hi := len(items)*th/threads, len(items)*(th+1)/threads
 		if lo >= hi {

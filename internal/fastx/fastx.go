@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
 )
 
 // Record is a single FASTA/FASTQ entry. Qual is empty for FASTA records.
@@ -16,11 +17,40 @@ type Record struct {
 	Qual string
 }
 
+// checkID rejects a record ID the readers would not return as written:
+// they end the header at the line break and trim surrounding whitespace.
+func checkID(id string) error {
+	if strings.ContainsAny(id, "\r\n") || strings.TrimSpace(id) != id {
+		return fmt.Errorf("fastx: record ID %q has a line break or leading or trailing whitespace", id)
+	}
+	return nil
+}
+
+// checkLetters rejects whitespace, line breaks included, in a sequence or
+// quality string: the readers split and trim lines there.
+func checkLetters(id, what, s string) error {
+	if strings.IndexFunc(s, unicode.IsSpace) >= 0 {
+		return fmt.Errorf("fastx: record %q: %s contains whitespace", id, what)
+	}
+	return nil
+}
+
 // WriteFasta writes records in FASTA format with the given line wrap width
-// (no wrapping when wrap <= 0).
+// (no wrapping when wrap <= 0). Quality strings are not written. A record
+// ReadFasta would parse back differently is an error: see checkID, and a
+// sequence must hold no whitespace and no '>', which could start a line.
 func WriteFasta(w io.Writer, recs []Record, wrap int) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range recs {
+		if err := checkID(r.ID); err != nil {
+			return err
+		}
+		if err := checkLetters(r.ID, "sequence", r.Seq); err != nil {
+			return err
+		}
+		if strings.Contains(r.Seq, ">") {
+			return fmt.Errorf("fastx: record %q: sequence contains '>'", r.ID)
+		}
 		if _, err := fmt.Fprintf(bw, ">%s\n", r.ID); err != nil {
 			return err
 		}
@@ -46,10 +76,20 @@ func WriteFasta(w io.Writer, recs []Record, wrap int) error {
 }
 
 // WriteFastq writes records in 4-line FASTQ format. Records without quality
-// strings get a constant maximum-quality string.
+// strings get a constant maximum-quality string. A record ReadFastq would
+// parse back differently is an error: see checkID and checkLetters.
 func WriteFastq(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range recs {
+		if err := checkID(r.ID); err != nil {
+			return err
+		}
+		if err := checkLetters(r.ID, "sequence", r.Seq); err != nil {
+			return err
+		}
+		if err := checkLetters(r.ID, "quality", r.Qual); err != nil {
+			return err
+		}
 		q := r.Qual
 		if q == "" {
 			q = strings.Repeat("I", len(r.Seq))

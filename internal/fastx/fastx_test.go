@@ -88,3 +88,27 @@ func TestFastqRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestWritersRejectAmbiguousRecords pins records that used to be written
+// without an error and then read back as something else.
+func TestWritersRejectAmbiguousRecords(t *testing.T) {
+	for _, r := range []Record{
+		{ID: "a\nACGT", Seq: "ACGT"}, // read back as ID "a", Seq "ACGTACGT"
+		{ID: " a", Seq: "ACGT"},
+		{ID: "a", Seq: "AC GT"},
+		{ID: "a", Seq: "AC>GT"},
+	} {
+		if err := WriteFasta(&bytes.Buffer{}, []Record{r}, 2); err == nil {
+			t.Errorf("WriteFasta(%+v) succeeded", r)
+		}
+	}
+	for _, r := range []Record{
+		{ID: "a\r", Seq: "ACGT"},
+		{ID: "a", Seq: "AC\nGT", Qual: "IIIII"}, // unreadable file
+		{ID: "a", Seq: "ACGT", Qual: "II\tI"},
+	} {
+		if err := WriteFastq(&bytes.Buffer{}, []Record{r}); err == nil {
+			t.Errorf("WriteFastq(%+v) succeeded", r)
+		}
+	}
+}

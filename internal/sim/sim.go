@@ -6,13 +6,31 @@
 // 1600 MHz and the NMP processing elements run at 1.6 GHz (Table 2), so one
 // simulator cycle is one PE cycle and one DRAM command slot (0.625 ns).
 //
-// The scheduler is an unboxed 4-ary min-heap over a typed event slice:
-// pushing and popping never go through an interface, so the only
-// allocations are slice growth (amortized, and reusable across Run calls
-// via Reserve/Reset). Events are totally ordered by (time, sequence
-// number), which makes the pop order — and therefore every simulation
-// outcome — independent of heap layout details.
+// The scheduler is a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
+// JACM 1990). At clamps every event to the current time, so no event is
+// ever scheduled before the last one popped, and that time — the clock —
+// can serve as the radix base: an event at t sits in bucket
+// bits.Len64(t^now), the position of the highest bit where t differs from
+// now. Every event in a lower bucket is earlier than every event in a
+// higher one, and bucket 0 holds exactly the events due now. Pushing is
+// an append. Popping drains bucket 0 from its head; when it is empty, the
+// smallest non-empty bucket is scanned for its minimum, the clock moves
+// there and that bucket is redistributed, in order, into the lower ones.
+// Equal-time events therefore always share a bucket in the order they were
+// scheduled, so ties fire first-in first-out by construction and the pop
+// order — and every simulation outcome — is the same total (time, arrival)
+// order a comparison heap with a sequence-number tie-break would give.
+//
+// The buckets live in one struct taken from a package-level sync.Pool when
+// the first event arrives in an empty Engine, and returned when Run,
+// RunUntil or Reset leaves it empty. A drained Engine holds no queue
+// storage, and concurrently stepped Engines share the warm buckets.
 package sim
+
+import (
+	"math/bits"
+	"sync"
+)
 
 // Cycle is a point in simulated time (1 cycle = 0.625 ns at 1.6 GHz).
 type Cycle = int64
@@ -24,14 +42,47 @@ const CyclesPerSecond = 1_600_000_000
 func Seconds(c Cycle) float64 { return float64(c) / CyclesPerSecond }
 
 type event struct {
-	at  Cycle
-	seq int64 // FIFO tie-break for determinism
-	fn  func()
+	at Cycle
+	fn func()
 }
 
-// lessEv is the total event order: earlier time first, FIFO at equal time.
-func lessEv(a, b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// queue is the radix heap's storage, one bucket per bits.Len64 result:
+// bucket i holds the events whose time first differs from the clock in bit
+// i-1. Bucket 0 is consumed from head.
+type queue struct {
+	b    [65][]event
+	head int
+}
+
+var queuePool = sync.Pool{New: func() any { return new(queue) }}
+
+// front returns the earliest pending time and the bucket holding it. The
+// queue must be non-empty; the clock does not move.
+func (q *queue) front(now Cycle) (i int, at Cycle) {
+	if len(q.b[0]) > 0 {
+		return 0, now
+	}
+	i = 1
+	for len(q.b[i]) == 0 {
+		i++
+	}
+	at = q.b[i][0].at
+	for _, ev := range q.b[i][1:] {
+		at = min(at, ev.at)
+	}
+	return i, at
+}
+
+// refill moves bucket i, in order, into the buckets below it relative to
+// the new base, its minimum. Bucket 0 and every bucket below i are empty.
+func (q *queue) refill(i int, base Cycle) {
+	src := q.b[i]
+	for _, ev := range src {
+		j := bits.Len64(uint64(ev.at ^ base))
+		q.b[j] = append(q.b[j], ev)
+	}
+	clear(src) // release the closure references
+	q.b[i] = src[:0]
 }
 
 // Probe collects event-loop statistics when attached to an Engine. A nil
@@ -40,17 +91,17 @@ func lessEv(a, b *event) bool {
 type Probe struct {
 	// Dispatched counts events popped and executed by Run.
 	Dispatched int64
-	// MaxPending is the high-water mark of the event heap.
+	// MaxPending is the high-water mark of pending events.
 	MaxPending int
 }
 
 // Engine is a single-threaded event scheduler. The zero value is ready to
 // use.
 type Engine struct {
-	now    Cycle
-	seq    int64
-	events []event // 4-ary min-heap ordered by lessEv
-	probe  *Probe
+	now   Cycle // the radix base: no pending event is earlier
+	n     int
+	q     *queue // nil while no event is pending
+	probe *Probe
 }
 
 // SetProbe attaches (or, with nil, detaches) an event-loop probe.
@@ -60,25 +111,29 @@ func (e *Engine) SetProbe(p *Probe) { e.probe = p }
 func (e *Engine) Now() Cycle { return e.now }
 
 // Pending reports the number of unprocessed events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.n }
 
-// Reserve pre-grows the event heap so the next n At/After calls do not
-// reallocate.
-func (e *Engine) Reserve(n int) {
-	if cap(e.events)-len(e.events) >= n {
+// Reset drops all pending events while keeping the current time, so one
+// Engine can be reused across independent scheduling rounds.
+func (e *Engine) Reset() {
+	if e.q == nil {
 		return
 	}
-	grown := make([]event, len(e.events), len(e.events)+n)
-	copy(grown, e.events)
-	e.events = grown
+	for i := range e.q.b {
+		clear(e.q.b[i]) // release closure references
+		e.q.b[i] = e.q.b[i][:0]
+	}
+	e.q.head = 0
+	e.n = 0
+	e.release()
 }
 
-// Reset drops all pending events while keeping the current time, sequence
-// counter and heap capacity, so one Engine can be reused across
-// independent scheduling rounds without reallocating.
-func (e *Engine) Reset() {
-	clear(e.events) // release closure references
-	e.events = e.events[:0]
+// release returns the bucket storage to the pool once nothing is pending.
+func (e *Engine) release() {
+	if e.n == 0 && e.q != nil {
+		queuePool.Put(e.q)
+		e.q = nil
+	}
 }
 
 // At schedules fn at absolute time t (clamped to now).
@@ -86,11 +141,16 @@ func (e *Engine) At(t Cycle, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
-	e.events = append(e.events, event{at: t, seq: e.seq, fn: fn})
-	e.siftUp(len(e.events) - 1)
-	if e.probe != nil && len(e.events) > e.probe.MaxPending {
-		e.probe.MaxPending = len(e.events)
+	q := e.q
+	if q == nil {
+		q = queuePool.Get().(*queue)
+		e.q = q
+	}
+	i := bits.Len64(uint64(t ^ e.now))
+	q.b[i] = append(q.b[i], event{at: t, fn: fn})
+	e.n++
+	if e.probe != nil && e.n > e.probe.MaxPending {
+		e.probe.MaxPending = e.n
 	}
 }
 
@@ -99,14 +159,10 @@ func (e *Engine) After(d Cycle, fn func()) { e.At(e.now+d, fn) }
 
 // Run processes events until none remain, returning the final time.
 func (e *Engine) Run() Cycle {
-	for len(e.events) > 0 {
-		at, fn := e.pop()
-		e.now = at
-		if e.probe != nil {
-			e.probe.Dispatched++
-		}
-		fn()
+	for e.n > 0 {
+		e.dispatch(e.pop(e.q.front(e.now)))
 	}
+	e.release()
 	return e.now
 }
 
@@ -118,77 +174,49 @@ func (e *Engine) Run() Cycle {
 // the bounded-run primitive for conservative-PDES windows, where horizon is
 // the caller's proven lookahead bound.
 func (e *Engine) RunUntil(horizon Cycle) Cycle {
-	for len(e.events) > 0 && e.events[0].at < horizon {
-		at, fn := e.pop()
-		e.now = at
-		if e.probe != nil {
-			e.probe.Dispatched++
+	for e.n > 0 {
+		i, at := e.q.front(e.now)
+		if at >= horizon {
+			break
 		}
-		fn()
+		e.dispatch(e.pop(i, at))
 	}
+	e.release()
 	return e.now
 }
 
-// NextAt returns the time of the earliest pending event. ok is false when
-// the heap is empty.
+// NextAt returns the time of the earliest pending event without advancing
+// the clock. ok is false when nothing is pending.
 func (e *Engine) NextAt() (at Cycle, ok bool) {
-	if len(e.events) == 0 {
+	if e.n == 0 {
 		return 0, false
 	}
-	return e.events[0].at, true
+	_, at = e.q.front(e.now)
+	return at, true
 }
 
-// siftUp restores the heap property after appending at index i.
-func (e *Engine) siftUp(i int) {
-	ev := e.events[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !lessEv(&ev, &e.events[p]) {
-			break
-		}
-		e.events[i] = e.events[p]
-		i = p
+// pop removes the earliest event, which front found in bucket i at time at,
+// advances the clock to it and returns its callback.
+func (e *Engine) pop(i int, at Cycle) func() {
+	q := e.q
+	if i > 0 {
+		q.refill(i, at)
+		e.now = at
 	}
-	e.events[i] = ev
+	ev := &q.b[0][q.head]
+	fn := ev.fn
+	ev.fn = nil // release the closure reference
+	if q.head++; q.head == len(q.b[0]) {
+		q.b[0] = q.b[0][:0]
+		q.head = 0
+	}
+	e.n--
+	return fn
 }
 
-// pop removes and returns the minimum event's time and callback.
-func (e *Engine) pop() (Cycle, func()) {
-	root := e.events[0]
-	n := len(e.events) - 1
-	last := e.events[n]
-	e.events[n] = event{} // release the closure reference
-	e.events = e.events[:n]
-	if n > 0 {
-		e.siftDown(last)
+func (e *Engine) dispatch(fn func()) {
+	if e.probe != nil {
+		e.probe.Dispatched++
 	}
-	return root.at, root.fn
-}
-
-// siftDown places ev starting from the root, walking the 4-ary tree.
-func (e *Engine) siftDown(ev event) {
-	n := len(e.events)
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if lessEv(&e.events[j], &e.events[m]) {
-				m = j
-			}
-		}
-		if !lessEv(&e.events[m], &ev) {
-			break
-		}
-		e.events[i] = e.events[m]
-		i = m
-	}
-	e.events[i] = ev
+	fn()
 }

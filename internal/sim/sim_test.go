@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -82,38 +85,62 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// refEngine is a straightforward reference scheduler — a flat list scanned
-// for the (time, seq) minimum — replicating the semantics the previous
-// container/heap implementation had. The 4-ary heap must fire events in
-// exactly this order.
-type refEngine struct {
-	now  Cycle
-	seq  int64
-	evs  []event
-	done bool
+// refEvent carries the explicit FIFO tie-break the radix heap gets by
+// construction.
+type refEvent struct {
+	at  Cycle
+	seq int64
+	fn  func()
 }
 
-func (r *refEngine) Now() Cycle { return r.now }
+// refEngine is a straightforward reference scheduler — a flat list scanned
+// for the (time, seq) minimum — replicating the semantics of the original
+// container/heap implementation. Engine must fire events in exactly this
+// order.
+type refEngine struct {
+	now Cycle
+	seq int64
+	evs []refEvent
+}
+
+func (r *refEngine) Now() Cycle   { return r.now }
+func (r *refEngine) Pending() int { return len(r.evs) }
 
 func (r *refEngine) At(t Cycle, fn func()) {
 	if t < r.now {
 		t = r.now
 	}
 	r.seq++
-	r.evs = append(r.evs, event{at: t, seq: r.seq, fn: fn})
+	r.evs = append(r.evs, refEvent{at: t, seq: r.seq, fn: fn})
 }
 
 func (r *refEngine) After(d Cycle, fn func()) { r.At(r.now+d, fn) }
 
-func (r *refEngine) Run() Cycle {
-	for len(r.evs) > 0 {
-		m := 0
-		for i := 1; i < len(r.evs); i++ {
-			if lessEv(&r.evs[i], &r.evs[m]) {
-				m = i
-			}
+// min returns the index of the earliest event; evs must be non-empty.
+func (r *refEngine) min() int {
+	m := 0
+	for i, ev := range r.evs {
+		if ev.at < r.evs[m].at || (ev.at == r.evs[m].at && ev.seq < r.evs[m].seq) {
+			m = i
 		}
+	}
+	return m
+}
+
+func (r *refEngine) NextAt() (Cycle, bool) {
+	if len(r.evs) == 0 {
+		return 0, false
+	}
+	return r.evs[r.min()].at, true
+}
+
+func (r *refEngine) RunUntil(horizon Cycle) Cycle {
+	for len(r.evs) > 0 {
+		m := r.min()
 		ev := r.evs[m]
+		if ev.at >= horizon {
+			break
+		}
 		r.evs = append(r.evs[:m], r.evs[m+1:]...)
 		r.now = ev.at
 		ev.fn()
@@ -121,12 +148,17 @@ func (r *refEngine) Run() Cycle {
 	return r.now
 }
 
-// scheduler is the engine surface the equivalence scenario drives.
+func (r *refEngine) Run() Cycle { return r.RunUntil(math.MaxInt64) }
+
+// scheduler is the engine surface the equivalence scenarios drive.
 type scheduler interface {
 	Now() Cycle
+	Pending() int
 	At(Cycle, func())
 	After(Cycle, func())
 	Run() Cycle
+	RunUntil(Cycle) Cycle
+	NextAt() (Cycle, bool)
 }
 
 // runScenario drives a deterministic pseudo-random self-rescheduling event
@@ -172,23 +204,6 @@ func TestEngineMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: event %d = %v, reference %v", seed, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestEngineAllocs pins the scheduler's allocation behaviour: once the heap
-// has grown to its working size, At+Run must not allocate at all.
-func TestEngineAllocs(t *testing.T) {
-	var e Engine
-	fn := func() {}
-	round := func() {
-		for i := 0; i < 512; i++ {
-			e.At(e.Now()+Cycle(i*13%97), fn)
-		}
-		e.Run()
-	}
-	round() // grow the heap once
-	if a := testing.AllocsPerRun(50, round); a != 0 {
-		t.Errorf("allocs per 512-event round = %v, want 0", a)
 	}
 }
 
@@ -269,40 +284,206 @@ func TestRunUntilHorizonExclusive(t *testing.T) {
 	}
 }
 
-// TestRunUntilAllocs pins zero steady-state allocations for the bounded-run
-// primitive, mirroring TestEngineAllocs for Run: once the heap has grown,
-// windowed draining must not allocate either.
-func TestRunUntilAllocs(t *testing.T) {
-	var e Engine
-	fn := func() {}
-	round := func() {
-		for i := 0; i < 512; i++ {
-			e.At(e.Now()+Cycle(i*13%97), fn)
-		}
-		for h := e.Now() + 1; e.Pending() > 0; h += 16 {
-			e.RunUntil(h)
-		}
-	}
-	round() // grow the heap once
-	if a := testing.AllocsPerRun(50, round); a != 0 {
-		t.Errorf("allocs per windowed 512-event round = %v, want 0", a)
+// offset maps one choice byte to a scheduling offset. The top two bits pick
+// the scale: past times (clamped to now) and ties, near, far, and up to
+// ≈2^40 cycles ahead, where a dormant fault plan sits in the highest
+// buckets.
+func offset(c byte) Cycle {
+	v := Cycle(c & 63)
+	switch c >> 6 {
+	case 0:
+		return v - 32
+	case 1:
+		return v
+	case 2:
+		return v << 12
+	default:
+		return v<<34 | v
 	}
 }
 
-// TestReserveAllocs verifies Reserve makes even the first round
-// allocation-free beyond the single pre-grow.
-func TestReserveAllocs(t *testing.T) {
-	fn := func() {}
-	a := testing.AllocsPerRun(20, func() {
-		var e Engine
-		e.Reserve(256)
-		for i := 0; i < 256; i++ {
-			e.At(Cycle(i%31), fn)
+// drive runs a self-rescheduling event population on s through RunUntil
+// windows, drawing every choice from choices (zero once exhausted, which
+// ends the run). After each window it inserts an event the way the PDES
+// driver does: somewhere in [now, NextAt). The log holds (id, time) per
+// firing plus (-1, now) and (-2, NextAt) after each window.
+func drive(s scheduler, choices []byte, maxEvents int64) [][2]int64 {
+	pos := 0
+	next := func() byte {
+		if pos >= len(choices) {
+			return 0
 		}
-		e.Run()
-	})
-	// One allocation: the Reserve pre-grow itself.
-	if a > 1 {
-		t.Errorf("allocs per reserved round = %v, want <= 1", a)
+		pos++
+		return choices[pos-1]
 	}
+	var log [][2]int64
+	id := int64(0)
+	var spawn func() func()
+	spawn = func() func() {
+		me := id
+		id++
+		return func() {
+			log = append(log, [2]int64{me, s.Now()})
+			for k := next() % 3; k > 0 && id < maxEvents; k-- {
+				s.At(s.Now()+offset(next()), spawn())
+			}
+		}
+	}
+	for k := next()%16 + 1; k > 0; k-- {
+		s.At(offset(next()), spawn())
+	}
+	for s.Pending() > 0 {
+		c := next()
+		if c == 0 {
+			s.Run()
+			break
+		}
+		now := s.RunUntil(s.Now() + offset(c))
+		log = append(log, [2]int64{-1, now})
+		at, ok := s.NextAt()
+		if !ok {
+			continue
+		}
+		log = append(log, [2]int64{-2, at})
+		if at > now && id < maxEvents {
+			s.At(now+Cycle(next())%(at-now), spawn())
+		}
+	}
+	return log
+}
+
+// checkDrive runs one choice stream on Engine and on refEngine and fails on
+// the first difference.
+func checkDrive(t *testing.T, choices []byte) {
+	t.Helper()
+	var e Engine
+	got := drive(&e, choices, 2000)
+	want := drive(&refEngine{}, choices, 2000)
+	if !slices.Equal(got, want) {
+		i := 0
+		for i < min(len(got), len(want)) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("logs differ at entry %d of %d/%d: got %v, reference %v", i, len(got), len(want),
+			got[i:min(i+4, len(got))], want[i:min(i+4, len(want))])
+	}
+	if e.q != nil {
+		t.Fatal("drained engine still holds its buckets")
+	}
+}
+
+// TestWindowedInsertsMatchReference covers the PDES pattern: RunUntil(h)
+// stops, NextAt peeks without moving the radix base, and the driver then
+// schedules events between now and the peeked minimum. Mixed with ties,
+// past-time clamps and events ≈2^40 cycles ahead, the firing order must
+// match the reference scheduler's.
+func TestWindowedInsertsMatchReference(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		choices := make([]byte, 4096)
+		rand.New(rand.NewSource(seed)).Read(choices)
+		checkDrive(t, choices)
+	}
+}
+
+// TestConcurrentEnginesSharePool runs engines on several goroutines at once,
+// as the parallel runtime steps node engines, so their buckets pass between
+// goroutines through the pool; every engine must still fire in reference
+// order. Run it under -race.
+func TestConcurrentEnginesSharePool(t *testing.T) {
+	const workers = 4
+	var streams [workers][]byte
+	var want [workers][][2]int64
+	for w := range workers {
+		streams[w] = make([]byte, 2048)
+		rand.New(rand.NewSource(int64(100 + w))).Read(streams[w])
+		want[w] = drive(&refEngine{}, streams[w], 1000)
+	}
+	var got [workers][][2]int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				got[w] = drive(&Engine{}, streams[w], 1000)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		if !slices.Equal(got[w], want[w]) {
+			t.Errorf("worker %d: log differs from the reference", w)
+		}
+	}
+}
+
+// TestFarFutureEvents pins a dormant event in the top buckets: it must stay
+// pending through windows that schedule and fire nearer events, and fire
+// last, after a past-time event clamped to its own time.
+func TestFarFutureEvents(t *testing.T) {
+	const far = Cycle(1) << 40
+	var e Engine
+	var fired []Cycle
+	rec := func() { fired = append(fired, e.Now()) }
+	e.At(far, func() {
+		rec()
+		e.At(0, rec) // clamped to far
+	})
+	e.At(far+1, rec)
+	e.At(7, rec)
+	if now := e.RunUntil(1000); now != 7 {
+		t.Fatalf("now = %d, want 7", now)
+	}
+	if at, ok := e.NextAt(); !ok || at != far {
+		t.Fatalf("NextAt = %d,%v, want %d", at, ok, far)
+	}
+	e.At(500, rec) // between now and the peeked minimum
+	e.Run()
+	want := []Cycle{7, 500, far, far, far + 1}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+}
+
+// TestDrainedEngineHoldsNoStorage checks that the buckets go back to the
+// pool whenever the queue drains, so quiescent engines hold nothing.
+func TestDrainedEngineHoldsNoStorage(t *testing.T) {
+	var e Engine
+	e.At(3, func() {})
+	e.At(9, func() {})
+	if e.q == nil {
+		t.Fatal("pending engine has no buckets")
+	}
+	e.RunUntil(5)
+	if e.q == nil {
+		t.Fatal("RunUntil released buckets with an event pending")
+	}
+	e.RunUntil(10)
+	if e.q != nil {
+		t.Fatal("RunUntil kept buckets after draining")
+	}
+	e.At(11, func() {})
+	e.Reset()
+	if e.q != nil {
+		t.Fatal("Reset kept buckets")
+	}
+	e.Run()
+	if e.q != nil || e.Now() != 9 {
+		t.Fatalf("Run on an empty engine: q=%v now=%d", e.q, e.Now())
+	}
+}
+
+// FuzzEventOrder drives Engine and refEngine with the same fuzzed offsets,
+// fan-outs and RunUntil horizons; their (id, time) logs must be equal.
+func FuzzEventOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 64, 200, 1, 2, 255, 70, 130, 5, 0})
+	for seed := int64(0); seed < 4; seed++ {
+		choices := make([]byte, 256)
+		rand.New(rand.NewSource(seed)).Read(choices)
+		f.Add(choices)
+	}
+	f.Fuzz(func(t *testing.T, choices []byte) {
+		checkDrive(t, choices)
+	})
 }

@@ -258,21 +258,11 @@ func ExchangeProbed(net Network, bytes [][]int64, pr *Probe) ExchangeStats {
 	if n <= 1 {
 		return st
 	}
+	// A fresh engine needs no pre-sizing: its event buckets come warm from
+	// the sim package's pool and go back when Run drains them.
 	eng := &sim.Engine{}
 	f := NewFlight(net, eng)
 	f.SetProbe(pr)
-	msgs := 0
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if dst != src && bytes[src][dst] > 0 {
-				msgs++
-			}
-		}
-	}
-	// Pre-size the event heap: a message schedules one arrival event per
-	// route link past the first plus its delivery (two events on the full
-	// mesh; longer routes grow the heap once, amortized).
-	eng.Reserve(2 * msgs)
 	finish := sim.Cycle(0)
 	for src := 0; src < n; src++ {
 		for off := 1; off < n; off++ {
