@@ -87,7 +87,7 @@ func BenchmarkScaleOut8xTorus(b *testing.B) { benchsuite.Run(b, "ScaleOut8xTorus
 func BenchmarkScaleOut8xDragonfly(b *testing.B) { benchsuite.Run(b, "ScaleOut8xDragonfly") }
 
 // BenchmarkScaleOut64xMeshParallel measures the 64-node overlapped
-// machine under the conservative-PDES parallel runtime on a full mesh,
+// machine with its engines pre-stepped on the worker pool on a full mesh,
 // reporting speedup_vs_serial against a Workers=1 anchor run off the
 // clock (and failing unless both produce identical results).
 func BenchmarkScaleOut64xMeshParallel(b *testing.B) { benchsuite.Run(b, "ScaleOut64xMeshParallel") }
@@ -102,21 +102,21 @@ func BenchmarkScaleOut64xDragonflyParallel(b *testing.B) {
 	benchsuite.Run(b, "ScaleOut64xDragonflyParallel")
 }
 
-// BenchmarkScaleOut64xBSPParallel measures the windowed chunked
-// superstep driver on the 64-node BSP machine (same speedup_vs_serial
+// BenchmarkScaleOut64xBSPParallel measures the BSP superstep drain on
+// the 64-node machine (same speedup_vs_serial
 // contract as the overlapped parallel benches, plus a Workers ∈ {2, 4}
 // sweep off the clock).
 func BenchmarkScaleOut64xBSPParallel(b *testing.B) { benchsuite.Run(b, "ScaleOut64xBSPParallel") }
 
 // BenchmarkScaleOut64xRebalanceParallel measures the rebalancing runtime
-// under the parallel scheduler, with migrations bounding every window.
+// on the worker pool, with migrations bounding every epoch.
 func BenchmarkScaleOut64xRebalanceParallel(b *testing.B) {
 	benchsuite.Run(b, "ScaleOut64xRebalanceParallel")
 }
 
 // BenchmarkScaleOut64xElasticParallel measures the elastic overlapped
 // runtime — periodic captures plus a mid-phase node loss and recovery —
-// under the parallel scheduler.
+// on the worker pool.
 func BenchmarkScaleOut64xElasticParallel(b *testing.B) {
 	benchsuite.Run(b, "ScaleOut64xElasticParallel")
 }

@@ -446,17 +446,16 @@ func benchScaleOut8xTorus(b *testing.B) { benchScaleOut8x(b, false, topo.Torus(0
 func benchScaleOut8xDragonfly(b *testing.B) { benchScaleOut8x(b, false, topo.DragonflyGroups(0)) }
 
 // measureParallel64 is the shared body of the 64-node parallel
-// benchmarks. A Workers=1 run — the sequential scheduler, regardless of
-// GOMAXPROCS — is timed off the benchmark clock as the anchor; the timed
-// loop runs with Workers=0 (one worker per GOMAXPROCS thread) and the
-// ratio is published as speedup_vs_serial, alongside an off-clock
-// fixed-width sweep (speedup_w2, speedup_w4) showing how the window
-// protocol scales with the pool. Cycle-exactness is part of the bench
-// contract: every parallel result must be identical to the anchor or the
-// benchmark fails. The ratios are only meaningful when GOMAXPROCS is
-// backed by real cores; on a single-core host the gate
-// (par.Threads(0)==1) routes both runs through the serial scheduler and
-// they hover near 1.
+// benchmarks. A Workers=1 run — a pool of one, every engine stepped
+// inline regardless of GOMAXPROCS — is timed off the benchmark clock as
+// the anchor; the timed loop runs with Workers=0 (one worker per
+// GOMAXPROCS thread) and the ratio is published as speedup_vs_serial,
+// alongside an off-clock fixed-width sweep (speedup_w2, speedup_w4)
+// showing how epoch pre-stepping scales with the pool. Cycle-exactness is
+// part of the bench contract: every parallel result must be identical to
+// the anchor or the benchmark fails. The ratios are only meaningful when
+// GOMAXPROCS is backed by real cores; on a single-core host both runs
+// step inline and they hover near 1.
 func measureParallel64(b *testing.B, cfg scaleout.Config) {
 	c, t := setup()
 	scfg := cfg
@@ -529,14 +528,14 @@ func benchScaleOut64xDragonflyParallel(b *testing.B) {
 	benchScaleOut64xParallel(b, topo.DragonflyGroups(0))
 }
 
-// benchScaleOut64xBSPParallel: the windowed chunked superstep driver on
-// the 64-node BSP machine.
+// benchScaleOut64xBSPParallel: the BSP superstep drain of one
+// pre-stepped epoch on the 64-node machine.
 func benchScaleOut64xBSPParallel(b *testing.B) {
 	measureParallel64(b, scale64Config(topo.Default(), false))
 }
 
-// benchScaleOut64xRebalanceParallel: the rebalancing runtime (migration
-// barriers bounding every window) under the parallel scheduler.
+// benchScaleOut64xRebalanceParallel: the rebalancing runtime (migrations
+// bounding every epoch) on the worker pool.
 func benchScaleOut64xRebalanceParallel(b *testing.B) {
 	cfg := scale64Config(topo.Default(), false)
 	cfg.Partitioner = scaleout.NewRebalancePartitioner(12, 1)
@@ -544,8 +543,8 @@ func benchScaleOut64xRebalanceParallel(b *testing.B) {
 }
 
 // benchScaleOut64xElasticParallel: the elastic overlapped runtime —
-// periodic captures plus a mid-phase node loss and its recovery — under
-// the parallel scheduler. The fault cycle comes from an off-clock
+// periodic captures plus a mid-phase node loss and its recovery — on the
+// worker pool. The fault cycle comes from an off-clock
 // fault-free run of the same machine.
 func benchScaleOut64xElasticParallel(b *testing.B) {
 	c, t := setup()

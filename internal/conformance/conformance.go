@@ -93,14 +93,24 @@ type Case struct {
 	// At is the checkpoint iteration (the first iteration the restored run
 	// executes); negative means "the middle of the trace".
 	At int
-	// Depth is the parallel runtime's pre-step depth (Config.PrestepDepth);
-	// 0 means the default of 1.
-	Depth int
 	// Elastic turns the cell into an elastic-runtime cell: a periodic
 	// checkpoint cadence plus (on multi-node machines) a mid-phase node
 	// loss, so the parallel sweep exercises captures, fault boundaries and
-	// the recovery rollback under the window protocol.
+	// the recovery rollback of pre-stepped work.
 	Elastic bool
+	// NoCheckpoints drops an elastic cell's checkpoint cadence: the loss
+	// restarts the phase from iteration 0, so the recovery rolls back
+	// every iteration the whole-phase epoch pre-stepped.
+	NoCheckpoints bool
+	// Stride, when positive, cuts the run at every Stride-th iteration
+	// boundary, so no epoch pre-steps more than Stride iterations where the
+	// runtime has a boundary to cut at: an elastic cell captures every
+	// Stride iterations, a BSP static or rebalancing cell is driven through
+	// Session.Step(Stride) with a cross-worker-count resume at each
+	// boundary, and an overlapped static cell (whose only boundary is a
+	// checkpoint) is checkpointed and cross-mode restored at each one.
+	// Name renders it as "/dN", the pre-step depth the cuts bound.
+	Stride int
 }
 
 // Name renders the cell for subtest names and error messages.
@@ -117,8 +127,11 @@ func (c Case) Name() string {
 		at = fmt.Sprintf("it%d", c.At)
 	}
 	name := fmt.Sprintf("%s/%s/%s/n%d/%s", c.Topo, disc, c.Part, c.Nodes, at)
-	if c.Depth > 1 {
-		name += fmt.Sprintf("/d%d", c.Depth)
+	if c.Stride > 0 {
+		name += fmt.Sprintf("/d%d", c.Stride)
+	}
+	if c.NoCheckpoints {
+		name += "/ck0"
 	}
 	return name
 }
@@ -150,9 +163,11 @@ func (c Case) Config(fx *Fixture) (scaleout.Config, error) {
 	default:
 		return cfg, fmt.Errorf("conformance: unknown partitioner %q", c.Part)
 	}
-	cfg.PrestepDepth = c.Depth
-	if c.Elastic {
+	if c.Elastic && !c.NoCheckpoints {
 		cfg.CheckpointEvery = 2
+		if c.Stride > 0 {
+			cfg.CheckpointEvery = c.Stride
+		}
 	}
 	return cfg, nil
 }
@@ -246,20 +261,23 @@ func Verify(fx *Fixture, c Case) error {
 	return nil
 }
 
-// ParallelMatrix enumerates the serial-vs-parallel equivalence sweep
-// across every discipline the parallel runtime covers:
+// ParallelMatrix enumerates the Workers=1 versus multi-worker
+// equivalence sweep across every discipline the epoch driver serves:
 //
-//   - the hash columns (BSP and overlap) at every node count — depth 1 at
-//     every column, deeper pre-stepping on the small multi-node columns
-//     where the full verifier cost is affordable;
+//   - the hash columns (BSP and overlap) at every node count, plus a
+//     3-iteration-stride cell on the small multi-node columns;
 //   - the rebalancing runtime (BSP only — migration is a global
-//     synchronization) on the small columns, across depths;
-//   - the elastic runtime (both disciplines, periodic captures plus a
-//     mid-phase node loss) on the small columns, across depths.
+//     synchronization) on the small multi-node columns, whole-run and at
+//     stride 3;
+//   - the elastic runtime (both disciplines, a mid-phase node loss) on
+//     the small columns: with periodic captures every 2 and every 3
+//     iterations, and without captures, where the loss rolls back every
+//     pre-stepped iteration.
 //
 // The hash partitioner keeps the sweep's cost on the runtime under test
 // rather than on partitioning variety — VerifyParallel holds for any.
-func ParallelMatrix(nodes, depths []int) []Case {
+func ParallelMatrix(nodes []int) []Case {
+	const stride = 3
 	var small []int
 	for _, n := range nodes {
 		if n > 1 && n <= 8 {
@@ -278,28 +296,35 @@ func ParallelMatrix(nodes, depths []int) []Case {
 	for _, kind := range []topo.Kind{topo.FullMesh, topo.Torus2D, topo.Dragonfly} {
 		for _, overlap := range []bool{false, true} {
 			for _, n := range nodes {
-				for _, d := range depths {
-					if d > 1 && !isSmall(n) {
-						continue
-					}
-					cases = append(cases, Case{Topo: kind, Overlap: overlap, Part: PartHash, Nodes: n, At: -1, Depth: d})
+				c := Case{Topo: kind, Overlap: overlap, Part: PartHash, Nodes: n, At: -1}
+				cases = append(cases, c)
+				if isSmall(n) {
+					c.Stride = stride
+					cases = append(cases, c)
 				}
 			}
 		}
 		for _, n := range small {
-			for _, d := range depths {
-				cases = append(cases, Case{Topo: kind, Overlap: false, Part: PartRebalance, Nodes: n, At: -1, Depth: d})
-				for _, overlap := range []bool{false, true} {
-					cases = append(cases, Case{Topo: kind, Overlap: overlap, Part: PartHash, Nodes: n, At: -1, Depth: d, Elastic: true})
-				}
+			c := Case{Topo: kind, Overlap: false, Part: PartRebalance, Nodes: n, At: -1}
+			cases = append(cases, c)
+			c.Stride = stride
+			cases = append(cases, c)
+			for _, overlap := range []bool{false, true} {
+				c := Case{Topo: kind, Overlap: overlap, Part: PartHash, Nodes: n, At: -1, Elastic: true}
+				cases = append(cases, c)
+				c.Stride = stride
+				cases = append(cases, c)
+				c.Stride, c.NoCheckpoints = 0, true
+				cases = append(cases, c)
 			}
 		}
 	}
 	return cases
 }
 
-// VerifyParallel asserts that the conservative-PDES parallel runtime is
-// indistinguishable from the serial one on a cell, beyond wall-clock:
+// VerifyParallel asserts that a run pre-stepped on a pool of workers is
+// indistinguishable from one stepped inline (Workers=1) on a cell, beyond
+// wall-clock:
 //
 //  1. Result equivalence: Workers=1 and Workers=workers runs produce
 //     bit-identical Results (reflect.DeepEqual, floats included).
@@ -360,10 +385,10 @@ func VerifyParallel(fx *Fixture, c Case, workers int) error {
 		return fmt.Errorf("%s: telemetry traces diverge (%d vs %d bytes)", name, len(ptrace), len(strace))
 	}
 
-	// The elastic runtime owns its checkpoint lifecycle (periodic ring
+	// The elastic runtime owns its checkpoint lifecycle (periodic
 	// captures inside the run — their byte-identity across worker counts
 	// is covered by the Result and trace comparisons above, which include
-	// the restored-from-ring recovery); the external Checkpoint API
+	// the restored-from-capture recovery); the external Checkpoint API
 	// rejects elastic configurations, so the cross-mode blob section only
 	// applies to the static and rebalancing runtimes.
 	if c.Elastic {
@@ -401,6 +426,66 @@ func VerifyParallel(fx *Fixture, c Case, workers int) error {
 	}
 	if !reflect.DeepEqual(fromSerial, serial) {
 		return fmt.Errorf("%s: serial-captured blob restored in parallel diverges: %s", name, diffSummary(fromSerial, serial))
+	}
+	if c.Stride > 0 {
+		return verifyStrided(fx, c, cfg, serial, workers, name)
+	}
+	return nil
+}
+
+// verifyStrided cuts a non-elastic cell's run at every Stride-th
+// iteration boundary and asserts that the cut run still finishes with the
+// serial Result. A BSP run is time-sliced through a Session whose worker
+// count flips at every boundary (Step, Checkpoint, then ResumeSession
+// under the other count), so neighbouring epochs are pre-stepped by
+// opposite modes. An overlapped run cannot be sliced by a Session, so it
+// is checkpointed at each boundary under one worker count and restored
+// under the other.
+func verifyStrided(fx *Fixture, c Case, cfg scaleout.Config, serial *scaleout.Result, workers int, name string) error {
+	counts := [2]int{workers, 1}
+	if c.Overlap {
+		iters := len(fx.Trace.Iterations)
+		for b, k := c.Stride, 0; b < iters; b, k = b+c.Stride, k+1 {
+			ccfg, rcfg := cfg, cfg
+			ccfg.Workers, rcfg.Workers = counts[k%2], counts[(k+1)%2]
+			blob, err := scaleout.Checkpoint(fx.Reads, fx.Trace, ccfg, b)
+			if err != nil {
+				return fmt.Errorf("%s: checkpoint at %d under w%d: %w", name, b, ccfg.Workers, err)
+			}
+			got, err := scaleout.Restore(fx.Trace, rcfg, blob)
+			if err != nil {
+				return fmt.Errorf("%s: restore at %d under w%d: %w", name, b, rcfg.Workers, err)
+			}
+			if !reflect.DeepEqual(got, serial) {
+				return fmt.Errorf("%s: captured at %d under w%d, restored under w%d, diverges: %s",
+					name, b, ccfg.Workers, rcfg.Workers, diffSummary(got, serial))
+			}
+		}
+		return nil
+	}
+	scfg := cfg
+	scfg.Workers = counts[0]
+	s, err := scaleout.NewSession(fx.Reads, fx.Trace, scfg)
+	if err != nil {
+		return fmt.Errorf("%s: session: %w", name, err)
+	}
+	for k := 1; s.Step(c.Stride) > 0 && s.Remaining() > 0; k++ {
+		blob, err := s.Checkpoint()
+		if err != nil {
+			return fmt.Errorf("%s: session checkpoint at %d: %w", name, s.Next(), err)
+		}
+		at := s.Next()
+		scfg.Workers = counts[k%2]
+		if s, err = scaleout.ResumeSession(fx.Trace, scfg, blob); err != nil {
+			return fmt.Errorf("%s: resume at %d under w%d: %w", name, at, scfg.Workers, err)
+		}
+	}
+	got, err := s.Finish()
+	if err != nil {
+		return fmt.Errorf("%s: session finish: %w", name, err)
+	}
+	if !reflect.DeepEqual(got, serial) {
+		return fmt.Errorf("%s: run sliced every %d iterations diverges: %s", name, c.Stride, diffSummary(got, serial))
 	}
 	return nil
 }

@@ -125,7 +125,7 @@ type Channel struct {
 
 // SetProbe attaches (or, with nil, detaches) a data-bus occupancy track.
 // Spans are recorded on the channel's local clock; callers re-base them to
-// global time with Track.ShiftTail.
+// global time with Track.ShiftRange.
 func (ch *Channel) SetProbe(t *telemetry.Track) { ch.probe = t }
 
 // NewChannel builds a channel from cfg (zero fields filled with DDR4-3200

@@ -98,18 +98,21 @@ func Summarize(contigs []dna.Seq, ref []dna.Seq) Summary {
 
 // genomeFraction approximates reference coverage as the fraction of
 // reference k-mers present in the contigs (a stdlib-only stand-in for
-// QUAST's alignment-based genome fraction).
+// QUAST's alignment-based genome fraction). A contig may spell either
+// strand of the reference, so both its strands are indexed.
 func genomeFraction(contigs, ref []dna.Seq, k int) float64 {
 	have := make(map[dna.Kmer]struct{})
 	for _, c := range contigs {
 		if c.Len() < k {
 			continue
 		}
-		km := dna.KmerFromSeq(c, 0, k)
-		have[km] = struct{}{}
-		for i := k; i < c.Len(); i++ {
-			km = km.Roll(k, c.At(i))
+		for _, s := range []dna.Seq{c, c.ReverseComplement()} {
+			km := dna.KmerFromSeq(s, 0, k)
 			have[km] = struct{}{}
+			for i := k; i < s.Len(); i++ {
+				km = km.Roll(k, s.At(i))
+				have[km] = struct{}{}
+			}
 		}
 	}
 	var total, hit int64

@@ -83,6 +83,16 @@ func TestGenomeFraction(t *testing.T) {
 	}
 }
 
+// TestGenomeFractionReverseStrand: a contig spelling the reference's
+// reverse complement covers the whole reference.
+func TestGenomeFractionReverseStrand(t *testing.T) {
+	ref := dna.MustParseSeq("ACGTTGCAACGGTCATTGCCAGTACCATGGCATCAGTTACGGATCGATTA")
+	rc := Summarize([]dna.Seq{ref.ReverseComplement()}, []dna.Seq{ref})
+	if rc.GenomeFrac != 1.0 {
+		t.Fatalf("reverse-strand coverage = %v want 1", rc.GenomeFrac)
+	}
+}
+
 func TestLengths(t *testing.T) {
 	got := Lengths([]dna.Seq{dna.MustParseSeq("ACG"), dna.MustParseSeq("TTTTT")})
 	if len(got) != 2 || got[0] != 3 || got[1] != 5 {

@@ -71,7 +71,7 @@ func (e *Engine) SetKernelProbe(p *sim.Probe) { e.kernel.SetProbe(p) }
 // SetDRAMProbes attaches one data-bus occupancy track per DRAM channel
 // (tracks[i] to channel i; a short or nil slice leaves the rest
 // unprobed). Spans land on the engine's local clock; drivers re-base them
-// with Track.ShiftTail after each step.
+// with Track.ShiftRange after each step.
 func (e *Engine) SetDRAMProbes(tracks []*telemetry.Track) {
 	for i, ch := range e.channels {
 		if i < len(tracks) {

@@ -76,10 +76,11 @@ const checkpointMagic = "NMPPAK-CKPT\n"
 
 // ErrElasticConfig is wrapped by Checkpoint and Restore when the
 // configuration routes through the elastic runtime (CheckpointEvery /
-// Faults): elastic runs manage their own in-memory recovery ring and are
-// not externally pause-and-resumable. Schedulers detect non-preemptible
-// jobs with errors.Is(err, ErrElasticConfig) — the tenancy layer queues
-// such fault-plan tenants on dedicated nodes instead of time-slicing them.
+// Faults): elastic runs manage their own in-memory recovery checkpoint
+// and are not externally pause-and-resumable. Schedulers detect
+// non-preemptible jobs with errors.Is(err, ErrElasticConfig) — the
+// tenancy layer queues such fault-plan tenants on dedicated nodes instead
+// of time-slicing them.
 var ErrElasticConfig = errors.New("elastic config (CheckpointEvery/Faults) manages its own recovery checkpoints")
 
 // RebalanceState is the dynamic-ownership runtime's extra checkpoint
@@ -107,9 +108,9 @@ type RebalanceState struct {
 // ElasticState is the elastic runtime's extra checkpoint state: the live
 // membership the blob was captured under and the committed logical
 // traffic counters a recovery rolls back to. Present exactly on the
-// in-memory ring blobs the elastic runtime captures (Config.CheckpointEvery
-// / Config.Faults); the external Checkpoint/Restore surface never carries
-// it.
+// in-memory recovery blobs the elastic runtime captures
+// (Config.CheckpointEvery / Config.Faults); the external Checkpoint/Restore
+// surface never carries it.
 type ElasticState struct {
 	// Live[i] reports whether node i was still alive at capture time; a
 	// dead node's engine is frozen at its own last committed iteration
@@ -163,8 +164,8 @@ type CheckpointState struct {
 	// RebalancePartitioner.
 	Rebalance *RebalanceState
 
-	// Elastic is present exactly on the elastic runtime's internal ring
-	// blobs (see ElasticState).
+	// Elastic is present exactly on the elastic runtime's internal
+	// recovery blobs (see ElasticState).
 	Elastic *ElasticState
 }
 
@@ -196,7 +197,7 @@ func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter in
 	// software phases and the marker).
 	var pr *probes
 	if cfg.Telemetry != nil {
-		pr = newProbes(cfg.Telemetry, net, cfg)
+		pr = newProbes(cfg.Telemetry, net, cfg, iters)
 	}
 	res, err := runPrelude(reads, cfg, net, pr)
 	if err != nil {
@@ -208,59 +209,25 @@ func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter in
 	// stepped on their local back-to-back clocks (identical in both
 	// disciplines — the schedule only composes durations on the global
 	// timeline). A BSP capture also accumulates the partial superstep
-	// sums its restore resumes from; an overlapped capture skips them
-	// (its restore replays the macro-schedule from the recorded durations
-	// and never reads them).
-	var ckCompute, ckExchange sim.Cycle
-	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		rr, err := newRebalanceRun(tr, net, cfg, rp)
-		if err != nil {
-			return nil, err
-		}
-		rr.setProbes(pr)
-		rr.advance(0, beforeIter)
-		ck.Compute, ck.Exchange = rr.compute, rr.exchange
-		ck.CompactExchangedBytes = rr.out.ExchangedBytes
-		ck.Rebalance = &RebalanceState{
-			Table:         append([]uint16(nil), rr.table...),
-			Cum:           append([]sim.Cycle(nil), rr.cum...),
-			LastDur:       append([]sim.Cycle(nil), rr.lastDur...),
-			Weight:        append([]int64(nil), rr.weight...),
-			LocalTNs:      rr.out.LocalTNs,
-			RemoteTNs:     rr.out.RemoteTNs,
-			HaloBytes:     rr.out.HaloBytes,
-			Rebalances:    rr.out.Rebalances,
-			MigratedBytes: rr.out.MigratedBytes,
-		}
-		if err := snapshotInto(ck, rr.out.Durations, rr.engines); err != nil {
-			return nil, err
-		}
-		ckCompute, ckExchange = rr.compute, rr.exchange
+	// sums its restore resumes from; an overlapped capture only steps the
+	// engines (its restore replays the macro-schedule from the recorded
+	// durations and never reads the sums, which stay zero).
+	run, err := newRun(tr, net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Overlap {
+		rt := run.(*runtime)
+		prestep(rt.engines, nil, rt.durations, 0, beforeIter, cfg.Workers, nil)
 	} else {
-		st := ShardTrace(tr, cfg.Nodes, cfg.Partitioner)
-		rt, err := newRuntime(st, net, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Overlap {
-			rt.stepAdvance(0, beforeIter)
-		} else {
-			rt.setProbes(pr)
-			rt.bspAdvance(0, beforeIter)
-		}
-		ck.Compute, ck.Exchange = rt.compute, rt.exchange
-		ck.CompactExchangedBytes = rt.exchangedBytes
-		if err := snapshotInto(ck, rt.durations, rt.engines); err != nil {
-			return nil, err
-		}
-		ckCompute, ckExchange = rt.compute, rt.exchange
+		run.setProbes(pr)
+		run.advance(0, beforeIter)
+	}
+	if err := run.snapshot(ck); err != nil {
+		return nil, err
 	}
 	if pr != nil {
-		at := pr.base
-		if !cfg.Overlap {
-			at = pr.bspStart(ckCompute, ckExchange, beforeIter, iters,
-				net.BarrierCycles(), cfg.NMP.SyncBarrierCycles)
-		}
+		at := pr.base + run.phase().now()
 		pr.phases.Add(telemetry.SpanCheckpoint, at, at, int64(beforeIter), 0)
 		pr.seal()
 	}
@@ -288,6 +255,19 @@ func checkpointHeader(cfg Config, net topo.Network, tr *trace.Trace, res *Result
 		PreludeExchangedBytes: res.ExchangedBytes,
 		ResumeIter:            beforeIter,
 	}
+}
+
+// snapshot implements phaseRun.
+func (rt *runtime) snapshot(ck *CheckpointState) error {
+	rt.clock.save(ck)
+	return snapshotInto(ck, rt.durations, rt.engines)
+}
+
+// snapshot implements phaseRun.
+func (rr *rebalanceRun) snapshot(ck *CheckpointState) error {
+	rr.clock.save(ck)
+	ck.Rebalance = rr.state()
+	return snapshotInto(ck, rr.durations, rr.engines)
 }
 
 // snapshotInto records the executed durations and the per-node engine
@@ -327,7 +307,33 @@ func Restore(tr *trace.Trace, cfg Config, blob []byte) (*Result, error) {
 	if err := ck.matches(tr, cfg, net); err != nil {
 		return nil, err
 	}
-	res := &Result{
+	res := ck.resumedResult(cfg, net)
+	// An instrumented restore records the software phases from the blob's
+	// timing and the live compaction range: the BSP disciplines re-enter
+	// the global timeline at the checkpointed partial sums, the overlapped
+	// discipline replays its whole macro-schedule (so even the pre-pause
+	// iterations get spans, with recorded durations standing in).
+	var pr *probes
+	if cfg.Telemetry != nil {
+		pr = newProbes(cfg.Telemetry, net, cfg, len(tr.Iterations))
+		pr.prelude(res)
+	}
+	run, err := resumeRun(tr, net, cfg, ck)
+	if err != nil {
+		return nil, err
+	}
+	run.setProbes(pr)
+	finalize(res, finishRun(run, cfg, res, ck.ResumeIter))
+	if pr != nil {
+		pr.seal()
+	}
+	return res, nil
+}
+
+// resumedResult is the Result a restored run continues from: the
+// software phases and per-node statistics the blob carries.
+func (ck *CheckpointState) resumedResult(cfg Config, net topo.Network) *Result {
+	return &Result{
 		Nodes:          cfg.Nodes,
 		Partitioner:    cfg.Partitioner.Name(),
 		Topology:       net.Name(),
@@ -336,46 +342,6 @@ func Restore(tr *trace.Trace, cfg Config, blob []byte) (*Result, error) {
 		PerNode:        append([]NodeStats(nil), ck.PerNode...),
 		ExchangedBytes: ck.PreludeExchangedBytes,
 	}
-	// An instrumented restore records the software phases from the blob's
-	// timing and the live compaction range: the BSP disciplines re-enter
-	// the global timeline at the checkpointed partial sums, the overlapped
-	// discipline replays its whole macro-schedule (so even the pre-pause
-	// iterations get spans, with recorded durations standing in).
-	var pr *probes
-	if cfg.Telemetry != nil {
-		pr = newProbes(cfg.Telemetry, net, cfg)
-		pr.prelude(res)
-	}
-	var co *compactOutcome
-	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		rr, err := resumeRebalanceRun(tr, net, cfg, rp, ck)
-		if err != nil {
-			return nil, err
-		}
-		rr.setProbes(pr)
-		rr.advance(ck.ResumeIter, rr.iters)
-		ro := rr.finish()
-		co = &ro.compactOutcome
-		res.HaloBytes = ro.HaloBytes
-		res.RemoteTNFrac = remoteTNFrac(ro.LocalTNs, ro.RemoteTNs)
-		res.Rebalances = ro.Rebalances
-		res.MigratedBytes = ro.MigratedBytes
-	} else {
-		st := ShardTrace(tr, cfg.Nodes, cfg.Partitioner)
-		res.HaloBytes = st.HaloBytes
-		res.RemoteTNFrac = st.RemoteTNFrac()
-		rt, err := resumeRuntime(st, net, cfg, ck)
-		if err != nil {
-			return nil, err
-		}
-		rt.setProbes(pr)
-		co = rt.run()
-	}
-	finalize(res, co)
-	if pr != nil {
-		pr.seal()
-	}
-	return res, nil
 }
 
 // resumeRuntime rebuilds the static-partitioner runtime at the blob's
@@ -383,18 +349,16 @@ func Restore(tr *trace.Trace, cfg Config, blob []byte) (*Result, error) {
 func resumeRuntime(st *ShardedTrace, net topo.Network, cfg Config, ck *CheckpointState) (*runtime, error) {
 	iters := len(st.Traces[0].Iterations)
 	rt := &runtime{
-		cfg:            cfg,
-		st:             st,
-		net:            net,
-		n:              cfg.Nodes,
-		iters:          iters,
-		start:          ck.ResumeIter,
-		engines:        make([]*nmp.Engine, cfg.Nodes),
-		durations:      make([][]sim.Cycle, cfg.Nodes),
-		compute:        ck.Compute,
-		exchange:       ck.Exchange,
-		exchangedBytes: ck.CompactExchangedBytes,
+		cfg:       cfg,
+		st:        st,
+		net:       net,
+		iters:     iters,
+		start:     ck.ResumeIter,
+		engines:   make([]*nmp.Engine, cfg.Nodes),
+		durations: make([][]sim.Cycle, cfg.Nodes),
+		clock:     newPhaseClock(net, cfg, iters),
 	}
+	rt.clock.restore(ck)
 	for i := range rt.engines {
 		e, err := nmp.ResumeEngine(st.Traces[i], cfg.NMP, ck.Engines[i])
 		if err != nil {
@@ -420,12 +384,11 @@ func resumeRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *Rebala
 	copy(rr.cum, rs.Cum)
 	copy(rr.lastDur, rs.LastDur)
 	copy(rr.weight, rs.Weight)
-	rr.compute, rr.exchange = ck.Compute, ck.Exchange
-	rr.out.ExchangedBytes = ck.CompactExchangedBytes
+	rr.clock.restore(ck)
 	rr.out.LocalTNs, rr.out.RemoteTNs, rr.out.HaloBytes = rs.LocalTNs, rs.RemoteTNs, rs.HaloBytes
 	rr.out.Rebalances, rr.out.MigratedBytes = rs.Rebalances, rs.MigratedBytes
-	for i := range rr.out.Durations {
-		copy(rr.out.Durations[i], ck.Durations[i])
+	for i := range rr.durations {
+		copy(rr.durations[i], ck.Durations[i])
 	}
 
 	var quantiles [][]dna.Kmer
@@ -585,7 +548,7 @@ func (ck *CheckpointState) matches(tr *trace.Trace, cfg Config, net topo.Network
 		return fmt.Errorf("scaleout: checkpoint rebalance state presence (%v) does not match the partitioner", ck.Rebalance != nil)
 	}
 	if ck.Elastic != nil {
-		return fmt.Errorf("scaleout: blob carries elastic membership state (an internal recovery checkpoint); only the elastic runtime's ring restores it")
+		return fmt.Errorf("scaleout: blob carries elastic membership state (an internal recovery checkpoint); only the elastic runtime restores it")
 	}
 	if d := configDigest(cfg, net.Name()); d != ck.ConfigDigest {
 		return fmt.Errorf("scaleout: configuration digest %016x does not match checkpoint %016x", d, ck.ConfigDigest)

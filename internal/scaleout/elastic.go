@@ -11,15 +11,16 @@
 //   - Every Config.CheckpointEvery iterations the runtime captures the
 //     full checkpoint blob (the same versioned bytes Checkpoint emits,
 //     decoded by the same hardened UnmarshalCheckpoint on the way back)
-//     into a small in-memory ring, charging len(blob)/CheckpointBytesPerCycle
-//     as a global stall — the coordinated-checkpoint cost.
+//     in memory, replacing the previous one, and charges
+//     len(blob)/CheckpointBytesPerCycle as a global stall — the
+//     coordinated-checkpoint cost.
 //   - fault.Plan events are applied at iteration boundaries, the first
 //     point a lockstep run can act on them. Link events mutate the
 //     Degraded interconnect in place (every later exchange sees the lost
 //     bandwidth or the detour). A node loss is detected at the next
 //     boundary: the plan's DetectCycles stall, then every node —
 //     survivors live, casualties frozen — is restored from the newest
-//     ring blob, the work since that checkpoint is discarded, and the
+//     checkpoint blob, the work since that checkpoint is discarded, and the
 //     dead node's shard fails over to the survivors
 //     (key-hash-partitioned across the live set). The MacroNodes that
 //     changed owners are charged over the degraded network before the
@@ -36,6 +37,14 @@
 // compaction phase from iteration 0 on the survivors, the degenerate
 // cadence the sweep's zero point measures.
 //
+// Captures bound the epochs of the epoch driver (runtime.go): each epoch
+// is sharded under the current membership, pre-stepped on the worker
+// pool, then drained. Fault boundaries inside an epoch need no bound: a
+// recovery rolls engines, durations, traces and counters back wholesale,
+// and the drain discards the telemetry of the pre-stepped iterations it
+// never reached (dropBuffered in BSP; mark/rewind of the whole segment in
+// the overlapped discipline).
+//
 // A fault-free configuration with CheckpointEvery == 0 never enters this
 // file: Simulate dispatches here only when cfg.elastic() — the legacy
 // runtimes stay cycle-exact and allocation-identical.
@@ -43,12 +52,10 @@ package scaleout
 
 import (
 	"fmt"
-	"math"
 
 	"nmppak/internal/dna"
 	"nmppak/internal/fault"
 	"nmppak/internal/nmp"
-	"nmppak/internal/par"
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
 	"nmppak/internal/topo"
@@ -60,16 +67,11 @@ import (
 // 25.6 GB/s at the modeled 1.6 GHz — a striped local NVMe target.
 const DefaultCheckpointBytesPerCycle = 16
 
-// elasticRingCap bounds the in-memory checkpoint ring. Recovery restores
-// from the newest entry; the older ones are the safety margin against a
-// blob that fails to decode.
-const elasticRingCap = 4
-
 // elasticOutcome extends the compaction outcome with the traffic the
 // elastic runtime accounts itself plus the recovery bookkeeping Result
 // surfaces.
 type elasticOutcome struct {
-	compactOutcome
+	*compactOutcome
 	LocalTNs  int64
 	RemoteTNs int64
 	HaloBytes int64
@@ -85,21 +87,20 @@ type elasticOutcome struct {
 	RepartitionBytes int64
 }
 
-// ringEntry is one captured checkpoint: the iteration it resumes at and
+// recoveryPoint is a captured checkpoint: the iteration it resumes at and
 // the marshaled blob (real bytes — restore decodes them through
-// UnmarshalCheckpoint, so the ring exercises the same hardened path an
+// UnmarshalCheckpoint, so recovery exercises the same hardened path an
 // on-disk blob does).
-type ringEntry struct {
+type recoveryPoint struct {
 	iter int
 	blob []byte
 }
 
-// elasticRun drives the fault-aware compaction replay. Accounting
-// invariant: compute + exchange + barrier == now at every boundary — the
-// three buckets tile the phase clock, with halo exchanges and re-partition
-// migrations in exchange (communication), link barriers in barrier with
-// their comm share tracked in linkBarrier, and sync barriers, checkpoint
-// captures, detection and restore stalls in barrier as protocol overhead.
+// elasticRun drives the fault-aware compaction replay. Its phaseClock
+// tiles the phase time: halo exchanges and re-partition migrations in
+// exchange (communication), link barriers in barrier with their comm
+// share tracked in linkBarrier, and sync barriers, checkpoint captures,
+// detection and restore stalls in barrier as protocol overhead.
 type elasticRun struct {
 	tr  *trace.Trace
 	deg *topo.Degraded
@@ -121,16 +122,14 @@ type elasticRun struct {
 	traces    []*trace.Trace
 	durations [][]sim.Cycle
 
-	now         sim.Cycle // compaction-phase clock
-	compute     sim.Cycle
-	exchange    sim.Cycle
-	barrier     sim.Cycle
-	linkBarrier sim.Cycle // comm share of the barrier bucket
+	clock phaseClock // compaction-phase clock over the live membership
 
 	localTNs, remoteTNs, haloBytes int64 // committed logical traffic
 
 	cfgDigest uint64
-	ring      []ringEntry
+	// ckpt is the newest checkpoint, the one a recovery restores (nil
+	// before the first capture).
+	ckpt *recoveryPoint
 
 	out elasticOutcome
 	pr  *probes
@@ -173,6 +172,8 @@ func newElasticRun(tr *trace.Trace, net topo.Network, cfg Config, res *Result, p
 		cfgDigest: configDigest(cfg, net.Name()),
 		pr:        pr,
 	}
+	er.clock = newPhaseClock(er.deg, cfg, er.iters)
+	er.clock.pr, er.clock.live = pr, er.live
 	if er.ckBPC <= 0 {
 		er.ckBPC = DefaultCheckpointBytesPerCycle
 	}
@@ -224,21 +225,14 @@ func (er *elasticRun) nextLive(i int) int {
 	return i
 }
 
-// parallelOK reports whether the elastic run's window drivers engage
-// (see runtime_parallel.go) — cycle-exact either way: the BSP chunks and
-// the overlapped segments produce byte-identical traces, results and
-// checkpoint blobs on both paths.
-func (er *elasticRun) parallelOK() bool {
-	return par.Threads(er.cfg.Workers) > 1 && er.n > 1
-}
-
 // pendingLoss reports whether the next boundary pass will act on a node
-// loss — an event already due at the current phase time. The windowed
-// BSP driver peeks so it can drop the un-placed telemetry of pre-stepped
-// iterations before the recovery's own spans are recorded.
+// loss — an event already due at the current phase time. The BSP drain
+// peeks so it can drop the un-placed telemetry of pre-stepped iterations
+// before the recovery's own spans are recorded.
 func (er *elasticRun) pendingLoss() bool {
+	now := er.clock.now()
 	for _, ev := range er.events[er.next:] {
-		if ev.Cycle > er.now {
+		if ev.Cycle > now {
 			return false
 		}
 		if ev.Kind == fault.NodeLoss {
@@ -248,62 +242,6 @@ func (er *elasticRun) pendingLoss() bool {
 	return false
 }
 
-// step advances node i by one iteration on its local clock (only live
-// nodes are ever stepped).
-func (er *elasticRun) step(i int) sim.Cycle {
-	e := er.engines[i]
-	it := e.Next()
-	if er.pr != nil {
-		er.pr.beforeStep(i, e)
-	}
-	ti := e.StepIteration(e.NextStart())
-	d := ti.End - ti.Start
-	er.durations[i][it] = d
-	if er.pr != nil {
-		er.pr.afterStep(i, e, ti)
-	}
-	return d
-}
-
-// exchange prices one all-to-all over the (possibly degraded) network at
-// the current phase time.
-func (er *elasticRun) doExchange(b [][]int64) topo.ExchangeStats {
-	if er.pr != nil {
-		return topo.ExchangeProbed(er.deg, b, er.pr.linkAt(er.pr.base+er.now))
-	}
-	return topo.Exchange(er.deg, b)
-}
-
-// stallBarrier charges a whole-machine wait to the barrier bucket (with
-// comm == true also to the link-barrier comm share) and records it on the
-// runtime and live node tracks.
-func (er *elasticRun) stallBarrier(kind telemetry.SpanKind, it int, d sim.Cycle, bytes int64, comm bool) {
-	if d <= 0 {
-		return
-	}
-	if er.pr != nil {
-		er.pr.liveStall(kind, it, er.pr.base+er.now, d, bytes, er.live)
-	}
-	er.barrier += d
-	if comm {
-		er.linkBarrier += d
-	}
-	er.now += d
-}
-
-// stallComm charges a whole-machine wait to the exchange (communication)
-// bucket.
-func (er *elasticRun) stallComm(kind telemetry.SpanKind, it int, d sim.Cycle, bytes int64) {
-	if d <= 0 {
-		return
-	}
-	if er.pr != nil {
-		er.pr.liveStall(kind, it, er.pr.base+er.now, d, bytes, er.live)
-	}
-	er.exchange += d
-	er.now += d
-}
-
 // captureDue reports whether a periodic checkpoint should be captured
 // before iteration it (never re-captured after a recovery pushed a
 // baseline at the same boundary).
@@ -311,7 +249,17 @@ func (er *elasticRun) captureDue(it int) bool {
 	if er.every <= 0 || it == 0 || it%er.every != 0 {
 		return false
 	}
-	return len(er.ring) == 0 || er.ring[len(er.ring)-1].iter < it
+	return er.ckpt == nil || er.ckpt.iter < it
+}
+
+// epochEnd is the end of the epoch starting at iteration it: the next
+// capture boundary, or the end of the phase.
+func (er *elasticRun) epochEnd(it int) int {
+	end := er.iters
+	if er.every > 0 {
+		end = min((it/er.every+1)*er.every, end)
+	}
+	return end
 }
 
 // snapshot marshals the current state as a standard checkpoint blob
@@ -344,23 +292,19 @@ func (er *elasticRun) snapshot(it int) ([]byte, error) {
 	return ck.Marshal()
 }
 
-// capture pushes a periodic checkpoint into the ring and charges the
-// capture stall.
+// capture replaces the newest checkpoint with a periodic one and charges
+// the capture stall.
 func (er *elasticRun) capture(it int) error {
 	blob, err := er.snapshot(it)
 	if err != nil {
 		return err
 	}
-	if len(er.ring) == elasticRingCap {
-		copy(er.ring, er.ring[1:])
-		er.ring = er.ring[:elasticRingCap-1]
-	}
-	er.ring = append(er.ring, ringEntry{iter: it, blob: blob})
+	er.ckpt = &recoveryPoint{iter: it, blob: blob}
 	d := sim.Cycle(float64(len(blob)) / er.ckBPC)
 	er.out.Checkpoints++
 	er.out.CheckpointBytes += int64(len(blob))
 	er.out.CheckpointCycles += d
-	er.stallBarrier(telemetry.SpanCheckpoint, it, d, int64(len(blob)), false)
+	er.clock.stallBarrier(telemetry.SpanCheckpoint, it, d, int64(len(blob)), false)
 	return nil
 }
 
@@ -371,7 +315,7 @@ func (er *elasticRun) capture(it int) error {
 // the run, -1 otherwise.
 func (er *elasticRun) boundary(it int) (int, error) {
 	var losses []fault.Event
-	for er.next < len(er.events) && er.events[er.next].Cycle <= er.now {
+	for er.next < len(er.events) && er.events[er.next].Cycle <= er.clock.now() {
 		e := er.events[er.next]
 		er.next++
 		er.out.FaultsInjected++
@@ -405,7 +349,7 @@ func (er *elasticRun) boundary(it int) (int, error) {
 }
 
 // recover handles one or more node losses surfacing at the boundary
-// before iteration bIter: detection stall, restore from the newest ring
+// before iteration bIter: detection stall, restore from the newest
 // checkpoint (or a from-scratch restart when none exists), rollback of
 // everything since, re-partition migration of the shards that changed
 // owners, and a fresh baseline checkpoint at the resume point. Returns
@@ -436,15 +380,14 @@ func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
 
 	// Detection: the heartbeat/membership latency before survivors act.
 	er.out.RecoveryCycles += er.detect
-	er.stallBarrier(telemetry.SpanDetect, bIter, er.detect, int64(losses[0].Node), false)
+	er.clock.stallBarrier(telemetry.SpanDetect, bIter, er.detect, int64(losses[0].Node), false)
 
-	// Restore from the newest ring checkpoint; with an empty ring the
-	// survivors restart the compaction phase from scratch (the
-	// no-checkpointing degenerate cadence).
+	// Restore from the newest checkpoint; without one the survivors
+	// restart the compaction phase from scratch (the no-checkpointing
+	// degenerate cadence).
 	var ck *CheckpointState
 	resume := 0
-	if len(er.ring) > 0 {
-		ent := &er.ring[len(er.ring)-1]
+	if ent := er.ckpt; ent != nil {
 		dec, err := UnmarshalCheckpoint(ent.blob)
 		if err != nil {
 			return 0, fmt.Errorf("scaleout: recovery checkpoint (iteration %d): %w", ent.iter, err)
@@ -453,7 +396,7 @@ func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
 		resume = ck.ResumeIter
 		d := sim.Cycle(float64(len(ent.blob)) / er.ckBPC)
 		er.out.RecoveryCycles += d
-		er.stallBarrier(telemetry.SpanRestore, resume, d, int64(len(ent.blob)), false)
+		er.clock.stallBarrier(telemetry.SpanRestore, resume, d, int64(len(ent.blob)), false)
 	}
 	er.out.LostIterations += int64(bIter-resume) * int64(liveBefore)
 
@@ -482,23 +425,22 @@ func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
 				move[src][oa] += int64(nd.D1 + nd.D2)
 			}
 		}
-		mx := er.doExchange(move)
+		mx := er.clock.doExchange(move)
 		if mx.TotalBytes > 0 {
-			er.out.ExchangedBytes += mx.TotalBytes
+			er.clock.exchangedBytes += mx.TotalBytes
 			er.out.RepartitionBytes += mx.TotalBytes
-			er.stallComm(telemetry.SpanRepartition, resume, mx.Cycles, mx.TotalBytes)
+			er.clock.stall(&er.clock.exchange, telemetry.SpanRepartition, resume, mx.Cycles, mx.TotalBytes)
 		}
 	}
 
-	// The old ring describes the dead membership; replace it with a free
-	// baseline at the resume point (the state is already in memory), so a
-	// later loss restores here instead of replaying from scratch.
+	// The old checkpoint describes the dead membership; replace it with a
+	// free baseline at the resume point (the state is already in memory),
+	// so a later loss restores here instead of replaying from scratch.
 	blob, err := er.snapshot(resume)
 	if err != nil {
 		return 0, err
 	}
-	er.ring = er.ring[:0]
-	er.ring = append(er.ring, ringEntry{iter: resume, blob: blob})
+	er.ckpt = &recoveryPoint{iter: resume, blob: blob}
 	er.out.Recoveries++
 	return resume, nil
 }
@@ -548,42 +490,36 @@ func (er *elasticRun) rollback(ck *CheckpointState, resume int) error {
 	return nil
 }
 
-// shardInto splits global iteration it under the current membership,
-// appending each live node's sub-iteration to its trace and accumulating
-// the committed traffic counters.
-func (er *elasticRun) shardInto(it int, halo [][]int64) {
-	subs, l, r, hb := shardIteration(&er.tr.Iterations[it], er.n, er.ownerOf, halo)
-	er.localTNs += l
-	er.remoteTNs += r
-	er.haloBytes += hb
-	for o := 0; o < er.n; o++ {
-		if !er.live[o] {
-			continue
+// shard splits iterations [from, to) under the current membership,
+// appending each live node's sub-iterations to its trace, accumulating the
+// committed traffic counters and returning the halo matrices.
+func (er *elasticRun) shard(from, to int) [][][]int64 {
+	halos := make([][][]int64, 0, to-from)
+	for it := from; it < to; it++ {
+		halo := mat(er.n)
+		subs, l, r, hb := shardIteration(&er.tr.Iterations[it], er.n, er.ownerOf, halo)
+		er.localTNs += l
+		er.remoteTNs += r
+		er.haloBytes += hb
+		for o := 0; o < er.n; o++ {
+			if !er.live[o] {
+				continue
+			}
+			if it == 0 {
+				er.traces[o].Quantiles = subs[o].Quantiles
+			}
+			er.traces[o].Iterations = append(er.traces[o].Iterations, subs[o])
 		}
-		if it == 0 {
-			er.traces[o].Quantiles = subs[o].Quantiles
-		}
-		er.traces[o].Iterations = append(er.traces[o].Iterations, subs[o])
+		halos = append(halos, halo)
 	}
+	return halos
 }
 
 // runBSP is the elastic BSP discipline: golden supersteps over the live
 // membership, with fault boundaries, periodic captures and recoveries
 // spliced between them. Fault-free it reproduces the legacy BSP schedule
-// plus the checkpoint stalls. With a worker pool the supersteps advance
-// through the window protocol (bspChunk) in chunks of up to PrestepDepth
-// iterations, never crossing a capture boundary — byte-identical to the
-// serial path either way.
+// plus the checkpoint stalls.
 func (er *elasticRun) runBSP() error {
-	lb := er.deg.BarrierCycles()
-	sb := er.cfg.NMP.SyncBarrierCycles
-	windowed := er.parallelOK()
-	if windowed && er.pr != nil {
-		er.pr.enableBuffer(er.n, er.iters)
-	}
-	k := er.cfg.depth()
-	durs := make([]sim.Cycle, er.n)
-	halos := make([][][]int64, 0, k)
 	it := 0
 	for {
 		cont, err := er.boundary(it)
@@ -602,105 +538,23 @@ func (er *elasticRun) runBSP() error {
 				return err
 			}
 		}
-
-		if windowed {
-			// Chunk [it, end): capped by the pre-step depth and by the
-			// next capture boundary (a capture is a global horizon).
-			end := it + k
-			if er.every > 0 {
-				if b := (it/er.every + 1) * er.every; b < end {
-					end = b
-				}
-			}
-			if end > er.iters {
-				end = er.iters
-			}
-			cont, err = er.bspChunk(it, end, lb, sb, durs, &halos)
-			if err != nil {
-				return err
-			}
-			if cont >= 0 {
-				it = cont
-				continue
-			}
-			it = end
-			continue
+		if it, err = er.bspEpoch(it, er.epochEnd(it)); err != nil {
+			return err
 		}
-
-		halo := mat(er.n)
-		er.shardInto(it, halo)
-		for i := range durs {
-			durs[i] = 0
-		}
-		par.ForIdx(er.n, er.cfg.Workers, func(i int) {
-			if er.live[i] {
-				durs[i] = er.step(i)
-			}
-		})
-		var slowest sim.Cycle
-		maxIdx := 0
-		for i, d := range durs {
-			if d > slowest {
-				slowest = d
-				maxIdx = i
-			}
-		}
-		if er.pr != nil {
-			er.pr.liveCompute(it, er.pr.base+er.now, durs, er.live, slowest, false)
-		}
-		er.compute += slowest
-		er.now += slowest
-
-		hx := er.doExchange(halo)
-		er.out.ExchangedBytes += hx.TotalBytes
-		er.stallComm(telemetry.SpanExchangeWait, it, hx.Cycles, hx.TotalBytes)
-
-		if it+1 < er.iters {
-			er.stallBarrier(telemetry.SpanLinkBarrier, it, lb, 0, true)
-			er.stallBarrier(telemetry.SpanSyncBarrier, it, sb, 0, false)
-			if er.pr != nil {
-				for i := 0; i < er.n; i++ {
-					if er.live[i] {
-						er.pr.c.AddDep(i, it+1, telemetry.BoundBarrier, maxIdx)
-					}
-				}
-			}
-		}
-		it++
 	}
 }
 
-// bspChunk advances the windowed elastic BSP through supersteps
-// [from, to): pre-shard the chunk's halos, pre-step the live engines
-// across the worker pool (buffering their telemetry), then drain the
-// fault boundaries, measurement placement and exchange/barrier pricing
-// serially in the exact serial order. Interior fault boundaries stay
-// conservative because a recovery rolls engines, durations, traces and
-// counters back wholesale (rollback); the only window state with no
-// serial counterpart is the un-placed telemetry of iterations pre-stepped
-// past the detection boundary, which is dropped (dropBuffered) before the
-// recovery records its own spans so the tracks stay byte-identical.
-// Returns the resume iteration when a recovery rewound the run, -1
-// otherwise.
-func (er *elasticRun) bspChunk(from, to int, lb, sb sim.Cycle, durs []sim.Cycle, halos *[][][]int64) (int, error) {
-	hs := (*halos)[:0]
-	for j := from; j < to; j++ {
-		h := mat(er.n)
-		er.shardInto(j, h)
-		hs = append(hs, h)
-	}
-	*halos = hs
-	par.ForIdx(er.n, er.cfg.Workers, func(i int) {
-		if !er.live[i] {
-			return
-		}
-		for j := from; j < to; j++ {
-			er.step(i)
-			if er.pr != nil {
-				er.pr.bufferStep(i, j)
-			}
-		}
-	})
+// bspEpoch shards and pre-steps the epoch [from, to), then drains it
+// superstep by superstep. A fault boundary inside the epoch is processed
+// between two supersteps of the drain, exactly where a lockstep run meets
+// it. A recovery there rolls the run back wholesale (rollback), so the
+// only pre-stepped state with nothing to roll it back is the un-placed
+// telemetry of the iterations past the boundary, which is dropped
+// (dropBuffered) before the recovery records its own spans. Returns the
+// iteration to continue at: to, or the resume point of a recovery.
+func (er *elasticRun) bspEpoch(from, to int) (int, error) {
+	halos := er.shard(from, to)
+	prestep(er.engines, er.live, er.durations, from, to, er.cfg.Workers, er.pr)
 	for j := from; j < to; j++ {
 		if j > from {
 			if er.pr != nil && er.pendingLoss() {
@@ -718,65 +572,23 @@ func (er *elasticRun) bspChunk(from, to int, lb, sb sim.Cycle, durs []sim.Cycle,
 				return cont, nil
 			}
 		}
-		var slowest sim.Cycle
-		maxIdx := 0
-		for i := 0; i < er.n; i++ {
-			if er.live[i] {
-				durs[i] = er.durations[i][j]
-			} else {
-				durs[i] = 0
-			}
-			if durs[i] > slowest {
-				slowest = durs[i]
-				maxIdx = i
-			}
-		}
-		if er.pr != nil {
-			er.pr.liveCompute(j, er.pr.base+er.now, durs, er.live, slowest, true)
-		}
-		er.compute += slowest
-		er.now += slowest
-
-		hx := er.doExchange(hs[j-from])
-		er.out.ExchangedBytes += hx.TotalBytes
-		er.stallComm(telemetry.SpanExchangeWait, j, hx.Cycles, hx.TotalBytes)
-
-		if j+1 < er.iters {
-			er.stallBarrier(telemetry.SpanLinkBarrier, j, lb, 0, true)
-			er.stallBarrier(telemetry.SpanSyncBarrier, j, sb, 0, false)
-			if er.pr != nil {
-				for i := 0; i < er.n; i++ {
-					if er.live[i] {
-						er.pr.c.AddDep(i, j+1, telemetry.BoundBarrier, maxIdx)
-					}
-				}
-			}
-		}
+		er.clock.superstep(j, er.durations, halos[j-from])
 	}
-	return -1, nil
-}
-
-// segOutcome summarizes one speculative overlapped segment.
-type segOutcome struct {
-	makespan sim.Cycle   // segment completion (last halo delivery)
-	compute  sim.Cycle   // longest live node's local chain in the segment
-	boundary []sim.Cycle // boundary[j]: latest live finish of iteration s+j
-	bytes    int64       // halo bytes streamed
+	return to, nil
 }
 
 // runOverlapped is the elastic overlapped discipline: the event-driven
 // halo-streaming schedule runs in segments bounded by checkpoint
 // boundaries (a coordinated checkpoint is a global synchronization, so a
-// link barrier + sync barrier close each segment). A segment is executed
-// speculatively; if a node loss lands inside it, the segment's recording
-// is rewound, the committed window up to the detection boundary is
-// charged as compute (the simplification: an overlapped window does not
-// decompose further once discarded), and the shared recovery path takes
-// over. With CheckpointEvery == 0 the whole phase is one segment and a
-// fault-free run reproduces the legacy overlapped schedule exactly.
+// link barrier + sync barrier close each segment). A segment is one epoch,
+// executed speculatively; if a node loss lands inside it, the segment's
+// recording is rewound, the committed window up to the detection boundary
+// is charged as compute (the simplification: an overlapped window does
+// not decompose further once discarded), and the shared recovery path
+// takes over. With CheckpointEvery == 0 the whole phase is one segment
+// and a fault-free run reproduces the legacy overlapped schedule exactly.
 func (er *elasticRun) runOverlapped() error {
-	lb := er.deg.BarrierCycles()
-	sb := er.cfg.NMP.SyncBarrierCycles
+	c := &er.clock
 	it := 0
 	for {
 		cont, err := er.boundary(it)
@@ -791,33 +603,37 @@ func (er *elasticRun) runOverlapped() error {
 			return nil
 		}
 		if it > 0 {
-			er.stallBarrier(telemetry.SpanLinkBarrier, it-1, lb, 0, true)
-			er.stallBarrier(telemetry.SpanSyncBarrier, it-1, sb, 0, false)
+			c.stallBarrier(telemetry.SpanLinkBarrier, it-1, c.lb, 0, true)
+			c.stallBarrier(telemetry.SpanSyncBarrier, it-1, c.sb, 0, false)
 		}
 		if er.captureDue(it) {
 			if err := er.capture(it); err != nil {
 				return err
 			}
 		}
-		end := er.iters
-		if er.every > 0 {
-			if b := (it/er.every + 1) * er.every; b < end {
-				end = b
-			}
-		}
+		end := er.epochEnd(it)
 
 		var marks probeMark
 		if er.pr != nil {
 			marks = er.pr.mark()
 		}
-		seg := er.runSegment(it, end)
+		now := c.now()
+		sg := segment{
+			s: it, e: end, halo: er.shard(it, end), net: er.deg, live: er.live,
+			durations: er.durations, sb: c.sb, pr: er.pr,
+		}
+		prestep(er.engines, er.live, er.durations, it, end, er.cfg.Workers, er.pr)
+		if er.pr != nil {
+			sg.off = er.pr.base + now
+		}
+		seg := sg.run()
 
 		// A loss inside the segment window invalidates it: rewind the
 		// speculative recording, commit the window up to the detection
 		// boundary as compute, and recover.
 		var fc sim.Cycle = -1
 		for _, ev := range er.events[er.next:] {
-			if ev.Cycle > er.now+seg.makespan {
+			if ev.Cycle > now+seg.makespan {
 				break
 			}
 			if ev.Kind == fault.NodeLoss {
@@ -828,7 +644,7 @@ func (er *elasticRun) runOverlapped() error {
 		if fc >= 0 {
 			bj := -1
 			for j := range seg.boundary {
-				if er.now+seg.boundary[j] >= fc {
+				if now+seg.boundary[j] >= fc {
 					bj = j
 					break
 				}
@@ -837,11 +653,10 @@ func (er *elasticRun) runOverlapped() error {
 				if er.pr != nil {
 					er.pr.rewind(marks)
 					if seg.boundary[bj] > 0 {
-						er.pr.phases.Add(telemetry.SpanCompute, er.pr.base+er.now, er.pr.base+er.now+seg.boundary[bj], int64(it), 0)
+						er.pr.phases.Add(telemetry.SpanCompute, sg.off, sg.off+seg.boundary[bj], int64(it), 0)
 					}
 				}
-				er.compute += seg.boundary[bj]
-				er.now += seg.boundary[bj]
+				c.compute += seg.boundary[bj]
 				cont, err := er.boundary(it + bj + 1)
 				if err != nil {
 					return err
@@ -857,267 +672,13 @@ func (er *elasticRun) runOverlapped() error {
 		}
 
 		if er.pr != nil {
-			if seg.compute > 0 {
-				er.pr.phases.Add(telemetry.SpanCompute, er.pr.base+er.now, er.pr.base+er.now+seg.compute, int64(it), 0)
-			}
-			if seg.makespan > seg.compute {
-				er.pr.phases.Add(telemetry.SpanExchangeWait, er.pr.base+er.now+seg.compute, er.pr.base+er.now+seg.makespan, int64(it), seg.bytes)
-			}
+			er.pr.segmentSpans(sg.off, seg, it)
 		}
-		er.compute += seg.compute
-		er.exchange += seg.makespan - seg.compute
-		er.now += seg.makespan
-		er.out.ExchangedBytes += seg.bytes
+		c.compute += seg.compute
+		c.exchange += seg.makespan - seg.compute
+		c.exchangedBytes += seg.bytes
 		it = end
 	}
-}
-
-// runSegment executes iterations [s, e) of the overlapped schedule over
-// the live membership on a fresh event timeline: the same
-// finish-stream-start dependency structure as the legacy runtime, scoped
-// to the segment and routed over the degraded network.
-func (er *elasticRun) runSegment(s, e int) *segOutcome {
-	n, m := er.n, e-s
-	pr := er.pr
-	sb := er.cfg.NMP.SyncBarrierCycles
-	seg := &segOutcome{boundary: make([]sim.Cycle, m)}
-
-	halo := make([][][]int64, m)
-	for j := 0; j < m; j++ {
-		halo[j] = mat(n)
-		er.shardInto(s+j, halo[j])
-	}
-
-	g := &sim.Engine{}
-	if pr != nil {
-		g.SetProbe(&pr.loop)
-	}
-	type segNode struct {
-		pendingIn []int
-		readyAt   sim.Cycle
-		finished  []bool
-		started   []bool
-	}
-	nodes := make([]*segNode, n)
-	local0 := make([]sim.Cycle, n)
-	lastEnd := make([]sim.Cycle, n)
-	for i := 0; i < n; i++ {
-		if !er.live[i] {
-			continue
-		}
-		nodes[i] = &segNode{
-			pendingIn: make([]int, m),
-			finished:  make([]bool, m),
-			started:   make([]bool, m),
-		}
-		local0[i] = er.engines[i].Now()
-	}
-	for j := 0; j < m; j++ {
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if dst != src && halo[j][src][dst] > 0 {
-					nodes[dst].pendingIn[j]++
-					seg.bytes += halo[j][src][dst]
-				}
-			}
-		}
-	}
-	fl := topo.NewFlight(er.deg, g)
-	var off sim.Cycle
-	if pr != nil {
-		off = pr.base + er.now
-		fl.SetProbe(&topo.Probe{Links: pr.links, Offset: off})
-	}
-	note := func(t sim.Cycle) {
-		if t > seg.makespan {
-			seg.makespan = t
-		}
-	}
-
-	// The window protocol engages per segment: the live membership and the
-	// degraded routes both shift at fault boundaries, so the gate and the
-	// lookahead matrix are segment-local. A degenerate segment (single
-	// survivor, zero-lookahead network) runs the lazy serial schedule.
-	windowed := er.parallelOK() && len(er.surv) > 1 && er.deg.MinLatency() > 0
-	prestepped := 0
-
-	var begin func(i, j int, at sim.Cycle)
-	tryStart := func(i, j, src int) {
-		nd := nodes[i]
-		if j >= m || nd.started[j] || !nd.finished[j-1] || nd.pendingIn[j-1] > 0 {
-			return
-		}
-		nd.started[j] = true
-		at := nd.readyAt
-		bound := telemetry.BoundSync
-		if now := g.Now(); now > at {
-			at = now
-			if src >= 0 {
-				bound = telemetry.BoundDelivery
-			}
-		}
-		if pr != nil {
-			sn := src
-			if bound != telemetry.BoundDelivery {
-				sn = -1
-			}
-			pr.c.AddDep(i, s+j, bound, sn)
-		}
-		begin(i, j, at)
-	}
-	finish := func(i, j int) {
-		nd := nodes[i]
-		now := g.Now()
-		nd.finished[j] = true
-		if now > seg.boundary[j] {
-			seg.boundary[j] = now
-		}
-		note(now)
-		for off := 1; off < n; off++ {
-			dst := (i + off) % n
-			if !er.live[dst] {
-				continue
-			}
-			b := halo[j][i][dst]
-			if b <= 0 {
-				continue
-			}
-			d := dst
-			fl.Send(i, d, b, func() {
-				note(g.Now())
-				nodes[d].pendingIn[j]--
-				tryStart(d, j+1, i)
-			})
-		}
-		if j+1 < m {
-			nd.readyAt = now + sb
-			tryStart(i, j+1, -1)
-		}
-	}
-	begin = func(i, j int, at sim.Cycle) {
-		g.At(at, func() {
-			if pr != nil && j > 0 {
-				e0 := lastEnd[i]
-				if sb > 0 {
-					pr.node[i].Add(telemetry.SpanSyncBarrier, off+e0, off+e0+sb, int64(s+j), 0)
-				}
-				if at > e0+sb {
-					pr.node[i].Add(telemetry.SpanDeliveryWait, off+e0+sb, off+at, int64(s+j), 0)
-				}
-			}
-			var d sim.Cycle
-			if j < prestepped {
-				d = er.durations[i][s+j]
-				if pr != nil {
-					pr.placeBuffered(i, s+j, off+at)
-				}
-			} else {
-				if windowed {
-					panic("scaleout: windowed elastic segment reached an un-stepped iteration")
-				}
-				d = er.step(i)
-				if pr != nil {
-					pr.placeIter(i, s+j, off+at)
-				}
-			}
-			lastEnd[i] = at + d
-			g.After(d, func() { finish(i, j) })
-		})
-	}
-	for i := 0; i < n; i++ {
-		if er.live[i] {
-			nodes[i].started[0] = true
-			begin(i, 0, 0)
-		}
-	}
-	if windowed {
-		// Window driver on the segment-local clock: pre-step the live
-		// engines in chunks of up to PrestepDepth iterations, derive the
-		// conservative horizon from the chain bounds plus the degraded
-		// per-pair lookahead, and drain the segment's event loop up to it.
-		// Identical closures in identical order — the segment stays
-		// byte-identical, so the mark/rewind speculation in runOverlapped
-		// composes unchanged.
-		if pr != nil && pr.buf == nil {
-			pr.enableBuffer(n, er.iters)
-		}
-		look := pairLookahead(er.deg, n)
-		k := er.cfg.depth()
-		workers := er.cfg.Workers
-		lbound := make([]sim.Cycle, n)
-		lend := make([]sim.Cycle, n)
-		for r := 0; r < m; r += k {
-			hi := r + k
-			if hi > m {
-				hi = m
-			}
-			par.ForIdx(n, workers, func(i int) {
-				if !er.live[i] {
-					return
-				}
-				for j := r; j < hi; j++ {
-					er.step(i)
-					if pr != nil {
-						pr.bufferStep(i, s+j)
-					}
-				}
-			})
-			prestepped = hi
-			for i := 0; i < n; i++ {
-				if !er.live[i] {
-					continue
-				}
-				for j := r; j < hi; j++ {
-					lend[i] = lbound[i] + er.durations[i][s+j]
-					lbound[i] = lend[i] + sb
-				}
-			}
-			if hi >= m {
-				break
-			}
-			h := sim.Cycle(math.MaxInt64)
-			hj := halo[hi-1]
-			for i := 0; i < n; i++ {
-				if !er.live[i] {
-					continue
-				}
-				bound := lbound[i]
-				for src := 0; src < n; src++ {
-					if src != i && er.live[src] && hj[src][i] > 0 {
-						if d := lend[src] + look[src][i]; d > bound {
-							bound = d
-						}
-					}
-				}
-				if bound < h {
-					h = bound
-				}
-			}
-			g.RunUntil(h)
-		}
-	}
-	g.Run()
-
-	for i := 0; i < n; i++ {
-		if !er.live[i] {
-			continue
-		}
-		// A segment past iteration 0 re-enters each engine through
-		// NextStart(), whose leading sync barrier the global schedule has
-		// already charged between segments — drop it from the local chain
-		// so compute never exceeds the segment makespan.
-		lead := sim.Cycle(0)
-		if s > 0 {
-			lead = sb
-		}
-		if c := er.engines[i].Now() - local0[i] - lead; c > seg.compute {
-			seg.compute = c
-		}
-		if pr != nil && lastEnd[i] < seg.makespan {
-			pr.node[i].Add(telemetry.SpanIdle, off+lastEnd[i], off+seg.makespan, int64(e-1), 0)
-		}
-	}
-	return seg
 }
 
 // finish seals the outcome: the three accounting buckets tile the phase
@@ -1125,13 +686,7 @@ func (er *elasticRun) runSegment(s, e int) *segOutcome {
 // their last committed iteration — reports its result.
 func (er *elasticRun) finish() *elasticOutcome {
 	out := &er.out
-	out.Phase = PhaseCycles{Compute: er.compute, Exchange: er.exchange, Barrier: er.barrier}
-	out.LinkBarrier = er.linkBarrier
-	out.Durations = er.durations
+	out.compactOutcome = er.clock.outcome(er.durations, er.engines)
 	out.LocalTNs, out.RemoteTNs, out.HaloBytes = er.localTNs, er.remoteTNs, er.haloBytes
-	out.NMP = make([]*nmp.Result, er.n)
-	for i, e := range er.engines {
-		out.NMP[i] = e.Result()
-	}
 	return out
 }

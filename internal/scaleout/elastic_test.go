@@ -1,6 +1,8 @@
 package scaleout
 
 import (
+	"bytes"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -288,6 +290,55 @@ func TestElasticTelemetry(t *testing.T) {
 				t.Fatalf("overlap=%v: no %v span on the runtime track", overlap, k)
 			}
 		}
+	}
+}
+
+// The Chrome traces of instrumented recovered runs are pinned by FNV-64a
+// digests. Every worker count pre-steps each epoch before draining it, so
+// comparing Workers values cannot tell whether a recovery discards the
+// telemetry of pre-stepped iterations the drain never reached; the
+// digests were recorded from a build that stepped each engine only when
+// the schedule reached the iteration. The loss lands mid-epoch in every
+// case, and with CheckpointEvery 0 it rolls the whole phase back.
+func TestElasticTraceDigests(t *testing.T) {
+	reads := testReads(t, 20_000)
+	tr := testTrace(t, reads, 32, 3)
+	for _, tc := range []struct {
+		name    string
+		overlap bool
+		every   int
+		want    uint64
+	}{
+		{"bsp/every2", false, 2, 0x3b5422c43db3d03e},
+		{"bsp/every0", false, 0, 0x1f6703a17b8bb5f2},
+		{"overlap/every2", true, 2, 0x36cbfac2dd161efd},
+		{"overlap/every0", true, 0, 0x7b3e0e6f1d19bed5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(4)
+			cfg.Workers = 1
+			cfg.Topo = topo.Torus(0, 0)
+			cfg.Overlap = tc.overlap
+			golden, err := Simulate(reads, tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.CheckpointEvery = tc.every
+			cfg.Faults = fault.NodeLossAt(1, golden.Compact.Total()*3/5, 500)
+			cfg.Telemetry = telemetry.New()
+			if _, err := Simulate(reads, tr, cfg); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := cfg.Telemetry.WriteChrome(&buf); err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(buf.Bytes())
+			if got := h.Sum64(); got != tc.want {
+				t.Errorf("trace digest %#x, want %#x", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 
 	"nmppak/internal/dna"
 	"nmppak/internal/nmp"
-	"nmppak/internal/par"
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
 	"nmppak/internal/topo"
@@ -78,11 +77,9 @@ func (p *RebalancePartitioner) Owner(key dna.Kmer, kk, nodes int) int {
 	return initialOwner(p.bucket(key, kk), nodes)
 }
 
-// rebalanceOutcome extends the compaction outcome with the traffic and
-// migration accounting the dynamic runtime produces itself (the static
-// path reads these off ShardTrace).
+// rebalanceOutcome is the traffic and migration accounting the dynamic
+// runtime produces itself (the static path reads these off ShardTrace).
 type rebalanceOutcome struct {
-	compactOutcome
 	LocalTNs      int64
 	RemoteTNs     int64
 	HaloBytes     int64
@@ -191,23 +188,28 @@ func (p *RebalancePartitioner) migrate(table []uint16, cum, dur []sim.Cycle, wei
 	return moved
 }
 
-// rebalanceRun is the dynamic-ownership compaction runtime, restructured
-// so a run can be advanced iteration range by iteration range: runRebalanced
-// drives it start to finish, while the checkpoint layer (checkpoint.go)
-// stops mid-way, snapshots the mutable state (ownership table, measured
-// busy times, bucket weights, engines, accounting) and later reconstructs
-// an equivalent run that finishes bit-identically.
+// rebalanceRun is the dynamic-ownership compaction runtime: BSP
+// supersteps (the migration decision is itself a global synchronization,
+// so the BSP barrier it needs is already there), with the bucket table
+// re-fit between iterations from the measured per-node busy times, and
+// the moved MacroNodes charged over the network at their traced sizes
+// before the iteration that uses the new placement. A run can be advanced
+// iteration range by iteration range: Simulate drives it start to finish,
+// while the checkpoint layer (checkpoint.go) stops mid-way, snapshots the
+// mutable state (ownership table, measured busy times, bucket weights,
+// engines, accounting) and later reconstructs an equivalent run that
+// finishes bit-identically.
 type rebalanceRun struct {
 	tr  *trace.Trace
-	net topo.Network
 	cfg Config
 	p   *RebalancePartitioner
 
 	n, iters, k1 int
 
-	out     *rebalanceOutcome
-	traces  []*trace.Trace
-	engines []*nmp.Engine
+	out       *rebalanceOutcome
+	traces    []*trace.Trace
+	engines   []*nmp.Engine
+	durations [][]sim.Cycle
 
 	table []uint16 // bucket -> owning node (mutated by migrations)
 	// iterBytes[it] is the global traced MacroNode bytes remaining from
@@ -221,7 +223,9 @@ type rebalanceRun struct {
 	weight  []int64     // previous iteration's per-bucket bytes
 	prev    []uint16    // scratch: ownership before the last migration
 
-	compute, exchange sim.Cycle
+	// clock holds the BSP partial sums; its exchangedBytes count the halo
+	// exchanges and the migrations.
+	clock phaseClock
 
 	// pr is the run's telemetry glue; nil disables every recording site.
 	pr *probes
@@ -230,6 +234,7 @@ type rebalanceRun struct {
 // setProbes attaches (or, with nil, skips) the run's telemetry glue.
 func (rr *rebalanceRun) setProbes(pr *probes) {
 	rr.pr = pr
+	rr.clock.pr = pr
 	if pr != nil {
 		pr.attach(rr.engines)
 	}
@@ -260,21 +265,22 @@ func newRebalanceState(tr *trace.Trace, net topo.Network, cfg Config, p *Rebalan
 	n := cfg.Nodes
 	iters := len(tr.Iterations)
 	rr := &rebalanceRun{
-		tr: tr, net: net, cfg: cfg, p: p,
+		tr: tr, cfg: cfg, p: p,
 		n: n, iters: iters, k1: tr.K - 1,
 		out:       &rebalanceOutcome{},
 		traces:    make([]*trace.Trace, n),
 		engines:   make([]*nmp.Engine, n),
+		durations: make([][]sim.Cycle, n),
 		table:     make([]uint16, BalancedBuckets),
 		iterBytes: make([]float64, iters+1),
 		lastDur:   make([]sim.Cycle, n),
 		cum:       make([]sim.Cycle, n),
 		weight:    make([]int64, BalancedBuckets),
 		prev:      make([]uint16, BalancedBuckets),
+		clock:     newPhaseClock(net, cfg, iters),
 	}
-	rr.out.Durations = make([][]sim.Cycle, n)
 	for i := 0; i < n; i++ {
-		rr.out.Durations[i] = make([]sim.Cycle, iters)
+		rr.durations[i] = make([]sim.Cycle, iters)
 	}
 	for it := iters - 1; it >= 0; it-- {
 		var b float64
@@ -289,15 +295,15 @@ func newRebalanceState(tr *trace.Trace, net topo.Network, cfg Config, p *Rebalan
 
 // migrateAt runs the iteration-it migration decision against the
 // measurements accumulated so far and, when buckets move, prices the
-// transfer over the network. Returns the advanced telemetry clock.
+// transfer over the network.
 //
 // Every live MacroNode appears in its iteration's trace (P1 visits the
 // full live population each iteration), so pricing the move off
 // iter.Nodes charges every node a bucket move relocates; a migration
 // that moves only drained buckets (no live nodes left) is a no-op and
 // is not counted.
-func (rr *rebalanceRun) migrateAt(it int, gnow sim.Cycle) sim.Cycle {
-	n, out, p, pr := rr.n, rr.out, rr.p, rr.pr
+func (rr *rebalanceRun) migrateAt(it int) {
+	n, out, p := rr.n, rr.out, rr.p
 	iter := &rr.tr.Iterations[it]
 	copy(rr.prev, rr.table)
 	lastBytes := rr.iterBytes[it-1] - rr.iterBytes[it]
@@ -306,7 +312,7 @@ func (rr *rebalanceRun) migrateAt(it int, gnow sim.Cycle) sim.Cycle {
 		decay = rr.iterBytes[it] / lastBytes
 	}
 	if !p.migrate(rr.table, rr.cum, rr.lastDur, rr.weight, decay, n) {
-		return gnow
+		return
 	}
 	move := mat(n)
 	for i := range iter.Nodes {
@@ -316,22 +322,13 @@ func (rr *rebalanceRun) migrateAt(it int, gnow sim.Cycle) sim.Cycle {
 			move[rr.prev[b]][rr.table[b]] += int64(nd.D1 + nd.D2)
 		}
 	}
-	var mx topo.ExchangeStats
-	if pr != nil {
-		mx = topo.ExchangeProbed(rr.net, move, pr.linkAt(gnow))
-	} else {
-		mx = topo.Exchange(rr.net, move)
-	}
+	mx := rr.clock.doExchange(move)
 	if mx.TotalBytes > 0 {
-		rr.exchange += mx.Cycles
-		out.ExchangedBytes += mx.TotalBytes
+		rr.clock.stall(&rr.clock.exchange, telemetry.SpanMigration, it, mx.Cycles, mx.TotalBytes)
+		rr.clock.exchangedBytes += mx.TotalBytes
 		out.MigratedBytes += mx.TotalBytes
 		out.Rebalances++
-		if pr != nil {
-			gnow = pr.stall(telemetry.SpanMigration, it, gnow, mx.Cycles, mx.TotalBytes)
-		}
 	}
-	return gnow
 }
 
 // shard slices iteration it across the nodes under the current ownership
@@ -362,158 +359,35 @@ func (rr *rebalanceRun) refreshWeights(it int) {
 	}
 }
 
-// parallelOK reports whether the advancement takes the windowed chunked
-// path (advanceWindowed) — cycle-exact either way, like every parallel
-// dispatch in this package.
-func (rr *rebalanceRun) parallelOK() bool {
-	return par.Threads(rr.cfg.Workers) > 1 && rr.n > 1
-}
-
-// advance executes iterations [from, to): between iterations, re-fit
-// ownership to the measured busy times and charge the moved MacroNodes
-// over the network (straggler -> new owner); then shard the iteration
-// under the current table, step every engine, and refresh the measurement
-// state the next migration decision reads.
+// advance executes iterations [from, to) epoch by epoch. Migrations
+// bound the epochs: a migration decision reads the measurements of the
+// iteration before it and rewrites the table the shard feed reads, so
+// between two of them ownership is frozen. Each epoch re-fits ownership
+// at its start (charging the moved MacroNodes over the network,
+// straggler -> new owner), shards its iterations under the current
+// table, pre-steps every engine through it, then drains the supersteps
+// and refreshes the measurement state the next decision reads.
 func (rr *rebalanceRun) advance(from, to int) {
-	if rr.parallelOK() {
-		rr.advanceWindowed(from, to)
-		return
-	}
-	n, out := rr.n, rr.out
-	pr := rr.pr
-	lb := rr.net.BarrierCycles()
-	sb := rr.cfg.NMP.SyncBarrierCycles
-	var gnow sim.Cycle
-	if pr != nil {
-		gnow = pr.bspStart(rr.compute, rr.exchange, from, rr.iters, lb, sb)
-	}
-	for it := from; it < to; it++ {
-		if it > 0 && it%rr.p.Every == 0 && n > 1 {
-			gnow = rr.migrateAt(it, gnow)
-		}
-		halo := rr.shard(it)
-
-		par.ForIdx(n, rr.cfg.Workers, func(i int) {
-			e := rr.engines[i]
-			if pr != nil {
-				pr.beforeStep(i, e)
-			}
-			ti := e.StepIteration(e.NextStart())
-			out.Durations[i][it] = ti.End - ti.Start
-			if pr != nil {
-				pr.afterStep(i, e, ti)
-			}
-		})
-		var slowest sim.Cycle
-		maxIdx := 0
-		for i := 0; i < n; i++ {
-			rr.lastDur[i] = out.Durations[i][it]
-			rr.cum[i] += rr.lastDur[i]
-			if rr.lastDur[i] > slowest {
-				slowest = rr.lastDur[i]
-				maxIdx = i
-			}
-		}
-		rr.compute += slowest
-		var hx topo.ExchangeStats
-		if pr != nil {
-			gnow = pr.superstepCompute(it, gnow, rr.lastDur, slowest, false)
-			hx = topo.ExchangeProbed(rr.net, halo, pr.linkAt(gnow))
-		} else {
-			hx = topo.Exchange(rr.net, halo)
-		}
-		rr.exchange += hx.Cycles
-		out.ExchangedBytes += hx.TotalBytes
-		if pr != nil {
-			gnow = pr.superstepComm(it, rr.iters, gnow, hx, lb, sb, maxIdx)
-		}
-
-		rr.refreshWeights(it)
-	}
-}
-
-// advanceWindowed is advance on the window protocol of
-// runtime_parallel.go: migrations are window barriers — the ownership
-// table is frozen between them, so the shard feed and the engine
-// stepping of every iteration inside a window are already determined at
-// its start. Each window (further chunked by Config.PrestepDepth)
-// pre-shards its iterations, pre-steps all engines across the worker
-// pool, then drains the measurement refresh and exchange/barrier pricing
-// serially in the exact serial order — cycle-exact and byte-identical in
-// traces, results and checkpoints.
-func (rr *rebalanceRun) advanceWindowed(from, to int) {
-	n, out, p := rr.n, rr.out, rr.p
-	pr := rr.pr
-	if pr != nil && pr.buf == nil {
-		pr.enableBuffer(n, rr.iters)
-	}
-	k := rr.cfg.depth()
-	lb := rr.net.BarrierCycles()
-	sb := rr.cfg.NMP.SyncBarrierCycles
-	var gnow sim.Cycle
-	if pr != nil {
-		gnow = pr.bspStart(rr.compute, rr.exchange, from, rr.iters, lb, sb)
-	}
-	halos := make([][][]int64, 0, k)
+	var halos [][][]int64
 	for it := from; it < to; {
-		if it > 0 && it%p.Every == 0 && n > 1 {
-			gnow = rr.migrateAt(it, gnow)
+		if it > 0 && it%rr.p.Every == 0 && rr.n > 1 {
+			rr.migrateAt(it)
 		}
-		// Window: up to k iterations, never crossing the next migration
-		// boundary (a migration re-reads the measurements the drain below
-		// refreshes, and rewrites the table the shard feed reads).
-		hi := it + k
-		if next := (it/p.Every + 1) * p.Every; next < hi {
-			hi = next
-		}
-		if hi > to {
-			hi = to
-		}
+		end := min((it/rr.p.Every+1)*rr.p.Every, to)
 		halos = halos[:0]
-		for j := it; j < hi; j++ {
+		for j := it; j < end; j++ {
 			halos = append(halos, rr.shard(j))
 		}
-		par.ForIdx(n, rr.cfg.Workers, func(i int) {
-			e := rr.engines[i]
-			for j := it; j < hi; j++ {
-				if pr != nil {
-					pr.beforeStep(i, e)
-				}
-				ti := e.StepIteration(e.NextStart())
-				out.Durations[i][j] = ti.End - ti.Start
-				if pr != nil {
-					pr.afterStep(i, e, ti)
-					pr.bufferStep(i, j)
-				}
-			}
-		})
-		for j := it; j < hi; j++ {
-			var slowest sim.Cycle
-			maxIdx := 0
-			for i := 0; i < n; i++ {
-				rr.lastDur[i] = out.Durations[i][j]
+		prestep(rr.engines, nil, rr.durations, it, end, rr.cfg.Workers, rr.pr)
+		for j := it; j < end; j++ {
+			rr.clock.superstep(j, rr.durations, halos[j-it])
+			for i := 0; i < rr.n; i++ {
+				rr.lastDur[i] = rr.durations[i][j]
 				rr.cum[i] += rr.lastDur[i]
-				if rr.lastDur[i] > slowest {
-					slowest = rr.lastDur[i]
-					maxIdx = i
-				}
-			}
-			rr.compute += slowest
-			var hx topo.ExchangeStats
-			if pr != nil {
-				gnow = pr.superstepCompute(j, gnow, rr.lastDur, slowest, true)
-				hx = topo.ExchangeProbed(rr.net, halos[j-it], pr.linkAt(gnow))
-			} else {
-				hx = topo.Exchange(rr.net, halos[j-it])
-			}
-			rr.exchange += hx.Cycles
-			out.ExchangedBytes += hx.TotalBytes
-			if pr != nil {
-				gnow = pr.superstepComm(j, rr.iters, gnow, hx, lb, sb, maxIdx)
 			}
 			rr.refreshWeights(j)
 		}
-		it = hi
+		it = end
 	}
 }
 
@@ -522,31 +396,31 @@ func (rr *rebalanceRun) ownerOf(key dna.Kmer) int {
 	return int(rr.table[rr.p.bucket(key, rr.k1)])
 }
 
-// finish prices the closing barriers and seals the engines.
-func (rr *rebalanceRun) finish() *rebalanceOutcome {
+// phase implements phaseRun.
+func (rr *rebalanceRun) phase() *phaseClock { return &rr.clock }
+
+// seal implements phaseRun: the engines and the phase, plus the traffic
+// and migration accounting the dynamic runtime measured itself.
+func (rr *rebalanceRun) seal(res *Result) *compactOutcome {
 	out := rr.out
-	linkBarrier, syncBarrier := bspBarriers(rr.net, rr.cfg, rr.iters)
-	out.Phase = PhaseCycles{Compute: rr.compute, Exchange: rr.exchange, Barrier: linkBarrier + syncBarrier}
-	out.LinkBarrier = linkBarrier
-	out.NMP = make([]*nmp.Result, rr.n)
-	for i, e := range rr.engines {
-		out.NMP[i] = e.Result()
-	}
-	return out
+	res.HaloBytes = out.HaloBytes
+	res.RemoteTNFrac = remoteTNFrac(out.LocalTNs, out.RemoteTNs)
+	res.Rebalances = out.Rebalances
+	res.MigratedBytes = out.MigratedBytes
+	return rr.clock.outcome(rr.durations, rr.engines)
 }
 
-// runRebalanced executes the compaction phase with dynamic ownership:
-// BSP supersteps (the migration decision is itself a global
-// synchronization, so the BSP barrier it needs is already there), with
-// the bucket table re-fit between iterations from the measured per-node
-// busy times, and the moved MacroNodes charged over the network at their
-// traced sizes before the iteration that uses the new placement.
-func runRebalanced(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner, pr *probes) (*rebalanceOutcome, error) {
-	rr, err := newRebalanceRun(tr, net, cfg, p)
-	if err != nil {
-		return nil, err
+// state is the run's migration checkpoint section.
+func (rr *rebalanceRun) state() *RebalanceState {
+	return &RebalanceState{
+		Table:         append([]uint16(nil), rr.table...),
+		Cum:           append([]sim.Cycle(nil), rr.cum...),
+		LastDur:       append([]sim.Cycle(nil), rr.lastDur...),
+		Weight:        append([]int64(nil), rr.weight...),
+		LocalTNs:      rr.out.LocalTNs,
+		RemoteTNs:     rr.out.RemoteTNs,
+		HaloBytes:     rr.out.HaloBytes,
+		Rebalances:    rr.out.Rebalances,
+		MigratedBytes: rr.out.MigratedBytes,
 	}
-	rr.setProbes(pr)
-	rr.advance(0, rr.iters)
-	return rr.finish(), nil
 }

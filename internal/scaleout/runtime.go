@@ -1,8 +1,7 @@
 // The distributed compaction runtime: N stepwise per-node NMP engines
-// (nmp.Engine) and the interconnect driven together on one shared
-// internal/sim event timeline, replacing the post-hoc per-phase
-// aggregation the package started with. Two execution disciplines share
-// the machinery:
+// (nmp.Engine) and the interconnect composed on one global timeline,
+// replacing the post-hoc per-phase aggregation the package started with.
+// Two execution disciplines share the machinery:
 //
 //   - BSP (Config.Overlap == false, the default): every iteration is a
 //     global superstep — all nodes compute, the slowest paces the step,
@@ -25,6 +24,18 @@
 // only in how those durations and the halo traffic compose on the global
 // timeline. That makes the BSP/overlap comparison exact: same compute,
 // different schedule.
+//
+// The same fact drives every discipline — static, rebalancing and elastic
+// — through one epoch driver. An epoch is a range of iterations with no
+// checkpoint capture, migration or Session.Step boundary inside it. Each
+// epoch is sharded, every live engine is pre-stepped through the whole
+// epoch on the worker pool (prestep; Workers=1 is a pool of one), and the
+// epoch is then drained from the recorded durations and the buffered
+// telemetry: by the BSP superstep drain (phaseClock.superstep) or by the
+// overlapped segment schedule (segment.run). Because an iteration's
+// duration never depends on when the schedule starts it, pre-stepping
+// changes nothing the drain computes: results, Chrome traces and
+// checkpoint blobs are byte-identical at every worker count.
 package scaleout
 
 import (
@@ -33,6 +44,7 @@ import (
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
 	"nmppak/internal/topo"
+	"nmppak/internal/trace"
 )
 
 // compactOutcome is the compaction phase as scheduled by the runtime.
@@ -45,34 +57,84 @@ type compactOutcome struct {
 	Durations [][]sim.Cycle
 }
 
+// phaseRun is a compaction runtime that can be advanced epoch by epoch,
+// snapshotted between iterations and sealed: the static-partitioner
+// runtime or the rebalancing one. Sessions, Checkpoint and Restore drive
+// both through it.
+type phaseRun interface {
+	setProbes(pr *probes)
+	// advance executes iterations [from, to) as BSP supersteps.
+	advance(from, to int)
+	// phase is the run's compaction-phase clock.
+	phase() *phaseClock
+	// snapshot records the compaction state on a checkpoint whose
+	// ResumeIter is the current boundary.
+	snapshot(ck *CheckpointState) error
+	// seal completes the phase — every BSP iteration must have been
+	// advanced; the overlapped static run schedules its whole macro
+	// schedule here — and records the run's traffic accounting on res.
+	seal(res *Result) *compactOutcome
+}
+
+// newRun builds the fresh compaction runtime cfg's partitioner selects.
+func newRun(tr *trace.Trace, net topo.Network, cfg Config) (phaseRun, error) {
+	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
+		rr, err := newRebalanceRun(tr, net, cfg, rp)
+		if err != nil {
+			return nil, err
+		}
+		return rr, nil
+	}
+	rt, err := newRuntime(ShardTrace(tr, cfg.Nodes, cfg.Partitioner), net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return rt, nil
+}
+
+// resumeRun rebuilds the compaction runtime at a checkpoint's pause point.
+func resumeRun(tr *trace.Trace, net topo.Network, cfg Config, ck *CheckpointState) (phaseRun, error) {
+	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
+		rr, err := resumeRebalanceRun(tr, net, cfg, rp, ck)
+		if err != nil {
+			return nil, err
+		}
+		return rr, nil
+	}
+	rt, err := resumeRuntime(ShardTrace(tr, cfg.Nodes, cfg.Partitioner), net, cfg, ck)
+	if err != nil {
+		return nil, err
+	}
+	return rt, nil
+}
+
+// finishRun executes a run's remaining iterations from boundary `from`
+// and seals it.
+func finishRun(run phaseRun, cfg Config, res *Result, from int) *compactOutcome {
+	if !cfg.Overlap {
+		run.advance(from, run.phase().iters)
+	}
+	return run.seal(res)
+}
+
 // runtime owns the per-node engines and the shard schedule. A fresh
 // runtime starts at iteration 0; one reconstructed from a checkpoint
-// (resumeRuntime, checkpoint.go) carries the recorded durations and BSP partial sums
-// of the iterations already executed and steps its engines only from
-// `start` on.
+// (resumeRuntime, checkpoint.go) carries the recorded durations and BSP
+// partial sums of the iterations already executed and steps its engines
+// only from `start` on.
 type runtime struct {
 	cfg   Config
 	st    *ShardedTrace
 	net   topo.Network
-	n     int
 	iters int
 	start int // first iteration the engines step live
 
 	engines   []*nmp.Engine
 	durations [][]sim.Cycle
 
-	// Parallel (conservative-PDES) execution state, zero on the serial
-	// path: windowed marks the run, stepped is the first iteration the
-	// window driver has NOT yet pre-stepped (uniform across nodes — the
-	// synchronous protocol advances every node one iteration per round).
-	windowed bool
-	stepped  int
-
-	// BSP partial sums over iterations [0, start) (zero for fresh runs;
-	// bspAdvance accumulates into them).
-	compute        sim.Cycle
-	exchange       sim.Cycle
-	exchangedBytes int64
+	// clock holds the BSP partial sums over the executed iterations (a
+	// restored run starts from the checkpointed ones).
+	clock phaseClock
 
 	// pr is the run's telemetry glue; nil disables every recording site.
 	pr *probes
@@ -81,20 +143,22 @@ type runtime struct {
 // setProbes attaches (or, with nil, skips) the run's telemetry glue.
 func (rt *runtime) setProbes(pr *probes) {
 	rt.pr = pr
+	rt.clock.pr = pr
 	if pr != nil {
 		pr.attach(rt.engines)
 	}
 }
 
 func newRuntime(st *ShardedTrace, net topo.Network, cfg Config) (*runtime, error) {
+	iters := len(st.Traces[0].Iterations)
 	rt := &runtime{
 		cfg:       cfg,
 		st:        st,
 		net:       net,
-		n:         cfg.Nodes,
-		iters:     len(st.Traces[0].Iterations),
+		iters:     iters,
 		engines:   make([]*nmp.Engine, cfg.Nodes),
 		durations: make([][]sim.Cycle, cfg.Nodes),
+		clock:     newPhaseClock(net, cfg, iters),
 	}
 	for i := range rt.engines {
 		e, err := nmp.NewEngine(st.Traces[i], cfg.NMP)
@@ -102,236 +166,338 @@ func newRuntime(st *ShardedTrace, net topo.Network, cfg Config) (*runtime, error
 			return nil, err
 		}
 		rt.engines[i] = e
-		rt.durations[i] = make([]sim.Cycle, len(st.Traces[0].Iterations))
+		rt.durations[i] = make([]sim.Cycle, iters)
 	}
 	return rt, nil
 }
 
-// step advances node i by one iteration on its local clock and records the
-// duration. The overlapped scheduler calls this lazily from inside global
-// events — serially, unlike runBSP's per-superstep fan-out — which is what
-// lets interconnect events interleave with engine stepping on one
-// timeline; the replay is a small share of Simulate's wall-clock (the
-// software phases dominate), so the lost fan-out is not measurable in the
-// ScaleOut8x benchmarks.
-func (rt *runtime) step(i int) sim.Cycle {
-	e := rt.engines[i]
-	it := e.Next()
-	if rt.pr != nil {
-		rt.pr.beforeStep(i, e)
-	}
-	ti := e.StepIteration(e.NextStart())
-	d := ti.End - ti.Start
-	rt.durations[i][it] = d
-	if rt.pr != nil {
-		rt.pr.afterStep(i, e, ti)
-	}
-	return d
-}
-
-// run executes the compaction phase under the configured discipline. An
-// overlapped run takes the conservative-PDES parallel path when the
-// machine and host shape support it (see parallelOK); BSP advancement
-// takes the windowed chunked path under the same worker-pool condition
-// (see bspParallelOK, inside bspAdvance).
-func (rt *runtime) run() *compactOutcome {
-	var out *compactOutcome
-	if rt.cfg.Overlap {
-		if rt.parallelOK() {
-			out = rt.runOverlappedParallel()
-		} else {
-			out = rt.runOverlapped()
-		}
-	} else {
-		out = rt.runBSP()
-	}
-	out.Durations = rt.durations
-	out.NMP = make([]*nmp.Result, rt.n)
-	for i, e := range rt.engines {
-		out.NMP[i] = e.Result()
-	}
-	return out
-}
-
-// bspAdvance drives the engines superstep by superstep through iterations
-// [from, to): all nodes step iteration it (concurrently — the engines are
-// independent), the slowest node paces the step, then the iteration's halo
-// exchange is appended serially, exactly as the original aggregation loop
-// priced them. The partial sums accumulate on the runtime so a run can be
-// split at any iteration boundary — runBSP finishes the whole trace, the
-// checkpoint capture stops mid-way and snapshots. With a real worker pool
-// the windowed variant (runtime_parallel.go) pre-steps whole chunks of
-// supersteps and drains their pricing serially — cycle-exact either way.
-func (rt *runtime) bspAdvance(from, to int) {
-	if rt.bspParallelOK(from, to) {
-		rt.bspAdvanceWindowed(from, to)
+// prestep is the one place engines are stepped: every live engine (live
+// == nil: every engine) advances through iterations [from, to) on its
+// local back-to-back clock, one node per pool task, recording each
+// iteration's duration in durations and, when instrumented, buffering the
+// step's telemetry for the drain that places it. A task owns its node
+// exclusively — the engine, its duration row, its DRAM tracks and its
+// probe scratch stay single-writer.
+func prestep(engines []*nmp.Engine, live []bool, durations [][]sim.Cycle, from, to, workers int, pr *probes) {
+	if to <= from {
 		return
 	}
-	pr := rt.pr
-	lb := rt.net.BarrierCycles()
-	sb := rt.cfg.NMP.SyncBarrierCycles
-	var gnow sim.Cycle
-	if pr != nil {
-		gnow = pr.bspStart(rt.compute, rt.exchange, from, rt.iters, lb, sb)
-	}
-	for it := from; it < to; it++ {
-		slowest := make([]sim.Cycle, rt.n)
-		par.ForIdx(rt.n, rt.cfg.Workers, func(i int) {
-			slowest[i] = rt.step(i)
-		})
-		var max sim.Cycle
-		maxIdx := 0
-		for i, d := range slowest {
-			if d > max {
-				max = d
-				maxIdx = i
-			}
+	par.ForIdx(len(engines), workers, func(i int) {
+		if live != nil && !live[i] {
+			return
 		}
-		rt.compute += max
-		var hx topo.ExchangeStats
-		if pr != nil {
-			gnow = pr.superstepCompute(it, gnow, slowest, max, false)
-			hx = topo.ExchangeProbed(rt.net, rt.st.Halo[it], pr.linkAt(gnow))
-		} else {
-			hx = topo.Exchange(rt.net, rt.st.Halo[it])
-		}
-		rt.exchange += hx.Cycles
-		rt.exchangedBytes += hx.TotalBytes
-		if pr != nil {
-			gnow = pr.superstepComm(it, rt.iters, gnow, hx, lb, sb, maxIdx)
-		}
-	}
-}
-
-// stepAdvance steps every engine through iterations [from, to) without
-// pricing the per-iteration BSP exchanges. The overlap-discipline
-// checkpoint capture uses it: an overlapped restore rebuilds its own
-// event-driven schedule (and ExchangedBytes) from the halo matrix and
-// never reads the BSP partial sums, so simulating the exchanges during
-// capture would be discarded work. Probes are never attached on this
-// path, so each worker can batch its node's whole iteration range.
-func (rt *runtime) stepAdvance(from, to int) {
-	par.ForIdx(rt.n, rt.cfg.Workers, func(i int) {
+		e := engines[i]
 		for it := from; it < to; it++ {
-			rt.step(i)
+			if pr != nil {
+				pr.beforeStep(i, it, e)
+			}
+			ti := e.StepIteration(e.NextStart())
+			durations[i][it] = ti.End - ti.Start
+			if pr != nil {
+				pr.afterStep(i, it, e, ti)
+			}
 		}
 	})
 }
 
-// runBSP completes the BSP discipline from the runtime's start iteration
-// and prices the closing barriers (which depend only on the total
-// iteration count, so a restored run reproduces them exactly).
-func (rt *runtime) runBSP() *compactOutcome {
-	rt.bspAdvance(rt.start, rt.iters)
-	out := &compactOutcome{ExchangedBytes: rt.exchangedBytes}
-	linkBarrier, syncBarrier := bspBarriers(rt.net, rt.cfg, rt.iters)
-	out.Phase = PhaseCycles{Compute: rt.compute, Exchange: rt.exchange, Barrier: linkBarrier + syncBarrier}
-	out.LinkBarrier = linkBarrier
+// advance runs iterations [from, to) as one BSP epoch — the static
+// partition has no interior epoch boundary — pre-stepping every engine
+// through it, then draining superstep by superstep. The partial sums
+// accumulate on the clock, so a run can be split at any iteration
+// boundary: a checkpoint capture or a Session.Step stops mid-way.
+func (rt *runtime) advance(from, to int) {
+	prestep(rt.engines, nil, rt.durations, from, to, rt.cfg.Workers, rt.pr)
+	for it := from; it < to; it++ {
+		rt.clock.superstep(it, rt.durations, rt.st.Halo[it])
+	}
+}
+
+// phase implements phaseRun.
+func (rt *runtime) phase() *phaseClock { return &rt.clock }
+
+// seal implements phaseRun. The static partition's traffic accounting is
+// a property of the sharded trace.
+func (rt *runtime) seal(res *Result) *compactOutcome {
+	res.HaloBytes, res.RemoteTNFrac = rt.st.HaloBytes, rt.st.RemoteTNFrac()
+	if rt.cfg.Overlap {
+		return rt.runOverlapped()
+	}
+	return rt.clock.outcome(rt.durations, rt.engines)
+}
+
+// runOverlapped schedules the whole phase as one all-live overlapped
+// segment: finishing nodes stream their halo bytes while laggards
+// compute, and each node's next iteration waits only on its own finish
+// (plus sync barrier) and on the delivery of the halo traffic it depends
+// on. A restored run replays the iterations before its checkpoint from
+// the recorded durations (the macro schedule is a deterministic function
+// of durations, halo and topology) and pre-steps only the rest. The phase
+// is split as Compute = the slowest node's unconstrained local chain
+// (what a zero-cost interconnect would yield) and Exchange = the
+// communication time the schedule failed to hide.
+func (rt *runtime) runOverlapped() *compactOutcome {
+	out := &compactOutcome{Durations: rt.durations}
+	if rt.iters > 0 {
+		prestep(rt.engines, nil, rt.durations, rt.start, rt.iters, rt.cfg.Workers, rt.pr)
+		sg := segment{
+			s: 0, e: rt.iters, halo: rt.st.Halo, net: rt.net,
+			durations: rt.durations, replayed: rt.start,
+			sb: rt.cfg.NMP.SyncBarrierCycles, pr: rt.pr,
+		}
+		if rt.pr != nil {
+			sg.off = rt.pr.base
+		}
+		seg := sg.run()
+		if rt.pr != nil {
+			rt.pr.segmentSpans(sg.off, seg, -1)
+		}
+		out.Phase = PhaseCycles{Compute: seg.compute, Exchange: seg.makespan - seg.compute}
+		out.ExchangedBytes = seg.bytes
+	}
+	out.NMP = engineResults(rt.engines)
 	return out
 }
 
-// bspBarriers prices the closing barriers of a BSP compaction phase:
-// iters-1 interconnect log-tree barriers and as many NMP-runtime sync
-// barriers between consecutive supersteps. Shared by runBSP and the
-// rebalancing runtime (rebalance.go), whose supersteps must stay priced
-// identically for the partitioner comparisons to mean anything.
-func bspBarriers(net topo.Network, cfg Config, iters int) (link, sync sim.Cycle) {
-	if iters > 1 {
-		link = sim.Cycle(iters-1) * net.BarrierCycles()
-		sync = sim.Cycle(iters-1) * cfg.NMP.SyncBarrierCycles
+// engineResults seals every engine and collects its result.
+func engineResults(engines []*nmp.Engine) []*nmp.Result {
+	res := make([]*nmp.Result, len(engines))
+	for i, e := range engines {
+		res[i] = e.Result()
 	}
-	return link, sync
+	return res
 }
 
-// ovNode is one node's overlap-mode scheduling state on the global
+// phaseClock is a compaction phase's global clock, tiled into three
+// accounting buckets — compute + exchange + barrier is the elapsed phase
+// time at every iteration boundary — plus the one BSP superstep drain
+// every discipline shares. Halo exchanges and migrations land in
+// exchange; link barriers land in barrier with their interconnect share
+// tracked in linkBarrier; sync barriers and protocol stalls (checkpoint
+// captures, detection, restore) land in barrier too. Whole-machine waits
+// are recorded on the runtime track and on the live node tracks.
+type phaseClock struct {
+	net    topo.Network
+	iters  int
+	lb, sb sim.Cycle // link and sync barrier between supersteps
+	pr     *probes
+	live   []bool // nil: every node is live
+
+	compute, exchange, barrier sim.Cycle
+	linkBarrier                sim.Cycle
+	exchangedBytes             int64
+
+	durs []sim.Cycle // superstep scratch
+}
+
+func newPhaseClock(net topo.Network, cfg Config, iters int) phaseClock {
+	return phaseClock{
+		net:   net,
+		iters: iters,
+		lb:    net.BarrierCycles(),
+		sb:    cfg.NMP.SyncBarrierCycles,
+		durs:  make([]sim.Cycle, cfg.Nodes),
+	}
+}
+
+// now is the elapsed phase time.
+func (c *phaseClock) now() sim.Cycle { return c.compute + c.exchange + c.barrier }
+
+// save records the BSP partial sums on a checkpoint.
+func (c *phaseClock) save(ck *CheckpointState) {
+	ck.Compute, ck.Exchange = c.compute, c.exchange
+	ck.CompactExchangedBytes = c.exchangedBytes
+}
+
+// restore re-enters a BSP run at a checkpoint from its partial sums; the
+// inter-superstep barriers crossed so far depend only on the iteration
+// count.
+func (c *phaseClock) restore(ck *CheckpointState) {
+	crossed := max(min(ck.ResumeIter, c.iters-1), 0)
+	c.compute, c.exchange = ck.Compute, ck.Exchange
+	c.exchangedBytes = ck.CompactExchangedBytes
+	c.linkBarrier = sim.Cycle(crossed) * c.lb
+	c.barrier = c.linkBarrier + sim.Cycle(crossed)*c.sb
+}
+
+// stall charges a d-cycle whole-machine wait to bucket (one of the
+// clock's own) and records it.
+func (c *phaseClock) stall(bucket *sim.Cycle, kind telemetry.SpanKind, it int, d sim.Cycle, bytes int64) {
+	if d <= 0 {
+		return
+	}
+	if c.pr != nil {
+		c.pr.stall(kind, it, c.pr.base+c.now(), d, bytes, c.live)
+	}
+	*bucket += d
+}
+
+// stallBarrier charges a wait to the barrier bucket; comm marks it as
+// interconnect time (the link barrier).
+func (c *phaseClock) stallBarrier(kind telemetry.SpanKind, it int, d sim.Cycle, bytes int64, comm bool) {
+	if comm && d > 0 {
+		c.linkBarrier += d
+	}
+	c.stall(&c.barrier, kind, it, d, bytes)
+}
+
+// doExchange prices one all-to-all on the network at the current time,
+// mirroring its link occupancy onto the link tracks when instrumented.
+func (c *phaseClock) doExchange(b [][]int64) topo.ExchangeStats {
+	if c.pr != nil {
+		return topo.ExchangeProbed(c.net, b, c.pr.linkAt(c.pr.base+c.now()))
+	}
+	return topo.Exchange(c.net, b)
+}
+
+// superstep drains BSP superstep it from the pre-stepped durations: the
+// slowest live node paces the compute segment, the iteration's halo
+// exchange runs on the links, and between supersteps a link barrier plus
+// the NMP sync barrier close the step, gating every live node's next
+// iteration on the slowest one.
+func (c *phaseClock) superstep(it int, durations [][]sim.Cycle, halo [][]int64) {
+	var slowest sim.Cycle
+	maxIdx := 0
+	for i := range c.durs {
+		c.durs[i] = 0
+		if c.live == nil || c.live[i] {
+			c.durs[i] = durations[i][it]
+		}
+		if c.durs[i] > slowest {
+			slowest = c.durs[i]
+			maxIdx = i
+		}
+	}
+	if c.pr != nil {
+		c.pr.superstepCompute(it, c.pr.base+c.now(), c.durs, slowest, c.live)
+	}
+	c.compute += slowest
+
+	hx := c.doExchange(halo)
+	c.exchangedBytes += hx.TotalBytes
+	c.stall(&c.exchange, telemetry.SpanExchangeWait, it, hx.Cycles, hx.TotalBytes)
+
+	if it+1 < c.iters {
+		c.stallBarrier(telemetry.SpanLinkBarrier, it, c.lb, 0, true)
+		c.stallBarrier(telemetry.SpanSyncBarrier, it, c.sb, 0, false)
+		if c.pr != nil {
+			for i := range c.durs {
+				if c.live == nil || c.live[i] {
+					c.pr.c.AddDep(i, it+1, telemetry.BoundBarrier, maxIdx)
+				}
+			}
+		}
+	}
+}
+
+// outcome seals a phase the clock drained: its buckets, the recorded
+// durations and every engine's result.
+func (c *phaseClock) outcome(durations [][]sim.Cycle, engines []*nmp.Engine) *compactOutcome {
+	return &compactOutcome{
+		Phase:          PhaseCycles{Compute: c.compute, Exchange: c.exchange, Barrier: c.barrier},
+		LinkBarrier:    c.linkBarrier,
+		ExchangedBytes: c.exchangedBytes,
+		Durations:      durations,
+		NMP:            engineResults(engines),
+	}
+}
+
+// segment is one overlapped schedule over iterations [s, e) on a fresh
+// event timeline whose cycle 0 is global time off: the finish → stream →
+// start dependency structure over the live nodes, routed through net.
+// Every duration is already recorded; iterations below replayed were
+// stepped before a checkpoint and have no buffered telemetry.
+type segment struct {
+	s, e      int
+	halo      [][][]int64 // halo[j] is iteration s+j's matrix
+	net       topo.Network
+	live      []bool // nil: every node is live
+	durations [][]sim.Cycle
+	replayed  int
+	sb        sim.Cycle
+	off       sim.Cycle
+	pr        *probes
+}
+
+// segOutcome summarizes one overlapped segment on its local clock.
+type segOutcome struct {
+	makespan sim.Cycle   // last finish or halo delivery
+	compute  sim.Cycle   // longest live node's local chain in the segment
+	boundary []sim.Cycle // boundary[j]: latest live finish of iteration s+j
+	bytes    int64       // halo bytes streamed
+}
+
+// ovNode is one node's overlap-mode scheduling state on the segment
 // timeline (link occupancy lives in the shared topo.Flight).
 type ovNode struct {
-	// pendingIn[it] counts halo messages of iteration it still in flight
+	// pendingIn[j] counts halo messages of iteration s+j still in flight
 	// toward this node.
 	pendingIn []int
 	// readyAt is when the node's own compute-side constraint for its next
 	// iteration is satisfied (previous end + sync barrier).
 	readyAt sim.Cycle
-	// finished[it] is set once the node's iteration it has completed.
+	// finished[j] is set once the node's iteration s+j has completed.
 	finished []bool
 	started  []bool
 }
 
-// runOverlapped schedules the same per-node iteration durations
-// event-driven: finishing nodes stream their halo bytes while laggards
-// compute, and each node's next iteration waits only on its own finish
-// (plus sync barrier) and on the delivery of the halo traffic it depends
-// on. The phase is split as Compute = the slowest node's unconstrained
-// local chain (what a zero-cost interconnect would yield) and Exchange =
-// the communication time the schedule failed to hide.
-func (rt *runtime) runOverlapped() *compactOutcome {
-	return rt.runOverlappedWith(nil)
-}
+// run executes the segment's macro schedule. The event closures and
+// their creation order depend only on the durations, the halo matrices
+// and the network, so the schedule is the same however the durations
+// were produced.
+func (sg *segment) run() *segOutcome {
+	n, m, s := len(sg.durations), sg.e-sg.s, sg.s
+	pr, sb, off := sg.pr, sg.sb, sg.off
+	live := func(i int) bool { return sg.live == nil || sg.live[i] }
+	seg := &segOutcome{boundary: make([]sim.Cycle, m)}
 
-// runOverlappedWith is runOverlapped with an optional window driver: when
-// windows is non-nil it is handed the global engine after the iteration-0
-// events are seeded and owns the interleaving of engine pre-stepping with
-// bounded event-loop advancement (runtime_parallel.go); the closing Run
-// drains whatever the driver left pending. The macro schedule — every
-// event closure, in creation order — is byte-for-byte the serial one
-// either way, which is what makes the parallel mode cycle-exact: the
-// event kernel orders ties by sequence number, and identical closure
-// creation order means identical sequence numbers.
-func (rt *runtime) runOverlappedWith(windows func(g *sim.Engine)) *compactOutcome {
-	out := &compactOutcome{}
-	n, iters := rt.n, rt.iters
-	if iters == 0 {
-		return out
-	}
-	pr := rt.pr
-	sb := rt.cfg.NMP.SyncBarrierCycles
-	// lastEnd[i] is node i's last iteration end on the compaction-phase
-	// clock (global minus pr.base), for the gap spans between iterations.
-	lastEnd := make([]sim.Cycle, n)
 	g := &sim.Engine{}
 	if pr != nil {
 		g.SetProbe(&pr.loop)
 	}
 	nodes := make([]*ovNode, n)
+	// lastEnd[i] is node i's last iteration end on the segment clock, for
+	// the gap spans between iterations.
+	lastEnd := make([]sim.Cycle, n)
 	for i := range nodes {
-		nodes[i] = &ovNode{
-			pendingIn: make([]int, iters),
-			finished:  make([]bool, iters),
-			started:   make([]bool, iters),
+		if live(i) {
+			nodes[i] = &ovNode{
+				pendingIn: make([]int, m),
+				finished:  make([]bool, m),
+				started:   make([]bool, m),
+			}
 		}
 	}
-	for it := 0; it < iters; it++ {
+	for j := 0; j < m; j++ {
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				if dst != src && rt.st.Halo[it][src][dst] > 0 {
-					nodes[dst].pendingIn[it]++
-					out.ExchangedBytes += rt.st.Halo[it][src][dst]
+				if dst != src && sg.halo[j][src][dst] > 0 {
+					nodes[dst].pendingIn[j]++
+					seg.bytes += sg.halo[j][src][dst]
 				}
 			}
 		}
 	}
-	fl := topo.NewFlight(rt.net, g)
+	fl := topo.NewFlight(sg.net, g)
 	if pr != nil {
-		fl.SetProbe(&topo.Probe{Links: pr.links, Offset: pr.base})
+		fl.SetProbe(&topo.Probe{Links: pr.links, Offset: off})
 	}
-	var makespan sim.Cycle
 	note := func(t sim.Cycle) {
-		if t > makespan {
-			makespan = t
+		if t > seg.makespan {
+			seg.makespan = t
 		}
 	}
 
-	var begin func(i, it int, at sim.Cycle)
-	// tryStart launches node i's iteration it once both its compute-side
+	var begin func(i, j int, at sim.Cycle)
+	// tryStart launches node i's iteration s+j once both its compute-side
 	// and delivery-side dependencies have resolved; the triggering event
 	// supplies the later of the two times. src is the halo sender when a
 	// delivery triggered the call, -1 when the node's own finish did.
-	tryStart := func(i, it, src int) {
+	tryStart := func(i, j, src int) {
 		nd := nodes[i]
-		if it >= iters || nd.started[it] || !nd.finished[it-1] || nd.pendingIn[it-1] > 0 {
+		if j >= m || nd.started[j] || !nd.finished[j-1] || nd.pendingIn[j-1] > 0 {
 			return
 		}
-		nd.started[it] = true
+		nd.started[j] = true
 		at := nd.readyAt
 		bound := telemetry.BoundSync
 		if now := g.Now(); now > at {
@@ -344,124 +510,101 @@ func (rt *runtime) runOverlappedWith(windows func(g *sim.Engine)) *compactOutcom
 			}
 		}
 		if pr != nil {
-			s := src
+			sn := src
 			if bound != telemetry.BoundDelivery {
-				s = -1
+				sn = -1
 			}
-			pr.c.AddDep(i, it, bound, s)
+			pr.c.AddDep(i, s+j, bound, sn)
 		}
-		begin(i, it, at)
+		begin(i, j, at)
 	}
-	finish := func(i, it int) {
+	finish := func(i, j int) {
 		nd := nodes[i]
 		now := g.Now()
-		nd.finished[it] = true
+		nd.finished[j] = true
+		if now > seg.boundary[j] {
+			seg.boundary[j] = now
+		}
 		note(now)
 		// Stream this iteration's outgoing halo through the topology: the
 		// Flight reserves the first route link immediately (the sender's
 		// serializing injection port) and store-and-forwards through every
 		// contended downstream link, the same occupancy discipline
 		// topo.Exchange uses.
-		for off := 1; off < n; off++ {
-			dst := (i + off) % n
-			b := rt.st.Halo[it][i][dst]
+		for k := 1; k < n; k++ {
+			dst := (i + k) % n
+			if !live(dst) {
+				continue
+			}
+			b := sg.halo[j][i][dst]
 			if b <= 0 {
 				continue
 			}
 			d := dst
 			fl.Send(i, d, b, func() {
 				note(g.Now())
-				nodes[d].pendingIn[it]--
-				tryStart(d, it+1, i)
+				nodes[d].pendingIn[j]--
+				tryStart(d, j+1, i)
 			})
 		}
-		if it+1 < iters {
+		if j+1 < m {
 			nd.readyAt = now + sb
-			tryStart(i, it+1, -1)
+			tryStart(i, j+1, -1)
 		}
 	}
-	begin = func(i, it int, at sim.Cycle) {
+	begin = func(i, j int, at sim.Cycle) {
 		g.At(at, func() {
+			it := s + j
 			// The gap since the node's previous iteration decomposes into
 			// the sync barrier and, past it, the halo-delivery wait (the
 			// start is never earlier than readyAt = previous end + sb).
-			if pr != nil && it > 0 {
+			if pr != nil && j > 0 {
 				e0 := lastEnd[i]
 				if sb > 0 {
-					pr.node[i].Add(telemetry.SpanSyncBarrier, pr.base+e0, pr.base+e0+sb, int64(it), 0)
+					pr.node[i].Add(telemetry.SpanSyncBarrier, off+e0, off+e0+sb, int64(it), 0)
 				}
 				if at > e0+sb {
-					pr.node[i].Add(telemetry.SpanDeliveryWait, pr.base+e0+sb, pr.base+at, int64(it), 0)
+					pr.node[i].Add(telemetry.SpanDeliveryWait, off+e0+sb, off+at, int64(it), 0)
 				}
 			}
-			// A restored run replays the recorded duration of an already-
-			// executed iteration instead of re-stepping the engine: the
-			// global schedule is a deterministic function of (durations,
-			// halo, topology), so replaying the macro-schedule with the
-			// checkpointed durations reproduces the uninterrupted timeline
-			// exactly while skipping the engine micro-simulation. A
-			// windowed (parallel) run extends the same replay idea to live
-			// iterations: the window driver pre-steps the engines in
-			// parallel, so by the time an iteration begins here its
-			// duration is already recorded and its telemetry buffered.
-			var d sim.Cycle
-			switch {
-			case it < rt.start:
-				d = rt.durations[i][it]
-				if pr != nil {
-					pr.placeReplayed(i, it, pr.base+at, d)
-				}
-			case it < rt.stepped:
-				d = rt.durations[i][it]
-				if pr != nil {
-					pr.placeBuffered(i, it, pr.base+at)
-				}
-			default:
-				if rt.windowed {
-					// The lookahead bound admitted an event it must
-					// exclude — a conservative-PDES protocol violation,
-					// never a recoverable condition.
-					panic("scaleout: parallel runtime reached an un-stepped iteration")
-				}
-				d = rt.step(i)
-				if pr != nil {
-					pr.placeIter(i, it, pr.base+at)
+			d := sg.durations[i][it]
+			if pr != nil {
+				if it < sg.replayed {
+					pr.placeReplayed(i, it, off+at, d)
+				} else {
+					pr.place(i, it, off+at)
 				}
 			}
 			lastEnd[i] = at + d
-			g.After(d, func() { finish(i, it) })
+			g.After(d, func() { finish(i, j) })
 		})
 	}
 	for i := 0; i < n; i++ {
-		nodes[i].started[0] = true
-		begin(i, 0, 0)
-	}
-	if windows != nil {
-		windows(g)
+		if live(i) {
+			nodes[i].started[0] = true
+			begin(i, 0, 0)
+		}
 	}
 	g.Run()
 
-	// The unconstrained local chains are what a free interconnect would
-	// run; anything beyond the slowest of them is exposed communication.
-	var compute sim.Cycle
-	for _, e := range rt.engines {
-		if e.Now() > compute {
-			compute = e.Now()
+	// A node's unconstrained local chain is its durations joined by sync
+	// barriers — what a free interconnect would run, and exactly the
+	// engine's back-to-back clock advance over the segment; anything
+	// beyond the slowest chain is exposed communication.
+	for i := 0; i < n; i++ {
+		if !live(i) {
+			continue
+		}
+		c := sim.Cycle(m-1) * sb
+		for it := sg.s; it < sg.e; it++ {
+			c += sg.durations[i][it]
+		}
+		if c > seg.compute {
+			seg.compute = c
+		}
+		if pr != nil && lastEnd[i] < seg.makespan {
+			pr.node[i].Add(telemetry.SpanIdle, off+lastEnd[i], off+seg.makespan, int64(sg.e-1), 0)
 		}
 	}
-	if pr != nil {
-		for i := 0; i < n; i++ {
-			if lastEnd[i] < makespan {
-				pr.node[i].Add(telemetry.SpanIdle, pr.base+lastEnd[i], pr.base+makespan, int64(iters-1), 0)
-			}
-		}
-		if compute > 0 {
-			pr.phases.Add(telemetry.SpanCompute, pr.base, pr.base+compute, -1, 0)
-		}
-		if makespan > compute {
-			pr.phases.Add(telemetry.SpanExchangeWait, pr.base+compute, pr.base+makespan, -1, out.ExchangedBytes)
-		}
-	}
-	out.Phase = PhaseCycles{Compute: compute, Exchange: makespan - compute, Barrier: 0}
-	return out
+	return seg
 }

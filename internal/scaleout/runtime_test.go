@@ -1,6 +1,7 @@
 package scaleout
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -181,4 +182,73 @@ func TestConfigValidateErrors(t *testing.T) {
 	if err := base.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+}
+
+// TestParallelOutcomeMatchesSerial compares overlapped runs pre-stepped
+// inline (Workers=1) and on goroutines (Workers=4) directly at the
+// runtime layer — same sharded trace, same network — across every
+// topology, including a Degraded wrapper with slowed and cut links.
+func TestParallelOutcomeMatchesSerial(t *testing.T) {
+	reads := testReads(t, 12_000)
+	tr := testTrace(t, reads, 32, 3)
+	const nodes = 8
+
+	outcome := func(t *testing.T, st *ShardedTrace, net topo.Network, cfg Config, workers int) *compactOutcome {
+		t.Helper()
+		cfg.Workers = workers
+		rt, err := newRuntime(st, net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt.runOverlapped()
+	}
+	topos := map[string]topo.Config{
+		"fullmesh":  topo.Default(),
+		"torus":     topo.Torus(0, 0),
+		"dragonfly": topo.DragonflyGroups(0),
+	}
+	for name, tc := range topos {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig(nodes)
+			cfg.Overlap = true
+			cfg.Topo = tc
+			st := ShardTrace(tr, nodes, cfg.Partitioner)
+			net, err := cfg.Topo.Build(nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := outcome(t, st, net, cfg, 1)
+			if got := outcome(t, st, net, cfg, 4); !reflect.DeepEqual(got, want) {
+				t.Errorf("parallel outcome diverges: %+v vs %+v", got.Phase, want.Phase)
+			}
+		})
+	}
+
+	t.Run("degraded", func(t *testing.T) {
+		cfg := DefaultConfig(nodes)
+		cfg.Overlap = true
+		cfg.Topo = topo.Torus(0, 0)
+		st := ShardTrace(tr, nodes, cfg.Partitioner)
+		net, err := cfg.Topo.Build(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		degrade := func() *topo.Degraded {
+			d := topo.NewDegraded(net)
+			if err := d.Slow(0, 1, 0.5); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.CutRoute(2, 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Verify(nil); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		want := outcome(t, st, degrade(), cfg, 1)
+		if got := outcome(t, st, degrade(), cfg, 4); !reflect.DeepEqual(got, want) {
+			t.Errorf("degraded parallel outcome diverges: %+v vs %+v", got.Phase, want.Phase)
+		}
+	})
 }

@@ -73,16 +73,10 @@ type Config struct {
 	K        int
 	MinCount uint32
 	// Workers bounds host parallelism while running the real sharded
-	// software (not modeled time); <=0 means GOMAXPROCS.
+	// software and pre-stepping the per-node engines of each compaction
+	// epoch (not modeled time); <=0 means GOMAXPROCS. Results, traces and
+	// checkpoint blobs are identical at every worker count.
 	Workers int
-	// PrestepDepth bounds how many iterations ahead of the conservative
-	// window the parallel runtime pre-steps each node's engine per round
-	// (depth-k pre-stepping); <= 0 means 1. Purely a host-side batching
-	// knob — pre-stepping further is always safe because engine durations
-	// are schedule-independent, so results, traces and checkpoint blobs
-	// are identical at every depth. Like Workers it is excluded from
-	// checkpoint identity.
-	PrestepDepth int
 
 	Partitioner Partitioner
 	// Topo declares the interconnect: topology family, shape and per-link
@@ -101,11 +95,12 @@ type Config struct {
 	NMP      nmp.Config
 	Software SoftwareModel
 	// CheckpointEvery > 0 captures a full checkpoint of the compaction
-	// replay every that many iterations into an in-memory ring, pricing
-	// each capture at blob-bytes / CheckpointBytesPerCycle. Recovery from
-	// an injected node loss restores from the newest ring entry; 0 (the
-	// default) disables periodic checkpointing — a loss then restarts the
-	// compaction phase from iteration 0 on the survivors.
+	// replay every that many iterations in memory, replacing the previous
+	// one and pricing each capture at blob-bytes / CheckpointBytesPerCycle.
+	// Recovery from an injected node loss restores from the newest
+	// capture; 0 (the default) disables periodic checkpointing — a loss
+	// then restarts the compaction phase from iteration 0 on the
+	// survivors.
 	CheckpointEvery int
 	// CheckpointBytesPerCycle prices checkpoint capture and restore I/O;
 	// <= 0 means DefaultCheckpointBytesPerCycle.
@@ -152,9 +147,6 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("scaleout: Workers must be >= 0, got %d", c.Workers)
 	}
-	if c.PrestepDepth < 0 {
-		return fmt.Errorf("scaleout: PrestepDepth must be >= 0, got %d", c.PrestepDepth)
-	}
 	if c.Partitioner == nil {
 		return fmt.Errorf("scaleout: Partitioner must be set")
 	}
@@ -181,27 +173,7 @@ func (c Config) Validate() error {
 	if err := c.Topo.Validate(c.Nodes); err != nil {
 		return err
 	}
-	if c.Overlap && c.Workers > 1 {
-		// An explicitly parallel overlapped run needs a positive
-		// lookahead window: the conservative-PDES scheduler may only
-		// advance nodes ahead of their inbound senders by the network's
-		// minimum send-to-delivery latency. Every current topology has
-		// one (a message crosses at least two serializing links), so
-		// this guards future zero-latency network models.
-		if net, err := c.Topo.Build(c.Nodes); err == nil && net.MinLatency() <= 0 {
-			return fmt.Errorf("scaleout: Workers=%d with Overlap needs a topology with positive MinLatency for conservative lookahead; %s has none", c.Workers, net.Name())
-		}
-	}
 	return c.NMP.Validate()
-}
-
-// depth is the effective pre-step depth of the parallel window protocol:
-// PrestepDepth iterations per round, minimum 1.
-func (c Config) depth() int {
-	if c.PrestepDepth < 1 {
-		return 1
-	}
-	return c.PrestepDepth
 }
 
 // elastic reports whether the configuration routes the compaction replay
@@ -315,7 +287,7 @@ func Simulate(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Result, error
 	}
 	var pr *probes
 	if cfg.Telemetry != nil {
-		pr = newProbes(cfg.Telemetry, net, cfg)
+		pr = newProbes(cfg.Telemetry, net, cfg, len(tr.Iterations))
 	}
 	res, err := runPrelude(reads, cfg, net, pr)
 	if err != nil {
@@ -333,7 +305,7 @@ func Simulate(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		co = &eo.compactOutcome
+		co = eo.compactOutcome
 		res.HaloBytes = eo.HaloBytes
 		res.RemoteTNFrac = remoteTNFrac(eo.LocalTNs, eo.RemoteTNs)
 		res.Checkpoints = eo.Checkpoints
@@ -345,26 +317,13 @@ func Simulate(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Result, error
 		res.LostIterations = eo.LostIterations
 		res.RecoveryCycles = eo.RecoveryCycles
 		res.RepartitionBytes = eo.RepartitionBytes
-	} else if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		ro, err := runRebalanced(tr, net, cfg, rp, pr)
-		if err != nil {
-			return nil, err
-		}
-		co = &ro.compactOutcome
-		res.HaloBytes = ro.HaloBytes
-		res.RemoteTNFrac = remoteTNFrac(ro.LocalTNs, ro.RemoteTNs)
-		res.Rebalances = ro.Rebalances
-		res.MigratedBytes = ro.MigratedBytes
 	} else {
-		st := ShardTrace(tr, cfg.Nodes, cfg.Partitioner)
-		res.HaloBytes = st.HaloBytes
-		res.RemoteTNFrac = st.RemoteTNFrac()
-		rt, err := newRuntime(st, net, cfg)
+		run, err := newRun(tr, net, cfg)
 		if err != nil {
 			return nil, err
 		}
-		rt.setProbes(pr)
-		co = rt.run()
+		run.setProbes(pr)
+		co = finishRun(run, cfg, res, 0)
 	}
 	finalize(res, co)
 	if pr != nil {

@@ -26,13 +26,13 @@
 // macro-schedule at restore time and exposes no mid-run global clock, so
 // its slices cannot be priced on a fleet timeline. Elastic configurations
 // (CheckpointEvery/Faults) are rejected with ErrElasticConfig, exactly
-// like Checkpoint — their recovery ring owns the checkpoint machinery.
+// like Checkpoint — their in-memory recovery checkpoint owns the
+// checkpoint machinery.
 package scaleout
 
 import (
 	"fmt"
 
-	"nmppak/internal/nmp"
 	"nmppak/internal/readsim"
 	"nmppak/internal/sim"
 	"nmppak/internal/topo"
@@ -49,8 +49,7 @@ type Session struct {
 	net topo.Network
 	res *Result // prelude result; finalized by Finish
 
-	rt *runtime      // static-partitioner runtime (nil iff rr != nil)
-	rr *rebalanceRun // dynamic-ownership runtime
+	run phaseRun
 
 	next  int // first unexecuted iteration (the current boundary)
 	iters int
@@ -85,22 +84,11 @@ func NewSession(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Session, er
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{tr: tr, cfg: cfg, net: net, res: res, iters: len(tr.Iterations)}
-	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		rr, err := newRebalanceRun(tr, net, cfg, rp)
-		if err != nil {
-			return nil, err
-		}
-		s.rr = rr
-	} else {
-		st := ShardTrace(tr, cfg.Nodes, cfg.Partitioner)
-		rt, err := newRuntime(st, net, cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.rt = rt
+	run, err := newRun(tr, net, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &Session{tr: tr, cfg: cfg, net: net, res: res, run: run, iters: len(tr.Iterations)}, nil
 }
 
 // ResumeSession reconstructs a session from a checkpoint blob taken under
@@ -122,32 +110,12 @@ func ResumeSession(tr *trace.Trace, cfg Config, blob []byte) (*Session, error) {
 	if err := ck.matches(tr, cfg, net); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Nodes:          cfg.Nodes,
-		Partitioner:    cfg.Partitioner.Name(),
-		Topology:       net.Name(),
-		Count:          ck.Count,
-		Construct:      ck.Construct,
-		PerNode:        append([]NodeStats(nil), ck.PerNode...),
-		ExchangedBytes: ck.PreludeExchangedBytes,
+	run, err := resumeRun(tr, net, cfg, ck)
+	if err != nil {
+		return nil, err
 	}
-	s := &Session{tr: tr, cfg: cfg, net: net, res: res,
-		next: ck.ResumeIter, iters: len(tr.Iterations)}
-	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		rr, err := resumeRebalanceRun(tr, net, cfg, rp, ck)
-		if err != nil {
-			return nil, err
-		}
-		s.rr = rr
-	} else {
-		st := ShardTrace(tr, cfg.Nodes, cfg.Partitioner)
-		rt, err := resumeRuntime(st, net, cfg, ck)
-		if err != nil {
-			return nil, err
-		}
-		s.rt = rt
-	}
-	return s, nil
+	return &Session{tr: tr, cfg: cfg, net: net, res: ck.resumedResult(cfg, net), run: run,
+		next: ck.ResumeIter, iters: len(tr.Iterations)}, nil
 }
 
 // Iterations returns the trace's total compaction iteration count.
@@ -172,11 +140,7 @@ func (s *Session) Step(n int) int {
 	if to <= s.next {
 		return 0
 	}
-	if s.rr != nil {
-		s.rr.advance(s.next, to)
-	} else {
-		s.rt.bspAdvance(s.next, to)
-	}
+	s.run.advance(s.next, to)
 	executed := to - s.next
 	s.next = to
 	return executed
@@ -188,22 +152,7 @@ func (s *Session) Step(n int) int {
 // already crossed. At the final boundary this equals the finished
 // Result.TotalCycles.
 func (s *Session) Progress() sim.Cycle {
-	base := s.res.Count.Total() + s.res.Construct.Total()
-	var compute, exchange sim.Cycle
-	if s.rr != nil {
-		compute, exchange = s.rr.compute, s.rr.exchange
-	} else {
-		compute, exchange = s.rt.compute, s.rt.exchange
-	}
-	crossed := s.next
-	if m := s.iters - 1; crossed > m {
-		crossed = m
-	}
-	if crossed < 0 {
-		crossed = 0
-	}
-	return base + compute + exchange +
-		sim.Cycle(crossed)*(s.net.BarrierCycles()+s.cfg.NMP.SyncBarrierCycles)
+	return s.res.Count.Total() + s.res.Construct.Total() + s.run.phase().now()
 }
 
 // Checkpoint exports the session's state at the current boundary as a
@@ -215,29 +164,8 @@ func (s *Session) Checkpoint() ([]byte, error) {
 		return nil, fmt.Errorf("scaleout: Session already finished")
 	}
 	ck := checkpointHeader(s.cfg, s.net, s.tr, s.res, s.next)
-	if s.rr != nil {
-		ck.Compute, ck.Exchange = s.rr.compute, s.rr.exchange
-		ck.CompactExchangedBytes = s.rr.out.ExchangedBytes
-		ck.Rebalance = &RebalanceState{
-			Table:         append([]uint16(nil), s.rr.table...),
-			Cum:           append([]sim.Cycle(nil), s.rr.cum...),
-			LastDur:       append([]sim.Cycle(nil), s.rr.lastDur...),
-			Weight:        append([]int64(nil), s.rr.weight...),
-			LocalTNs:      s.rr.out.LocalTNs,
-			RemoteTNs:     s.rr.out.RemoteTNs,
-			HaloBytes:     s.rr.out.HaloBytes,
-			Rebalances:    s.rr.out.Rebalances,
-			MigratedBytes: s.rr.out.MigratedBytes,
-		}
-		if err := snapshotInto(ck, s.rr.out.Durations, s.rr.engines); err != nil {
-			return nil, err
-		}
-	} else {
-		ck.Compute, ck.Exchange = s.rt.compute, s.rt.exchange
-		ck.CompactExchangedBytes = s.rt.exchangedBytes
-		if err := snapshotInto(ck, s.rt.durations, s.rt.engines); err != nil {
-			return nil, err
-		}
+	if err := s.run.snapshot(ck); err != nil {
+		return nil, err
 	}
 	return ck.Marshal()
 }
@@ -253,29 +181,6 @@ func (s *Session) Finish() (*Result, error) {
 	}
 	s.Step(s.Remaining())
 	s.done = true
-	res := s.res
-	var co *compactOutcome
-	if s.rr != nil {
-		ro := s.rr.finish()
-		co = &ro.compactOutcome
-		res.HaloBytes = ro.HaloBytes
-		res.RemoteTNFrac = remoteTNFrac(ro.LocalTNs, ro.RemoteTNs)
-		res.Rebalances = ro.Rebalances
-		res.MigratedBytes = ro.MigratedBytes
-	} else {
-		res.HaloBytes = s.rt.st.HaloBytes
-		res.RemoteTNFrac = s.rt.st.RemoteTNFrac()
-		out := &compactOutcome{ExchangedBytes: s.rt.exchangedBytes}
-		linkBarrier, syncBarrier := bspBarriers(s.rt.net, s.rt.cfg, s.rt.iters)
-		out.Phase = PhaseCycles{Compute: s.rt.compute, Exchange: s.rt.exchange, Barrier: linkBarrier + syncBarrier}
-		out.LinkBarrier = linkBarrier
-		out.Durations = s.rt.durations
-		out.NMP = make([]*nmp.Result, s.rt.n)
-		for i, e := range s.rt.engines {
-			out.NMP[i] = e.Result()
-		}
-		co = out
-	}
-	finalize(res, co)
-	return res, nil
+	finalize(s.res, s.run.seal(s.res))
+	return s.res, nil
 }

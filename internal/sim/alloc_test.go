@@ -41,25 +41,6 @@ func TestEngineAllocs(t *testing.T) {
 	}
 }
 
-// TestRunUntilAllocs pins zero steady-state allocations for the bounded-run
-// primitive, mirroring TestEngineAllocs for Run: once the buckets have
-// grown, windowed draining must not allocate either.
-func TestRunUntilAllocs(t *testing.T) {
-	var e Engine
-	fn := func() {}
-	round := func() {
-		for i := 0; i < 512; i++ {
-			e.At(e.Now()+Cycle(i*13%97), fn)
-		}
-		for h := e.Now() + 1; e.Pending() > 0; h += 16 {
-			e.RunUntil(h)
-		}
-	}
-	if a := steadyAllocs(round); a != 0 {
-		t.Errorf("allocs per windowed 512-event round = %v, want 0", a)
-	}
-}
-
 // TestFreshEngineAllocs covers the topo.Exchange pattern: a new Engine per
 // call, drained by Run. Its buckets come warm from the pool, so once warm
 // the call allocates nothing.

@@ -22,8 +22,8 @@
 // order a comparison heap with a sequence-number tie-break would give.
 //
 // The buckets live in one struct taken from a package-level sync.Pool when
-// the first event arrives in an empty Engine, and returned when Run,
-// RunUntil or Reset leaves it empty. A drained Engine holds no queue
+// the first event arrives in an empty Engine, and returned when Run or
+// Reset leaves it empty. A drained Engine holds no queue
 // storage, and concurrently stepped Engines share the warm buckets.
 package sim
 
@@ -164,35 +164,6 @@ func (e *Engine) Run() Cycle {
 	}
 	e.release()
 	return e.now
-}
-
-// RunUntil processes events strictly before horizon, advancing the clock to
-// each event's time as usual, and returns the current time afterwards. The
-// clock is NOT advanced to the horizon: events at or after it stay pending
-// with their order intact, so interleaving RunUntil windows with a final
-// Run produces exactly the same dispatch sequence as a single Run. This is
-// the bounded-run primitive for conservative-PDES windows, where horizon is
-// the caller's proven lookahead bound.
-func (e *Engine) RunUntil(horizon Cycle) Cycle {
-	for e.n > 0 {
-		i, at := e.q.front(e.now)
-		if at >= horizon {
-			break
-		}
-		e.dispatch(e.pop(i, at))
-	}
-	e.release()
-	return e.now
-}
-
-// NextAt returns the time of the earliest pending event without advancing
-// the clock. ok is false when nothing is pending.
-func (e *Engine) NextAt() (at Cycle, ok bool) {
-	if e.n == 0 {
-		return 0, false
-	}
-	_, at = e.q.front(e.now)
-	return at, true
 }
 
 // pop removes the earliest event, which front found in bucket i at time at,

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -103,8 +102,7 @@ type refEngine struct {
 	evs []refEvent
 }
 
-func (r *refEngine) Now() Cycle   { return r.now }
-func (r *refEngine) Pending() int { return len(r.evs) }
+func (r *refEngine) Now() Cycle { return r.now }
 
 func (r *refEngine) At(t Cycle, fn func()) {
 	if t < r.now {
@@ -127,20 +125,10 @@ func (r *refEngine) min() int {
 	return m
 }
 
-func (r *refEngine) NextAt() (Cycle, bool) {
-	if len(r.evs) == 0 {
-		return 0, false
-	}
-	return r.evs[r.min()].at, true
-}
-
-func (r *refEngine) RunUntil(horizon Cycle) Cycle {
+func (r *refEngine) Run() Cycle {
 	for len(r.evs) > 0 {
 		m := r.min()
 		ev := r.evs[m]
-		if ev.at >= horizon {
-			break
-		}
 		r.evs = append(r.evs[:m], r.evs[m+1:]...)
 		r.now = ev.at
 		ev.fn()
@@ -148,17 +136,12 @@ func (r *refEngine) RunUntil(horizon Cycle) Cycle {
 	return r.now
 }
 
-func (r *refEngine) Run() Cycle { return r.RunUntil(math.MaxInt64) }
-
 // scheduler is the engine surface the equivalence scenarios drive.
 type scheduler interface {
 	Now() Cycle
-	Pending() int
 	At(Cycle, func())
 	After(Cycle, func())
 	Run() Cycle
-	RunUntil(Cycle) Cycle
-	NextAt() (Cycle, bool)
 }
 
 // runScenario drives a deterministic pseudo-random self-rescheduling event
@@ -207,83 +190,6 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunUntilWindowsMatchRun verifies that slicing a schedule into
-// RunUntil windows dispatches the same events, in the same order, at the
-// same clock readings as one uninterrupted Run — the property the parallel
-// runtime's window loop depends on.
-func TestRunUntilWindowsMatchRun(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		want := runScenario(&Engine{}, seed)
-
-		// Same scenario, but drained through advancing horizons.
-		var e Engine
-		rng := rand.New(rand.NewSource(seed))
-		var log []([2]int64)
-		id := int64(0)
-		var spawn func(depth int) func()
-		spawn = func(depth int) func() {
-			me := id
-			id++
-			return func() {
-				log = append(log, [2]int64{me, e.Now()})
-				if depth >= 6 {
-					return
-				}
-				kids := rng.Intn(3)
-				for c := 0; c < kids; c++ {
-					off := Cycle(rng.Intn(9)) - 2
-					e.At(e.Now()+off, spawn(depth+1))
-				}
-			}
-		}
-		for i := 0; i < 24; i++ {
-			e.At(Cycle(rng.Intn(11)), spawn(0))
-		}
-		for h := Cycle(1); e.Pending() > 0 && h < 64; h++ {
-			e.RunUntil(h)
-			if at, ok := e.NextAt(); ok && at < h {
-				t.Fatalf("seed %d: event at %d left pending below horizon %d", seed, at, h)
-			}
-		}
-		e.Run() // drain any stragglers past the last horizon
-		if len(log) != len(want) {
-			t.Fatalf("seed %d: windows fired %d events, Run fired %d", seed, len(log), len(want))
-		}
-		for i := range log {
-			if log[i] != want[i] {
-				t.Fatalf("seed %d: event %d = %v, Run %v", seed, i, log[i], want[i])
-			}
-		}
-	}
-}
-
-// TestRunUntilHorizonExclusive pins the boundary semantics: an event exactly
-// at the horizon must NOT run, and the clock must not advance past the last
-// dispatched event.
-func TestRunUntilHorizonExclusive(t *testing.T) {
-	var e Engine
-	var fired []Cycle
-	e.At(3, func() { fired = append(fired, 3) })
-	e.At(5, func() { fired = append(fired, 5) })
-	e.At(9, func() { fired = append(fired, 9) })
-	if now := e.RunUntil(5); now != 3 {
-		t.Fatalf("now after RunUntil(5) = %d, want 3", now)
-	}
-	if len(fired) != 1 || fired[0] != 3 {
-		t.Fatalf("fired = %v, want [3]", fired)
-	}
-	if at, ok := e.NextAt(); !ok || at != 5 {
-		t.Fatalf("NextAt = %d,%v, want 5,true", at, ok)
-	}
-	e.RunUntil(10)
-	if len(fired) != 3 {
-		t.Fatalf("fired = %v, want all three", fired)
-	}
-	if _, ok := e.NextAt(); ok {
-		t.Fatal("NextAt ok on empty heap")
-	}
-}
-
 // offset maps one choice byte to a scheduling offset. The top two bits pick
 // the scale: past times (clamped to now) and ties, near, far, and up to
 // ≈2^40 cycles ahead, where a dormant fault plan sits in the highest
@@ -302,11 +208,10 @@ func offset(c byte) Cycle {
 	}
 }
 
-// drive runs a self-rescheduling event population on s through RunUntil
-// windows, drawing every choice from choices (zero once exhausted, which
-// ends the run). After each window it inserts an event the way the PDES
-// driver does: somewhere in [now, NextAt). The log holds (id, time) per
-// firing plus (-1, now) and (-2, NextAt) after each window.
+// drive runs a self-rescheduling event population on s, drawing every
+// choice — how many events to seed, each event's fan-out and each child's
+// offset — from choices (zero once exhausted). The log holds (id, time)
+// per firing.
 func drive(s scheduler, choices []byte, maxEvents int64) [][2]int64 {
 	pos := 0
 	next := func() byte {
@@ -332,23 +237,7 @@ func drive(s scheduler, choices []byte, maxEvents int64) [][2]int64 {
 	for k := next()%16 + 1; k > 0; k-- {
 		s.At(offset(next()), spawn())
 	}
-	for s.Pending() > 0 {
-		c := next()
-		if c == 0 {
-			s.Run()
-			break
-		}
-		now := s.RunUntil(s.Now() + offset(c))
-		log = append(log, [2]int64{-1, now})
-		at, ok := s.NextAt()
-		if !ok {
-			continue
-		}
-		log = append(log, [2]int64{-2, at})
-		if at > now && id < maxEvents {
-			s.At(now+Cycle(next())%(at-now), spawn())
-		}
-	}
+	s.Run()
 	return log
 }
 
@@ -372,21 +261,8 @@ func checkDrive(t *testing.T, choices []byte) {
 	}
 }
 
-// TestWindowedInsertsMatchReference covers the PDES pattern: RunUntil(h)
-// stops, NextAt peeks without moving the radix base, and the driver then
-// schedules events between now and the peeked minimum. Mixed with ties,
-// past-time clamps and events ≈2^40 cycles ahead, the firing order must
-// match the reference scheduler's.
-func TestWindowedInsertsMatchReference(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		choices := make([]byte, 4096)
-		rand.New(rand.NewSource(seed)).Read(choices)
-		checkDrive(t, choices)
-	}
-}
-
 // TestConcurrentEnginesSharePool runs engines on several goroutines at once,
-// as the parallel runtime steps node engines, so their buckets pass between
+// as epoch pre-stepping runs node engines, so their buckets pass between
 // goroutines through the pool; every engine must still fire in reference
 // order. Run it under -race.
 func TestConcurrentEnginesSharePool(t *testing.T) {
@@ -418,8 +294,8 @@ func TestConcurrentEnginesSharePool(t *testing.T) {
 }
 
 // TestFarFutureEvents pins a dormant event in the top buckets: it must stay
-// pending through windows that schedule and fire nearer events, and fire
-// last, after a past-time event clamped to its own time.
+// pending while nearer events fire and schedule more, and fire last,
+// after a past-time event clamped to its own time.
 func TestFarFutureEvents(t *testing.T) {
 	const far = Cycle(1) << 40
 	var e Engine
@@ -430,14 +306,10 @@ func TestFarFutureEvents(t *testing.T) {
 		e.At(0, rec) // clamped to far
 	})
 	e.At(far+1, rec)
-	e.At(7, rec)
-	if now := e.RunUntil(1000); now != 7 {
-		t.Fatalf("now = %d, want 7", now)
-	}
-	if at, ok := e.NextAt(); !ok || at != far {
-		t.Fatalf("NextAt = %d,%v, want %d", at, ok, far)
-	}
-	e.At(500, rec) // between now and the peeked minimum
+	e.At(7, func() {
+		rec()
+		e.At(500, rec) // between now and the dormant event
+	})
 	e.Run()
 	want := []Cycle{7, 500, far, far, far + 1}
 	if !slices.Equal(fired, want) {
@@ -454,13 +326,14 @@ func TestDrainedEngineHoldsNoStorage(t *testing.T) {
 	if e.q == nil {
 		t.Fatal("pending engine has no buckets")
 	}
-	e.RunUntil(5)
-	if e.q == nil {
-		t.Fatal("RunUntil released buckets with an event pending")
-	}
-	e.RunUntil(10)
+	e.At(5, func() {
+		if e.q == nil {
+			t.Fatal("Run released buckets with an event pending")
+		}
+	})
+	e.Run()
 	if e.q != nil {
-		t.Fatal("RunUntil kept buckets after draining")
+		t.Fatal("Run kept buckets after draining")
 	}
 	e.At(11, func() {})
 	e.Reset()
@@ -473,8 +346,8 @@ func TestDrainedEngineHoldsNoStorage(t *testing.T) {
 	}
 }
 
-// FuzzEventOrder drives Engine and refEngine with the same fuzzed offsets,
-// fan-outs and RunUntil horizons; their (id, time) logs must be equal.
+// FuzzEventOrder drives Engine and refEngine with the same fuzzed offsets
+// and fan-outs; their (id, time) logs must be equal.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 64, 200, 1, 2, 255, 70, 130, 5, 0})

@@ -212,7 +212,7 @@ func (t *Track) Add(kind SpanKind, start, end sim.Cycle, a1, a2 int64) {
 	t.Spans = append(t.Spans, Span{Kind: kind, Start: start, End: end, Arg1: a1, Arg2: a2})
 }
 
-// Len returns the number of recorded spans (used with ShiftTail to
+// Len returns the number of recorded spans (used with ShiftRange to
 // re-base a batch recorded on a local clock).
 func (t *Track) Len() int { return len(t.Spans) }
 
@@ -226,25 +226,11 @@ func (t *Track) Truncate(n int) {
 	}
 }
 
-// ShiftTail adds delta to every span from index `from` on: the
+// ShiftRange adds delta to the spans in [from, to) only: the
 // local-to-global re-basing step for spans recorded on a node engine's
-// local clock during one iteration.
-func (t *Track) ShiftTail(from int, delta sim.Cycle) {
-	if delta == 0 {
-		return
-	}
-	for i := from; i < len(t.Spans); i++ {
-		t.Spans[i].Start += delta
-		t.Spans[i].End += delta
-	}
-}
-
-// ShiftRange adds delta to the spans in [from, to) only. The parallel
-// runtime re-bases with this instead of ShiftTail: a worker may have
-// appended spans of LATER iterations past `to` before the scheduler gets
-// to re-base this one, and those must keep their local clock until their
-// own placement. Each batch is shifted exactly once, by its own delta, so
-// the result is identical to serial ShiftTail re-basing span for span.
+// local clock during one iteration. Spans of later iterations may already
+// sit past `to`, still on their local clock until their own placement, so
+// each batch is shifted exactly once, by its own delta.
 func (t *Track) ShiftRange(from, to int, delta sim.Cycle) {
 	if delta == 0 {
 		return

@@ -6,18 +6,21 @@ import (
 	"testing"
 )
 
-func TestTrackShiftTail(t *testing.T) {
+func TestTrackShiftRange(t *testing.T) {
 	tr := &Track{Kind: TrackDRAM, Name: "ch0"}
 	tr.Add(SpanBus, 10, 20, 64, 0)
 	from := tr.Len()
 	tr.Add(SpanBus, 5, 9, 64, 0)
 	tr.Add(SpanBus, 12, 15, 32, 1)
+	to := tr.Len()
+	tr.Add(SpanBus, 3, 4, 8, 0) // a later batch, still on its local clock
 
-	tr.ShiftTail(from, 100)
+	tr.ShiftRange(from, to, 100)
 	want := []Span{
 		{SpanBus, 10, 20, 64, 0},
 		{SpanBus, 105, 109, 64, 0},
 		{SpanBus, 112, 115, 32, 1},
+		{SpanBus, 3, 4, 8, 0},
 	}
 	for i, w := range want {
 		if tr.Spans[i] != w {
@@ -25,9 +28,9 @@ func TestTrackShiftTail(t *testing.T) {
 		}
 	}
 	// Zero delta must be a no-op.
-	tr.ShiftTail(0, 0)
+	tr.ShiftRange(0, tr.Len(), 0)
 	if tr.Spans[0] != want[0] {
-		t.Fatalf("zero-delta ShiftTail moved spans: %+v", tr.Spans[0])
+		t.Fatalf("zero-delta ShiftRange moved spans: %+v", tr.Spans[0])
 	}
 }
 

@@ -23,11 +23,7 @@
 // state evolves between them.
 package topo
 
-import (
-	"fmt"
-
-	"nmppak/internal/sim"
-)
+import "fmt"
 
 // Degraded wraps a Network with mutable per-link health: bandwidth
 // multipliers and cut links. The zero state (nothing slowed, nothing
@@ -57,30 +53,6 @@ func NewDegraded(net Network) *Degraded {
 // slowdowns exposes the multiplier table to NewFlight (nil while no link
 // has been slowed).
 func (d *Degraded) slowdowns() []float64 { return d.slow }
-
-// MinLatency delegates to the wrapped network. Degradation can only make
-// messages later — Slow multiplies link occupancy by factors >= 1 and cut
-// detours add route links — so the healthy network's lower bound remains
-// a valid lookahead for the degraded one.
-func (d *Degraded) MinLatency() sim.Cycle { return d.Network.MinLatency() }
-
-// PairMinLatency recomputes the pair bound from the route the degraded
-// network actually uses: while the underlying minimal route survives it
-// matches the healthy bound, and once a cut forces the one-stop detour
-// the longer route widens the bound (detours are never shorter than the
-// minimal route, so the bound is monotone non-decreasing as links fail).
-// Slow factors only stretch link occupancy beyond the one-cycle floor,
-// so route length alone still lower-bounds delivery.
-func (d *Degraded) PairMinLatency(src, dst int) sim.Cycle {
-	if src == dst {
-		return 0
-	}
-	if d.cut == nil {
-		return d.Network.PairMinLatency(src, dst)
-	}
-	d.scratch = d.AppendRoute(d.scratch[:0], src, dst)
-	return routeBound(len(d.scratch), d.LatencyCycles())
-}
 
 // checkPair validates a routed channel endpoint pair.
 func (d *Degraded) checkPair(src, dst int) error {

@@ -30,38 +30,6 @@ type Network interface {
 	// topology's worst-case unloaded route latency. A single node
 	// synchronizes for free.
 	BarrierCycles() sim.Cycle
-	// MinLatency is a conservative lower bound on send-to-delivery time
-	// for ANY message on ANY route of this network, loaded or not: the
-	// shortest route's link count L (each link occupied >= 1 cycle,
-	// store-and-forward) plus L-1 inter-link latency transitions. It is
-	// the lookahead window of the conservative-PDES parallel runtime — a
-	// node whose inbound neighbors have advanced to cycle t cannot
-	// receive anything before t + MinLatency. Contention and degradation
-	// only delay messages further, so the bound survives both.
-	MinLatency() sim.Cycle
-	// PairMinLatency is MinLatency specialized to one ordered pair: a
-	// conservative lower bound on send-to-delivery time for any src -> dst
-	// message, computed from that pair's actual route length L as
-	// L + (L-1)*LatencyCycles. On distance-varying topologies (torus,
-	// inter-group dragonfly) this is strictly wider than the global
-	// MinLatency for distant pairs, which is exactly what lets the
-	// parallel runtime's per-pair lookahead matrix open larger windows.
-	// src == dst is never routed and returns 0. For every routed pair,
-	// PairMinLatency(src, dst) >= MinLatency().
-	PairMinLatency(src, dst int) sim.Cycle
-}
-
-// routeBound is the conservative delivery lower bound of an L-link route:
-// every link is occupied at least one cycle (store-and-forward, Flight's
-// Dur is >= 1 even for tiny messages) and consecutive links pay one
-// latency transition, so no message on the route can deliver in fewer
-// than L + (L-1)*lat cycles after its send. Contention, degradation
-// multipliers (>= 1), and backlog only push delivery later.
-func routeBound(links int, lat sim.Cycle) sim.Cycle {
-	if links <= 0 {
-		return 0
-	}
-	return sim.Cycle(links) + sim.Cycle(links-1)*lat
 }
 
 // linkSpec carries the shared per-link parameters and implements the

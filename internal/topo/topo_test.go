@@ -307,138 +307,3 @@ func TestFlightChannelContention(t *testing.T) {
 		t.Fatalf("second delivery at %d, want 805", second)
 	}
 }
-
-// TestMinLatencyIsDeliveryLowerBound checks the PDES lookahead contract
-// empirically: on an unloaded network, no src -> dst message of any size
-// arrives sooner than MinLatency after it is sent, and some pair achieves
-// the bound exactly with a minimal message (the bound is tight, not just
-// safe). The per-pair refinement is held to a stronger contract: an
-// unloaded minimal message arrives at exactly PairMinLatency(src, dst) —
-// the bound is tight for every pair, on every topology — and on
-// distance-varying topologies at least one pair's bound strictly exceeds
-// the global minimum (the widening the parallel runtime's windows feed
-// on).
-func TestMinLatencyIsDeliveryLowerBound(t *testing.T) {
-	cases := []struct {
-		cfg Config
-		n   int
-	}{
-		{testLink(FullMesh), 8},
-		{testLink(Torus2D), 8},
-		{Config{Kind: Torus2D, LatencyCycles: 100, BytesPerCycle: 10, TorusX: 4, TorusY: 2}, 8},
-		{testLink(Dragonfly), 8},
-		{Config{Kind: Dragonfly, LatencyCycles: 100, BytesPerCycle: 10, GroupSize: 1}, 4},
-		{Config{Kind: FullMesh, LatencyCycles: 0, BytesPerCycle: 10}, 4},
-	}
-	for _, tc := range cases {
-		net := build(t, tc.cfg, tc.n)
-		min := net.MinLatency()
-		if min <= 0 {
-			t.Fatalf("%s: MinLatency = %d, want > 0", net.Name(), min)
-		}
-		tight := false
-		widened := false
-		for src := 0; src < tc.n; src++ {
-			if pm := net.PairMinLatency(src, src); pm != 0 {
-				t.Fatalf("%s: PairMinLatency(%d,%d) = %d, want 0 for the unrouted local pair",
-					net.Name(), src, src, pm)
-			}
-			for dst := 0; dst < tc.n; dst++ {
-				if dst == src {
-					continue
-				}
-				pm := net.PairMinLatency(src, dst)
-				if pm < min {
-					t.Fatalf("%s: PairMinLatency(%d,%d) = %d below MinLatency %d",
-						net.Name(), src, dst, pm, min)
-				}
-				if pm > min {
-					widened = true
-				}
-				var eng sim.Engine
-				f := NewFlight(net, &eng) // fresh flight: unloaded links
-				got := sim.Cycle(-1)
-				f.Send(src, dst, 1, func() { got = eng.Now() })
-				eng.Run()
-				if got < min {
-					t.Fatalf("%s: %d -> %d delivered after %d cycles, below MinLatency %d",
-						net.Name(), src, dst, got, min)
-				}
-				if got != pm {
-					t.Fatalf("%s: %d -> %d minimal message delivered at %d, want PairMinLatency %d exactly",
-						net.Name(), src, dst, got, pm)
-				}
-				if got == min {
-					tight = true
-				}
-			}
-		}
-		if !tight {
-			t.Errorf("%s: MinLatency %d never achieved — bound is not tight", net.Name(), min)
-		}
-		if kind := tc.cfg.Kind; (kind == Torus2D || kind == Dragonfly) && tc.n > 4 && !widened {
-			t.Errorf("%s: no pair bound exceeds the global MinLatency %d — the per-pair matrix degenerated",
-				net.Name(), min)
-		}
-	}
-}
-
-// TestMinLatencyDegraded: the wrapper delegates, and degradation (slowed
-// links, cut detours) never delivers below the healthy bound. The
-// per-pair bounds are monotone under degradation — a healthy wrapper
-// delegates them untouched, cutting routes never shrinks any pair's
-// bound, and a detoured pair's bound strictly widens (the detour is a
-// longer route) while staying a valid lower bound on its deliveries.
-func TestMinLatencyDegraded(t *testing.T) {
-	const n = 8
-	net := build(t, testLink(Torus2D), n)
-	d := NewDegraded(net)
-	if d.MinLatency() != net.MinLatency() {
-		t.Fatalf("degraded MinLatency %d != inner %d", d.MinLatency(), net.MinLatency())
-	}
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if got, want := d.PairMinLatency(src, dst), net.PairMinLatency(src, dst); got != want {
-				t.Fatalf("healthy wrapper PairMinLatency(%d,%d) = %d, inner %d", src, dst, got, want)
-			}
-		}
-	}
-	if err := d.Slow(0, 1, 0.25); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.CutRoute(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Verify(nil); err != nil {
-		t.Fatal(err)
-	}
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			got, healthy := d.PairMinLatency(src, dst), net.PairMinLatency(src, dst)
-			if got < healthy {
-				t.Fatalf("degraded PairMinLatency(%d,%d) = %d shrank below healthy %d",
-					src, dst, got, healthy)
-			}
-		}
-	}
-	if got, healthy := d.PairMinLatency(2, 3), net.PairMinLatency(2, 3); got <= healthy {
-		t.Fatalf("cut pair 2 -> 3: degraded bound %d not strictly above healthy %d despite the detour",
-			got, healthy)
-	}
-	min := d.MinLatency()
-	for _, pair := range [][2]int{{0, 1}, {2, 3}, {5, 6}} {
-		var eng sim.Engine
-		f := NewFlight(d, &eng)
-		got := sim.Cycle(-1)
-		f.Send(pair[0], pair[1], 64, func() { got = eng.Now() })
-		eng.Run()
-		if got < min {
-			t.Fatalf("degraded %d -> %d delivered after %d, below MinLatency %d",
-				pair[0], pair[1], got, min)
-		}
-		if pm := d.PairMinLatency(pair[0], pair[1]); got < pm {
-			t.Fatalf("degraded %d -> %d delivered after %d, below its pair bound %d",
-				pair[0], pair[1], got, pm)
-		}
-	}
-}
