@@ -27,10 +27,12 @@
 //     migration/halo accounting.
 //
 // The sharded sub-traces and link clocks are deliberately NOT in the blob:
-// sharding is a pure function of (trace, partitioner table) and is
-// recomputed on restore, and every topo link clock is reconstructed by the
-// deterministic schedule replay. That keeps the blob small (engine timing
-// state + durations, not the trace) and keeps one source of truth.
+// sharding is a pure function of (trace, partitioner table), so a restore
+// shards only the iterations it still runs (the whole-trace facts it needs
+// of the rest are memoized on the trace), and every topo link clock is
+// reconstructed by the deterministic schedule replay. That keeps the blob
+// small (engine timing state + durations, not the trace) and keeps one
+// source of truth.
 //
 // Restore refuses blobs it cannot honour: short or truncated blobs, an
 // unknown version tag, and any drift between the blob's recorded identity
@@ -46,7 +48,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"nmppak/internal/dna"
 	"nmppak/internal/nmp"
 	"nmppak/internal/readsim"
 	"nmppak/internal/sim"
@@ -212,13 +213,12 @@ func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter in
 	// sums its restore resumes from; an overlapped capture only steps the
 	// engines (its restore replays the macro-schedule from the recorded
 	// durations and never reads the sums, which stay zero).
-	run, err := newRun(tr, net, cfg)
+	run, err := newRun(tr, net, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Overlap {
-		rt := run.(*runtime)
-		prestep(rt.engines, nil, rt.durations, 0, beforeIter, cfg.Workers, nil)
+		run.(*runtime).step(0, beforeIter)
 	} else {
 		run.setProbes(pr)
 		run.advance(0, beforeIter)
@@ -318,7 +318,7 @@ func Restore(tr *trace.Trace, cfg Config, blob []byte) (*Result, error) {
 		pr = newProbes(cfg.Telemetry, net, cfg, len(tr.Iterations))
 		pr.prelude(res)
 	}
-	run, err := resumeRun(tr, net, cfg, ck)
+	run, err := newRun(tr, net, cfg, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -342,80 +342,6 @@ func (ck *CheckpointState) resumedResult(cfg Config, net topo.Network) *Result {
 		PerNode:        append([]NodeStats(nil), ck.PerNode...),
 		ExchangedBytes: ck.PreludeExchangedBytes,
 	}
-}
-
-// resumeRuntime rebuilds the static-partitioner runtime at the blob's
-// pause point: restored engines, recorded durations, BSP partial sums.
-func resumeRuntime(st *ShardedTrace, net topo.Network, cfg Config, ck *CheckpointState) (*runtime, error) {
-	iters := len(st.Traces[0].Iterations)
-	rt := &runtime{
-		cfg:       cfg,
-		st:        st,
-		net:       net,
-		iters:     iters,
-		start:     ck.ResumeIter,
-		engines:   make([]*nmp.Engine, cfg.Nodes),
-		durations: make([][]sim.Cycle, cfg.Nodes),
-		clock:     newPhaseClock(net, cfg, iters),
-	}
-	rt.clock.restore(ck)
-	for i := range rt.engines {
-		e, err := nmp.ResumeEngine(st.Traces[i], cfg.NMP, ck.Engines[i])
-		if err != nil {
-			return nil, err
-		}
-		rt.engines[i] = e
-		rt.durations[i] = make([]sim.Cycle, iters)
-		copy(rt.durations[i], ck.Durations[i])
-	}
-	return rt, nil
-}
-
-// resumeRebalanceRun rebuilds the dynamic-ownership run at the blob's
-// pause point. The per-node sub-traces of the executed iterations are
-// replaced by empty placeholders (a resumed engine never reads behind its
-// cursor); only the iteration-0 quantile tables — the engines' static DIMM
-// mapping option — are reconstructed, by re-sharding iteration 0 under the
-// deterministic initial assignment the run started from.
-func resumeRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner, ck *CheckpointState) (*rebalanceRun, error) {
-	rr := newRebalanceState(tr, net, cfg, p)
-	rs := ck.Rebalance
-	copy(rr.table, rs.Table)
-	copy(rr.cum, rs.Cum)
-	copy(rr.lastDur, rs.LastDur)
-	copy(rr.weight, rs.Weight)
-	rr.clock.restore(ck)
-	rr.out.LocalTNs, rr.out.RemoteTNs, rr.out.HaloBytes = rs.LocalTNs, rs.RemoteTNs, rs.HaloBytes
-	rr.out.Rebalances, rr.out.MigratedBytes = rs.Rebalances, rs.MigratedBytes
-	for i := range rr.durations {
-		copy(rr.durations[i], ck.Durations[i])
-	}
-
-	var quantiles [][]dna.Kmer
-	if ck.ResumeIter > 0 && rr.iters > 0 {
-		init := make([]uint16, BalancedBuckets)
-		for b := range init {
-			init[b] = uint16(initialOwner(b, rr.n))
-		}
-		subs, _, _, _ := shardIteration(&tr.Iterations[0], rr.n,
-			func(key dna.Kmer) int { return int(init[p.bucket(key, rr.k1)]) }, mat(rr.n))
-		quantiles = make([][]dna.Kmer, rr.n)
-		for o := range subs {
-			quantiles[o] = subs[o].Quantiles
-		}
-	}
-	for i := 0; i < rr.n; i++ {
-		rr.traces[i] = &trace.Trace{K: tr.K, Iterations: make([]trace.Iteration, ck.ResumeIter)}
-		if quantiles != nil {
-			rr.traces[i].Quantiles = quantiles[i]
-		}
-		e, err := nmp.ResumeEngine(rr.traces[i], cfg.NMP, ck.Engines[i])
-		if err != nil {
-			return nil, err
-		}
-		rr.engines[i] = e
-	}
-	return rr, nil
 }
 
 // Marshal encodes the checkpoint as magic + version tag + gob payload.

@@ -3,6 +3,7 @@ package scaleout
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,14 +16,28 @@ import (
 )
 
 // Checkpointing mid-run and restoring must finish bit-identically to the
-// uninterrupted run, on both disciplines.
+// uninterrupted run, on both disciplines, with and without a static DIMM
+// mapping.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	reads := testReads(t, 20_000)
 	tr := testTrace(t, reads, 32, 3)
 	mid := len(tr.Iterations) / 2
-	for _, overlap := range []bool{false, true} {
+	for _, c := range []struct {
+		overlap, staticMapping bool
+		p                      Partitioner
+	}{
+		{false, false, nil}, {true, false, nil},
+		// A static DIMM mapping reads each node's iteration-0 quantile
+		// table, which a run resumed past iteration 0 never re-shards.
+		{false, true, nil}, {true, true, nil}, {false, true, NewRebalancePartitioner(12, 2)},
+	} {
 		cfg := DefaultConfig(4)
-		cfg.Overlap = overlap
+		cfg.Overlap = c.overlap
+		cfg.NMP.StaticMapping = c.staticMapping
+		if c.p != nil {
+			cfg.Partitioner = c.p
+		}
+		what := fmt.Sprintf("overlap=%v static=%v %s", c.overlap, c.staticMapping, cfg.Partitioner.Name())
 		want, err := Simulate(reads, tr, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -36,7 +51,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("overlap=%v: restored result differs from uninterrupted run:\n%+v\nvs\n%+v", overlap, got, want)
+			t.Fatalf("%s: restored result differs from uninterrupted run:\n%+v\nvs\n%+v", what, got, want)
 		}
 	}
 }

@@ -72,9 +72,7 @@ const DefaultCheckpointBytesPerCycle = 16
 // surfaces.
 type elasticOutcome struct {
 	*compactOutcome
-	LocalTNs  int64
-	RemoteTNs int64
-	HaloBytes int64
+	traffic
 
 	Checkpoints      int
 	CheckpointBytes  int64
@@ -119,12 +117,13 @@ type elasticRun struct {
 	surv []int // live node indices, ascending (failover hash targets)
 
 	engines   []*nmp.Engine
-	traces    []*trace.Trace
 	durations [][]sim.Cycle
 
 	clock phaseClock // compaction-phase clock over the live membership
 
-	localTNs, remoteTNs, haloBytes int64 // committed logical traffic
+	// feed shards each epoch under the current membership; its traffic
+	// split is the committed logical traffic.
+	feed shardFeed
 
 	cfgDigest uint64
 	// ckpt is the newest checkpoint, the one a recovery restores (nil
@@ -167,13 +166,13 @@ func newElasticRun(tr *trace.Trace, net topo.Network, cfg Config, res *Result, p
 		ckBPC:     cfg.CheckpointBytesPerCycle,
 		live:      make([]bool, n),
 		engines:   make([]*nmp.Engine, n),
-		traces:    make([]*trace.Trace, n),
 		durations: make([][]sim.Cycle, n),
 		cfgDigest: configDigest(cfg, net.Name()),
 		pr:        pr,
 	}
 	er.clock = newPhaseClock(er.deg, cfg, er.iters)
 	er.clock.pr, er.clock.live = pr, er.live
+	er.feed = newShardFeed(tr, n, er.ownerOf, er.live)
 	if er.ckBPC <= 0 {
 		er.ckBPC = DefaultCheckpointBytesPerCycle
 	}
@@ -184,13 +183,9 @@ func newElasticRun(tr *trace.Trace, net topo.Network, cfg Config, res *Result, p
 	for i := 0; i < n; i++ {
 		er.live[i] = true
 		er.surv = append(er.surv, i)
-		er.traces[i] = &trace.Trace{K: tr.K}
-		e, err := nmp.NewEngine(er.traces[i], cfg.NMP)
-		if err != nil {
-			return nil, err
-		}
-		er.engines[i] = e
-		er.durations[i] = make([]sim.Cycle, er.iters)
+	}
+	if err := startEngines(er.engines, er.durations, er.feed.traces, cfg.NMP, er.iters, nil); err != nil {
+		return nil, err
 	}
 	if pr != nil {
 		pr.attach(er.engines)
@@ -281,9 +276,9 @@ func (er *elasticRun) snapshot(it int) ([]byte, error) {
 		ResumeIter:            it,
 		Elastic: &ElasticState{
 			Live:      append([]bool(nil), er.live...),
-			LocalTNs:  er.localTNs,
-			RemoteTNs: er.remoteTNs,
-			HaloBytes: er.haloBytes,
+			LocalTNs:  er.feed.localTNs,
+			RemoteTNs: er.feed.remoteTNs,
+			HaloBytes: er.feed.haloBytes,
 		},
 	}
 	if err := snapshotInto(ck, er.durations, er.engines); err != nil {
@@ -451,68 +446,21 @@ func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
 // traffic counters are rewound; the phase clock is not (lost time is the
 // recovery overhead).
 func (er *elasticRun) rollback(ck *CheckpointState, resume int) error {
-	for i := 0; i < er.n; i++ {
-		if ck == nil {
-			er.traces[i] = &trace.Trace{K: er.tr.K}
-			e, err := nmp.NewEngine(er.traces[i], er.cfg.NMP)
-			if err != nil {
-				return err
-			}
-			er.engines[i] = e
-		} else {
-			if len(er.traces[i].Iterations) > resume {
-				er.traces[i].Iterations = er.traces[i].Iterations[:resume]
-			}
-			e, err := nmp.ResumeEngine(er.traces[i], er.cfg.NMP, ck.Engines[i])
-			if err != nil {
-				return err
-			}
-			er.engines[i] = e
-		}
-		d := er.durations[i]
-		for j := range d {
-			d[j] = 0
-		}
-		if ck != nil {
-			copy(d, ck.Durations[i])
-		}
+	for _, t := range er.feed.traces {
+		t.Iterations = t.Iterations[:min(len(t.Iterations), resume)]
 	}
+	er.feed.traffic = traffic{}
 	if ck != nil {
-		er.localTNs = ck.Elastic.LocalTNs
-		er.remoteTNs = ck.Elastic.RemoteTNs
-		er.haloBytes = ck.Elastic.HaloBytes
-	} else {
-		er.localTNs, er.remoteTNs, er.haloBytes = 0, 0, 0
+		es := ck.Elastic
+		er.feed.traffic = traffic{es.LocalTNs, es.RemoteTNs, es.HaloBytes}
+	}
+	if err := startEngines(er.engines, er.durations, er.feed.traces, er.cfg.NMP, er.iters, ck); err != nil {
+		return err
 	}
 	if er.pr != nil {
 		er.pr.attach(er.engines)
 	}
 	return nil
-}
-
-// shard splits iterations [from, to) under the current membership,
-// appending each live node's sub-iterations to its trace, accumulating the
-// committed traffic counters and returning the halo matrices.
-func (er *elasticRun) shard(from, to int) [][][]int64 {
-	halos := make([][][]int64, 0, to-from)
-	for it := from; it < to; it++ {
-		halo := mat(er.n)
-		subs, l, r, hb := shardIteration(&er.tr.Iterations[it], er.n, er.ownerOf, halo)
-		er.localTNs += l
-		er.remoteTNs += r
-		er.haloBytes += hb
-		for o := 0; o < er.n; o++ {
-			if !er.live[o] {
-				continue
-			}
-			if it == 0 {
-				er.traces[o].Quantiles = subs[o].Quantiles
-			}
-			er.traces[o].Iterations = append(er.traces[o].Iterations, subs[o])
-		}
-		halos = append(halos, halo)
-	}
-	return halos
 }
 
 // runBSP is the elastic BSP discipline: golden supersteps over the live
@@ -553,7 +501,7 @@ func (er *elasticRun) runBSP() error {
 // (dropBuffered) before the recovery records its own spans. Returns the
 // iteration to continue at: to, or the resume point of a recovery.
 func (er *elasticRun) bspEpoch(from, to int) (int, error) {
-	halos := er.shard(from, to)
+	halos := er.feed.shard(from, to)
 	prestep(er.engines, er.live, er.durations, from, to, er.cfg.Workers, er.pr)
 	for j := from; j < to; j++ {
 		if j > from {
@@ -619,7 +567,7 @@ func (er *elasticRun) runOverlapped() error {
 		}
 		now := c.now()
 		sg := segment{
-			s: it, e: end, halo: er.shard(it, end), net: er.deg, live: er.live,
+			s: it, e: end, halo: er.feed.shard(it, end), net: er.deg, live: er.live,
 			durations: er.durations, sb: c.sb, pr: er.pr,
 		}
 		prestep(er.engines, er.live, er.durations, it, end, er.cfg.Workers, er.pr)
@@ -687,6 +635,6 @@ func (er *elasticRun) runOverlapped() error {
 func (er *elasticRun) finish() *elasticOutcome {
 	out := &er.out
 	out.compactOutcome = er.clock.outcome(er.durations, er.engines)
-	out.LocalTNs, out.RemoteTNs, out.HaloBytes = er.localTNs, er.remoteTNs, er.haloBytes
+	out.traffic = er.feed.traffic
 	return out
 }

@@ -14,7 +14,11 @@ import (
 // computes the same assignment without coordination, exactly as PaKman's
 // MPI ranks do.
 type Partitioner interface {
-	// Name identifies the strategy in reports.
+	// Name identifies the strategy in reports. It must also identify the
+	// Owner function: two partitioners with the same Name must assign
+	// every key alike, unless their identity is refined beyond the name
+	// (BalancedPartitioner folds in its table's Fingerprint). Checkpoint
+	// matching and the per-trace shard memo both key on it.
 	Name() string
 	// Owner returns the owning node in [0, nodes) for a length-kk word.
 	Owner(key dna.Kmer, kk, nodes int) int

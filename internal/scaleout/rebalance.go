@@ -77,16 +77,6 @@ func (p *RebalancePartitioner) Owner(key dna.Kmer, kk, nodes int) int {
 	return initialOwner(p.bucket(key, kk), nodes)
 }
 
-// rebalanceOutcome is the traffic and migration accounting the dynamic
-// runtime produces itself (the static path reads these off ShardTrace).
-type rebalanceOutcome struct {
-	LocalTNs      int64
-	RemoteTNs     int64
-	HaloBytes     int64
-	Rebalances    int
-	MigratedBytes int64
-}
-
 // migrate mutates the bucket ownership table, moving buckets from
 // predicted stragglers to predicted idle nodes so that the end-of-run
 // cumulative busy times — the quantity Result.Imbalance measures — meet
@@ -206,10 +196,13 @@ type rebalanceRun struct {
 
 	n, iters, k1 int
 
-	out       *rebalanceOutcome
-	traces    []*trace.Trace
-	engines   []*nmp.Engine
-	durations [][]sim.Cycle
+	// feed shards each epoch under the current ownership table; its
+	// traffic split is the run's halo accounting.
+	feed          shardFeed
+	rebalances    int
+	migratedBytes int64
+	engines       []*nmp.Engine
+	durations     [][]sim.Cycle
 
 	table []uint16 // bucket -> owning node (mutated by migrations)
 	// iterBytes[it] is the global traced MacroNode bytes remaining from
@@ -240,35 +233,21 @@ func (rr *rebalanceRun) setProbes(pr *probes) {
 	}
 }
 
-// newRebalanceRun prepares a fresh dynamic-ownership run: static initial
-// assignment, empty per-node traces, engines at iteration 0.
-func newRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner) (*rebalanceRun, error) {
-	rr := newRebalanceState(tr, net, cfg, p)
-	for i := 0; i < rr.n; i++ {
-		rr.traces[i] = &trace.Trace{K: tr.K}
-		e, err := nmp.NewEngine(rr.traces[i], cfg.NMP)
-		if err != nil {
-			return nil, err
-		}
-		rr.engines[i] = e
-	}
-	for b := range rr.table {
-		rr.table[b] = uint16(initialOwner(b, rr.n))
-	}
-	return rr, nil
-}
-
-// newRebalanceState allocates the run skeleton shared by the fresh and the
-// restored constructors: everything derivable from the immutable inputs
-// (the remaining-work suffix sums), plus zeroed mutable state.
-func newRebalanceState(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner) *rebalanceRun {
+// newRebalanceRun prepares a dynamic-ownership run: fresh when ck is nil
+// (static initial assignment, empty node traces, engines at iteration 0),
+// otherwise at the blob's pause point with the migrated table, the
+// measurements the next decision reads and the accumulated accounting.
+// A resumed run's node traces hold empty placeholders behind the cursor
+// (a resumed engine never reads them); their iteration-0 quantile tables
+// — the engines' static DIMM mapping option — come from the trace's
+// memoized shard facts under the partitioner's static initial
+// assignment, which the run started from.
+func newRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner, ck *CheckpointState) (*rebalanceRun, error) {
 	n := cfg.Nodes
 	iters := len(tr.Iterations)
 	rr := &rebalanceRun{
 		tr: tr, cfg: cfg, p: p,
 		n: n, iters: iters, k1: tr.K - 1,
-		out:       &rebalanceOutcome{},
-		traces:    make([]*trace.Trace, n),
 		engines:   make([]*nmp.Engine, n),
 		durations: make([][]sim.Cycle, n),
 		table:     make([]uint16, BalancedBuckets),
@@ -279,9 +258,7 @@ func newRebalanceState(tr *trace.Trace, net topo.Network, cfg Config, p *Rebalan
 		prev:      make([]uint16, BalancedBuckets),
 		clock:     newPhaseClock(net, cfg, iters),
 	}
-	for i := 0; i < n; i++ {
-		rr.durations[i] = make([]sim.Cycle, iters)
-	}
+	rr.feed = newShardFeed(tr, n, rr.ownerOf, nil)
 	for it := iters - 1; it >= 0; it-- {
 		var b float64
 		for i := range tr.Iterations[it].Nodes {
@@ -290,7 +267,27 @@ func newRebalanceState(tr *trace.Trace, net topo.Network, cfg Config, p *Rebalan
 		}
 		rr.iterBytes[it] = b + rr.iterBytes[it+1]
 	}
-	return rr
+	if ck == nil {
+		for b := range rr.table {
+			rr.table[b] = uint16(initialOwner(b, n))
+		}
+	} else {
+		rs := ck.Rebalance
+		copy(rr.table, rs.Table)
+		copy(rr.cum, rs.Cum)
+		copy(rr.lastDur, rs.LastDur)
+		copy(rr.weight, rs.Weight)
+		rr.clock.restore(ck)
+		rr.feed.traffic = traffic{rs.LocalTNs, rs.RemoteTNs, rs.HaloBytes}
+		rr.rebalances, rr.migratedBytes = rs.Rebalances, rs.MigratedBytes
+		if ck.ResumeIter > 0 {
+			rr.feed.resumeAt(ck.ResumeIter, shardFactsOf(tr, n, p).quantiles)
+		}
+	}
+	if err := startEngines(rr.engines, rr.durations, rr.feed.traces, cfg.NMP, iters, ck); err != nil {
+		return nil, err
+	}
+	return rr, nil
 }
 
 // migrateAt runs the iteration-it migration decision against the
@@ -303,7 +300,7 @@ func newRebalanceState(tr *trace.Trace, net topo.Network, cfg Config, p *Rebalan
 // that moves only drained buckets (no live nodes left) is a no-op and
 // is not counted.
 func (rr *rebalanceRun) migrateAt(it int) {
-	n, out, p := rr.n, rr.out, rr.p
+	n, p := rr.n, rr.p
 	iter := &rr.tr.Iterations[it]
 	copy(rr.prev, rr.table)
 	lastBytes := rr.iterBytes[it-1] - rr.iterBytes[it]
@@ -326,27 +323,9 @@ func (rr *rebalanceRun) migrateAt(it int) {
 	if mx.TotalBytes > 0 {
 		rr.clock.stall(&rr.clock.exchange, telemetry.SpanMigration, it, mx.Cycles, mx.TotalBytes)
 		rr.clock.exchangedBytes += mx.TotalBytes
-		out.MigratedBytes += mx.TotalBytes
-		out.Rebalances++
+		rr.migratedBytes += mx.TotalBytes
+		rr.rebalances++
 	}
-}
-
-// shard slices iteration it across the nodes under the current ownership
-// table: the halo matrix is returned, the per-node sub-iterations are
-// appended to the node traces and the traffic counters accumulate.
-func (rr *rebalanceRun) shard(it int) [][]int64 {
-	halo := mat(rr.n)
-	subs, l, r, hb := shardIteration(&rr.tr.Iterations[it], rr.n, rr.ownerOf, halo)
-	rr.out.LocalTNs += l
-	rr.out.RemoteTNs += r
-	rr.out.HaloBytes += hb
-	for o := 0; o < rr.n; o++ {
-		if it == 0 {
-			rr.traces[o].Quantiles = subs[o].Quantiles
-		}
-		rr.traces[o].Iterations = append(rr.traces[o].Iterations, subs[o])
-	}
-	return halo
 }
 
 // refreshWeights rebuilds the per-bucket bytes that attribute iteration
@@ -368,16 +347,12 @@ func (rr *rebalanceRun) refreshWeights(it int) {
 // table, pre-steps every engine through it, then drains the supersteps
 // and refreshes the measurement state the next decision reads.
 func (rr *rebalanceRun) advance(from, to int) {
-	var halos [][][]int64
 	for it := from; it < to; {
 		if it > 0 && it%rr.p.Every == 0 && rr.n > 1 {
 			rr.migrateAt(it)
 		}
 		end := min((it/rr.p.Every+1)*rr.p.Every, to)
-		halos = halos[:0]
-		for j := it; j < end; j++ {
-			halos = append(halos, rr.shard(j))
-		}
+		halos := rr.feed.shard(it, end)
 		prestep(rr.engines, nil, rr.durations, it, end, rr.cfg.Workers, rr.pr)
 		for j := it; j < end; j++ {
 			rr.clock.superstep(j, rr.durations, halos[j-it])
@@ -402,11 +377,9 @@ func (rr *rebalanceRun) phase() *phaseClock { return &rr.clock }
 // seal implements phaseRun: the engines and the phase, plus the traffic
 // and migration accounting the dynamic runtime measured itself.
 func (rr *rebalanceRun) seal(res *Result) *compactOutcome {
-	out := rr.out
-	res.HaloBytes = out.HaloBytes
-	res.RemoteTNFrac = remoteTNFrac(out.LocalTNs, out.RemoteTNs)
-	res.Rebalances = out.Rebalances
-	res.MigratedBytes = out.MigratedBytes
+	rr.feed.record(res)
+	res.Rebalances = rr.rebalances
+	res.MigratedBytes = rr.migratedBytes
 	return rr.clock.outcome(rr.durations, rr.engines)
 }
 
@@ -417,10 +390,10 @@ func (rr *rebalanceRun) state() *RebalanceState {
 		Cum:           append([]sim.Cycle(nil), rr.cum...),
 		LastDur:       append([]sim.Cycle(nil), rr.lastDur...),
 		Weight:        append([]int64(nil), rr.weight...),
-		LocalTNs:      rr.out.LocalTNs,
-		RemoteTNs:     rr.out.RemoteTNs,
-		HaloBytes:     rr.out.HaloBytes,
-		Rebalances:    rr.out.Rebalances,
-		MigratedBytes: rr.out.MigratedBytes,
+		LocalTNs:      rr.feed.localTNs,
+		RemoteTNs:     rr.feed.remoteTNs,
+		HaloBytes:     rr.feed.haloBytes,
+		Rebalances:    rr.rebalances,
+		MigratedBytes: rr.migratedBytes,
 	}
 }

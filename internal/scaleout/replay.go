@@ -1,6 +1,8 @@
 package scaleout
 
 import (
+	"fmt"
+
 	"nmppak/internal/dna"
 	"nmppak/internal/trace"
 )
@@ -24,43 +26,73 @@ type ShardedTrace struct {
 	HaloBytes int64
 }
 
-// shardIteration splits one global iteration across n nodes under ownerOf
-// (a pure key -> node assignment): per-node sub-iterations carry the node
-// visits, local transfers and updates of the keys each node owns, while
-// cross-node TransferNode bytes accumulate into halo[src][dst]. The
-// returned counters split transfers into local and remote; haloBytes is
-// the remote payload total. This is the unit of work ShardTrace applies
-// to every iteration at once and the rebalancing runtime applies one
-// iteration at a time, between migrations.
-//
-// It counts first and fills second, so every per-node slice is allocated
-// once at exactly the size it keeps (nil when empty): the allocation count
-// depends on n, not on the iteration's size.
-func shardIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [][]int64) (subs []trace.Iteration, localTNs, remoteTNs, haloBytes int64) {
-	owner := make([]int32, len(iter.Nodes))
-	counts := make([]int32, 3*n) // per node: visits, local transfers, updates
-	nodeCnt, tnCnt, updCnt := counts[:n], counts[n:2*n], counts[2*n:]
+// traffic is a TransferNode split: transfers whose source and
+// destination share a node, transfers crossing the interconnect, and the
+// crossing payload.
+type traffic struct {
+	localTNs, remoteTNs, haloBytes int64
+}
+
+func (t *traffic) add(u traffic) {
+	t.localTNs += u.localTNs
+	t.remoteTNs += u.remoteTNs
+	t.haloBytes += u.haloBytes
+}
+
+// record sets a Result's traffic accounting from the split.
+func (t traffic) record(res *Result) {
+	res.HaloBytes = t.haloBytes
+	res.RemoteTNFrac = remoteTNFrac(t.localTNs, t.remoteTNs)
+}
+
+// countIteration is the count pass of shardIteration: it resolves the
+// owner of every node visit, adds the cross-node TransferNode bytes into
+// halo (skipped when nil) and returns the owners, the per-node op counts
+// (visits counts[o], local transfers counts[n+o], updates counts[2n+o])
+// and the traffic split. A replayed iteration needs no more than this.
+func countIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [][]int64) (owner, counts []int32, t traffic) {
+	owner = make([]int32, len(iter.Nodes))
+	counts = make([]int32, 3*n)
 	for i := range iter.Nodes {
 		o := int32(ownerOf(iter.Nodes[i].Key))
 		owner[i] = o
-		nodeCnt[o]++
+		counts[o]++
 	}
 	for _, tn := range iter.Transfers {
 		s, d := owner[tn.SrcIdx], owner[tn.DstIdx]
 		if s == d {
-			localTNs++
-			tnCnt[s]++
+			t.localTNs++
+			counts[n+int(s)]++
 			continue
 		}
-		remoteTNs++
-		halo[s][d] += int64(tn.TNBytes)
-		haloBytes += int64(tn.TNBytes)
+		t.remoteTNs++
+		t.haloBytes += int64(tn.TNBytes)
+		if halo != nil {
+			halo[s][d] += int64(tn.TNBytes)
+		}
 	}
 	for _, u := range iter.Updates {
-		updCnt[owner[u.DstIdx]]++
+		counts[2*n+int(owner[u.DstIdx])]++
 	}
+	return owner, counts, t
+}
 
-	subs = make([]trace.Iteration, n)
+// shardIteration splits one global iteration across n nodes under ownerOf
+// (a pure key -> node assignment): per-node sub-iterations carry the node
+// visits, local transfers and updates of the keys each node owns, while
+// cross-node TransferNode bytes accumulate into halo[src][dst] (when halo
+// is non-nil). The returned split counts the local and remote transfers
+// and the remote payload. This is the unit of work the shard feed applies
+// to each iteration just before the epoch that steps it.
+//
+// It counts first and fills second, so every per-node slice is allocated
+// once at exactly the size it keeps (nil when empty): the allocation count
+// depends on n, not on the iteration's size.
+func shardIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [][]int64) ([]trace.Iteration, traffic) {
+	owner, counts, t := countIteration(iter, n, ownerOf, halo)
+	nodeCnt, tnCnt, updCnt := counts[:n], counts[n:2*n], counts[2*n:]
+
+	subs := make([]trace.Iteration, n)
 	for o := range subs {
 		if c := nodeCnt[o]; c > 0 {
 			subs[o].Nodes = make([]trace.NodeOp, 0, c)
@@ -96,38 +128,134 @@ func shardIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, ha
 		subs[o].Stats = iter.Stats
 		subs[o].Quantiles = trace.BuildQuantiles(subs[o].Nodes)
 	}
-	return subs, localTNs, remoteTNs, haloBytes
+	return subs, t
 }
 
-// ShardTrace splits tr across n nodes under partitioner p. With n == 1 the
-// single sub-trace reproduces tr exactly (same nodes, transfers, updates
-// and quantile tables), which is what pins the N=1 scale-out result to the
-// single-node nmp.Simulate outcome.
-func ShardTrace(tr *trace.Trace, n int, p Partitioner) *ShardedTrace {
-	k1 := tr.K - 1
-	st := &ShardedTrace{
-		Nodes:  n,
-		Traces: make([]*trace.Trace, n),
-		Halo:   make([][][]int64, len(tr.Iterations)),
+// shardFeed is the per-iteration shard feed every compaction runtime steps
+// its engines from. Node o's engine replays traces[o], which starts empty
+// (a resumed run's starts with placeholder iterations behind the cursor);
+// shard appends each global iteration's per-node slices just before the
+// epoch that steps it, so a run shards exactly what it replays and never
+// holds a whole ShardedTrace.
+type shardFeed struct {
+	tr      *trace.Trace
+	ownerOf func(dna.Kmer) int
+	live    []bool // nil: every node is live
+	traces  []*trace.Trace
+	traffic // over the iterations fed so far
+}
+
+// newShardFeed returns a feed of n empty node traces. ownerOf and live are
+// read at every shard, so a runtime may re-assign ownership or membership
+// between epochs.
+func newShardFeed(tr *trace.Trace, n int, ownerOf func(dna.Kmer) int, live []bool) shardFeed {
+	f := shardFeed{tr: tr, ownerOf: ownerOf, live: live, traces: make([]*trace.Trace, n)}
+	for o := range f.traces {
+		f.traces[o] = &trace.Trace{K: tr.K}
 	}
-	for i := range st.Traces {
-		st.Traces[i] = &trace.Trace{K: tr.K}
+	return f
+}
+
+// resumeAt positions the node traces of a run resumed at boundary at:
+// placeholder iterations up to the cursor (a resumed engine never reads
+// behind it) and the iteration-0 quantile tables the run started from.
+func (f *shardFeed) resumeAt(at int, quantiles [][]dna.Kmer) {
+	for o, t := range f.traces {
+		t.Iterations = make([]trace.Iteration, at)
+		t.Quantiles = quantiles[o]
 	}
-	ownerOf := func(key dna.Kmer) int { return p.Owner(key, k1, n) }
-	for it := range tr.Iterations {
-		st.Halo[it] = mat(n)
-		subs, l, r, hb := shardIteration(&tr.Iterations[it], n, ownerOf, st.Halo[it])
-		st.LocalTNs += l
-		st.RemoteTNs += r
-		st.HaloBytes += hb
-		for o := 0; o < n; o++ {
-			if it == 0 {
-				st.Traces[o].Quantiles = subs[o].Quantiles
+}
+
+// shard feeds iterations [from, to) to the live nodes' traces, setting
+// each node's static quantile table at iteration 0, accumulates the
+// traffic split and returns the iterations' halo matrices.
+func (f *shardFeed) shard(from, to int) [][][]int64 {
+	n := len(f.traces)
+	halos := make([][][]int64, 0, to-from)
+	for it := from; it < to; it++ {
+		halo := mat(n)
+		subs, t := shardIteration(&f.tr.Iterations[it], n, f.ownerOf, halo)
+		f.add(t)
+		for o, sub := range subs {
+			if f.live != nil && !f.live[o] {
+				continue
 			}
-			st.Traces[o].Iterations = append(st.Traces[o].Iterations, subs[o])
+			if it == 0 {
+				f.traces[o].Quantiles = sub.Quantiles
+			}
+			f.traces[o].Iterations = append(f.traces[o].Iterations, sub)
 		}
+		halos = append(halos, halo)
 	}
-	return st
+	return halos
+}
+
+// halos returns the halo matrices of iterations [from, to) from the count
+// pass alone, feeding nothing: all a replayed prefix needs.
+func (f *shardFeed) halos(from, to int) [][][]int64 {
+	halos := make([][][]int64, 0, to-from)
+	for it := from; it < to; it++ {
+		halo := mat(len(f.traces))
+		countIteration(&f.tr.Iterations[it], len(f.traces), f.ownerOf, halo)
+		halos = append(halos, halo)
+	}
+	return halos
+}
+
+// staticOwner is partitioner p's key -> node assignment over n nodes.
+func staticOwner(tr *trace.Trace, n int, p Partitioner) func(dna.Kmer) int {
+	k1 := tr.K - 1
+	return func(key dna.Kmer) int { return p.Owner(key, k1, n) }
+}
+
+// ShardTrace splits tr across n nodes under partitioner p, feeding every
+// iteration at once. With n == 1 the single sub-trace reproduces tr
+// exactly (same nodes, transfers, updates and quantile tables), which is
+// what pins the N=1 scale-out result to the single-node nmp.Simulate
+// outcome. The runtimes never build one: they shard on demand.
+func ShardTrace(tr *trace.Trace, n int, p Partitioner) *ShardedTrace {
+	f := newShardFeed(tr, n, staticOwner(tr, n, p), nil)
+	halo := f.shard(0, len(tr.Iterations))
+	return &ShardedTrace{
+		Nodes: n, Traces: f.traces, Halo: halo,
+		LocalTNs: f.localTNs, RemoteTNs: f.remoteTNs, HaloBytes: f.haloBytes,
+	}
+}
+
+// shardFacts are the whole-trace facts of a static partition that a run
+// resumed past iteration 0 cannot collect from the iterations it feeds:
+// the traffic split over every iteration, and each node's iteration-0
+// quantile table (the DIMM mapping nmp.Config.StaticMapping reads). A few
+// counters plus n×257 keys.
+type shardFacts struct {
+	traffic
+	quantiles [][]dna.Kmer
+}
+
+// shardFactsOf returns tr's shard facts over n nodes under p, memoized on
+// the trace (trace.Trace.Memo) per node count and partitioner identity, so
+// every resume of every run on tr after the first finds them ready. They
+// come from the count pass of each iteration plus the node split of
+// iteration 0; no sub-trace outlives the call.
+func shardFactsOf(tr *trace.Trace, n int, p Partitioner) *shardFacts {
+	key := fmt.Sprintf("scaleout.shardFacts n=%d p=%s", n, partitionerID(p))
+	return tr.Memo(key, func() any {
+		ownerOf := staticOwner(tr, n, p)
+		sf := &shardFacts{quantiles: make([][]dna.Kmer, n)}
+		for it := range tr.Iterations {
+			if it > 0 {
+				_, _, t := countIteration(&tr.Iterations[it], n, ownerOf, nil)
+				sf.add(t)
+				continue
+			}
+			subs, t := shardIteration(&tr.Iterations[0], n, ownerOf, nil)
+			sf.add(t)
+			for o := range subs {
+				sf.quantiles[o] = subs[o].Quantiles
+			}
+		}
+		return sf
+	}).(*shardFacts)
 }
 
 // RemoteTNFrac is the fraction of all TransferNodes that cross the

@@ -28,14 +28,17 @@
 // The same fact drives every discipline — static, rebalancing and elastic
 // — through one epoch driver. An epoch is a range of iterations with no
 // checkpoint capture, migration or Session.Step boundary inside it. Each
-// epoch is sharded, every live engine is pre-stepped through the whole
-// epoch on the worker pool (prestep; Workers=1 is a pool of one), and the
-// epoch is then drained from the recorded durations and the buffered
-// telemetry: by the BSP superstep drain (phaseClock.superstep) or by the
-// overlapped segment schedule (segment.run). Because an iteration's
-// duration never depends on when the schedule starts it, pre-stepping
-// changes nothing the drain computes: results, Chrome traces and
-// checkpoint blobs are byte-identical at every worker count.
+// epoch is sharded just before it is stepped: the one shard feed
+// (shardFeed) appends its per-node slices to the node traces, so a run —
+// fresh or resumed — shards only the iterations it replays. Every live
+// engine is then pre-stepped through the whole epoch on the worker pool
+// (prestep; Workers=1 is a pool of one), and the epoch is drained from
+// the recorded durations and the buffered telemetry: by the BSP superstep
+// drain (phaseClock.superstep) or by the overlapped segment schedule
+// (segment.run). Because an iteration's duration never depends on when
+// the schedule starts it, pre-stepping changes nothing the drain
+// computes: results, Chrome traces and checkpoint blobs are
+// byte-identical at every worker count.
 package scaleout
 
 import (
@@ -76,32 +79,18 @@ type phaseRun interface {
 	seal(res *Result) *compactOutcome
 }
 
-// newRun builds the fresh compaction runtime cfg's partitioner selects.
-func newRun(tr *trace.Trace, net topo.Network, cfg Config) (phaseRun, error) {
+// newRun builds the compaction runtime cfg's partitioner selects: fresh
+// at iteration 0 when ck is nil, otherwise rebuilt at the checkpoint's
+// pause point.
+func newRun(tr *trace.Trace, net topo.Network, cfg Config, ck *CheckpointState) (phaseRun, error) {
 	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		rr, err := newRebalanceRun(tr, net, cfg, rp)
+		rr, err := newRebalanceRun(tr, net, cfg, rp, ck)
 		if err != nil {
 			return nil, err
 		}
 		return rr, nil
 	}
-	rt, err := newRuntime(ShardTrace(tr, cfg.Nodes, cfg.Partitioner), net, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return rt, nil
-}
-
-// resumeRun rebuilds the compaction runtime at a checkpoint's pause point.
-func resumeRun(tr *trace.Trace, net topo.Network, cfg Config, ck *CheckpointState) (phaseRun, error) {
-	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		rr, err := resumeRebalanceRun(tr, net, cfg, rp, ck)
-		if err != nil {
-			return nil, err
-		}
-		return rr, nil
-	}
-	rt, err := resumeRuntime(ShardTrace(tr, cfg.Nodes, cfg.Partitioner), net, cfg, ck)
+	rt, err := newRuntime(tr, net, cfg, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -117,17 +106,22 @@ func finishRun(run phaseRun, cfg Config, res *Result, from int) *compactOutcome 
 	return run.seal(res)
 }
 
-// runtime owns the per-node engines and the shard schedule. A fresh
-// runtime starts at iteration 0; one reconstructed from a checkpoint
-// (resumeRuntime, checkpoint.go) carries the recorded durations and BSP
-// partial sums of the iterations already executed and steps its engines
+// runtime owns the per-node engines and their shard feed under the
+// static partition. A fresh runtime starts at iteration 0; one
+// reconstructed from a checkpoint carries the recorded durations and BSP
+// partial sums of the iterations already executed and shards and steps
 // only from `start` on.
 type runtime struct {
 	cfg   Config
-	st    *ShardedTrace
 	net   topo.Network
 	iters int
 	start int // first iteration the engines step live
+
+	feed shardFeed
+	// whole holds the whole-trace shard facts of a run resumed past
+	// iteration 0, whose feed never sees the iterations before start; nil
+	// when the feed covers every iteration.
+	whole *shardFacts
 
 	engines   []*nmp.Engine
 	durations [][]sim.Cycle
@@ -149,26 +143,55 @@ func (rt *runtime) setProbes(pr *probes) {
 	}
 }
 
-func newRuntime(st *ShardedTrace, net topo.Network, cfg Config) (*runtime, error) {
-	iters := len(st.Traces[0].Iterations)
+// newRuntime builds the static-partition runtime: fresh when ck is nil,
+// otherwise at the blob's pause point with restored engines, recorded
+// durations and BSP partial sums. A resumed run re-shards nothing before
+// the pause point: the node traces hold placeholders there, and the
+// whole-trace traffic split and the iteration-0 quantile tables come from
+// the trace's memoized shard facts.
+func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, ck *CheckpointState) (*runtime, error) {
+	iters := len(tr.Iterations)
 	rt := &runtime{
 		cfg:       cfg,
-		st:        st,
 		net:       net,
 		iters:     iters,
+		feed:      newShardFeed(tr, cfg.Nodes, staticOwner(tr, cfg.Nodes, cfg.Partitioner), nil),
 		engines:   make([]*nmp.Engine, cfg.Nodes),
 		durations: make([][]sim.Cycle, cfg.Nodes),
 		clock:     newPhaseClock(net, cfg, iters),
 	}
-	for i := range rt.engines {
-		e, err := nmp.NewEngine(st.Traces[i], cfg.NMP)
-		if err != nil {
-			return nil, err
-		}
-		rt.engines[i] = e
-		rt.durations[i] = make([]sim.Cycle, iters)
+	if ck != nil {
+		rt.start = ck.ResumeIter
+		rt.clock.restore(ck)
+	}
+	if rt.start > 0 {
+		rt.whole = shardFactsOf(tr, cfg.Nodes, cfg.Partitioner)
+		rt.feed.resumeAt(rt.start, rt.whole.quantiles)
+	}
+	if err := startEngines(rt.engines, rt.durations, rt.feed.traces, cfg.NMP, iters, ck); err != nil {
+		return nil, err
 	}
 	return rt, nil
+}
+
+// startEngines builds node i's engine over traces[i] and its row of iters
+// durations: fresh when ck is nil, otherwise resumed from the
+// checkpoint's engine snapshot with the durations it recorded.
+func startEngines(engines []*nmp.Engine, durations [][]sim.Cycle, traces []*trace.Trace, cfg nmp.Config, iters int, ck *CheckpointState) error {
+	for i, t := range traces {
+		durations[i] = make([]sim.Cycle, iters)
+		var err error
+		if ck == nil {
+			engines[i], err = nmp.NewEngine(t, cfg)
+		} else {
+			engines[i], err = nmp.ResumeEngine(t, cfg, ck.Engines[i])
+			copy(durations[i], ck.Durations[i])
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // prestep is the one place engines are stepped: every live engine (live
@@ -200,29 +223,46 @@ func prestep(engines []*nmp.Engine, live []bool, durations [][]sim.Cycle, from, 
 	})
 }
 
-// advance runs iterations [from, to) as one BSP epoch — the static
-// partition has no interior epoch boundary — pre-stepping every engine
-// through it, then draining superstep by superstep. The partial sums
-// accumulate on the clock, so a run can be split at any iteration
-// boundary: a checkpoint capture or a Session.Step stops mid-way.
-func (rt *runtime) advance(from, to int) {
+// step shards iterations [from, to) onto the node traces and pre-steps
+// every engine through them, returning their halo matrices.
+func (rt *runtime) step(from, to int) [][][]int64 {
+	halos := rt.feed.shard(from, to)
 	prestep(rt.engines, nil, rt.durations, from, to, rt.cfg.Workers, rt.pr)
+	return halos
+}
+
+// advance runs iterations [from, to) as one BSP epoch — the static
+// partition has no interior epoch boundary — sharding it and pre-stepping
+// every engine through it, then draining superstep by superstep. The
+// partial sums accumulate on the clock, so a run can be split at any
+// iteration boundary: a checkpoint capture or a Session.Step stops
+// mid-way.
+func (rt *runtime) advance(from, to int) {
+	halos := rt.step(from, to)
 	for it := from; it < to; it++ {
-		rt.clock.superstep(it, rt.durations, rt.st.Halo[it])
+		rt.clock.superstep(it, rt.durations, halos[it-from])
 	}
 }
 
 // phase implements phaseRun.
 func (rt *runtime) phase() *phaseClock { return &rt.clock }
 
-// seal implements phaseRun. The static partition's traffic accounting is
-// a property of the sharded trace.
+// seal implements phaseRun. The static partition's traffic accounting
+// covers the whole trace: what the feed counted, or, for a run resumed
+// past iteration 0, the memoized whole-trace facts.
 func (rt *runtime) seal(res *Result) *compactOutcome {
-	res.HaloBytes, res.RemoteTNFrac = rt.st.HaloBytes, rt.st.RemoteTNFrac()
+	var out *compactOutcome
 	if rt.cfg.Overlap {
-		return rt.runOverlapped()
+		out = rt.runOverlapped()
+	} else {
+		out = rt.clock.outcome(rt.durations, rt.engines)
 	}
-	return rt.clock.outcome(rt.durations, rt.engines)
+	t := rt.feed.traffic
+	if rt.whole != nil {
+		t = rt.whole.traffic
+	}
+	t.record(res)
+	return out
 }
 
 // runOverlapped schedules the whole phase as one all-live overlapped
@@ -231,16 +271,17 @@ func (rt *runtime) seal(res *Result) *compactOutcome {
 // (plus sync barrier) and on the delivery of the halo traffic it depends
 // on. A restored run replays the iterations before its checkpoint from
 // the recorded durations (the macro schedule is a deterministic function
-// of durations, halo and topology) and pre-steps only the rest. The phase
-// is split as Compute = the slowest node's unconstrained local chain
-// (what a zero-cost interconnect would yield) and Exchange = the
+// of durations, halo and topology; the replayed iterations' halo matrices
+// come from the count pass alone) and shards and pre-steps only the rest.
+// The phase is split as Compute = the slowest node's unconstrained local
+// chain (what a zero-cost interconnect would yield) and Exchange = the
 // communication time the schedule failed to hide.
 func (rt *runtime) runOverlapped() *compactOutcome {
 	out := &compactOutcome{Durations: rt.durations}
 	if rt.iters > 0 {
-		prestep(rt.engines, nil, rt.durations, rt.start, rt.iters, rt.cfg.Workers, rt.pr)
+		halo := append(rt.feed.halos(0, rt.start), rt.step(rt.start, rt.iters)...)
 		sg := segment{
-			s: 0, e: rt.iters, halo: rt.st.Halo, net: rt.net,
+			s: 0, e: rt.iters, halo: halo, net: rt.net,
 			durations: rt.durations, replayed: rt.start,
 			sb: rt.cfg.NMP.SyncBarrierCycles, pr: rt.pr,
 		}

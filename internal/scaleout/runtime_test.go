@@ -186,17 +186,17 @@ func TestConfigValidateErrors(t *testing.T) {
 
 // TestParallelOutcomeMatchesSerial compares overlapped runs pre-stepped
 // inline (Workers=1) and on goroutines (Workers=4) directly at the
-// runtime layer — same sharded trace, same network — across every
+// runtime layer — same trace, same network — across every
 // topology, including a Degraded wrapper with slowed and cut links.
 func TestParallelOutcomeMatchesSerial(t *testing.T) {
 	reads := testReads(t, 12_000)
 	tr := testTrace(t, reads, 32, 3)
 	const nodes = 8
 
-	outcome := func(t *testing.T, st *ShardedTrace, net topo.Network, cfg Config, workers int) *compactOutcome {
+	outcome := func(t *testing.T, net topo.Network, cfg Config, workers int) *compactOutcome {
 		t.Helper()
 		cfg.Workers = workers
-		rt, err := newRuntime(st, net, cfg)
+		rt, err := newRuntime(tr, net, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,13 +212,12 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 			cfg := DefaultConfig(nodes)
 			cfg.Overlap = true
 			cfg.Topo = tc
-			st := ShardTrace(tr, nodes, cfg.Partitioner)
 			net, err := cfg.Topo.Build(nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := outcome(t, st, net, cfg, 1)
-			if got := outcome(t, st, net, cfg, 4); !reflect.DeepEqual(got, want) {
+			want := outcome(t, net, cfg, 1)
+			if got := outcome(t, net, cfg, 4); !reflect.DeepEqual(got, want) {
 				t.Errorf("parallel outcome diverges: %+v vs %+v", got.Phase, want.Phase)
 			}
 		})
@@ -228,7 +227,6 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 		cfg := DefaultConfig(nodes)
 		cfg.Overlap = true
 		cfg.Topo = topo.Torus(0, 0)
-		st := ShardTrace(tr, nodes, cfg.Partitioner)
 		net, err := cfg.Topo.Build(nodes)
 		if err != nil {
 			t.Fatal(err)
@@ -246,8 +244,8 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 			}
 			return d
 		}
-		want := outcome(t, st, degrade(), cfg, 1)
-		if got := outcome(t, st, degrade(), cfg, 4); !reflect.DeepEqual(got, want) {
+		want := outcome(t, degrade(), cfg, 1)
+		if got := outcome(t, degrade(), cfg, 4); !reflect.DeepEqual(got, want) {
 			t.Errorf("degraded parallel outcome diverges: %+v vs %+v", got.Phase, want.Phase)
 		}
 	})

@@ -306,8 +306,7 @@ func Simulate(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Result, error
 			return nil, err
 		}
 		co = eo.compactOutcome
-		res.HaloBytes = eo.HaloBytes
-		res.RemoteTNFrac = remoteTNFrac(eo.LocalTNs, eo.RemoteTNs)
+		eo.record(res)
 		res.Checkpoints = eo.Checkpoints
 		res.CheckpointBytes = eo.CheckpointBytes
 		res.CheckpointCycles = eo.CheckpointCycles
@@ -318,7 +317,7 @@ func Simulate(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Result, error
 		res.RecoveryCycles = eo.RecoveryCycles
 		res.RepartitionBytes = eo.RepartitionBytes
 	} else {
-		run, err := newRun(tr, net, cfg)
+		run, err := newRun(tr, net, cfg, nil)
 		if err != nil {
 			return nil, err
 		}

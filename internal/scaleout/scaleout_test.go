@@ -323,7 +323,7 @@ func TestShardIterationExactSize(t *testing.T) {
 	for _, n := range []int{1, 4, 8} {
 		ownerOf := func(key dna.Kmer) int { return HashPartitioner{}.Owner(key, tr.K-1, n) }
 		for it := range tr.Iterations {
-			subs, _, _, _ := shardIteration(&tr.Iterations[it], n, ownerOf, mat(n))
+			subs, _ := shardIteration(&tr.Iterations[it], n, ownerOf, mat(n))
 			for o := range subs {
 				s := &subs[o]
 				for _, c := range []struct {

@@ -84,7 +84,7 @@ func NewSession(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Session, er
 	if err != nil {
 		return nil, err
 	}
-	run, err := newRun(tr, net, cfg)
+	run, err := newRun(tr, net, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +110,7 @@ func ResumeSession(tr *trace.Trace, cfg Config, blob []byte) (*Session, error) {
 	if err := ck.matches(tr, cfg, net); err != nil {
 		return nil, err
 	}
-	run, err := resumeRun(tr, net, cfg, ck)
+	run, err := newRun(tr, net, cfg, ck)
 	if err != nil {
 		return nil, err
 	}

@@ -68,8 +68,8 @@ type Iteration struct {
 //
 // A Trace is immutable once Builder.Trace or Load returns it: consumers
 // read it, possibly from many goroutines, and never modify its contents.
-// Digest relies on this to fingerprint the trace only once. Handle a Trace
-// through its pointer; it must not be copied by value.
+// Digest and Memo rely on this to derive facts about the trace only once.
+// Handle a Trace through its pointer; it must not be copied by value.
 type Trace struct {
 	K          int
 	Iterations []Iteration
@@ -80,6 +80,15 @@ type Trace struct {
 
 	digestOnce sync.Once
 	digest     uint64
+
+	memoMu sync.Mutex
+	memo   map[string]*memoEntry
+}
+
+// memoEntry is one value memoized on a Trace.
+type memoEntry struct {
+	once sync.Once
+	v    any
 }
 
 // TotalNodeOps counts node visits across all iterations.
@@ -137,6 +146,27 @@ func dimmOf(q []dna.Kmer, key dna.Kmer, nDIMMs int) int {
 func (t *Trace) Digest() uint64 {
 	t.digestOnce.Do(func() { t.digest = t.computeDigest() })
 	return t.digest
+}
+
+// Memo returns the value memoized on t under key, calling compute to
+// produce it on the first request for that key. Concurrent first requests
+// for one key share a single compute call; other keys do not wait on it.
+// Like Digest it relies on the trace being immutable: the value must be a
+// pure function of the trace and the key, and callers must treat it as
+// read-only. The value lives as long as the trace does.
+func (t *Trace) Memo(key string, compute func() any) any {
+	t.memoMu.Lock()
+	e := t.memo[key]
+	if e == nil {
+		if t.memo == nil {
+			t.memo = make(map[string]*memoEntry)
+		}
+		e = &memoEntry{}
+		t.memo[key] = e
+	}
+	t.memoMu.Unlock()
+	e.once.Do(func() { e.v = compute() })
+	return e.v
 }
 
 func (t *Trace) computeDigest() uint64 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nmppak/internal/compact"
@@ -266,6 +267,38 @@ func TestDigestConcurrent(t *testing.T) {
 	for i, d := range got {
 		if d != tr.Digest() {
 			t.Fatalf("goroutine %d digest %#x, want %#x", i, d, tr.Digest())
+		}
+	}
+}
+
+// Memo computes each key once, even under concurrent first requests, and
+// keeps keys apart.
+func TestMemoOncePerKey(t *testing.T) {
+	tr := &Trace{K: 5}
+	var calls [2]atomic.Int32
+	const g = 8
+	got := make([]any, 2*g)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k := i % 2
+			got[i] = tr.Memo(fmt.Sprint("key", k), func() any {
+				calls[k].Add(1)
+				return k * 10
+			})
+		}()
+	}
+	wg.Wait()
+	for k := range calls {
+		if c := calls[k].Load(); c != 1 {
+			t.Errorf("key %d computed %d times", k, c)
+		}
+	}
+	for i, v := range got {
+		if v != (i%2)*10 {
+			t.Errorf("request %d got %v, want %d", i, v, (i%2)*10)
 		}
 	}
 }
