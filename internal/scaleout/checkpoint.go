@@ -75,14 +75,23 @@ const (
 // version tag and the gob-encoded CheckpointState payload.
 const checkpointMagic = "NMPPAK-CKPT\n"
 
-// ErrElasticConfig is wrapped by Checkpoint and Restore when the
-// configuration routes through the elastic runtime (CheckpointEvery /
+// ErrElasticConfig is wrapped by Checkpoint, Restore and the Session
+// constructors when the configuration is elastic (CheckpointEvery /
 // Faults): elastic runs manage their own in-memory recovery checkpoint
 // and are not externally pause-and-resumable. Schedulers detect
 // non-preemptible jobs with errors.Is(err, ErrElasticConfig) — the
 // tenancy layer queues such fault-plan tenants on dedicated nodes instead
 // of time-slicing them.
 var ErrElasticConfig = errors.New("elastic config (CheckpointEvery/Faults) manages its own recovery checkpoints")
+
+// deterministic rejects an elastic config at an entry point (op) that
+// pauses or resumes a run from outside.
+func deterministic(op string, cfg Config) error {
+	if cfg.elastic() {
+		return fmt.Errorf("scaleout: %s pauses and resumes deterministic runs only; %w", op, ErrElasticConfig)
+	}
+	return nil
+}
 
 // RebalanceState is the dynamic-ownership runtime's extra checkpoint
 // state: the migrated bucket table and the measurements feeding the next
@@ -180,58 +189,40 @@ type CheckpointState struct {
 // Restore(tr, cfg, blob) — same trace, same config — resumes the run and
 // returns a Result bit-identical to Simulate(reads, tr, cfg).
 func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter int) ([]byte, error) {
-	net, err := validateRun(tr, cfg)
+	s, err := open(reads, tr, cfg, nil, func(cfg Config) error {
+		if err := deterministic("Checkpoint", cfg); err != nil {
+			return err
+		}
+		if iters := len(tr.Iterations); beforeIter < 0 || beforeIter > iters {
+			return fmt.Errorf("scaleout: checkpoint iteration %d outside [0, %d]", beforeIter, iters)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.elastic() {
-		return nil, fmt.Errorf("scaleout: Checkpoint pauses a deterministic run; %w", ErrElasticConfig)
-	}
-	iters := len(tr.Iterations)
-	if beforeIter < 0 || beforeIter > iters {
-		return nil, fmt.Errorf("scaleout: checkpoint iteration %d outside [0, %d]", beforeIter, iters)
-	}
-	// A capture can be instrumented too: the BSP disciplines record the
-	// executed iteration range plus a checkpoint marker at the pause point
-	// (the overlapped capture has no global schedule of its own — its
-	// restore replays the whole macro-schedule — so it records only the
-	// software phases and the marker).
-	var pr *probes
-	if cfg.Telemetry != nil {
-		pr = newProbes(cfg.Telemetry, net, cfg, iters)
-	}
-	res, err := runPrelude(reads, cfg, net, pr)
-	if err != nil {
-		return nil, err
-	}
-	ck := checkpointHeader(cfg, net, tr, res, beforeIter)
-
 	// Advance the compaction runtime to the pause point. The engines are
 	// stepped on their local back-to-back clocks (identical in both
 	// disciplines — the schedule only composes durations on the global
 	// timeline). A BSP capture also accumulates the partial superstep
 	// sums its restore resumes from; an overlapped capture only steps the
 	// engines (its restore replays the macro-schedule from the recorded
-	// durations and never reads the sums, which stay zero).
-	run, err := newRun(tr, net, cfg, nil)
+	// durations and never reads the sums, which stay zero). An
+	// instrumented BSP capture records the executed iteration range plus
+	// a checkpoint marker at the pause point; the overlapped capture has
+	// no global schedule of its own, so it records only the software
+	// phases and the marker.
+	s.Step(beforeIter)
+	blob, err := s.Checkpoint()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Overlap {
-		run.(*runtime).step(0, beforeIter)
-	} else {
-		run.setProbes(pr)
-		run.advance(0, beforeIter)
-	}
-	if err := run.snapshot(ck); err != nil {
-		return nil, err
-	}
-	if pr != nil {
-		at := pr.base + run.phase().now()
+	if pr := s.pr; pr != nil {
+		at := pr.base + s.run.phase().now()
 		pr.phases.Add(telemetry.SpanCheckpoint, at, at, int64(beforeIter), 0)
 		pr.seal()
 	}
-	return ck.Marshal()
+	return blob, nil
 }
 
 // checkpointHeader builds the identity and prelude sections of a
@@ -297,37 +288,16 @@ func Restore(tr *trace.Trace, cfg Config, blob []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	net, err := validateRun(tr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.elastic() {
-		return nil, fmt.Errorf("scaleout: Restore resumes a deterministic run; %w", ErrElasticConfig)
-	}
-	if err := ck.matches(tr, cfg, net); err != nil {
-		return nil, err
-	}
-	res := ck.resumedResult(cfg, net)
 	// An instrumented restore records the software phases from the blob's
 	// timing and the live compaction range: the BSP disciplines re-enter
 	// the global timeline at the checkpointed partial sums, the overlapped
 	// discipline replays its whole macro-schedule (so even the pre-pause
 	// iterations get spans, with recorded durations standing in).
-	var pr *probes
-	if cfg.Telemetry != nil {
-		pr = newProbes(cfg.Telemetry, net, cfg, len(tr.Iterations))
-		pr.prelude(res)
-	}
-	run, err := newRun(tr, net, cfg, ck)
+	s, err := open(nil, tr, cfg, ck, func(cfg Config) error { return deterministic("Restore", cfg) })
 	if err != nil {
 		return nil, err
 	}
-	run.setProbes(pr)
-	finalize(res, finishRun(run, cfg, res, ck.ResumeIter))
-	if pr != nil {
-		pr.seal()
-	}
-	return res, nil
+	return s.Finish()
 }
 
 // resumedResult is the Result a restored run continues from: the

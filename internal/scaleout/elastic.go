@@ -45,45 +45,27 @@
 // never reached (dropBuffered in BSP; mark/rewind of the whole segment in
 // the overlapped discipline).
 //
-// A fault-free configuration with CheckpointEvery == 0 never enters this
-// file: Simulate dispatches here only when cfg.elastic() — the legacy
-// runtimes stay cycle-exact and allocation-identical.
+// This file holds the elastic half of the one static-partition runtime
+// (runtime.go). A configuration with CheckpointEvery == 0 and no fault
+// plan runs the same loops with an empty capture cadence and no fault
+// events: every node stays live, nothing is captured, and the schedule is
+// the plain static one.
 package scaleout
 
 import (
 	"fmt"
+	"math"
 
 	"nmppak/internal/dna"
 	"nmppak/internal/fault"
-	"nmppak/internal/nmp"
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
-	"nmppak/internal/topo"
-	"nmppak/internal/trace"
 )
 
 // DefaultCheckpointBytesPerCycle prices checkpoint capture and restore
 // I/O when Config.CheckpointBytesPerCycle is zero: 16 B/cycle is about
 // 25.6 GB/s at the modeled 1.6 GHz — a striped local NVMe target.
 const DefaultCheckpointBytesPerCycle = 16
-
-// elasticOutcome extends the compaction outcome with the traffic the
-// elastic runtime accounts itself plus the recovery bookkeeping Result
-// surfaces.
-type elasticOutcome struct {
-	*compactOutcome
-	traffic
-
-	Checkpoints      int
-	CheckpointBytes  int64
-	CheckpointCycles sim.Cycle
-	FaultsInjected   int
-	NodesLost        int
-	Recoveries       int
-	LostIterations   int64
-	RecoveryCycles   sim.Cycle
-	RepartitionBytes int64
-}
 
 // recoveryPoint is a captured checkpoint: the iteration it resumes at and
 // the marshaled blob (real bytes — restore decodes them through
@@ -94,111 +76,12 @@ type recoveryPoint struct {
 	blob []byte
 }
 
-// elasticRun drives the fault-aware compaction replay. Its phaseClock
-// tiles the phase time: halo exchanges and re-partition migrations in
-// exchange (communication), link barriers in barrier with their comm
-// share tracked in linkBarrier, and sync barriers, checkpoint captures,
-// detection and restore stalls in barrier as protocol overhead.
-type elasticRun struct {
-	tr  *trace.Trace
-	deg *topo.Degraded
-	cfg Config
-	res *Result // prelude outcome, embedded in every captured blob
-
-	n, iters, k1 int
-	every        int     // checkpoint cadence (0 = none)
-	ckBPC        float64 // checkpoint capture/restore bytes per cycle
-
-	events []fault.Event // plan events in application order
-	next   int           // first pending event
-	detect sim.Cycle     // failure-detection latency per recovery
-
-	live []bool
-	surv []int // live node indices, ascending (failover hash targets)
-
-	engines   []*nmp.Engine
-	durations [][]sim.Cycle
-
-	clock phaseClock // compaction-phase clock over the live membership
-
-	// feed shards each epoch under the current membership; its traffic
-	// split is the committed logical traffic.
-	feed shardFeed
-
-	cfgDigest uint64
-	// ckpt is the newest checkpoint, the one a recovery restores (nil
-	// before the first capture).
-	ckpt *recoveryPoint
-
-	out elasticOutcome
-	pr  *probes
-}
-
-// runElastic executes the compaction phase with periodic checkpoints and
-// the configured fault plan, on a degradable wrapper of net.
-func runElastic(tr *trace.Trace, net topo.Network, cfg Config, res *Result, pr *probes) (*elasticOutcome, error) {
-	er, err := newElasticRun(tr, net, cfg, res, pr)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Overlap {
-		err = er.runOverlapped()
-	} else {
-		err = er.runBSP()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return er.finish(), nil
-}
-
-func newElasticRun(tr *trace.Trace, net topo.Network, cfg Config, res *Result, pr *probes) (*elasticRun, error) {
-	n := cfg.Nodes
-	er := &elasticRun{
-		tr:        tr,
-		deg:       topo.NewDegraded(net),
-		cfg:       cfg,
-		res:       res,
-		n:         n,
-		iters:     len(tr.Iterations),
-		k1:        tr.K - 1,
-		every:     cfg.CheckpointEvery,
-		ckBPC:     cfg.CheckpointBytesPerCycle,
-		live:      make([]bool, n),
-		engines:   make([]*nmp.Engine, n),
-		durations: make([][]sim.Cycle, n),
-		cfgDigest: configDigest(cfg, net.Name()),
-		pr:        pr,
-	}
-	er.clock = newPhaseClock(er.deg, cfg, er.iters)
-	er.clock.pr, er.clock.live = pr, er.live
-	er.feed = newShardFeed(tr, n, er.ownerOf, er.live)
-	if er.ckBPC <= 0 {
-		er.ckBPC = DefaultCheckpointBytesPerCycle
-	}
-	if cfg.Faults != nil {
-		er.events = cfg.Faults.Sorted()
-		er.detect = cfg.Faults.DetectCycles
-	}
-	for i := 0; i < n; i++ {
-		er.live[i] = true
-		er.surv = append(er.surv, i)
-	}
-	if err := startEngines(er.engines, er.durations, er.feed.traces, cfg.NMP, er.iters, nil); err != nil {
-		return nil, err
-	}
-	if pr != nil {
-		pr.attach(er.engines)
-	}
-	return er, nil
-}
-
 // ownerOf resolves a key under the current membership: the static
 // partitioner's owner while it lives, otherwise a deterministic
 // key-hashed survivor — every node computes the same failover assignment
 // without coordination, like the base partitioners.
-func (er *elasticRun) ownerOf(key dna.Kmer) int {
-	return ownerUnder(er.cfg.Partitioner, key, er.k1, er.n, er.live, er.surv)
+func (rt *runtime) ownerOf(key dna.Kmer) int {
+	return ownerUnder(rt.cfg.Partitioner, key, rt.k1, rt.n, rt.live, rt.surv)
 }
 
 func ownerUnder(p Partitioner, key dna.Kmer, k1, n int, live []bool, surv []int) int {
@@ -211,9 +94,9 @@ func ownerUnder(p Partitioner, key dna.Kmer, k1, n int, live []bool, surv []int)
 
 // nextLive is the replica node holding the dead node's shard copy in the
 // recovery model: the next live node in ring order.
-func (er *elasticRun) nextLive(i int) int {
-	for d := 1; d <= er.n; d++ {
-		if j := (i + d) % er.n; er.live[j] {
+func (rt *runtime) nextLive(i int) int {
+	for d := 1; d <= rt.n; d++ {
+		if j := (i + d) % rt.n; rt.live[j] {
 			return j
 		}
 	}
@@ -224,9 +107,9 @@ func (er *elasticRun) nextLive(i int) int {
 // loss — an event already due at the current phase time. The BSP drain
 // peeks so it can drop the un-placed telemetry of pre-stepped iterations
 // before the recovery's own spans are recorded.
-func (er *elasticRun) pendingLoss() bool {
-	now := er.clock.now()
-	for _, ev := range er.events[er.next:] {
+func (rt *runtime) pendingLoss() bool {
+	now := rt.clock.now()
+	for _, ev := range rt.events[rt.next:] {
 		if ev.Cycle > now {
 			return false
 		}
@@ -240,66 +123,66 @@ func (er *elasticRun) pendingLoss() bool {
 // captureDue reports whether a periodic checkpoint should be captured
 // before iteration it (never re-captured after a recovery pushed a
 // baseline at the same boundary).
-func (er *elasticRun) captureDue(it int) bool {
-	if er.every <= 0 || it == 0 || it%er.every != 0 {
+func (rt *runtime) captureDue(it int) bool {
+	if rt.every <= 0 || it == 0 || it%rt.every != 0 {
 		return false
 	}
-	return er.ckpt == nil || er.ckpt.iter < it
+	return rt.ckpt == nil || rt.ckpt.iter < it
 }
 
 // epochEnd is the end of the epoch starting at iteration it: the next
-// capture boundary, or the end of the phase.
-func (er *elasticRun) epochEnd(it int) int {
-	end := er.iters
-	if er.every > 0 {
-		end = min((it/er.every+1)*er.every, end)
+// capture boundary, or to.
+func (rt *runtime) epochEnd(it, to int) int {
+	end := to
+	if rt.every > 0 {
+		end = min((it/rt.every+1)*rt.every, end)
 	}
 	return end
 }
 
-// snapshot marshals the current state as a standard checkpoint blob
+// recoveryBlob marshals the current state as a standard checkpoint blob
 // resuming at iteration it, with the elastic membership section attached.
-func (er *elasticRun) snapshot(it int) ([]byte, error) {
-	ck := &CheckpointState{
-		Version:               CheckpointVersion,
-		ConfigDigest:          er.cfgDigest,
-		TraceDigest:           er.tr.Digest(),
-		Nodes:                 er.n,
-		K:                     er.cfg.K,
-		Overlap:               er.cfg.Overlap,
-		Partitioner:           er.cfg.Partitioner.Name(),
-		Topology:              er.deg.Name(),
-		Count:                 er.res.Count,
-		Construct:             er.res.Construct,
-		PerNode:               er.res.PerNode,
-		PreludeExchangedBytes: er.res.ExchangedBytes,
-		ResumeIter:            it,
-		Elastic: &ElasticState{
-			Live:      append([]bool(nil), er.live...),
-			LocalTNs:  er.feed.localTNs,
-			RemoteTNs: er.feed.remoteTNs,
-			HaloBytes: er.feed.haloBytes,
-		},
+// It carries no BSP partial sums: the global clock never rolls back.
+func (rt *runtime) recoveryBlob(it int) ([]byte, error) {
+	ck := checkpointHeader(rt.cfg, rt.deg, rt.tr, rt.res, it)
+	ck.Elastic = &ElasticState{
+		Live:      append([]bool(nil), rt.live...),
+		LocalTNs:  rt.feed.localTNs,
+		RemoteTNs: rt.feed.remoteTNs,
+		HaloBytes: rt.feed.haloBytes,
 	}
-	if err := snapshotInto(ck, er.durations, er.engines); err != nil {
+	if err := snapshotInto(ck, rt.durations, rt.engines); err != nil {
 		return nil, err
 	}
 	return ck.Marshal()
 }
 
+// ioCycles prices moving an n-byte checkpoint blob at the configured
+// capture/restore rate, failing when the quotient is not a cycle count.
+func (rt *runtime) ioCycles(n int) (sim.Cycle, error) {
+	d := float64(n) / rt.ckBPC
+	if !(d < math.MaxInt64) {
+		return 0, fmt.Errorf("scaleout: a %d-byte checkpoint at CheckpointBytesPerCycle %g takes %g cycles, past the cycle range", n, rt.ckBPC, d)
+	}
+	return sim.Cycle(d), nil
+}
+
 // capture replaces the newest checkpoint with a periodic one and charges
 // the capture stall.
-func (er *elasticRun) capture(it int) error {
-	blob, err := er.snapshot(it)
+func (rt *runtime) capture(it int) error {
+	blob, err := rt.recoveryBlob(it)
 	if err != nil {
 		return err
 	}
-	er.ckpt = &recoveryPoint{iter: it, blob: blob}
-	d := sim.Cycle(float64(len(blob)) / er.ckBPC)
-	er.out.Checkpoints++
-	er.out.CheckpointBytes += int64(len(blob))
-	er.out.CheckpointCycles += d
-	er.clock.stallBarrier(telemetry.SpanCheckpoint, it, d, int64(len(blob)), false)
+	d, err := rt.ioCycles(len(blob))
+	if err != nil {
+		return err
+	}
+	rt.ckpt = &recoveryPoint{iter: it, blob: blob}
+	rt.res.Checkpoints++
+	rt.res.CheckpointBytes += int64(len(blob))
+	rt.res.CheckpointCycles += d
+	rt.clock.stallBarrier(telemetry.SpanCheckpoint, it, d, int64(len(blob)), false)
 	return nil
 }
 
@@ -308,31 +191,31 @@ func (er *elasticRun) capture(it int) error {
 // events mutate the interconnect immediately, node losses trigger a
 // recovery. Returns the iteration to resume at when a recovery rewound
 // the run, -1 otherwise.
-func (er *elasticRun) boundary(it int) (int, error) {
+func (rt *runtime) boundary(it int) (int, error) {
 	var losses []fault.Event
-	for er.next < len(er.events) && er.events[er.next].Cycle <= er.clock.now() {
-		e := er.events[er.next]
-		er.next++
-		er.out.FaultsInjected++
-		if er.pr != nil {
+	for rt.next < len(rt.events) && rt.events[rt.next].Cycle <= rt.clock.now() {
+		e := rt.events[rt.next]
+		rt.next++
+		rt.res.FaultsInjected++
+		if rt.pr != nil {
 			arg := e.Node
 			if e.Kind != fault.NodeLoss {
 				arg = e.Src
 			}
-			er.pr.instant(telemetry.SpanFault, er.pr.base+e.Cycle, int64(arg), int64(e.Kind))
+			rt.pr.instant(telemetry.SpanFault, rt.pr.base+e.Cycle, int64(arg), int64(e.Kind))
 		}
 		switch e.Kind {
 		case fault.NodeLoss:
 			losses = append(losses, e)
 		case fault.LinkDegrade:
-			if err := er.deg.Slow(e.Src, e.Dst, e.Factor); err != nil {
+			if err := rt.deg.Slow(e.Src, e.Dst, e.Factor); err != nil {
 				return 0, err
 			}
 		case fault.LinkOutage:
-			if err := er.deg.CutRoute(e.Src, e.Dst); err != nil {
+			if err := rt.deg.CutRoute(e.Src, e.Dst); err != nil {
 				return 0, err
 			}
-			if err := er.deg.Verify(er.live); err != nil {
+			if err := rt.deg.Verify(rt.live); err != nil {
 				return 0, fmt.Errorf("scaleout: %s is unrecoverable: %w", e, err)
 			}
 		}
@@ -340,7 +223,7 @@ func (er *elasticRun) boundary(it int) (int, error) {
 	if len(losses) == 0 {
 		return -1, nil
 	}
-	return er.recover(losses, it)
+	return rt.recover(losses, it)
 }
 
 // recover handles one or more node losses surfacing at the boundary
@@ -349,94 +232,97 @@ func (er *elasticRun) boundary(it int) (int, error) {
 // everything since, re-partition migration of the shards that changed
 // owners, and a fresh baseline checkpoint at the resume point. Returns
 // the iteration the run resumes at.
-func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
-	liveBefore := len(er.surv)
-	oldLive := append([]bool(nil), er.live...)
-	oldSurv := append([]int(nil), er.surv...)
+func (rt *runtime) recover(losses []fault.Event, bIter int) (int, error) {
+	liveBefore := len(rt.surv)
+	oldLive := append([]bool(nil), rt.live...)
+	oldSurv := append([]int(nil), rt.surv...)
 	for _, e := range losses {
-		if !er.live[e.Node] {
+		if !rt.live[e.Node] {
 			return 0, fmt.Errorf("scaleout: %s kills an already-dead node", e)
 		}
-		er.live[e.Node] = false
-		er.out.NodesLost++
+		rt.live[e.Node] = false
+		rt.res.NodesLost++
 	}
-	er.surv = er.surv[:0]
-	for i, l := range er.live {
+	rt.surv = rt.surv[:0]
+	for i, l := range rt.live {
 		if l {
-			er.surv = append(er.surv, i)
+			rt.surv = append(rt.surv, i)
 		}
 	}
-	if len(er.surv) == 0 {
+	if len(rt.surv) == 0 {
 		return 0, fmt.Errorf("scaleout: no survivors after %s", losses[0])
 	}
-	if err := er.deg.Verify(er.live); err != nil {
+	if err := rt.deg.Verify(rt.live); err != nil {
 		return 0, fmt.Errorf("scaleout: survivors are disconnected: %w", err)
 	}
 
 	// Detection: the heartbeat/membership latency before survivors act.
-	er.out.RecoveryCycles += er.detect
-	er.clock.stallBarrier(telemetry.SpanDetect, bIter, er.detect, int64(losses[0].Node), false)
+	rt.res.RecoveryCycles += rt.detect
+	rt.clock.stallBarrier(telemetry.SpanDetect, bIter, rt.detect, int64(losses[0].Node), false)
 
 	// Restore from the newest checkpoint; without one the survivors
 	// restart the compaction phase from scratch (the no-checkpointing
 	// degenerate cadence).
 	var ck *CheckpointState
 	resume := 0
-	if ent := er.ckpt; ent != nil {
+	if ent := rt.ckpt; ent != nil {
 		dec, err := UnmarshalCheckpoint(ent.blob)
 		if err != nil {
 			return 0, fmt.Errorf("scaleout: recovery checkpoint (iteration %d): %w", ent.iter, err)
 		}
 		ck = dec
 		resume = ck.ResumeIter
-		d := sim.Cycle(float64(len(ent.blob)) / er.ckBPC)
-		er.out.RecoveryCycles += d
-		er.clock.stallBarrier(telemetry.SpanRestore, resume, d, int64(len(ent.blob)), false)
+		d, err := rt.ioCycles(len(ent.blob))
+		if err != nil {
+			return 0, err
+		}
+		rt.res.RecoveryCycles += d
+		rt.clock.stallBarrier(telemetry.SpanRestore, resume, d, int64(len(ent.blob)), false)
 	}
-	er.out.LostIterations += int64(bIter-resume) * int64(liveBefore)
+	rt.res.LostIterations += int64(bIter-resume) * int64(liveBefore)
 
-	if err := er.rollback(ck, resume); err != nil {
+	if err := rt.rollback(ck, resume); err != nil {
 		return 0, err
 	}
 
 	// Re-partition: every MacroNode whose owner changed under the new
 	// membership moves from its replica holder (the next live node after
 	// the old owner) to the new owner, over the degraded interconnect.
-	if resume < er.iters {
-		move := mat(er.n)
-		iter := &er.tr.Iterations[resume]
+	if resume < rt.iters {
+		move := mat(rt.n)
+		iter := &rt.tr.Iterations[resume]
 		for i := range iter.Nodes {
 			nd := &iter.Nodes[i]
-			ob := ownerUnder(er.cfg.Partitioner, nd.Key, er.k1, er.n, oldLive, oldSurv)
-			oa := er.ownerOf(nd.Key)
+			ob := ownerUnder(rt.cfg.Partitioner, nd.Key, rt.k1, rt.n, oldLive, oldSurv)
+			oa := rt.ownerOf(nd.Key)
 			if ob == oa {
 				continue
 			}
 			src := ob
-			if !er.live[src] {
-				src = er.nextLive(src)
+			if !rt.live[src] {
+				src = rt.nextLive(src)
 			}
 			if src != oa {
 				move[src][oa] += int64(nd.D1 + nd.D2)
 			}
 		}
-		mx := er.clock.doExchange(move)
+		mx := rt.clock.doExchange(move)
 		if mx.TotalBytes > 0 {
-			er.clock.exchangedBytes += mx.TotalBytes
-			er.out.RepartitionBytes += mx.TotalBytes
-			er.clock.stall(&er.clock.exchange, telemetry.SpanRepartition, resume, mx.Cycles, mx.TotalBytes)
+			rt.clock.exchangedBytes += mx.TotalBytes
+			rt.res.RepartitionBytes += mx.TotalBytes
+			rt.clock.stall(&rt.clock.exchange, telemetry.SpanRepartition, resume, mx.Cycles, mx.TotalBytes)
 		}
 	}
 
 	// The old checkpoint describes the dead membership; replace it with a
 	// free baseline at the resume point (the state is already in memory),
 	// so a later loss restores here instead of replaying from scratch.
-	blob, err := er.snapshot(resume)
+	blob, err := rt.recoveryBlob(resume)
 	if err != nil {
 		return 0, err
 	}
-	er.ckpt = &recoveryPoint{iter: resume, blob: blob}
-	er.out.Recoveries++
+	rt.ckpt = &recoveryPoint{iter: resume, blob: blob}
+	rt.res.Recoveries++
 	return resume, nil
 }
 
@@ -445,196 +331,20 @@ func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
 // own last committed iteration. The discarded durations and logical
 // traffic counters are rewound; the phase clock is not (lost time is the
 // recovery overhead).
-func (er *elasticRun) rollback(ck *CheckpointState, resume int) error {
-	for _, t := range er.feed.traces {
+func (rt *runtime) rollback(ck *CheckpointState, resume int) error {
+	for _, t := range rt.feed.traces {
 		t.Iterations = t.Iterations[:min(len(t.Iterations), resume)]
 	}
-	er.feed.traffic = traffic{}
+	rt.feed.traffic = traffic{}
 	if ck != nil {
 		es := ck.Elastic
-		er.feed.traffic = traffic{es.LocalTNs, es.RemoteTNs, es.HaloBytes}
+		rt.feed.traffic = traffic{es.LocalTNs, es.RemoteTNs, es.HaloBytes}
 	}
-	if err := startEngines(er.engines, er.durations, er.feed.traces, er.cfg.NMP, er.iters, ck); err != nil {
+	if err := startEngines(rt.engines, rt.durations, rt.feed.traces, rt.cfg.NMP, rt.iters, ck); err != nil {
 		return err
 	}
-	if er.pr != nil {
-		er.pr.attach(er.engines)
+	if rt.pr != nil {
+		rt.pr.attach(rt.engines)
 	}
 	return nil
-}
-
-// runBSP is the elastic BSP discipline: golden supersteps over the live
-// membership, with fault boundaries, periodic captures and recoveries
-// spliced between them. Fault-free it reproduces the legacy BSP schedule
-// plus the checkpoint stalls.
-func (er *elasticRun) runBSP() error {
-	it := 0
-	for {
-		cont, err := er.boundary(it)
-		if err != nil {
-			return err
-		}
-		if cont >= 0 {
-			it = cont
-			continue
-		}
-		if it == er.iters {
-			return nil
-		}
-		if er.captureDue(it) {
-			if err := er.capture(it); err != nil {
-				return err
-			}
-		}
-		if it, err = er.bspEpoch(it, er.epochEnd(it)); err != nil {
-			return err
-		}
-	}
-}
-
-// bspEpoch shards and pre-steps the epoch [from, to), then drains it
-// superstep by superstep. A fault boundary inside the epoch is processed
-// between two supersteps of the drain, exactly where a lockstep run meets
-// it. A recovery there rolls the run back wholesale (rollback), so the
-// only pre-stepped state with nothing to roll it back is the un-placed
-// telemetry of the iterations past the boundary, which is dropped
-// (dropBuffered) before the recovery records its own spans. Returns the
-// iteration to continue at: to, or the resume point of a recovery.
-func (er *elasticRun) bspEpoch(from, to int) (int, error) {
-	halos := er.feed.shard(from, to)
-	prestep(er.engines, er.live, er.durations, from, to, er.cfg.Workers, er.pr)
-	for j := from; j < to; j++ {
-		if j > from {
-			if er.pr != nil && er.pendingLoss() {
-				for i := 0; i < er.n; i++ {
-					if er.live[i] {
-						er.pr.dropBuffered(i, j)
-					}
-				}
-			}
-			cont, err := er.boundary(j)
-			if err != nil {
-				return 0, err
-			}
-			if cont >= 0 {
-				return cont, nil
-			}
-		}
-		er.clock.superstep(j, er.durations, halos[j-from])
-	}
-	return to, nil
-}
-
-// runOverlapped is the elastic overlapped discipline: the event-driven
-// halo-streaming schedule runs in segments bounded by checkpoint
-// boundaries (a coordinated checkpoint is a global synchronization, so a
-// link barrier + sync barrier close each segment). A segment is one epoch,
-// executed speculatively; if a node loss lands inside it, the segment's
-// recording is rewound, the committed window up to the detection boundary
-// is charged as compute (the simplification: an overlapped window does
-// not decompose further once discarded), and the shared recovery path
-// takes over. With CheckpointEvery == 0 the whole phase is one segment
-// and a fault-free run reproduces the legacy overlapped schedule exactly.
-func (er *elasticRun) runOverlapped() error {
-	c := &er.clock
-	it := 0
-	for {
-		cont, err := er.boundary(it)
-		if err != nil {
-			return err
-		}
-		if cont >= 0 {
-			it = cont
-			continue
-		}
-		if it == er.iters {
-			return nil
-		}
-		if it > 0 {
-			c.stallBarrier(telemetry.SpanLinkBarrier, it-1, c.lb, 0, true)
-			c.stallBarrier(telemetry.SpanSyncBarrier, it-1, c.sb, 0, false)
-		}
-		if er.captureDue(it) {
-			if err := er.capture(it); err != nil {
-				return err
-			}
-		}
-		end := er.epochEnd(it)
-
-		var marks probeMark
-		if er.pr != nil {
-			marks = er.pr.mark()
-		}
-		now := c.now()
-		sg := segment{
-			s: it, e: end, halo: er.feed.shard(it, end), net: er.deg, live: er.live,
-			durations: er.durations, sb: c.sb, pr: er.pr,
-		}
-		prestep(er.engines, er.live, er.durations, it, end, er.cfg.Workers, er.pr)
-		if er.pr != nil {
-			sg.off = er.pr.base + now
-		}
-		seg := sg.run()
-
-		// A loss inside the segment window invalidates it: rewind the
-		// speculative recording, commit the window up to the detection
-		// boundary as compute, and recover.
-		var fc sim.Cycle = -1
-		for _, ev := range er.events[er.next:] {
-			if ev.Cycle > now+seg.makespan {
-				break
-			}
-			if ev.Kind == fault.NodeLoss {
-				fc = ev.Cycle
-				break
-			}
-		}
-		if fc >= 0 {
-			bj := -1
-			for j := range seg.boundary {
-				if now+seg.boundary[j] >= fc {
-					bj = j
-					break
-				}
-			}
-			if bj >= 0 {
-				if er.pr != nil {
-					er.pr.rewind(marks)
-					if seg.boundary[bj] > 0 {
-						er.pr.phases.Add(telemetry.SpanCompute, sg.off, sg.off+seg.boundary[bj], int64(it), 0)
-					}
-				}
-				c.compute += seg.boundary[bj]
-				cont, err := er.boundary(it + bj + 1)
-				if err != nil {
-					return err
-				}
-				if cont >= 0 {
-					it = cont
-					continue
-				}
-				return fmt.Errorf("scaleout: fault at cycle %d detected but not consumed", fc)
-			}
-			// The loss lands past the segment's last iteration boundary:
-			// commit the segment and let the next boundary pass detect it.
-		}
-
-		if er.pr != nil {
-			er.pr.segmentSpans(sg.off, seg, it)
-		}
-		c.compute += seg.compute
-		c.exchange += seg.makespan - seg.compute
-		c.exchangedBytes += seg.bytes
-		it = end
-	}
-}
-
-// finish seals the outcome: the three accounting buckets tile the phase
-// clock, and every engine — survivors complete, casualties frozen at
-// their last committed iteration — reports its result.
-func (er *elasticRun) finish() *elasticOutcome {
-	out := &er.out
-	out.compactOutcome = er.clock.outcome(er.durations, er.engines)
-	out.traffic = er.feed.traffic
-	return out
 }

@@ -4,7 +4,7 @@
 // from measured stragglers to measured idle nodes between compaction
 // iterations. Unlike BalancedPartitioner — which predicts load once from
 // a counting sample — the rebalancer reacts to the busy times the
-// runtime actually records (compactOutcome.Durations), so it corrects
+// runtime actually records (the per-iteration durations), so it corrects
 // skew the static sample could not see (repeat families whose replay
 // cost is out of proportion to their k-mer mass, drift as compaction
 // drains the graph). Migration is not free: every MacroNode whose bucket
@@ -193,6 +193,7 @@ type rebalanceRun struct {
 	tr  *trace.Trace
 	cfg Config
 	p   *RebalancePartitioner
+	res *Result // prelude outcome, finished by seal
 
 	n, iters, k1 int
 
@@ -224,15 +225,6 @@ type rebalanceRun struct {
 	pr *probes
 }
 
-// setProbes attaches (or, with nil, skips) the run's telemetry glue.
-func (rr *rebalanceRun) setProbes(pr *probes) {
-	rr.pr = pr
-	rr.clock.pr = pr
-	if pr != nil {
-		pr.attach(rr.engines)
-	}
-}
-
 // newRebalanceRun prepares a dynamic-ownership run: fresh when ck is nil
 // (static initial assignment, empty node traces, engines at iteration 0),
 // otherwise at the blob's pause point with the migrated table, the
@@ -242,11 +234,11 @@ func (rr *rebalanceRun) setProbes(pr *probes) {
 // — the engines' static DIMM mapping option — come from the trace's
 // memoized shard facts under the partitioner's static initial
 // assignment, which the run started from.
-func newRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner, ck *CheckpointState) (*rebalanceRun, error) {
+func newRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner, res *Result, ck *CheckpointState, pr *probes) (*rebalanceRun, error) {
 	n := cfg.Nodes
 	iters := len(tr.Iterations)
 	rr := &rebalanceRun{
-		tr: tr, cfg: cfg, p: p,
+		tr: tr, cfg: cfg, p: p, res: res, pr: pr,
 		n: n, iters: iters, k1: tr.K - 1,
 		engines:   make([]*nmp.Engine, n),
 		durations: make([][]sim.Cycle, n),
@@ -258,6 +250,7 @@ func newRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *Rebalance
 		prev:      make([]uint16, BalancedBuckets),
 		clock:     newPhaseClock(net, cfg, iters),
 	}
+	rr.clock.pr = pr
 	rr.feed = newShardFeed(tr, n, rr.ownerOf, nil)
 	for it := iters - 1; it >= 0; it-- {
 		var b float64
@@ -286,6 +279,9 @@ func newRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *Rebalance
 	}
 	if err := startEngines(rr.engines, rr.durations, rr.feed.traces, cfg.NMP, iters, ck); err != nil {
 		return nil, err
+	}
+	if pr != nil {
+		pr.attach(rr.engines)
 	}
 	return rr, nil
 }
@@ -346,7 +342,7 @@ func (rr *rebalanceRun) refreshWeights(it int) {
 // straggler -> new owner), shards its iterations under the current
 // table, pre-steps every engine through it, then drains the supersteps
 // and refreshes the measurement state the next decision reads.
-func (rr *rebalanceRun) advance(from, to int) {
+func (rr *rebalanceRun) advance(from, to int) error {
 	for it := from; it < to; {
 		if it > 0 && it%rr.p.Every == 0 && rr.n > 1 {
 			rr.migrateAt(it)
@@ -364,6 +360,7 @@ func (rr *rebalanceRun) advance(from, to int) {
 		}
 		it = end
 	}
+	return nil
 }
 
 // ownerOf resolves a key under the current ownership table.
@@ -376,11 +373,12 @@ func (rr *rebalanceRun) phase() *phaseClock { return &rr.clock }
 
 // seal implements phaseRun: the engines and the phase, plus the traffic
 // and migration accounting the dynamic runtime measured itself.
-func (rr *rebalanceRun) seal(res *Result) *compactOutcome {
-	rr.feed.record(res)
-	res.Rebalances = rr.rebalances
-	res.MigratedBytes = rr.migratedBytes
-	return rr.clock.outcome(rr.durations, rr.engines)
+func (rr *rebalanceRun) seal() error {
+	rr.feed.record(rr.res)
+	rr.res.Rebalances = rr.rebalances
+	rr.res.MigratedBytes = rr.migratedBytes
+	finalize(rr.res, &rr.clock, rr.durations, rr.engines)
+	return nil
 }
 
 // state is the run's migration checkpoint section.

@@ -39,9 +39,19 @@
 // the schedule starts it, pre-stepping changes nothing the drain
 // computes: results, Chrome traces and checkpoint blobs are
 // byte-identical at every worker count.
+//
+// Two runtime types implement the driver. The rebalancing one
+// (rebalance.go) migrates ownership between epochs. The other, runtime,
+// steps every static-partition run, elastic or not: a non-elastic run is
+// an elastic one whose capture cadence and fault events are empty, so
+// every node stays live. Every entry point opens and finishes its run
+// through a Session (session.go).
 package scaleout
 
 import (
+	"fmt"
+
+	"nmppak/internal/fault"
 	"nmppak/internal/nmp"
 	"nmppak/internal/par"
 	"nmppak/internal/sim"
@@ -50,72 +60,56 @@ import (
 	"nmppak/internal/trace"
 )
 
-// compactOutcome is the compaction phase as scheduled by the runtime.
-type compactOutcome struct {
-	Phase          PhaseCycles
-	LinkBarrier    sim.Cycle // interconnect share of Phase.Barrier
-	ExchangedBytes int64
-	NMP            []*nmp.Result
-	// Durations[i][it] is node i's compute time for iteration it.
-	Durations [][]sim.Cycle
-}
-
-// phaseRun is a compaction runtime that can be advanced epoch by epoch,
-// snapshotted between iterations and sealed: the static-partitioner
-// runtime or the rebalancing one. Sessions, Checkpoint and Restore drive
-// both through it.
+// phaseRun is a compaction runtime that can be advanced iteration range by
+// iteration range, snapshotted between iterations and sealed: the runtime
+// below (static partition, elastic or not) or the rebalancing one. Every
+// entry point drives both through a Session.
 type phaseRun interface {
-	setProbes(pr *probes)
-	// advance executes iterations [from, to) as BSP supersteps.
-	advance(from, to int)
+	// advance executes iterations [from, to): as BSP supersteps, or, in
+	// the overlapped discipline, by stepping the engines ahead of the
+	// schedule seal replays.
+	advance(from, to int) error
 	// phase is the run's compaction-phase clock.
 	phase() *phaseClock
 	// snapshot records the compaction state on a checkpoint whose
 	// ResumeIter is the current boundary.
 	snapshot(ck *CheckpointState) error
 	// seal completes the phase — every BSP iteration must have been
-	// advanced; the overlapped static run schedules its whole macro
-	// schedule here — and records the run's traffic accounting on res.
-	seal(res *Result) *compactOutcome
+	// advanced; the overlapped discipline schedules its whole macro
+	// schedule here — and finalizes the run's Result.
+	seal() error
 }
 
-// newRun builds the compaction runtime cfg's partitioner selects: fresh
-// at iteration 0 when ck is nil, otherwise rebuilt at the checkpoint's
-// pause point.
-func newRun(tr *trace.Trace, net topo.Network, cfg Config, ck *CheckpointState) (phaseRun, error) {
+// newRun builds the compaction runtime cfg's partitioner selects, with the
+// run's telemetry glue pr attached (nil: uninstrumented): fresh at
+// iteration 0 when ck is nil, otherwise rebuilt at the checkpoint's pause
+// point. res is the prelude outcome the run finishes.
+func newRun(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *CheckpointState, pr *probes) (phaseRun, error) {
 	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		rr, err := newRebalanceRun(tr, net, cfg, rp, ck)
-		if err != nil {
-			return nil, err
-		}
-		return rr, nil
+		return newRebalanceRun(tr, net, cfg, rp, res, ck, pr)
 	}
-	rt, err := newRuntime(tr, net, cfg, ck)
-	if err != nil {
-		return nil, err
-	}
-	return rt, nil
+	return newRuntime(tr, net, cfg, res, ck, pr)
 }
 
-// finishRun executes a run's remaining iterations from boundary `from`
-// and seals it.
-func finishRun(run phaseRun, cfg Config, res *Result, from int) *compactOutcome {
-	if !cfg.Overlap {
-		run.advance(from, run.phase().iters)
-	}
-	return run.seal(res)
-}
-
-// runtime owns the per-node engines and their shard feed under the
-// static partition. A fresh runtime starts at iteration 0; one
+// runtime owns the per-node engines, their shard feed and the phase clock
+// of a static-partition run. A fresh runtime starts at iteration 0; one
 // reconstructed from a checkpoint carries the recorded durations and BSP
 // partial sums of the iterations already executed and shards and steps
-// only from `start` on.
+// only from `start` on. Under an elastic config (elastic.go) it also
+// captures periodic recovery checkpoints and applies the fault plan at
+// iteration boundaries; otherwise its capture cadence and fault events are
+// empty and every node stays live.
 type runtime struct {
-	cfg   Config
-	net   topo.Network
-	iters int
-	start int // first iteration the engines step live
+	tr  *trace.Trace
+	deg *topo.Degraded // the interconnect; fault events degrade it in place
+	cfg Config
+	res *Result // prelude outcome, finished by seal
+
+	n, iters, k1 int
+	// start is the first iteration the engines step live; the overlapped
+	// schedule replays the iterations before it from their recorded
+	// durations.
+	start int
 
 	feed shardFeed
 	// whole holds the whole-trace shard facts of a run resumed past
@@ -126,21 +120,27 @@ type runtime struct {
 	engines   []*nmp.Engine
 	durations [][]sim.Cycle
 
-	// clock holds the BSP partial sums over the executed iterations (a
-	// restored run starts from the checkpointed ones).
+	// clock holds the phase time over the live membership: the BSP partial
+	// sums (a restored BSP run starts from the checkpointed ones) plus the
+	// elastic protocol stalls.
 	clock phaseClock
+
+	every int     // checkpoint cadence (0 = none)
+	ckBPC float64 // checkpoint capture/restore bytes per cycle
+
+	events []fault.Event // plan events in application order
+	next   int           // first pending event
+	detect sim.Cycle     // failure-detection latency per recovery
+
+	live []bool
+	surv []int // live node indices, ascending (failover hash targets)
+
+	// ckpt is the newest recovery checkpoint, the one a recovery restores
+	// (nil before the first capture).
+	ckpt *recoveryPoint
 
 	// pr is the run's telemetry glue; nil disables every recording site.
 	pr *probes
-}
-
-// setProbes attaches (or, with nil, skips) the run's telemetry glue.
-func (rt *runtime) setProbes(pr *probes) {
-	rt.pr = pr
-	rt.clock.pr = pr
-	if pr != nil {
-		pr.attach(rt.engines)
-	}
 }
 
 // newRuntime builds the static-partition runtime: fresh when ck is nil,
@@ -149,27 +149,54 @@ func (rt *runtime) setProbes(pr *probes) {
 // the pause point: the node traces hold placeholders there, and the
 // whole-trace traffic split and the iteration-0 quantile tables come from
 // the trace's memoized shard facts.
-func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, ck *CheckpointState) (*runtime, error) {
-	iters := len(tr.Iterations)
+func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *CheckpointState, pr *probes) (*runtime, error) {
+	n := cfg.Nodes
 	rt := &runtime{
+		tr:        tr,
+		deg:       topo.NewDegraded(net),
 		cfg:       cfg,
-		net:       net,
-		iters:     iters,
-		feed:      newShardFeed(tr, cfg.Nodes, staticOwner(tr, cfg.Nodes, cfg.Partitioner), nil),
-		engines:   make([]*nmp.Engine, cfg.Nodes),
-		durations: make([][]sim.Cycle, cfg.Nodes),
-		clock:     newPhaseClock(net, cfg, iters),
+		res:       res,
+		n:         n,
+		iters:     len(tr.Iterations),
+		k1:        tr.K - 1,
+		engines:   make([]*nmp.Engine, n),
+		durations: make([][]sim.Cycle, n),
+		every:     cfg.CheckpointEvery,
+		ckBPC:     cfg.CheckpointBytesPerCycle,
+		live:      make([]bool, n),
+		pr:        pr,
 	}
+	if rt.ckBPC <= 0 {
+		rt.ckBPC = DefaultCheckpointBytesPerCycle
+	}
+	if cfg.Faults != nil {
+		rt.events = cfg.Faults.Sorted()
+		rt.detect = cfg.Faults.DetectCycles
+	}
+	for i := range rt.live {
+		rt.live[i] = true
+		rt.surv = append(rt.surv, i)
+	}
+	rt.clock = newPhaseClock(rt.deg, cfg, rt.iters)
+	rt.clock.pr, rt.clock.live = pr, rt.live
+	rt.feed = newShardFeed(tr, n, rt.ownerOf, rt.live)
 	if ck != nil {
 		rt.start = ck.ResumeIter
-		rt.clock.restore(ck)
+		if !cfg.Overlap {
+			rt.clock.restore(ck)
+		}
 	}
 	if rt.start > 0 {
-		rt.whole = shardFactsOf(tr, cfg.Nodes, cfg.Partitioner)
+		rt.whole = shardFactsOf(tr, n, cfg.Partitioner)
 		rt.feed.resumeAt(rt.start, rt.whole.quantiles)
 	}
-	if err := startEngines(rt.engines, rt.durations, rt.feed.traces, cfg.NMP, iters, ck); err != nil {
+	if err := startEngines(rt.engines, rt.durations, rt.feed.traces, cfg.NMP, rt.iters, ck); err != nil {
 		return nil, err
+	}
+	// An overlapped run's engines are probed once seal starts the
+	// schedule that places their steps (overlap).
+	if pr != nil && !cfg.Overlap {
+		pr.attach(rt.engines)
 	}
 	return rt, nil
 }
@@ -223,89 +250,226 @@ func prestep(engines []*nmp.Engine, live []bool, durations [][]sim.Cycle, from, 
 	})
 }
 
-// step shards iterations [from, to) onto the node traces and pre-steps
-// every engine through them, returning their halo matrices.
-func (rt *runtime) step(from, to int) [][][]int64 {
-	halos := rt.feed.shard(from, to)
-	prestep(rt.engines, nil, rt.durations, from, to, rt.cfg.Workers, rt.pr)
-	return halos
+// advance implements phaseRun. In the BSP discipline it runs iterations
+// [from, to) as the BSP loop — the fault boundary, then a due capture,
+// then the epoch up to the next capture boundary or to — so a run can be
+// split at any iteration boundary: a checkpoint capture or a Session.Step
+// stops mid-way. A recovery may rewind the loop before from. In the
+// overlapped discipline it only shards and steps the engines, unprobed:
+// those iterations are replayed from their recorded durations when seal
+// schedules the phase, as a restored run's are.
+func (rt *runtime) advance(from, to int) error {
+	if rt.cfg.Overlap {
+		rt.feed.shard(from, to)
+		prestep(rt.engines, rt.live, rt.durations, from, to, rt.cfg.Workers, nil)
+		rt.start = to
+		return nil
+	}
+	for it := from; ; {
+		cont, err := rt.boundary(it)
+		if err != nil {
+			return err
+		}
+		if cont >= 0 {
+			it = cont
+			continue
+		}
+		if it == to {
+			return nil
+		}
+		if rt.captureDue(it) {
+			if err := rt.capture(it); err != nil {
+				return err
+			}
+		}
+		if it, err = rt.bspEpoch(it, rt.epochEnd(it, to)); err != nil {
+			return err
+		}
+	}
 }
 
-// advance runs iterations [from, to) as one BSP epoch — the static
-// partition has no interior epoch boundary — sharding it and pre-stepping
-// every engine through it, then draining superstep by superstep. The
-// partial sums accumulate on the clock, so a run can be split at any
-// iteration boundary: a checkpoint capture or a Session.Step stops
-// mid-way.
-func (rt *runtime) advance(from, to int) {
-	halos := rt.step(from, to)
-	for it := from; it < to; it++ {
-		rt.clock.superstep(it, rt.durations, halos[it-from])
+// bspEpoch shards and pre-steps the epoch [from, to), then drains it
+// superstep by superstep. A fault boundary inside the epoch is processed
+// between two supersteps of the drain, exactly where a lockstep run meets
+// it. A recovery there rolls the run back wholesale (rollback), so the
+// only pre-stepped state with nothing to roll it back is the un-placed
+// telemetry of the iterations past the boundary, which is dropped
+// (dropBuffered) before the recovery records its own spans. Returns the
+// iteration to continue at: to, or the resume point of a recovery.
+func (rt *runtime) bspEpoch(from, to int) (int, error) {
+	halos := rt.feed.shard(from, to)
+	prestep(rt.engines, rt.live, rt.durations, from, to, rt.cfg.Workers, rt.pr)
+	for j := from; j < to; j++ {
+		if j > from {
+			if rt.pr != nil && rt.pendingLoss() {
+				for i := 0; i < rt.n; i++ {
+					if rt.live[i] {
+						rt.pr.dropBuffered(i, j)
+					}
+				}
+			}
+			cont, err := rt.boundary(j)
+			if err != nil {
+				return 0, err
+			}
+			if cont >= 0 {
+				return cont, nil
+			}
+		}
+		rt.clock.superstep(j, rt.durations, halos[j-from])
 	}
+	return to, nil
 }
 
 // phase implements phaseRun.
 func (rt *runtime) phase() *phaseClock { return &rt.clock }
 
-// seal implements phaseRun. The static partition's traffic accounting
-// covers the whole trace: what the feed counted, or, for a run resumed
-// past iteration 0, the memoized whole-trace facts.
-func (rt *runtime) seal(res *Result) *compactOutcome {
-	var out *compactOutcome
+// seal implements phaseRun: the overlapped discipline schedules the phase,
+// then the three accounting buckets tile the phase clock and every engine —
+// survivors complete, casualties frozen at their last committed iteration
+// — reports its result. The traffic accounting is what the feed
+// committed, or, for a run resumed past iteration 0, the memoized
+// whole-trace facts.
+func (rt *runtime) seal() error {
 	if rt.cfg.Overlap {
-		out = rt.runOverlapped()
-	} else {
-		out = rt.clock.outcome(rt.durations, rt.engines)
+		if err := rt.overlap(); err != nil {
+			return err
+		}
 	}
 	t := rt.feed.traffic
 	if rt.whole != nil {
 		t = rt.whole.traffic
 	}
-	t.record(res)
-	return out
+	t.record(rt.res)
+	finalize(rt.res, &rt.clock, rt.durations, rt.engines)
+	return nil
 }
 
-// runOverlapped schedules the whole phase as one all-live overlapped
-// segment: finishing nodes stream their halo bytes while laggards
-// compute, and each node's next iteration waits only on its own finish
-// (plus sync barrier) and on the delivery of the halo traffic it depends
-// on. A restored run replays the iterations before its checkpoint from
-// the recorded durations (the macro schedule is a deterministic function
-// of durations, halo and topology; the replayed iterations' halo matrices
-// come from the count pass alone) and shards and pre-steps only the rest.
-// The phase is split as Compute = the slowest node's unconstrained local
-// chain (what a zero-cost interconnect would yield) and Exchange = the
-// communication time the schedule failed to hide.
-func (rt *runtime) runOverlapped() *compactOutcome {
-	out := &compactOutcome{Durations: rt.durations}
-	if rt.iters > 0 {
-		halo := append(rt.feed.halos(0, rt.start), rt.step(rt.start, rt.iters)...)
-		sg := segment{
-			s: 0, e: rt.iters, halo: halo, net: rt.net,
-			durations: rt.durations, replayed: rt.start,
-			sb: rt.cfg.NMP.SyncBarrierCycles, pr: rt.pr,
+// overlap is the overlapped discipline: the event-driven halo-streaming
+// schedule runs in segments bounded by checkpoint boundaries (a
+// coordinated checkpoint is a global synchronization, so a link barrier +
+// sync barrier close each segment); without a capture cadence the whole
+// phase is one all-live segment. Finishing nodes stream their halo bytes
+// while laggards compute, and each node's next iteration waits only on its
+// own finish (plus sync barrier) and on the delivery of the halo traffic
+// it depends on. A segment is one epoch, executed speculatively; if a node
+// loss lands inside it, the segment's recording is rewound, the committed
+// window up to the detection boundary is charged as compute (the
+// simplification: an overlapped window does not decompose further once
+// discarded), and the shared recovery path takes over. Iterations before
+// start replay their recorded durations (the macro schedule is a
+// deterministic function of durations, halo and topology; their halo
+// matrices come from the count pass alone). A segment's phase time splits
+// as Compute = the slowest node's unconstrained local chain (what a
+// zero-cost interconnect would yield) and Exchange = the communication
+// time the schedule failed to hide.
+func (rt *runtime) overlap() error {
+	c := &rt.clock
+	if rt.pr != nil {
+		rt.pr.attach(rt.engines)
+	}
+	for it := 0; ; {
+		cont, err := rt.boundary(it)
+		if err != nil {
+			return err
 		}
+		if cont >= 0 {
+			it = cont
+			continue
+		}
+		if it == rt.iters {
+			return nil
+		}
+		if it > 0 {
+			c.stallBarrier(telemetry.SpanLinkBarrier, it-1, c.lb, 0, true)
+			c.stallBarrier(telemetry.SpanSyncBarrier, it-1, c.sb, 0, false)
+		}
+		if rt.captureDue(it) {
+			if err := rt.capture(it); err != nil {
+				return err
+			}
+		}
+		end := rt.epochEnd(it, rt.iters)
+
+		var marks probeMark
 		if rt.pr != nil {
-			sg.off = rt.pr.base
+			marks = rt.pr.mark()
+		}
+		now := c.now()
+		// The iterations before start are replayed: only their halo
+		// matrices are needed.
+		from := max(it, rt.start)
+		halo := rt.feed.shard(from, end)
+		if from > it {
+			halo = append(rt.feed.halos(it, from), halo...)
+		}
+		sg := segment{
+			s: it, e: end, halo: halo, net: rt.deg, live: rt.live,
+			durations: rt.durations, replayed: rt.start, sb: c.sb, pr: rt.pr,
+		}
+		prestep(rt.engines, rt.live, rt.durations, from, end, rt.cfg.Workers, rt.pr)
+		if rt.pr != nil {
+			sg.off = rt.pr.base + now
 		}
 		seg := sg.run()
-		if rt.pr != nil {
-			rt.pr.segmentSpans(sg.off, seg, -1)
-		}
-		out.Phase = PhaseCycles{Compute: seg.compute, Exchange: seg.makespan - seg.compute}
-		out.ExchangedBytes = seg.bytes
-	}
-	out.NMP = engineResults(rt.engines)
-	return out
-}
 
-// engineResults seals every engine and collects its result.
-func engineResults(engines []*nmp.Engine) []*nmp.Result {
-	res := make([]*nmp.Result, len(engines))
-	for i, e := range engines {
-		res[i] = e.Result()
+		// A loss inside the segment window invalidates it: rewind the
+		// speculative recording, commit the window up to the detection
+		// boundary as compute, and recover.
+		var fc sim.Cycle = -1
+		for _, ev := range rt.events[rt.next:] {
+			if ev.Cycle > now+seg.makespan {
+				break
+			}
+			if ev.Kind == fault.NodeLoss {
+				fc = ev.Cycle
+				break
+			}
+		}
+		if fc >= 0 {
+			bj := -1
+			for j := range seg.boundary {
+				if now+seg.boundary[j] >= fc {
+					bj = j
+					break
+				}
+			}
+			if bj >= 0 {
+				if rt.pr != nil {
+					rt.pr.rewind(marks)
+					if seg.boundary[bj] > 0 {
+						rt.pr.phases.Add(telemetry.SpanCompute, sg.off, sg.off+seg.boundary[bj], int64(it), 0)
+					}
+				}
+				c.compute += seg.boundary[bj]
+				cont, err := rt.boundary(it + bj + 1)
+				if err != nil {
+					return err
+				}
+				if cont >= 0 {
+					it = cont
+					continue
+				}
+				return fmt.Errorf("scaleout: fault at cycle %d detected but not consumed", fc)
+			}
+			// The loss lands past the segment's last iteration boundary:
+			// commit the segment and let the next boundary pass detect it.
+		}
+
+		if rt.pr != nil {
+			// A static run's one segment spans the phase; its spans carry
+			// no iteration.
+			arg := it
+			if !rt.cfg.elastic() {
+				arg = -1
+			}
+			rt.pr.segmentSpans(sg.off, seg, arg)
+		}
+		c.compute += seg.compute
+		c.exchange += seg.makespan - seg.compute
+		c.exchangedBytes += seg.bytes
+		it = end
 	}
-	return res
 }
 
 // phaseClock is a compaction phase's global clock, tiled into three
@@ -427,18 +591,6 @@ func (c *phaseClock) superstep(it int, durations [][]sim.Cycle, halo [][]int64) 
 				}
 			}
 		}
-	}
-}
-
-// outcome seals a phase the clock drained: its buckets, the recorded
-// durations and every engine's result.
-func (c *phaseClock) outcome(durations [][]sim.Cycle, engines []*nmp.Engine) *compactOutcome {
-	return &compactOutcome{
-		Phase:          PhaseCycles{Compute: c.compute, Exchange: c.exchange, Barrier: c.barrier},
-		LinkBarrier:    c.linkBarrier,
-		ExchangedBytes: c.exchangedBytes,
-		Durations:      durations,
-		NMP:            engineResults(engines),
 	}
 }
 

@@ -1,11 +1,14 @@
 package scaleout
 
 import (
+	"bytes"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
 
 	"nmppak/internal/nmp"
+	"nmppak/internal/telemetry"
 	"nmppak/internal/topo"
 )
 
@@ -193,14 +196,18 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 	tr := testTrace(t, reads, 32, 3)
 	const nodes = 8
 
-	outcome := func(t *testing.T, net topo.Network, cfg Config, workers int) *compactOutcome {
+	outcome := func(t *testing.T, net topo.Network, cfg Config, workers int) *Result {
 		t.Helper()
 		cfg.Workers = workers
-		rt, err := newRuntime(tr, net, cfg, nil)
+		res := &Result{Nodes: cfg.Nodes, PerNode: make([]NodeStats, cfg.Nodes)}
+		rt, err := newRuntime(tr, net, cfg, res, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rt.runOverlapped()
+		if err := rt.seal(); err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 	topos := map[string]topo.Config{
 		"fullmesh":  topo.Default(),
@@ -218,7 +225,7 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 			}
 			want := outcome(t, net, cfg, 1)
 			if got := outcome(t, net, cfg, 4); !reflect.DeepEqual(got, want) {
-				t.Errorf("parallel outcome diverges: %+v vs %+v", got.Phase, want.Phase)
+				t.Errorf("parallel outcome diverges: %+v vs %+v", got.Compact, want.Compact)
 			}
 		})
 	}
@@ -246,7 +253,78 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 		}
 		want := outcome(t, degrade(), cfg, 1)
 		if got := outcome(t, degrade(), cfg, 4); !reflect.DeepEqual(got, want) {
-			t.Errorf("degraded parallel outcome diverges: %+v vs %+v", got.Phase, want.Phase)
+			t.Errorf("degraded parallel outcome diverges: %+v vs %+v", got.Compact, want.Compact)
 		}
 	})
+}
+
+// chromeDigest is the FNV-64a digest of a collector's Chrome trace.
+func chromeDigest(t *testing.T, c *telemetry.Collector) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	return h.Sum64()
+}
+
+// The Chrome traces of instrumented non-elastic runs are pinned by FNV-64a
+// digests recorded before the static and elastic runtimes were one type:
+// Simulate under the static BSP, static overlapped and rebalancing
+// disciplines, a Checkpoint at the middle iteration under each of them,
+// and the Restore of each of those blobs.
+func TestRuntimeTraceDigests(t *testing.T) {
+	reads := testReads(t, 20_000)
+	tr := testTrace(t, reads, 32, 3)
+	mid := len(tr.Iterations) / 2
+	config := func(overlap bool, p Partitioner) Config {
+		cfg := DefaultConfig(4)
+		cfg.Workers = 1
+		cfg.Topo = topo.Torus(0, 0)
+		cfg.Overlap = overlap
+		if p != nil {
+			cfg.Partitioner = p
+		}
+		cfg.Telemetry = telemetry.New()
+		return cfg
+	}
+	for _, tc := range []struct {
+		name    string
+		overlap bool
+		p       Partitioner
+		sim     uint64
+		ckpt    uint64
+		restore uint64
+	}{
+		{"bsp", false, nil, 0xa85a46ee1868874b, 0x0c28ab17f0cf274f, 0xbeb72972fd30fe8d},
+		{"overlap", true, nil, 0x5bcf96a899e1c57d, 0x0ef7d54339f3ae94, 0x5126b74c7ba6e756},
+		{"rebalance", false, NewRebalancePartitioner(12, 2), 0xffa0cb26188249a6, 0x046382d5ad6cd165, 0x3272d3aa03296a72},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config(tc.overlap, tc.p)
+			if _, err := Simulate(reads, tr, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if got := chromeDigest(t, cfg.Telemetry); got != tc.sim {
+				t.Errorf("Simulate trace digest %#x, want %#x", got, tc.sim)
+			}
+			cfg = config(tc.overlap, tc.p)
+			blob, err := Checkpoint(reads, tr, cfg, mid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := chromeDigest(t, cfg.Telemetry); got != tc.ckpt {
+				t.Errorf("Checkpoint trace digest %#x, want %#x", got, tc.ckpt)
+			}
+			cfg = config(tc.overlap, tc.p)
+			if _, err := Restore(tr, cfg, blob); err != nil {
+				t.Fatal(err)
+			}
+			if got := chromeDigest(t, cfg.Telemetry); got != tc.restore {
+				t.Errorf("Restore trace digest %#x, want %#x", got, tc.restore)
+			}
+		})
+	}
 }

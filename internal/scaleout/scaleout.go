@@ -103,14 +103,16 @@ type Config struct {
 	// survivors.
 	CheckpointEvery int
 	// CheckpointBytesPerCycle prices checkpoint capture and restore I/O;
-	// <= 0 means DefaultCheckpointBytesPerCycle.
+	// 0 means DefaultCheckpointBytesPerCycle, +Inf makes both free, and a
+	// rate whose stall leaves the cycle range fails the run.
 	CheckpointBytesPerCycle float64
 	// Faults, when non-empty, is the deterministic fault plan injected
 	// into the compaction replay (see internal/fault): node losses trigger
 	// detection + restore + survivor re-partitioning, link events degrade
 	// or cut interconnect channels in place. Either Faults or
-	// CheckpointEvery switches Simulate to the elastic runtime
-	// (elastic.go); with both zero the legacy runtimes run untouched.
+	// CheckpointEvery makes the run elastic (elastic.go): the runtime
+	// captures and applies them at iteration boundaries. Elastic runs
+	// cannot be paused from outside (ErrElasticConfig).
 	Faults *fault.Plan
 	// Telemetry, when non-nil, collects the run's cycle-domain timeline —
 	// per-node iteration/idle/stall spans, link occupancy windows, DRAM
@@ -164,7 +166,7 @@ func (c Config) Validate() error {
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("scaleout: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
 	}
-	if c.CheckpointBytesPerCycle < 0 {
+	if !(c.CheckpointBytesPerCycle >= 0) {
 		return fmt.Errorf("scaleout: CheckpointBytesPerCycle must be >= 0, got %g", c.CheckpointBytesPerCycle)
 	}
 	if err := c.Faults.Validate(c.Nodes); err != nil {
@@ -176,10 +178,10 @@ func (c Config) Validate() error {
 	return c.NMP.Validate()
 }
 
-// elastic reports whether the configuration routes the compaction replay
-// through the elastic runtime (elastic.go): periodic checkpointing, a
-// fault plan, or both. False keeps the legacy runtimes byte-for-byte on
-// their existing paths.
+// elastic reports whether the compaction replay captures recovery
+// checkpoints or applies a fault plan (elastic.go). Checkpoint, Restore
+// and Session reject such runs; Simulate runs them like any other, since
+// a non-elastic run is the same runtime with no capture and no event.
 func (c Config) elastic() bool {
 	return c.CheckpointEvery > 0 || !c.Faults.Empty()
 }
@@ -234,8 +236,8 @@ type Result struct {
 	Rebalances    int
 	MigratedBytes int64
 
-	// Elastic-runtime accounting (zero unless CheckpointEvery or Faults
-	// put the run on the elastic runtime — see elastic.go).
+	// Elastic accounting (zero unless CheckpointEvery or Faults make the
+	// run elastic — see elastic.go).
 	Checkpoints      int       // periodic checkpoint captures
 	CheckpointBytes  int64     // blob bytes captured
 	CheckpointCycles sim.Cycle // capture stalls charged to the run
@@ -281,69 +283,11 @@ func (r *Result) String() string {
 // lockstep compaction replay of tr (captured once from the single-node
 // execution, e.g. via nmppak.CaptureTrace or the experiments Context).
 func Simulate(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Result, error) {
-	net, err := validateRun(tr, cfg)
+	s, err := open(reads, tr, cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	var pr *probes
-	if cfg.Telemetry != nil {
-		pr = newProbes(cfg.Telemetry, net, cfg, len(tr.Iterations))
-	}
-	res, err := runPrelude(reads, cfg, net, pr)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 3: compaction replay on the distributed runtime — N stepwise
-	// per-node engines and the interconnect on one shared event timeline,
-	// scheduled BSP or overlapped per cfg.Overlap (see runtime.go). A
-	// RebalancePartitioner switches to the dynamic-ownership runtime
-	// (rebalance.go), which re-shards between iterations.
-	var co *compactOutcome
-	if cfg.elastic() {
-		eo, err := runElastic(tr, net, cfg, res, pr)
-		if err != nil {
-			return nil, err
-		}
-		co = eo.compactOutcome
-		eo.record(res)
-		res.Checkpoints = eo.Checkpoints
-		res.CheckpointBytes = eo.CheckpointBytes
-		res.CheckpointCycles = eo.CheckpointCycles
-		res.FaultsInjected = eo.FaultsInjected
-		res.NodesLost = eo.NodesLost
-		res.Recoveries = eo.Recoveries
-		res.LostIterations = eo.LostIterations
-		res.RecoveryCycles = eo.RecoveryCycles
-		res.RepartitionBytes = eo.RepartitionBytes
-	} else {
-		run, err := newRun(tr, net, cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		run.setProbes(pr)
-		co = finishRun(run, cfg, res, 0)
-	}
-	finalize(res, co)
-	if pr != nil {
-		pr.seal()
-	}
-	return res, nil
-}
-
-// validateRun performs the shared entry checks of Simulate, Checkpoint and
-// Restore and builds the interconnect.
-func validateRun(tr *trace.Trace, cfg Config) (topo.Network, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if tr == nil {
-		return nil, fmt.Errorf("scaleout: nil trace")
-	}
-	if tr.K != cfg.K {
-		return nil, fmt.Errorf("scaleout: trace k=%d but config K=%d", tr.K, cfg.K)
-	}
-	return cfg.Topo.Build(cfg.Nodes)
+	return s.Finish()
 }
 
 // runPrelude executes the pre-compaction pipeline — distributed counting
@@ -417,15 +361,17 @@ func runPrelude(reads []readsim.Read, cfg Config, net topo.Network, pr *probes) 
 	return res, nil
 }
 
-// finalize folds a compaction outcome into the prelude result and derives
-// the aggregate metrics.
-func finalize(res *Result, co *compactOutcome) {
+// finalize folds a compaction phase the clock c drained — its buckets,
+// the recorded durations and every engine's result — into the prelude
+// result and derives the aggregate metrics.
+func finalize(res *Result, c *phaseClock, durations [][]sim.Cycle, engines []*nmp.Engine) {
 	n := res.Nodes
-	res.NMP = co.NMP
-	res.Compact = co.Phase
-	res.ExchangedBytes += co.ExchangedBytes
+	res.NMP = make([]*nmp.Result, n)
+	res.Compact = PhaseCycles{Compute: c.compute, Exchange: c.exchange, Barrier: c.barrier}
+	res.ExchangedBytes += c.exchangedBytes
 	for i := 0; i < n; i++ {
-		for _, d := range co.Durations[i] {
+		res.NMP[i] = engines[i].Result()
+		for _, d := range durations[i] {
 			res.PerNode[i].CompactCycles += d
 		}
 	}
@@ -437,7 +383,7 @@ func finalize(res *Result, co *compactOutcome) {
 	// barrier exists on a single node too, so it stays out; in overlapped
 	// mode Compact.Exchange is the exposed — unhidden — link time).
 	res.CommCycles = res.Count.Exchange + res.Construct.Exchange + res.Compact.Exchange +
-		res.Count.Barrier + res.Construct.Barrier + co.LinkBarrier
+		res.Count.Barrier + res.Construct.Barrier + c.linkBarrier
 	if res.TotalCycles > 0 {
 		res.CommFraction = float64(res.CommCycles) / float64(res.TotalCycles)
 	}

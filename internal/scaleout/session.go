@@ -1,9 +1,11 @@
 // Session: an incrementally advanced distributed run, the pause/resume
-// surface the multi-tenant fleet scheduler (internal/tenancy) drives.
+// surface the multi-tenant fleet scheduler (internal/tenancy) drives, and
+// the one way any run is opened and finished. Simulate is a fresh session
+// finished; Checkpoint is a fresh session stepped to its pause point and
+// snapshotted; Restore is a resumed session finished.
 //
-// Checkpoint/Restore (checkpoint.go) pause a run exactly once, at one
-// pre-chosen iteration; a Session instead holds the live runtime between
-// iteration boundaries, so a scheduler can interleave "advance one
+// A public session (NewSession/ResumeSession) holds the live runtime
+// between iteration boundaries, so a scheduler can interleave "advance one
 // iteration", "how many machine cycles has this job consumed so far",
 // "snapshot it and give the nodes to someone else" and "finish it" in any
 // order. The invariants that make time-slicing exact:
@@ -22,12 +24,13 @@
 //     costs on a shared fleet timeline are exact differences of Progress.
 //     At the final boundary Progress equals Result.TotalCycles.
 //
-// Sessions are BSP-only: the overlapped discipline replays its whole
-// macro-schedule at restore time and exposes no mid-run global clock, so
-// its slices cannot be priced on a fleet timeline. Elastic configurations
-// (CheckpointEvery/Faults) are rejected with ErrElasticConfig, exactly
-// like Checkpoint — their in-memory recovery checkpoint owns the
-// checkpoint machinery.
+// Public sessions are BSP-only: the overlapped discipline replays its
+// whole macro-schedule when it is sealed and exposes no mid-run global
+// clock, so its slices cannot be priced on a fleet timeline. They carry no
+// run-level telemetry, since the scheduler owns the fleet timeline.
+// Elastic configurations (CheckpointEvery/Faults) are rejected with
+// ErrElasticConfig, exactly like Checkpoint and Restore — their
+// in-memory recovery checkpoint owns the checkpoint machinery.
 package scaleout
 
 import (
@@ -48,18 +51,68 @@ type Session struct {
 	cfg Config
 	net topo.Network
 	res *Result // prelude result; finalized by Finish
+	pr  *probes // the run's telemetry glue; nil when uninstrumented
 
 	run phaseRun
 
 	next  int // first unexecuted iteration (the current boundary)
 	iters int
 	done  bool
+	err   error // the first failed advance, reported by Checkpoint and Finish
+}
+
+// open is the one way a run starts; Simulate, Checkpoint, Restore,
+// NewSession and ResumeSession all go through it. It validates tr and cfg,
+// applies the entry point's own admission check (admit, nil for none),
+// then either runs the software prelude over reads (ck == nil) or
+// re-enters at the checkpoint's pause point, and builds the compaction
+// runtime with the run's telemetry glue attached.
+func open(reads []readsim.Read, tr *trace.Trace, cfg Config, ck *CheckpointState, admit func(Config) error) (*Session, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if tr == nil {
+		return nil, fmt.Errorf("scaleout: nil trace")
+	}
+	if tr.K != cfg.K {
+		return nil, fmt.Errorf("scaleout: trace k=%d but config K=%d", tr.K, cfg.K)
+	}
+	net, err := cfg.Topo.Build(cfg.Nodes)
+	if err != nil {
+		return nil, err
+	}
+	if admit != nil {
+		if err := admit(cfg); err != nil {
+			return nil, err
+		}
+	}
+	s := &Session{tr: tr, cfg: cfg, net: net, iters: len(tr.Iterations)}
+	if cfg.Telemetry != nil {
+		s.pr = newProbes(cfg.Telemetry, net, cfg, s.iters)
+	}
+	if ck == nil {
+		if s.res, err = runPrelude(reads, cfg, net, s.pr); err != nil {
+			return nil, err
+		}
+	} else {
+		if err := ck.matches(tr, cfg, net); err != nil {
+			return nil, err
+		}
+		s.res, s.next = ck.resumedResult(cfg, net), ck.ResumeIter
+		if s.pr != nil {
+			s.pr.prelude(s.res)
+		}
+	}
+	if s.run, err = newRun(tr, net, cfg, s.res, ck, s.pr); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // validateSession rejects the configurations a Session cannot time-slice.
 func validateSession(cfg Config) error {
-	if cfg.elastic() {
-		return fmt.Errorf("scaleout: Session pauses a deterministic run; %w", ErrElasticConfig)
+	if err := deterministic("Session", cfg); err != nil {
+		return err
 	}
 	if cfg.Overlap {
 		return fmt.Errorf("scaleout: Session requires the BSP discipline (the overlapped schedule has no mid-run global clock to slice on); unset Overlap")
@@ -73,22 +126,7 @@ func validateSession(cfg Config) error {
 // NewSession runs the software prelude (distributed counting and
 // MacroNode construction) and returns a session paused at iteration 0.
 func NewSession(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Session, error) {
-	net, err := validateRun(tr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateSession(cfg); err != nil {
-		return nil, err
-	}
-	res, err := runPrelude(reads, cfg, net, nil)
-	if err != nil {
-		return nil, err
-	}
-	run, err := newRun(tr, net, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{tr: tr, cfg: cfg, net: net, res: res, run: run, iters: len(tr.Iterations)}, nil
+	return open(reads, tr, cfg, nil, validateSession)
 }
 
 // ResumeSession reconstructs a session from a checkpoint blob taken under
@@ -100,22 +138,7 @@ func ResumeSession(tr *trace.Trace, cfg Config, blob []byte) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	net, err := validateRun(tr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateSession(cfg); err != nil {
-		return nil, err
-	}
-	if err := ck.matches(tr, cfg, net); err != nil {
-		return nil, err
-	}
-	run, err := newRun(tr, net, cfg, ck)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{tr: tr, cfg: cfg, net: net, res: ck.resumedResult(cfg, net), run: run,
-		next: ck.ResumeIter, iters: len(tr.Iterations)}, nil
+	return open(nil, tr, cfg, ck, validateSession)
 }
 
 // Iterations returns the trace's total compaction iteration count.
@@ -130,17 +153,16 @@ func (s *Session) Remaining() int { return s.iters - s.next }
 // Step advances the run by up to n iterations (fewer if the trace ends
 // first) and returns how many it executed. n <= 0 is a no-op.
 func (s *Session) Step(n int) int {
-	if s.done || n <= 0 {
+	if s.done || s.err != nil || n <= 0 {
 		return 0
 	}
-	to := s.next + n
-	if to > s.iters {
-		to = s.iters
-	}
+	to := min(s.next+n, s.iters)
 	if to <= s.next {
 		return 0
 	}
-	s.run.advance(s.next, to)
+	if s.err = s.run.advance(s.next, to); s.err != nil {
+		return 0
+	}
 	executed := to - s.next
 	s.next = to
 	return executed
@@ -163,6 +185,9 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	if s.done {
 		return nil, fmt.Errorf("scaleout: Session already finished")
 	}
+	if s.err != nil {
+		return nil, s.err
+	}
 	ck := checkpointHeader(s.cfg, s.net, s.tr, s.res, s.next)
 	if err := s.run.snapshot(ck); err != nil {
 		return nil, err
@@ -170,17 +195,28 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	return ck.Marshal()
 }
 
-// Finish advances any remaining iterations, prices the closing barriers
-// and returns the completed Result — reflect.DeepEqual to the
-// uninterrupted Simulate(reads, tr, cfg), however the preceding Step /
-// Checkpoint / ResumeSession sequence sliced the run. The session is
-// sealed afterwards.
+// Finish advances any remaining iterations, seals the phase and returns
+// the completed Result — reflect.DeepEqual to the uninterrupted
+// Simulate(reads, tr, cfg), however the preceding Step / Checkpoint /
+// ResumeSession sequence sliced the run. The overlapped discipline
+// schedules its remaining iterations in the seal. The session is sealed
+// afterwards.
 func (s *Session) Finish() (*Result, error) {
 	if s.done {
 		return nil, fmt.Errorf("scaleout: Session already finished")
 	}
-	s.Step(s.Remaining())
+	if !s.cfg.Overlap {
+		s.Step(s.Remaining())
+	}
 	s.done = true
-	finalize(s.res, s.run.seal(s.res))
+	if s.err != nil {
+		return nil, s.err
+	}
+	if err := s.run.seal(); err != nil {
+		return nil, err
+	}
+	if s.pr != nil {
+		s.pr.seal()
+	}
 	return s.res, nil
 }

@@ -354,6 +354,9 @@ func (r *fleetRun) admitSpec(j *Job, id int) (*Tenant, error) {
 		return nil, fmt.Errorf("tenancy: job %s arrives at negative cycle %d", t.Name, t.Arrival)
 	}
 	cfg := j.Config
+	if cfg.Telemetry != nil {
+		return nil, fmt.Errorf("tenancy: job %s carries per-run telemetry; the fleet owns the timeline", t.Name)
+	}
 	if j.Seed == nil {
 		if j.Reads == nil {
 			return nil, fmt.Errorf("tenancy: job %s needs Reads or a Seed blob", t.Name)
@@ -383,10 +386,6 @@ func (r *fleetRun) admitSpec(j *Job, id int) (*Tenant, error) {
 		}
 		t.Dedicated, t.service, t.result = true, res.TotalCycles, res
 		t.blob = nil
-		return t, nil
-	}
-	if cfg.Telemetry != nil {
-		return nil, fmt.Errorf("tenancy: job %s carries per-run telemetry; the fleet owns the timeline", t.Name)
 	}
 	return t, nil
 }

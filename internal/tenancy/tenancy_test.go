@@ -258,9 +258,17 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := bad.Run([]Job{w.job(t, "a", 0, 0, 1)}); err == nil {
 		t.Fatal("zero-node fleet accepted")
 	}
-	cfg := scaleout.DefaultConfig(1)
-	cfg.Telemetry = telemetry.New()
-	if _, err := f.Run([]Job{{Name: "x", Trace: w.tr, Config: cfg, Reads: w.reads}}); err == nil {
-		t.Fatal("per-job telemetry accepted")
+	// Per-job telemetry is rejected before any run records into the
+	// caller's collector, in either discipline.
+	for _, overlap := range []bool{false, true} {
+		cfg := scaleout.DefaultConfig(1)
+		cfg.Overlap = overlap
+		cfg.Telemetry = telemetry.New()
+		if _, err := f.Run([]Job{{Name: "x", Trace: w.tr, Config: cfg, Reads: w.reads}}); err == nil {
+			t.Fatalf("overlap=%v: per-job telemetry accepted", overlap)
+		}
+		if n := len(cfg.Telemetry.Tracks()); n != 0 {
+			t.Fatalf("overlap=%v: rejected job recorded %d tracks into its collector", overlap, n)
+		}
 	}
 }
