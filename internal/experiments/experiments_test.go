@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"nmppak/internal/kmer"
 )
 
 // quickCtx builds a shared small-workload context for driver tests.
@@ -227,6 +229,40 @@ func TestSWOpt(t *testing.T) {
 	}
 	if r.Measured["kmer_count_speedup"] <= 1 {
 		t.Logf("note: optimized counting not faster on this machine (%.2fx)", r.Measured["kmer_count_speedup"])
+	}
+}
+
+// TestSWOptRejectsMismatch feeds the swopt agreement check results that
+// have the same number of k-mers but differ elsewhere.
+func TestSWOptRejectsMismatch(t *testing.T) {
+	reads := ctx(t).Reads[:200]
+	cfg := kmer.Config{K: 31, Workers: 2}
+	opt, err := kmer.Count(reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := kmer.CountNaive(reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameCounts(opt, naive); err != nil {
+		t.Fatalf("agreeing results rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(r *kmer.Result){
+		"k-mer":       func(r *kmer.Result) { r.Kmers[len(r.Kmers)/2].Km ^= 1 },
+		"count":       func(r *kmer.Result) { r.Kmers[0].Count++ },
+		"term prefix": func(r *kmer.Result) { r.TermPrefix[0].Count++ },
+		"term suffix": func(r *kmer.Result) { r.TermSuffix = r.TermSuffix[1:] },
+		"pruned mass": func(r *kmer.Result) { r.PrunedMass++ },
+	} {
+		bad, err := kmer.Count(reads, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(bad)
+		if sameCounts(bad, naive) == nil {
+			t.Errorf("%s mismatch with %d k-mers on both sides not reported", name, len(bad.Kmers))
+		}
 	}
 }
 

@@ -3,12 +3,17 @@
 //
 // Two implementations are provided:
 //
-//   - Count: the paper's refined algorithm (§4.5) — parallel sliding-window
-//     extraction with per-worker vectors (precomputed read offsets),
-//     preallocated merges, parallel radix sort, then duplicate counting.
-//     This is the path behind the 416× k-mer counting speedup the paper
-//     reports; every buffer is sized up front from read counts so the hot
-//     loop performs no growth allocations.
+//   - Count: the paper's refined algorithm (§4.5), built around one
+//     vector. (a) Parallel sliding-window extraction over per-worker read
+//     ranges, run twice: a counting pass sizes every top-digit bucket, and
+//     (b) the extraction pass writes each k-mer straight into its slot of
+//     one exact-size, preallocated vector, so the merge of per-worker
+//     vectors is the sort's first scatter. (c) The parallel sort finishes
+//     each bucket in cache (the MSD kernel in sort.go) and tallies its
+//     distinct and pruned k-mers while it is still there; the tallies,
+//     prefix-summed, size the result exactly. This is the path behind the
+//     416× k-mer counting speedup the paper reports; every buffer is sized
+//     up front, so the hot loops perform no growth allocations.
 //   - CountNaive: the prior-work flow the paper profiles as "W/O SW-opt" —
 //     a single growing vector, serial extraction and serial comparison
 //     sort.
@@ -23,6 +28,7 @@ package kmer
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"nmppak/internal/dna"
 	"nmppak/internal/par"
@@ -103,77 +109,124 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	w := par.Threads(cfg.Workers)
+	k := cfg.K
 
-	// (a) Parallel sliding window with per-worker vectors, sizes
-	// precomputed so each vector is allocated exactly once (§4.5 a, b).
-	nChunks := w
-	if nChunks > len(reads) {
-		nChunks = len(reads)
-	}
-	if nChunks == 0 {
-		nChunks = 1
-	}
-	type shard struct {
-		kmers []uint64
-		tp    []uint64 // raw terminal-prefix words, one per counted read
-		ts    []uint64
-	}
-	shards := make([]shard, nChunks)
+	// The top digit is bits [2k-11, 2k) of a k-mer word (all 2k bits
+	// when k < 6), so bucket order is ascending word order.
+	shift := uint(max(2*k-digitBits, 0))
+	nb := 1 << (uint(2*k) - shift)
+	mask := dna.KmerMask(k)
+
+	// (a) A counting pass re-rolls every worker's reads to size the top
+	// digit buckets and the terminal vectors (§4.5 a, b).
+	nChunks := max(min(w, len(reads)), 1)
 	chunk := (len(reads) + nChunks - 1) / nChunks
+	span := func(ci int) []readsim.Read {
+		return reads[min(ci*chunk, len(reads)):min((ci+1)*chunk, len(reads))]
+	}
+	// cur[ci*nb+b] is chunk ci's count of bucket-b k-mers, turned by
+	// prefixCursors into its write cursor; terms[ci] likewise for the
+	// terminal words of its reads.
+	cur := make([]int, nChunks*nb)
+	terms := make([]int, nChunks)
 	par.For(nChunks, w, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
-			rlo, rhi := ci*chunk, (ci+1)*chunk
-			if rhi > len(reads) {
-				rhi = len(reads)
-			}
-			if rlo > rhi {
-				rlo = rhi
-			}
-			total, terms := 0, 0
-			for _, rd := range reads[rlo:rhi] {
-				if n := rd.Seq.Len() - cfg.K + 1; n > 0 {
-					total += n
-					terms++
+			cnt := cur[ci*nb : (ci+1)*nb]
+			for _, rd := range span(ci) {
+				seq := rd.Seq
+				n := seq.Len()
+				if n < k {
+					continue
+				}
+				terms[ci]++
+				x := uint64(dna.KmerFromSeq(seq, 0, k))
+				cnt[x>>shift]++
+				for i := k; i < n; i++ {
+					x = (x<<2 | uint64(seq.At(i))) & mask
+					cnt[x>>shift]++
 				}
 			}
-			sh := shard{
-				kmers: make([]uint64, 0, total),
-				tp:    make([]uint64, 0, terms),
-				ts:    make([]uint64, 0, terms),
+		}
+	})
+	total := prefixCursors(cur, nb)
+	nTerms := 0
+	for ci, c := range terms {
+		terms[ci] = nTerms
+		nTerms += c
+	}
+
+	// (b) Extraction writes every k-mer straight into its bucket of one
+	// exact-size vector: the first scatter of the sort costs nothing extra.
+	all := make([]uint64, total)
+	tpRaw := make([]uint64, nTerms)
+	tsRaw := make([]uint64, nTerms)
+	par.For(nChunks, w, func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			pos := cur[ci*nb : (ci+1)*nb]
+			t := terms[ci]
+			for _, rd := range span(ci) {
+				seq := rd.Seq
+				n := seq.Len()
+				if n < k {
+					continue
+				}
+				km := dna.KmerFromSeq(seq, 0, k)
+				tpRaw[t] = uint64(km.Prefix())
+				x := uint64(km)
+				all[pos[x>>shift]] = x
+				pos[x>>shift]++
+				for i := k; i < n; i++ {
+					x = (x<<2 | uint64(seq.At(i))) & mask
+					all[pos[x>>shift]] = x
+					pos[x>>shift]++
+				}
+				tsRaw[t] = uint64(dna.Kmer(x).Suffix(k))
+				t++
 			}
-			for _, rd := range reads[rlo:rhi] {
-				ExtractInto(&sh.kmers, &sh.tp, &sh.ts, rd.Seq, cfg.K)
-			}
-			shards[ci] = sh
 		}
 	})
 
-	// (b) Preallocated merge of the per-worker vectors.
-	total, terms := 0, 0
-	for i := range shards {
-		total += len(shards[i].kmers)
-		terms += len(shards[i].tp)
-	}
-	all := make([]uint64, 0, total)
-	tpRaw := make([]uint64, 0, terms)
-	tsRaw := make([]uint64, 0, terms)
-	for i := range shards {
-		all = append(all, shards[i].kmers...)
-		tpRaw = append(tpRaw, shards[i].tp...)
-		tsRaw = append(tsRaw, shards[i].ts...)
-		shards[i] = shard{}
+	ends := cur[(nChunks-1)*nb:]
+	bucket := func(b int) []uint64 {
+		lo, hi := bucketSpan(ends, b)
+		return all[lo:hi]
 	}
 
-	// (c) Parallel radix sort (the __gnu_parallel::sort substitute).
-	ParallelSortUint64(all, w)
-
+	// (c) Each bucket is sorted, deduplicated and pruned in cache; its
+	// kept count, prefix-summed, places it in the exact-size output.
+	minCount := max(cfg.MinCount, 1)
+	offs := make([]int, nb+1)
+	var prunedKinds, prunedMass atomic.Int64
+	par.ForIdx(nb, w, func(b int) {
+		v := bucket(b)
+		if len(v) == 0 {
+			return
+		}
+		sortBucket(v)
+		tl := tallyRuns(v, minCount)
+		offs[b+1] = tl.kept
+		prunedKinds.Add(tl.prunedKinds)
+		prunedMass.Add(tl.prunedMass)
+	})
+	for b := 0; b < nb; b++ {
+		offs[b+1] += offs[b]
+	}
 	res := &Result{
-		K:              cfg.K,
+		K:              k,
 		TotalExtracted: int64(total),
+		PrunedKinds:    prunedKinds.Load(),
+		PrunedMass:     prunedMass.Load(),
+	}
+	if kept := offs[nb]; kept > 0 {
+		res.Kmers = make([]Counted, kept)
+		par.ForIdx(nb, w, func(b int) {
+			if lo, hi := offs[b], offs[b+1]; lo < hi {
+				appendKept(res.Kmers[lo:lo:hi], bucket(b), minCount)
+			}
+		})
 	}
 	res.TermPrefix = countTerms(tpRaw, w)
 	res.TermSuffix = countTerms(tsRaw, w)
-	res.Kmers, res.PrunedKinds, res.PrunedMass = dedup(all, cfg.MinCount)
 	return res, nil
 }
 
@@ -371,30 +424,43 @@ func CountRuns(sorted []uint64) int {
 // the MinCount pruning threshold. A counting pre-pass sizes the output
 // exactly, so the result vector never grows.
 func dedup(sorted []uint64, minCount uint32) (out []Counted, prunedKinds, prunedMass int64) {
-	if minCount < 1 {
-		minCount = 1
+	minCount = max(minCount, 1)
+	t := tallyRuns(sorted, minCount)
+	if t.kept > 0 {
+		out = appendKept(make([]Counted, 0, t.kept), sorted, minCount)
 	}
-	kept := 0
-	i := 0
-	for i < len(sorted) {
+	return out, t.prunedKinds, t.prunedMass
+}
+
+// tally is what dedup keeps and prunes of one sorted run of words.
+type tally struct {
+	kept                    int
+	prunedKinds, prunedMass int64
+}
+
+// tallyRuns counts the distinct words of sorted seen at least minCount
+// times, and the kinds and instances of the rest.
+func tallyRuns(sorted []uint64, minCount uint32) (t tally) {
+	for i := 0; i < len(sorted); {
 		j := i + 1
 		for j < len(sorted) && sorted[j] == sorted[i] {
 			j++
 		}
 		if c := uint32(j - i); c >= minCount {
-			kept++
+			t.kept++
 		} else {
-			prunedKinds++
-			prunedMass += int64(c)
+			t.prunedKinds++
+			t.prunedMass += int64(c)
 		}
 		i = j
 	}
-	if kept == 0 {
-		return nil, prunedKinds, prunedMass
-	}
-	out = make([]Counted, 0, kept)
-	i = 0
-	for i < len(sorted) {
+	return t
+}
+
+// appendKept appends the (kmer, count) pair of every distinct word of
+// sorted seen at least minCount times to out.
+func appendKept(out []Counted, sorted []uint64, minCount uint32) []Counted {
+	for i := 0; i < len(sorted); {
 		j := i + 1
 		for j < len(sorted) && sorted[j] == sorted[i] {
 			j++
@@ -404,7 +470,7 @@ func dedup(sorted []uint64, minCount uint32) (out []Counted, prunedKinds, pruned
 		}
 		i = j
 	}
-	return out, prunedKinds, prunedMass
+	return out
 }
 
 // Histogram returns counts bucketed by multiplicity (index = multiplicity,

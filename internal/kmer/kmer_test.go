@@ -2,6 +2,7 @@ package kmer
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -60,10 +61,26 @@ func TestCountMatchesNaiveMap(t *testing.T) {
 	}
 }
 
+// edgeReads adds the read shapes the bucketed extraction must skip or
+// handle at its edges to a small simulated set: an empty read, reads one
+// base shorter than k, exactly k and one longer, for every k swept.
+func edgeReads(t testing.TB) []readsim.Read {
+	reads := simReads(t, 1500, 4, 0.01, 6)
+	src := reads[0].Seq
+	reads = append(reads, readsim.Read{})
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 15, 16, 17, 18, 30, 31, 32, 33} {
+		reads = append(reads, readsim.Read{Seq: src.Slice(0, n)})
+	}
+	return reads
+}
+
+// TestCountMatchesCountNaive compares the whole Result of the bucketed
+// counter with the serial reference across k (the top digit is derived
+// from 2k, so k < 6 takes every bit), worker counts up to more workers
+// than reads, and pruning thresholds.
 func TestCountMatchesCountNaive(t *testing.T) {
-	reads := simReads(t, 3000, 6, 0.005, 6)
-	for _, minCount := range []uint32{0, 1, 2, 3} {
-		cfg := Config{K: 32, Workers: 3, MinCount: minCount}
+	check := func(reads []readsim.Read, cfg Config) {
+		t.Helper()
 		a, err := Count(reads, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -72,18 +89,71 @@ func TestCountMatchesCountNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a.Kmers) != len(b.Kmers) {
-			t.Fatalf("minCount=%d: distinct %d vs %d", minCount, len(a.Kmers), len(b.Kmers))
-		}
-		for i := range a.Kmers {
-			if a.Kmers[i] != b.Kmers[i] {
-				t.Fatalf("minCount=%d: entry %d differs", minCount, i)
-			}
-		}
-		if a.TotalExtracted != b.TotalExtracted || a.PrunedKinds != b.PrunedKinds || a.PrunedMass != b.PrunedMass {
-			t.Fatalf("stats differ: %+v vs %+v", a, b)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("reads=%d %+v: Count differs from CountNaive (distinct %d vs %d, prefixes %d vs %d, suffixes %d vs %d)",
+				len(reads), cfg, len(a.Kmers), len(b.Kmers), len(a.TermPrefix), len(b.TermPrefix), len(a.TermSuffix), len(b.TermSuffix))
 		}
 	}
+	all := edgeReads(t)
+	for _, reads := range [][]readsim.Read{all, all[len(all)-5:]} {
+		for _, k := range []int{2, 5, 6, 11, 16, 17, 31, 32} {
+			for _, workers := range []int{1, 2, 3, 7, 64} {
+				for _, minCount := range []uint32{0, 1, 3} {
+					check(reads, Config{K: k, Workers: workers, MinCount: minCount})
+				}
+			}
+		}
+	}
+	// At 200x a top-digit bucket holds hundreds of words, mostly copies of
+	// one k-mer and its error variants, so the in-bucket digit runs too.
+	deep := simReads(t, 3000, 200, 0.01, 13)
+	for _, k := range []int{5, 11, 31} {
+		for _, workers := range []int{1, 3} {
+			check(deep, Config{K: k, Workers: workers, MinCount: 2})
+		}
+	}
+}
+
+// FuzzCountVsNaive builds reads from the fuzz bytes, two bits per base,
+// with the first byte choosing k and each read's length, and requires
+// Count to equal CountNaive in full.
+func FuzzCountVsNaive(f *testing.F) {
+	f.Add([]byte{31, 40, 0x1b, 0xe4, 0x93, 0x6c, 0xff, 0x00, 0x55, 0xaa, 0x12, 0x34}, uint8(2), uint8(0))
+	f.Add([]byte{2, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(3), uint8(2))
+	f.Add([]byte{5, 0, 7, 200, 201, 202, 203}, uint8(64), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, workers, minCount uint8) {
+		if len(data) == 0 {
+			return
+		}
+		k := 2 + int(data[0])%(dna.MaxK-1)
+		var reads []readsim.Read
+		for rest := data[1:]; len(rest) > 0; {
+			n := int(rest[0]) % 48 // bases in this read
+			rest = rest[1:]
+			bases := make([]dna.Base, n)
+			for i := range bases {
+				if len(rest) > 0 {
+					bases[i] = dna.Base(rest[0] >> (2 * (i % 4)) & 3)
+					if i%4 == 3 {
+						rest = rest[1:]
+					}
+				}
+			}
+			reads = append(reads, readsim.Read{Seq: dna.FromBases(bases)})
+		}
+		cfg := Config{K: k, Workers: int(workers % 9), MinCount: uint32(minCount % 4)}
+		a, err := Count(reads, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := CountNaive(reads, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%+v over %d reads: Count %+v, CountNaive %+v", cfg, len(reads), a, b)
+		}
+	})
 }
 
 func TestTotalExtracted(t *testing.T) {
@@ -185,8 +255,8 @@ func TestTermCountsGet(t *testing.T) {
 }
 
 // TestCountAllocs pins the allocation count of one optimized counting
-// pass: every buffer is pre-sized from read counts, so allocs/op must stay
-// a small constant regardless of the k-mer volume.
+// pass: every buffer is pre-sized by the counting pass, so allocs/op must
+// stay a small constant regardless of the k-mer volume.
 func TestCountAllocs(t *testing.T) {
 	reads := simReads(t, 20000, 10, 0.005, 12)
 	cfg := Config{K: 31, Workers: 1, MinCount: 2}
@@ -198,10 +268,11 @@ func TestCountAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// ~59k reads produce ~4M raw k-mer instances; the pass itself needs
-	// only the shard vectors, the merge vectors, the radix scratch and the
-	// three result vectors. 40 leaves headroom over the measured count
-	// without letting per-element growth regressions through.
+	// 2,000 reads produce 140k raw k-mer instances; the pass itself needs
+	// only the bucket tables, the one k-mer vector, the two terminal
+	// vectors and the three result vectors, plus closures and pooled sort
+	// scratch. 40 leaves headroom over the measured count without letting
+	// per-element or per-bucket growth regressions through.
 	if allocs > 40 {
 		t.Errorf("Count allocated %v times per pass, want <= 40", allocs)
 	}
@@ -242,5 +313,19 @@ func TestParallelSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkCount counts the k-mers of a 100 kb genome at 100x coverage,
+// the input of the assemble-100x benchmark workload.
+func BenchmarkCount(b *testing.B) {
+	reads := simReads(b, 100_000, 100, 0.01, 42)
+	cfg := Config{K: 31, MinCount: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Count(reads, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,27 +2,31 @@ package kmer
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 )
 
-// FuzzRadixVsSortSlice cross-checks the radix sort against sort.Slice on
-// arbitrary word streams, including the short slices.Sort fallback and the
-// skipped-pass path (high bytes all zero).
+// FuzzRadixVsSortSlice cross-checks ParallelSortUint64 against sort.Slice
+// on arbitrary word streams: the serial and parallel top-digit paths, the
+// in-bucket digits and the small-bucket insertion and slices.Sort paths.
 func FuzzRadixVsSortSlice(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(4))
-	f.Add(func() []byte {
-		// Large deterministic seed crossing the radixMinLen threshold, with
-		// the top 16 bits zero so at least one pass is skipped.
-		b := make([]byte, 8*(radixMinLen+100))
-		r := rand.New(rand.NewSource(42))
-		for i := 0; i+8 <= len(b); i += 8 {
-			binary.LittleEndian.PutUint64(b[i:], r.Uint64()>>16)
-		}
-		return b
-	}(), uint8(7))
+	// Long enough for the parallel top-digit pass at two workers, with the
+	// top 16 bits zero.
+	r := rand.New(rand.NewSource(42))
+	f.Add(wordBytes(2*parallelChunkMin+100, func(int) uint64 { return r.Uint64() >> 16 }), uint8(7))
+	// All-equal words; words sharing their top 40 bits, one giant
+	// top-digit bucket; fewer than 11 used bits; and lengths on either side
+	// of each small-input cutoff.
+	f.Add(wordBytes(3*parallelChunkMin, func(int) uint64 { return 0x0123456789abcdef }), uint8(2))
+	f.Add(wordBytes(3*parallelChunkMin, func(i int) uint64 { return 0xfedcba9876<<24 | mix(i)&(1<<24-1) }), uint8(2))
+	f.Add(wordBytes(3*parallelChunkMin, func(i int) uint64 { return mix(i) & 0x3ff }), uint8(2))
+	for _, n := range []int{insertionMax, insertionMax + 1, cmpSortMax, cmpSortMax + 1, 2*parallelChunkMin - 1, 2 * parallelChunkMin} {
+		f.Add(wordBytes(n, mix), uint8(2))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
 		v := make([]uint64, len(data)/8)
 		for i := range v {
@@ -39,13 +43,13 @@ func FuzzRadixVsSortSlice(f *testing.F) {
 	})
 }
 
-// TestRadixLargeRandom forces the parallel radix path (above radixMinLen)
+// TestRadixLargeRandom forces the parallel top-digit pass (two workers or more)
 // across worker counts and bit widths.
 func TestRadixLargeRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, shift := range []uint{0, 16, 40, 63} {
 		for _, w := range []int{1, 3, 8, 64} {
-			n := radixMinLen*2 + r.Intn(1000)
+			n := parallelChunkMin*2 + r.Intn(1000)
 			v := make([]uint64, n)
 			for i := range v {
 				v[i] = r.Uint64() >> shift
@@ -61,6 +65,18 @@ func TestRadixLargeRandom(t *testing.T) {
 		}
 	}
 }
+
+// wordBytes encodes n words word(0..n-1) as a FuzzRadixVsSortSlice input.
+func wordBytes(n int, word func(i int) uint64) []byte {
+	b := make([]byte, 8*n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(b[8*i:], word(i))
+	}
+	return b
+}
+
+// mix scatters i over the 64-bit words, so no seed starts sorted.
+func mix(i int) uint64 { return uint64(i+1) * 0x9e3779b97f4a7c15 }
 
 func benchWords(n int) []uint64 {
 	r := rand.New(rand.NewSource(3))
@@ -96,5 +112,23 @@ func BenchmarkComparatorSort(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(v, src)
 		sort.Slice(v, func(x, y int) bool { return v[x] < v[y] })
+	}
+}
+
+// BenchmarkSortSizes measures ParallelSortUint64 on random words from a
+// serial-path input up to a k-mer stream the size of assemble-100x's.
+func BenchmarkSortSizes(b *testing.B) {
+	for _, n := range []int{4096, 13_000, 100_000, 1 << 20, 6_900_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			src := benchWords(n)
+			v := make([]uint64, n)
+			b.SetBytes(int64(8 * n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(v, src)
+				ParallelSortUint64(v, 0)
+			}
+		})
 	}
 }

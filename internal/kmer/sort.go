@@ -1,56 +1,167 @@
-// Parallel radix sort for packed k-mer words — the stdlib-only substitute
-// for the __gnu_parallel::sort the paper's optimized k-mer counting uses
-// (§4.5 c), rebuilt as a least-significant-digit radix sort so the hot
-// counting path performs no comparator calls at all.
+// Most-significant-digit bucket sort for packed k-mer words — the
+// stdlib-only substitute for the __gnu_parallel::sort the paper's optimized
+// k-mer counting uses (§4.5 c). One kernel serves every caller: a single
+// scatter on the top digit splits the input into buckets small enough to
+// sit in L1/L2, and each bucket is then finished in cache, in parallel,
+// without comparator calls.
 package kmer
 
 import (
+	"math/bits"
 	"slices"
+	"sync"
 
 	"nmppak/internal/par"
 )
 
 const (
-	radixBits    = 11
-	radixBuckets = 1 << radixBits // 2048 buckets per pass
-	radixMask    = radixBuckets - 1
+	digitBits    = 11
+	digitBuckets = 1 << digitBits // buckets of the widest digit
 
-	// Below this size a comparison sort wins over the histogram setup.
-	radixMinLen = 4096
+	// A (sub-)bucket of at most insertionMax words is finished by
+	// insertion sort and one of at most cmpSortMax words by slices.Sort; a
+	// longer one is split again on its next digit. The middle band holds
+	// most of a k-mer stream after one in-bucket digit: the copies of one
+	// k-mer plus a few sequencing-error variants that share its leading
+	// bases, which a further digit of a few bits would peel off only a few
+	// bits at a time.
+	insertionMax = 32
+	cmpSortMax   = 256
+
+	// Each worker of the parallel top-digit pass scans at least this many
+	// words, comfortably more than its digit table.
+	parallelChunkMin = 4 * digitBuckets
 )
 
-// ParallelSortUint64 sorts v ascending. Large inputs take a parallel LSD
-// radix sort: per-worker 2048-bucket histograms, a prefix-summed scatter
-// into disjoint output regions, and one ping-pong buffer reused across all
-// passes. Passes above the highest set bit of the input are skipped, as
-// are passes whose digit is zero everywhere, so k<32 k-mer sets pay only
-// for the bits they use. Small inputs fall back to slices.Sort.
-func ParallelSortUint64(v []uint64, workers int) {
-	if len(v) < radixMinLen {
-		slices.Sort(v)
-		return
-	}
-	w := par.Threads(workers)
-	// Keep per-worker chunks comfortably larger than the bucket table.
-	if maxW := len(v) / (radixBuckets * 8); w > maxW {
-		w = maxW
-	}
-	if w < 1 {
-		w = 1
-	}
-	radixSortUint64(v, w)
+// sorter is one goroutine's bucket-sorting state: a digit table per
+// recursion depth and a scratch vector grown to the longest input it has
+// held. Sorters come from a sync.Pool, so a caller sorting many small
+// inputs, such as one scale-out source after another, reuses the same
+// scratch instead of allocating a ping-pong buffer per call.
+type sorter struct {
+	tabs    []*[digitBuckets]int
+	scratch []uint64
 }
 
-// radixSortUint64 is the multi-pass scatter kernel behind
-// ParallelSortUint64.
-func radixSortUint64(v []uint64, w int) {
+var sorters = sync.Pool{New: func() any { return new(sorter) }}
+
+// buf returns the sorter's scratch resized to n words.
+func (t *sorter) buf(n int) []uint64 {
+	if cap(t.scratch) < n {
+		t.scratch = make([]uint64, n)
+	}
+	return t.scratch[:n]
+}
+
+// table returns the digit table of recursion depth d.
+func (t *sorter) table(d int) *[digitBuckets]int {
+	for len(t.tabs) <= d {
+		t.tabs = append(t.tabs, new([digitBuckets]int))
+	}
+	return t.tabs[d]
+}
+
+// sortBucket sorts a in place. It is the kernel every sort in the package
+// ends in; only a bucket too long for smallSort takes a pooled sorter.
+func sortBucket(a []uint64) {
+	if len(a) <= cmpSortMax {
+		smallSort(a)
+		return
+	}
+	t := sorters.Get().(*sorter)
+	t.msd(a, t.buf(len(a)), 0)
+	sorters.Put(t)
+}
+
+// msd sorts a in place using s, of the same length, as scratch. The digit
+// sits just below the highest bit on which the words of a differ, so bits
+// they share cost nothing, and its width follows the length, about four
+// words per sub-bucket. Every level consumes at least seven bits, so no
+// input is quadratic.
+func (t *sorter) msd(a, s []uint64, depth int) {
+	n := len(a)
+	if n <= cmpSortMax {
+		smallSort(a)
+		return
+	}
+	var diff uint64
+	for _, x := range a {
+		diff |= x ^ a[0]
+	}
+	if diff == 0 {
+		return // all equal
+	}
+	hb := bits.Len64(diff)
+	d := min(bits.Len(uint(n/4)), digitBits, hb)
+	shift := uint(hb - d)
+	mask := uint64(1)<<d - 1
+	c := t.table(depth)[:1<<d]
+	clear(c)
+	for _, x := range a {
+		c[x>>shift&mask]++
+	}
+	sum := 0
+	for i, k := range c {
+		c[i] = sum
+		sum += k
+	}
+	for _, x := range a {
+		b := x >> shift & mask
+		s[c[b]] = x
+		c[b]++
+	}
+	// c[i] is now the end of sub-bucket i. Finish each in s with a's
+	// window as its scratch, then copy the sorted run back.
+	lo := 0
+	for _, hi := range c {
+		if hi-lo > 1 {
+			t.msd(s[lo:hi], a[lo:hi], depth+1)
+		}
+		lo = hi
+	}
+	copy(a, s)
+}
+
+// smallSort sorts a (sub-)bucket of at most cmpSortMax words.
+func smallSort(a []uint64) {
+	if len(a) > insertionMax {
+		slices.Sort(a)
+		return
+	}
+	insertionSort(a)
+}
+
+func insertionSort(a []uint64) {
+	for i := 1; i < len(a); i++ {
+		x := a[i]
+		j := i
+		for j > 0 && a[j-1] > x {
+			a[j] = a[j-1]
+			j--
+		}
+		a[j] = x
+	}
+}
+
+// ParallelSortUint64 sorts v ascending. The first digit is the top 11 bits
+// of the width v uses, found by OR-reduction; one parallel histogram and
+// scatter pass on it leaves up to 2048 buckets in a pooled scratch vector,
+// and par.ForIdx copies each bucket back and sorts it in cache
+// (sortBucket). Inputs too short to split across workers go straight to
+// sortBucket.
+func ParallelSortUint64(v []uint64, workers int) {
 	n := len(v)
+	w := min(par.Threads(workers), n/parallelChunkMin)
+	if w <= 1 {
+		sortBucket(v)
+		return
+	}
+	t := sorters.Get().(*sorter)
+	defer sorters.Put(t)
 	bounds := make([]int, w+1)
-	for i := 0; i <= w; i++ {
+	for i := range bounds {
 		bounds[i] = n * i / w
 	}
-
-	// Highest used bit determines the pass count (parallel OR-reduction).
 	ors := make([]uint64, w)
 	par.For(w, w, func(lo, hi int) {
 		for wi := lo; wi < hi; wi++ {
@@ -65,58 +176,64 @@ func radixSortUint64(v []uint64, w int) {
 	for _, o := range ors {
 		or |= o
 	}
-	passes := 0
-	for m := or; m != 0; m >>= radixBits {
-		passes++
+	width := bits.Len64(or)
+	if width == 0 {
+		return // all zero
 	}
-	if passes == 0 {
-		return // all zero: already sorted
-	}
+	shift := uint(max(width-digitBits, 0))
+	nb := 1 << (uint(width) - shift)
 
-	buf := make([]uint64, n)
-	// counts[wi*radixBuckets+b] is worker wi's histogram count for bucket
-	// b, converted in place into its scatter cursor by the prefix sum.
-	counts := make([]int, w*radixBuckets)
-	src, dst := v, buf
-	for p := 0; p < passes; p++ {
-		shift := uint(p) * radixBits
-		if or>>shift&radixMask == 0 {
-			continue // no element has a nonzero digit in this pass
-		}
-		par.For(w, w, func(lo, hi int) {
-			for wi := lo; wi < hi; wi++ {
-				cnt := counts[wi*radixBuckets : (wi+1)*radixBuckets : (wi+1)*radixBuckets]
-				clear(cnt)
-				for _, x := range src[bounds[wi]:bounds[wi+1]] {
-					cnt[x>>shift&radixMask]++
-				}
-			}
-		})
-		// Prefix sum in bucket-major order: all of bucket b's elements come
-		// before bucket b+1's, and within a bucket worker wi's elements come
-		// before worker wi+1's (chunks are scanned in index order).
-		running := 0
-		for b := 0; b < radixBuckets; b++ {
-			for wi := 0; wi < w; wi++ {
-				i := wi*radixBuckets + b
-				c := counts[i]
-				counts[i] = running
-				running += c
+	cur := make([]int, w*nb)
+	par.For(w, w, func(lo, hi int) {
+		for wi := lo; wi < hi; wi++ {
+			cnt := cur[wi*nb : (wi+1)*nb]
+			for _, x := range v[bounds[wi]:bounds[wi+1]] {
+				cnt[x>>shift]++
 			}
 		}
-		par.For(w, w, func(lo, hi int) {
-			for wi := lo; wi < hi; wi++ {
-				cur := counts[wi*radixBuckets : (wi+1)*radixBuckets : (wi+1)*radixBuckets]
-				for _, x := range src[bounds[wi]:bounds[wi+1]] {
-					b := x >> shift & radixMask
-					dst[cur[b]] = x
-					cur[b]++
-				}
+	})
+	prefixCursors(cur, nb)
+	buf := t.buf(n)
+	par.For(w, w, func(lo, hi int) {
+		for wi := lo; wi < hi; wi++ {
+			cnt := cur[wi*nb : (wi+1)*nb]
+			for _, x := range v[bounds[wi]:bounds[wi+1]] {
+				b := x >> shift
+				buf[cnt[b]] = x
+				cnt[b]++
 			}
-		})
-		src, dst = dst, src
+		}
+	})
+	ends := cur[(w-1)*nb:]
+	par.ForIdx(nb, w, func(b int) {
+		lo, hi := bucketSpan(ends, b)
+		copy(v[lo:hi], buf[lo:hi])
+		sortBucket(v[lo:hi])
+	})
+}
+
+// prefixCursors turns per-worker bucket counts, cur[wi*nb+b], into scatter
+// cursors in place and returns the total count. Buckets are laid out in
+// order, and within a bucket worker wi's words precede worker wi+1's, so
+// once every worker has scattered, the last worker's cursors stand at the
+// bucket ends.
+func prefixCursors(cur []int, nb int) int {
+	w := len(cur) / nb
+	sum := 0
+	for b := 0; b < nb; b++ {
+		for wi := 0; wi < w; wi++ {
+			c := cur[wi*nb+b]
+			cur[wi*nb+b] = sum
+			sum += c
+		}
 	}
-	if &src[0] != &v[0] {
-		copy(v, src)
+	return sum
+}
+
+// bucketSpan returns the bounds of bucket b given the bucket ends.
+func bucketSpan(ends []int, b int) (lo, hi int) {
+	if b > 0 {
+		lo = ends[b-1]
 	}
+	return lo, ends[b]
 }
