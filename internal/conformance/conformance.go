@@ -272,7 +272,11 @@ func Verify(fx *Fixture, c Case) error {
 //   - the elastic runtime (both disciplines, a mid-phase node loss) on
 //     the small columns: with periodic captures every 2 and every 3
 //     iterations, and without captures, where the loss rolls back every
-//     pre-stepped iteration.
+//     pre-stepped iteration;
+//   - on each column wider than 8 nodes, one whole-run rebalance cell on
+//     the torus (migrations routed over several hops) and one whole-run
+//     elastic overlapped cell on the full mesh, so the widest machine is
+//     checked under every runtime mode.
 //
 // The hash partitioner keeps the sweep's cost on the runtime under test
 // rather than on partitioning variety — VerifyParallel holds for any.
@@ -317,6 +321,13 @@ func ParallelMatrix(nodes []int) []Case {
 				c.Stride, c.NoCheckpoints = 0, true
 				cases = append(cases, c)
 			}
+		}
+	}
+	for _, n := range nodes {
+		if n > 8 {
+			cases = append(cases,
+				Case{Topo: topo.Torus2D, Part: PartRebalance, Nodes: n, At: -1},
+				Case{Topo: topo.FullMesh, Overlap: true, Part: PartHash, Nodes: n, At: -1, Elastic: true})
 		}
 	}
 	return cases

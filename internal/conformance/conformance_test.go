@@ -93,8 +93,8 @@ func TestCheckpointIterationSweep(t *testing.T) {
 // (parallel-captured/serially-restored and vice versa) resume equivalence
 // for Workers ∈ {1, 4}; the "/d3" cells also cut the run every 3
 // iterations and flip the worker count at each cut. In -short mode only
-// the 4-node column runs; the full sweep includes the 64-node column the
-// speedup benchmarks target.
+// the 4-node column runs; the full sweep includes the 64-node column
+// that the scaleout-mesh64 and scaleout-skewed64 benchmark workloads run.
 func TestParallelMatrix(t *testing.T) {
 	f := fixture(t)
 	nodes := []int{1, 4, 8, 64}

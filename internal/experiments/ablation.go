@@ -7,8 +7,8 @@ import (
 	"nmppak/internal/report"
 )
 
-// Ablation studies the design choices DESIGN.md calls out, beyond the
-// paper's own sensitivity analysis (Fig. 15):
+// Ablation studies design choices of the NMP model, beyond the paper's own
+// sensitivity analysis (Fig. 15):
 //
 //   - static vs. refreshed DIMM mapping: the paper's mapping table is a
 //     static ascending-key partition; because compaction removes the

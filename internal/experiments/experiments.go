@@ -1,12 +1,12 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§6), plus the motivational measurements of §3. Each
 // driver returns a rendered text report and a map of named measured values
-// that EXPERIMENTS.md records against the paper's numbers.
+// that Report.String prints beside the paper's numbers.
 //
-// All drivers share a Context: a scaled-down workload (synthetic genome +
-// simulated short reads; see DESIGN.md §1 for the substitution argument)
-// whose compaction trace is captured once and replayed by the hardware
-// models.
+// All drivers share a Context: a scaled-down workload (a synthetic genome
+// and simulated short reads standing in for the paper's ART reads; see
+// internal/readsim) whose compaction trace is captured once and replayed
+// by the hardware models.
 package experiments
 
 import (

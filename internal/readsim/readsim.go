@@ -4,8 +4,9 @@
 // fixed-length reads (100 bp in the paper), a target coverage (100× in the
 // paper), and a per-base substitution error profile that rises toward the
 // 3' end of the read, with matching Phred quality strings. Reads are drawn
-// from the forward strand by default (see DESIGN.md §1 on strand handling);
-// both-strand simulation is available for workloads that want it.
+// from the forward strand by default, because the assembly pipeline is
+// strand-directed (see Config.BothStrands); both-strand simulation is
+// available for workloads that want it.
 package readsim
 
 import (

@@ -1,6 +1,5 @@
 // Package report renders experiment results as aligned text tables and
-// simple ASCII bar charts, the output format of cmd/experiments and
-// EXPERIMENTS.md.
+// simple ASCII bar charts, the output format of cmd/experiments.
 package report
 
 import (

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 
 	"nmppak/internal/sim"
 )
@@ -24,12 +25,15 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"displayTimeUnit":"ns","otherData":{"clock":"1 ts = 1 cycle = 0.625 ns (1.6 GHz)"},"traceEvents":[`)
 	first := true
-	ev := func(s string, args ...any) {
+	sep := func() {
 		if !first {
 			bw.WriteByte(',')
 		}
 		first = false
 		bw.WriteByte('\n')
+	}
+	ev := func(s string, args ...any) {
+		sep()
 		fmt.Fprintf(bw, s, args...)
 	}
 	// Process/thread naming metadata: one process per kind present, one
@@ -46,8 +50,12 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 		ev(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`,
 			chromePID(t.Kind), t.ID+1, t.ID)
 	}
+	// Spans are appended with strconv rather than formatted with fmt: a
+	// run exports hundreds of thousands of them, and the bytes are the
+	// same as the %d/%q verbs would produce.
+	var b []byte
 	for _, t := range c.tracks {
-		pid, tid := chromePID(t.Kind), t.ID+1
+		pid, tid := int64(chromePID(t.Kind)), int64(t.ID+1)
 		for i := range t.Spans {
 			s := &t.Spans[i]
 			// Tenant possession slices render under the tenant's label so
@@ -60,12 +68,28 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 				}
 			}
 			if s.Start == s.End {
-				ev(`{"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%d,"name":%q,"args":{"arg1":%d,"arg2":%d}}`,
-					pid, tid, s.Start, name, s.Arg1, s.Arg2)
-				continue
+				b = append(b[:0], `{"ph":"i","s":"t","pid":`...)
+			} else {
+				b = append(b[:0], `{"ph":"X","pid":`...)
 			}
-			ev(`{"ph":"X","pid":%d,"tid":%d,"ts":%d,"dur":%d,"name":%q,"args":{"arg1":%d,"arg2":%d}}`,
-				pid, tid, s.Start, s.End-s.Start, name, s.Arg1, s.Arg2)
+			b = strconv.AppendInt(b, pid, 10)
+			b = append(b, `,"tid":`...)
+			b = strconv.AppendInt(b, tid, 10)
+			b = append(b, `,"ts":`...)
+			b = strconv.AppendInt(b, s.Start, 10)
+			if s.Start != s.End {
+				b = append(b, `,"dur":`...)
+				b = strconv.AppendInt(b, s.End-s.Start, 10)
+			}
+			b = append(b, `,"name":`...)
+			b = strconv.AppendQuote(b, name)
+			b = append(b, `,"args":{"arg1":`...)
+			b = strconv.AppendInt(b, s.Arg1, 10)
+			b = append(b, `,"arg2":`...)
+			b = strconv.AppendInt(b, s.Arg2, 10)
+			b = append(b, "}}"...)
+			sep()
+			bw.Write(b)
 		}
 	}
 	bw.WriteString("\n]}\n")
