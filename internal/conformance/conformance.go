@@ -266,10 +266,10 @@ func Verify(fx *Fixture, c Case) error {
 //
 //   - the hash columns (BSP and overlap) at every node count, plus a
 //     3-iteration-stride cell on the small multi-node columns;
-//   - the rebalancing runtime (BSP only — migration is a global
+//   - rebalancing runs (BSP only — migration is a global
 //     synchronization) on the small multi-node columns, whole-run and at
 //     stride 3;
-//   - the elastic runtime (both disciplines, a mid-phase node loss) on
+//   - elastic runs (both disciplines, a mid-phase node loss) on
 //     the small columns: with periodic captures every 2 and every 3
 //     iterations, and without captures, where the loss rolls back every
 //     pre-stepped iteration;
@@ -401,7 +401,7 @@ func VerifyParallel(fx *Fixture, c Case, workers int) error {
 	// is covered by the Result and trace comparisons above, which include
 	// the restored-from-capture recovery); the external Checkpoint API
 	// rejects elastic configurations, so the cross-mode blob section only
-	// applies to the static and rebalancing runtimes.
+	// applies to static and rebalancing runs.
 	if c.Elastic {
 		return nil
 	}

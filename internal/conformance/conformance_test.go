@@ -48,7 +48,7 @@ func TestMatrix(t *testing.T) {
 // TestCheckpointIterationSweep pins resume equivalence at every legal
 // checkpoint boundary — including 0 (before any compaction iteration) and
 // the trace end (after the last one) — on one representative cell per
-// discipline, plus the rebalancing runtime whose state machine is the
+// discipline, plus a rebalancing run, whose state machine is the
 // richest.
 func TestCheckpointIterationSweep(t *testing.T) {
 	f := fixture(t)

@@ -21,10 +21,11 @@
 //     deterministic function of durations × halo traffic × topology, so
 //     the replay reproduces the uninterrupted timeline exactly while
 //     skipping the engine micro-simulation);
-//   - for a RebalancePartitioner: the migrated ownership table and the
-//     measurement state (cumulative and last-iteration busy times, bucket
-//     weights) the next migration decision reads, plus the accumulated
-//     migration/halo accounting.
+//   - for a RebalancePartitioner: the runtime's migration state
+//     (rebalancer) — the migrated ownership table and the measurements
+//     (cumulative and last-iteration busy times, bucket weights) the next
+//     migration decision reads, plus the accumulated migration/halo
+//     accounting.
 //
 // The sharded sub-traces and link clocks are deliberately NOT in the blob:
 // sharding is a pure function of (trace, partitioner table), so a restore
@@ -93,9 +94,9 @@ func deterministic(op string, cfg Config) error {
 	return nil
 }
 
-// RebalanceState is the dynamic-ownership runtime's extra checkpoint
-// state: the migrated bucket table and the measurements feeding the next
-// migration decision.
+// RebalanceState is a rebalancing run's extra checkpoint state: the
+// migrated bucket table and the measurements feeding the next migration
+// decision.
 type RebalanceState struct {
 	// Table is the super-bucket ownership table after the migrations
 	// performed so far.
@@ -218,7 +219,7 @@ func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter in
 		return nil, err
 	}
 	if pr := s.pr; pr != nil {
-		at := pr.base + s.run.phase().now()
+		at := pr.base + s.run.clock.now()
 		pr.phases.Add(telemetry.SpanCheckpoint, at, at, int64(beforeIter), 0)
 		pr.seal()
 	}
@@ -248,17 +249,15 @@ func checkpointHeader(cfg Config, net topo.Network, tr *trace.Trace, res *Result
 	}
 }
 
-// snapshot implements phaseRun.
+// snapshot records the compaction state on a checkpoint whose ResumeIter
+// is the runtime's current boundary: the BSP partial sums, a rebalancing
+// run's migration state, and the durations and engines.
 func (rt *runtime) snapshot(ck *CheckpointState) error {
 	rt.clock.save(ck)
+	if rt.rb != nil {
+		ck.Rebalance = rt.rb.state(rt.feed.traffic)
+	}
 	return snapshotInto(ck, rt.durations, rt.engines)
-}
-
-// snapshot implements phaseRun.
-func (rr *rebalanceRun) snapshot(ck *CheckpointState) error {
-	rr.clock.save(ck)
-	ck.Rebalance = rr.state()
-	return snapshotInto(ck, rr.durations, rr.engines)
 }
 
 // snapshotInto records the executed durations and the per-node engine

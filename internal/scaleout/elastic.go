@@ -39,13 +39,17 @@
 //
 // Captures bound the epochs of the epoch driver (runtime.go): each epoch
 // is sharded under the current membership, pre-stepped on the worker
-// pool, then drained. Fault boundaries inside an epoch need no bound: a
-// recovery rolls engines, durations, traces and counters back wholesale,
-// and the drain discards the telemetry of the pre-stepped iterations it
-// never reached (dropBuffered in BSP; mark/rewind of the whole segment in
-// the overlapped discipline).
+// pool, then drained. In BSP, pending faults bound them too: while a fault
+// event is still pending every epoch is one iteration, so a boundary pass
+// runs before each iteration and no engine is stepped past a loss. The
+// overlapped discipline cannot cut its segments that way, because a
+// segment is closed by a link barrier and a sync barrier, so a shorter
+// segment would change the schedule. It steps the whole segment
+// speculatively instead and, when a loss lands inside it, rewinds the
+// segment's recording (mark/rewind); the recovery rolls engines,
+// durations, traces and counters back wholesale in both disciplines.
 //
-// This file holds the elastic half of the one static-partition runtime
+// This file holds the elastic half of the one compaction runtime
 // (runtime.go). A configuration with CheckpointEvery == 0 and no fault
 // plan runs the same loops with an empty capture cadence and no fault
 // events: every node stays live, nothing is captured, and the schedule is
@@ -76,11 +80,15 @@ type recoveryPoint struct {
 	blob []byte
 }
 
-// ownerOf resolves a key under the current membership: the static
-// partitioner's owner while it lives, otherwise a deterministic
-// key-hashed survivor — every node computes the same failover assignment
+// ownerOf resolves a key under the current ownership: a rebalancing
+// run's migrated table, otherwise under the current membership — the
+// static partitioner's owner while it lives, else a deterministic
+// key-hashed survivor; every node computes the same failover assignment
 // without coordination, like the base partitioners.
 func (rt *runtime) ownerOf(key dna.Kmer) int {
+	if rb := rt.rb; rb != nil {
+		return int(rb.table[rb.p.bucket(key, rt.k1)])
+	}
 	return ownerUnder(rt.cfg.Partitioner, key, rt.k1, rt.n, rt.live, rt.surv)
 }
 
@@ -103,23 +111,6 @@ func (rt *runtime) nextLive(i int) int {
 	return i
 }
 
-// pendingLoss reports whether the next boundary pass will act on a node
-// loss — an event already due at the current phase time. The BSP drain
-// peeks so it can drop the un-placed telemetry of pre-stepped iterations
-// before the recovery's own spans are recorded.
-func (rt *runtime) pendingLoss() bool {
-	now := rt.clock.now()
-	for _, ev := range rt.events[rt.next:] {
-		if ev.Cycle > now {
-			return false
-		}
-		if ev.Kind == fault.NodeLoss {
-			return true
-		}
-	}
-	return false
-}
-
 // captureDue reports whether a periodic checkpoint should be captured
 // before iteration it (never re-captured after a recovery pushed a
 // baseline at the same boundary).
@@ -131,11 +122,15 @@ func (rt *runtime) captureDue(it int) bool {
 }
 
 // epochEnd is the end of the epoch starting at iteration it: the next
-// capture boundary, or to.
+// capture boundary, the next rebalance point, or to.
 func (rt *runtime) epochEnd(it, to int) int {
 	end := to
 	if rt.every > 0 {
 		end = min((it/rt.every+1)*rt.every, end)
+	}
+	if rt.rb != nil {
+		e := rt.rb.p.Every
+		end = min((it/e+1)*e, end)
 	}
 	return end
 }

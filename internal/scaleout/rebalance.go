@@ -17,10 +17,8 @@ import (
 	"sort"
 
 	"nmppak/internal/dna"
-	"nmppak/internal/nmp"
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
-	"nmppak/internal/topo"
 	"nmppak/internal/trace"
 )
 
@@ -43,6 +41,10 @@ type RebalancePartitioner struct {
 	// and forth for marginal gains.
 	Trigger float64
 }
+
+// maxRebalanceNodes bounds the node count of a rebalancing run: its
+// ownership table stores node indices as uint16.
+const maxRebalanceNodes = 1 << 16
 
 // NewRebalancePartitioner returns a rebalancing partitioner with m-mer
 // buckets migrated every `every` iterations and the default 1.05
@@ -178,34 +180,17 @@ func (p *RebalancePartitioner) migrate(table []uint16, cum, dur []sim.Cycle, wei
 	return moved
 }
 
-// rebalanceRun is the dynamic-ownership compaction runtime: BSP
-// supersteps (the migration decision is itself a global synchronization,
-// so the BSP barrier it needs is already there), with the bucket table
-// re-fit between iterations from the measured per-node busy times, and
-// the moved MacroNodes charged over the network at their traced sizes
-// before the iteration that uses the new placement. A run can be advanced
-// iteration range by iteration range: Simulate drives it start to finish,
-// while the checkpoint layer (checkpoint.go) stops mid-way, snapshots the
-// mutable state (ownership table, measured busy times, bucket weights,
-// engines, accounting) and later reconstructs an equivalent run that
-// finishes bit-identically.
-type rebalanceRun struct {
-	tr  *trace.Trace
-	cfg Config
-	p   *RebalancePartitioner
-	res *Result // prelude outcome, finished by seal
-
-	n, iters, k1 int
-
-	// feed shards each epoch under the current ownership table; its
-	// traffic split is the run's halo accounting.
-	feed          shardFeed
-	rebalances    int
-	migratedBytes int64
-	engines       []*nmp.Engine
-	durations     [][]sim.Cycle
-
+// rebalancer is the migration state of a runtime whose partitioner is a
+// RebalancePartitioner: the ownership table the shard feed reads, the
+// measurements the next migration decision reads and the migration
+// accounting. Migrations bound the BSP epochs (epochEnd): a decision reads
+// the measurements of the iteration before it and rewrites the table, so
+// between two of them ownership is frozen. The decision is itself a
+// global synchronization, so it needs the barrier BSP already has.
+type rebalancer struct {
+	p     *RebalancePartitioner
 	table []uint16 // bucket -> owning node (mutated by migrations)
+	prev  []uint16 // scratch: ownership before the last migration
 	// iterBytes[it] is the global traced MacroNode bytes remaining from
 	// iteration it on; the suffix sums estimate how much work remains at
 	// each rebalance point (compaction decays fast, so "rest of run over
@@ -215,183 +200,117 @@ type rebalanceRun struct {
 	lastDur []sim.Cycle // previous iteration's measured busy time
 	cum     []sim.Cycle // measured cumulative busy time
 	weight  []int64     // previous iteration's per-bucket bytes
-	prev    []uint16    // scratch: ownership before the last migration
 
-	// clock holds the BSP partial sums; its exchangedBytes count the halo
-	// exchanges and the migrations.
-	clock phaseClock
-
-	// pr is the run's telemetry glue; nil disables every recording site.
-	pr *probes
+	rebalances    int
+	migratedBytes int64
 }
 
-// newRebalanceRun prepares a dynamic-ownership run: fresh when ck is nil
-// (static initial assignment, empty node traces, engines at iteration 0),
-// otherwise at the blob's pause point with the migrated table, the
-// measurements the next decision reads and the accumulated accounting.
-// A resumed run's node traces hold empty placeholders behind the cursor
-// (a resumed engine never reads them); their iteration-0 quantile tables
-// — the engines' static DIMM mapping option — come from the trace's
-// memoized shard facts under the partitioner's static initial
-// assignment, which the run started from.
-func newRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner, res *Result, ck *CheckpointState, pr *probes) (*rebalanceRun, error) {
-	n := cfg.Nodes
+// newRebalancer starts the migration state of an n-node run over tr: the
+// static initial assignment when ck is nil, otherwise the blob's migrated
+// table and measurements.
+func newRebalancer(tr *trace.Trace, n int, p *RebalancePartitioner, ck *CheckpointState) *rebalancer {
 	iters := len(tr.Iterations)
-	rr := &rebalanceRun{
-		tr: tr, cfg: cfg, p: p, res: res, pr: pr,
-		n: n, iters: iters, k1: tr.K - 1,
-		engines:   make([]*nmp.Engine, n),
-		durations: make([][]sim.Cycle, n),
+	rb := &rebalancer{
+		p:         p,
 		table:     make([]uint16, BalancedBuckets),
+		prev:      make([]uint16, BalancedBuckets),
 		iterBytes: make([]float64, iters+1),
 		lastDur:   make([]sim.Cycle, n),
 		cum:       make([]sim.Cycle, n),
 		weight:    make([]int64, BalancedBuckets),
-		prev:      make([]uint16, BalancedBuckets),
-		clock:     newPhaseClock(net, cfg, iters),
 	}
-	rr.clock.pr = pr
-	rr.feed = newShardFeed(tr, n, rr.ownerOf, nil)
 	for it := iters - 1; it >= 0; it-- {
 		var b float64
 		for i := range tr.Iterations[it].Nodes {
 			nd := &tr.Iterations[it].Nodes[i]
 			b += float64(nd.D1 + nd.D2)
 		}
-		rr.iterBytes[it] = b + rr.iterBytes[it+1]
+		rb.iterBytes[it] = b + rb.iterBytes[it+1]
 	}
 	if ck == nil {
-		for b := range rr.table {
-			rr.table[b] = uint16(initialOwner(b, n))
+		for b := range rb.table {
+			rb.table[b] = uint16(initialOwner(b, n))
 		}
-	} else {
-		rs := ck.Rebalance
-		copy(rr.table, rs.Table)
-		copy(rr.cum, rs.Cum)
-		copy(rr.lastDur, rs.LastDur)
-		copy(rr.weight, rs.Weight)
-		rr.clock.restore(ck)
-		rr.feed.traffic = traffic{rs.LocalTNs, rs.RemoteTNs, rs.HaloBytes}
-		rr.rebalances, rr.migratedBytes = rs.Rebalances, rs.MigratedBytes
-		if ck.ResumeIter > 0 {
-			rr.feed.resumeAt(ck.ResumeIter, shardFactsOf(tr, n, p).quantiles)
-		}
+		return rb
 	}
-	if err := startEngines(rr.engines, rr.durations, rr.feed.traces, cfg.NMP, iters, ck); err != nil {
-		return nil, err
-	}
-	if pr != nil {
-		pr.attach(rr.engines)
-	}
-	return rr, nil
+	rs := ck.Rebalance
+	copy(rb.table, rs.Table)
+	copy(rb.cum, rs.Cum)
+	copy(rb.lastDur, rs.LastDur)
+	copy(rb.weight, rs.Weight)
+	rb.rebalances, rb.migratedBytes = rs.Rebalances, rs.MigratedBytes
+	return rb
 }
 
-// migrateAt runs the iteration-it migration decision against the
-// measurements accumulated so far and, when buckets move, prices the
-// transfer over the network.
+// migrateAt runs the migration decision before iteration it when it is a
+// rebalance point, against the measurements accumulated so far, and, when
+// buckets move, prices the transfer over the network.
 //
 // Every live MacroNode appears in its iteration's trace (P1 visits the
 // full live population each iteration), so pricing the move off
 // iter.Nodes charges every node a bucket move relocates; a migration
 // that moves only drained buckets (no live nodes left) is a no-op and
 // is not counted.
-func (rr *rebalanceRun) migrateAt(it int) {
-	n, p := rr.n, rr.p
-	iter := &rr.tr.Iterations[it]
-	copy(rr.prev, rr.table)
-	lastBytes := rr.iterBytes[it-1] - rr.iterBytes[it]
+func (rt *runtime) migrateAt(it int) {
+	rb, n := rt.rb, rt.n
+	if it == 0 || it%rb.p.Every != 0 || n == 1 {
+		return
+	}
+	copy(rb.prev, rb.table)
+	lastBytes := rb.iterBytes[it-1] - rb.iterBytes[it]
 	decay := 0.0
 	if lastBytes > 0 {
-		decay = rr.iterBytes[it] / lastBytes
+		decay = rb.iterBytes[it] / lastBytes
 	}
-	if !p.migrate(rr.table, rr.cum, rr.lastDur, rr.weight, decay, n) {
+	if !rb.p.migrate(rb.table, rb.cum, rb.lastDur, rb.weight, decay, n) {
 		return
 	}
 	move := mat(n)
+	iter := &rt.tr.Iterations[it]
 	for i := range iter.Nodes {
 		nd := &iter.Nodes[i]
-		b := p.bucket(nd.Key, rr.k1)
-		if rr.prev[b] != rr.table[b] {
-			move[rr.prev[b]][rr.table[b]] += int64(nd.D1 + nd.D2)
+		b := rb.p.bucket(nd.Key, rt.k1)
+		if rb.prev[b] != rb.table[b] {
+			move[rb.prev[b]][rb.table[b]] += int64(nd.D1 + nd.D2)
 		}
 	}
-	mx := rr.clock.doExchange(move)
+	mx := rt.clock.doExchange(move)
 	if mx.TotalBytes > 0 {
-		rr.clock.stall(&rr.clock.exchange, telemetry.SpanMigration, it, mx.Cycles, mx.TotalBytes)
-		rr.clock.exchangedBytes += mx.TotalBytes
-		rr.migratedBytes += mx.TotalBytes
-		rr.rebalances++
+		rt.clock.stall(&rt.clock.exchange, telemetry.SpanMigration, it, mx.Cycles, mx.TotalBytes)
+		rt.clock.exchangedBytes += mx.TotalBytes
+		rb.migratedBytes += mx.TotalBytes
+		rb.rebalances++
 	}
 }
 
-// refreshWeights rebuilds the per-bucket bytes that attribute iteration
-// it's measured time for the next migration decision.
-func (rr *rebalanceRun) refreshWeights(it int) {
-	clear(rr.weight)
-	for i := range rr.tr.Iterations[it].Nodes {
-		nd := &rr.tr.Iterations[it].Nodes[i]
-		rr.weight[rr.p.bucket(nd.Key, rr.k1)] += int64(nd.D1 + nd.D2)
+// measure records superstep it's measured busy times and rebuilds the
+// per-bucket bytes that attribute them, for the next migration decision.
+func (rt *runtime) measure(it int) {
+	rb := rt.rb
+	for i := range rb.lastDur {
+		rb.lastDur[i] = rt.durations[i][it]
+		rb.cum[i] += rb.lastDur[i]
+	}
+	clear(rb.weight)
+	iter := &rt.tr.Iterations[it]
+	for i := range iter.Nodes {
+		nd := &iter.Nodes[i]
+		rb.weight[rb.p.bucket(nd.Key, rt.k1)] += int64(nd.D1 + nd.D2)
 	}
 }
 
-// advance executes iterations [from, to) epoch by epoch. Migrations
-// bound the epochs: a migration decision reads the measurements of the
-// iteration before it and rewrites the table the shard feed reads, so
-// between two of them ownership is frozen. Each epoch re-fits ownership
-// at its start (charging the moved MacroNodes over the network,
-// straggler -> new owner), shards its iterations under the current
-// table, pre-steps every engine through it, then drains the supersteps
-// and refreshes the measurement state the next decision reads.
-func (rr *rebalanceRun) advance(from, to int) error {
-	for it := from; it < to; {
-		if it > 0 && it%rr.p.Every == 0 && rr.n > 1 {
-			rr.migrateAt(it)
-		}
-		end := min((it/rr.p.Every+1)*rr.p.Every, to)
-		halos := rr.feed.shard(it, end)
-		prestep(rr.engines, nil, rr.durations, it, end, rr.cfg.Workers, rr.pr)
-		for j := it; j < end; j++ {
-			rr.clock.superstep(j, rr.durations, halos[j-it])
-			for i := 0; i < rr.n; i++ {
-				rr.lastDur[i] = rr.durations[i][j]
-				rr.cum[i] += rr.lastDur[i]
-			}
-			rr.refreshWeights(j)
-		}
-		it = end
-	}
-	return nil
-}
-
-// ownerOf resolves a key under the current ownership table.
-func (rr *rebalanceRun) ownerOf(key dna.Kmer) int {
-	return int(rr.table[rr.p.bucket(key, rr.k1)])
-}
-
-// phase implements phaseRun.
-func (rr *rebalanceRun) phase() *phaseClock { return &rr.clock }
-
-// seal implements phaseRun: the engines and the phase, plus the traffic
-// and migration accounting the dynamic runtime measured itself.
-func (rr *rebalanceRun) seal() error {
-	rr.feed.record(rr.res)
-	rr.res.Rebalances = rr.rebalances
-	rr.res.MigratedBytes = rr.migratedBytes
-	finalize(rr.res, &rr.clock, rr.durations, rr.engines)
-	return nil
-}
-
-// state is the run's migration checkpoint section.
-func (rr *rebalanceRun) state() *RebalanceState {
+// state is the run's migration checkpoint section; t is the halo
+// accounting over the iterations executed so far.
+func (rb *rebalancer) state(t traffic) *RebalanceState {
 	return &RebalanceState{
-		Table:         append([]uint16(nil), rr.table...),
-		Cum:           append([]sim.Cycle(nil), rr.cum...),
-		LastDur:       append([]sim.Cycle(nil), rr.lastDur...),
-		Weight:        append([]int64(nil), rr.weight...),
-		LocalTNs:      rr.feed.localTNs,
-		RemoteTNs:     rr.feed.remoteTNs,
-		HaloBytes:     rr.feed.haloBytes,
-		Rebalances:    rr.rebalances,
-		MigratedBytes: rr.migratedBytes,
+		Table:         append([]uint16(nil), rb.table...),
+		Cum:           append([]sim.Cycle(nil), rb.cum...),
+		LastDur:       append([]sim.Cycle(nil), rb.lastDur...),
+		Weight:        append([]int64(nil), rb.weight...),
+		LocalTNs:      t.localTNs,
+		RemoteTNs:     t.remoteTNs,
+		HaloBytes:     t.haloBytes,
+		Rebalances:    rb.rebalances,
+		MigratedBytes: rb.migratedBytes,
 	}
 }

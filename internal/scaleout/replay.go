@@ -131,7 +131,7 @@ func shardIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, ha
 	return subs, t
 }
 
-// shardFeed is the per-iteration shard feed every compaction runtime steps
+// shardFeed is the per-iteration shard feed the compaction runtime steps
 // its engines from. Node o's engine replays traces[o], which starts empty
 // (a resumed run's starts with placeholder iterations behind the cursor);
 // shard appends each global iteration's per-node slices just before the

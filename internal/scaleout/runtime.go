@@ -27,7 +27,8 @@
 //
 // The same fact drives every discipline — static, rebalancing and elastic
 // — through one epoch driver. An epoch is a range of iterations with no
-// checkpoint capture, migration or Session.Step boundary inside it. Each
+// checkpoint capture, migration or Session.Step boundary inside it; in
+// BSP, an iteration while a fault event is still pending. Each
 // epoch is sharded just before it is stepped: the one shard feed
 // (shardFeed) appends its per-node slices to the node traces, so a run —
 // fresh or resumed — shards only the iterations it replays. Every live
@@ -40,12 +41,11 @@
 // computes: results, Chrome traces and checkpoint blobs are
 // byte-identical at every worker count.
 //
-// Two runtime types implement the driver. The rebalancing one
-// (rebalance.go) migrates ownership between epochs. The other, runtime,
-// steps every static-partition run, elastic or not: a non-elastic run is
-// an elastic one whose capture cadence and fault events are empty, so
-// every node stays live. Every entry point opens and finishes its run
-// through a Session (session.go).
+// One runtime type, runtime, steps every run. A non-elastic run is an
+// elastic one (elastic.go) whose capture cadence and fault events are
+// empty, so every node stays live; a RebalancePartitioner adds migration
+// state (rebalance.go) whose decisions bound the epochs like captures. Every
+// entry point opens and finishes its run through a Session (session.go).
 package scaleout
 
 import (
@@ -60,45 +60,17 @@ import (
 	"nmppak/internal/trace"
 )
 
-// phaseRun is a compaction runtime that can be advanced iteration range by
-// iteration range, snapshotted between iterations and sealed: the runtime
-// below (static partition, elastic or not) or the rebalancing one. Every
-// entry point drives both through a Session.
-type phaseRun interface {
-	// advance executes iterations [from, to): as BSP supersteps, or, in
-	// the overlapped discipline, by stepping the engines ahead of the
-	// schedule seal replays.
-	advance(from, to int) error
-	// phase is the run's compaction-phase clock.
-	phase() *phaseClock
-	// snapshot records the compaction state on a checkpoint whose
-	// ResumeIter is the current boundary.
-	snapshot(ck *CheckpointState) error
-	// seal completes the phase — every BSP iteration must have been
-	// advanced; the overlapped discipline schedules its whole macro
-	// schedule here — and finalizes the run's Result.
-	seal() error
-}
-
-// newRun builds the compaction runtime cfg's partitioner selects, with the
-// run's telemetry glue pr attached (nil: uninstrumented): fresh at
-// iteration 0 when ck is nil, otherwise rebuilt at the checkpoint's pause
-// point. res is the prelude outcome the run finishes.
-func newRun(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *CheckpointState, pr *probes) (phaseRun, error) {
-	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		return newRebalanceRun(tr, net, cfg, rp, res, ck, pr)
-	}
-	return newRuntime(tr, net, cfg, res, ck, pr)
-}
-
-// runtime owns the per-node engines, their shard feed and the phase clock
-// of a static-partition run. A fresh runtime starts at iteration 0; one
-// reconstructed from a checkpoint carries the recorded durations and BSP
-// partial sums of the iterations already executed and shards and steps
-// only from `start` on. Under an elastic config (elastic.go) it also
-// captures periodic recovery checkpoints and applies the fault plan at
-// iteration boundaries; otherwise its capture cadence and fault events are
-// empty and every node stays live.
+// runtime is the compaction runtime: it owns the per-node engines, their
+// shard feed and the phase clock, and can be advanced iteration range by
+// iteration range, snapshotted between iterations and sealed. A fresh
+// runtime starts at iteration 0; one reconstructed from a checkpoint
+// carries the recorded durations and BSP partial sums of the iterations
+// already executed and shards and steps only from `start` on. Under an
+// elastic config (elastic.go) it also captures periodic recovery
+// checkpoints and applies the fault plan at iteration boundaries;
+// otherwise its capture cadence and fault events are empty and every node
+// stays live. Under a RebalancePartitioner it migrates ownership between
+// epochs (rebalance.go).
 type runtime struct {
 	tr  *trace.Trace
 	deg *topo.Degraded // the interconnect; fault events degrade it in place
@@ -112,10 +84,15 @@ type runtime struct {
 	start int
 
 	feed shardFeed
-	// whole holds the whole-trace shard facts of a run resumed past
-	// iteration 0, whose feed never sees the iterations before start; nil
-	// when the feed covers every iteration.
+	// whole holds the whole-trace shard facts of a static-partition run
+	// resumed past iteration 0, whose feed never sees the iterations before
+	// start; nil when the feed covers every iteration or the traffic is
+	// restored from the blob's RebalanceState.
 	whole *shardFacts
+
+	// rb is the migration state of a RebalancePartitioner run; nil for a
+	// static partition.
+	rb *rebalancer
 
 	engines   []*nmp.Engine
 	durations [][]sim.Cycle
@@ -143,12 +120,17 @@ type runtime struct {
 	pr *probes
 }
 
-// newRuntime builds the static-partition runtime: fresh when ck is nil,
+// newRuntime builds the compaction runtime cfg selects, with the run's
+// telemetry glue pr attached (nil: uninstrumented): fresh when ck is nil,
 // otherwise at the blob's pause point with restored engines, recorded
-// durations and BSP partial sums. A resumed run re-shards nothing before
-// the pause point: the node traces hold placeholders there, and the
-// whole-trace traffic split and the iteration-0 quantile tables come from
-// the trace's memoized shard facts.
+// durations and BSP partial sums. res is the prelude outcome the run
+// finishes. A resumed run re-shards nothing before the pause point: the
+// node traces hold placeholders there, and the iteration-0 quantile tables
+// come from the trace's memoized shard facts under the partitioner's
+// static assignment, which every run starts from. A static partition takes
+// its whole-trace traffic split from those facts too; a rebalancing run
+// sharded its past under migrated tables, so its traffic so far comes
+// from the blob's RebalanceState.
 func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *CheckpointState, pr *probes) (*runtime, error) {
 	n := cfg.Nodes
 	rt := &runtime{
@@ -180,15 +162,24 @@ func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *
 	rt.clock = newPhaseClock(rt.deg, cfg, rt.iters)
 	rt.clock.pr, rt.clock.live = pr, rt.live
 	rt.feed = newShardFeed(tr, n, rt.ownerOf, rt.live)
+	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
+		rt.rb = newRebalancer(tr, n, rp, ck)
+	}
 	if ck != nil {
 		rt.start = ck.ResumeIter
 		if !cfg.Overlap {
 			rt.clock.restore(ck)
 		}
+		if rs := ck.Rebalance; rs != nil {
+			rt.feed.traffic = traffic{rs.LocalTNs, rs.RemoteTNs, rs.HaloBytes}
+		}
 	}
 	if rt.start > 0 {
-		rt.whole = shardFactsOf(tr, n, cfg.Partitioner)
-		rt.feed.resumeAt(rt.start, rt.whole.quantiles)
+		facts := shardFactsOf(tr, n, cfg.Partitioner)
+		if rt.rb == nil {
+			rt.whole = facts
+		}
+		rt.feed.resumeAt(rt.start, facts.quantiles)
 	}
 	if err := startEngines(rt.engines, rt.durations, rt.feed.traces, cfg.NMP, rt.iters, ck); err != nil {
 		return nil, err
@@ -250,14 +241,17 @@ func prestep(engines []*nmp.Engine, live []bool, durations [][]sim.Cycle, from, 
 	})
 }
 
-// advance implements phaseRun. In the BSP discipline it runs iterations
-// [from, to) as the BSP loop — the fault boundary, then a due capture,
-// then the epoch up to the next capture boundary or to — so a run can be
-// split at any iteration boundary: a checkpoint capture or a Session.Step
-// stops mid-way. A recovery may rewind the loop before from. In the
-// overlapped discipline it only shards and steps the engines, unprobed:
-// those iterations are replayed from their recorded durations when seal
-// schedules the phase, as a restored run's are.
+// advance executes iterations [from, to). In the BSP discipline it runs
+// them as the BSP loop — the fault boundary, then a due capture, then a
+// due migration, then the epoch up to the next capture or rebalance point
+// or to — so a run can be split at any iteration boundary: a checkpoint
+// capture or a Session.Step stops mid-way. While a fault event is still
+// pending an epoch is one iteration, so the boundary pass before every
+// epoch meets the fault exactly where a lockstep run does and no engine is
+// ever stepped past it. A recovery may rewind the loop before from. In
+// the overlapped discipline it only shards and steps the engines,
+// unprobed: those iterations are replayed from their recorded durations
+// when seal schedules the phase, as a restored run's are.
 func (rt *runtime) advance(from, to int) error {
 	if rt.cfg.Overlap {
 		rt.feed.shard(from, to)
@@ -282,54 +276,39 @@ func (rt *runtime) advance(from, to int) error {
 				return err
 			}
 		}
-		if it, err = rt.bspEpoch(it, rt.epochEnd(it, to)); err != nil {
-			return err
+		if rt.rb != nil {
+			rt.migrateAt(it)
 		}
+		end := rt.epochEnd(it, to)
+		if rt.next < len(rt.events) {
+			end = it + 1 // a fault may land before the next iteration
+		}
+		rt.bspEpoch(it, end)
+		it = end
 	}
 }
 
 // bspEpoch shards and pre-steps the epoch [from, to), then drains it
-// superstep by superstep. A fault boundary inside the epoch is processed
-// between two supersteps of the drain, exactly where a lockstep run meets
-// it. A recovery there rolls the run back wholesale (rollback), so the
-// only pre-stepped state with nothing to roll it back is the un-placed
-// telemetry of the iterations past the boundary, which is dropped
-// (dropBuffered) before the recovery records its own spans. Returns the
-// iteration to continue at: to, or the resume point of a recovery.
-func (rt *runtime) bspEpoch(from, to int) (int, error) {
+// superstep by superstep; a rebalancing run measures each drained
+// superstep for its next migration decision.
+func (rt *runtime) bspEpoch(from, to int) {
 	halos := rt.feed.shard(from, to)
 	prestep(rt.engines, rt.live, rt.durations, from, to, rt.cfg.Workers, rt.pr)
 	for j := from; j < to; j++ {
-		if j > from {
-			if rt.pr != nil && rt.pendingLoss() {
-				for i := 0; i < rt.n; i++ {
-					if rt.live[i] {
-						rt.pr.dropBuffered(i, j)
-					}
-				}
-			}
-			cont, err := rt.boundary(j)
-			if err != nil {
-				return 0, err
-			}
-			if cont >= 0 {
-				return cont, nil
-			}
-		}
 		rt.clock.superstep(j, rt.durations, halos[j-from])
+		if rt.rb != nil {
+			rt.measure(j)
+		}
 	}
-	return to, nil
 }
 
-// phase implements phaseRun.
-func (rt *runtime) phase() *phaseClock { return &rt.clock }
-
-// seal implements phaseRun: the overlapped discipline schedules the phase,
-// then the three accounting buckets tile the phase clock and every engine —
-// survivors complete, casualties frozen at their last committed iteration
-// — reports its result. The traffic accounting is what the feed
-// committed, or, for a run resumed past iteration 0, the memoized
-// whole-trace facts.
+// seal completes the phase — every BSP iteration must have been advanced;
+// the overlapped discipline schedules its whole macro schedule here — and
+// finalizes the run's Result: the three accounting buckets tile the phase
+// clock and every engine — survivors complete, casualties frozen at their
+// last committed iteration — reports its result. The traffic accounting
+// is what the feed committed, or, for a static partition resumed past
+// iteration 0, the memoized whole-trace facts.
 func (rt *runtime) seal() error {
 	if rt.cfg.Overlap {
 		if err := rt.overlap(); err != nil {
@@ -341,6 +320,10 @@ func (rt *runtime) seal() error {
 		t = rt.whole.traffic
 	}
 	t.record(rt.res)
+	if rt.rb != nil {
+		rt.res.Rebalances = rt.rb.rebalances
+		rt.res.MigratedBytes = rt.rb.migratedBytes
+	}
 	finalize(rt.res, &rt.clock, rt.durations, rt.engines)
 	return nil
 }

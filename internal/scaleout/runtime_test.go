@@ -3,6 +3,7 @@ package scaleout
 import (
 	"bytes"
 	"hash/fnv"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -160,11 +161,29 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"workers", func(c *Config) { c.Workers = -1 }, "Workers"},
 		{"partitioner", func(c *Config) { c.Partitioner = nil }, "Partitioner"},
 		{"link", func(c *Config) { c.Topo.BytesPerCycle = 0 }, "bandwidth"},
+		{"NaN link", func(c *Config) { c.Topo.BytesPerCycle = math.NaN() }, "bandwidth"},
+		{"unpriceable link", func(c *Config) { c.Topo.BytesPerCycle = 1e-300 }, "bandwidth"},
 		{"latency", func(c *Config) { c.Topo.LatencyCycles = -1 }, "latency"},
 		{"torus", func(c *Config) { c.Topo.Kind = topo.Torus2D; c.Topo.TorusX, c.Topo.TorusY = 3, 1 }, "rectangular"},
 		{"dragonfly", func(c *Config) { c.Topo.Kind = topo.Dragonfly; c.Topo.GroupSize = 3 }, "divide"},
 		{"overlap+rebalance", func(c *Config) { c.Partitioner = NewRebalancePartitioner(12, 1); c.Overlap = true }, "BSP"},
 		{"rebalance zero period", func(c *Config) { c.Partitioner = &RebalancePartitioner{M: 12} }, "Every"},
+		{"nil rebalance partitioner", func(c *Config) { c.Partitioner = (*RebalancePartitioner)(nil) }, "Partitioner"},
+		{"nil balanced partitioner", func(c *Config) { c.Partitioner = (*BalancedPartitioner)(nil) }, "Partitioner"},
+		{"rebalance NaN trigger", func(c *Config) {
+			rp := NewRebalancePartitioner(12, 1)
+			rp.Trigger = math.NaN()
+			c.Partitioner = rp
+		}, "Trigger"},
+		{"rebalance negative trigger", func(c *Config) {
+			rp := NewRebalancePartitioner(12, 1)
+			rp.Trigger = -1
+			c.Partitioner = rp
+		}, "Trigger"},
+		{"rebalance past uint16 owners", func(c *Config) {
+			c.Partitioner = NewRebalancePartitioner(12, 1)
+			c.Nodes = 1<<16 + 1
+		}, "ownership table"},
 		{"nmp", func(c *Config) { c.NMP.Channels = 0 }, "channel"},
 	} {
 		cfg := base

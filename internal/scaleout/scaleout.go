@@ -35,6 +35,7 @@ package scaleout
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"nmppak/internal/dna"
 	"nmppak/internal/fault"
@@ -152,6 +153,9 @@ func (c Config) Validate() error {
 	if c.Partitioner == nil {
 		return fmt.Errorf("scaleout: Partitioner must be set")
 	}
+	if v := reflect.ValueOf(c.Partitioner); v.Kind() == reflect.Pointer && v.IsNil() {
+		return fmt.Errorf("scaleout: Partitioner must be set, got a nil %T", c.Partitioner)
+	}
 	if rp, ok := c.Partitioner.(*RebalancePartitioner); ok {
 		if c.Overlap {
 			return fmt.Errorf("scaleout: RebalancePartitioner requires the BSP discipline (the migration decision is a global synchronization); unset Overlap")
@@ -159,8 +163,14 @@ func (c Config) Validate() error {
 		if rp.M < 1 || rp.Every < 1 {
 			return fmt.Errorf("scaleout: RebalancePartitioner needs M >= 1 and Every >= 1, got M=%d Every=%d (use NewRebalancePartitioner)", rp.M, rp.Every)
 		}
+		if !(rp.Trigger >= 0) {
+			return fmt.Errorf("scaleout: RebalancePartitioner Trigger must be >= 0, got %g", rp.Trigger)
+		}
+		if c.Nodes > maxRebalanceNodes {
+			return fmt.Errorf("scaleout: RebalancePartitioner's ownership table holds node indices below %d, got Nodes=%d", maxRebalanceNodes, c.Nodes)
+		}
 		if c.elastic() {
-			return fmt.Errorf("scaleout: RebalancePartitioner cannot run under the elastic runtime (its ownership history is not checkpointable); unset CheckpointEvery and Faults")
+			return fmt.Errorf("scaleout: RebalancePartitioner cannot run an elastic config (a recovery fails over from the partitioner's static Owner, not from the migrated ownership table); unset CheckpointEvery and Faults")
 		}
 	}
 	if c.CheckpointEvery < 0 {

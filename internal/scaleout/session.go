@@ -10,10 +10,11 @@
 // "snapshot it and give the nodes to someone else" and "finish it" in any
 // order. The invariants that make time-slicing exact:
 //
-//   - Step composes: the BSP partial sums (and the rebalance runtime's
-//     migration schedule) accumulate identically whether the iteration
-//     range is covered by one advance or many, so a session's final
-//     Result is reflect.DeepEqual to the uninterrupted Simulate.
+//   - Step composes: the one compaction runtime's BSP partial sums (and,
+//     under a RebalancePartitioner, its migration schedule) accumulate
+//     identically whether the iteration range is covered by one advance
+//     or many, so a session's final Result is reflect.DeepEqual to the
+//     uninterrupted Simulate.
 //   - Checkpoint at boundary b is byte-identical to the one-shot
 //     scaleout.Checkpoint(reads, tr, cfg, b) blob, whether the session
 //     was fresh or itself resumed from an earlier blob. ResumeSession
@@ -53,7 +54,7 @@ type Session struct {
 	res *Result // prelude result; finalized by Finish
 	pr  *probes // the run's telemetry glue; nil when uninstrumented
 
-	run phaseRun
+	run *runtime
 
 	next  int // first unexecuted iteration (the current boundary)
 	iters int
@@ -103,7 +104,7 @@ func open(reads []readsim.Read, tr *trace.Trace, cfg Config, ck *CheckpointState
 			s.pr.prelude(s.res)
 		}
 	}
-	if s.run, err = newRun(tr, net, cfg, s.res, ck, s.pr); err != nil {
+	if s.run, err = newRuntime(tr, net, cfg, s.res, ck, s.pr); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -174,7 +175,7 @@ func (s *Session) Step(n int) int {
 // already crossed. At the final boundary this equals the finished
 // Result.TotalCycles.
 func (s *Session) Progress() sim.Cycle {
-	return s.res.Count.Total() + s.res.Construct.Total() + s.run.phase().now()
+	return s.res.Count.Total() + s.res.Construct.Total() + s.run.clock.now()
 }
 
 // Checkpoint exports the session's state at the current boundary as a

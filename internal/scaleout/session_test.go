@@ -13,7 +13,7 @@ import (
 // sequences must finish reflect.DeepEqual to the uninterrupted Simulate,
 // and every mid-run snapshot must be byte-identical to the one-shot
 // Checkpoint at the same boundary — for the static partitioners and the
-// dynamic-ownership (rebalance) runtime alike.
+// rebalancing runs alike, with migrations every iteration and every third.
 func TestSessionSliceEquivalence(t *testing.T) {
 	reads := testReads(t, 20_000)
 	tr := testTrace(t, reads, 32, 3)
@@ -34,6 +34,13 @@ func TestSessionSliceEquivalence(t *testing.T) {
 		{"rebalance", func() Config {
 			c := DefaultConfig(4)
 			c.Partitioner = NewRebalancePartitioner(12, 1)
+			return c
+		}},
+		// Epochs wider than one iteration: Step boundaries and resumes
+		// land between rebalance points as well as on them.
+		{"rebalance/every3", func() Config {
+			c := DefaultConfig(4)
+			c.Partitioner = NewRebalancePartitioner(12, 3)
 			return c
 		}},
 	} {

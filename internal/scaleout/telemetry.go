@@ -42,13 +42,6 @@ type stepRec struct {
 	busDelta   int64     // DRAM bus cycles the step consumed
 	dramFrom   []int
 	dramTo     []int
-
-	// Post-step engine event-kernel counters, so dropBuffered can rewind
-	// pr.kern when a recovery discards pre-stepped iterations the drain
-	// never reached (a lockstep run never stepped them, and the counters
-	// end up in the trace).
-	ev   int64
-	pend int
 }
 
 type probes struct {
@@ -172,7 +165,6 @@ func (pr *probes) afterStep(i, it int, e *nmp.Engine, ti nmp.IterTiming) {
 	for _, t := range pr.dram[i] {
 		r.dramTo = append(r.dramTo, t.Len())
 	}
-	r.ev, r.pend = pr.kern[i].Dispatched, pr.kern[i].MaxPending
 }
 
 // place pins node i's pre-stepped iteration it onto the global timeline at
@@ -194,26 +186,6 @@ func (pr *probes) place(i, it int, gs sim.Cycle) {
 // there is no DRAM attribution to re-base.
 func (pr *probes) placeReplayed(i, it int, gs, d sim.Cycle) {
 	pr.node[i].Add(telemetry.SpanIter, gs, gs+d, int64(it), 0)
-}
-
-// dropBuffered discards node i's un-placed DRAM spans from pre-stepped
-// iteration `from` on: the elastic BSP drain calls it before a recovery
-// rolls the run back past those iterations, since the drain never reached
-// them and their spans must not survive on the tracks. The spans of iterations >= from form the track tail (placement
-// happens in iteration order), so truncating to the buffered batch start
-// removes exactly them.
-func (pr *probes) dropBuffered(i, from int) {
-	r := &pr.buf[i][from]
-	for c, t := range pr.dram[i] {
-		t.Truncate(r.dramFrom[c])
-	}
-	k := &pr.kern[i]
-	if from > 0 {
-		p := &pr.buf[i][from-1]
-		k.Dispatched, k.MaxPending = p.ev, p.pend
-	} else {
-		k.Dispatched, k.MaxPending = 0, 0
-	}
 }
 
 // stall records one d-cycle whole-machine wait starting at gnow on the

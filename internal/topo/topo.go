@@ -141,16 +141,24 @@ func (c Config) dragonflyShape(n int) (groupSize int) {
 	return g
 }
 
-// Validate checks the configuration against a machine size, rejecting
-// impossible shapes: a torus whose dimensions do not multiply to the node
-// count (including half-specified dimensions) and a dragonfly group size
-// that does not divide it.
+// minBytesPerCycle is the lowest link bandwidth Validate accepts. A
+// message holds each link for bytes/BytesPerCycle cycles: at this floor
+// (1.6 MB/s at 1.6 GHz) a message of up to about 9 PB still prices inside
+// the int64 cycle range, while at a rate like 1e-300 an ordinary halo
+// payload leaves it and the conversion would price the link as free.
+const minBytesPerCycle = 1e-3
+
+// Validate checks the configuration against a machine size, rejecting a
+// link bandwidth that is NaN or below minBytesPerCycle, and impossible
+// shapes: a torus whose dimensions do not multiply to the node count
+// (including half-specified dimensions) and a dragonfly group size that
+// does not divide it.
 func (c Config) Validate(nodes int) error {
 	if nodes < 1 {
 		return fmt.Errorf("topo: node count must be >= 1, got %d", nodes)
 	}
-	if c.BytesPerCycle <= 0 {
-		return fmt.Errorf("topo: link bandwidth must be positive, got %v", c.BytesPerCycle)
+	if !(c.BytesPerCycle >= minBytesPerCycle) {
+		return fmt.Errorf("topo: link bandwidth must be at least %g B/cycle, got %v", minBytesPerCycle, c.BytesPerCycle)
 	}
 	if c.LatencyCycles < 0 {
 		return fmt.Errorf("topo: link latency must be non-negative, got %d", c.LatencyCycles)

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -98,6 +99,9 @@ func TestConfigValidateShapes(t *testing.T) {
 		want  string
 	}{
 		{"zero bandwidth", Config{Kind: FullMesh}, 4, "bandwidth"},
+		{"NaN bandwidth", Config{Kind: FullMesh, BytesPerCycle: math.NaN()}, 4, "bandwidth"},
+		{"unpriceable bandwidth", Config{Kind: FullMesh, BytesPerCycle: 1e-300}, 4, "bandwidth"},
+		{"infinite bandwidth", Config{Kind: FullMesh, BytesPerCycle: math.Inf(1)}, 4, ""},
 		{"negative latency", Config{Kind: FullMesh, BytesPerCycle: 1, LatencyCycles: -1}, 4, "latency"},
 		{"bad node count", Default(), 0, "node count"},
 		{"non-rectangular torus", Torus(3, 2), 8, "rectangular"},
