@@ -129,8 +129,11 @@ func (u *Update) TNBytes() int {
 // Run compacts g in place until Options.Threshold/MaxIters or a fixed
 // point, returning per-iteration statistics and any finished contigs.
 func Run(g *pakgraph.Graph, opt Options) (*Result, error) {
-	if g.K < 2 {
-		return nil, fmt.Errorf("compact: invalid graph k=%d", g.K)
+	if g == nil {
+		return nil, fmt.Errorf("compact: nil graph")
+	}
+	if g.K < 2 || g.K > dna.MaxK {
+		return nil, fmt.Errorf("compact: invalid graph k=%d, want [2,%d]", g.K, dna.MaxK)
 	}
 	res := &Result{}
 	// Compaction only ever deletes nodes, so the ascending key order every
@@ -146,6 +149,11 @@ func Run(g *pakgraph.Graph, opt Options) (*Result, error) {
 	for i, key := range keys {
 		nodes[i] = g.Nodes[key]
 	}
+	sc := &scratch{
+		outs:   make([]nodeOut, len(keys)),
+		chunks: make([]chunk, par.Threads(opt.Workers)),
+		slotOf: make([]int32, len(keys)),
+	}
 	for iter := 0; ; iter++ {
 		if opt.MaxIters > 0 && iter >= opt.MaxIters {
 			break
@@ -154,7 +162,7 @@ func Run(g *pakgraph.Graph, opt Options) (*Result, error) {
 			break
 		}
 		var st IterStats
-		st, keys, states, nodes = runIteration(g, keys, states, nodes, iter, opt, res)
+		st, keys, states, nodes = runIteration(g, keys, states, nodes, iter, opt, res, sc)
 		res.Stats = append(res.Stats, st)
 		res.Iterations++
 		if st.Invalidated == 0 {
@@ -167,7 +175,7 @@ func Run(g *pakgraph.Graph, opt Options) (*Result, error) {
 // nodeState carries one live node's cached P1 decision and serialized
 // sizes between iterations; the zero value means "unknown, recompute".
 // Node pointers ride along in a parallel slice, so steady-state iterations
-// never touch the graph map except to apply updates and delete.
+// never touch the graph map except to delete.
 type nodeState struct {
 	status int8  // 0 unknown, 1 invalidation target, 2 survivor
 	d1, d2 int32 // Data1Bytes/Data2Bytes, valid when status != 0
@@ -176,40 +184,66 @@ type nodeState struct {
 // runIteration executes one iteration: parallel invalidation check over the
 // iteration-start state, extraction, grouped update application, then
 // deletion of invalidated nodes. keys must hold the graph's live keys in
-// ascending order with states parallel to it; the surviving keys and
-// states are returned (filtered in place, update targets reset to
-// unknown).
-func runIteration(g *pakgraph.Graph, keys []dna.Kmer, states []nodeState, nodes []*pakgraph.MacroNode, iter int, opt Options, res *Result) (IterStats, []dna.Kmer, []nodeState, []*pakgraph.MacroNode) {
+// ascending order with states and nodes parallel to it; the surviving
+// keys, states and nodes are returned (filtered in place, update targets
+// reset to unknown). sc is the Run's scratch.
+func runIteration(g *pakgraph.Graph, keys []dna.Kmer, states []nodeState, nodes []*pakgraph.MacroNode, iter int, opt Options, res *Result, sc *scratch) (IterStats, []dna.Kmer, []nodeState, []*pakgraph.MacroNode) {
 	k1 := g.K1()
 	st := IterStats{Iter: iter, LiveNodes: len(keys)}
 	if opt.Observer != nil {
 		opt.Observer.BeginIteration(iter, len(keys))
 	}
 
-	// Phase A+B fused: decide invalidation (cached unless the node was
-	// updated last iteration) and extract updates per node.
-	type nodeOut struct {
-		invalidated bool
-		updates     []Update
-		contigs     []dna.Seq
-	}
-	outs := make([]nodeOut, len(keys))
-	par.For(len(keys), opt.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			n := nodes[i]
-			if states[i].status == 0 {
-				states[i].status = 2
-				if n.IsInvalidationTarget(k1) {
-					states[i].status = 1
+	// Phase A+B fused, one block of consecutive keys per chunk: decide
+	// invalidation (cached unless the node was updated last iteration),
+	// size the chunk's update buffer (a wire yields at most two updates),
+	// then extract into it and name each update's target by its index in
+	// keys, which is sorted and parallel to nodes.
+	n := len(keys)
+	outs := sc.outs[:n]
+	nch := len(sc.chunks)
+	par.For(nch, opt.Workers, func(clo, chi int) {
+		for c := clo; c < chi; c++ {
+			lo, hi := c*n/nch, (c+1)*n/nch
+			need := 0
+			for i := lo; i < hi; i++ {
+				nd := nodes[i]
+				if states[i].status == 0 {
+					states[i].status = 2
+					if nd.IsInvalidationTarget(k1) {
+						states[i].status = 1
+					}
+					states[i].d1 = int32(nd.Data1Bytes())
+					states[i].d2 = int32(nd.Data2Bytes())
 				}
-				states[i].d1 = int32(n.Data1Bytes())
-				states[i].d2 = int32(n.Data2Bytes())
+				outs[i] = nodeOut{invalidated: states[i].status == 1}
+				if outs[i].invalidated {
+					need += 2 * len(nd.Wires)
+				}
 			}
-			if states[i].status != 1 {
-				continue
+			ch := &sc.chunks[c]
+			if cap(ch.updates) < need {
+				ch.updates = make([]Update, 0, need)
+				ch.slot = make([]int32, 0, need)
 			}
-			outs[i].invalidated = true
-			outs[i].updates, outs[i].contigs = Extract(n, k1)
+			ups, cons := ch.updates[:0], ch.contigs[:0]
+			for i := lo; i < hi; i++ {
+				if !outs[i].invalidated {
+					continue
+				}
+				from := len(ups)
+				ups, cons = Extract(ups, cons, nodes[i], k1)
+				outs[i].chunk, outs[i].lo, outs[i].hi = int32(c), int32(from), int32(len(ups))
+			}
+			slot := ch.slot[:len(ups)]
+			for u := range ups {
+				j, ok := slices.BinarySearch(keys, ups[u].Target)
+				if !ok {
+					j = -1
+				}
+				slot[u] = int32(j)
+			}
+			ch.updates, ch.slot, ch.contigs = ups, slot, cons
 		}
 	})
 
@@ -217,91 +251,105 @@ func runIteration(g *pakgraph.Graph, keys []dna.Kmer, states []nodeState, nodes 
 	// sumD1/sumD12 aggregate the P1 ("MN data1") and full-node footprints
 	// of all live nodes, the quantities the two flows' traffic models are
 	// built from.
-	nUpdates := 0
-	for i := range outs {
-		nUpdates += len(outs[i].updates)
-	}
-	updates := make([]Update, 0, nUpdates)
 	var sumD1, sumD12, sumInvD2 int64
 	for i, key := range keys {
-		n := nodes[i]
+		nd := nodes[i]
 		d1, d2 := int(states[i].d1), int(states[i].d2)
 		sumD1 += int64(d1)
 		sumD12 += int64(d1 + d2)
 		if opt.Observer != nil {
-			opt.Observer.ScanNode(key, d1, d2, len(n.Prefixes)+len(n.Suffixes), len(n.Wires), outs[i].invalidated)
+			opt.Observer.ScanNode(key, d1, d2, len(nd.Prefixes)+len(nd.Suffixes), len(nd.Wires), outs[i].invalidated)
 		}
-		if outs[i].invalidated {
-			st.Invalidated++
-			sumInvD2 += int64(d2)
-			res.Completed = append(res.Completed, outs[i].contigs...)
-			st.Contigs += len(outs[i].contigs)
-			for ui := range outs[i].updates {
-				u := &outs[i].updates[ui]
-				st.TNBytes += int64(u.TNBytes())
-				if opt.Observer != nil {
-					opt.Observer.Transfer(key, u.Target, u.TNBytes(), u.SuffixSide)
-				}
+		if !outs[i].invalidated {
+			continue
+		}
+		st.Invalidated++
+		sumInvD2 += int64(d2)
+		ups := sc.chunks[outs[i].chunk].updates[outs[i].lo:outs[i].hi]
+		for u := range ups {
+			tn := ups[u].TNBytes()
+			st.TNBytes += int64(tn)
+			if opt.Observer != nil {
+				opt.Observer.Transfer(key, ups[u].Target, tn, ups[u].SuffixSide)
 			}
-			updates = append(updates, outs[i].updates...)
 		}
 	}
-	st.Transfers = len(updates)
+	for c := range sc.chunks {
+		ch := &sc.chunks[c]
+		res.Completed = append(res.Completed, ch.contigs...)
+		st.Contigs += len(ch.contigs)
+		st.Transfers += len(ch.updates)
+	}
 
 	// Phase C: group updates by target and apply. Updates for distinct
 	// targets are independent; within a target they are applied in the
 	// deterministic order accumulated above. Grouping uses a CSR layout —
 	// first-appearance target order, a count pass, then a scatter into one
-	// flat slice — instead of a map of individually grown slices.
-	slot := make(map[dna.Kmer]int32, len(updates))
-	var targetOrder []dna.Kmer
-	var counts []int32
-	for i := range updates {
-		t := updates[i].Target
-		if s, ok := slot[t]; ok {
-			counts[s]++
-		} else {
-			slot[t] = int32(len(targetOrder))
-			targetOrder = append(targetOrder, t)
-			counts = append(counts, 1)
+	// flat buffer. An iteration has at most one target per update, so
+	// the slot arrays are sized once and never grow by append.
+	if cap(sc.targets) < st.Transfers {
+		sc.targets = make([]target, 0, st.Transfers)
+		sc.offsets = make([]int32, 0, st.Transfers+1)
+	}
+	sc.targets = sc.targets[:0]
+	sc.offsets = append(sc.offsets[:0], 0)
+	for c := range sc.chunks {
+		ch := &sc.chunks[c]
+		for u, j := range ch.slot {
+			s := sc.slot(ch.updates[u].Target, j)
+			ch.slot[u] = s
+			sc.offsets[s+1]++
 		}
 	}
-	offsets := make([]int32, len(targetOrder)+1)
-	for i, c := range counts {
-		offsets[i+1] = offsets[i] + c
+	targets, offsets := sc.targets, sc.offsets
+	for s := range targets {
+		offsets[s+1] += offsets[s]
 	}
-	grouped := make([]Update, len(updates))
-	cursor := append([]int32(nil), offsets[:len(targetOrder)]...)
-	for i := range updates {
-		s := slot[updates[i].Target]
-		grouped[cursor[s]] = updates[i]
-		cursor[s]++
+	cursor := append(sc.cursor[:0], offsets[:len(targets)]...)
+	grouped := reuse(sc.grouped, st.Transfers)
+	for c := range sc.chunks {
+		ch := &sc.chunks[c]
+		for u, s := range ch.slot {
+			grouped[cursor[s]] = ch.updates[u]
+			cursor[s]++
+		}
 	}
-	type updOut struct {
-		readBytes, writeBytes int
-		dropped               int
-	}
-	uouts := make([]updOut, len(targetOrder))
-	par.ForIdx(len(targetOrder), opt.Workers, func(i int) {
-		ups := grouped[offsets[i]:offsets[i+1]]
-		n := g.Nodes[targetOrder[i]]
-		if n == nil {
-			uouts[i].dropped = len(ups)
+	uouts := reuse(sc.uouts, len(targets))
+	par.ForIdx(len(targets), opt.Workers, func(s int) {
+		ups := grouped[offsets[s]:offsets[s+1]]
+		j := targets[s].node
+		if j < 0 {
+			uouts[s] = updOut{dropped: len(ups)}
 			return
 		}
-		uouts[i].readBytes = n.Data1Bytes() + n.Data2Bytes()
-		uouts[i].dropped = Apply(n, ups)
-		uouts[i].writeBytes = n.Data1Bytes() + n.Data2Bytes()
+		nd := nodes[j]
+		uouts[s].readBytes = nd.Data1Bytes() + nd.Data2Bytes()
+		uouts[s].dropped = Apply(nd, ups)
+		uouts[s].writeBytes = nd.Data1Bytes() + nd.Data2Bytes()
 	})
 	var sumTgtOld, sumTgtNew int64
-	for i, key := range targetOrder {
-		st.DroppedTN += uouts[i].dropped
-		sumTgtOld += int64(uouts[i].readBytes)
-		sumTgtNew += int64(uouts[i].writeBytes)
+	for s, t := range targets {
+		st.DroppedTN += uouts[s].dropped
+		sumTgtOld += int64(uouts[s].readBytes)
+		sumTgtNew += int64(uouts[s].writeBytes)
 		if opt.Observer != nil {
-			opt.Observer.UpdateNode(key, uouts[i].readBytes, uouts[i].writeBytes)
+			opt.Observer.UpdateNode(t.key, uouts[s].readBytes, uouts[s].writeBytes)
+		}
+		// Applied targets were mutated: drop their cached state so the
+		// next iteration recomputes it.
+		if t.node >= 0 {
+			sc.slotOf[t.node] = 0
+			states[t.node] = nodeState{}
 		}
 	}
+	clear(sc.missing)
+	// Drop the buffers' references to this iteration's sequences, so the
+	// arenas of consumed extensions can be collected.
+	clear(grouped)
+	for c := range sc.chunks {
+		clear(sc.chunks[c].updates)
+	}
+	sc.cursor, sc.grouped, sc.uouts = cursor, grouped, uouts
 
 	// Delete invalidated nodes (the optimized algorithm defers physical
 	// deletion; semantically they are gone either way) and compact the live
@@ -325,14 +373,6 @@ func runIteration(g *pakgraph.Graph, keys []dna.Kmer, states []nodeState, nodes 
 	keys = keys[:live]
 	states = states[:live]
 	nodes = nodes[:live]
-	// Applied targets were mutated: drop their cached state so the next
-	// iteration recomputes it (keys is sorted, so a binary search finds
-	// each survivor; deleted or dropped targets simply miss).
-	for _, t := range targetOrder {
-		if i, ok := slices.BinarySearch(keys, t); ok {
-			states[i] = nodeState{}
-		}
-	}
 
 	// Memory-traffic model (Fig. 14):
 	switch opt.Flow {
@@ -355,4 +395,86 @@ func runIteration(g *pakgraph.Graph, keys []dna.Kmer, states []nodeState, nodes 
 		opt.Observer.EndIteration(st)
 	}
 	return st, keys, states, nodes
+}
+
+// scratch is the per-iteration working memory of one Run. Live nodes only
+// ever shrink, so iteration 0 sizes every buffer and later iterations
+// reslice it. It belongs to a single Run call: concurrent Runs share
+// nothing.
+type scratch struct {
+	outs   []nodeOut
+	chunks []chunk
+	// slotOf[i] is 1 + the update slot of node i in this iteration, or 0
+	// when node i is no update target; entries are reset after use.
+	slotOf []int32
+	// missing holds the slots of update targets absent from the graph
+	// (only possible on merged noisy graphs); made on first use.
+	missing map[dna.Kmer]int32
+	targets []target // per slot, in first-appearance order
+	offsets []int32  // CSR bounds of each slot's updates in grouped
+	cursor  []int32
+	grouped []Update
+	uouts   []updOut
+}
+
+// nodeOut is one node's P1 decision and, when invalidated, where its
+// updates sit: chunks[chunk].updates[lo:hi].
+type nodeOut struct {
+	invalidated bool
+	chunk       int32
+	lo, hi      int32
+}
+
+// chunk holds what one block of consecutive keys extracted. Blocks are
+// in key order, so reading the chunks in order reads every update and
+// contig in ascending source-key order.
+type chunk struct {
+	updates []Update
+	// slot[u] is first the index of updates[u].Target in keys (-1 when
+	// absent), then, once grouped, its update slot.
+	slot    []int32
+	contigs []dna.Seq
+}
+
+// target is one update slot's destination; node is its index in keys, or
+// -1 when the key is not in the graph.
+type target struct {
+	key  dna.Kmer
+	node int32
+}
+
+type updOut struct {
+	readBytes, writeBytes int
+	dropped               int
+}
+
+// reuse returns s resliced to n elements, reallocating only when n
+// exceeds its capacity. Kept elements are not cleared.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// slot returns the update slot of target t (at index j of keys, or -1),
+// opening a new slot on t's first appearance.
+func (sc *scratch) slot(t dna.Kmer, j int32) int32 {
+	if j >= 0 {
+		if s := sc.slotOf[j]; s > 0 {
+			return s - 1
+		}
+		sc.slotOf[j] = int32(len(sc.targets)) + 1
+	} else {
+		if s, ok := sc.missing[t]; ok {
+			return s
+		}
+		if sc.missing == nil {
+			sc.missing = make(map[dna.Kmer]int32)
+		}
+		sc.missing[t] = int32(len(sc.targets))
+	}
+	sc.targets = append(sc.targets, target{key: t, node: j})
+	sc.offsets = append(sc.offsets, 0)
+	return int32(len(sc.targets)) - 1
 }

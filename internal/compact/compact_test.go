@@ -208,6 +208,77 @@ func (a *adjacencyChecker) UpdateNode(key dna.Kmer, r, w int) {
 }
 func (a *adjacencyChecker) EndIteration(IterStats) {}
 
+// TestMissingTargetIsDropped: updates whose target key is not in the
+// graph (a dangling edge, possible on merged noisy graphs) share one update
+// slot, get one UpdateNode with zero bytes and count as DroppedTN, while
+// the other targets are applied as usual.
+func TestMissingTargetIsDropped(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	s := randDNA(r, 400)
+	// Pick a node that iteration 0 sends two or more TransferNodes to.
+	probe := &updateRecorder{}
+	if _, err := Run(graphFromStrings(t, 9, s), Options{MaxIters: 1, Observer: probe}); err != nil {
+		t.Fatal(err)
+	}
+	var gone dna.Kmer
+	want := 0
+	for dst, n := range probe.transfers {
+		if n >= 2 && (want == 0 || dst < gone) {
+			gone, want = dst, n
+		}
+	}
+	if want == 0 {
+		t.Fatal("no node receives two transfers in iteration 0")
+	}
+
+	g := graphFromStrings(t, 9, s)
+	delete(g.Nodes, gone)
+	rec := &updateRecorder{}
+	res, err := Run(g, Options{MaxIters: 1, Observer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats[0]; st.DroppedTN != want || st.Transfers == want {
+		t.Fatalf("dropped %d of %d transfers, want %d", st.DroppedTN, st.Transfers, want)
+	}
+	seen := 0
+	for _, u := range rec.updates {
+		if u.key == gone {
+			seen++
+			if u.r != 0 || u.w != 0 {
+				t.Errorf("missing target reported %d/%d bytes, want 0/0", u.r, u.w)
+			}
+		}
+	}
+	if seen != 1 {
+		t.Fatalf("missing target reported %d times, want once", seen)
+	}
+}
+
+type updateRecorder struct {
+	transfers map[dna.Kmer]int
+	updates   []struct {
+		key  dna.Kmer
+		r, w int
+	}
+}
+
+func (u *updateRecorder) BeginIteration(iter, live int)                            {}
+func (u *updateRecorder) ScanNode(key dna.Kmer, d1, d2, exts, wires int, inv bool) {}
+func (u *updateRecorder) Transfer(src, dst dna.Kmer, tnBytes int, suffixSide bool) {
+	if u.transfers == nil {
+		u.transfers = make(map[dna.Kmer]int)
+	}
+	u.transfers[dst]++
+}
+func (u *updateRecorder) EndIteration(IterStats) {}
+func (u *updateRecorder) UpdateNode(key dna.Kmer, r, w int) {
+	u.updates = append(u.updates, struct {
+		key  dna.Kmer
+		r, w int
+	}{key, r, w})
+}
+
 // TestTerminalConservation: compaction never creates or destroys sequence
 // start/end markers (terminal counts), except for both-terminal wires that
 // leave the graph as completed contigs.
@@ -390,6 +461,27 @@ func TestHomopolymerSelfLoopSurvives(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidGraph: a nil graph and a k outside [2, dna.MaxK]
+// are errors, not a panic or a compaction over truncated keys.
+func TestRunRejectsInvalidGraph(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *pakgraph.Graph
+		ok   bool
+	}{
+		{"nil", nil, false},
+		{"k=1", &pakgraph.Graph{K: 1, Nodes: map[dna.Kmer]*pakgraph.MacroNode{}}, false},
+		{"k=2", &pakgraph.Graph{K: 2, Nodes: map[dna.Kmer]*pakgraph.MacroNode{}}, true},
+		{"k=32", &pakgraph.Graph{K: dna.MaxK, Nodes: map[dna.Kmer]*pakgraph.MacroNode{}}, true},
+		{"k=33", &pakgraph.Graph{K: 33, Nodes: map[dna.Kmer]*pakgraph.MacroNode{}}, false},
+		{"k=64", &pakgraph.Graph{K: 64, Nodes: map[dna.Kmer]*pakgraph.MacroNode{}}, false},
+	} {
+		if _, err := Run(tc.g, Options{}); (err == nil) != tc.ok {
+			t.Errorf("%s: Run error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestExtractPaperExample(t *testing.T) {
 	// Fig. 4(c)-(d): invalidating node GTCA with prefix A wired to suffix T
 	// (count 6) sends the predecessor AGTC an update replacing its suffix
@@ -398,7 +490,7 @@ func TestExtractPaperExample(t *testing.T) {
 	v.Prefixes = []pakgraph.Ext{{Seq: dna.MustParseSeq("A"), Weight: 6}}
 	v.Suffixes = []pakgraph.Ext{{Seq: dna.MustParseSeq("T"), Weight: 6}}
 	v.Rewire()
-	updates, contigs := Extract(v, 4)
+	updates, contigs := Extract(nil, nil, v, 4)
 	if len(contigs) != 0 {
 		t.Fatal("no contigs expected")
 	}

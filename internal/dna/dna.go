@@ -64,11 +64,6 @@ type Seq struct {
 	n int
 }
 
-// MakeSeq returns an empty sequence with capacity for n bases.
-func MakeSeq(n int) Seq {
-	return Seq{w: make([]uint64, 0, (n+31)/32)}
-}
-
 // ParseSeq builds a Seq from an ASCII string; it returns an error on the
 // first non-ACGT letter.
 func ParseSeq(s string) (Seq, error) {

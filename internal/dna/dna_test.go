@@ -326,10 +326,14 @@ func TestKmerFromSeqOffset(t *testing.T) {
 	}
 }
 
+// TestAppendTo appends a k-mer to a sequence through the Builder.
 func TestAppendTo(t *testing.T) {
 	q := MustParseSeq("TT")
 	km := MustParseKmer("ACG")
-	if got := km.AppendTo(q, 3).String(); got != "TTACG" {
+	b := NewBuilder(make([]uint64, 1))
+	b.Append(q, 0, q.Len())
+	b.AppendKmer(km, 3)
+	if got := b.Seq().String(); got != "TTACG" {
 		t.Fatalf("AppendTo = %q", got)
 	}
 }

@@ -82,7 +82,7 @@ func (km Kmer) Prefix() Kmer { return km >> 2 }
 // Suffix returns the trailing (k-1)-mer of a k-mer of length k.
 func (km Kmer) Suffix(k int) Kmer { return km & Kmer(KmerMask(k-1)) }
 
-// String renders a k-mer of length k as ASCII letters.
+// StringK renders a k-mer of length k as ASCII letters.
 func (km Kmer) StringK(k int) string {
 	out := make([]byte, k)
 	for i := 0; i < k; i++ {
@@ -93,20 +93,9 @@ func (km Kmer) StringK(k int) string {
 
 // Seq converts a k-mer of length k into a packed Seq.
 func (km Kmer) Seq(k int) Seq {
-	q := Seq{w: make([]uint64, (k+31)/32), n: k}
-	for i := 0; i < k; i++ {
-		q.w[i/32] |= uint64(km.At(k, i)) << (2 * uint(i%32))
-	}
-	return q
-}
-
-// AppendSeq returns the Seq q extended by the bases of km (length k).
-func (km Kmer) AppendTo(q Seq, k int) Seq {
-	out := q
-	for i := 0; i < k; i++ {
-		out = out.Append(km.At(k, i))
-	}
-	return out
+	b := NewBuilder(make([]uint64, Words(k)))
+	b.AppendKmer(km, k)
+	return b.Seq()
 }
 
 // NeighborViaPrefix computes the (k1)-mer of the node reached by following

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"nmppak/internal/compact"
 	"nmppak/internal/cpumodel"
 	"nmppak/internal/kmer"
 	"nmppak/internal/nmp"
@@ -174,4 +175,49 @@ func TestGoldenEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBlob("session checkpoint", sblob)
+}
+
+// goldenContigs pins assemble.Run's exact output on the quick workload:
+// the FNV-64a of its contigs in emission order, the number of compaction
+// iterations over every run (per batch, then the final merged pass) and
+// the summed TransferNodes. Batches > 1 reaches Graph.Merge and the final
+// compaction, which the trace capture never runs. Captured before the
+// allocation-light compaction rewrite.
+var goldenContigs = []struct {
+	batches   int
+	hash      uint64
+	contigs   int
+	iters     int
+	transfers int
+}{
+	{1, 0x202cac58ecfb9bf1, 34, 32, 119121},
+	{2, 0xf1f61f4b306b4bc5, 1190, 51, 201200},
+	{4, 0xca03dc8e7d1e02ad, 3561, 90, 198516},
+}
+
+func TestGoldenContigs(t *testing.T) {
+	c, err := NewContext(QuickWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range goldenContigs {
+		out, err := c.Assemble(want.batches, compact.FlowPipelined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, q := range out.Contigs {
+			fmt.Fprintf(h, "%s;", q)
+		}
+		transfers := 0
+		for _, st := range out.CompactStats {
+			transfers += st.Transfers
+		}
+		if got := h.Sum64(); got != want.hash || len(out.Contigs) != want.contigs ||
+			len(out.CompactStats) != want.iters || transfers != want.transfers {
+			t.Errorf("batches=%d: contigs hash %#x (%d contigs), %d iterations, %d transfers; golden %#x (%d), %d, %d",
+				want.batches, got, len(out.Contigs), len(out.CompactStats), transfers,
+				want.hash, want.contigs, want.iters, want.transfers)
+		}
+	}
 }

@@ -73,8 +73,13 @@ func (g *Graph) Len() int { return len(g.Nodes) }
 // pruned error k-mers, and the extra arms of forks and merges) receive
 // terminal pads, which is where contigs will begin and end.
 func Build(res *kmer.Result) (*Graph, error) {
-	if res.K < 2 {
-		return nil, fmt.Errorf("pakgraph: invalid k=%d", res.K)
+	if res == nil {
+		return nil, fmt.Errorf("pakgraph: nil k-mer result")
+	}
+	// A key is a (k-1)-mer packed into one dna.Kmer word, and k-mers of
+	// more than dna.MaxK bases do not fit one either.
+	if res.K < 2 || res.K > dna.MaxK {
+		return nil, fmt.Errorf("pakgraph: invalid k=%d, want [2,%d]", res.K, dna.MaxK)
 	}
 	g := &Graph{K: res.K, Nodes: make(map[dna.Kmer]*MacroNode, len(res.Kmers))}
 	// Nodes are carved out of slab blocks: one allocation per 512 nodes
@@ -130,7 +135,8 @@ func addExt(exts *[]Ext, seq dna.Seq, weight uint32, terminal bool) {
 	*exts = append(*exts, Ext{Seq: seq, Weight: weight, Terminal: terminal})
 }
 
-// AddExt exposes addExt for graph merging.
+// AddExt exposes addExt to builders outside the package (the scale-out
+// prelude's per-shard MacroNode construction in scaleout.CountSharded).
 func AddExt(exts *[]Ext, seq dna.Seq, weight uint32, terminal bool) {
 	addExt(exts, seq, weight, terminal)
 }

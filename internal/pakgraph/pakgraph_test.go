@@ -293,6 +293,39 @@ func TestMergeRejectsDifferentK(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsInvalidK: a key is one packed dna.Kmer word, so a k
+// outside [2, dna.MaxK] must be an error, not a graph of truncated keys.
+func TestBuildRejectsInvalidK(t *testing.T) {
+	kmers := []kmer.Counted{{Km: 1, Count: 3}}
+	for _, tc := range []struct {
+		res *kmer.Result
+		ok  bool
+	}{
+		{nil, false},
+		{&kmer.Result{K: 0, Kmers: kmers}, false},
+		{&kmer.Result{K: 1, Kmers: kmers}, false},
+		{&kmer.Result{K: 2, Kmers: kmers}, true},
+		{&kmer.Result{K: dna.MaxK, Kmers: kmers}, true},
+		{&kmer.Result{K: 33, Kmers: kmers}, false},
+		{&kmer.Result{K: 40, Kmers: kmers}, false},
+		{&kmer.Result{K: 64, Kmers: kmers}, false},
+	} {
+		g, err := Build(tc.res)
+		if (err == nil) != tc.ok {
+			k := -1
+			if tc.res != nil {
+				k = tc.res.K
+			}
+			t.Errorf("Build(k=%d) error %v, want ok=%v", k, err, tc.ok)
+		}
+		if err == nil {
+			if verr := g.Validate(); verr != nil {
+				t.Errorf("Build(k=%d) graph invalid: %v", tc.res.K, verr)
+			}
+		}
+	}
+}
+
 func TestTotalTerminalsMatchesReadCount(t *testing.T) {
 	reads := []readsim.Read{
 		{Seq: dna.MustParseSeq("ACGTTGCAGG")},

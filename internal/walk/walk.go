@@ -95,7 +95,7 @@ func traverse(g *pakgraph.Graph, used map[dna.Kmer][]bool, key dna.Kmer, wi int,
 		}
 		// The traversal entered next through prefix extension
 		// (key+s)[:|s|].
-		arr := n.Key.Seq(k1).Concat(s.Seq).Slice(0, s.Seq.Len())
+		arr := dna.JoinRange(n.Key.Seq(k1), s.Seq, 0, s.Seq.Len())
 		pj := -1
 		for i, e := range next.Prefixes {
 			if !e.Terminal && e.Seq.Equal(arr) {
