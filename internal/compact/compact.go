@@ -33,7 +33,6 @@ package compact
 
 import (
 	"fmt"
-	"slices"
 
 	"nmppak/internal/dna"
 	"nmppak/internal/pakgraph"
@@ -135,24 +134,22 @@ func Run(g *pakgraph.Graph, opt Options) (*Result, error) {
 	if g.K < 2 || g.K > dna.MaxK {
 		return nil, fmt.Errorf("compact: invalid graph k=%d, want [2,%d]", g.K, dna.MaxK)
 	}
-	res := &Result{}
-	// Compaction only ever deletes nodes, so the ascending key order every
-	// iteration sweeps in can be computed once and filtered incrementally —
-	// the per-iteration re-sort the sequential algorithm performed is pure
-	// overhead. Likewise, a node's P1 decision and data1/data2 sizes depend
-	// only on its own extensions, and the only nodes an iteration mutates
-	// are the update targets — so both are cached across iterations and
-	// recomputed just for the nodes the previous iteration touched.
-	keys := g.SortedKeys()
-	states := make([]nodeState, len(keys))
-	nodes := make([]*pakgraph.MacroNode, len(keys))
-	for i, key := range keys {
-		nodes[i] = g.Nodes[key]
+	// Every sweep runs over g.Nodes in its ascending key order, and update
+	// targets are found in it by binary search.
+	if err := g.CheckOrder(); err != nil {
+		return nil, fmt.Errorf("compact: %w", err)
 	}
+	res := &Result{}
+	// A node's P1 decision and data1/data2 sizes depend only on its own
+	// extensions, and the only nodes an iteration mutates are the update
+	// targets — so both are cached across iterations and recomputed just
+	// for the nodes the previous iteration touched.
+	n := g.Len()
+	states := make([]nodeState, n)
 	sc := &scratch{
-		outs:   make([]nodeOut, len(keys)),
+		outs:   make([]nodeOut, n),
 		chunks: make([]chunk, par.Threads(opt.Workers)),
-		slotOf: make([]int32, len(keys)),
+		slotOf: make([]int32, n),
 	}
 	for iter := 0; ; iter++ {
 		if opt.MaxIters > 0 && iter >= opt.MaxIters {
@@ -162,7 +159,7 @@ func Run(g *pakgraph.Graph, opt Options) (*Result, error) {
 			break
 		}
 		var st IterStats
-		st, keys, states, nodes = runIteration(g, keys, states, nodes, iter, opt, res, sc)
+		st, states = runIteration(g, states, iter, opt, res, sc)
 		res.Stats = append(res.Stats, st)
 		res.Iterations++
 		if st.Invalidated == 0 {
@@ -174,8 +171,6 @@ func Run(g *pakgraph.Graph, opt Options) (*Result, error) {
 
 // nodeState carries one live node's cached P1 decision and serialized
 // sizes between iterations; the zero value means "unknown, recompute".
-// Node pointers ride along in a parallel slice, so steady-state iterations
-// never touch the graph map except to delete.
 type nodeState struct {
 	status int8  // 0 unknown, 1 invalidation target, 2 survivor
 	d1, d2 int32 // Data1Bytes/Data2Bytes, valid when status != 0
@@ -183,23 +178,23 @@ type nodeState struct {
 
 // runIteration executes one iteration: parallel invalidation check over the
 // iteration-start state, extraction, grouped update application, then
-// deletion of invalidated nodes. keys must hold the graph's live keys in
-// ascending order with states and nodes parallel to it; the surviving
-// keys, states and nodes are returned (filtered in place, update targets
-// reset to unknown). sc is the Run's scratch.
-func runIteration(g *pakgraph.Graph, keys []dna.Kmer, states []nodeState, nodes []*pakgraph.MacroNode, iter int, opt Options, res *Result, sc *scratch) (IterStats, []dna.Kmer, []nodeState, []*pakgraph.MacroNode) {
+// deletion of invalidated nodes. states must be parallel to g.Nodes; the
+// survivors' states are returned (filtered in place like g.Nodes, update
+// targets reset to unknown). sc is the Run's scratch.
+func runIteration(g *pakgraph.Graph, states []nodeState, iter int, opt Options, res *Result, sc *scratch) (IterStats, []nodeState) {
 	k1 := g.K1()
-	st := IterStats{Iter: iter, LiveNodes: len(keys)}
+	nodes := g.Nodes
+	n := len(nodes)
+	st := IterStats{Iter: iter, LiveNodes: n}
 	if opt.Observer != nil {
-		opt.Observer.BeginIteration(iter, len(keys))
+		opt.Observer.BeginIteration(iter, n)
 	}
 
 	// Phase A+B fused, one block of consecutive keys per chunk: decide
 	// invalidation (cached unless the node was updated last iteration),
 	// size the chunk's update buffer (a wire yields at most two updates),
 	// then extract into it and name each update's target by its index in
-	// keys, which is sorted and parallel to nodes.
-	n := len(keys)
+	// g.Nodes.
 	outs := sc.outs[:n]
 	nch := len(sc.chunks)
 	par.For(nch, opt.Workers, func(clo, chi int) {
@@ -207,7 +202,7 @@ func runIteration(g *pakgraph.Graph, keys []dna.Kmer, states []nodeState, nodes 
 			lo, hi := c*n/nch, (c+1)*n/nch
 			need := 0
 			for i := lo; i < hi; i++ {
-				nd := nodes[i]
+				nd := &nodes[i]
 				if states[i].status == 0 {
 					states[i].status = 2
 					if nd.IsInvalidationTarget(k1) {
@@ -232,16 +227,12 @@ func runIteration(g *pakgraph.Graph, keys []dna.Kmer, states []nodeState, nodes 
 					continue
 				}
 				from := len(ups)
-				ups, cons = Extract(ups, cons, nodes[i], k1)
+				ups, cons = Extract(ups, cons, &nodes[i], k1)
 				outs[i].chunk, outs[i].lo, outs[i].hi = int32(c), int32(from), int32(len(ups))
 			}
 			slot := ch.slot[:len(ups)]
 			for u := range ups {
-				j, ok := slices.BinarySearch(keys, ups[u].Target)
-				if !ok {
-					j = -1
-				}
-				slot[u] = int32(j)
+				slot[u] = int32(g.Index(ups[u].Target))
 			}
 			ch.updates, ch.slot, ch.contigs = ups, slot, cons
 		}
@@ -252,8 +243,9 @@ func runIteration(g *pakgraph.Graph, keys []dna.Kmer, states []nodeState, nodes 
 	// of all live nodes, the quantities the two flows' traffic models are
 	// built from.
 	var sumD1, sumD12, sumInvD2 int64
-	for i, key := range keys {
-		nd := nodes[i]
+	for i := range nodes {
+		nd := &nodes[i]
+		key := nd.Key
 		d1, d2 := int(states[i].d1), int(states[i].d2)
 		sumD1 += int64(d1)
 		sumD12 += int64(d1 + d2)
@@ -322,7 +314,7 @@ func runIteration(g *pakgraph.Graph, keys []dna.Kmer, states []nodeState, nodes 
 			uouts[s] = updOut{dropped: len(ups)}
 			return
 		}
-		nd := nodes[j]
+		nd := &nodes[j]
 		uouts[s].readBytes = nd.Data1Bytes() + nd.Data2Bytes()
 		uouts[s].dropped = Apply(nd, ups)
 		uouts[s].writeBytes = nd.Data1Bytes() + nd.Data2Bytes()
@@ -352,27 +344,21 @@ func runIteration(g *pakgraph.Graph, keys []dna.Kmer, states []nodeState, nodes 
 	sc.cursor, sc.grouped, sc.uouts = cursor, grouped, uouts
 
 	// Delete invalidated nodes (the optimized algorithm defers physical
-	// deletion; semantically they are gone either way) and compact the live
-	// key and state lists in place — ascending order is preserved for the
-	// next iteration.
+	// deletion; semantically they are gone either way) by filtering the
+	// node and state lists in place, which keeps the ascending key order.
+	// The vacated tail is cleared so the deleted nodes' extension and wire
+	// arrays are collectable.
 	live := 0
-	for i, key := range keys {
-		if outs[i].invalidated {
-			// Clear the node so its extension/wire arrays are collectable
-			// even while its slab (pakgraph.Build allocates nodes in
-			// blocks) is pinned by surviving neighbors.
-			*nodes[i] = pakgraph.MacroNode{}
-			delete(g.Nodes, key)
-		} else {
-			keys[live] = key
-			states[live] = states[i]
+	for i := range nodes {
+		if !outs[i].invalidated {
 			nodes[live] = nodes[i]
+			states[live] = states[i]
 			live++
 		}
 	}
-	keys = keys[:live]
+	clear(nodes[live:])
+	g.Nodes = nodes[:live]
 	states = states[:live]
-	nodes = nodes[:live]
 
 	// Memory-traffic model (Fig. 14):
 	switch opt.Flow {
@@ -394,7 +380,7 @@ func runIteration(g *pakgraph.Graph, keys []dna.Kmer, states []nodeState, nodes 
 	if opt.Observer != nil {
 		opt.Observer.EndIteration(st)
 	}
-	return st, keys, states, nodes
+	return st, states
 }
 
 // scratch is the per-iteration working memory of one Run. Live nodes only
@@ -430,13 +416,13 @@ type nodeOut struct {
 // contig in ascending source-key order.
 type chunk struct {
 	updates []Update
-	// slot[u] is first the index of updates[u].Target in keys (-1 when
+	// slot[u] is first the index of updates[u].Target in g.Nodes (-1 when
 	// absent), then, once grouped, its update slot.
 	slot    []int32
 	contigs []dna.Seq
 }
 
-// target is one update slot's destination; node is its index in keys, or
+// target is one update slot's destination; node is its index in g.Nodes, or
 // -1 when the key is not in the graph.
 type target struct {
 	key  dna.Kmer
@@ -457,7 +443,7 @@ func reuse[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// slot returns the update slot of target t (at index j of keys, or -1),
+// slot returns the update slot of target t (at index j of g.Nodes, or -1),
 // opening a new slot on t's first appearance.
 func (sc *scratch) slot(t dna.Kmer, j int32) int32 {
 	if j >= 0 {

@@ -2,6 +2,7 @@ package compact
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,13 +50,13 @@ func spell(t testing.TB, g *pakgraph.Graph, completed []dna.Seq) string {
 	k1 := g.K1()
 	// Find the node holding the terminal prefix.
 	var start *pakgraph.MacroNode
-	for _, n := range g.Nodes {
-		for _, e := range n.Prefixes {
+	for i := range g.Nodes {
+		for _, e := range g.Nodes[i].Prefixes {
 			if e.Terminal {
 				if start != nil {
 					t.Fatal("multiple terminal prefixes in path graph")
 				}
-				start = n
+				start = &g.Nodes[i]
 			}
 		}
 	}
@@ -81,7 +82,7 @@ func spell(t testing.TB, g *pakgraph.Graph, completed []dna.Seq) string {
 		if s.Terminal {
 			return contig.String()
 		}
-		next := g.Nodes[dna.NeighborViaSuffix(n.Key, k1, s.Seq)]
+		next := g.Node(dna.NeighborViaSuffix(n.Key, k1, s.Seq))
 		if next == nil {
 			t.Fatal("dangling suffix during spell")
 		}
@@ -150,8 +151,8 @@ func TestCompactionShrinksPathToFixedPoint(t *testing.T) {
 		t.Fatalf("poor compaction: %d -> %d", before, g.Len())
 	}
 	// Fixed point: no node is an invalidation target anymore.
-	for _, n := range g.Nodes {
-		if n.IsInvalidationTarget(g.K1()) {
+	for i := range g.Nodes {
+		if g.Nodes[i].IsInvalidationTarget(g.K1()) {
 			t.Fatal("fixed point not reached")
 		}
 	}
@@ -232,7 +233,7 @@ func TestMissingTargetIsDropped(t *testing.T) {
 	}
 
 	g := graphFromStrings(t, 9, s)
-	delete(g.Nodes, gone)
+	g.Nodes = slices.DeleteFunc(g.Nodes, func(n pakgraph.MacroNode) bool { return n.Key == gone })
 	rec := &updateRecorder{}
 	res, err := Run(g, Options{MaxIters: 1, Observer: rec})
 	if err != nil {
@@ -325,8 +326,9 @@ func TestFlowsProduceIdenticalGraphs(t *testing.T) {
 	if gA.Len() != gB.Len() {
 		t.Fatalf("final sizes differ: %d vs %d", gA.Len(), gB.Len())
 	}
-	for key, na := range gA.Nodes {
-		nb := gB.Nodes[key]
+	for i := range gA.Nodes {
+		na, key := &gA.Nodes[i], gA.Nodes[i].Key
+		nb := gB.Node(key)
 		if nb == nil {
 			t.Fatalf("node %v missing in sequential result", key)
 		}
@@ -456,25 +458,32 @@ func TestHomopolymerSelfLoopSurvives(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.Nodes[dna.MustParseKmer("AAA")] == nil {
+	if g.Node(dna.MustParseKmer("AAA")) == nil {
 		t.Fatal("self-loop node AAA must survive")
 	}
 }
 
-// TestRunRejectsInvalidGraph: a nil graph and a k outside [2, dna.MaxK]
-// are errors, not a panic or a compaction over truncated keys.
+// TestRunRejectsInvalidGraph: a nil graph, a k outside [2, dna.MaxK] and
+// a Nodes slice that is not in strictly ascending key order are errors,
+// not a panic or a compaction over truncated keys or misrouted updates.
 func TestRunRejectsInvalidGraph(t *testing.T) {
+	unordered := graphFromStrings(t, 5, "ACGTTGCAACGGTCA")
+	unordered.Nodes[0], unordered.Nodes[1] = unordered.Nodes[1], unordered.Nodes[0]
+	duplicate := graphFromStrings(t, 5, "ACGTTGCAACGGTCA")
+	duplicate.Nodes = slices.Insert(duplicate.Nodes, 2, duplicate.Nodes[2])
 	for _, tc := range []struct {
 		name string
 		g    *pakgraph.Graph
 		ok   bool
 	}{
 		{"nil", nil, false},
-		{"k=1", &pakgraph.Graph{K: 1, Nodes: map[dna.Kmer]*pakgraph.MacroNode{}}, false},
-		{"k=2", &pakgraph.Graph{K: 2, Nodes: map[dna.Kmer]*pakgraph.MacroNode{}}, true},
-		{"k=32", &pakgraph.Graph{K: dna.MaxK, Nodes: map[dna.Kmer]*pakgraph.MacroNode{}}, true},
-		{"k=33", &pakgraph.Graph{K: 33, Nodes: map[dna.Kmer]*pakgraph.MacroNode{}}, false},
-		{"k=64", &pakgraph.Graph{K: 64, Nodes: map[dna.Kmer]*pakgraph.MacroNode{}}, false},
+		{"k=1", &pakgraph.Graph{K: 1}, false},
+		{"k=2", &pakgraph.Graph{K: 2}, true},
+		{"k=32", &pakgraph.Graph{K: dna.MaxK}, true},
+		{"k=33", &pakgraph.Graph{K: 33}, false},
+		{"k=64", &pakgraph.Graph{K: 64}, false},
+		{"unordered", unordered, false},
+		{"duplicate", duplicate, false},
 	} {
 		if _, err := Run(tc.g, Options{}); (err == nil) != tc.ok {
 			t.Errorf("%s: Run error %v, want ok=%v", tc.name, err, tc.ok)

@@ -86,8 +86,8 @@ func TestPropertyWireConservation(t *testing.T) {
 
 func totalWireCount(g *pakgraph.Graph) int64 {
 	var n int64
-	for _, node := range g.Nodes {
-		n += int64(len(node.Wires))
+	for i := range g.Nodes {
+		n += int64(len(g.Nodes[i].Wires))
 	}
 	return n
 }
@@ -101,13 +101,13 @@ func TestPropertyInvalidationSetIndependent(t *testing.T) {
 		g := graphFromStrings(t, 7, randDNA(r, 250), randDNA(r, 250))
 		k1 := g.K1()
 		targets := make(map[dna.Kmer]bool)
-		for key, n := range g.Nodes {
-			if n.IsInvalidationTarget(k1) {
-				targets[key] = true
+		for i := range g.Nodes {
+			if g.Nodes[i].IsInvalidationTarget(k1) {
+				targets[g.Nodes[i].Key] = true
 			}
 		}
 		for key := range targets {
-			keys, _ := g.Nodes[key].NeighborKeys(k1)
+			keys, _ := g.Node(key).NeighborKeys(k1)
 			for _, nb := range keys {
 				if targets[nb] {
 					return false

@@ -18,6 +18,8 @@
 package cpumodel
 
 import (
+	"fmt"
+
 	"nmppak/internal/dram"
 	"nmppak/internal/sim"
 	"nmppak/internal/trace"
@@ -123,8 +125,28 @@ const (
 	kMove                  // rewrite node (reallocation)
 )
 
+// Validate rejects a machine the model cannot run.
+func (c Config) Validate() error {
+	if c.Threads < 1 || c.Channels < 1 {
+		return fmt.Errorf("cpumodel: need at least 1 thread and 1 channel, got %d/%d", c.Threads, c.Channels)
+	}
+	if !(c.L3HitRate >= 0 && c.L3HitRate <= 1) {
+		return fmt.Errorf("cpumodel: L3HitRate %v outside [0,1]", c.L3HitRate)
+	}
+	if err := c.DRAM.Validate(); err != nil {
+		return fmt.Errorf("cpumodel: %w", err)
+	}
+	return nil
+}
+
 // Simulate replays the trace on the CPU model.
 func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if tr == nil {
+		return nil, fmt.Errorf("cpumodel: nil trace")
+	}
 	channels := make([]*dram.Channel, cfg.Channels)
 	for i := range channels {
 		channels[i] = dram.NewChannel(cfg.DRAM)

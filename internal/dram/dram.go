@@ -15,6 +15,8 @@
 package dram
 
 import (
+	"fmt"
+
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
 )
@@ -62,6 +64,25 @@ func DDR4_3200() Config {
 		TRFC:         560,   // 350 ns
 		TREFI:        12480, // 7.8 us
 	}
+}
+
+// Validate rejects a geometry or timing the channel model cannot run.
+func (c Config) Validate() error {
+	if c.Ranks < 1 || c.BanksPerRank < 1 {
+		return fmt.Errorf("dram: need at least 1 rank and 1 bank per rank, got %d/%d", c.Ranks, c.BanksPerRank)
+	}
+	if c.RowBytes < BlockBytes {
+		return fmt.Errorf("dram: RowBytes %d holds no %d-byte burst", c.RowBytes, BlockBytes)
+	}
+	if c.TBL < 1 || c.TREFI < 1 {
+		return fmt.Errorf("dram: TBL and TREFI must be positive, got %d/%d", c.TBL, c.TREFI)
+	}
+	for _, v := range []int{c.TRCD, c.TRP, c.TCL, c.TCWL, c.TRAS, c.TRRD, c.TFAW, c.TWR, c.TRTP, c.TWTR, c.TRFC} {
+		if v < 0 {
+			return fmt.Errorf("dram: negative timing parameter %d", v)
+		}
+	}
+	return nil
 }
 
 // BlockBytes is the burst granularity (one BL8 burst on a x64 DIMM).
@@ -128,13 +149,8 @@ type Channel struct {
 // global time with Track.ShiftRange.
 func (ch *Channel) SetProbe(t *telemetry.Track) { ch.probe = t }
 
-// NewChannel builds a channel from cfg (zero fields filled with DDR4-3200
-// defaults).
+// NewChannel builds a channel from cfg, which must pass Validate.
 func NewChannel(cfg Config) *Channel {
-	def := DDR4_3200()
-	if cfg.Ranks == 0 {
-		cfg = def
-	}
 	ch := &Channel{cfg: cfg}
 	ch.banks = make([][]bank, cfg.Ranks)
 	for r := range ch.banks {

@@ -68,8 +68,8 @@ func Estimate(g *pakgraph.Graph, totalKmers int64, batches int, p Params, residu
 		batches = 1
 	}
 	var graphBytes int64
-	for _, n := range g.Nodes {
-		payload := float64(n.SizeBytes())
+	for i := range g.Nodes {
+		payload := float64(g.Nodes[i].SizeBytes())
 		perNode := payload*(1+p.ValueCopies)*p.VectorSlack + float64(p.MapEntryOverhead)
 		graphBytes += int64(perNode)
 	}
@@ -84,14 +84,4 @@ func Ratio(baseline, optimized int64) float64 {
 		return 0
 	}
 	return float64(baseline) / float64(optimized)
-}
-
-// GraphBytes returns the raw (single-copy, slack-free) graph payload, the
-// quantity the hardware working set uses.
-func GraphBytes(g *pakgraph.Graph) int64 {
-	var b int64
-	for _, n := range g.Nodes {
-		b += int64(n.SizeBytes())
-	}
-	return b
 }

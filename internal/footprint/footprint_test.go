@@ -3,7 +3,6 @@ package footprint
 import (
 	"testing"
 
-	"nmppak/internal/dna"
 	"nmppak/internal/genome"
 	"nmppak/internal/kmer"
 	"nmppak/internal/pakgraph"
@@ -62,13 +61,9 @@ func TestBatchingReducesFootprintRoughlyLinearly(t *testing.T) {
 
 // subgraph keeps roughly 1/n of the nodes (footprint modeling only).
 func subgraph(g *pakgraph.Graph, n int) *pakgraph.Graph {
-	out := &pakgraph.Graph{K: g.K, Nodes: make(map[dna.Kmer]*pakgraph.MacroNode)}
-	i := 0
-	for k, node := range g.Nodes {
-		if i%n == 0 {
-			out.Nodes[k] = node
-		}
-		i++
+	out := &pakgraph.Graph{K: g.K}
+	for i := 0; i < len(g.Nodes); i += n {
+		out.Nodes = append(out.Nodes, g.Nodes[i])
 	}
 	return out
 }

@@ -65,8 +65,14 @@ type Result struct {
 // runs the refined (pipelined-flow) algorithm: data1 for every node, data2
 // for invalidated nodes, destination read+write for every update.
 func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
-	if cfg.PeakBWGBs <= 0 || cfg.RandomAccessEff <= 0 {
+	if !(cfg.PeakBWGBs > 0 && cfg.RandomAccessEff > 0) {
 		return nil, fmt.Errorf("gpumodel: bandwidth parameters must be positive")
+	}
+	if !(cfg.LaunchOverheadUs >= 0) {
+		return nil, fmt.Errorf("gpumodel: LaunchOverheadUs %v must be non-negative", cfg.LaunchOverheadUs)
+	}
+	if tr == nil {
+		return nil, fmt.Errorf("gpumodel: nil trace")
 	}
 	effBW := cfg.PeakBWGBs * 1e9 * cfg.RandomAccessEff // bytes/s
 	var total float64

@@ -141,6 +141,14 @@ func (c Config) Validate() error {
 	if c.BridgeBytesPerCy <= 0 || c.CrossbarBytesPerCy <= 0 {
 		return fmt.Errorf("nmp: interconnect bandwidth must be positive")
 	}
+	// Offloaded nodes run only on the host threads, so hybrid processing
+	// without any would drop them.
+	if c.HybridThresholdBytes > 0 && c.CPUThreads < 1 {
+		return fmt.Errorf("nmp: hybrid offload needs at least 1 CPU thread, got %d", c.CPUThreads)
+	}
+	if err := c.DRAM.Validate(); err != nil {
+		return fmt.Errorf("nmp: %w", err)
+	}
 	return nil
 }
 

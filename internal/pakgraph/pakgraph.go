@@ -18,6 +18,7 @@ package pakgraph
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"nmppak/internal/dna"
 	"nmppak/internal/kmer"
@@ -53,10 +54,14 @@ type MacroNode struct {
 	Wires    []Wire
 }
 
-// Graph is the PaK-graph: a keyed set of MacroNodes for a fixed k.
+// Graph is the PaK-graph for a fixed k. Nodes holds the MacroNodes in
+// strictly ascending key order, the layout the paper's static DIMM mapping
+// table assumes ("MacroNodes are stored in ascending (k-1)-mer order across
+// DIMMs"); a key is found by binary search (Index, Node). Every function
+// that changes Nodes keeps the order, and Validate checks it.
 type Graph struct {
 	K     int // k-mer length; keys are (K-1)-mers
-	Nodes map[dna.Kmer]*MacroNode
+	Nodes []MacroNode
 }
 
 // K1 returns the node key length (k-1).
@@ -64,6 +69,37 @@ func (g *Graph) K1() int { return g.K - 1 }
 
 // Len returns the number of MacroNodes.
 func (g *Graph) Len() int { return len(g.Nodes) }
+
+// Index returns the position of the node keyed key in Nodes, or -1 when
+// the graph holds no such node.
+func (g *Graph) Index(key dna.Kmer) int {
+	i := sort.Search(len(g.Nodes), func(i int) bool { return g.Nodes[i].Key >= key })
+	if i < len(g.Nodes) && g.Nodes[i].Key == key {
+		return i
+	}
+	return -1
+}
+
+// Node returns the node keyed key, or nil when the graph holds no such
+// node. The pointer is valid until Nodes is next reassigned or filtered.
+func (g *Graph) Node(key dna.Kmer) *MacroNode {
+	if i := g.Index(key); i >= 0 {
+		return &g.Nodes[i]
+	}
+	return nil
+}
+
+// CheckOrder reports the first node whose key does not strictly follow
+// its predecessor's: out of order, or a duplicate.
+func (g *Graph) CheckOrder() error {
+	for i := 1; i < len(g.Nodes); i++ {
+		if g.Nodes[i-1].Key >= g.Nodes[i].Key {
+			return fmt.Errorf("pakgraph: node %d key %s does not follow node %d key %s in ascending order",
+				i, g.Nodes[i].Key.StringK(g.K1()), i-1, g.Nodes[i-1].Key.StringK(g.K1()))
+		}
+	}
+	return nil
+}
 
 // Build constructs the PaK-graph from counted k-mers (Fig. 3): each k-mer
 // adds a suffix extension to the node of its leading (k-1)-mer and a prefix
@@ -81,32 +117,26 @@ func Build(res *kmer.Result) (*Graph, error) {
 	if res.K < 2 || res.K > dna.MaxK {
 		return nil, fmt.Errorf("pakgraph: invalid k=%d, want [2,%d]", res.K, dna.MaxK)
 	}
-	g := &Graph{K: res.K, Nodes: make(map[dna.Kmer]*MacroNode, len(res.Kmers))}
-	// Nodes are carved out of slab blocks: one allocation per 512 nodes
-	// instead of one each, which cuts both Build time and the GC scan load
-	// of the finished graph.
-	var slab []MacroNode
-	node := func(key dna.Kmer) *MacroNode {
-		n := g.Nodes[key]
-		if n == nil {
-			if len(slab) == 0 {
-				slab = make([]MacroNode, 512)
-			}
-			n = &slab[0]
-			slab = slab[1:]
-			n.Key = key
-			g.Nodes[key] = n
-		}
-		return n
+	// The node set is every k-mer's two (k-1)-mers, sorted and
+	// deduplicated, so Nodes is sized once.
+	keys := make([]uint64, 0, 2*len(res.Kmers))
+	for _, kc := range res.Kmers {
+		keys = append(keys, uint64(kc.Km.Prefix()), uint64(kc.Km.Suffix(res.K)))
+	}
+	kmer.ParallelSortUint64(keys, 1)
+	keys = slices.Compact(keys)
+	g := &Graph{K: res.K, Nodes: make([]MacroNode, len(keys))}
+	for i, key := range keys {
+		g.Nodes[i].Key = dna.Kmer(key)
 	}
 	for _, kc := range res.Kmers {
 		l, r := kc.Km.Prefix(), kc.Km.Suffix(res.K)
 		first, last := kc.Km.First(res.K), kc.Km.Last()
-		addExt(&node(l).Suffixes, extKey1(last), kc.Count, false)
-		addExt(&node(r).Prefixes, extKey1(first), kc.Count, false)
+		addExt(&g.Nodes[g.Index(l)].Suffixes, extKey1(last), kc.Count, false)
+		addExt(&g.Nodes[g.Index(r)].Prefixes, extKey1(first), kc.Count, false)
 	}
-	for _, n := range g.Nodes {
-		n.Rewire()
+	for i := range g.Nodes {
+		g.Nodes[i].Rewire()
 	}
 	return g, nil
 }
@@ -133,12 +163,6 @@ func addExt(exts *[]Ext, seq dna.Seq, weight uint32, terminal bool) {
 		}
 	}
 	*exts = append(*exts, Ext{Seq: seq, Weight: weight, Terminal: terminal})
-}
-
-// AddExt exposes addExt to builders outside the package (the scale-out
-// prelude's per-shard MacroNode construction in scaleout.CountSharded).
-func AddExt(exts *[]Ext, seq dna.Seq, weight uint32, terminal bool) {
-	addExt(exts, seq, weight, terminal)
 }
 
 // Rewire recomputes the node's wires from scratch: prefixes and suffixes
@@ -334,27 +358,17 @@ func (n *MacroNode) TerminalCount() (prefix, suffix uint64) {
 	return prefix, suffix
 }
 
-// SortedKeys returns all node keys in ascending order — the layout order
-// the paper's static DIMM mapping table assumes ("MacroNodes are stored in
-// ascending (k-1)-mer order across DIMMs").
-func (g *Graph) SortedKeys() []dna.Kmer {
-	keys := make([]dna.Kmer, 0, len(g.Nodes))
-	for k := range g.Nodes {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// Validate checks structural invariants: balance, wire index bounds, wire
-// count conservation, and that every non-terminal extension points at an
-// existing node. Used heavily by tests.
+// Validate checks structural invariants: strictly ascending keys,
+// balance, wire index bounds, wire count conservation, and that every
+// non-terminal extension points at an existing node. Used heavily by tests.
 func (g *Graph) Validate() error {
+	if err := g.CheckOrder(); err != nil {
+		return err
+	}
 	k1 := g.K1()
-	for key, n := range g.Nodes {
-		if n.Key != key {
-			return fmt.Errorf("node keyed %s stores key %s", key.StringK(k1), n.Key.StringK(k1))
-		}
+	for ni := range g.Nodes {
+		n := &g.Nodes[ni]
+		key := n.Key
 		if tp, ts := n.TotalPrefixCount(), n.TotalSuffixCount(); tp != ts {
 			return fmt.Errorf("node %s unbalanced: prefixes %d suffixes %d", key.StringK(k1), tp, ts)
 		}
@@ -373,7 +387,7 @@ func (g *Graph) Validate() error {
 			}
 			if !e.Terminal {
 				nb := dna.NeighborViaPrefix(n.Key, k1, e.Seq)
-				if g.Nodes[nb] == nil {
+				if g.Index(nb) < 0 {
 					return fmt.Errorf("node %s prefix %q dangles (neighbor %s missing)", key.StringK(k1), e.Seq.String(), nb.StringK(k1))
 				}
 			}
@@ -384,7 +398,7 @@ func (g *Graph) Validate() error {
 			}
 			if !e.Terminal {
 				nb := dna.NeighborViaSuffix(n.Key, k1, e.Seq)
-				if g.Nodes[nb] == nil {
+				if g.Index(nb) < 0 {
 					return fmt.Errorf("node %s suffix %q dangles (neighbor %s missing)", key.StringK(k1), e.Seq.String(), nb.StringK(k1))
 				}
 			}
@@ -396,8 +410,8 @@ func (g *Graph) Validate() error {
 // TotalTerminals sums terminal counts graph-wide; compaction must conserve
 // this quantity.
 func (g *Graph) TotalTerminals() (prefix, suffix uint64) {
-	for _, n := range g.Nodes {
-		p, s := n.TerminalCount()
+	for i := range g.Nodes {
+		p, s := g.Nodes[i].TerminalCount()
 		prefix += p
 		suffix += s
 	}
@@ -409,8 +423,8 @@ func (g *Graph) TotalTerminals() (prefix, suffix uint64) {
 // 2^(minPow+i+1)), with underflow in bucket 0 and overflow in the last.
 func (g *Graph) SizeHistogram(minPow, maxPow int) []int {
 	h := make([]int, maxPow-minPow+1)
-	for _, n := range g.Nodes {
-		sz := n.SizeBytes()
+	for i := range g.Nodes {
+		sz := g.Nodes[i].SizeBytes()
 		b := 0
 		for p := minPow; p < maxPow; p++ {
 			if sz >= 1<<(p+1) {
@@ -423,25 +437,37 @@ func (g *Graph) SizeHistogram(minPow, maxPow int) []int {
 }
 
 // Merge folds other into g (used to combine per-batch compacted graphs,
-// §4.4): nodes with the same key have their extensions merged and wires
-// recomputed; balancing is preserved because both inputs are balanced.
+// §4.4) by a linear merge of the two ascending node lists: nodes with the
+// same key have their extensions merged and wires recomputed; balancing is
+// preserved because both inputs are balanced. g shares other's extension
+// and wire slices afterwards.
 func (g *Graph) Merge(other *Graph) error {
 	if g.K != other.K {
 		return fmt.Errorf("pakgraph: merging graphs with k=%d and k=%d", g.K, other.K)
 	}
-	for key, on := range other.Nodes {
-		n := g.Nodes[key]
-		if n == nil {
-			g.Nodes[key] = on
-			continue
+	a, b := g.Nodes, other.Nodes
+	out := make([]MacroNode, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch n, on := &a[0], &b[0]; {
+		case n.Key < on.Key:
+			out = append(out, *n)
+			a = a[1:]
+		case n.Key > on.Key:
+			out = append(out, *on)
+			b = b[1:]
+		default:
+			for _, e := range on.Prefixes {
+				addExt(&n.Prefixes, e.Seq, e.Count, e.Terminal)
+			}
+			for _, e := range on.Suffixes {
+				addExt(&n.Suffixes, e.Seq, e.Count, e.Terminal)
+			}
+			n.Rewire()
+			out = append(out, *n)
+			a, b = a[1:], b[1:]
 		}
-		for _, e := range on.Prefixes {
-			addExt(&n.Prefixes, e.Seq, e.Count, e.Terminal)
-		}
-		for _, e := range on.Suffixes {
-			addExt(&n.Suffixes, e.Seq, e.Count, e.Terminal)
-		}
-		n.Rewire()
 	}
+	out = append(append(out, a...), b...)
+	g.Nodes = out
 	return nil
 }

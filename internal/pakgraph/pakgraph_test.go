@@ -1,6 +1,7 @@
 package pakgraph
 
 import (
+	"slices"
 	"testing"
 
 	"nmppak/internal/dna"
@@ -39,7 +40,7 @@ func TestBuildSingleReadPath(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	start := g.Nodes[dna.MustParseKmer("ACG")]
+	start := g.Node(dna.MustParseKmer("ACG"))
 	if start == nil {
 		t.Fatal("missing node ACG")
 	}
@@ -48,7 +49,7 @@ func TestBuildSingleReadPath(t *testing.T) {
 	if tp != 1 {
 		t.Fatalf("start node terminal prefix = %d want 1", tp)
 	}
-	mid := g.Nodes[dna.MustParseKmer("CGT")]
+	mid := g.Node(dna.MustParseKmer("CGT"))
 	if len(mid.Prefixes) != 1 || len(mid.Suffixes) != 1 {
 		t.Fatalf("middle node exts: %d/%d", len(mid.Prefixes), len(mid.Suffixes))
 	}
@@ -58,7 +59,7 @@ func TestBuildSingleReadPath(t *testing.T) {
 	if mid.Prefixes[0].Seq.String() != "A" || mid.Suffixes[0].Seq.String() != "T" {
 		t.Fatalf("middle exts %q/%q", mid.Prefixes[0].Seq, mid.Suffixes[0].Seq)
 	}
-	end := g.Nodes[dna.MustParseKmer("GTT")]
+	end := g.Node(dna.MustParseKmer("GTT"))
 	_, ts := end.TerminalCount()
 	if ts != 1 {
 		t.Fatalf("end node terminal suffix = %d want 1", ts)
@@ -75,7 +76,7 @@ func TestBuildPaperFig3Example(t *testing.T) {
 		{Seq: dna.MustParseSeq("TGTCAT")},
 	}
 	g := buildGraph(t, reads, 5)
-	n := g.Nodes[dna.MustParseKmer("GTCA")]
+	n := g.Node(dna.MustParseKmer("GTCA"))
 	if n == nil {
 		t.Fatal("missing MacroNode GTCA")
 	}
@@ -202,13 +203,13 @@ func TestIsInvalidationTarget(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !g.Nodes[dna.MustParseKmer("GA")].IsInvalidationTarget(2) {
+	if !g.Node(dna.MustParseKmer("GA")).IsInvalidationTarget(2) {
 		t.Fatal("GA must be an invalidation target (larger than neighbor TG)")
 	}
-	if g.Nodes[dna.MustParseKmer("TG")].IsInvalidationTarget(2) {
+	if g.Node(dna.MustParseKmer("TG")).IsInvalidationTarget(2) {
 		t.Fatal("TG must not be a target (neighbor GA is larger)")
 	}
-	if g.Nodes[dna.MustParseKmer("AT")].IsInvalidationTarget(2) {
+	if g.Node(dna.MustParseKmer("AT")).IsInvalidationTarget(2) {
 		t.Fatal("AT must not be a target")
 	}
 }
@@ -216,7 +217,7 @@ func TestIsInvalidationTarget(t *testing.T) {
 func TestSelfLoopNeverInvalidated(t *testing.T) {
 	// Homopolymer: "TTTTT" with k=3 -> single node "TT" with self-loop.
 	g := buildGraph(t, singleRead(t, "TTTTT"), 3)
-	n := g.Nodes[dna.MustParseKmer("TT")]
+	n := g.Node(dna.MustParseKmer("TT"))
 	if n == nil {
 		t.Fatal("missing TT")
 	}
@@ -231,7 +232,8 @@ func TestSelfLoopNeverInvalidated(t *testing.T) {
 
 func TestSizeBytesAndHistogram(t *testing.T) {
 	g := buildGraph(t, singleRead(t, "ACGTTGCAAC"), 4)
-	for _, n := range g.Nodes {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		if n.SizeBytes() <= 8 {
 			t.Fatalf("node size %d too small", n.SizeBytes())
 		}
@@ -249,15 +251,39 @@ func TestSizeBytesAndHistogram(t *testing.T) {
 	}
 }
 
-func TestSortedKeysAscending(t *testing.T) {
-	g := buildGraph(t, singleRead(t, "ACGTTGCAACGGTCA"), 5)
-	keys := g.SortedKeys()
-	if len(keys) != g.Len() {
-		t.Fatal("length mismatch")
+// TestValidateKeyOrder: Build lays nodes out in strictly ascending key
+// order, Index and Node find every key, and Validate rejects a Nodes slice
+// that is out of order or repeats a key.
+func TestValidateKeyOrder(t *testing.T) {
+	build := func() *Graph { return buildGraph(t, singleRead(t, "ACGTTGCAACGGTCA"), 5) }
+	g := build()
+	for i := 1; i < len(g.Nodes); i++ {
+		if g.Nodes[i-1].Key >= g.Nodes[i].Key {
+			t.Fatalf("Build: keys %d and %d not strictly ascending", i-1, i)
+		}
 	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatal("keys not strictly ascending")
+	for i := range g.Nodes {
+		if g.Index(g.Nodes[i].Key) != i || g.Node(g.Nodes[i].Key) != &g.Nodes[i] {
+			t.Fatalf("Index/Node do not find node %d", i)
+		}
+	}
+	if g.Index(dna.MustParseKmer("GGGG")) != -1 || g.Node(dna.MustParseKmer("GGGG")) != nil {
+		t.Fatal("absent key found")
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(ns []MacroNode) []MacroNode
+		ok     bool
+	}{
+		{"built", func(ns []MacroNode) []MacroNode { return ns }, true},
+		{"swapped", func(ns []MacroNode) []MacroNode { ns[1], ns[2] = ns[2], ns[1]; return ns }, false},
+		{"reversed", func(ns []MacroNode) []MacroNode { slices.Reverse(ns); return ns }, false},
+		{"duplicate", func(ns []MacroNode) []MacroNode { return slices.Insert(ns, 3, ns[3]) }, false},
+	} {
+		g := build()
+		g.Nodes = tc.mutate(g.Nodes)
+		if err := g.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate error %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }
@@ -272,7 +298,7 @@ func TestMergePreservesValidity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shared node TGC must have merged coverage weight.
-	n := gA.Nodes[dna.MustParseKmer("TGC")]
+	n := gA.Node(dna.MustParseKmer("TGC"))
 	if n == nil {
 		t.Fatal("missing merged node TGC")
 	}

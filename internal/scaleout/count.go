@@ -2,6 +2,7 @@ package scaleout
 
 import (
 	"cmp"
+	"errors"
 	"slices"
 	"sync"
 
@@ -345,47 +346,38 @@ func (sc *ShardedCount) BuildShardGraphs(cfg Config) (*ShardGraphs, error) {
 	}
 	sg, inbox := sc.routeGraph(cfg)
 	sg.Graphs = make([]*pakgraph.Graph, sc.Nodes)
+	errs := make([]error, sc.Nodes)
 	par.ForIdx(sc.Nodes, cfg.Workers, func(dst int) {
-		recs := make([]graphRec, 0, sg.RecvPerNode[dst])
+		kms := make([]kmer.Counted, 0, sg.RecvPerNode[dst])
 		for src := range inbox {
-			recs = append(recs, inbox[src][dst]...)
-		}
-		// Ascending k-mer order reproduces pakgraph.Build's insertion
-		// order within every owned node, so the shard graphs are
-		// structurally identical to the corresponding single-node slices.
-		// A k-mer reaches an owner at most once, so the order is total.
-		slices.SortFunc(recs, func(a, b graphRec) int { return cmp.Compare(a.km, b.km) })
-		g := &pakgraph.Graph{K: sc.K, Nodes: make(map[dna.Kmer]*pakgraph.MacroNode, len(recs))}
-		// MacroNodes are carved from 512-node slabs, as in pakgraph.Build.
-		var slab []pakgraph.MacroNode
-		node := func(key dna.Kmer) *pakgraph.MacroNode {
-			mn := g.Nodes[key]
-			if mn == nil {
-				if len(slab) == 0 {
-					slab = make([]pakgraph.MacroNode, 512)
-				}
-				mn = &slab[0]
-				slab = slab[1:]
-				mn.Key = key
-				g.Nodes[key] = mn
-			}
-			return mn
-		}
-		for _, r := range recs {
-			if r.sufAtPre {
-				mn := node(r.km.Prefix())
-				pakgraph.AddExt(&mn.Suffixes, baseSeq(r.km.Last()), r.count, false)
-			}
-			if r.preAtSuf {
-				mn := node(r.km.Suffix(sc.K))
-				pakgraph.AddExt(&mn.Prefixes, baseSeq(r.km.First(sc.K)), r.count, false)
+			for _, r := range inbox[src][dst] {
+				kms = append(kms, kmer.Counted{Km: r.km, Count: r.count})
 			}
 		}
-		for _, mn := range g.Nodes {
-			mn.Rewire()
+		// A k-mer reaches an owner at most once, and every k-mer touching
+		// an owned key reaches it, so building the received k-mers in
+		// ascending order reproduces each owned node exactly as the
+		// single-node pakgraph.Build makes it. The other nodes of that
+		// graph hold only part of their extensions and are dropped.
+		slices.SortFunc(kms, func(a, b kmer.Counted) int { return cmp.Compare(a.Km, b.Km) })
+		g, err := pakgraph.Build(&kmer.Result{K: sc.K, Kmers: kms})
+		if err != nil {
+			errs[dst] = err
+			return
 		}
+		owned := g.Nodes[:0]
+		for i := range g.Nodes {
+			if cfg.Partitioner.Owner(g.Nodes[i].Key, sc.K-1, sc.Nodes) == dst {
+				owned = append(owned, g.Nodes[i])
+			}
+		}
+		clear(g.Nodes[len(owned):])
+		g.Nodes = owned
 		sg.Graphs[dst] = g
 	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
 	return sg, nil
 }
 
@@ -433,16 +425,6 @@ func (sg *ShardGraphs) TotalMacroNodes() int {
 	}
 	return t
 }
-
-var singleBase [4]dna.Seq
-
-func init() {
-	for b := 0; b < 4; b++ {
-		singleBase[b] = dna.FromBases([]dna.Base{dna.Base(b)})
-	}
-}
-
-func baseSeq(b dna.Base) dna.Seq { return singleBase[b&3] }
 
 func mat(n int) [][]int64 {
 	m := make([][]int64, n)

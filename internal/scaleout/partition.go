@@ -158,13 +158,16 @@ type BalancedPartitioner struct {
 // its count on the super-buckets of its two boundary (k-1)-mers — the
 // MacroNode keys the compaction replay partitions by — and the buckets
 // are then greedy-binned (heavy outliers: scattered). m is the minimizer
-// length (clamped to >= 1).
+// length (clamped to >= 1). A nil res is an empty sample.
 func NewBalancedPartitioner(res *kmer.Result, m, nodes int) BalancedPartitioner {
 	if m < 1 {
 		m = 1
 	}
 	if nodes < 1 {
 		nodes = 1
+	}
+	if res == nil {
+		res = &kmer.Result{}
 	}
 	p := BalancedPartitioner{M: m, nodes: nodes, table: make([]uint16, BalancedBuckets)}
 	weight := make([]int64, BalancedBuckets)

@@ -86,52 +86,59 @@ func TestShardedCountMergeEquivalence(t *testing.T) {
 }
 
 // Shard graphs must tile the single-node PaK-graph: the key sets partition
-// it, and every MacroNode is structurally identical (sizes and extension
-// mass).
+// it, and every MacroNode equals the global node of its key. MinCount 1
+// keeps the sequencing-error k-mers, whose forks give nodes several
+// extensions per side, so the comparison also pins extension order.
 func TestShardGraphEquivalence(t *testing.T) {
 	reads := testReads(t, 20_000)
-	res, err := kmer.Count(reads, kmer.Config{K: 32, MinCount: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := pakgraph.Build(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 3, 4} {
-		cfg := DefaultConfig(n)
-		sc, err := CountSharded(reads, cfg)
+	for _, minCount := range []uint32{3, 1} {
+		res, err := kmer.Count(reads, kmer.Config{K: 32, MinCount: minCount})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sg, err := sc.BuildShardGraphs(cfg)
+		want, err := pakgraph.Build(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sg.TotalMacroNodes() != want.Len() {
-			t.Fatalf("n=%d: %d shard MacroNodes vs %d global", n, sg.TotalMacroNodes(), want.Len())
-		}
-		// A shard on its own has cross-shard extensions (its neighbors live
-		// elsewhere), so structural validation runs on the stitched union.
-		merged := &pakgraph.Graph{K: 32, Nodes: make(map[dna.Kmer]*pakgraph.MacroNode)}
-		for _, g := range sg.Graphs {
-			if err := merged.Merge(g); err != nil {
+		for _, n := range []int{1, 3, 4} {
+			cfg := DefaultConfig(n)
+			cfg.MinCount = minCount
+			sc, err := CountSharded(reads, cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := merged.Validate(); err != nil {
-			t.Fatalf("n=%d: merged shard graphs invalid: %v", n, err)
-		}
-		for i, g := range sg.Graphs {
-			for key, mn := range g.Nodes {
-				ref := want.Nodes[key]
-				if ref == nil {
-					t.Fatalf("n=%d shard %d: node %v not in global graph", n, i, key)
+			sg, err := sc.BuildShardGraphs(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sg.TotalMacroNodes() != want.Len() {
+				t.Fatalf("min=%d n=%d: %d shard MacroNodes vs %d global", minCount, n, sg.TotalMacroNodes(), want.Len())
+			}
+			// A shard on its own has cross-shard extensions (its neighbors
+			// live elsewhere), so structural validation runs on the
+			// stitched union.
+			merged := &pakgraph.Graph{K: 32}
+			for _, g := range sg.Graphs {
+				if err := merged.Merge(g); err != nil {
+					t.Fatal(err)
 				}
-				if mn.SizeBytes() != ref.SizeBytes() ||
-					mn.TotalPrefixCount() != ref.TotalPrefixCount() ||
-					mn.TotalSuffixCount() != ref.TotalSuffixCount() {
-					t.Fatalf("n=%d shard %d: node %v structurally differs", n, i, key)
+			}
+			if err := merged.Validate(); err != nil {
+				t.Fatalf("min=%d n=%d: merged shard graphs invalid: %v", minCount, n, err)
+			}
+			for i, g := range sg.Graphs {
+				if err := g.CheckOrder(); err != nil {
+					t.Fatalf("min=%d n=%d shard %d: %v", minCount, n, i, err)
+				}
+				for j := range g.Nodes {
+					mn := &g.Nodes[j]
+					ref := want.Node(mn.Key)
+					if ref == nil {
+						t.Fatalf("min=%d n=%d shard %d: node %v not in global graph", minCount, n, i, mn.Key)
+					}
+					if !reflect.DeepEqual(mn, ref) {
+						t.Fatalf("min=%d n=%d shard %d: node %v differs from the global node", minCount, n, i, mn.Key)
+					}
 				}
 			}
 		}

@@ -15,11 +15,13 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -252,7 +254,6 @@ func (t *Trace) validate() error {
 type Builder struct {
 	trace   Trace
 	cur     *Iteration
-	idxOf   map[dna.Kmer]int32
 	pendTN  []pendingTN
 	pendUpd []pendingUpd
 }
@@ -276,14 +277,14 @@ func NewBuilder(k int) *Builder {
 // BeginIteration implements compact.Observer.
 func (b *Builder) BeginIteration(iter, liveNodes int) {
 	b.cur = &Iteration{Nodes: make([]NodeOp, 0, liveNodes)}
-	b.idxOf = make(map[dna.Kmer]int32, liveNodes)
 	b.pendTN = b.pendTN[:0]
 	b.pendUpd = b.pendUpd[:0]
 }
 
-// ScanNode implements compact.Observer.
+// ScanNode implements compact.Observer. Nodes arrive in ascending key
+// order, so cur.Nodes is sorted by key and EndIteration resolves mn_idx by
+// binary search.
 func (b *Builder) ScanNode(key dna.Kmer, d1, d2, exts, wires int, invalidated bool) {
-	b.idxOf[key] = int32(len(b.cur.Nodes))
 	b.cur.Nodes = append(b.cur.Nodes, NodeOp{
 		Key: key, D1: int32(d1), D2: int32(d2),
 		Exts: int32(exts), Wires: int32(wires), Invalidated: invalidated,
@@ -304,8 +305,8 @@ func (b *Builder) UpdateNode(key dna.Kmer, readBytes, writeBytes int) {
 // EndIteration implements compact.Observer.
 func (b *Builder) EndIteration(st compact.IterStats) {
 	for _, p := range b.pendTN {
-		si, sok := b.idxOf[p.src]
-		di, dok := b.idxOf[p.dst]
+		si, sok := b.index(p.src)
+		di, dok := b.index(p.dst)
 		if !sok || !dok {
 			continue // target outside this batch's graph; dropped by compact too
 		}
@@ -314,7 +315,7 @@ func (b *Builder) EndIteration(st compact.IterStats) {
 		})
 	}
 	for _, p := range b.pendUpd {
-		di, ok := b.idxOf[p.dst]
+		di, ok := b.index(p.dst)
 		if !ok {
 			continue
 		}
@@ -329,6 +330,12 @@ func (b *Builder) EndIteration(st compact.IterStats) {
 	}
 	b.trace.Iterations = append(b.trace.Iterations, *b.cur)
 	b.cur = nil
+}
+
+// index returns the mn_idx of key in the current iteration.
+func (b *Builder) index(key dna.Kmer) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(b.cur.Nodes, key, func(n NodeOp, k dna.Kmer) int { return cmp.Compare(n.Key, k) })
+	return int32(i), ok
 }
 
 // BuildQuantiles derives a DIMM mapping table from an iteration's key

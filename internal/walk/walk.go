@@ -30,29 +30,29 @@ type Options struct {
 // caller (assemble does this).
 func Contigs(g *pakgraph.Graph, opt Options) []dna.Seq {
 	k1 := g.K1()
-	used := make(map[dna.Kmer][]bool, g.Len())
-	for key, n := range g.Nodes {
-		used[key] = make([]bool, len(n.Wires))
+	// used[i][wi] marks wire wi of g.Nodes[i] as walked.
+	used := make([][]bool, g.Len())
+	for i := range g.Nodes {
+		used[i] = make([]bool, len(g.Nodes[i].Wires))
 	}
 	var out []dna.Seq
 
-	keys := g.SortedKeys()
-	// Pass 1: walks beginning at terminal prefixes.
-	for _, key := range keys {
-		n := g.Nodes[key]
+	// Both passes visit nodes in ascending key order. Pass 1: walks
+	// beginning at terminal prefixes.
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		for wi, w := range n.Wires {
-			if used[key][wi] || !n.Prefixes[w.P].Terminal {
+			if used[i][wi] || !n.Prefixes[w.P].Terminal {
 				continue
 			}
-			out = append(out, traverse(g, used, key, wi, k1))
+			out = append(out, traverse(g, used, i, wi, k1))
 		}
 	}
 	// Pass 2: leftover wires (cycles or dead-start fragments).
-	for _, key := range keys {
-		n := g.Nodes[key]
-		for wi := range n.Wires {
-			if !used[key][wi] {
-				out = append(out, traverse(g, used, key, wi, k1))
+	for i := range g.Nodes {
+		for wi := range g.Nodes[i].Wires {
+			if !used[i][wi] {
+				out = append(out, traverse(g, used, i, wi, k1))
 			}
 		}
 	}
@@ -75,24 +75,24 @@ func Contigs(g *pakgraph.Graph, opt Options) []dna.Seq {
 	return out
 }
 
-// traverse spells one contig starting at wire wi of node key, consuming
-// wires as it goes.
-func traverse(g *pakgraph.Graph, used map[dna.Kmer][]bool, key dna.Kmer, wi int, k1 int) dna.Seq {
-	n := g.Nodes[key]
+// traverse spells one contig starting at wire wi of node g.Nodes[ni],
+// consuming wires as it goes.
+func traverse(g *pakgraph.Graph, used [][]bool, ni, wi int, k1 int) dna.Seq {
+	n := &g.Nodes[ni]
 	w := n.Wires[wi]
-	used[key][wi] = true
-	contig := n.Prefixes[w.P].Seq.Concat(key.Seq(k1))
+	used[ni][wi] = true
+	contig := n.Prefixes[w.P].Seq.Concat(n.Key.Seq(k1))
 	for {
 		s := n.Suffixes[w.S]
 		contig = contig.Concat(s.Seq)
 		if s.Terminal {
 			return contig
 		}
-		nextKey := dna.NeighborViaSuffix(n.Key, k1, s.Seq)
-		next := g.Nodes[nextKey]
-		if next == nil {
+		ni = g.Index(dna.NeighborViaSuffix(n.Key, k1, s.Seq))
+		if ni < 0 {
 			return contig // dangling edge (possible only on merged noisy graphs)
 		}
+		next := &g.Nodes[ni]
 		// The traversal entered next through prefix extension
 		// (key+s)[:|s|].
 		arr := dna.JoinRange(n.Key.Seq(k1), s.Seq, 0, s.Seq.Len())
@@ -109,14 +109,14 @@ func traverse(g *pakgraph.Graph, used map[dna.Kmer][]bool, key dna.Kmer, wi int,
 		// Choose the highest-count unused wire departing from that prefix.
 		best, bestCount := -1, uint32(0)
 		for i, nw := range next.Wires {
-			if int(nw.P) == pj && !used[nextKey][i] && nw.Count > bestCount {
+			if int(nw.P) == pj && !used[ni][i] && nw.Count > bestCount {
 				best, bestCount = i, nw.Count
 			}
 		}
 		if best < 0 {
 			return contig
 		}
-		used[nextKey][best] = true
-		key, n, w = nextKey, next, next.Wires[best]
+		used[ni][best] = true
+		n, w = next, next.Wires[best]
 	}
 }

@@ -3,6 +3,7 @@ package nmppak_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -263,4 +264,180 @@ func TestPublicTelemetryAPI(t *testing.T) {
 	if s := nmppak.FormatCriticalPath(cp); !strings.Contains(s, "critical path") {
 		t.Fatalf("critical-path rendering missing title:\n%s", s)
 	}
+}
+
+// TestUntrustedInputsError feeds zero-value and extreme configs and nil
+// inputs to every public entry point. Each must return an error: never
+// panic, and never return a result that silently skipped work.
+func TestUntrustedInputsError(t *testing.T) {
+	g, err := nmppak.GenerateGenome(nmppak.GenomeConfig{Length: 4000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, err := nmppak.SimulateReads(g, nmppak.ReadConfig{ReadLen: 100, Coverage: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := nmppak.CaptureTrace(reads, 32, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Iterations) < 2 {
+		t.Fatalf("trace has %d iterations, want several", len(tr.Iterations))
+	}
+	nmpWith := func(f func(*nmppak.NMPConfig)) nmppak.NMPConfig {
+		cfg := nmppak.DefaultNMPConfig()
+		f(&cfg)
+		return cfg
+	}
+	cpuWith := func(f func(*nmppak.CPUConfig)) nmppak.CPUConfig {
+		cfg := nmppak.DefaultCPUConfig()
+		f(&cfg)
+		return cfg
+	}
+	gpuWith := func(f func(*nmppak.GPUConfig)) nmppak.GPUConfig {
+		cfg := nmppak.DefaultGPUConfig()
+		f(&cfg)
+		return cfg
+	}
+	soWith := func(f func(*nmppak.ScaleOutConfig)) nmppak.ScaleOutConfig {
+		cfg := nmppak.DefaultScaleOutConfig(2)
+		cfg.MinCount = 1
+		f(&cfg)
+		return cfg
+	}
+	simNMP := func(tr *nmppak.Trace, cfg nmppak.NMPConfig) func() error {
+		return func() error { _, err := nmppak.SimulateNMP(tr, cfg); return err }
+	}
+	simCPU := func(tr *nmppak.Trace, cfg nmppak.CPUConfig) func() error {
+		return func() error { _, err := nmppak.SimulateCPU(tr, cfg); return err }
+	}
+	simGPU := func(tr *nmppak.Trace, cfg nmppak.GPUConfig) func() error {
+		return func() error { _, err := nmppak.SimulateGPU(tr, cfg); return err }
+	}
+	nan := math.NaN()
+	zeroDRAM := nmppak.NMPConfig{}.DRAM
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"SimulateNMP/nil trace", simNMP(nil, nmppak.DefaultNMPConfig())},
+		{"SimulateNMP/zero config", simNMP(tr, nmppak.NMPConfig{})},
+		{"SimulateNMP/zero DRAM", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM = zeroDRAM }))},
+		{"SimulateNMP/negative channels", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.Channels = -1 }))},
+		{"SimulateNMP/hybrid without CPU threads", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.HybridThresholdBytes, c.CPUThreads = 256, 0 }))},
+		{"SimulateNMP/hybrid with negative CPU threads", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.HybridThresholdBytes, c.CPUThreads = 256, -1 }))},
+		{"NewNMPEngine/nil trace", func() error { _, err := nmppak.NewNMPEngine(nil, nmppak.DefaultNMPConfig()); return err }},
+		{"NewNMPEngine/zero config", func() error { _, err := nmppak.NewNMPEngine(tr, nmppak.NMPConfig{}); return err }},
+		{"SimulateCPU/nil trace", simCPU(nil, nmppak.DefaultCPUConfig())},
+		{"SimulateCPU/zero config", simCPU(tr, nmppak.CPUConfig{})},
+		{"SimulateCPU/negative threads", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Threads = -1 }))},
+		{"SimulateCPU/zero channels", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Channels = 0 }))},
+		{"SimulateCPU/zero DRAM", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.DRAM = zeroDRAM }))},
+		{"SimulateCPU/L3 hit rate above 1", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.L3HitRate = 1.5 }))},
+		{"SimulateCPU/NaN L3 hit rate", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.L3HitRate = nan }))},
+		{"SimulateGPU/nil trace", simGPU(nil, nmppak.DefaultGPUConfig())},
+		{"SimulateGPU/zero config", simGPU(tr, nmppak.GPUConfig{})},
+		{"SimulateGPU/NaN bandwidth", simGPU(tr, gpuWith(func(c *nmppak.GPUConfig) { c.PeakBWGBs = nan }))},
+		{"SimulateGPU/negative launch overhead", simGPU(tr, gpuWith(func(c *nmppak.GPUConfig) { c.LaunchOverheadUs = -1 }))},
+		{"Assemble/zero config", func() error { _, err := nmppak.Assemble(reads, nmppak.AssemblyConfig{}); return err }},
+		{"Assemble/k above 32", func() error { _, err := nmppak.Assemble(reads, nmppak.AssemblyConfig{K: 33}); return err }},
+		{"CaptureTrace/zero k", func() error { _, _, err := nmppak.CaptureTrace(reads, 0, 0, 0); return err }},
+		{"CaptureTrace/negative k", func() error { _, _, err := nmppak.CaptureTrace(reads, -5, 0, 0); return err }},
+		{"CountKmers/zero k", func() error { _, err := nmppak.CountKmers(reads, 0, 0); return err }},
+		{"CountKmers/k above 32", func() error { _, err := nmppak.CountKmers(reads, 40, 0); return err }},
+		{"BuildGraph/nil result", func() error { _, err := nmppak.BuildGraph(nil); return err }},
+		{"BuildGraph/zero result", func() error { _, err := nmppak.BuildGraph(&nmppak.KmerResult{}); return err }},
+		{"SimulateScaleOut/nil trace", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, nil, soWith(func(*nmppak.ScaleOutConfig) {}))
+			return err
+		}},
+		{"SimulateScaleOut/zero config", func() error { _, err := nmppak.SimulateScaleOut(reads, tr, nmppak.ScaleOutConfig{}); return err }},
+		{"SimulateScaleOut/zero NMP config", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.NMP = nmppak.NMPConfig{} }))
+			return err
+		}},
+		{"SimulateScaleOut/zero DRAM", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.NMP.DRAM = zeroDRAM }))
+			return err
+		}},
+		{"CheckpointScaleOut/nil trace", func() error {
+			_, err := nmppak.CheckpointScaleOut(reads, nil, soWith(func(*nmppak.ScaleOutConfig) {}), 1)
+			return err
+		}},
+		{"CheckpointScaleOut/zero config", func() error { _, err := nmppak.CheckpointScaleOut(reads, tr, nmppak.ScaleOutConfig{}, 1); return err }},
+		{"CheckpointScaleOut/negative iteration", func() error {
+			_, err := nmppak.CheckpointScaleOut(reads, tr, soWith(func(*nmppak.ScaleOutConfig) {}), -1)
+			return err
+		}},
+		{"RestoreScaleOut/nil blob", func() error {
+			_, err := nmppak.RestoreScaleOut(tr, soWith(func(*nmppak.ScaleOutConfig) {}), nil)
+			return err
+		}},
+		{"RestoreScaleOut/nil trace", func() error {
+			_, err := nmppak.RestoreScaleOut(nil, soWith(func(*nmppak.ScaleOutConfig) {}), []byte{1, 2, 3})
+			return err
+		}},
+		{"RestoreScaleOut/zero config", func() error { _, err := nmppak.RestoreScaleOut(tr, nmppak.ScaleOutConfig{}, nil); return err }},
+		{"UnmarshalScaleOutCheckpoint/nil blob", func() error { _, err := nmppak.UnmarshalScaleOutCheckpoint(nil); return err }},
+		{"NewScaleOutSession/nil trace", func() error {
+			_, err := nmppak.NewScaleOutSession(reads, nil, soWith(func(*nmppak.ScaleOutConfig) {}))
+			return err
+		}},
+		{"NewScaleOutSession/zero config", func() error { _, err := nmppak.NewScaleOutSession(reads, tr, nmppak.ScaleOutConfig{}); return err }},
+		{"ResumeScaleOutSession/nil blob", func() error {
+			_, err := nmppak.ResumeScaleOutSession(tr, soWith(func(*nmppak.ScaleOutConfig) {}), nil)
+			return err
+		}},
+		{"ResumeScaleOutSession/nil trace", func() error {
+			_, err := nmppak.ResumeScaleOutSession(nil, soWith(func(*nmppak.ScaleOutConfig) {}), []byte{1})
+			return err
+		}},
+		{"Fleet.Run/zero fleet", func() error {
+			_, err := nmppak.Fleet{}.Run([]nmppak.FleetJob{{Trace: tr, Config: soWith(func(*nmppak.ScaleOutConfig) {}), Reads: reads}})
+			return err
+		}},
+		{"Fleet.Run/no jobs", func() error { _, err := nmppak.Fleet{Nodes: 4}.Run(nil); return err }},
+		{"Fleet.Run/nil trace", func() error {
+			_, err := nmppak.Fleet{Nodes: 4}.Run([]nmppak.FleetJob{{Config: soWith(func(*nmppak.ScaleOutConfig) {}), Reads: reads}})
+			return err
+		}},
+		{"Fleet.Run/zero job config", func() error {
+			_, err := nmppak.Fleet{Nodes: 4}.Run([]nmppak.FleetJob{{Trace: tr, Reads: reads}})
+			return err
+		}},
+		{"Fleet.Run/demand above fleet", func() error {
+			_, err := nmppak.Fleet{Nodes: 1}.Run([]nmppak.FleetJob{{Trace: tr, Config: soWith(func(*nmppak.ScaleOutConfig) {}), Reads: reads}})
+			return err
+		}},
+		{"Fleet.Run/zero DRAM", func() error {
+			_, err := nmppak.Fleet{Nodes: 4}.Run([]nmppak.FleetJob{{Trace: tr, Config: soWith(func(c *nmppak.ScaleOutConfig) { c.NMP.DRAM = zeroDRAM }), Reads: reads}})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if err := tc.call(); err == nil {
+				t.Fatal("returned no error")
+			}
+		})
+	}
+
+	// A nil counting sample carries no weights: the balanced partitioner
+	// falls back to hashing every super-bucket, as for an empty sample.
+	t.Run("NewBalancedPartitioner/nil sample", func(t *testing.T) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("panicked: %v", r)
+			}
+		}()
+		empty := nmppak.NewBalancedPartitioner(&nmppak.KmerResult{K: 32}, 12, 4)
+		if got := nmppak.NewBalancedPartitioner(nil, 12, 4); !reflect.DeepEqual(got, empty) {
+			t.Fatal("nil sample differs from an empty one")
+		}
+	})
 }
