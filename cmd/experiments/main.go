@@ -3,24 +3,21 @@
 // Usage:
 //
 //	experiments [-quick] [-scale N] <id>|all
-//	experiments [-quick] [-scale N] -scaling
-//	experiments [-quick] [-scale N] -faults
-//	experiments [-quick] [-scale N] -tenancy
 //	experiments [-quick] [-scale N] -checkpoint <file>
 //	experiments [-quick] [-scale N] -restore <file>
 //	experiments [-quick] [-scale N] -timeline <out.json> [-inject]
 //
 // where <id> is one of: fig5 fig6 fig7 fig8 fig12 fig13 fig14 fig15
 // table1 table3 comm super hybrid footprint gpucap swopt ablation
-// scaling faults tenancy. The -scaling flag is shorthand for the scaling study:
-// the multi-node scale-out strong/weak-scaling report, including the
+// scaling faults tenancy. The scaling id is the scaling study: the
+// multi-node scale-out strong/weak-scaling report, including the
 // overlapped-halo-exchange-vs-BSP comparison and the partitioner sweep
 // (hash / minimizer / weight-aware balanced) on a repeat-heavy workload.
-// The -faults flag is shorthand for the fault-injection study: a
-// mid-phase node loss replayed under increasing periodic-checkpoint
-// cadences, reporting the recovery overhead (discarded work, detection
-// and restore stalls, re-partitioned shard bytes) of each.
-// The -tenancy flag runs the multi-tenant fleet study: an 8-node fleet
+// The faults id is the fault-injection study: a mid-phase node loss
+// replayed under increasing periodic-checkpoint cadences, reporting the
+// recovery overhead (discarded work, detection and restore stalls,
+// re-partitioned shard bytes) of each.
+// The tenancy id is the multi-tenant fleet study: an 8-node fleet
 // time-shares a stream of assembly jobs under checkpoint-based
 // preemption, sweeping arrival rate against uniform and skewed job-size
 // mixes (p50/p95 latency, throughput, preemption counts, utilization,
@@ -55,9 +52,6 @@ func main() {
 	var (
 		quick      = flag.Bool("quick", false, "use the small test workload")
 		scale      = flag.Int("scale", 0, "override genome length (bp)")
-		scaling    = flag.Bool("scaling", false, "run the multi-node scale-out scaling study (BSP vs. overlap, partitioner sweep)")
-		faults     = flag.Bool("faults", false, "run the fault-injection study (recovery overhead vs. checkpoint cadence under a node loss)")
-		tenancy    = flag.Bool("tenancy", false, "run the multi-tenant fleet study (load sweep + policy comparison under checkpoint-preemptive scheduling)")
 		checkpoint = flag.String("checkpoint", "", "pause the scale-out run mid-compaction and write the checkpoint blob to this `file` (atomic temp-file + rename)")
 		restore    = flag.String("restore", "", "resume the scale-out run from this checkpoint `file` and verify against the uninterrupted run")
 		timeline   = flag.String("timeline", "", "capture an instrumented 8-node torus overlapped run and write the Chrome-trace JSON to this `file`")
@@ -66,7 +60,7 @@ func main() {
 	)
 	flag.Parse()
 	modes := 0
-	for _, on := range []bool{*scaling, *faults, *tenancy, *checkpoint != "", *restore != "", *timeline != ""} {
+	for _, on := range []bool{*checkpoint != "", *restore != "", *timeline != ""} {
 		if on {
 			modes++
 		}
@@ -74,9 +68,6 @@ func main() {
 	if (flag.NArg() != 1 && modes == 0) || (flag.NArg() > 0 && modes > 0) || modes > 1 ||
 		(*inject && *timeline == "") {
 		fmt.Fprintln(os.Stderr, "usage: experiments [-quick] [-scale N] <fig5|fig6|fig7|fig8|fig12|fig13|fig14|fig15|table1|table3|comm|super|hybrid|footprint|gpucap|swopt|ablation|scaling|faults|tenancy|all>")
-		fmt.Fprintln(os.Stderr, "       experiments [-quick] [-scale N] -scaling")
-		fmt.Fprintln(os.Stderr, "       experiments [-quick] [-scale N] -faults")
-		fmt.Fprintln(os.Stderr, "       experiments [-quick] [-scale N] -tenancy")
 		fmt.Fprintln(os.Stderr, "       experiments [-quick] [-scale N] -checkpoint <file>")
 		fmt.Fprintln(os.Stderr, "       experiments [-quick] [-scale N] -restore <file>")
 		fmt.Fprintln(os.Stderr, "       experiments [-quick] [-scale N] -timeline <out.json> [-inject]")
@@ -150,15 +141,6 @@ func main() {
 		"scaling", "faults", "tenancy"}
 
 	id := flag.Arg(0)
-	if *scaling {
-		id = "scaling"
-	}
-	if *faults {
-		id = "faults"
-	}
-	if *tenancy {
-		id = "tenancy"
-	}
 	if id == "all" {
 		for _, name := range order {
 			r, err := drivers[name]()

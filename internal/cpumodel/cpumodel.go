@@ -125,10 +125,20 @@ const (
 	kMove                  // rewrite node (reallocation)
 )
 
+// Ceilings on the host geometry Validate accepts: far above any simulated
+// CPU, low enough that the per-thread and per-channel state stays bounded.
+const (
+	maxThreads  = 1 << 16
+	maxChannels = 1 << 10
+)
+
 // Validate rejects a machine the model cannot run.
 func (c Config) Validate() error {
 	if c.Threads < 1 || c.Channels < 1 {
 		return fmt.Errorf("cpumodel: need at least 1 thread and 1 channel, got %d/%d", c.Threads, c.Channels)
+	}
+	if c.Threads > maxThreads || c.Channels > maxChannels {
+		return fmt.Errorf("cpumodel: at most %d threads and %d channels, got %d/%d", maxThreads, maxChannels, c.Threads, c.Channels)
 	}
 	if !(c.L3HitRate >= 0 && c.L3HitRate <= 1) {
 		return fmt.Errorf("cpumodel: L3HitRate %v outside [0,1]", c.L3HitRate)

@@ -66,10 +66,20 @@ func DDR4_3200() Config {
 	}
 }
 
+// Ceilings on the channel geometry Validate accepts: far above any DIMM,
+// low enough that a channel's per-bank state stays bounded.
+const (
+	maxRanks        = 1 << 6
+	maxBanksPerRank = 1 << 8
+)
+
 // Validate rejects a geometry or timing the channel model cannot run.
 func (c Config) Validate() error {
 	if c.Ranks < 1 || c.BanksPerRank < 1 {
 		return fmt.Errorf("dram: need at least 1 rank and 1 bank per rank, got %d/%d", c.Ranks, c.BanksPerRank)
+	}
+	if c.Ranks > maxRanks || c.BanksPerRank > maxBanksPerRank {
+		return fmt.Errorf("dram: at most %d ranks of %d banks, got %d/%d", maxRanks, maxBanksPerRank, c.Ranks, c.BanksPerRank)
 	}
 	if c.RowBytes < BlockBytes {
 		return fmt.Errorf("dram: RowBytes %d holds no %d-byte burst", c.RowBytes, BlockBytes)

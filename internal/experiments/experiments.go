@@ -199,9 +199,6 @@ func (r *Report) String() string {
 	return s
 }
 
-// pakgraphBuild is a short alias keeping driver code readable.
-func pakgraphBuild(res *kmer.Result) (*pakgraph.Graph, error) { return pakgraph.Build(res) }
-
 func sortedKeys(m map[string]float64) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

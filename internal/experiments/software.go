@@ -10,6 +10,7 @@ import (
 	"nmppak/internal/footprint"
 	"nmppak/internal/kmer"
 	"nmppak/internal/metrics"
+	"nmppak/internal/pakgraph"
 	"nmppak/internal/readsim"
 	"nmppak/internal/report"
 )
@@ -252,7 +253,7 @@ func Footprint(c *Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	gAll, err := pakgraphBuild(resAll)
+	gAll, err := pakgraph.Build(resAll)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +262,7 @@ func Footprint(c *Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	gBatch, err := pakgraphBuild(resBatch)
+	gBatch, err := pakgraph.Build(resBatch)
 	if err != nil {
 		return nil, err
 	}

@@ -245,8 +245,8 @@ func CountNaive(reads []readsim.Read, cfg Config) (*Result, error) {
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	sort.Slice(tpRaw, func(i, j int) bool { return tpRaw[i] < tpRaw[j] })
 	sort.Slice(tsRaw, func(i, j int) bool { return tsRaw[i] < tsRaw[j] })
-	res.TermPrefix = termsFromSorted(tpRaw)
-	res.TermSuffix = termsFromSorted(tsRaw)
+	res.TermPrefix, _, _ = dedup(tpRaw, 1)
+	res.TermSuffix, _, _ = dedup(tsRaw, 1)
 	res.Kmers, res.PrunedKinds, res.PrunedMass = dedup(all, cfg.MinCount)
 	return res, nil
 }
@@ -274,7 +274,8 @@ func ExtractInto(dst, tp, ts *[]uint64, seq dna.Seq, k int) {
 // TermCounts vector.
 func countTerms(raw []uint64, workers int) TermCounts {
 	ParallelSortUint64(raw, workers)
-	return termsFromSorted(raw)
+	terms, _, _ := dedup(raw, 1)
+	return terms
 }
 
 // MergeTerms combines several TermCounts vectors, each sorted ascending by
@@ -387,38 +388,8 @@ func (t *loserTree) replay(w int32) {
 	t.node[0] = cand
 }
 
-// termsFromSorted collapses an already-sorted terminal stream into an
-// exactly-sized TermCounts vector (nil when empty).
-func termsFromSorted(sorted []uint64) TermCounts {
-	if len(sorted) == 0 {
-		return nil
-	}
-	out := make(TermCounts, 0, CountRuns(sorted))
-	i := 0
-	for i < len(sorted) {
-		j := i + 1
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
-		}
-		out = append(out, Counted{Km: dna.Kmer(sorted[i]), Count: uint32(j - i)})
-		i = j
-	}
-	return out
-}
-
 // CountRuns returns the number of distinct values in a sorted slice.
-func CountRuns(sorted []uint64) int {
-	if len(sorted) == 0 {
-		return 0
-	}
-	runs := 1
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] != sorted[i-1] {
-			runs++
-		}
-	}
-	return runs
-}
+func CountRuns(sorted []uint64) int { return tallyRuns(sorted, 1).kept }
 
 // dedup collapses a sorted k-mer vector into (kmer, count) pairs, applying
 // the MinCount pruning threshold. A counting pre-pass sizes the output

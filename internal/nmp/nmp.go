@@ -133,10 +133,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// Ceilings on the per-node geometry Validate accepts: far above any
+// simulated DIMM, low enough that the per-channel and per-PE state an
+// engine allocates up front stays bounded.
+const (
+	maxChannels      = 1 << 10
+	maxPEsPerChannel = 1 << 10
+)
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Channels < 1 || c.PEsPerChannel < 1 {
 		return fmt.Errorf("nmp: need at least 1 channel and 1 PE, got %d/%d", c.Channels, c.PEsPerChannel)
+	}
+	if c.Channels > maxChannels || c.PEsPerChannel > maxPEsPerChannel {
+		return fmt.Errorf("nmp: at most %d channels of %d PEs, got %d/%d", maxChannels, maxPEsPerChannel, c.Channels, c.PEsPerChannel)
 	}
 	if c.BridgeBytesPerCy <= 0 || c.CrossbarBytesPerCy <= 0 {
 		return fmt.Errorf("nmp: interconnect bandwidth must be positive")
@@ -187,12 +198,4 @@ type Result struct {
 type IterTiming struct {
 	Start, NMPDone, CPUDone, End sim.Cycle
 	NodesNMP, NodesCPU           int
-}
-
-// BandwidthGBs converts the utilization base to an absolute figure.
-func (r *Result) BandwidthGBs() float64 {
-	if r.Seconds <= 0 {
-		return 0
-	}
-	return float64(r.BytesRead+r.BytesWrite) / r.Seconds / 1e9
 }

@@ -102,26 +102,3 @@ func ForIdx(n, workers int, body func(i int)) {
 	}
 	wg.Wait()
 }
-
-// Locks is a power-of-two sharded mutex set keyed by hash, the analogue of
-// PaKman's omp_set_lock protecting concurrent MacroNode updates.
-type Locks struct {
-	mus  []sync.Mutex
-	mask uint64
-}
-
-// NewLocks returns a sharded lock set with at least n shards (rounded up to
-// a power of two, minimum 1).
-func NewLocks(n int) *Locks {
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	return &Locks{mus: make([]sync.Mutex, size), mask: uint64(size - 1)}
-}
-
-// Lock locks the shard for key.
-func (l *Locks) Lock(key uint64) { l.mus[key&l.mask].Lock() }
-
-// Unlock unlocks the shard for key.
-func (l *Locks) Unlock(key uint64) { l.mus[key&l.mask].Unlock() }

@@ -58,22 +58,6 @@ func TestForBlocksAreContiguous(t *testing.T) {
 	}
 }
 
-func TestLocksProtectCounter(t *testing.T) {
-	l := NewLocks(8)
-	counters := make([]int, 4)
-	ForIdx(4000, 8, func(i int) {
-		key := uint64(i % 4)
-		l.Lock(key)
-		counters[key]++
-		l.Unlock(key)
-	})
-	for k, c := range counters {
-		if c != 1000 {
-			t.Fatalf("counter %d = %d want 1000", k, c)
-		}
-	}
-}
-
 func TestThreads(t *testing.T) {
 	if Threads(5) != 5 {
 		t.Fatal("Threads(5) != 5")

@@ -226,54 +226,55 @@ func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter in
 	return blob, nil
 }
 
-// checkpointHeader builds the identity and prelude sections of a
-// CheckpointState from a prelude Result: everything except the live
-// compaction-runtime state (durations, engines, partial sums). Shared by
-// Checkpoint and Session.Checkpoint so an incrementally advanced session
-// snapshots byte-identically to a one-shot capture at the same boundary.
-func checkpointHeader(cfg Config, net topo.Network, tr *trace.Trace, res *Result, beforeIter int) *CheckpointState {
-	return &CheckpointState{
+// blob marshals the runtime's state at boundary it as a checkpoint blob:
+// the identity and prelude header, then one section — an elastic run's
+// membership and committed traffic (no BSP partial sums: its global clock
+// never rolls back), otherwise the BSP partial sums and a rebalancing
+// run's migration state — then the executed durations and the per-node
+// engine snapshots. Session.Checkpoint, the periodic elastic capture and
+// the post-recovery baseline all write through it, so an incrementally
+// advanced session snapshots byte-identically to a one-shot Checkpoint at
+// the same boundary.
+func (rt *runtime) blob(it int) ([]byte, error) {
+	cfg, name, c := rt.cfg, rt.deg.Name(), &rt.clock
+	ck := &CheckpointState{
 		Version:               CheckpointVersion,
-		ConfigDigest:          configDigest(cfg, net.Name()),
-		TraceDigest:           tr.Digest(),
+		ConfigDigest:          configDigest(cfg, name),
+		TraceDigest:           rt.tr.Digest(),
 		Nodes:                 cfg.Nodes,
 		K:                     cfg.K,
 		Overlap:               cfg.Overlap,
 		Partitioner:           cfg.Partitioner.Name(),
-		Topology:              net.Name(),
-		Count:                 res.Count,
-		Construct:             res.Construct,
-		PerNode:               res.PerNode,
-		PreludeExchangedBytes: res.ExchangedBytes,
-		ResumeIter:            beforeIter,
+		Topology:              name,
+		Count:                 rt.res.Count,
+		Construct:             rt.res.Construct,
+		PerNode:               rt.res.PerNode,
+		PreludeExchangedBytes: rt.res.ExchangedBytes,
+		ResumeIter:            it,
+		Durations:             make([][]sim.Cycle, rt.n),
+		Engines:               make([]nmp.EngineState, rt.n),
 	}
-}
-
-// snapshot records the compaction state on a checkpoint whose ResumeIter
-// is the runtime's current boundary: the BSP partial sums, a rebalancing
-// run's migration state, and the durations and engines.
-func (rt *runtime) snapshot(ck *CheckpointState) error {
-	rt.clock.save(ck)
-	if rt.rb != nil {
-		ck.Rebalance = rt.rb.state(rt.feed.traffic)
+	if cfg.elastic() {
+		t := rt.feed.traffic
+		ck.Elastic = &ElasticState{
+			Live:     append([]bool(nil), rt.live...),
+			LocalTNs: t.localTNs, RemoteTNs: t.remoteTNs, HaloBytes: t.haloBytes,
+		}
+	} else {
+		ck.Compute, ck.Exchange, ck.CompactExchangedBytes = c.compute, c.exchange, c.exchangedBytes
+		if rt.rb != nil {
+			ck.Rebalance = rt.rb.state(rt.feed.traffic)
+		}
 	}
-	return snapshotInto(ck, rt.durations, rt.engines)
-}
-
-// snapshotInto records the executed durations and the per-node engine
-// snapshots on the checkpoint.
-func snapshotInto(ck *CheckpointState, durations [][]sim.Cycle, engines []*nmp.Engine) error {
-	ck.Durations = make([][]sim.Cycle, len(engines))
-	ck.Engines = make([]nmp.EngineState, len(engines))
-	for i, e := range engines {
-		ck.Durations[i] = append([]sim.Cycle(nil), durations[i][:ck.ResumeIter]...)
+	for i, e := range rt.engines {
+		ck.Durations[i] = append([]sim.Cycle(nil), rt.durations[i][:it]...)
 		st, err := e.Snapshot()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ck.Engines[i] = st
 	}
-	return nil
+	return ck.Marshal()
 }
 
 // Restore reconstructs a distributed run from a checkpoint blob — taken

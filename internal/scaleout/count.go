@@ -244,15 +244,6 @@ func (sc *ShardedCount) Merge() *kmer.Result {
 	return res
 }
 
-// OwnedKmers sums the distinct k-mers surviving on each node.
-func (sc *ShardedCount) OwnedKmers() int64 {
-	var t int64
-	for _, sh := range sc.Shards {
-		t += int64(len(sh.Kmers))
-	}
-	return t
-}
-
 // ShardGraphs is the outcome of distributed MacroNode construction: every
 // counted k-mer is shipped to the owners of its leading and trailing
 // (k-1)-mers (PaKman's second all-to-all), and each node builds the

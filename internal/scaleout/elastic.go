@@ -9,9 +9,10 @@
 // topo.Degraded — into the classic rollback-recovery loop:
 //
 //   - Every Config.CheckpointEvery iterations the runtime captures the
-//     full checkpoint blob (the same versioned bytes Checkpoint emits,
-//     decoded by the same hardened UnmarshalCheckpoint on the way back)
-//     in memory, replacing the previous one, and charges
+//     full checkpoint blob (written by the same runtime.blob Checkpoint
+//     uses, with the elastic membership section, and decoded by the same
+//     hardened UnmarshalCheckpoint on the way back) in memory, replacing
+//     the previous one, and charges
 //     len(blob)/CheckpointBytesPerCycle as a global stall — the
 //     coordinated-checkpoint cost.
 //   - fault.Plan events are applied at iteration boundaries, the first
@@ -24,8 +25,8 @@
 //     dead node's shard fails over to the survivors
 //     (key-hash-partitioned across the live set). The MacroNodes that
 //     changed owners are charged over the degraded network before the
-//     run resumes — the re-partition migration, priced exactly like a
-//     rebalance migration.
+//     run resumes — the re-partition migration, priced by the same
+//     moveNodes as a rebalance migration.
 //
 // The global clock never rolls back: discarded work, detection, restore
 // and migration all stay in the elapsed phase time (that is the recovery
@@ -37,21 +38,23 @@
 // compaction phase from iteration 0 on the survivors, the degenerate
 // cadence the sweep's zero point measures.
 //
-// Captures bound the epochs of the epoch driver (runtime.go): each epoch
-// is sharded under the current membership, pre-stepped on the worker
-// pool, then drained. In BSP, pending faults bound them too: while a fault
-// event is still pending every epoch is one iteration, so a boundary pass
-// runs before each iteration and no engine is stepped past a loss. The
-// overlapped discipline cannot cut its segments that way, because a
-// segment is closed by a link barrier and a sync barrier, so a shorter
-// segment would change the schedule. It steps the whole segment
-// speculatively instead and, when a loss lands inside it, rewinds the
-// segment's recording (mark/rewind); the recovery rolls engines,
-// durations, traces and counters back wholesale in both disciplines.
+// Captures bound the epochs of the one epoch loop (runtime.run), whose
+// boundary pass applies the fault events: each epoch is sharded under the
+// current membership, pre-stepped on the worker pool, then drained. In
+// BSP, pending faults bound them too: while a fault event is still
+// pending bspEpoch is one iteration, so a boundary pass runs before each
+// iteration and no engine is stepped past a loss. The overlapped
+// discipline cannot cut its segments that way, because a segment is
+// closed by a link barrier and a sync barrier, so a shorter segment would
+// change the schedule. segmentEpoch steps the whole segment speculatively
+// instead and, when a loss lands inside it, rewinds the segment's
+// recording (mark/rewind) and recovers at the detection boundary; the
+// recovery rolls engines, durations, traces and counters back wholesale
+// in both disciplines.
 //
 // This file holds the elastic half of the one compaction runtime
 // (runtime.go). A configuration with CheckpointEvery == 0 and no fault
-// plan runs the same loops with an empty capture cadence and no fault
+// plan runs the same loop with an empty capture cadence and no fault
 // events: every node stays live, nothing is captured, and the schedule is
 // the plain static one.
 package scaleout
@@ -89,11 +92,12 @@ func (rt *runtime) ownerOf(key dna.Kmer) int {
 	if rb := rt.rb; rb != nil {
 		return int(rb.table[rb.p.bucket(key, rt.k1)])
 	}
-	return ownerUnder(rt.cfg.Partitioner, key, rt.k1, rt.n, rt.live, rt.surv)
+	return failover(rt.cfg.Partitioner.Owner(key, rt.k1, rt.n), key, rt.live, rt.surv)
 }
 
-func ownerUnder(p Partitioner, key dna.Kmer, k1, n int, live []bool, surv []int) int {
-	o := p.Owner(key, k1, n)
+// failover is the owner of key, whose static owner is o, under the live
+// membership with survivors surv.
+func failover(o int, key dna.Kmer, live []bool, surv []int) int {
 	if live[o] {
 		return o
 	}
@@ -135,23 +139,6 @@ func (rt *runtime) epochEnd(it, to int) int {
 	return end
 }
 
-// recoveryBlob marshals the current state as a standard checkpoint blob
-// resuming at iteration it, with the elastic membership section attached.
-// It carries no BSP partial sums: the global clock never rolls back.
-func (rt *runtime) recoveryBlob(it int) ([]byte, error) {
-	ck := checkpointHeader(rt.cfg, rt.deg, rt.tr, rt.res, it)
-	ck.Elastic = &ElasticState{
-		Live:      append([]bool(nil), rt.live...),
-		LocalTNs:  rt.feed.localTNs,
-		RemoteTNs: rt.feed.remoteTNs,
-		HaloBytes: rt.feed.haloBytes,
-	}
-	if err := snapshotInto(ck, rt.durations, rt.engines); err != nil {
-		return nil, err
-	}
-	return ck.Marshal()
-}
-
 // ioCycles prices moving an n-byte checkpoint blob at the configured
 // capture/restore rate, failing when the quotient is not a cycle count.
 func (rt *runtime) ioCycles(n int) (sim.Cycle, error) {
@@ -165,7 +152,7 @@ func (rt *runtime) ioCycles(n int) (sim.Cycle, error) {
 // capture replaces the newest checkpoint with a periodic one and charges
 // the capture stall.
 func (rt *runtime) capture(it int) error {
-	blob, err := rt.recoveryBlob(it)
+	blob, err := rt.blob(it)
 	if err != nil {
 		return err
 	}
@@ -284,35 +271,20 @@ func (rt *runtime) recover(losses []fault.Event, bIter int) (int, error) {
 	// membership moves from its replica holder (the next live node after
 	// the old owner) to the new owner, over the degraded interconnect.
 	if resume < rt.iters {
-		move := mat(rt.n)
-		iter := &rt.tr.Iterations[resume]
-		for i := range iter.Nodes {
-			nd := &iter.Nodes[i]
-			ob := ownerUnder(rt.cfg.Partitioner, nd.Key, rt.k1, rt.n, oldLive, oldSurv)
-			oa := rt.ownerOf(nd.Key)
-			if ob == oa {
-				continue
+		rt.res.RepartitionBytes += rt.moveNodes(resume, telemetry.SpanRepartition, func(key dna.Kmer) (int, int) {
+			o := rt.cfg.Partitioner.Owner(key, rt.k1, rt.n)
+			from, to := failover(o, key, oldLive, oldSurv), failover(o, key, rt.live, rt.surv)
+			if from != to && !rt.live[from] {
+				from = rt.nextLive(from)
 			}
-			src := ob
-			if !rt.live[src] {
-				src = rt.nextLive(src)
-			}
-			if src != oa {
-				move[src][oa] += int64(nd.D1 + nd.D2)
-			}
-		}
-		mx := rt.clock.doExchange(move)
-		if mx.TotalBytes > 0 {
-			rt.clock.exchangedBytes += mx.TotalBytes
-			rt.res.RepartitionBytes += mx.TotalBytes
-			rt.clock.stall(&rt.clock.exchange, telemetry.SpanRepartition, resume, mx.Cycles, mx.TotalBytes)
-		}
+			return from, to
+		})
 	}
 
 	// The old checkpoint describes the dead membership; replace it with a
 	// free baseline at the resume point (the state is already in memory),
 	// so a later loss restores here instead of replaying from scratch.
-	blob, err := rt.recoveryBlob(resume)
+	blob, err := rt.blob(resume)
 	if err != nil {
 		return 0, err
 	}

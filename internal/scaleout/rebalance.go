@@ -19,6 +19,7 @@ import (
 	"nmppak/internal/dna"
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
+	"nmppak/internal/topo"
 	"nmppak/internal/trace"
 )
 
@@ -265,22 +266,38 @@ func (rt *runtime) migrateAt(it int) {
 	if !rb.p.migrate(rb.table, rb.cum, rb.lastDur, rb.weight, decay, n) {
 		return
 	}
-	move := mat(n)
+	moved := rt.moveNodes(it, telemetry.SpanMigration, func(key dna.Kmer) (int, int) {
+		b := rb.p.bucket(key, rt.k1)
+		return int(rb.prev[b]), int(rb.table[b])
+	})
+	if moved > 0 {
+		rb.migratedBytes += moved
+		rb.rebalances++
+	}
+}
+
+// moveNodes is the one pricer of an ownership change before iteration it,
+// shared by rebalance migrations and the elastic re-partition: every
+// MacroNode of the iteration's trace whose key move sends from one node to
+// another is charged at its traced size over the network, as one
+// all-to-all stalling the phase clock as a span of kind. Returns the bytes
+// moved.
+func (rt *runtime) moveNodes(it int, kind telemetry.SpanKind, move func(dna.Kmer) (from, to int)) int64 {
+	m := mat(rt.n)
 	iter := &rt.tr.Iterations[it]
 	for i := range iter.Nodes {
 		nd := &iter.Nodes[i]
-		b := rb.p.bucket(nd.Key, rt.k1)
-		if rb.prev[b] != rb.table[b] {
-			move[rb.prev[b]][rb.table[b]] += int64(nd.D1 + nd.D2)
+		if from, to := move(nd.Key); from != to {
+			m[from][to] += int64(nd.D1 + nd.D2)
 		}
 	}
-	mx := rt.clock.doExchange(move)
+	c := &rt.clock
+	mx := topo.ExchangeProbed(c.net, m, c.pr.linkAt(c.now()))
 	if mx.TotalBytes > 0 {
-		rt.clock.stall(&rt.clock.exchange, telemetry.SpanMigration, it, mx.Cycles, mx.TotalBytes)
-		rt.clock.exchangedBytes += mx.TotalBytes
-		rb.migratedBytes += mx.TotalBytes
-		rb.rebalances++
+		c.exchangedBytes += mx.TotalBytes
+		c.stall(&c.exchange, kind, it, mx.Cycles, mx.TotalBytes)
 	}
+	return mx.TotalBytes
 }
 
 // measure records superstep it's measured busy times and rebuilds the

@@ -42,7 +42,9 @@ func (t *traffic) add(u traffic) {
 // record sets a Result's traffic accounting from the split.
 func (t traffic) record(res *Result) {
 	res.HaloBytes = t.haloBytes
-	res.RemoteTNFrac = remoteTNFrac(t.localTNs, t.remoteTNs)
+	if all := t.localTNs + t.remoteTNs; all > 0 {
+		res.RemoteTNFrac = float64(t.remoteTNs) / float64(all)
+	}
 }
 
 // countIteration is the count pass of shardIteration: it resolves the
@@ -140,7 +142,7 @@ func shardIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, ha
 type shardFeed struct {
 	tr      *trace.Trace
 	ownerOf func(dna.Kmer) int
-	live    []bool // nil: every node is live
+	live    []bool
 	traces  []*trace.Trace
 	traffic // over the iterations fed so far
 }
@@ -177,7 +179,7 @@ func (f *shardFeed) shard(from, to int) [][][]int64 {
 		subs, t := shardIteration(&f.tr.Iterations[it], n, f.ownerOf, halo)
 		f.add(t)
 		for o, sub := range subs {
-			if f.live != nil && !f.live[o] {
+			if !f.live[o] {
 				continue
 			}
 			if it == 0 {
@@ -214,7 +216,11 @@ func staticOwner(tr *trace.Trace, n int, p Partitioner) func(dna.Kmer) int {
 // what pins the N=1 scale-out result to the single-node nmp.Simulate
 // outcome. The runtimes never build one: they shard on demand.
 func ShardTrace(tr *trace.Trace, n int, p Partitioner) *ShardedTrace {
-	f := newShardFeed(tr, n, staticOwner(tr, n, p), nil)
+	live := make([]bool, n)
+	for i := range live {
+		live[i] = true
+	}
+	f := newShardFeed(tr, n, staticOwner(tr, n, p), live)
 	halo := f.shard(0, len(tr.Iterations))
 	return &ShardedTrace{
 		Nodes: n, Traces: f.traces, Halo: halo,
@@ -256,19 +262,4 @@ func shardFactsOf(tr *trace.Trace, n int, p Partitioner) *shardFacts {
 		}
 		return sf
 	}).(*shardFacts)
-}
-
-// RemoteTNFrac is the fraction of all TransferNodes that cross the
-// interconnect.
-func (st *ShardedTrace) RemoteTNFrac() float64 {
-	return remoteTNFrac(st.LocalTNs, st.RemoteTNs)
-}
-
-// remoteTNFrac is the remote share of a local/remote transfer split.
-func remoteTNFrac(local, remote int64) float64 {
-	t := local + remote
-	if t == 0 {
-		return 0
-	}
-	return float64(remote) / float64(t)
 }

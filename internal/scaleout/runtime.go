@@ -26,17 +26,19 @@
 // different schedule.
 //
 // The same fact drives every discipline — static, rebalancing and elastic
-// — through one epoch driver. An epoch is a range of iterations with no
+// — through one epoch loop (run): fault boundary, then, overlapped, the
+// barriers closing the previous segment, then a due capture, a due
+// migration and the epoch. An epoch is a range of iterations with no
 // checkpoint capture, migration or Session.Step boundary inside it; in
-// BSP, an iteration while a fault event is still pending. Each
-// epoch is sharded just before it is stepped: the one shard feed
-// (shardFeed) appends its per-node slices to the node traces, so a run —
-// fresh or resumed — shards only the iterations it replays. Every live
-// engine is then pre-stepped through the whole epoch on the worker pool
-// (prestep; Workers=1 is a pool of one), and the epoch is drained from
-// the recorded durations and the buffered telemetry: by the BSP superstep
-// drain (phaseClock.superstep) or by the overlapped segment schedule
-// (segment.run). Because an iteration's duration never depends on when
+// BSP, an iteration while a fault event is still pending. Each epoch is
+// sharded just before it is stepped: the one shard feed (shardFeed)
+// appends its per-node slices to the node traces, so a run — fresh or
+// resumed — shards only the iterations it replays. Every live engine is
+// then pre-stepped through the whole epoch on the worker pool (prestep;
+// Workers=1 is a pool of one), and the epoch is drained from the recorded
+// durations and the buffered telemetry: by the BSP superstep drain
+// (bspEpoch) or by the overlapped segment schedule (segmentEpoch, which
+// runs schedule). Because an iteration's duration never depends on when
 // the schedule starts it, pre-stepping changes nothing the drain
 // computes: results, Chrome traces and checkpoint blobs are
 // byte-identical at every worker count.
@@ -44,8 +46,11 @@
 // One runtime type, runtime, steps every run. A non-elastic run is an
 // elastic one (elastic.go) whose capture cadence and fault events are
 // empty, so every node stays live; a RebalancePartitioner adds migration
-// state (rebalance.go) whose decisions bound the epochs like captures. Every
-// entry point opens and finishes its run through a Session (session.go).
+// state (rebalance.go) whose decisions bound the epochs like captures; a
+// migration and an elastic re-partition are priced by one move pricer
+// (moveNodes), and every checkpoint blob — a Session's and the elastic
+// recovery ones — comes from one writer (blob). Every entry point opens
+// and finishes its run through a Session (session.go).
 package scaleout
 
 import (
@@ -212,28 +217,27 @@ func startEngines(engines []*nmp.Engine, durations [][]sim.Cycle, traces []*trac
 	return nil
 }
 
-// prestep is the one place engines are stepped: every live engine (live
-// == nil: every engine) advances through iterations [from, to) on its
-// local back-to-back clock, one node per pool task, recording each
-// iteration's duration in durations and, when instrumented, buffering the
-// step's telemetry for the drain that places it. A task owns its node
-// exclusively — the engine, its duration row, its DRAM tracks and its
-// probe scratch stay single-writer.
-func prestep(engines []*nmp.Engine, live []bool, durations [][]sim.Cycle, from, to, workers int, pr *probes) {
+// prestep is the one place engines are stepped: every live engine
+// advances through iterations [from, to) on its local back-to-back clock,
+// one node per pool task, recording each iteration's duration and, when
+// pr is non-nil, buffering the step's telemetry for the drain that places
+// it. A task owns its node exclusively — the engine, its duration row, its
+// DRAM tracks and its probe scratch stay single-writer.
+func (rt *runtime) prestep(from, to int, pr *probes) {
 	if to <= from {
 		return
 	}
-	par.ForIdx(len(engines), workers, func(i int) {
-		if live != nil && !live[i] {
+	par.ForIdx(rt.n, rt.cfg.Workers, func(i int) {
+		if !rt.live[i] {
 			return
 		}
-		e := engines[i]
+		e := rt.engines[i]
 		for it := from; it < to; it++ {
 			if pr != nil {
 				pr.beforeStep(i, it, e)
 			}
 			ti := e.StepIteration(e.NextStart())
-			durations[i][it] = ti.End - ti.Start
+			rt.durations[i][it] = ti.End - ti.Start
 			if pr != nil {
 				pr.afterStep(i, it, e, ti)
 			}
@@ -241,24 +245,32 @@ func prestep(engines []*nmp.Engine, live []bool, durations [][]sim.Cycle, from, 
 	})
 }
 
-// advance executes iterations [from, to). In the BSP discipline it runs
-// them as the BSP loop — the fault boundary, then a due capture, then a
-// due migration, then the epoch up to the next capture or rebalance point
-// or to — so a run can be split at any iteration boundary: a checkpoint
-// capture or a Session.Step stops mid-way. While a fault event is still
-// pending an epoch is one iteration, so the boundary pass before every
-// epoch meets the fault exactly where a lockstep run does and no engine is
-// ever stepped past it. A recovery may rewind the loop before from. In
-// the overlapped discipline it only shards and steps the engines,
-// unprobed: those iterations are replayed from their recorded durations
-// when seal schedules the phase, as a restored run's are.
+// advance executes iterations [from, to) for a Session step or a
+// Checkpoint's pause point, so a run can be split at any iteration
+// boundary. A BSP run executes them through the epoch loop (run). An
+// overlapped run only shards and steps the engines, unprobed: seal's epoch
+// loop replays those iterations from their recorded durations, as a
+// restored run's are.
 func (rt *runtime) advance(from, to int) error {
-	if rt.cfg.Overlap {
-		rt.feed.shard(from, to)
-		prestep(rt.engines, rt.live, rt.durations, from, to, rt.cfg.Workers, nil)
-		rt.start = to
-		return nil
+	if !rt.cfg.Overlap {
+		return rt.run(from, to)
 	}
+	rt.feed.shard(from, to)
+	rt.prestep(from, to, nil)
+	rt.start = to
+	return nil
+}
+
+// run is the one epoch loop both disciplines share. It executes
+// iterations [from, to): at every epoch boundary it applies the fault
+// events whose cycle has been reached (a recovery may rewind the loop
+// before from), then — overlapped, past iteration 0 — charges the link
+// and sync barriers that close the previous segment, then takes a due
+// capture, then a due migration, then runs the epoch up to the next
+// capture or rebalance point or to: a BSP superstep drain (bspEpoch) or
+// an overlapped segment schedule (segmentEpoch).
+func (rt *runtime) run(from, to int) error {
+	c := &rt.clock
 	for it := from; ; {
 		cont, err := rt.boundary(it)
 		if err != nil {
@@ -271,6 +283,10 @@ func (rt *runtime) advance(from, to int) error {
 		if it == to {
 			return nil
 		}
+		if rt.cfg.Overlap && it > 0 {
+			c.stallBarrier(telemetry.SpanLinkBarrier, it-1, c.lb, 0, true)
+			c.stallBarrier(telemetry.SpanSyncBarrier, it-1, c.sb, 0, false)
+		}
 		if rt.captureDue(it) {
 			if err := rt.capture(it); err != nil {
 				return err
@@ -280,30 +296,37 @@ func (rt *runtime) advance(from, to int) error {
 			rt.migrateAt(it)
 		}
 		end := rt.epochEnd(it, to)
-		if rt.next < len(rt.events) {
-			end = it + 1 // a fault may land before the next iteration
+		if !rt.cfg.Overlap {
+			it = rt.bspEpoch(it, end)
+		} else if it, err = rt.segmentEpoch(it, end); err != nil {
+			return err
 		}
-		rt.bspEpoch(it, end)
-		it = end
 	}
 }
 
 // bspEpoch shards and pre-steps the epoch [from, to), then drains it
 // superstep by superstep; a rebalancing run measures each drained
-// superstep for its next migration decision.
-func (rt *runtime) bspEpoch(from, to int) {
+// superstep for its next migration decision. While a fault event is still
+// pending the epoch is cut to one iteration, so the boundary pass before
+// every epoch meets the fault exactly where a lockstep run does and no
+// engine is ever stepped past it. Returns the epoch's end.
+func (rt *runtime) bspEpoch(from, to int) int {
+	if rt.next < len(rt.events) {
+		to = from + 1 // a fault may land before the next iteration
+	}
 	halos := rt.feed.shard(from, to)
-	prestep(rt.engines, rt.live, rt.durations, from, to, rt.cfg.Workers, rt.pr)
+	rt.prestep(from, to, rt.pr)
 	for j := from; j < to; j++ {
 		rt.clock.superstep(j, rt.durations, halos[j-from])
 		if rt.rb != nil {
 			rt.measure(j)
 		}
 	}
+	return to
 }
 
 // seal completes the phase — every BSP iteration must have been advanced;
-// the overlapped discipline schedules its whole macro schedule here — and
+// the overlapped discipline runs its whole epoch loop here, probed — and
 // finalizes the run's Result: the three accounting buckets tile the phase
 // clock and every engine — survivors complete, casualties frozen at their
 // last committed iteration — reports its result. The traffic accounting
@@ -311,7 +334,10 @@ func (rt *runtime) bspEpoch(from, to int) {
 // iteration 0, the memoized whole-trace facts.
 func (rt *runtime) seal() error {
 	if rt.cfg.Overlap {
-		if err := rt.overlap(); err != nil {
+		if rt.pr != nil {
+			rt.pr.attach(rt.engines)
+		}
+		if err := rt.run(0, rt.iters); err != nil {
 			return err
 		}
 	}
@@ -328,131 +354,91 @@ func (rt *runtime) seal() error {
 	return nil
 }
 
-// overlap is the overlapped discipline: the event-driven halo-streaming
-// schedule runs in segments bounded by checkpoint boundaries (a
-// coordinated checkpoint is a global synchronization, so a link barrier +
-// sync barrier close each segment); without a capture cadence the whole
-// phase is one all-live segment. Finishing nodes stream their halo bytes
-// while laggards compute, and each node's next iteration waits only on its
-// own finish (plus sync barrier) and on the delivery of the halo traffic
-// it depends on. A segment is one epoch, executed speculatively; if a node
-// loss lands inside it, the segment's recording is rewound, the committed
+// segmentEpoch is an overlapped epoch: the event-driven halo-streaming
+// schedule over [it, end). Epochs are bounded by checkpoint captures (a
+// coordinated checkpoint is a global synchronization, so run closes each
+// segment with a link barrier and a sync barrier); without a capture
+// cadence the whole phase is one all-live segment. Finishing nodes stream
+// their halo bytes while laggards compute, and each node's next iteration
+// waits only on its own finish (plus sync barrier) and on the delivery of
+// the halo traffic it depends on. The segment is executed speculatively:
+// if a node loss lands inside it, its recording is rewound, the committed
 // window up to the detection boundary is charged as compute (the
 // simplification: an overlapped window does not decompose further once
 // discarded), and the shared recovery path takes over. Iterations before
-// start replay their recorded durations (the macro schedule is a
-// deterministic function of durations, halo and topology; their halo
-// matrices come from the count pass alone). A segment's phase time splits
-// as Compute = the slowest node's unconstrained local chain (what a
-// zero-cost interconnect would yield) and Exchange = the communication
-// time the schedule failed to hide.
-func (rt *runtime) overlap() error {
+// start replay their recorded durations (the schedule is a deterministic
+// function of durations, halo and topology; their halo matrices come from
+// the count pass alone). A segment's phase time splits as Compute = the
+// slowest node's unconstrained local chain (what a zero-cost interconnect
+// would yield) and Exchange = the communication time the schedule failed
+// to hide. Returns the iteration the loop continues at.
+func (rt *runtime) segmentEpoch(it, end int) (int, error) {
 	c := &rt.clock
+	var marks probeMark
 	if rt.pr != nil {
-		rt.pr.attach(rt.engines)
+		marks = rt.pr.mark()
 	}
-	for it := 0; ; {
-		cont, err := rt.boundary(it)
-		if err != nil {
-			return err
+	now := c.now()
+	from := max(it, rt.start)
+	halo := rt.feed.shard(from, end)
+	if from > it {
+		halo = append(rt.feed.halos(it, from), halo...)
+	}
+	rt.prestep(from, end, rt.pr)
+	var off sim.Cycle
+	if rt.pr != nil {
+		off = rt.pr.base + now
+	}
+	seg := rt.schedule(it, end, halo, off)
+
+	// A loss inside the segment window invalidates it: rewind the
+	// speculative recording, commit the window up to the detection
+	// boundary as compute, and recover. A loss past the segment's last
+	// iteration boundary commits the segment; the next boundary pass
+	// detects it.
+	for _, ev := range rt.events[rt.next:] {
+		if ev.Cycle > now+seg.makespan {
+			break
 		}
-		if cont >= 0 {
-			it = cont
+		if ev.Kind != fault.NodeLoss {
 			continue
 		}
-		if it == rt.iters {
-			return nil
-		}
-		if it > 0 {
-			c.stallBarrier(telemetry.SpanLinkBarrier, it-1, c.lb, 0, true)
-			c.stallBarrier(telemetry.SpanSyncBarrier, it-1, c.sb, 0, false)
-		}
-		if rt.captureDue(it) {
-			if err := rt.capture(it); err != nil {
-				return err
+		for j, b := range seg.boundary {
+			if now+b < ev.Cycle {
+				continue
 			}
-		}
-		end := rt.epochEnd(it, rt.iters)
-
-		var marks probeMark
-		if rt.pr != nil {
-			marks = rt.pr.mark()
-		}
-		now := c.now()
-		// The iterations before start are replayed: only their halo
-		// matrices are needed.
-		from := max(it, rt.start)
-		halo := rt.feed.shard(from, end)
-		if from > it {
-			halo = append(rt.feed.halos(it, from), halo...)
-		}
-		sg := segment{
-			s: it, e: end, halo: halo, net: rt.deg, live: rt.live,
-			durations: rt.durations, replayed: rt.start, sb: c.sb, pr: rt.pr,
-		}
-		prestep(rt.engines, rt.live, rt.durations, from, end, rt.cfg.Workers, rt.pr)
-		if rt.pr != nil {
-			sg.off = rt.pr.base + now
-		}
-		seg := sg.run()
-
-		// A loss inside the segment window invalidates it: rewind the
-		// speculative recording, commit the window up to the detection
-		// boundary as compute, and recover.
-		var fc sim.Cycle = -1
-		for _, ev := range rt.events[rt.next:] {
-			if ev.Cycle > now+seg.makespan {
-				break
-			}
-			if ev.Kind == fault.NodeLoss {
-				fc = ev.Cycle
-				break
-			}
-		}
-		if fc >= 0 {
-			bj := -1
-			for j := range seg.boundary {
-				if now+seg.boundary[j] >= fc {
-					bj = j
-					break
+			if rt.pr != nil {
+				rt.pr.rewind(marks)
+				if b > 0 {
+					rt.pr.phases.Add(telemetry.SpanCompute, off, off+b, int64(it), 0)
 				}
 			}
-			if bj >= 0 {
-				if rt.pr != nil {
-					rt.pr.rewind(marks)
-					if seg.boundary[bj] > 0 {
-						rt.pr.phases.Add(telemetry.SpanCompute, sg.off, sg.off+seg.boundary[bj], int64(it), 0)
-					}
-				}
-				c.compute += seg.boundary[bj]
-				cont, err := rt.boundary(it + bj + 1)
-				if err != nil {
-					return err
-				}
-				if cont >= 0 {
-					it = cont
-					continue
-				}
-				return fmt.Errorf("scaleout: fault at cycle %d detected but not consumed", fc)
+			c.compute += b
+			cont, err := rt.boundary(it + j + 1)
+			if err != nil {
+				return 0, err
 			}
-			// The loss lands past the segment's last iteration boundary:
-			// commit the segment and let the next boundary pass detect it.
-		}
-
-		if rt.pr != nil {
-			// A static run's one segment spans the phase; its spans carry
-			// no iteration.
-			arg := it
-			if !rt.cfg.elastic() {
-				arg = -1
+			if cont < 0 {
+				return 0, fmt.Errorf("scaleout: fault at cycle %d detected but not consumed", ev.Cycle)
 			}
-			rt.pr.segmentSpans(sg.off, seg, arg)
+			return cont, nil
 		}
-		c.compute += seg.compute
-		c.exchange += seg.makespan - seg.compute
-		c.exchangedBytes += seg.bytes
-		it = end
+		break
 	}
+
+	if rt.pr != nil {
+		// A static run's one segment spans the phase; its spans carry no
+		// iteration.
+		arg := it
+		if !rt.cfg.elastic() {
+			arg = -1
+		}
+		rt.pr.segmentSpans(off, seg, arg)
+	}
+	c.compute += seg.compute
+	c.exchange += seg.makespan - seg.compute
+	c.exchangedBytes += seg.bytes
+	return end, nil
 }
 
 // phaseClock is a compaction phase's global clock, tiled into three
@@ -468,7 +454,7 @@ type phaseClock struct {
 	iters  int
 	lb, sb sim.Cycle // link and sync barrier between supersteps
 	pr     *probes
-	live   []bool // nil: every node is live
+	live   []bool
 
 	compute, exchange, barrier sim.Cycle
 	linkBarrier                sim.Cycle
@@ -489,12 +475,6 @@ func newPhaseClock(net topo.Network, cfg Config, iters int) phaseClock {
 
 // now is the elapsed phase time.
 func (c *phaseClock) now() sim.Cycle { return c.compute + c.exchange + c.barrier }
-
-// save records the BSP partial sums on a checkpoint.
-func (c *phaseClock) save(ck *CheckpointState) {
-	ck.Compute, ck.Exchange = c.compute, c.exchange
-	ck.CompactExchangedBytes = c.exchangedBytes
-}
 
 // restore re-enters a BSP run at a checkpoint from its partial sums; the
 // inter-superstep barriers crossed so far depend only on the iteration
@@ -528,15 +508,6 @@ func (c *phaseClock) stallBarrier(kind telemetry.SpanKind, it int, d sim.Cycle, 
 	c.stall(&c.barrier, kind, it, d, bytes)
 }
 
-// doExchange prices one all-to-all on the network at the current time,
-// mirroring its link occupancy onto the link tracks when instrumented.
-func (c *phaseClock) doExchange(b [][]int64) topo.ExchangeStats {
-	if c.pr != nil {
-		return topo.ExchangeProbed(c.net, b, c.pr.linkAt(c.pr.base+c.now()))
-	}
-	return topo.Exchange(c.net, b)
-}
-
 // superstep drains BSP superstep it from the pre-stepped durations: the
 // slowest live node paces the compute segment, the iteration's halo
 // exchange runs on the links, and between supersteps a link barrier plus
@@ -547,7 +518,7 @@ func (c *phaseClock) superstep(it int, durations [][]sim.Cycle, halo [][]int64) 
 	maxIdx := 0
 	for i := range c.durs {
 		c.durs[i] = 0
-		if c.live == nil || c.live[i] {
+		if c.live[i] {
 			c.durs[i] = durations[i][it]
 		}
 		if c.durs[i] > slowest {
@@ -560,7 +531,7 @@ func (c *phaseClock) superstep(it int, durations [][]sim.Cycle, halo [][]int64) 
 	}
 	c.compute += slowest
 
-	hx := c.doExchange(halo)
+	hx := topo.ExchangeProbed(c.net, halo, c.pr.linkAt(c.now()))
 	c.exchangedBytes += hx.TotalBytes
 	c.stall(&c.exchange, telemetry.SpanExchangeWait, it, hx.Cycles, hx.TotalBytes)
 
@@ -569,29 +540,12 @@ func (c *phaseClock) superstep(it int, durations [][]sim.Cycle, halo [][]int64) 
 		c.stallBarrier(telemetry.SpanSyncBarrier, it, c.sb, 0, false)
 		if c.pr != nil {
 			for i := range c.durs {
-				if c.live == nil || c.live[i] {
+				if c.live[i] {
 					c.pr.c.AddDep(i, it+1, telemetry.BoundBarrier, maxIdx)
 				}
 			}
 		}
 	}
-}
-
-// segment is one overlapped schedule over iterations [s, e) on a fresh
-// event timeline whose cycle 0 is global time off: the finish → stream →
-// start dependency structure over the live nodes, routed through net.
-// Every duration is already recorded; iterations below replayed were
-// stepped before a checkpoint and have no buffered telemetry.
-type segment struct {
-	s, e      int
-	halo      [][][]int64 // halo[j] is iteration s+j's matrix
-	net       topo.Network
-	live      []bool // nil: every node is live
-	durations [][]sim.Cycle
-	replayed  int
-	sb        sim.Cycle
-	off       sim.Cycle
-	pr        *probes
 }
 
 // segOutcome summarizes one overlapped segment on its local clock.
@@ -616,14 +570,18 @@ type ovNode struct {
 	started  []bool
 }
 
-// run executes the segment's macro schedule. The event closures and
-// their creation order depend only on the durations, the halo matrices
-// and the network, so the schedule is the same however the durations
-// were produced.
-func (sg *segment) run() *segOutcome {
-	n, m, s := len(sg.durations), sg.e-sg.s, sg.s
-	pr, sb, off := sg.pr, sg.sb, sg.off
-	live := func(i int) bool { return sg.live == nil || sg.live[i] }
+// schedule executes the overlapped macro schedule of iterations [s, e)
+// on a fresh event timeline whose cycle 0 is global time off: the finish →
+// stream → start dependency structure over the live nodes, routed through
+// the interconnect; halo[j] is iteration s+j's matrix. Every duration is
+// already recorded; iterations before start were stepped before a
+// checkpoint and have no buffered telemetry. The event closures and their
+// creation order depend only on the durations, the halo matrices and the
+// network, so the schedule is the same however the durations were
+// produced.
+func (rt *runtime) schedule(s, e int, halo [][][]int64, off sim.Cycle) *segOutcome {
+	n, m := rt.n, e-s
+	pr, sb, live := rt.pr, rt.clock.sb, rt.live
 	seg := &segOutcome{boundary: make([]sim.Cycle, m)}
 
 	g := &sim.Engine{}
@@ -635,7 +593,7 @@ func (sg *segment) run() *segOutcome {
 	// the gap spans between iterations.
 	lastEnd := make([]sim.Cycle, n)
 	for i := range nodes {
-		if live(i) {
+		if live[i] {
 			nodes[i] = &ovNode{
 				pendingIn: make([]int, m),
 				finished:  make([]bool, m),
@@ -646,14 +604,14 @@ func (sg *segment) run() *segOutcome {
 	for j := 0; j < m; j++ {
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				if dst != src && sg.halo[j][src][dst] > 0 {
+				if dst != src && halo[j][src][dst] > 0 {
 					nodes[dst].pendingIn[j]++
-					seg.bytes += sg.halo[j][src][dst]
+					seg.bytes += halo[j][src][dst]
 				}
 			}
 		}
 	}
-	fl := topo.NewFlight(sg.net, g)
+	fl := topo.NewFlight(rt.deg, g)
 	if pr != nil {
 		fl.SetProbe(&topo.Probe{Links: pr.links, Offset: off})
 	}
@@ -709,10 +667,10 @@ func (sg *segment) run() *segOutcome {
 		// topo.Exchange uses.
 		for k := 1; k < n; k++ {
 			dst := (i + k) % n
-			if !live(dst) {
+			if !live[dst] {
 				continue
 			}
-			b := sg.halo[j][i][dst]
+			b := halo[j][i][dst]
 			if b <= 0 {
 				continue
 			}
@@ -743,9 +701,9 @@ func (sg *segment) run() *segOutcome {
 					pr.node[i].Add(telemetry.SpanDeliveryWait, off+e0+sb, off+at, int64(it), 0)
 				}
 			}
-			d := sg.durations[i][it]
+			d := rt.durations[i][it]
 			if pr != nil {
-				if it < sg.replayed {
+				if it < rt.start {
 					pr.placeReplayed(i, it, off+at, d)
 				} else {
 					pr.place(i, it, off+at)
@@ -756,7 +714,7 @@ func (sg *segment) run() *segOutcome {
 		})
 	}
 	for i := 0; i < n; i++ {
-		if live(i) {
+		if live[i] {
 			nodes[i].started[0] = true
 			begin(i, 0, 0)
 		}
@@ -768,18 +726,18 @@ func (sg *segment) run() *segOutcome {
 	// engine's back-to-back clock advance over the segment; anything
 	// beyond the slowest chain is exposed communication.
 	for i := 0; i < n; i++ {
-		if !live(i) {
+		if !live[i] {
 			continue
 		}
 		c := sim.Cycle(m-1) * sb
-		for it := sg.s; it < sg.e; it++ {
-			c += sg.durations[i][it]
+		for it := s; it < e; it++ {
+			c += rt.durations[i][it]
 		}
 		if c > seg.compute {
 			seg.compute = c
 		}
 		if pr != nil && lastEnd[i] < seg.makespan {
-			pr.node[i].Add(telemetry.SpanIdle, off+lastEnd[i], off+seg.makespan, int64(sg.e-1), 0)
+			pr.node[i].Add(telemetry.SpanIdle, off+lastEnd[i], off+seg.makespan, int64(e-1), 0)
 		}
 	}
 	return seg

@@ -173,6 +173,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scaleout: RebalancePartitioner cannot run an elastic config (a recovery fails over from the partitioner's static Owner, not from the migrated ownership table); unset CheckpointEvery and Faults")
 		}
 	}
+	// The node count sizes every per-node table up front; a blob records
+	// no more nodes than this either.
+	if c.Nodes > maxCheckpointNodes {
+		return fmt.Errorf("scaleout: Nodes must be <= %d, got %d", maxCheckpointNodes, c.Nodes)
+	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("scaleout: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
 	}
@@ -334,12 +339,7 @@ func runPrelude(reads []readsim.Read, cfg Config, net topo.Network, pr *probes) 
 		res.PerNode[i].KmersExtracted = e
 		res.PerNode[i].KmersOwned = len(sc.Shards[i].Kmers)
 	}
-	var cx topo.ExchangeStats
-	if pr != nil {
-		cx = topo.ExchangeProbed(net, sc.CountExchange, pr.linkAt(extract+merge))
-	} else {
-		cx = topo.Exchange(net, sc.CountExchange)
-	}
+	cx := topo.ExchangeProbed(net, sc.CountExchange, pr.linkAt(extract+merge))
 	res.Count = PhaseCycles{Compute: extract + merge, Exchange: cx.Cycles, Barrier: net.BarrierCycles()}
 	res.ExchangedBytes += cx.TotalBytes
 
@@ -357,12 +357,7 @@ func runPrelude(reads []readsim.Read, cfg Config, net topo.Network, pr *probes) 
 		}
 		res.PerNode[i].MacroNodes = macroNodes[i]
 	}
-	var gx topo.ExchangeStats
-	if pr != nil {
-		gx = topo.ExchangeProbed(net, sg.GraphExchange, pr.linkAt(res.Count.Total()+construct))
-	} else {
-		gx = topo.Exchange(net, sg.GraphExchange)
-	}
+	gx := topo.ExchangeProbed(net, sg.GraphExchange, pr.linkAt(res.Count.Total()+construct))
 	res.Construct = PhaseCycles{Compute: construct, Exchange: gx.Cycles, Barrier: net.BarrierCycles()}
 	res.ExchangedBytes += gx.TotalBytes
 	if pr != nil {

@@ -39,7 +39,6 @@ import (
 
 	"nmppak/internal/readsim"
 	"nmppak/internal/sim"
-	"nmppak/internal/topo"
 	"nmppak/internal/trace"
 )
 
@@ -48,9 +47,7 @@ import (
 // checkpoint blob); drive it with Step, snapshot it with Checkpoint, and
 // seal it with Finish. Not safe for concurrent use.
 type Session struct {
-	tr  *trace.Trace
 	cfg Config
-	net topo.Network
 	res *Result // prelude result; finalized by Finish
 	pr  *probes // the run's telemetry glue; nil when uninstrumented
 
@@ -87,7 +84,7 @@ func open(reads []readsim.Read, tr *trace.Trace, cfg Config, ck *CheckpointState
 			return nil, err
 		}
 	}
-	s := &Session{tr: tr, cfg: cfg, net: net, iters: len(tr.Iterations)}
+	s := &Session{cfg: cfg, iters: len(tr.Iterations)}
 	if cfg.Telemetry != nil {
 		s.pr = newProbes(cfg.Telemetry, net, cfg, s.iters)
 	}
@@ -189,11 +186,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	ck := checkpointHeader(s.cfg, s.net, s.tr, s.res, s.next)
-	if err := s.run.snapshot(ck); err != nil {
-		return nil, err
-	}
-	return ck.Marshal()
+	return s.run.blob(s.next)
 }
 
 // Finish advances any remaining iterations, seals the phase and returns

@@ -107,10 +107,14 @@ func (pr *probes) attach(engines []*nmp.Engine) {
 	}
 }
 
-// linkAt returns the link probe positioned at global time off, for a
-// serial exchange about to run on its own local engine.
-func (pr *probes) linkAt(off sim.Cycle) *topo.Probe {
-	pr.lp.Offset = off
+// linkAt returns the link probe positioned at time at past base (the
+// prelude's exchanges run while base is still 0), for a serial exchange
+// about to run on its own local engine; nil when uninstrumented.
+func (pr *probes) linkAt(at sim.Cycle) *topo.Probe {
+	if pr == nil {
+		return nil
+	}
+	pr.lp.Offset = pr.base + at
 	return &pr.lp
 }
 
@@ -189,14 +193,14 @@ func (pr *probes) placeReplayed(i, it int, gs, d sim.Cycle) {
 }
 
 // stall records one d-cycle whole-machine wait starting at gnow on the
-// runtime track and every live node track (live == nil: every node).
+// runtime track and every live node track.
 func (pr *probes) stall(kind telemetry.SpanKind, it int, gnow, d sim.Cycle, bytes int64, live []bool) {
 	if d <= 0 {
 		return
 	}
 	pr.phases.Add(kind, gnow, gnow+d, int64(it), bytes)
 	for i := range pr.node {
-		if live == nil || live[i] {
+		if live[i] {
 			pr.node[i].Add(kind, gnow, gnow+d, int64(it), 0)
 		}
 	}
@@ -208,7 +212,7 @@ func (pr *probes) stall(kind telemetry.SpanKind, it int, gnow, d sim.Cycle, byte
 // tracks simply end at the iteration they died in).
 func (pr *probes) superstepCompute(it int, gnow sim.Cycle, durs []sim.Cycle, max sim.Cycle, live []bool) {
 	for i := range pr.node {
-		if live != nil && !live[i] {
+		if !live[i] {
 			continue
 		}
 		pr.place(i, it, gnow)

@@ -341,9 +341,6 @@ func (c *Collector) AddDep(node, iter int, bound Bound, src int) {
 	c.deps = append(c.deps, Dep{Node: node, Iter: iter, Bound: bound, Src: src})
 }
 
-// Deps returns the recorded dependency stream.
-func (c *Collector) Deps() []Dep { return c.deps }
-
 // NumDeps returns the number of recorded dependencies (the counterpart of
 // Track.Len for TruncateDeps-based rollback).
 func (c *Collector) NumDeps() int { return len(c.deps) }

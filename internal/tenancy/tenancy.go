@@ -256,12 +256,16 @@ func (r *fleetRun) fail(err error) {
 	}
 }
 
+// maxFleetNodes caps a fleet's size: the scheduler sizes per-node state
+// up front, and no tenant runs on more nodes than a scale-out run allows.
+const maxFleetNodes = 1 << 16
+
 // Run simulates the fleet over the job list and returns the schedule.
 // Jobs may be passed in any order; arrival cycles drive admission. The
 // simulation is fully deterministic.
 func (f Fleet) Run(jobs []Job) (*Schedule, error) {
-	if f.Nodes < 1 {
-		return nil, fmt.Errorf("tenancy: fleet needs at least one node, got %d", f.Nodes)
+	if f.Nodes < 1 || f.Nodes > maxFleetNodes {
+		return nil, fmt.Errorf("tenancy: fleet needs between 1 and %d nodes, got %d", maxFleetNodes, f.Nodes)
 	}
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("tenancy: no jobs")

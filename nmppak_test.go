@@ -317,6 +317,9 @@ func TestUntrustedInputsError(t *testing.T) {
 	}
 	nan := math.NaN()
 	zeroDRAM := nmppak.NMPConfig{}.DRAM
+	// Counts this large panic at once in a make; smaller ones that do
+	// allocate could exhaust the host before failing.
+	const huge = 1 << 60
 	for _, tc := range []struct {
 		name string
 		call func() error
@@ -325,6 +328,10 @@ func TestUntrustedInputsError(t *testing.T) {
 		{"SimulateNMP/zero config", simNMP(tr, nmppak.NMPConfig{})},
 		{"SimulateNMP/zero DRAM", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM = zeroDRAM }))},
 		{"SimulateNMP/negative channels", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.Channels = -1 }))},
+		{"SimulateNMP/huge channels", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.Channels = huge }))},
+		{"SimulateNMP/huge PEs per channel", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.PEsPerChannel = huge }))},
+		{"SimulateNMP/huge ranks", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM.Ranks = huge }))},
+		{"SimulateNMP/huge banks per rank", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM.BanksPerRank = huge }))},
 		{"SimulateNMP/hybrid without CPU threads", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.HybridThresholdBytes, c.CPUThreads = 256, 0 }))},
 		{"SimulateNMP/hybrid with negative CPU threads", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.HybridThresholdBytes, c.CPUThreads = 256, -1 }))},
 		{"NewNMPEngine/nil trace", func() error { _, err := nmppak.NewNMPEngine(nil, nmppak.DefaultNMPConfig()); return err }},
@@ -333,6 +340,8 @@ func TestUntrustedInputsError(t *testing.T) {
 		{"SimulateCPU/zero config", simCPU(tr, nmppak.CPUConfig{})},
 		{"SimulateCPU/negative threads", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Threads = -1 }))},
 		{"SimulateCPU/zero channels", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Channels = 0 }))},
+		{"SimulateCPU/huge threads", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Threads = huge }))},
+		{"SimulateCPU/huge channels", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Channels = huge }))},
 		{"SimulateCPU/zero DRAM", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.DRAM = zeroDRAM }))},
 		{"SimulateCPU/L3 hit rate above 1", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.L3HitRate = 1.5 }))},
 		{"SimulateCPU/NaN L3 hit rate", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.L3HitRate = nan }))},
@@ -353,6 +362,10 @@ func TestUntrustedInputsError(t *testing.T) {
 			return err
 		}},
 		{"SimulateScaleOut/zero config", func() error { _, err := nmppak.SimulateScaleOut(reads, tr, nmppak.ScaleOutConfig{}); return err }},
+		{"SimulateScaleOut/huge node count", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Nodes = huge }))
+			return err
+		}},
 		{"SimulateScaleOut/zero NMP config", func() error {
 			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.NMP = nmppak.NMPConfig{} }))
 			return err
@@ -398,6 +411,10 @@ func TestUntrustedInputsError(t *testing.T) {
 			return err
 		}},
 		{"Fleet.Run/no jobs", func() error { _, err := nmppak.Fleet{Nodes: 4}.Run(nil); return err }},
+		{"Fleet.Run/huge fleet", func() error {
+			_, err := nmppak.Fleet{Nodes: huge}.Run([]nmppak.FleetJob{{Trace: tr, Config: soWith(func(*nmppak.ScaleOutConfig) {}), Reads: reads}})
+			return err
+		}},
 		{"Fleet.Run/nil trace", func() error {
 			_, err := nmppak.Fleet{Nodes: 4}.Run([]nmppak.FleetJob{{Config: soWith(func(*nmppak.ScaleOutConfig) {}), Reads: reads}})
 			return err
