@@ -49,7 +49,7 @@
 // change the schedule. segmentEpoch steps the whole segment speculatively
 // instead and, when a loss lands inside it, rewinds the segment's
 // recording (mark/rewind) and recovers at the detection boundary; the
-// recovery rolls engines, durations, traces and counters back wholesale
+// recovery rolls engines, durations and counters back wholesale
 // in both disciplines.
 //
 // This file holds the elastic half of the one compaction runtime
@@ -299,9 +299,6 @@ func (rt *runtime) recover(losses []fault.Event, bIter int) (int, error) {
 // traffic counters are rewound; the phase clock is not (lost time is the
 // recovery overhead).
 func (rt *runtime) rollback(ck *CheckpointState, resume int) error {
-	for _, t := range rt.feed.traces {
-		t.Iterations = t.Iterations[:min(len(t.Iterations), resume)]
-	}
 	rt.feed.traffic = traffic{}
 	if ck != nil {
 		es := ck.Elastic

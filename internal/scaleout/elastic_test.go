@@ -376,6 +376,22 @@ func TestElasticValidation(t *testing.T) {
 				{Kind: fault.LinkDegrade, Src: 0, Dst: 1, Factor: 2},
 			}}
 		}), "factor"},
+		{"unpriceable factor", mk(func(c *Config) {
+			c.Faults = &fault.Plan{Events: []fault.Event{
+				{Kind: fault.LinkDegrade, Cycle: 1000, Src: 0, Dst: 1, Factor: 1e-9},
+			}}
+		}), "floor"},
+		{"underflowing factor", mk(func(c *Config) {
+			c.Faults = &fault.Plan{Events: []fault.Event{
+				{Kind: fault.LinkDegrade, Cycle: 1000, Src: 0, Dst: 1, Factor: 1e-300},
+			}}
+		}), "floor"},
+		{"factor past a slow link's floor", mk(func(c *Config) {
+			c.Topo.BytesPerCycle = 0.5
+			c.Faults = &fault.Plan{Events: []fault.Event{
+				{Kind: fault.LinkDegrade, Cycle: 1000, Src: 0, Dst: 1, Factor: 1e-3},
+			}}
+		}), "floor"},
 	} {
 		if _, err := Simulate(nil, tiny, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.substr) {
 			t.Errorf("%s: Simulate error %v does not mention %q", tc.name, err, tc.substr)

@@ -2,6 +2,8 @@ package scaleout
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"nmppak/internal/dna"
 	"nmppak/internal/trace"
@@ -47,14 +49,61 @@ func (t traffic) record(res *Result) {
 	}
 }
 
-// countIteration is the count pass of shardIteration: it resolves the
-// owner of every node visit, adds the cross-node TransferNode bytes into
-// halo (skipped when nil) and returns the owners, the per-node op counts
-// (visits counts[o], local transfers counts[n+o], updates counts[2n+o])
-// and the traffic split. A replayed iteration needs no more than this.
-func countIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [][]int64) (owner, counts []int32, t traffic) {
-	owner = make([]int32, len(iter.Nodes))
-	counts = make([]int32, 3*n)
+// shardArena is the reused backing store of one sharded iteration. carve
+// splits a global iteration across n nodes into it: one backing array per
+// op kind, of which each node's sub-iteration holds a clipped window, plus
+// the count pass's scratch and an n×QuantileEdges block for the per-node
+// quantile tables. Every slice carve returns is overwritten by the next
+// carve into the same arena, so a sub-iteration lives only while its
+// iteration is in flight. The runtime takes its arenas from a pool
+// (arenas), which recycles memory only: every iteration is sharded afresh
+// from the trace, and no shard outlives the epoch that stepped it.
+type shardArena struct {
+	// idx[:m] holds the owner of each of the iteration's m node visits,
+	// idx[m:2m] each visit's index in its owner's window.
+	idx []int32
+	// counts holds the per-node op counts — visits [0, n), local transfers
+	// [n, 2n), updates [2n, 3n) — then, at [3n, 6n), each window's start.
+	counts    []int32
+	nodes     []trace.NodeOp
+	transfers []trace.TransferOp
+	updates   []trace.UpdateOp
+	quantiles []dna.Kmer
+	subs      []trace.Iteration
+}
+
+// arenas recycles shard arenas across the epochs of every run in the
+// process, so a run holds one only while it steps.
+var arenas = sync.Pool{New: func() any { return new(shardArena) }}
+
+// grow returns s with length n, reusing its backing array when it is large
+// enough; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// window is s[at:at+c] clipped to its length, nil when empty.
+func window[T any](s []T, at, c int32) []T {
+	if c == 0 {
+		return nil
+	}
+	return s[at : at+c : at+c]
+}
+
+// count is carve's count pass, and all a replayed iteration needs: it
+// resolves the owner of every node visit, adds the cross-node
+// TransferNode bytes into halo (skipped when nil) and returns the traffic
+// split. It leaves the owners in idx[:len(iter.Nodes)] and the per-node op
+// counts in counts[:3n].
+func (a *shardArena) count(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [][]int64) (t traffic) {
+	m := len(iter.Nodes)
+	a.idx = grow(a.idx, 2*m)
+	a.counts = grow(a.counts, 6*n)
+	owner, counts := a.idx[:m], a.counts[:3*n]
+	clear(counts)
 	for i := range iter.Nodes {
 		o := int32(ownerOf(iter.Nodes[i].Key))
 		owner[i] = o
@@ -76,69 +125,85 @@ func countIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, ha
 	for _, u := range iter.Updates {
 		counts[2*n+int(owner[u.DstIdx])]++
 	}
-	return owner, counts, t
+	return t
 }
 
-// shardIteration splits one global iteration across n nodes under ownerOf
-// (a pure key -> node assignment): per-node sub-iterations carry the node
-// visits, local transfers and updates of the keys each node owns, while
-// cross-node TransferNode bytes accumulate into halo[src][dst] (when halo
-// is non-nil). The returned split counts the local and remote transfers
-// and the remote payload. This is the unit of work the shard feed applies
-// to each iteration just before the epoch that steps it.
-//
-// It counts first and fills second, so every per-node slice is allocated
-// once at exactly the size it keeps (nil when empty): the allocation count
-// depends on n, not on the iteration's size.
-func shardIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [][]int64) ([]trace.Iteration, traffic) {
-	owner, counts, t := countIteration(iter, n, ownerOf, halo)
-	nodeCnt, tnCnt, updCnt := counts[:n], counts[n:2*n], counts[2*n:]
-
-	subs := make([]trace.Iteration, n)
-	for o := range subs {
-		if c := nodeCnt[o]; c > 0 {
-			subs[o].Nodes = make([]trace.NodeOp, 0, c)
-		}
-		if c := tnCnt[o]; c > 0 {
-			subs[o].Transfers = make([]trace.TransferOp, 0, c)
-		}
-		if c := updCnt[o]; c > 0 {
-			subs[o].Updates = make([]trace.UpdateOp, 0, c)
+// carve splits one global iteration across n nodes under ownerOf (a pure
+// key -> node assignment) into the arena and returns the n per-node
+// sub-iterations and the traffic split. Sub-iteration o carries the node
+// visits, local transfers and updates of the keys node o owns, in trace
+// order with indices into its own visits, plus the iteration's stats and
+// its own quantile table; cross-node TransferNode bytes accumulate into
+// halo[src][dst] (when halo is non-nil). Every op slice is a window whose
+// capacity is its length, nil when empty, and a warm arena carves without
+// allocating.
+func (a *shardArena) carve(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [][]int64) ([]trace.Iteration, traffic) {
+	t := a.count(iter, n, ownerOf, halo)
+	m := len(iter.Nodes)
+	owner, local := a.idx[:m], a.idx[m:2*m]
+	// counts becomes each window's fill cursor, back at its count once the
+	// window is full.
+	counts, start := a.counts[:3*n], a.counts[3*n:6*n]
+	for k := 0; k < 3*n; k += n {
+		var at int32
+		for o := k; o < k+n; o++ {
+			start[o] = at
+			at += counts[o]
+			counts[o] = 0
 		}
 	}
-	local := make([]int32, len(iter.Nodes))
+	a.nodes = grow(a.nodes, m)
+	a.transfers = grow(a.transfers, int(t.localTNs))
+	a.updates = grow(a.updates, len(iter.Updates))
 	for i := range iter.Nodes {
 		o := owner[i]
-		local[i] = int32(len(subs[o].Nodes))
-		subs[o].Nodes = append(subs[o].Nodes, iter.Nodes[i])
+		local[i] = counts[o]
+		a.nodes[start[o]+counts[o]] = iter.Nodes[i]
+		counts[o]++
 	}
 	for _, tn := range iter.Transfers {
 		if s := owner[tn.SrcIdx]; s == owner[tn.DstIdx] {
-			subs[s].Transfers = append(subs[s].Transfers, trace.TransferOp{
+			k := n + int(s)
+			a.transfers[start[k]+counts[k]] = trace.TransferOp{
 				SrcIdx: local[tn.SrcIdx], DstIdx: local[tn.DstIdx],
 				TNBytes: tn.TNBytes, SuffixSide: tn.SuffixSide,
-			})
+			}
+			counts[k]++
 		}
 	}
 	for _, u := range iter.Updates {
-		o := owner[u.DstIdx]
-		subs[o].Updates = append(subs[o].Updates, trace.UpdateOp{
+		k := 2*n + int(owner[u.DstIdx])
+		a.updates[start[k]+counts[k]] = trace.UpdateOp{
 			DstIdx: local[u.DstIdx], ReadBytes: u.ReadBytes, WriteBytes: u.WriteBytes,
-		})
+		}
+		counts[k]++
 	}
-	for o := range subs {
-		subs[o].Stats = iter.Stats
-		subs[o].Quantiles = trace.BuildQuantiles(subs[o].Nodes)
+	const qe = trace.QuantileEdges
+	a.quantiles = grow(a.quantiles, n*qe)
+	a.subs = grow(a.subs, n)
+	for o := range a.subs {
+		sub := trace.Iteration{
+			Nodes:     window(a.nodes, start[o], counts[o]),
+			Transfers: window(a.transfers, start[n+o], counts[n+o]),
+			Updates:   window(a.updates, start[2*n+o], counts[2*n+o]),
+			Stats:     iter.Stats,
+		}
+		if sub.Nodes != nil {
+			sub.Quantiles = trace.AppendQuantiles(a.quantiles[o*qe:o*qe:(o+1)*qe], sub.Nodes)
+		}
+		a.subs[o] = sub
 	}
-	return subs, t
+	return a.subs, t
 }
 
-// shardFeed is the per-iteration shard feed the compaction runtime steps
-// its engines from. Node o's engine replays traces[o], which starts empty
-// (a resumed run's starts with placeholder iterations behind the cursor);
-// shard appends each global iteration's per-node slices just before the
-// epoch that steps it, so a run shards exactly what it replays and never
-// holds a whole ShardedTrace.
+// shardFeed is the shard feed the compaction runtime steps its engines
+// from. Node o's engine replays traces[o], which holds one slot per trace
+// iteration, each empty but the one in flight: carve points slot it of
+// every live node's trace at that node's window of an arena just before
+// the engines step iteration it, and release empties the slot once they
+// have. An engine never reads behind its cursor, so a run — fresh or
+// resumed — holds one sharded iteration at a time, never a whole
+// ShardedTrace.
 type shardFeed struct {
 	tr      *trace.Trace
 	ownerOf func(dna.Kmer) int
@@ -147,58 +212,53 @@ type shardFeed struct {
 	traffic // over the iterations fed so far
 }
 
-// newShardFeed returns a feed of n empty node traces. ownerOf and live are
-// read at every shard, so a runtime may re-assign ownership or membership
-// between epochs.
+// newShardFeed returns a feed of n node traces of empty slots. ownerOf and
+// live are read at every carve, so a runtime may re-assign ownership or
+// membership between iterations.
 func newShardFeed(tr *trace.Trace, n int, ownerOf func(dna.Kmer) int, live []bool) shardFeed {
 	f := shardFeed{tr: tr, ownerOf: ownerOf, live: live, traces: make([]*trace.Trace, n)}
 	for o := range f.traces {
-		f.traces[o] = &trace.Trace{K: tr.K}
+		f.traces[o] = &trace.Trace{K: tr.K, Iterations: make([]trace.Iteration, len(tr.Iterations))}
 	}
 	return f
 }
 
-// resumeAt positions the node traces of a run resumed at boundary at:
-// placeholder iterations up to the cursor (a resumed engine never reads
-// behind it) and the iteration-0 quantile tables the run started from.
-func (f *shardFeed) resumeAt(at int, quantiles [][]dna.Kmer) {
-	for o, t := range f.traces {
-		t.Iterations = make([]trace.Iteration, at)
-		t.Quantiles = quantiles[o]
+// carve shards iteration it into a, adds its traffic split to the feed's
+// and its cross-node bytes into halo, and fills slot it of every live
+// node's trace. At iteration 0 it also sets each live node's static
+// quantile table, copied out of a because nmp.Config.StaticMapping reads
+// it for the whole run.
+func (f *shardFeed) carve(a *shardArena, it int, halo [][]int64) {
+	subs, t := a.carve(&f.tr.Iterations[it], len(f.traces), f.ownerOf, halo)
+	f.add(t)
+	for o, sub := range subs {
+		if !f.live[o] {
+			continue
+		}
+		if it == 0 {
+			f.traces[o].Quantiles = slices.Clone(sub.Quantiles)
+		}
+		f.traces[o].Iterations[it] = sub
 	}
 }
 
-// shard feeds iterations [from, to) to the live nodes' traces, setting
-// each node's static quantile table at iteration 0, accumulates the
-// traffic split and returns the iterations' halo matrices.
-func (f *shardFeed) shard(from, to int) [][][]int64 {
-	n := len(f.traces)
-	halos := make([][][]int64, 0, to-from)
-	for it := from; it < to; it++ {
-		halo := mat(n)
-		subs, t := shardIteration(&f.tr.Iterations[it], n, f.ownerOf, halo)
-		f.add(t)
-		for o, sub := range subs {
-			if !f.live[o] {
-				continue
-			}
-			if it == 0 {
-				f.traces[o].Quantiles = sub.Quantiles
-			}
-			f.traces[o].Iterations = append(f.traces[o].Iterations, sub)
-		}
-		halos = append(halos, halo)
+// release empties slot it of every node trace, once every engine has
+// stepped past it.
+func (f *shardFeed) release(it int) {
+	for _, t := range f.traces {
+		t.Iterations[it] = trace.Iteration{}
 	}
-	return halos
 }
 
 // halos returns the halo matrices of iterations [from, to) from the count
 // pass alone, feeding nothing: all a replayed prefix needs.
 func (f *shardFeed) halos(from, to int) [][][]int64 {
+	a := arenas.Get().(*shardArena)
+	defer arenas.Put(a)
 	halos := make([][][]int64, 0, to-from)
 	for it := from; it < to; it++ {
 		halo := mat(len(f.traces))
-		countIteration(&f.tr.Iterations[it], len(f.traces), f.ownerOf, halo)
+		a.count(&f.tr.Iterations[it], len(f.traces), f.ownerOf, halo)
 		halos = append(halos, halo)
 	}
 	return halos
@@ -211,17 +271,23 @@ func staticOwner(tr *trace.Trace, n int, p Partitioner) func(dna.Kmer) int {
 }
 
 // ShardTrace splits tr across n nodes under partitioner p, feeding every
-// iteration at once. With n == 1 the single sub-trace reproduces tr
-// exactly (same nodes, transfers, updates and quantile tables), which is
-// what pins the N=1 scale-out result to the single-node nmp.Simulate
-// outcome. The runtimes never build one: they shard on demand.
+// iteration through the runtime's shard feed, each into an arena of its
+// own, so the sub-traces stay valid. With n == 1 the single sub-trace
+// reproduces tr exactly (same nodes, transfers, updates and quantile
+// tables), which is what pins the N=1 scale-out result to the single-node
+// nmp.Simulate outcome. The runtimes never build one: they hold one
+// sharded iteration at a time.
 func ShardTrace(tr *trace.Trace, n int, p Partitioner) *ShardedTrace {
 	live := make([]bool, n)
 	for i := range live {
 		live[i] = true
 	}
 	f := newShardFeed(tr, n, staticOwner(tr, n, p), live)
-	halo := f.shard(0, len(tr.Iterations))
+	halo := make([][][]int64, len(tr.Iterations))
+	for it := range halo {
+		halo[it] = mat(n)
+		f.carve(new(shardArena), it, halo[it])
+	}
 	return &ShardedTrace{
 		Nodes: n, Traces: f.traces, Halo: halo,
 		LocalTNs: f.localTNs, RemoteTNs: f.remoteTNs, HaloBytes: f.haloBytes,
@@ -247,17 +313,18 @@ func shardFactsOf(tr *trace.Trace, n int, p Partitioner) *shardFacts {
 	key := fmt.Sprintf("scaleout.shardFacts n=%d p=%s", n, partitionerID(p))
 	return tr.Memo(key, func() any {
 		ownerOf := staticOwner(tr, n, p)
+		a := arenas.Get().(*shardArena)
+		defer arenas.Put(a)
 		sf := &shardFacts{quantiles: make([][]dna.Kmer, n)}
 		for it := range tr.Iterations {
 			if it > 0 {
-				_, _, t := countIteration(&tr.Iterations[it], n, ownerOf, nil)
-				sf.add(t)
+				sf.add(a.count(&tr.Iterations[it], n, ownerOf, nil))
 				continue
 			}
-			subs, t := shardIteration(&tr.Iterations[0], n, ownerOf, nil)
+			subs, t := a.carve(&tr.Iterations[0], n, ownerOf, nil)
 			sf.add(t)
 			for o := range subs {
-				sf.quantiles[o] = subs[o].Quantiles
+				sf.quantiles[o] = slices.Clone(subs[o].Quantiles)
 			}
 		}
 		return sf

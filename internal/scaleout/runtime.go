@@ -30,16 +30,17 @@
 // barriers closing the previous segment, then a due capture, a due
 // migration and the epoch. An epoch is a range of iterations with no
 // checkpoint capture, migration or Session.Step boundary inside it; in
-// BSP, an iteration while a fault event is still pending. Each epoch is
-// sharded just before it is stepped: the one shard feed (shardFeed)
-// appends its per-node slices to the node traces, so a run — fresh or
-// resumed — shards only the iterations it replays. Every live engine is
-// then pre-stepped through the whole epoch on the worker pool (prestep;
-// Workers=1 is a pool of one), and the epoch is drained from the recorded
-// durations and the buffered telemetry: by the BSP superstep drain
-// (bspEpoch) or by the overlapped segment schedule (segmentEpoch, which
-// runs schedule). Because an iteration's duration never depends on when
-// the schedule starts it, pre-stepping changes nothing the drain
+// BSP, an iteration while a fault event is still pending. An epoch is fed
+// one iteration at a time (step): the one shard feed (shardFeed) carves
+// the iteration into a reused arena and points each live node trace at
+// its window, every live engine is pre-stepped through it on the worker
+// pool (prestep; Workers=1 is a pool of one), and the feed releases it
+// again, so a run — fresh or resumed — shards only the iterations it
+// replays and holds one of them at a time. The epoch is then drained from
+// the recorded durations and the buffered telemetry: by the BSP superstep
+// drain (bspEpoch) or by the overlapped segment schedule (segmentEpoch,
+// which runs schedule). Because an iteration's duration never depends on
+// when the schedule starts it, pre-stepping changes nothing the drain
 // computes: results, Chrome traces and checkpoint blobs are
 // byte-identical at every worker count.
 //
@@ -130,7 +131,7 @@ type runtime struct {
 // otherwise at the blob's pause point with restored engines, recorded
 // durations and BSP partial sums. res is the prelude outcome the run
 // finishes. A resumed run re-shards nothing before the pause point: the
-// node traces hold placeholders there, and the iteration-0 quantile tables
+// node traces' slots there stay empty, and the iteration-0 quantile tables
 // come from the trace's memoized shard facts under the partitioner's
 // static assignment, which every run starts from. A static partition takes
 // its whole-trace traffic split from those facts too; a rebalancing run
@@ -184,7 +185,9 @@ func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *
 		if rt.rb == nil {
 			rt.whole = facts
 		}
-		rt.feed.resumeAt(rt.start, facts.quantiles)
+		for o, t := range rt.feed.traces {
+			t.Quantiles = facts.quantiles[o]
+		}
 	}
 	if err := startEngines(rt.engines, rt.durations, rt.feed.traces, cfg.NMP, rt.iters, ck); err != nil {
 		return nil, err
@@ -217,30 +220,44 @@ func startEngines(engines []*nmp.Engine, durations [][]sim.Cycle, traces []*trac
 	return nil
 }
 
-// prestep is the one place engines are stepped: every live engine
-// advances through iterations [from, to) on its local back-to-back clock,
-// one node per pool task, recording each iteration's duration and, when
-// pr is non-nil, buffering the step's telemetry for the drain that places
-// it. A task owns its node exclusively — the engine, its duration row, its
-// DRAM tracks and its probe scratch stay single-writer.
-func (rt *runtime) prestep(from, to int, pr *probes) {
-	if to <= from {
-		return
+// step feeds iterations [from, to) to the engines one at a time: each is
+// carved into an arena from the pool, pre-stepped on every live engine and
+// released before the next is carved. The arena goes back to the pool when
+// the epoch's iterations are stepped, so a paused run holds none. Returns
+// the iterations' halo matrices for the drain.
+func (rt *runtime) step(from, to int, pr *probes) [][][]int64 {
+	a := arenas.Get().(*shardArena)
+	defer arenas.Put(a)
+	halos := make([][][]int64, 0, to-from)
+	for it := from; it < to; it++ {
+		halo := mat(rt.n)
+		rt.feed.carve(a, it, halo)
+		rt.prestep(it, pr)
+		rt.feed.release(it)
+		halos = append(halos, halo)
 	}
+	return halos
+}
+
+// prestep is the one place engines are stepped: every live engine steps
+// iteration it on its local back-to-back clock, one node per pool task,
+// recording the iteration's duration and, when pr is non-nil, buffering
+// the step's telemetry for the drain that places it. A task owns its node
+// exclusively — the engine, its duration row, its DRAM tracks and its
+// probe scratch stay single-writer.
+func (rt *runtime) prestep(it int, pr *probes) {
 	par.ForIdx(rt.n, rt.cfg.Workers, func(i int) {
 		if !rt.live[i] {
 			return
 		}
 		e := rt.engines[i]
-		for it := from; it < to; it++ {
-			if pr != nil {
-				pr.beforeStep(i, it, e)
-			}
-			ti := e.StepIteration(e.NextStart())
-			rt.durations[i][it] = ti.End - ti.Start
-			if pr != nil {
-				pr.afterStep(i, it, e, ti)
-			}
+		if pr != nil {
+			pr.beforeStep(i, it, e)
+		}
+		ti := e.StepIteration(e.NextStart())
+		rt.durations[i][it] = ti.End - ti.Start
+		if pr != nil {
+			pr.afterStep(i, it, e, ti)
 		}
 	})
 }
@@ -248,15 +265,14 @@ func (rt *runtime) prestep(from, to int, pr *probes) {
 // advance executes iterations [from, to) for a Session step or a
 // Checkpoint's pause point, so a run can be split at any iteration
 // boundary. A BSP run executes them through the epoch loop (run). An
-// overlapped run only shards and steps the engines, unprobed: seal's epoch
+// overlapped run only feeds and steps the engines, unprobed: seal's epoch
 // loop replays those iterations from their recorded durations, as a
 // restored run's are.
 func (rt *runtime) advance(from, to int) error {
 	if !rt.cfg.Overlap {
 		return rt.run(from, to)
 	}
-	rt.feed.shard(from, to)
-	rt.prestep(from, to, nil)
+	rt.step(from, to, nil)
 	rt.start = to
 	return nil
 }
@@ -304,7 +320,7 @@ func (rt *runtime) run(from, to int) error {
 	}
 }
 
-// bspEpoch shards and pre-steps the epoch [from, to), then drains it
+// bspEpoch feeds and pre-steps the epoch [from, to), then drains it
 // superstep by superstep; a rebalancing run measures each drained
 // superstep for its next migration decision. While a fault event is still
 // pending the epoch is cut to one iteration, so the boundary pass before
@@ -314,8 +330,7 @@ func (rt *runtime) bspEpoch(from, to int) int {
 	if rt.next < len(rt.events) {
 		to = from + 1 // a fault may land before the next iteration
 	}
-	halos := rt.feed.shard(from, to)
-	rt.prestep(from, to, rt.pr)
+	halos := rt.step(from, to, rt.pr)
 	for j := from; j < to; j++ {
 		rt.clock.superstep(j, rt.durations, halos[j-from])
 		if rt.rb != nil {
@@ -380,11 +395,10 @@ func (rt *runtime) segmentEpoch(it, end int) (int, error) {
 	}
 	now := c.now()
 	from := max(it, rt.start)
-	halo := rt.feed.shard(from, end)
+	halo := rt.step(from, end, rt.pr)
 	if from > it {
 		halo = append(rt.feed.halos(it, from), halo...)
 	}
-	rt.prestep(from, end, rt.pr)
 	var off sim.Cycle
 	if rt.pr != nil {
 		off = rt.pr.base + now

@@ -190,6 +190,16 @@ func (c Config) Validate() error {
 	if err := c.Topo.Validate(c.Nodes); err != nil {
 		return err
 	}
+	if c.Faults != nil {
+		for i, e := range c.Faults.Events {
+			if e.Kind != fault.LinkDegrade {
+				continue
+			}
+			if err := c.Topo.ValidateDegrade(e.Factor); err != nil {
+				return fmt.Errorf("scaleout: fault event %d (%s): %w", i, e, err)
+			}
+		}
+	}
 	return c.NMP.Validate()
 }
 

@@ -316,10 +316,11 @@ func TestShardTraceConservation(t *testing.T) {
 	}
 }
 
-// shardIteration sizes every per-node slice exactly (nil when empty), so
-// its allocation count is a function of the node count alone: the largest
-// and the smallest iteration of a trace cost the same bounded number of
-// allocations.
+// The arena kernel hands out every per-node op slice clipped to its length
+// (nil when empty), even from a warm arena whose backing arrays are larger.
+// Carving into a fresh arena allocates a bounded number of times that
+// depends on the node count, not on the iteration's size, and a warm arena
+// large enough for the iteration allocates nothing.
 func TestShardIterationExactSize(t *testing.T) {
 	reads := testReads(t, 15_000)
 	tr := testTrace(t, reads, 32, 3)
@@ -329,8 +330,9 @@ func TestShardIterationExactSize(t *testing.T) {
 	}
 	for _, n := range []int{1, 4, 8} {
 		ownerOf := func(key dna.Kmer) int { return HashPartitioner{}.Owner(key, tr.K-1, n) }
+		var a shardArena
 		for it := range tr.Iterations {
-			subs, _ := shardIteration(&tr.Iterations[it], n, ownerOf, mat(n))
+			subs, _ := a.carve(&tr.Iterations[it], n, ownerOf, mat(n))
 			for o := range subs {
 				s := &subs[o]
 				for _, c := range []struct {
@@ -351,15 +353,24 @@ func TestShardIterationExactSize(t *testing.T) {
 				}
 			}
 		}
-		// owner, counts, local and the subs header, plus at most
-		// nodes/transfers/updates/quantiles per node.
+		// A fresh arena: its index and count scratch, one backing array per
+		// op kind, the quantile block and the sub-iteration headers — within
+		// the bound the naive sharder's owner, counts, local and subs
+		// headers plus four slices per node set.
 		bound := float64(4 + 4*n)
 		for _, iter := range []*trace.Iteration{first, last} {
 			halo := mat(n)
-			allocs := testing.AllocsPerRun(5, func() { shardIteration(iter, n, ownerOf, halo) })
+			allocs := testing.AllocsPerRun(5, func() {
+				var fresh shardArena
+				fresh.carve(iter, n, ownerOf, halo)
+			})
 			if allocs > bound {
 				t.Fatalf("n=%d: sharding a %d-node iteration allocates %v times, bound %v",
 					n, len(iter.Nodes), allocs, bound)
+			}
+			// The arena is warm from the largest iteration, the first.
+			if allocs := testing.AllocsPerRun(5, func() { a.carve(iter, n, ownerOf, halo) }); allocs != 0 {
+				t.Fatalf("n=%d: a warm arena allocates %v times carving a %d-node iteration", n, allocs, len(iter.Nodes))
 			}
 		}
 	}

@@ -68,7 +68,9 @@ func (d *Degraded) checkPair(src, dst int) error {
 
 // Slow multiplies the occupancy of every link on the underlying minimal
 // src -> dst route by 1/factor, factor being the surviving bandwidth
-// fraction in (0, 1]. Repeated degradations of a shared link compound.
+// fraction in (0, 1]. Repeated degradations of a shared link compound; a
+// degradation that would leave a route link below minBytesPerCycle is an
+// error and changes nothing.
 func (d *Degraded) Slow(src, dst int, factor float64) error {
 	if err := d.checkPair(src, dst); err != nil {
 		return err
@@ -76,13 +78,22 @@ func (d *Degraded) Slow(src, dst int, factor float64) error {
 	if !(factor > 0 && factor <= 1) {
 		return fmt.Errorf("topo: degrade factor %g outside (0, 1]", factor)
 	}
+	d.scratch = d.Network.AppendRoute(d.scratch[:0], src, dst)
+	for _, l := range d.scratch {
+		s := 1 / factor
+		if d.slow != nil {
+			s *= d.slow[l]
+		}
+		if bpc := d.BytesPerCycle() / s; !(bpc >= minBytesPerCycle) {
+			return fmt.Errorf("topo: degrading %d -> %d by %g leaves link %d at %g B/cycle, below the %g B/cycle floor", src, dst, factor, l, bpc, minBytesPerCycle)
+		}
+	}
 	if d.slow == nil {
 		d.slow = make([]float64, d.NumLinks())
 		for i := range d.slow {
 			d.slow[i] = 1
 		}
 	}
-	d.scratch = d.Network.AppendRoute(d.scratch[:0], src, dst)
 	for _, l := range d.scratch {
 		d.slow[l] *= 1 / factor
 	}

@@ -72,10 +72,28 @@ func TestSlowStretchesExchange(t *testing.T) {
 		{"factor >1", d.Slow(0, 1, 1.5), "factor"},
 		{"out of range", d.Slow(0, 9, 0.5), "outside"},
 		{"self", d.Slow(1, 1, 0.5), "local path"},
+		{"unpriceable factor", d.Slow(0, 1, 1e-300), "floor"},
 	} {
 		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.want) {
 			t.Errorf("%s: error %v does not mention %q", tc.name, tc.err, tc.want)
 		}
+	}
+	if st := Exchange(d, bytes); st.Cycles != 908 {
+		t.Fatalf("refused degrades changed the link: cycles = %d, want 908", st.Cycles)
+	}
+	// Degrades compound down to the floor and no further: the two halvings
+	// left 2.5 B/cycle, a hundredth leaves 0.025, and another hundredth
+	// would leave 2.5e-4, below minBytesPerCycle, so it is refused and
+	// the link stays as it was.
+	if err := d.Slow(0, 1, 0.01); err != nil {
+		t.Fatal(err)
+	}
+	before := Exchange(d, bytes).Cycles
+	if err := d.Slow(0, 1, 0.01); err == nil || !strings.Contains(err.Error(), "floor") {
+		t.Fatalf("compounding past the floor returned %v", err)
+	}
+	if after := Exchange(d, bytes).Cycles; after != before {
+		t.Fatalf("a refused degrade changed the link: cycles %d, want %d", after, before)
 	}
 }
 

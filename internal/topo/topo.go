@@ -148,6 +148,21 @@ func (c Config) dragonflyShape(n int) (groupSize int) {
 // payload leaves it and the conversion would price the link as free.
 const minBytesPerCycle = 1e-3
 
+// ValidateDegrade checks a link-degrade factor against the configuration:
+// the factor must lie in (0, 1] and leave the links at least
+// minBytesPerCycle, so that a degraded link still prices every message
+// inside the cycle range. Degraded.Slow enforces the same floor on links
+// that repeated degrades compound.
+func (c Config) ValidateDegrade(factor float64) error {
+	if !(factor > 0 && factor <= 1) {
+		return fmt.Errorf("topo: degrade factor %g outside (0, 1]", factor)
+	}
+	if !(c.BytesPerCycle/(1/factor) >= minBytesPerCycle) { // as Slow prices it
+		return fmt.Errorf("topo: degrade factor %g takes the %g B/cycle links below the %g B/cycle floor", factor, c.BytesPerCycle, minBytesPerCycle)
+	}
+	return nil
+}
+
 // Validate checks the configuration against a machine size, rejecting a
 // link bandwidth that is NaN or below minBytesPerCycle, and impossible
 // shapes: a torus whose dimensions do not multiply to the node count

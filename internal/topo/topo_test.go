@@ -156,6 +156,39 @@ func TestConfigValidateShapes(t *testing.T) {
 	}
 }
 
+// A degrade factor must lie in (0, 1] and leave the links at least
+// minBytesPerCycle: at 15.625 B/cycle a factor of 1e-9 or 1e-300 would
+// price a degraded link as nearly or entirely free.
+func TestConfigValidateDegrade(t *testing.T) {
+	cfg := Default() // 15.625 B/cycle
+	for _, tc := range []struct {
+		factor float64
+		want   string
+	}{
+		{1, ""},
+		{0.5, ""},
+		{1e-4, ""}, // 1.5625e-3 B/cycle, just above the floor
+		{0, "outside"},
+		{1.5, "outside"},
+		{math.NaN(), "outside"},
+		{-0.5, "outside"},
+		{1e-5, "floor"},
+		{1e-9, "floor"},
+		{1e-300, "floor"},
+	} {
+		err := cfg.ValidateDegrade(tc.factor)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("factor %g: unexpected error %v", tc.factor, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("factor %g: error %v does not mention %q", tc.factor, err, tc.want)
+		}
+	}
+}
+
 // Routes must begin at the source's egress port, end at the destination's
 // ingress port, be minimal in length, and be deterministic.
 func TestRouteStructure(t *testing.T) {

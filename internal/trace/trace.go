@@ -338,21 +338,31 @@ func (b *Builder) index(key dna.Kmer) (int32, bool) {
 	return int32(i), ok
 }
 
+// QuantileEdges is the length of a non-empty quantile table: the edges of
+// 256 key-space buckets.
+const QuantileEdges = 257
+
 // BuildQuantiles derives a DIMM mapping table from an iteration's key
-// population (nodes arrive in ascending key order). It is exported for
-// internal/scaleout, which rebuilds per-node tables after sharding a trace.
+// population (nodes arrive in ascending key order): nil when nodes is
+// empty, otherwise QuantileEdges keys.
 func BuildQuantiles(nodes []NodeOp) []dna.Kmer {
-	const buckets = 256
-	n := len(nodes)
-	if n == 0 {
+	if len(nodes) == 0 {
 		return nil
 	}
-	q := make([]dna.Kmer, buckets+1)
-	for i := 0; i <= buckets; i++ {
-		idx := i * (n - 1) / buckets
-		q[i] = nodes[idx].Key
+	return AppendQuantiles(make([]dna.Kmer, 0, QuantileEdges), nodes)
+}
+
+// AppendQuantiles appends BuildQuantiles(nodes) to dst, so internal/scaleout
+// can carve the per-node tables of a sharded iteration from one block.
+func AppendQuantiles(dst []dna.Kmer, nodes []NodeOp) []dna.Kmer {
+	n := len(nodes)
+	if n == 0 {
+		return dst
 	}
-	return q
+	for i := 0; i < QuantileEdges; i++ {
+		dst = append(dst, nodes[i*(n-1)/(QuantileEdges-1)].Key)
+	}
+	return dst
 }
 
 // Trace returns the accumulated trace. The Builder must not be reused

@@ -366,6 +366,23 @@ func TestUntrustedInputsError(t *testing.T) {
 			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Nodes = huge }))
 			return err
 		}},
+		{"SimulateScaleOut/unpriceable link degrade", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) {
+				c.Faults = &nmppak.FaultPlan{Events: []nmppak.FaultEvent{
+					{Kind: nmppak.FaultLinkDegrade, Cycle: 1000, Src: 0, Dst: 1, Factor: 1e-9},
+				}}
+			}))
+			return err
+		}},
+		{"SimulateScaleOut/underflowing link degrade", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) {
+				c.Overlap, c.CheckpointEvery = true, 1
+				c.Faults = &nmppak.FaultPlan{Events: []nmppak.FaultEvent{
+					{Kind: nmppak.FaultLinkDegrade, Cycle: 1000, Src: 0, Dst: 1, Factor: 1e-300},
+				}}
+			}))
+			return err
+		}},
 		{"SimulateScaleOut/zero NMP config", func() error {
 			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.NMP = nmppak.NMPConfig{} }))
 			return err
