@@ -12,6 +12,11 @@
 // The unit of access is a row streak: n consecutive 64-byte bursts within
 // one row of one bank, which is exactly how MacroNodes are laid out (the
 // paper leans on MacroNodes fitting the 8 KB row buffer; see §3.4).
+//
+// The live state is the snapshot type: a Channel runs on its embedded
+// ChannelState (state.go), so State is a plain deep copy and
+// ResumeChannel checks a decoded ChannelState against the Config and
+// adopts it — one shape for the running model and its checkpoint.
 package dram
 
 import (
@@ -87,6 +92,9 @@ func (c Config) Validate() error {
 	if c.TBL < 1 || c.TREFI < 1 {
 		return fmt.Errorf("dram: TBL and TREFI must be positive, got %d/%d", c.TBL, c.TREFI)
 	}
+	if c.TRFC >= c.TREFI {
+		return fmt.Errorf("dram: TRFC %d must be below TREFI %d (a refresh must end before the next is due)", c.TRFC, c.TREFI)
+	}
 	for _, v := range []int{c.TRCD, c.TRP, c.TCL, c.TCWL, c.TRAS, c.TRRD, c.TFAW, c.TWR, c.TRTP, c.TWTR, c.TRFC} {
 		if v < 0 {
 			return fmt.Errorf("dram: negative timing parameter %d", v)
@@ -124,31 +132,11 @@ func (s *Stats) Utilization(cfg Config, end sim.Cycle) float64 {
 	return float64(s.TotalBytes()) / peak
 }
 
-type bank struct {
-	openRow   int
-	hasOpen   bool
-	actAt     sim.Cycle // last ACT time
-	readyPre  sim.Cycle // earliest PRE
-	readyCmd  sim.Cycle // earliest next RD/WR issue (tCCD-style, folded into bus)
-	preDoneAt sim.Cycle // earliest next ACT (after PRE + tRP)
-}
-
-type rank struct {
-	actTimes    [4]sim.Cycle // ring buffer for tFAW
-	actPtr      int
-	lastActAt   sim.Cycle
-	wrDataEnd   sim.Cycle // for tWTR
-	nextRefresh sim.Cycle
-}
-
-// Channel is one DDR4 channel with its banks and shared data bus.
+// Channel is one DDR4 channel with its banks and shared data bus, running
+// on its embedded ChannelState.
 type Channel struct {
-	cfg   Config
-	banks [][]bank // [rank][bank]
-	ranks []rank
-	// busFree is the earliest cycle at which the next data burst may begin.
-	busFree sim.Cycle
-	Stats   Stats
+	cfg Config
+	ChannelState
 	// probe, when non-nil, receives one data-bus occupancy span per burst
 	// train (nil = telemetry disabled, zero overhead beyond one branch).
 	probe *telemetry.Track
@@ -159,27 +147,28 @@ type Channel struct {
 // global time with Track.ShiftRange.
 func (ch *Channel) SetProbe(t *telemetry.Track) { ch.probe = t }
 
-// NewChannel builds a channel from cfg, which must pass Validate.
+// NewChannel builds an idle channel from cfg, which must pass Validate:
+// every bank closed, every rank's first refresh due at TREFI.
 func NewChannel(cfg Config) *Channel {
 	ch := &Channel{cfg: cfg}
-	ch.banks = make([][]bank, cfg.Ranks)
-	for r := range ch.banks {
-		ch.banks[r] = make([]bank, cfg.BanksPerRank)
-		for b := range ch.banks[r] {
-			ch.banks[r][b].openRow = -1
+	ch.Banks = make([][]BankState, cfg.Ranks)
+	for r := range ch.Banks {
+		ch.Banks[r] = make([]BankState, cfg.BanksPerRank)
+		for b := range ch.Banks[r] {
+			ch.Banks[r][b].OpenRow = -1
 		}
 	}
-	ch.ranks = make([]rank, cfg.Ranks)
-	for r := range ch.ranks {
-		rk := &ch.ranks[r]
-		rk.nextRefresh = sim.Cycle(cfg.TREFI)
+	ch.Ranks = make([]RankState, cfg.Ranks)
+	for r := range ch.Ranks {
+		rk := &ch.Ranks[r]
+		rk.NextRefresh = sim.Cycle(cfg.TREFI)
 		// Far-past initial timestamps so window constraints are inactive
 		// at t=0.
 		const past = -1 << 30
-		rk.lastActAt = past
-		rk.wrDataEnd = past
-		for i := range rk.actTimes {
-			rk.actTimes[i] = past
+		rk.LastActAt = past
+		rk.WrDataEnd = past
+		for i := range rk.ActTimes {
+			rk.ActTimes[i] = past
 		}
 	}
 	return ch
@@ -206,59 +195,58 @@ func (ch *Channel) AccessRow(earliest sim.Cycle, rk, bk, row, blocks int, write 
 		return earliest
 	}
 	cfg := ch.cfg
-	b := &ch.banks[rk][bk]
-	r := &ch.ranks[rk]
+	b := &ch.Banks[rk][bk]
+	r := &ch.Ranks[rk]
 
 	t := earliest
 	// Refresh: if the access would overlap the rank's pending refresh
-	// window, slide past it.
-	if t >= r.nextRefresh {
-		refEnd := r.nextRefresh + sim.Cycle(cfg.TRFC)
-		for t >= r.nextRefresh {
-			if t < refEnd {
-				t = refEnd
-			}
-			r.nextRefresh += sim.Cycle(cfg.TREFI)
-			refEnd = r.nextRefresh + sim.Cycle(cfg.TRFC)
-			// A refresh closes all rows in the rank.
-			for i := range ch.banks[rk] {
-				ch.banks[rk][i].hasOpen = false
-			}
+	// window, slide past it. Every refresh due by t is skipped at once:
+	// with TRFC < TREFI only the last of them can still hold t back.
+	if t >= r.NextRefresh {
+		trefi := sim.Cycle(cfg.TREFI)
+		last := r.NextRefresh + (t-r.NextRefresh)/trefi*trefi
+		if end := last + sim.Cycle(cfg.TRFC); t < end {
+			t = end
+		}
+		r.NextRefresh = last + trefi
+		// A refresh closes all rows in the rank.
+		for i := range ch.Banks[rk] {
+			ch.Banks[rk][i].HasOpen = false
 		}
 	}
 
-	rowHit := b.hasOpen && b.openRow == row
+	rowHit := b.HasOpen && b.OpenRow == row
 	if !rowHit {
 		// PRE (if a different row is open) then ACT.
 		actReady := t
-		if b.hasOpen {
-			pre := maxCycle(t, b.readyPre)
+		if b.HasOpen {
+			pre := maxCycle(t, b.ReadyPre)
 			actReady = pre + sim.Cycle(cfg.TRP)
-		} else if b.preDoneAt > actReady {
-			actReady = b.preDoneAt
+		} else if b.PreDoneAt > actReady {
+			actReady = b.PreDoneAt
 		}
 		// tRRD from the rank's last ACT and the tFAW window.
-		if v := r.lastActAt + sim.Cycle(cfg.TRRD); v > actReady {
+		if v := r.LastActAt + sim.Cycle(cfg.TRRD); v > actReady {
 			actReady = v
 		}
-		if v := r.actTimes[r.actPtr] + sim.Cycle(cfg.TFAW); v > actReady {
+		if v := r.ActTimes[r.ActPtr] + sim.Cycle(cfg.TFAW); v > actReady {
 			actReady = v
 		}
 		act := actReady
-		b.actAt = act
-		b.hasOpen = true
-		b.openRow = row
-		b.readyPre = act + sim.Cycle(cfg.TRAS)
-		r.actTimes[r.actPtr] = act
-		r.actPtr = (r.actPtr + 1) % 4
-		r.lastActAt = act
+		b.ActAt = act
+		b.HasOpen = true
+		b.OpenRow = row
+		b.ReadyPre = act + sim.Cycle(cfg.TRAS)
+		r.ActTimes[r.ActPtr] = act
+		r.ActPtr = (r.ActPtr + 1) % 4
+		r.LastActAt = act
 		ch.Stats.Activates++
 		t = act + sim.Cycle(cfg.TRCD)
 	}
 
 	// Write-to-read turnaround.
 	if !write {
-		if v := r.wrDataEnd + sim.Cycle(cfg.TWTR); v > t {
+		if v := r.WrDataEnd + sim.Cycle(cfg.TWTR); v > t {
 			t = v
 		}
 	}
@@ -273,37 +261,37 @@ func (ch *Channel) AccessRow(earliest sim.Cycle, rk, bk, row, blocks int, write 
 	if write {
 		lat = sim.Cycle(cfg.TCWL)
 	}
-	if ch.busFree < earliest {
-		ch.busFree = earliest
+	if ch.BusFree < earliest {
+		ch.BusFree = earliest
 	}
-	busStart := ch.busFree
+	busStart := ch.BusFree
 	var done sim.Cycle
 	for i := 0; i < blocks; i++ {
-		dataStart := maxCycle(t+lat, ch.busFree)
-		ch.busFree += sim.Cycle(cfg.TBL)
+		dataStart := maxCycle(t+lat, ch.BusFree)
+		ch.BusFree += sim.Cycle(cfg.TBL)
 		ch.Stats.BusBusyCycles += int64(cfg.TBL)
 		done = dataStart + sim.Cycle(cfg.TBL)
 		t = done - lat // next command slot
 	}
 	if ch.probe != nil {
-		// The reservation pointer is monotone, so [busStart, busFree)
+		// The reservation pointer is monotone, so [busStart, BusFree)
 		// windows never overlap and their lengths sum to BusBusyCycles.
 		wr := int64(0)
 		if write {
 			wr = 1
 		}
-		ch.probe.Add(telemetry.SpanBus, busStart, ch.busFree, int64(blocks*BlockBytes), wr)
+		ch.probe.Add(telemetry.SpanBus, busStart, ch.BusFree, int64(blocks*BlockBytes), wr)
 	}
 	if write {
-		r.wrDataEnd = done
-		if v := done + sim.Cycle(cfg.TWR); v > b.readyPre {
-			b.readyPre = v
+		r.WrDataEnd = done
+		if v := done + sim.Cycle(cfg.TWR); v > b.ReadyPre {
+			b.ReadyPre = v
 		}
 		ch.Stats.Writes++
 		ch.Stats.BytesWritten += int64(blocks * BlockBytes)
 	} else {
-		if v := t - lat + sim.Cycle(cfg.TRTP); v > b.readyPre {
-			b.readyPre = v
+		if v := t - lat + sim.Cycle(cfg.TRTP); v > b.ReadyPre {
+			b.ReadyPre = v
 		}
 		ch.Stats.Reads++
 		ch.Stats.BytesRead += int64(blocks * BlockBytes)

@@ -153,3 +153,98 @@ func TestPeakBytesPerCycle(t *testing.T) {
 		t.Fatalf("peak = %v want 16 B/cycle (25.6 GB/s at 1.6 GHz)", got)
 	}
 }
+
+// A refresh that lasts as long as its interval never ends before the next
+// is due, so Validate must reject it.
+func TestValidateRejectsRefreshOverrun(t *testing.T) {
+	cfg := DDR4_3200()
+	cfg.TRFC = cfg.TREFI - 1
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("TRFC just below TREFI rejected: %v", err)
+	}
+	for _, trfc := range []int{cfg.TREFI, cfg.TREFI + 1} {
+		cfg.TRFC = trfc
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate accepted TRFC %d with TREFI %d", trfc, cfg.TREFI)
+		}
+	}
+}
+
+// AccessRow skips every refresh due before an access in one step. It must
+// land where walking the refreshes one interval at a time does, however
+// far past the pending refresh the access arrives.
+func TestRefreshSkipMatchesPerIntervalWalk(t *testing.T) {
+	cfg := DDR4_3200()
+	trefi, trfc := sim.Cycle(cfg.TREFI), sim.Cycle(cfg.TRFC)
+	for _, at := range []sim.Cycle{0, trefi - 1, trefi, trefi + trfc - 1, trefi + trfc, 2*trefi - 1,
+		2 * trefi, 7*trefi + 3, 40*trefi + trfc, 1 << 40} {
+		// The per-interval walk the skip replaces.
+		start, next := at, trefi
+		for start >= next {
+			if start < next+trfc {
+				start = next + trfc
+			}
+			next += trefi
+		}
+		ch := NewChannel(cfg)
+		want := start + sim.Cycle(cfg.TRCD+cfg.TCL+cfg.TBL)
+		if got := ch.AccessRow(at, 0, 0, 0, 1, false); got != want {
+			t.Errorf("access at %d done %d, want %d", at, got, want)
+		}
+		if got := ch.Ranks[0].NextRefresh; got != next {
+			t.Errorf("access at %d: next refresh %d, want %d", at, got, next)
+		}
+	}
+}
+
+// State is a deep copy, and ResumeChannel continues from it exactly as the
+// donor channel does.
+func TestStateResumeEquivalence(t *testing.T) {
+	cfg := DDR4_3200()
+	access := func(ch *Channel, from, to int) sim.Cycle {
+		var d sim.Cycle
+		for i := from; i < to; i++ {
+			d = ch.AccessRow(sim.Cycle(i*40), i%2, i%16, i%5, 1+i%4, i%3 == 0)
+		}
+		return d
+	}
+	donor := NewChannel(cfg)
+	access(donor, 0, 300)
+	st := donor.State()
+	want := access(donor, 300, 900)
+	ch, err := ResumeChannel(cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := access(ch, 300, 900); got != want || ch.Stats != donor.Stats || ch.BusFree != donor.BusFree {
+		t.Fatalf("resumed channel diverged: done %d vs %d, stats %+v vs %+v", got, want, ch.Stats, donor.Stats)
+	}
+}
+
+// ResumeChannel is the check a decoded checkpoint's DRAM state passes
+// through: a shape that does not match the config, or a rank state the
+// timing model never produces, is an error.
+func TestResumeChannelRejects(t *testing.T) {
+	cfg := DDR4_3200()
+	for _, tc := range []struct {
+		name string
+		edit func(*ChannelState)
+	}{
+		{"missing rank", func(s *ChannelState) { s.Banks, s.Ranks = s.Banks[:1], s.Ranks[:1] }},
+		{"bank rows and rank entries disagree", func(s *ChannelState) { s.Ranks = s.Ranks[:1] }},
+		{"short bank row", func(s *ChannelState) { s.Banks[1] = s.Banks[1][:3] }},
+		{"ActPtr past the ring", func(s *ChannelState) { s.Ranks[0].ActPtr = 4 }},
+		{"negative ActPtr", func(s *ChannelState) { s.Ranks[1].ActPtr = -1 }},
+		{"NextRefresh before TREFI", func(s *ChannelState) { s.Ranks[0].NextRefresh = sim.Cycle(cfg.TREFI) - 1 }},
+		{"NextRefresh far in the past", func(s *ChannelState) { s.Ranks[1].NextRefresh = -(1 << 62) }},
+	} {
+		st := NewChannel(cfg).State()
+		tc.edit(&st)
+		if _, err := ResumeChannel(cfg, st); err == nil {
+			t.Errorf("%s: ResumeChannel accepted the state", tc.name)
+		}
+	}
+	if _, err := ResumeChannel(cfg, NewChannel(cfg).State()); err != nil {
+		t.Fatalf("ResumeChannel rejected a fresh channel's state: %v", err)
+	}
+}

@@ -6,96 +6,73 @@ import (
 	"nmppak/internal/sim"
 )
 
-// BankState is one bank's timing state, exported for checkpointing.
+// BankState is one bank's timing state.
 type BankState struct {
 	OpenRow   int
 	HasOpen   bool
-	ActAt     sim.Cycle
-	ReadyPre  sim.Cycle
-	ReadyCmd  sim.Cycle
-	PreDoneAt sim.Cycle
+	ActAt     sim.Cycle // last ACT time
+	ReadyPre  sim.Cycle // earliest PRE
+	ReadyCmd  sim.Cycle // earliest next RD/WR issue (tCCD-style, folded into the bus)
+	PreDoneAt sim.Cycle // earliest next ACT (after PRE + tRP)
 }
 
-// RankState is one rank's timing state, exported for checkpointing.
+// RankState is one rank's timing state.
 type RankState struct {
-	ActTimes    [4]sim.Cycle
-	ActPtr      int
+	ActTimes    [4]sim.Cycle // ring buffer of the last four ACTs, for tFAW
+	ActPtr      int          // ActTimes slot the next ACT overwrites
 	LastActAt   sim.Cycle
-	WrDataEnd   sim.Cycle
+	WrDataEnd   sim.Cycle // for tWTR
 	NextRefresh sim.Cycle
 }
 
-// ChannelState is a complete mid-run snapshot of a Channel: every bank and
-// rank timing constraint, the data-bus reservation pointer and the
-// accumulated statistics. Restoring it into a fresh channel of the same
-// geometry resumes the timing model bit-identically — the channel's
-// behaviour is a pure function of (Config, ChannelState, access stream).
+// ChannelState is a channel's complete timing state: every bank and rank
+// timing constraint, the data-bus reservation pointer and the accumulated
+// statistics. A Channel runs on it directly, so a snapshot is a deep copy
+// and a resume adopts a decoded one — the channel's behaviour is a pure
+// function of (Config, ChannelState, access stream).
 type ChannelState struct {
-	Banks   [][]BankState // [rank][bank]
-	Ranks   []RankState
+	Banks [][]BankState // [rank][bank]
+	Ranks []RankState
+	// BusFree is the earliest cycle at which the next data burst may begin.
 	BusFree sim.Cycle
 	Stats   Stats
 }
 
-// State deep-copies the channel's mutable state.
+// State deep-copies the channel's timing state.
 func (ch *Channel) State() ChannelState {
-	st := ChannelState{
-		Banks:   make([][]BankState, len(ch.banks)),
-		Ranks:   make([]RankState, len(ch.ranks)),
-		BusFree: ch.busFree,
-		Stats:   ch.Stats,
+	st := ch.ChannelState
+	st.Banks = make([][]BankState, len(ch.Banks))
+	for r := range ch.Banks {
+		st.Banks[r] = append([]BankState(nil), ch.Banks[r]...)
 	}
-	for r := range ch.banks {
-		st.Banks[r] = make([]BankState, len(ch.banks[r]))
-		for b := range ch.banks[r] {
-			bk := &ch.banks[r][b]
-			st.Banks[r][b] = BankState{
-				OpenRow: bk.openRow, HasOpen: bk.hasOpen, ActAt: bk.actAt,
-				ReadyPre: bk.readyPre, ReadyCmd: bk.readyCmd, PreDoneAt: bk.preDoneAt,
-			}
-		}
-	}
-	for r := range ch.ranks {
-		rk := &ch.ranks[r]
-		st.Ranks[r] = RankState{
-			ActTimes: rk.actTimes, ActPtr: rk.actPtr, LastActAt: rk.lastActAt,
-			WrDataEnd: rk.wrDataEnd, NextRefresh: rk.nextRefresh,
-		}
-	}
+	st.Ranks = append([]RankState(nil), ch.Ranks...)
 	return st
 }
 
-// SetState overwrites the channel's mutable state with a snapshot taken
-// from a channel of the same geometry. The snapshot shape must match the
-// channel's configured ranks and banks.
-func (ch *Channel) SetState(st ChannelState) error {
-	if len(st.Banks) != len(ch.banks) || len(st.Ranks) != len(ch.ranks) {
-		return fmt.Errorf("dram: state has %d ranks (%d rank entries), channel has %d",
-			len(st.Banks), len(st.Ranks), len(ch.banks))
+// ResumeChannel builds a channel of cfg, which must pass Validate, that
+// continues from st — typically decoded from a checkpoint, so untrusted.
+// It checks st's shape against cfg's geometry and the invariants the
+// timing model keeps (every ActPtr indexes ActTimes; no rank's next
+// refresh lies before the first, at TREFI), then adopts st: the channel
+// owns st's slices.
+func ResumeChannel(cfg Config, st ChannelState) (*Channel, error) {
+	if len(st.Banks) != cfg.Ranks || len(st.Ranks) != cfg.Ranks {
+		return nil, fmt.Errorf("dram: state has %d ranks (%d rank entries), config has %d",
+			len(st.Banks), len(st.Ranks), cfg.Ranks)
 	}
-	for r := range st.Banks {
-		if len(st.Banks[r]) != len(ch.banks[r]) {
-			return fmt.Errorf("dram: state rank %d has %d banks, channel has %d",
-				r, len(st.Banks[r]), len(ch.banks[r]))
-		}
-	}
-	for r := range st.Banks {
-		for b := range st.Banks[r] {
-			sb := &st.Banks[r][b]
-			ch.banks[r][b] = bank{
-				openRow: sb.OpenRow, hasOpen: sb.HasOpen, actAt: sb.ActAt,
-				readyPre: sb.ReadyPre, readyCmd: sb.ReadyCmd, preDoneAt: sb.PreDoneAt,
-			}
+	for r, banks := range st.Banks {
+		if len(banks) != cfg.BanksPerRank {
+			return nil, fmt.Errorf("dram: state rank %d has %d banks, config has %d", r, len(banks), cfg.BanksPerRank)
 		}
 	}
 	for r := range st.Ranks {
-		sr := &st.Ranks[r]
-		ch.ranks[r] = rank{
-			actTimes: sr.ActTimes, actPtr: sr.ActPtr, lastActAt: sr.LastActAt,
-			wrDataEnd: sr.WrDataEnd, nextRefresh: sr.NextRefresh,
+		rk := &st.Ranks[r]
+		if rk.ActPtr < 0 || rk.ActPtr >= len(rk.ActTimes) {
+			return nil, fmt.Errorf("dram: state rank %d ActPtr %d outside [0, %d)", r, rk.ActPtr, len(rk.ActTimes))
+		}
+		if rk.NextRefresh < sim.Cycle(cfg.TREFI) {
+			return nil, fmt.Errorf("dram: state rank %d NextRefresh %d before the first refresh at TREFI %d", r, rk.NextRefresh, cfg.TREFI)
 		}
 	}
-	ch.busFree = st.BusFree
-	ch.Stats = st.Stats
-	return nil
+	return &Channel{cfg: cfg, ChannelState: st}, nil
 }

@@ -10,11 +10,7 @@
 // population statistics for the §4.3 and Fig. 7/8 discussions.
 package hybrid
 
-import (
-	"sort"
-
-	"nmppak/internal/trace"
-)
+import "nmppak/internal/trace"
 
 // SplitStats summarizes the node population split at a size threshold.
 type SplitStats struct {
@@ -53,28 +49,6 @@ func Split(tr *trace.Trace, thresholdBytes int) SplitStats {
 	return s
 }
 
-// SizeQuantiles returns the node-size values at the given quantiles
-// (0..1) over the whole trace, for threshold selection.
-func SizeQuantiles(tr *trace.Trace, qs []float64) []int {
-	var sizes []int
-	for i := range tr.Iterations {
-		for j := range tr.Iterations[i].Nodes {
-			n := &tr.Iterations[i].Nodes[j]
-			sizes = append(sizes, int(n.D1+n.D2))
-		}
-	}
-	sort.Ints(sizes)
-	out := make([]int, len(qs))
-	for i, q := range qs {
-		if len(sizes) == 0 {
-			continue
-		}
-		idx := int(q * float64(len(sizes)-1))
-		out[i] = sizes[idx]
-	}
-	return out
-}
-
 // OverlapModel estimates, per iteration, the CPU-side service demand as a
 // fraction of the NMP-side demand under a simple service-rate model: NMP
 // throughput scales with PEs x channels at near-memory bandwidth, the CPU
@@ -109,18 +83,4 @@ func (m OverlapModel) CPUOverNMP(s SplitStats) float64 {
 		return 0
 	}
 	return cpu / nmp
-}
-
-// PickThreshold returns the smallest of the candidate thresholds whose CPU
-// work still hides under the NMP work (ratio <= maxRatio), or the largest
-// candidate if none qualifies.
-func (m OverlapModel) PickThreshold(tr *trace.Trace, candidates []int, maxRatio float64) int {
-	sorted := append([]int(nil), candidates...)
-	sort.Ints(sorted)
-	for _, c := range sorted {
-		if m.CPUOverNMP(Split(tr, c)) <= maxRatio {
-			return c
-		}
-	}
-	return sorted[len(sorted)-1]
 }

@@ -43,17 +43,6 @@ func TestSplitDisabled(t *testing.T) {
 	}
 }
 
-func TestSizeQuantiles(t *testing.T) {
-	tr := synthTrace([]int{100, 200, 300, 400, 500, 600, 700, 800, 900, 1000})
-	q := SizeQuantiles(tr, []float64{0, 0.5, 1})
-	if q[0] != 100 || q[2] != 1000 {
-		t.Fatalf("quantiles %v", q)
-	}
-	if q[1] < 400 || q[1] > 600 {
-		t.Fatalf("median %d", q[1])
-	}
-}
-
 func TestOverlapModel(t *testing.T) {
 	m := DefaultOverlapModel()
 	tr := synthTrace([]int{100, 100, 100, 100, 100, 100, 100, 100, 100, 2000})
@@ -66,18 +55,5 @@ func TestOverlapModel(t *testing.T) {
 	all := Split(tr, 10)
 	if got := m.CPUOverNMP(all); got == 0 && all.BytesNMP != 0 {
 		t.Fatal("inconsistent overlap")
-	}
-}
-
-func TestPickThreshold(t *testing.T) {
-	m := DefaultOverlapModel()
-	tr := synthTrace([]int{100, 100, 100, 100, 2000, 4000})
-	// With a generous allowance the smallest candidate qualifies.
-	if got := m.PickThreshold(tr, []int{512, 1024, 4096}, 1000); got != 512 {
-		t.Fatalf("picked %d", got)
-	}
-	// With a zero allowance nothing qualifies: pick the largest.
-	if got := m.PickThreshold(tr, []int{512, 1024, 4096}, 0); got != 4096 {
-		t.Fatalf("picked %d", got)
 	}
 }

@@ -443,17 +443,3 @@ func appendKept(out []Counted, sorted []uint64, minCount uint32) []Counted {
 	}
 	return out
 }
-
-// Histogram returns counts bucketed by multiplicity (index = multiplicity,
-// capped at len-1), useful for coverage diagnostics.
-func Histogram(kmers []Counted, maxMult int) []int64 {
-	h := make([]int64, maxMult+1)
-	for _, kc := range kmers {
-		m := int(kc.Count)
-		if m > maxMult {
-			m = maxMult
-		}
-		h[m]++
-	}
-	return h
-}

@@ -278,14 +278,6 @@ func TestCountAllocs(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	kmers := []Counted{{1, 1}, {2, 1}, {3, 2}, {4, 9}}
-	h := Histogram(kmers, 4)
-	if h[1] != 2 || h[2] != 1 || h[4] != 1 {
-		t.Fatalf("histogram %v", h)
-	}
-}
-
 func TestParallelSortUint64(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	for _, n := range []int{0, 1, 100, 4095, 4096, 100000} {

@@ -52,26 +52,30 @@ func (e *Engine) Snapshot() (EngineState, error) {
 // trace and configuration the snapshot was taken under, positioned to step
 // iteration st.Next. Iterations before st.Next are never read again, so a
 // caller that reconstructs tr may substitute empty placeholders for them.
+// Every channel state is checked against cfg (dram.ResumeChannel), since
+// st is typically decoded from an untrusted blob. The engine owns st's
+// slices — the result's and every channel's — and steps them in place,
+// so the caller must not read or resume from st again.
 func ResumeEngine(tr *trace.Trace, cfg Config, st EngineState) (*Engine, error) {
-	e, err := NewEngine(tr, cfg)
-	if err != nil {
+	if err := checkInputs(tr, cfg); err != nil {
 		return nil, err
 	}
 	if st.Next < 0 || st.Next > len(tr.Iterations) {
 		return nil, fmt.Errorf("nmp: resume cursor %d outside trace of %d iterations", st.Next, len(tr.Iterations))
 	}
-	if len(st.Channels) != len(e.channels) {
-		return nil, fmt.Errorf("nmp: state has %d channels, config has %d", len(st.Channels), len(e.channels))
+	if len(st.Res.PerIter) != st.Next {
+		return nil, fmt.Errorf("nmp: state records %d iteration timings at cursor %d", len(st.Res.PerIter), st.Next)
 	}
-	for i, ch := range e.channels {
-		if err := ch.SetState(st.Channels[i]); err != nil {
-			return nil, err
+	if len(st.Channels) != cfg.Channels {
+		return nil, fmt.Errorf("nmp: state has %d channels, config has %d", len(st.Channels), cfg.Channels)
+	}
+	e := &Engine{cfg: cfg, tr: tr, channels: make([]*dram.Channel, cfg.Channels), res: st.Res, next: st.Next, clock: st.Clock}
+	for i, cs := range st.Channels {
+		ch, err := dram.ResumeChannel(cfg.DRAM, cs)
+		if err != nil {
+			return nil, fmt.Errorf("nmp: channel %d: %w", i, err)
 		}
+		e.channels[i] = ch
 	}
-	e.next = st.Next
-	e.clock = st.Clock
-	e.res = st.Res
-	e.res.PerIter = append([]IterTiming(nil), st.Res.PerIter...)
-	e.res.Mem = append([]dram.Stats(nil), st.Res.Mem...)
 	return e, nil
 }

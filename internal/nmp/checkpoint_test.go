@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"reflect"
 	"testing"
+
+	"nmppak/internal/dram"
 )
 
 // Snapshotting an engine at every iteration boundary and resuming from the
@@ -107,6 +109,17 @@ func TestEngineResumeErrors(t *testing.T) {
 	bad.Next = -1
 	if _, err := ResumeEngine(tr, cfg, bad); err == nil {
 		t.Error("ResumeEngine accepted a negative cursor")
+	}
+	bad = st
+	bad.Res.PerIter = nil
+	if _, err := ResumeEngine(tr, cfg, bad); err == nil {
+		t.Error("ResumeEngine accepted a result missing its iteration timings")
+	}
+	bad = st
+	bad.Channels = append([]dram.ChannelState(nil), st.Channels...)
+	bad.Channels[1].Ranks = nil
+	if _, err := ResumeEngine(tr, cfg, bad); err == nil {
+		t.Error("ResumeEngine accepted a channel state without ranks")
 	}
 	narrow := cfg
 	narrow.Channels = cfg.Channels / 2

@@ -38,17 +38,25 @@ type Engine struct {
 // NewEngine validates the configuration and prepares a stepwise replay of
 // tr. No simulation work happens until the first StepIteration.
 func NewEngine(tr *trace.Trace, cfg Config) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkInputs(tr, cfg); err != nil {
 		return nil, err
-	}
-	if tr == nil {
-		return nil, fmt.Errorf("nmp: nil trace")
 	}
 	e := &Engine{cfg: cfg, tr: tr, channels: make([]*dram.Channel, cfg.Channels)}
 	for i := range e.channels {
 		e.channels[i] = dram.NewChannel(cfg.DRAM)
 	}
 	return e, nil
+}
+
+// checkInputs rejects an invalid configuration or a nil trace.
+func checkInputs(tr *trace.Trace, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if tr == nil {
+		return fmt.Errorf("nmp: nil trace")
+	}
+	return nil
 }
 
 // Iterations returns the total iteration count of the trace.

@@ -236,40 +236,6 @@ func sortedByWeight(buf []int, exts []Ext) []int {
 	return idx
 }
 
-// NeighborKeys returns the distinct keys of all nodes adjacent to n
-// (reachable through any non-terminal extension), and whether any extension
-// is a self-loop. Extension lists are small, so duplicates are filtered by
-// a linear scan instead of a throwaway map.
-func (n *MacroNode) NeighborKeys(k1 int) (keys []dna.Kmer, selfLoop bool) {
-	keys = make([]dna.Kmer, 0, len(n.Prefixes)+len(n.Suffixes))
-	add := func(k dna.Kmer) {
-		if k == n.Key {
-			selfLoop = true
-			return
-		}
-		for _, have := range keys {
-			if have == k {
-				return
-			}
-		}
-		keys = append(keys, k)
-	}
-	for _, e := range n.Prefixes {
-		if !e.Terminal {
-			add(dna.NeighborViaPrefix(n.Key, k1, e.Seq))
-		}
-	}
-	for _, e := range n.Suffixes {
-		if !e.Terminal {
-			add(dna.NeighborViaSuffix(n.Key, k1, e.Seq))
-		}
-	}
-	if len(keys) == 0 {
-		keys = nil
-	}
-	return keys, selfLoop
-}
-
 // IsInvalidationTarget implements the paper's Fig. 4(b) check: the node is
 // removable when it has at least one real neighbor, no self-loop, and its
 // key is strictly the lexicographically largest among all neighbor keys.
@@ -405,35 +371,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TotalTerminals sums terminal counts graph-wide; compaction must conserve
-// this quantity.
-func (g *Graph) TotalTerminals() (prefix, suffix uint64) {
-	for i := range g.Nodes {
-		p, s := g.Nodes[i].TerminalCount()
-		prefix += p
-		suffix += s
-	}
-	return prefix, suffix
-}
-
-// SizeHistogram buckets node sizes by power of two between 2^minPow and
-// 2^maxPow (Fig. 7's x-axis); bucket i counts nodes in [2^(minPow+i),
-// 2^(minPow+i+1)), with underflow in bucket 0 and overflow in the last.
-func (g *Graph) SizeHistogram(minPow, maxPow int) []int {
-	h := make([]int, maxPow-minPow+1)
-	for i := range g.Nodes {
-		sz := g.Nodes[i].SizeBytes()
-		b := 0
-		for p := minPow; p < maxPow; p++ {
-			if sz >= 1<<(p+1) {
-				b++
-			}
-		}
-		h[b]++
-	}
-	return h
 }
 
 // Merge folds other into g (used to combine per-batch compacted graphs,

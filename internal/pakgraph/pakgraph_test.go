@@ -221,7 +221,7 @@ func TestSelfLoopNeverInvalidated(t *testing.T) {
 	if n == nil {
 		t.Fatal("missing TT")
 	}
-	_, selfLoop := n.NeighborKeys(2)
+	_, selfLoop := neighborKeys(n, 2)
 	if !selfLoop {
 		t.Fatal("expected self-loop")
 	}
@@ -241,7 +241,7 @@ func TestSizeBytesAndHistogram(t *testing.T) {
 			t.Fatal("size decomposition mismatch")
 		}
 	}
-	h := g.SizeHistogram(5, 8) // 32B..256B buckets
+	h := sizeHistogram(g, 5, 8) // 32B..256B buckets
 	total := 0
 	for _, c := range h {
 		total += c
@@ -358,8 +358,71 @@ func TestTotalTerminalsMatchesReadCount(t *testing.T) {
 		{Seq: dna.MustParseSeq("GGTCAATCGA")},
 	}
 	g := buildGraph(t, reads, 4)
-	tp, ts := g.TotalTerminals()
+	tp, ts := totalTerminals(g)
 	if tp != 2 || ts != 2 {
 		t.Fatalf("terminals %d/%d want 2/2", tp, ts)
 	}
+}
+
+// neighborKeys returns the distinct keys of all nodes adjacent to n
+// (reachable through any non-terminal extension), and whether any extension
+// is a self-loop. Extension lists are small, so duplicates are filtered by
+// a linear scan instead of a throwaway map.
+func neighborKeys(n *MacroNode, k1 int) (keys []dna.Kmer, selfLoop bool) {
+	keys = make([]dna.Kmer, 0, len(n.Prefixes)+len(n.Suffixes))
+	add := func(k dna.Kmer) {
+		if k == n.Key {
+			selfLoop = true
+			return
+		}
+		for _, have := range keys {
+			if have == k {
+				return
+			}
+		}
+		keys = append(keys, k)
+	}
+	for _, e := range n.Prefixes {
+		if !e.Terminal {
+			add(dna.NeighborViaPrefix(n.Key, k1, e.Seq))
+		}
+	}
+	for _, e := range n.Suffixes {
+		if !e.Terminal {
+			add(dna.NeighborViaSuffix(n.Key, k1, e.Seq))
+		}
+	}
+	if len(keys) == 0 {
+		keys = nil
+	}
+	return keys, selfLoop
+}
+
+// totalTerminals sums terminal counts graph-wide; compaction must conserve
+// this quantity.
+func totalTerminals(g *Graph) (prefix, suffix uint64) {
+	for i := range g.Nodes {
+		p, s := g.Nodes[i].TerminalCount()
+		prefix += p
+		suffix += s
+	}
+	return prefix, suffix
+}
+
+// sizeHistogram buckets node sizes by power of two between 2^minPow and
+// 2^maxPow (Fig. 7's x-axis); bucket i counts nodes in [2^(minPow+i),
+// 2^(minPow+i+1)), with underflow in bucket 0 and overflow in the last.
+func sizeHistogram(g *Graph, minPow, maxPow int) []int {
+	h := make([]int, maxPow-minPow+1)
+	for i := range g.Nodes {
+		sz := g.Nodes[i].SizeBytes()
+		b := 0
+		for p := minPow; p < maxPow; p++ {
+			if sz >= 1<<(p+1) {
+				b++
+			}
+		}
+		h[b]++
+	}
+	return h
 }

@@ -65,43 +65,6 @@ func Analyze(n int) System {
 	return s
 }
 
-// GPUComparison reproduces the §6.6 resource arithmetic: serving a given
-// working set with A100 80 GB GPUs versus NMP-PaK DIMMs.
-type GPUComparison struct {
-	WorkingSetGB float64
-	GPUsNeeded   int
-	GPUPowerW    float64
-	GPUAreaMM2   float64
-	NMPPowerW    float64
-	NMPAreaMM2   float64
-	PowerRatio   float64
-	AreaRatio    float64
-}
-
-// CompareGPU computes the comparison for a working set in GB. Constants
-// follow §6.6: an A100 80 GB draws 300 W over 826 mm²; the NMP-PaK
-// 8-DIMM/512 GB configuration draws 3.9 W of PE power over 14.1 mm².
-func CompareGPU(workingSetGB float64) GPUComparison {
-	gpus := int((workingSetGB + 79.999) / 80)
-	if gpus < 1 {
-		gpus = 1
-	}
-	nmpPEs := 8 * 16
-	_, pePowerMW := Totals(PEDesign())
-	peArea, _ := Totals(PEDesign())
-	c := GPUComparison{
-		WorkingSetGB: workingSetGB,
-		GPUsNeeded:   gpus,
-		GPUPowerW:    float64(gpus) * 300,
-		GPUAreaMM2:   float64(gpus) * 826,
-		NMPPowerW:    float64(nmpPEs) * pePowerMW / 1000,
-		NMPAreaMM2:   float64(nmpPEs) * peArea,
-	}
-	c.PowerRatio = c.GPUPowerW / c.NMPPowerW
-	c.AreaRatio = c.GPUAreaMM2 / c.NMPAreaMM2
-	return c
-}
-
 // TableRow is one formatted Table 3 line.
 type TableRow struct {
 	Name    string

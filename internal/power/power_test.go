@@ -47,14 +47,51 @@ func TestTable3Rows(t *testing.T) {
 func TestCompareGPU(t *testing.T) {
 	// §6.6: a 379 GB working set needs five 80 GB A100s; NMP-PaK wins on
 	// power and area by orders of magnitude.
-	c := CompareGPU(379)
+	c := compareGPU(379)
 	if c.GPUsNeeded != 5 {
 		t.Fatalf("GPUs = %d want 5", c.GPUsNeeded)
 	}
 	if c.PowerRatio < 100 || c.AreaRatio < 100 {
 		t.Fatalf("ratios %.0f/%.0f should be in the hundreds", c.PowerRatio, c.AreaRatio)
 	}
-	if CompareGPU(10).GPUsNeeded != 1 {
+	if compareGPU(10).GPUsNeeded != 1 {
 		t.Fatal("small set needs one GPU")
 	}
+}
+
+// gpuComparison reproduces the §6.6 resource arithmetic: serving a given
+// working set with A100 80 GB GPUs versus NMP-PaK DIMMs.
+type gpuComparison struct {
+	WorkingSetGB float64
+	GPUsNeeded   int
+	GPUPowerW    float64
+	GPUAreaMM2   float64
+	NMPPowerW    float64
+	NMPAreaMM2   float64
+	PowerRatio   float64
+	AreaRatio    float64
+}
+
+// compareGPU computes the comparison for a working set in GB. Constants
+// follow §6.6: an A100 80 GB draws 300 W over 826 mm²; the NMP-PaK
+// 8-DIMM/512 GB configuration draws 3.9 W of PE power over 14.1 mm².
+func compareGPU(workingSetGB float64) gpuComparison {
+	gpus := int((workingSetGB + 79.999) / 80)
+	if gpus < 1 {
+		gpus = 1
+	}
+	nmpPEs := 8 * 16
+	_, pePowerMW := Totals(PEDesign())
+	peArea, _ := Totals(PEDesign())
+	c := gpuComparison{
+		WorkingSetGB: workingSetGB,
+		GPUsNeeded:   gpus,
+		GPUPowerW:    float64(gpus) * 300,
+		GPUAreaMM2:   float64(gpus) * 826,
+		NMPPowerW:    float64(nmpPEs) * pePowerMW / 1000,
+		NMPAreaMM2:   float64(nmpPEs) * peArea,
+	}
+	c.PowerRatio = c.GPUPowerW / c.NMPPowerW
+	c.AreaRatio = c.GPUAreaMM2 / c.NMPAreaMM2
+	return c
 }

@@ -120,15 +120,3 @@ func phred(p float64) byte {
 	}
 	return byte('!' + int(q+0.5))
 }
-
-// MeanDepth computes the realized average coverage of reads over g.
-func MeanDepth(g *genome.Genome, reads []Read) float64 {
-	total := 0
-	for _, rd := range reads {
-		total += rd.Seq.Len()
-	}
-	if g.TotalLength() == 0 {
-		return 0
-	}
-	return float64(total) / float64(g.TotalLength())
-}

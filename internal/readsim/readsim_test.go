@@ -22,7 +22,7 @@ func TestSimulateCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	depth := MeanDepth(g, reads)
+	depth := meanDepth(g, reads)
 	if math.Abs(depth-20) > 0.5 {
 		t.Fatalf("depth = %v want ~20", depth)
 	}
@@ -138,4 +138,16 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(g, Config{ReadLen: 2000, Coverage: 1}); err == nil {
 		t.Fatal("expected error: read longer than replicon")
 	}
+}
+
+// meanDepth computes the realized average coverage of reads over g.
+func meanDepth(g *genome.Genome, reads []Read) float64 {
+	total := 0
+	for _, rd := range reads {
+		total += rd.Seq.Len()
+	}
+	if g.TotalLength() == 0 {
+		return 0
+	}
+	return float64(total) / float64(g.TotalLength())
 }

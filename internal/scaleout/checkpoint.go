@@ -423,7 +423,8 @@ func (ck *CheckpointState) validate() error {
 	return nil
 }
 
-// matches verifies the blob belongs to the presented (trace, Config) pair.
+// matches verifies the blob belongs to the presented (trace, Config) pair
+// and that each engine's clock agrees with its recorded durations.
 func (ck *CheckpointState) matches(tr *trace.Trace, cfg Config, net topo.Network) error {
 	if cfg.Nodes != ck.Nodes {
 		return fmt.Errorf("scaleout: checkpoint taken on %d nodes, config has %d", ck.Nodes, cfg.Nodes)
@@ -454,6 +455,21 @@ func (ck *CheckpointState) matches(tr *trace.Trace, cfg Config, net topo.Network
 	}
 	if d := tr.Digest(); d != ck.TraceDigest {
 		return fmt.Errorf("scaleout: trace digest %016x does not match checkpoint %016x", d, ck.TraceDigest)
+	}
+	// Every engine ran its iterations back to back, one sync barrier
+	// apart, so its clock is its recorded durations plus the barriers
+	// between them.
+	for i, st := range ck.Engines {
+		var want sim.Cycle
+		for _, d := range ck.Durations[i] {
+			want += d
+		}
+		if st.Next > 0 {
+			want += cfg.NMP.SyncBarrierCycles * sim.Cycle(st.Next-1)
+		}
+		if st.Clock != want {
+			return fmt.Errorf("scaleout: checkpoint node %d engine clock %d, its durations and sync barriers sum to %d", i, st.Clock, want)
+		}
 	}
 	return nil
 }

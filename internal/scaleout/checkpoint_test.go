@@ -10,6 +10,7 @@ import (
 
 	"nmppak/internal/genome"
 	"nmppak/internal/kmer"
+	"nmppak/internal/nmp"
 	"nmppak/internal/readsim"
 	"nmppak/internal/topo"
 	"nmppak/internal/trace"
@@ -114,6 +115,21 @@ func TestRestoreErrorPaths(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[len(checkpointMagic):], CheckpointVersion)
 		return b
 	}()
+	// A blob with one field of node 0's engine section overwritten.
+	corruptEngine := func(edit func(*nmp.EngineState)) func() []byte {
+		return func() []byte {
+			ck, err := UnmarshalCheckpoint(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit(&ck.Engines[0])
+			b, err := ck.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+	}
 
 	for _, tc := range []struct {
 		name string
@@ -148,6 +164,18 @@ func TestRestoreErrorPaths(t *testing.T) {
 			}
 			return b
 		}, "decode"},
+		{"rank ActPtr past the tFAW ring", tr, nil, corruptEngine(func(e *nmp.EngineState) {
+			e.Channels[0].Ranks[0].ActPtr = 9
+		}), "ActPtr"},
+		{"rank NextRefresh before the first refresh", tr, nil, corruptEngine(func(e *nmp.EngineState) {
+			e.Channels[0].Ranks[0].NextRefresh = -(1 << 62)
+		}), "NextRefresh"},
+		{"engine clock off its durations", tr, nil, corruptEngine(func(e *nmp.EngineState) {
+			e.Clock = 1 << 50
+		}), "engine clock"},
+		{"engine result missing an iteration", tr, nil, corruptEngine(func(e *nmp.EngineState) {
+			e.Res.PerIter = e.Res.PerIter[1:]
+		}), "iteration timings"},
 		{"different K", tr, func() Config {
 			c := DefaultConfig(4)
 			c.K = 24

@@ -223,27 +223,6 @@ func routeRuns(sorted []uint64, p Partitioner, kk int, own, cnt []int32) [][]kme
 	return buckets
 }
 
-// Merge reassembles the global counting result from the shards; the output
-// is ordered and structured exactly like kmer.Count's. The shards hold
-// disjoint ascending key sets, so a merge of them is already the global
-// order.
-func (sc *ShardedCount) Merge() *kmer.Result {
-	res := &kmer.Result{K: sc.K}
-	kmLists := make([]kmer.TermCounts, len(sc.Shards))
-	tpLists := make([]kmer.TermCounts, len(sc.Shards))
-	tsLists := make([]kmer.TermCounts, len(sc.Shards))
-	for i, sh := range sc.Shards {
-		kmLists[i], tpLists[i], tsLists[i] = sh.Kmers, sh.TermPrefix, sh.TermSuffix
-		res.TotalExtracted += sh.TotalExtracted
-		res.PrunedKinds += sh.PrunedKinds
-		res.PrunedMass += sh.PrunedMass
-	}
-	res.Kmers = kmer.MergeTerms(kmLists)
-	res.TermPrefix = kmer.MergeTerms(tpLists)
-	res.TermSuffix = kmer.MergeTerms(tsLists)
-	return res
-}
-
 // ShardGraphs is the outcome of distributed MacroNode construction: every
 // counted k-mer is shipped to the owners of its leading and trailing
 // (k-1)-mers (PaKman's second all-to-all), and each node builds the
@@ -405,16 +384,6 @@ func macroNodeCounts(inbox [][][]graphRec, k, workers int) []int {
 		counts[dst] = kmer.CountRuns(buf)
 	})
 	return counts
-}
-
-// TotalMacroNodes sums the shard graph sizes; key ownership partitions the
-// global graph, so this equals the single-node pakgraph.Build node count.
-func (sg *ShardGraphs) TotalMacroNodes() int {
-	t := 0
-	for _, g := range sg.Graphs {
-		t += g.Len()
-	}
-	return t
 }
 
 func mat(n int) [][]int64 {

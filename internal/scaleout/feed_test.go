@@ -2,6 +2,7 @@ package scaleout
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"sync"
@@ -101,7 +102,7 @@ func TestConcurrentRunsShareShardMemo(t *testing.T) {
 
 	// A copy of the trace carries no memo yet.
 	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
 		t.Fatal(err)
 	}
 	shared, err := trace.Load(&buf)

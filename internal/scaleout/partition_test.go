@@ -148,7 +148,7 @@ func TestBalancedOwnershipPureFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sc.Merge()
+	got := mergeShards(sc)
 	if len(got.Kmers) != len(want.Kmers) || got.TotalExtracted != want.TotalExtracted {
 		t.Fatalf("balanced-partitioned sharded count diverged: %d/%d kmers, %d/%d extracted",
 			len(got.Kmers), len(want.Kmers), got.TotalExtracted, want.TotalExtracted)

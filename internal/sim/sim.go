@@ -110,9 +110,6 @@ func (e *Engine) SetProbe(p *Probe) { e.probe = p }
 // Now returns the current simulation time.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Pending reports the number of unprocessed events.
-func (e *Engine) Pending() int { return e.n }
-
 // Reset drops all pending events while keeping the current time, so one
 // Engine can be reused across independent scheduling rounds.
 func (e *Engine) Reset() {

@@ -61,11 +61,11 @@ func TestSeconds(t *testing.T) {
 func TestPending(t *testing.T) {
 	var e Engine
 	e.At(1, func() {})
-	if e.Pending() != 1 {
+	if e.n != 1 {
 		t.Fatal("pending != 1")
 	}
 	e.Run()
-	if e.Pending() != 0 {
+	if e.n != 0 {
 		t.Fatal("pending after run")
 	}
 }
@@ -74,7 +74,7 @@ func TestReset(t *testing.T) {
 	var e Engine
 	e.At(3, func() { t.Error("dropped event ran") })
 	e.Reset()
-	if e.Pending() != 0 {
+	if e.n != 0 {
 		t.Fatal("pending after reset")
 	}
 	ran := false

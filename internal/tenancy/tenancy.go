@@ -82,9 +82,6 @@ type Fleet struct {
 	// Quantum is the fair-share possession budget in machine cycles;
 	// <= 0 means DefaultQuantum. FIFO and priority ignore it.
 	Quantum sim.Cycle
-	// BytesPerCycle prices preemption checkpoint/restore I/O on the fleet
-	// timeline; <= 0 means scaleout.DefaultCheckpointBytesPerCycle.
-	BytesPerCycle float64
 	// Telemetry, when non-nil, records the fleet timeline: one track per
 	// fleet node (tenant possession slices, colored per tenant in the
 	// Chrome export), one lifecycle track per tenant, and a scheduler
@@ -225,7 +222,6 @@ type fleetRun struct {
 	f       Fleet
 	pol     Policy
 	quantum sim.Cycle
-	bpc     float64
 
 	eng     *sim.Engine
 	tenants []*Tenant
@@ -240,13 +236,13 @@ type fleetRun struct {
 	nodeTracks []*telemetry.Track // one per fleet node
 }
 
-// price converts blob bytes to a stall, ceiling division like the elastic
-// runtime's checkpoint charge.
-func (r *fleetRun) price(bytes int) sim.Cycle {
+// price converts blob bytes to a stall at
+// scaleout.DefaultCheckpointBytesPerCycle, rounded up to whole cycles.
+func price(bytes int) sim.Cycle {
 	if bytes <= 0 {
 		return 0
 	}
-	return sim.Cycle(math.Ceil(float64(bytes) / r.bpc))
+	return sim.Cycle(math.Ceil(float64(bytes) / scaleout.DefaultCheckpointBytesPerCycle))
 }
 
 // fail records the first error and lets the event loop drain.
@@ -274,7 +270,6 @@ func (f Fleet) Run(jobs []Job) (*Schedule, error) {
 		f:       f,
 		pol:     f.Policy,
 		quantum: f.Quantum,
-		bpc:     f.BytesPerCycle,
 		eng:     &sim.Engine{},
 		free:    make([]bool, f.Nodes),
 		nfree:   f.Nodes,
@@ -284,9 +279,6 @@ func (f Fleet) Run(jobs []Job) (*Schedule, error) {
 	}
 	if r.quantum <= 0 {
 		r.quantum = DefaultQuantum
-	}
-	if r.bpc <= 0 {
-		r.bpc = scaleout.DefaultCheckpointBytesPerCycle
 	}
 	for i := range r.free {
 		r.free[i] = true
@@ -492,7 +484,7 @@ func (r *fleetRun) place(t *Tenant) {
 		r.eng.After(t.service, func() { r.finishDedicated(t) })
 		return
 	}
-	stall := r.price(len(t.blob))
+	stall := price(len(t.blob))
 	blobBytes := len(t.blob)
 	ses, err := scaleout.ResumeSession(t.spec.Trace, t.spec.Config, t.blob)
 	if err != nil {
@@ -572,7 +564,7 @@ func (r *fleetRun) preempt(t *Tenant, now sim.Cycle) {
 	t.blob, t.ses = blob, nil
 	t.Preemptions++
 	t.checkpointBytes += int64(len(blob))
-	stall := r.price(len(blob))
+	stall := price(len(blob))
 	t.overhead += stall
 	t.state = tDraining
 	r.recordSlice(t, now)

@@ -93,24 +93,6 @@ type memoEntry struct {
 	v    any
 }
 
-// TotalNodeOps counts node visits across all iterations.
-func (t *Trace) TotalNodeOps() int64 {
-	var n int64
-	for i := range t.Iterations {
-		n += int64(len(t.Iterations[i].Nodes))
-	}
-	return n
-}
-
-// TotalTransfers counts TransferNodes across all iterations.
-func (t *Trace) TotalTransfers() int64 {
-	var n int64
-	for i := range t.Iterations {
-		n += int64(len(t.Iterations[i].Transfers))
-	}
-	return n
-}
-
 // DIMMOf maps a key to a DIMM index in [0, nDIMMs) using the iteration-0
 // quantile table.
 func (t *Trace) DIMMOf(key dna.Kmer, nDIMMs int) int {
@@ -214,10 +196,7 @@ func (t *Trace) computeDigest() uint64 {
 	return h.Sum64()
 }
 
-// Save writes the trace with gob encoding.
-func (t *Trace) Save(w io.Writer) error { return gob.NewEncoder(w).Encode(t) }
-
-// Load reads a trace written by Save. The input is untrusted: a trace whose
+// Load reads a gob-encoded trace. The input is untrusted: a trace whose
 // operations reference nodes outside their iteration is rejected.
 func Load(r io.Reader) (*Trace, error) {
 	var t Trace

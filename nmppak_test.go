@@ -332,6 +332,7 @@ func TestUntrustedInputsError(t *testing.T) {
 		{"SimulateNMP/huge PEs per channel", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.PEsPerChannel = huge }))},
 		{"SimulateNMP/huge ranks", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM.Ranks = huge }))},
 		{"SimulateNMP/huge banks per rank", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM.BanksPerRank = huge }))},
+		{"SimulateNMP/refresh as long as its interval", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM.TRFC = c.DRAM.TREFI }))},
 		{"SimulateNMP/hybrid without CPU threads", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.HybridThresholdBytes, c.CPUThreads = 256, 0 }))},
 		{"SimulateNMP/hybrid with negative CPU threads", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.HybridThresholdBytes, c.CPUThreads = 256, -1 }))},
 		{"NewNMPEngine/nil trace", func() error { _, err := nmppak.NewNMPEngine(nil, nmppak.DefaultNMPConfig()); return err }},
