@@ -111,33 +111,13 @@ func (c *Context) Kmers() (*kmer.Result, error) {
 // Trace returns the compaction trace of the workload (single batch,
 // captured once and cached).
 func (c *Context) Trace() (*trace.Trace, error) {
-	if c.tr != nil {
-		return c.tr, nil
+	if c.tr == nil {
+		tr, d, err := c.capture(false)
+		if err != nil {
+			return nil, err
+		}
+		c.tr, c.traceTime = tr, d
 	}
-	res, err := c.Kmers()
-	if err != nil {
-		return nil, err
-	}
-	g, err := pakgraph.Build(res)
-	if err != nil {
-		return nil, err
-	}
-	// Like the paper, compaction for the performance studies stops at a
-	// node-count threshold ("iterate until # MN < threshold") rather than
-	// running to fixed point: the last iterations consist of a handful of
-	// giant fully-compacted nodes whose processing the threshold (and the
-	// graph walk) is designed to avoid.
-	threshold := g.Len() / 100
-	if threshold < 1 {
-		threshold = 1
-	}
-	b := trace.NewBuilder(c.W.K)
-	t0 := time.Now()
-	if _, err := compact.Run(g, compact.Options{Workers: c.W.Workers, Observer: b, Threshold: threshold}); err != nil {
-		return nil, err
-	}
-	c.traceTime = time.Since(t0)
-	c.tr = b.Trace()
 	return c.tr, nil
 }
 
@@ -146,23 +126,43 @@ func (c *Context) Trace() (*trace.Trace, error) {
 // studies ("iteration 219 (completion)"), where the surviving MacroNodes
 // accumulate multi-kilobyte extensions.
 func (c *Context) DeepTrace() (*trace.Trace, error) {
-	if c.deepTr != nil {
-		return c.deepTr, nil
+	if c.deepTr == nil {
+		tr, _, err := c.capture(true)
+		if err != nil {
+			return nil, err
+		}
+		c.deepTr = tr
 	}
-	res, err := kmer.Count(c.Reads, kmer.Config{K: c.W.K, Workers: c.W.Workers, MinCount: c.W.MinCount})
+	return c.deepTr, nil
+}
+
+// capture builds the graph of the cached counts and records its
+// compaction trace, run to the fixed point or stopped at the performance
+// studies' threshold, with the compaction's wall time.
+func (c *Context) capture(fixedPoint bool) (*trace.Trace, time.Duration, error) {
+	res, err := c.Kmers()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	g, err := pakgraph.Build(res)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	// Like the paper, compaction for the performance studies stops at a
+	// node-count threshold ("iterate until # MN < threshold") rather than
+	// running to fixed point: the last iterations consist of a handful of
+	// giant fully-compacted nodes whose processing the threshold (and the
+	// graph walk) is designed to avoid.
+	threshold := 0
+	if !fixedPoint {
+		threshold = max(g.Len()/100, 1)
 	}
 	b := trace.NewBuilder(c.W.K)
-	if _, err := compact.Run(g, compact.Options{Workers: c.W.Workers, Observer: b}); err != nil {
-		return nil, err
+	t0 := time.Now()
+	if _, err := compact.Run(g, compact.Options{Workers: c.W.Workers, Observer: b, Threshold: threshold}); err != nil {
+		return nil, 0, err
 	}
-	c.deepTr = b.Trace()
-	return c.deepTr, nil
+	return b.Trace(), time.Since(t0), nil
 }
 
 // Assemble runs the full pipeline on the workload with the given batch

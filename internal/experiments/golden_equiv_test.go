@@ -45,6 +45,12 @@ const (
 	goldenBlobHash    = uint64(0x12b3d31c7266b511)
 	goldenBlobLen     = 20453
 	goldenBlobIter    = 9
+	// The same capture under NewRebalancePartitioner(12, 1): its blob
+	// carries the migrated ownership table, and its config digest the
+	// partitioner's "@1.05" trigger text. Captured before the trigger and
+	// the checkpoint I/O rate became constants.
+	goldenRebalanceBlobHash = uint64(0x8fd7a9ec3d5d771d)
+	goldenRebalanceBlobLen  = 31117
 )
 
 // TestGoldenEquivalence locks the full pipeline — counting, graph
@@ -153,16 +159,16 @@ func TestGoldenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBlob := func(how string, blob []byte) {
+	checkBlob := func(how string, blob []byte, wantLen int, wantHash uint64) {
 		t.Helper()
 		h := fnv.New64a()
 		h.Write(blob)
-		if len(blob) != goldenBlobLen || h.Sum64() != goldenBlobHash {
+		if len(blob) != wantLen || h.Sum64() != wantHash {
 			t.Errorf("%s blob = %d bytes, hash %#x; golden %d bytes, %#x",
-				how, len(blob), h.Sum64(), goldenBlobLen, goldenBlobHash)
+				how, len(blob), h.Sum64(), wantLen, wantHash)
 		}
 	}
-	checkBlob("one-shot checkpoint", blob)
+	checkBlob("one-shot checkpoint", blob, goldenBlobLen, goldenBlobHash)
 	s, err := scaleout.NewSession(c.Reads, tr, scaleout.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +180,15 @@ func TestGoldenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBlob("session checkpoint", sblob)
+	checkBlob("session checkpoint", sblob, goldenBlobLen, goldenBlobHash)
+
+	rcfg := scaleout.DefaultConfig(4)
+	rcfg.Partitioner = scaleout.NewRebalancePartitioner(12, 1)
+	rblob, err := scaleout.Checkpoint(c.Reads, tr, rcfg, goldenBlobIter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBlob("rebalancing checkpoint", rblob, goldenRebalanceBlobLen, goldenRebalanceBlobHash)
 }
 
 // goldenContigs pins assemble.Run's exact output on the quick workload:

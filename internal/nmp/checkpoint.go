@@ -29,7 +29,7 @@ type EngineState struct {
 
 // Snapshot deep-copies the engine's state. The engine must be quiescent
 // (it always is between StepIteration calls) and not yet sealed by
-// Result().
+// Result(), so its result has no per-channel Mem totals to copy.
 func (e *Engine) Snapshot() (EngineState, error) {
 	if e.final {
 		return EngineState{}, fmt.Errorf("nmp: Snapshot after Result")
@@ -41,7 +41,6 @@ func (e *Engine) Snapshot() (EngineState, error) {
 		Channels: make([]dram.ChannelState, len(e.channels)),
 	}
 	st.Res.PerIter = append([]IterTiming(nil), e.res.PerIter...)
-	st.Res.Mem = append([]dram.Stats(nil), e.res.Mem...)
 	for i, ch := range e.channels {
 		st.Channels[i] = ch.State()
 	}

@@ -477,20 +477,23 @@ func (ck *CheckpointState) matches(tr *trace.Trace, cfg Config, net topo.Network
 // configDigest fingerprints every configuration field the simulation
 // outcome depends on. Workers is deliberately excluded: it bounds host
 // parallelism while computing the (deterministic) result, so a blob may be
-// restored on a machine with a different core count.
+// restored on a machine with a different core count. The "/0" after the
+// cadence is the text's checkpoint I/O rate slot, which reads 0 for the
+// fixed DefaultCheckpointBytesPerCycle; changing the text would orphan
+// every existing blob.
 func configDigest(cfg Config, topoName string) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "nodes=%d k=%d min=%d overlap=%v part=%s topo=%s|%+v nmp=%+v sw=%+v ckpt=%d/%g faults=%s",
+	fmt.Fprintf(h, "nodes=%d k=%d min=%d overlap=%v part=%s topo=%s|%+v nmp=%+v sw=%+v ckpt=%d/0 faults=%s",
 		cfg.Nodes, cfg.K, cfg.MinCount, cfg.Overlap,
-		partitionerID(cfg.Partitioner), topoName, cfg.Topo, cfg.NMP, cfg.Software,
-		cfg.CheckpointEvery, cfg.CheckpointBytesPerCycle, cfg.Faults.Fingerprint())
+		partitionerID(cfg.Partitioner), topoName, cfg.Topo, cfg.NMP, software,
+		cfg.CheckpointEvery, cfg.Faults.Fingerprint())
 	return h.Sum64()
 }
 
 // partitionerID renders a partitioner's identity beyond its name: a
 // BalancedPartitioner folds in its assignment-table fingerprint (two
 // same-named instances built from different samples shard differently)
-// and a RebalancePartitioner its migration trigger.
+// and a RebalancePartitioner its (constant) migration trigger.
 func partitionerID(p Partitioner) string {
 	switch pp := p.(type) {
 	case BalancedPartitioner:
@@ -501,7 +504,7 @@ func partitionerID(p Partitioner) string {
 		// happened to store.
 		return fmt.Sprintf("%s#%016x", pp.Name(), pp.Fingerprint())
 	case *RebalancePartitioner:
-		return fmt.Sprintf("%s@%g", pp.Name(), pp.Trigger)
+		return fmt.Sprintf("%s@%g", pp.Name(), rebalanceTrigger)
 	default:
 		return p.Name()
 	}

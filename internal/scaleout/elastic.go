@@ -13,7 +13,7 @@
 //     uses, with the elastic membership section, and decoded by the same
 //     hardened UnmarshalCheckpoint on the way back) in memory, replacing
 //     the previous one, and charges
-//     len(blob)/CheckpointBytesPerCycle as a global stall — the
+//     len(blob)/DefaultCheckpointBytesPerCycle as a global stall — the
 //     coordinated-checkpoint cost.
 //   - fault.Plan events are applied at iteration boundaries, the first
 //     point a lockstep run can act on them. Link events mutate the
@@ -61,7 +61,6 @@ package scaleout
 
 import (
 	"fmt"
-	"math"
 
 	"nmppak/internal/dna"
 	"nmppak/internal/fault"
@@ -70,8 +69,8 @@ import (
 )
 
 // DefaultCheckpointBytesPerCycle prices checkpoint capture and restore
-// I/O when Config.CheckpointBytesPerCycle is zero: 16 B/cycle is about
-// 25.6 GB/s at the modeled 1.6 GHz — a striped local NVMe target.
+// I/O: 16 B/cycle is about 25.6 GB/s at the modeled 1.6 GHz — a striped
+// local NVMe target.
 const DefaultCheckpointBytesPerCycle = 16
 
 // recoveryPoint is a captured checkpoint: the iteration it resumes at and
@@ -139,16 +138,6 @@ func (rt *runtime) epochEnd(it, to int) int {
 	return end
 }
 
-// ioCycles prices moving an n-byte checkpoint blob at the configured
-// capture/restore rate, failing when the quotient is not a cycle count.
-func (rt *runtime) ioCycles(n int) (sim.Cycle, error) {
-	d := float64(n) / rt.ckBPC
-	if !(d < math.MaxInt64) {
-		return 0, fmt.Errorf("scaleout: a %d-byte checkpoint at CheckpointBytesPerCycle %g takes %g cycles, past the cycle range", n, rt.ckBPC, d)
-	}
-	return sim.Cycle(d), nil
-}
-
 // capture replaces the newest checkpoint with a periodic one and charges
 // the capture stall.
 func (rt *runtime) capture(it int) error {
@@ -156,10 +145,7 @@ func (rt *runtime) capture(it int) error {
 	if err != nil {
 		return err
 	}
-	d, err := rt.ioCycles(len(blob))
-	if err != nil {
-		return err
-	}
+	d := sim.Cycle(len(blob) / DefaultCheckpointBytesPerCycle)
 	rt.ckpt = &recoveryPoint{iter: it, blob: blob}
 	rt.res.Checkpoints++
 	rt.res.CheckpointBytes += int64(len(blob))
@@ -254,10 +240,7 @@ func (rt *runtime) recover(losses []fault.Event, bIter int) (int, error) {
 		}
 		ck = dec
 		resume = ck.ResumeIter
-		d, err := rt.ioCycles(len(ent.blob))
-		if err != nil {
-			return 0, err
-		}
+		d := sim.Cycle(len(ent.blob) / DefaultCheckpointBytesPerCycle)
 		rt.res.RecoveryCycles += d
 		rt.clock.stallBarrier(telemetry.SpanRestore, resume, d, int64(len(ent.blob)), false)
 	}

@@ -2,8 +2,11 @@ package scaleout
 
 import (
 	"testing"
+	"time"
 
+	"nmppak/internal/nmp"
 	"nmppak/internal/readsim"
+	"nmppak/internal/sim"
 	"nmppak/internal/trace"
 )
 
@@ -76,4 +79,137 @@ func FuzzRestoreBlob(f *testing.F) {
 			return
 		}
 	})
+}
+
+// Engine-section fields FuzzRestoreEngineState edits, one per input.
+const (
+	edNext = iota
+	edClock
+	edPerIterLen
+	edOpenRow
+	edHasOpen
+	edActAt
+	edReadyPre
+	edReadyCmd
+	edPreDoneAt
+	edActTimes
+	edActPtr
+	edLastActAt
+	edWrDataEnd
+	edNextRefresh
+	edBusFree
+	numEngineEdits
+)
+
+// FuzzRestoreEngineState edits one field of a real blob's engine section
+// and restores it. Byte-level mutation of a gob stream almost never
+// decodes, so FuzzRestoreBlob rarely reaches the engine state; this
+// fuzzer decodes a blob paused mid-run on a small real trace, sets one
+// engine field — node i's resume cursor, clock or iteration-timing count,
+// or one bank, rank or bus field of one of its DRAM channels, picked by
+// pos — to val, re-marshals it and restores it. The contract: an error
+// or a result, never a panic, and never a restore that outlives the time
+// bound.
+func FuzzRestoreEngineState(f *testing.F) {
+	reads := testReads(f, 3_000)
+	tr := testTrace(f, reads, 32, 3)
+	cfg := DefaultConfig(2)
+	blob := fuzzSeedBlob(f, reads, tr, cfg, len(tr.Iterations)/2)
+	for _, seed := range []struct {
+		node, field uint8
+		pos         uint16
+		val         int64
+	}{
+		{0, edNext, 0, 1 << 40},
+		{1, edNext, 0, -1},
+		{0, edClock, 0, 1 << 50},
+		{1, edPerIterLen, 0, 0},
+		{0, edOpenRow, 3, -1},
+		{0, edHasOpen, 5, 1},
+		{1, edActAt, 7, 1 << 62},
+		{0, edReadyPre, 2, -(1 << 62)},
+		{0, edReadyCmd, 9, 1 << 62},
+		{1, edPreDoneAt, 11, 1 << 62},
+		{0, edActTimes, 1, 1 << 62},
+		{0, edActPtr, 0, 9},
+		{1, edLastActAt, 4, -(1 << 62)},
+		{0, edWrDataEnd, 6, 1 << 62},
+		{0, edNextRefresh, 0, -(1 << 62)},
+		{1, edBusFree, 1, 1 << 62},
+	} {
+		f.Add(seed.node, seed.field, seed.pos, seed.val)
+	}
+	f.Fuzz(func(t *testing.T, node, field uint8, pos uint16, val int64) {
+		ck, err := UnmarshalCheckpoint(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		editEngine(&ck.Engines[int(node)%len(ck.Engines)], int(field)%numEngineEdits, int(pos), val)
+		data, err := ck.Marshal()
+		if err != nil {
+			return // an edit the encoder refuses never reaches a restore
+		}
+		// A Restore past the bound fails the run; its goroutine is left
+		// behind, since nothing can stop a hung one.
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			Restore(tr, cfg, data) // an error or a result; a panic crashes
+		}()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("Restore after setting engine field %d (pos %d) of node %d to %d did not return within 20 s", int(field)%numEngineEdits, pos, node, val)
+		}
+	})
+}
+
+// editEngine sets the engine field ed of st to val; pos picks the
+// channel, rank, bank and tFAW slot a DRAM field lives in.
+func editEngine(st *nmp.EngineState, ed, pos int, val int64) {
+	switch ed {
+	case edNext:
+		st.Next = int(val)
+		return
+	case edClock:
+		st.Clock = sim.Cycle(val)
+		return
+	case edPerIterLen:
+		n := int(uint64(val) % uint64(len(st.Res.PerIter)+2))
+		st.Res.PerIter = append(st.Res.PerIter, make([]nmp.IterTiming, max(n-len(st.Res.PerIter), 0))...)[:n]
+		return
+	}
+	ch := &st.Channels[pos%len(st.Channels)]
+	pos /= len(st.Channels)
+	if ed == edBusFree {
+		ch.BusFree = sim.Cycle(val)
+		return
+	}
+	r := pos % len(ch.Ranks)
+	pos /= len(ch.Ranks)
+	rk, bk := &ch.Ranks[r], &ch.Banks[r][pos%len(ch.Banks[r])]
+	switch ed {
+	case edOpenRow:
+		bk.OpenRow = int(val)
+	case edHasOpen:
+		bk.HasOpen = val&1 == 1
+	case edActAt:
+		bk.ActAt = sim.Cycle(val)
+	case edReadyPre:
+		bk.ReadyPre = sim.Cycle(val)
+	case edReadyCmd:
+		bk.ReadyCmd = sim.Cycle(val)
+	case edPreDoneAt:
+		bk.PreDoneAt = sim.Cycle(val)
+	case edActTimes:
+		rk.ActTimes[pos%len(rk.ActTimes)] = sim.Cycle(val)
+	case edActPtr:
+		rk.ActPtr = int(val)
+	case edLastActAt:
+		rk.LastActAt = sim.Cycle(val)
+	case edWrDataEnd:
+		rk.WrDataEnd = sim.Cycle(val)
+	case edNextRefresh:
+		rk.NextRefresh = sim.Cycle(val)
+	}
 }

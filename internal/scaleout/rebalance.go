@@ -36,20 +36,20 @@ type RebalancePartitioner struct {
 	// Every is the rebalance period: ownership may change before
 	// iterations Every, 2*Every, ... (>= 1).
 	Every int
-	// Trigger is the measured per-iteration imbalance (slowest node over
-	// mean) below which a rebalance point leaves ownership alone; the
-	// hysteresis keeps near-balanced replays from thrashing buckets back
-	// and forth for marginal gains.
-	Trigger float64
 }
+
+// rebalanceTrigger is the measured per-iteration imbalance (slowest node
+// over mean) below which a rebalance point leaves ownership alone; the
+// hysteresis keeps near-balanced replays from thrashing buckets back and
+// forth for marginal gains.
+const rebalanceTrigger = 1.05
 
 // maxRebalanceNodes bounds the node count of a rebalancing run: its
 // ownership table stores node indices as uint16.
 const maxRebalanceNodes = 1 << 16
 
 // NewRebalancePartitioner returns a rebalancing partitioner with m-mer
-// buckets migrated every `every` iterations and the default 1.05
-// imbalance trigger.
+// buckets migrated every `every` iterations.
 func NewRebalancePartitioner(m, every int) *RebalancePartitioner {
 	if m < 1 {
 		m = 1
@@ -57,7 +57,7 @@ func NewRebalancePartitioner(m, every int) *RebalancePartitioner {
 	if every < 1 {
 		every = 1
 	}
-	return &RebalancePartitioner{M: m, Every: every, Trigger: 1.05}
+	return &RebalancePartitioner{M: m, Every: every}
 }
 
 // Name implements Partitioner.
@@ -135,7 +135,7 @@ func (p *RebalancePartitioner) migrate(table []uint16, cum, dur []sim.Cycle, wei
 			}
 		}
 		mean /= float64(nodes)
-		if mean <= 0 || est[donor] < p.Trigger*mean || donor == idle {
+		if mean <= 0 || est[donor] < rebalanceTrigger*mean || donor == idle {
 			break
 		}
 		if load[donor] <= 0 || dur[donor] <= 0 {

@@ -108,8 +108,7 @@ type runtime struct {
 	// elastic protocol stalls.
 	clock phaseClock
 
-	every int     // checkpoint cadence (0 = none)
-	ckBPC float64 // checkpoint capture/restore bytes per cycle
+	every int // checkpoint cadence (0 = none)
 
 	events []fault.Event // plan events in application order
 	next   int           // first pending event
@@ -150,12 +149,8 @@ func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *
 		engines:   make([]*nmp.Engine, n),
 		durations: make([][]sim.Cycle, n),
 		every:     cfg.CheckpointEvery,
-		ckBPC:     cfg.CheckpointBytesPerCycle,
 		live:      make([]bool, n),
 		pr:        pr,
-	}
-	if rt.ckBPC <= 0 {
-		rt.ckBPC = DefaultCheckpointBytesPerCycle
 	}
 	if cfg.Faults != nil {
 		rt.events = cfg.Faults.Sorted()

@@ -170,16 +170,6 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"rebalance zero period", func(c *Config) { c.Partitioner = &RebalancePartitioner{M: 12} }, "Every"},
 		{"nil rebalance partitioner", func(c *Config) { c.Partitioner = (*RebalancePartitioner)(nil) }, "Partitioner"},
 		{"nil balanced partitioner", func(c *Config) { c.Partitioner = (*BalancedPartitioner)(nil) }, "Partitioner"},
-		{"rebalance NaN trigger", func(c *Config) {
-			rp := NewRebalancePartitioner(12, 1)
-			rp.Trigger = math.NaN()
-			c.Partitioner = rp
-		}, "Trigger"},
-		{"rebalance negative trigger", func(c *Config) {
-			rp := NewRebalancePartitioner(12, 1)
-			rp.Trigger = -1
-			c.Partitioner = rp
-		}, "Trigger"},
 		{"rebalance past uint16 owners", func(c *Config) {
 			c.Partitioner = NewRebalancePartitioner(12, 1)
 			c.Nodes = 1<<16 + 1

@@ -47,26 +47,17 @@ import (
 	"nmppak/internal/trace"
 )
 
-// SoftwareModel prices the software pipeline stages (counting, merging,
-// MacroNode construction) in 1.6 GHz cycles per unit of work. These are
-// the scale-out analogue of cpumodel's per-node compute constants.
-type SoftwareModel struct {
+// software prices the software pipeline stages (counting, merging,
+// MacroNode construction) in 1.6 GHz cycles per unit of work, calibrated
+// to the optimized (§4.5) pipeline: the scale-out analogue of cpumodel's
+// per-node compute constants. Every checkpoint's config digest prints it
+// with its field names.
+var software = struct {
 	ExtractCyclesPerKmer     float64 // sliding-window extraction, per instance
 	SortCyclesPerKmer        float64 // local sort, per instance per log2(n)
 	MergeCyclesPerRecord     float64 // owner-side merge of partial counts
 	ConstructCyclesPerRecord float64 // MacroNode hash insert + extension merge
-}
-
-// DefaultSoftwareModel returns constants calibrated to the optimized
-// (§4.5) software pipeline.
-func DefaultSoftwareModel() SoftwareModel {
-	return SoftwareModel{
-		ExtractCyclesPerKmer:     4,
-		SortCyclesPerKmer:        0.5,
-		MergeCyclesPerRecord:     2,
-		ConstructCyclesPerRecord: 24,
-	}
-}
+}{4, 0.5, 2, 24}
 
 // Config parameterizes a scale-out simulation.
 type Config struct {
@@ -93,20 +84,15 @@ type Config struct {
 	Overlap bool
 	// NMP is the per-node hardware model; every virtual node runs a full
 	// copy.
-	NMP      nmp.Config
-	Software SoftwareModel
+	NMP nmp.Config
 	// CheckpointEvery > 0 captures a full checkpoint of the compaction
 	// replay every that many iterations in memory, replacing the previous
-	// one and pricing each capture at blob-bytes / CheckpointBytesPerCycle.
-	// Recovery from an injected node loss restores from the newest
-	// capture; 0 (the default) disables periodic checkpointing — a loss
-	// then restarts the compaction phase from iteration 0 on the
-	// survivors.
+	// one and pricing each capture (and a restore) at blob-bytes /
+	// DefaultCheckpointBytesPerCycle. Recovery from an injected node loss
+	// restores from the newest capture; 0 (the default) disables periodic
+	// checkpointing — a loss then restarts the compaction phase from
+	// iteration 0 on the survivors.
 	CheckpointEvery int
-	// CheckpointBytesPerCycle prices checkpoint capture and restore I/O;
-	// 0 means DefaultCheckpointBytesPerCycle, +Inf makes both free, and a
-	// rate whose stall leaves the cycle range fails the run.
-	CheckpointBytesPerCycle float64
 	// Faults, when non-empty, is the deterministic fault plan injected
 	// into the compaction replay (see internal/fault): node losses trigger
 	// detection + restore + survivor re-partitioning, link events degrade
@@ -135,7 +121,6 @@ func DefaultConfig(n int) Config {
 		Partitioner: HashPartitioner{},
 		Topo:        topo.Default(),
 		NMP:         nmp.DefaultConfig(),
-		Software:    DefaultSoftwareModel(),
 	}
 }
 
@@ -163,9 +148,6 @@ func (c Config) Validate() error {
 		if rp.M < 1 || rp.Every < 1 {
 			return fmt.Errorf("scaleout: RebalancePartitioner needs M >= 1 and Every >= 1, got M=%d Every=%d (use NewRebalancePartitioner)", rp.M, rp.Every)
 		}
-		if !(rp.Trigger >= 0) {
-			return fmt.Errorf("scaleout: RebalancePartitioner Trigger must be >= 0, got %g", rp.Trigger)
-		}
 		if c.Nodes > maxRebalanceNodes {
 			return fmt.Errorf("scaleout: RebalancePartitioner's ownership table holds node indices below %d, got Nodes=%d", maxRebalanceNodes, c.Nodes)
 		}
@@ -180,9 +162,6 @@ func (c Config) Validate() error {
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("scaleout: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
-	}
-	if !(c.CheckpointBytesPerCycle >= 0) {
-		return fmt.Errorf("scaleout: CheckpointBytesPerCycle must be >= 0, got %g", c.CheckpointBytesPerCycle)
 	}
 	if err := c.Faults.Validate(c.Nodes); err != nil {
 		return fmt.Errorf("scaleout: %w", err)
@@ -323,7 +302,6 @@ func Simulate(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Result, error
 // and the exchanges' link occupancy on the run's timeline.
 func runPrelude(reads []readsim.Read, cfg Config, net topo.Network, pr *probes) (*Result, error) {
 	n := cfg.Nodes
-	sw := cfg.Software
 	res := &Result{
 		Nodes: n, Partitioner: cfg.Partitioner.Name(), Topology: net.Name(),
 		PerNode: make([]NodeStats, n),
@@ -337,11 +315,11 @@ func runPrelude(reads []readsim.Read, cfg Config, net topo.Network, pr *probes) 
 	var extract, merge sim.Cycle
 	for i := 0; i < n; i++ {
 		e := sc.ExtractedPerNode[i]
-		c := sim.Cycle(sw.ExtractCyclesPerKmer*float64(e) + sw.SortCyclesPerKmer*float64(e)*log2(e))
+		c := sim.Cycle(software.ExtractCyclesPerKmer*float64(e) + software.SortCyclesPerKmer*float64(e)*log2(e))
 		if c > extract {
 			extract = c
 		}
-		m := sim.Cycle(sw.MergeCyclesPerRecord * float64(sc.RecordsToNode[i]))
+		m := sim.Cycle(software.MergeCyclesPerRecord * float64(sc.RecordsToNode[i]))
 		if m > merge {
 			merge = m
 		}
@@ -361,7 +339,7 @@ func runPrelude(reads []readsim.Read, cfg Config, net topo.Network, pr *probes) 
 	macroNodes := macroNodeCounts(inbox, cfg.K, cfg.Workers)
 	var construct sim.Cycle
 	for i := 0; i < n; i++ {
-		c := sim.Cycle(sw.ConstructCyclesPerRecord * float64(sg.RecvPerNode[i]))
+		c := sim.Cycle(software.ConstructCyclesPerRecord * float64(sg.RecvPerNode[i]))
 		if c > construct {
 			construct = c
 		}

@@ -481,7 +481,14 @@ func (r *fleetRun) place(t *Tenant) {
 	}
 	if t.Dedicated {
 		t.runStart = now
-		r.eng.After(t.service, func() { r.finishDedicated(t) })
+		r.eng.After(t.service, func() {
+			if r.err != nil {
+				return
+			}
+			t.ServiceCycles = t.service
+			t.sliceIters = len(t.spec.Trace.Iterations)
+			r.finish(t, r.eng.Now())
+		})
 		return
 	}
 	stall := price(len(t.blob))
@@ -536,14 +543,7 @@ func (r *fleetRun) boundary(t *Tenant) {
 			return
 		}
 		t.result, t.ses = res, nil
-		r.recordSlice(t, now)
-		t.state = tDone
-		t.finishAt = now
-		if r.sched != nil {
-			r.sched.Add(telemetry.SpanTenant, now, now, int64(t.ID), 1)
-		}
-		r.release(t)
-		r.reschedule()
+		r.finish(t, now)
 		return
 	}
 	if r.pol.Yield(t, r.pending, r.running, r.nfree) {
@@ -587,14 +587,9 @@ func (r *fleetRun) preempt(t *Tenant, now sim.Cycle) {
 	})
 }
 
-// finishDedicated seals a dedicated tenant's single possession.
-func (r *fleetRun) finishDedicated(t *Tenant) {
-	if r.err != nil {
-		return
-	}
-	now := r.eng.Now()
-	t.ServiceCycles = t.service
-	t.sliceIters = len(t.spec.Trace.Iterations)
+// finish seals the tenant's last possession at now and hands its nodes
+// on.
+func (r *fleetRun) finish(t *Tenant, now sim.Cycle) {
 	r.recordSlice(t, now)
 	t.state = tDone
 	t.finishAt = now

@@ -199,10 +199,9 @@ func (f *Flight) hop(path []int, h int, prevEnd, dur sim.Cycle, b int64, deliver
 
 // ExchangeStats summarizes one all-to-all exchange.
 type ExchangeStats struct {
-	Cycles         sim.Cycle // completion time of the whole exchange
-	TotalBytes     int64     // bytes crossing the interconnect
-	MaxEgressBytes int64     // heaviest sender (the injection bottleneck)
-	Messages       int64
+	Cycles     sim.Cycle // completion time of the whole exchange
+	TotalBytes int64     // bytes crossing the interconnect
+	Messages   int64
 }
 
 // Exchange runs an all-to-all personalized exchange of bytes[src][dst]
@@ -250,16 +249,5 @@ func ExchangeProbed(net Network, bytes [][]int64, pr *Probe) ExchangeStats {
 	}
 	eng.Run()
 	st.Cycles = finish
-	for src := 0; src < n; src++ {
-		var eb int64
-		for dst := 0; dst < n; dst++ {
-			if dst != src && bytes[src][dst] > 0 {
-				eb += bytes[src][dst]
-			}
-		}
-		if eb > st.MaxEgressBytes {
-			st.MaxEgressBytes = eb
-		}
-	}
 	return st
 }

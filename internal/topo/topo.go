@@ -185,7 +185,7 @@ func (c Config) Validate(nodes int) error {
 			return fmt.Errorf("topo: torus dimensions must be non-negative, got %dx%d", c.TorusX, c.TorusY)
 		}
 		x, y := c.torusShape(nodes)
-		if x < 1 || y < 1 || x*y != nodes {
+		if x < 1 || y < 1 || nodes%x != 0 || nodes/x != y { // x*y may overflow
 			return fmt.Errorf("topo: torus %dx%d is not a rectangular tiling of %d nodes", x, y, nodes)
 		}
 	case Dragonfly:

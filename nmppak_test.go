@@ -384,6 +384,12 @@ func TestUntrustedInputsError(t *testing.T) {
 			}))
 			return err
 		}},
+		{"SimulateScaleOut/torus shape past the int range", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) {
+				c.Nodes, c.Topo = 4, nmppak.TorusTopo(1<<62+1, 4) // x*y wraps to 4
+			}))
+			return err
+		}},
 		{"SimulateScaleOut/zero NMP config", func() error {
 			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.NMP = nmppak.NMPConfig{} }))
 			return err
