@@ -78,6 +78,22 @@ const (
 	maxBanksPerRank = 1 << 8
 )
 
+// Cycle bounds of the timing model. MaxTiming caps each timing parameter
+// (≈10 ms, over 1,300 refresh intervals of DDR4-3200) and MaxCycle every
+// timestamp a resumed channel or engine may hold (≈8 simulated days).
+// With both, no sum in AccessRow comes near int64's range: a train of
+// 2^25 bursts, the most a node of int32 bytes needs, adds at most
+// 2^49 cycles to a timestamp below 2^50.
+const (
+	MaxTiming = 1 << 24
+	MaxCycle  = sim.Cycle(1) << 50
+)
+
+// farPast is NewChannel's initial ACT and write-data time, early enough
+// that no window constraint binds at cycle 0. No timing field of a
+// channel's state is ever earlier.
+const farPast = sim.Cycle(-1 << 30)
+
 // Validate rejects a geometry or timing the channel model cannot run.
 func (c Config) Validate() error {
 	if c.Ranks < 1 || c.BanksPerRank < 1 {
@@ -95,9 +111,9 @@ func (c Config) Validate() error {
 	if c.TRFC >= c.TREFI {
 		return fmt.Errorf("dram: TRFC %d must be below TREFI %d (a refresh must end before the next is due)", c.TRFC, c.TREFI)
 	}
-	for _, v := range []int{c.TRCD, c.TRP, c.TCL, c.TCWL, c.TRAS, c.TRRD, c.TFAW, c.TWR, c.TRTP, c.TWTR, c.TRFC} {
-		if v < 0 {
-			return fmt.Errorf("dram: negative timing parameter %d", v)
+	for _, v := range []int{c.TRCD, c.TRP, c.TCL, c.TCWL, c.TBL, c.TRAS, c.TRRD, c.TFAW, c.TWR, c.TRTP, c.TWTR, c.TRFC, c.TREFI} {
+		if v < 0 || v > MaxTiming {
+			return fmt.Errorf("dram: timing parameter %d outside [0, %d] cycles", v, MaxTiming)
 		}
 	}
 	return nil
@@ -162,13 +178,10 @@ func NewChannel(cfg Config) *Channel {
 	for r := range ch.Ranks {
 		rk := &ch.Ranks[r]
 		rk.NextRefresh = sim.Cycle(cfg.TREFI)
-		// Far-past initial timestamps so window constraints are inactive
-		// at t=0.
-		const past = -1 << 30
-		rk.LastActAt = past
-		rk.WrDataEnd = past
+		rk.LastActAt = farPast
+		rk.WrDataEnd = farPast
 		for i := range rk.ActTimes {
-			rk.ActTimes[i] = past
+			rk.ActTimes[i] = farPast
 		}
 	}
 	return ch
@@ -194,7 +207,7 @@ func (ch *Channel) AccessRow(earliest sim.Cycle, rk, bk, row, blocks int, write 
 	if blocks <= 0 {
 		return earliest
 	}
-	cfg := ch.cfg
+	cfg := &ch.cfg
 	b := &ch.Banks[rk][bk]
 	r := &ch.Ranks[rk]
 
@@ -256,7 +269,10 @@ func (ch *Channel) AccessRow(earliest sim.Cycle, rk, bk, row, blocks int, write 
 	// position (clamped to the request's arrival), so a burst delayed by
 	// its bank's timing consumes capacity without head-of-line blocking
 	// unrelated accesses — the first-ready-first-served behaviour of an
-	// FR-FCFS controller.
+	// FR-FCFS controller. Each burst's data starts at the later of its
+	// command slot plus the latency and the bus pointer; after the first,
+	// both have advanced by tBL, so the bursts run back to back and the
+	// train ends blocks*tBL after the first one starts.
 	lat := sim.Cycle(cfg.TCL)
 	if write {
 		lat = sim.Cycle(cfg.TCWL)
@@ -265,14 +281,11 @@ func (ch *Channel) AccessRow(earliest sim.Cycle, rk, bk, row, blocks int, write 
 		ch.BusFree = earliest
 	}
 	busStart := ch.BusFree
-	var done sim.Cycle
-	for i := 0; i < blocks; i++ {
-		dataStart := maxCycle(t+lat, ch.BusFree)
-		ch.BusFree += sim.Cycle(cfg.TBL)
-		ch.Stats.BusBusyCycles += int64(cfg.TBL)
-		done = dataStart + sim.Cycle(cfg.TBL)
-		t = done - lat // next command slot
-	}
+	train := sim.Cycle(blocks) * sim.Cycle(cfg.TBL)
+	done := maxCycle(t+lat, busStart) + train
+	t = done - lat // next command slot
+	ch.BusFree += train
+	ch.Stats.BusBusyCycles += train
 	if ch.probe != nil {
 		// The reservation pointer is monotone, so [busStart, BusFree)
 		// windows never overlap and their lengths sum to BusBusyCycles.

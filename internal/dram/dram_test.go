@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math"
 	"testing"
 
 	"nmppak/internal/sim"
@@ -170,6 +171,30 @@ func TestValidateRejectsRefreshOverrun(t *testing.T) {
 	}
 }
 
+// Every timing parameter is capped at MaxTiming, so that no sum in
+// AccessRow can wrap.
+func TestValidateCapsTimings(t *testing.T) {
+	fields := []func(*Config) *int{
+		func(c *Config) *int { return &c.TRCD }, func(c *Config) *int { return &c.TRP },
+		func(c *Config) *int { return &c.TCL }, func(c *Config) *int { return &c.TCWL },
+		func(c *Config) *int { return &c.TBL }, func(c *Config) *int { return &c.TRAS },
+		func(c *Config) *int { return &c.TRRD }, func(c *Config) *int { return &c.TFAW },
+		func(c *Config) *int { return &c.TWR }, func(c *Config) *int { return &c.TRTP },
+		func(c *Config) *int { return &c.TWTR }, func(c *Config) *int { return &c.TREFI },
+	}
+	for i, field := range fields {
+		cfg := DDR4_3200()
+		*field(&cfg) = MaxTiming
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("field %d at MaxTiming rejected: %v", i, err)
+		}
+		*field(&cfg) = MaxTiming + 1
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("field %d past MaxTiming accepted", i)
+		}
+	}
+}
+
 // AccessRow skips every refresh due before an access in one step. It must
 // land where walking the refreshes one interval at a time does, however
 // far past the pending refresh the access arrives.
@@ -237,6 +262,16 @@ func TestResumeChannelRejects(t *testing.T) {
 		{"negative ActPtr", func(s *ChannelState) { s.Ranks[1].ActPtr = -1 }},
 		{"NextRefresh before TREFI", func(s *ChannelState) { s.Ranks[0].NextRefresh = sim.Cycle(cfg.TREFI) - 1 }},
 		{"NextRefresh far in the past", func(s *ChannelState) { s.Ranks[1].NextRefresh = -(1 << 62) }},
+		{"NextRefresh past the ceiling", func(s *ChannelState) { s.Ranks[0].NextRefresh = MaxCycle + 1 }},
+		{"BusFree near the int64 limit", func(s *ChannelState) { s.BusFree = math.MaxInt64 - 5 }},
+		{"BusFree before the far past", func(s *ChannelState) { s.BusFree = farPast - 1 }},
+		{"ActAt past the ceiling", func(s *ChannelState) { s.Banks[1][7].ActAt = MaxCycle + 1 }},
+		{"ReadyPre before the far past", func(s *ChannelState) { s.Banks[0][2].ReadyPre = -(1 << 62) }},
+		{"ReadyCmd past the ceiling", func(s *ChannelState) { s.Banks[0][0].ReadyCmd = 1 << 62 }},
+		{"PreDoneAt past the ceiling", func(s *ChannelState) { s.Banks[1][15].PreDoneAt = MaxCycle + 1 }},
+		{"ActTimes slot past the ceiling", func(s *ChannelState) { s.Ranks[1].ActTimes[3] = 1 << 62 }},
+		{"LastActAt before the far past", func(s *ChannelState) { s.Ranks[0].LastActAt = farPast - 1 }},
+		{"WrDataEnd past the ceiling", func(s *ChannelState) { s.Ranks[1].WrDataEnd = math.MaxInt64 }},
 	} {
 		st := NewChannel(cfg).State()
 		tc.edit(&st)
@@ -246,5 +281,10 @@ func TestResumeChannelRejects(t *testing.T) {
 	}
 	if _, err := ResumeChannel(cfg, NewChannel(cfg).State()); err != nil {
 		t.Fatalf("ResumeChannel rejected a fresh channel's state: %v", err)
+	}
+	edge := NewChannel(cfg).State()
+	edge.BusFree, edge.Banks[0][0].ActAt, edge.Ranks[1].LastActAt = MaxCycle, MaxCycle, farPast
+	if _, err := ResumeChannel(cfg, edge); err != nil {
+		t.Fatalf("ResumeChannel rejected timestamps at the bounds: %v", err)
 	}
 }

@@ -53,8 +53,9 @@ func (ch *Channel) State() ChannelState {
 // continues from st — typically decoded from a checkpoint, so untrusted.
 // It checks st's shape against cfg's geometry and the invariants the
 // timing model keeps (every ActPtr indexes ActTimes; no rank's next
-// refresh lies before the first, at TREFI), then adopts st: the channel
-// owns st's slices.
+// refresh lies before the first, at TREFI; every bank, rank and bus
+// timestamp lies in [farPast, MaxCycle], so no later sum wraps), then
+// adopts st: the channel owns st's slices.
 func ResumeChannel(cfg Config, st ChannelState) (*Channel, error) {
 	if len(st.Banks) != cfg.Ranks || len(st.Ranks) != cfg.Ranks {
 		return nil, fmt.Errorf("dram: state has %d ranks (%d rank entries), config has %d",
@@ -64,6 +65,15 @@ func ResumeChannel(cfg Config, st ChannelState) (*Channel, error) {
 		if len(banks) != cfg.BanksPerRank {
 			return nil, fmt.Errorf("dram: state rank %d has %d banks, config has %d", r, len(banks), cfg.BanksPerRank)
 		}
+		for b := range banks {
+			bk := &banks[b]
+			if !inRange(bk.ActAt, bk.ReadyPre, bk.ReadyCmd, bk.PreDoneAt) {
+				return nil, fmt.Errorf("dram: state rank %d bank %d holds a timestamp outside [%d, %d]", r, b, farPast, MaxCycle)
+			}
+		}
+	}
+	if !inRange(st.BusFree) {
+		return nil, fmt.Errorf("dram: state bus free at %d, outside [%d, %d]", st.BusFree, farPast, MaxCycle)
 	}
 	for r := range st.Ranks {
 		rk := &st.Ranks[r]
@@ -73,6 +83,20 @@ func ResumeChannel(cfg Config, st ChannelState) (*Channel, error) {
 		if rk.NextRefresh < sim.Cycle(cfg.TREFI) {
 			return nil, fmt.Errorf("dram: state rank %d NextRefresh %d before the first refresh at TREFI %d", r, rk.NextRefresh, cfg.TREFI)
 		}
+		a := rk.ActTimes
+		if !inRange(a[0], a[1], a[2], a[3], rk.LastActAt, rk.WrDataEnd, rk.NextRefresh) {
+			return nil, fmt.Errorf("dram: state rank %d holds a timestamp outside [%d, %d]", r, farPast, MaxCycle)
+		}
 	}
 	return &Channel{cfg: cfg, ChannelState: st}, nil
+}
+
+// inRange reports whether every timestamp lies in [farPast, MaxCycle].
+func inRange(ts ...sim.Cycle) bool {
+	for _, t := range ts {
+		if t < farPast || t > MaxCycle {
+			return false
+		}
+	}
+	return true
 }

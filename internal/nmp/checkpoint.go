@@ -52,9 +52,12 @@ func (e *Engine) Snapshot() (EngineState, error) {
 // iteration st.Next. Iterations before st.Next are never read again, so a
 // caller that reconstructs tr may substitute empty placeholders for them.
 // Every channel state is checked against cfg (dram.ResumeChannel), since
-// st is typically decoded from an untrusted blob. The engine owns st's
-// slices — the result's and every channel's — and steps them in place,
-// so the caller must not read or resume from st again.
+// st is typically decoded from an untrusted blob; so are the clock, which
+// must lie in [0, dram.MaxCycle], and the result, whose totals Result()
+// seals (Mem, BytesRead, BytesWrite, Iterations, Cycles, Seconds,
+// Utilization) must still be empty, as Snapshot leaves them. The engine
+// owns st's slices — the result's and every channel's — and steps them
+// in place, so the caller must not read or resume from st again.
 func ResumeEngine(tr *trace.Trace, cfg Config, st EngineState) (*Engine, error) {
 	if err := checkInputs(tr, cfg); err != nil {
 		return nil, err
@@ -64,6 +67,14 @@ func ResumeEngine(tr *trace.Trace, cfg Config, st EngineState) (*Engine, error) 
 	}
 	if len(st.Res.PerIter) != st.Next {
 		return nil, fmt.Errorf("nmp: state records %d iteration timings at cursor %d", len(st.Res.PerIter), st.Next)
+	}
+	if st.Clock < 0 || st.Clock > dram.MaxCycle {
+		return nil, fmt.Errorf("nmp: state clock %d outside [0, %d]", st.Clock, dram.MaxCycle)
+	}
+	if r := &st.Res; len(r.Mem) > 0 || r.BytesRead != 0 || r.BytesWrite != 0 || r.Iterations != 0 ||
+		r.Cycles != 0 || r.Seconds != 0 || r.Utilization != 0 {
+		return nil, fmt.Errorf("nmp: state result carries sealed totals (%d Mem entries, %d/%d bytes, %d iterations, %d cycles)",
+			len(r.Mem), r.BytesRead, r.BytesWrite, r.Iterations, r.Cycles)
 	}
 	if len(st.Channels) != cfg.Channels {
 		return nil, fmt.Errorf("nmp: state has %d channels, config has %d", len(st.Channels), cfg.Channels)

@@ -3,10 +3,12 @@ package nmp
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"reflect"
 	"testing"
 
 	"nmppak/internal/dram"
+	"nmppak/internal/sim"
 )
 
 // Snapshotting an engine at every iteration boundary and resuming from the
@@ -120,6 +122,32 @@ func TestEngineResumeErrors(t *testing.T) {
 	bad.Channels[1].Ranks = nil
 	if _, err := ResumeEngine(tr, cfg, bad); err == nil {
 		t.Error("ResumeEngine accepted a channel state without ranks")
+	}
+	// A state carrying the totals Result() seals would count them twice.
+	for _, forge := range []struct {
+		name string
+		edit func(*Result)
+	}{
+		{"a Mem entry", func(r *Result) { r.Mem = []dram.Stats{{BytesRead: 1 << 40}} }},
+		{"BytesRead", func(r *Result) { r.BytesRead = 1 << 40 }},
+		{"BytesWrite", func(r *Result) { r.BytesWrite = 1 }},
+		{"Iterations", func(r *Result) { r.Iterations = 1 }},
+		{"Cycles", func(r *Result) { r.Cycles = 1 }},
+		{"Seconds", func(r *Result) { r.Seconds = 1e-9 }},
+		{"Utilization", func(r *Result) { r.Utilization = 0.5 }},
+	} {
+		bad = st
+		forge.edit(&bad.Res)
+		if _, err := ResumeEngine(tr, cfg, bad); err == nil {
+			t.Errorf("ResumeEngine accepted a result with sealed %s", forge.name)
+		}
+	}
+	for _, clock := range []sim.Cycle{-1, dram.MaxCycle + 1, math.MaxInt64 - 5} {
+		bad = st
+		bad.Clock = clock
+		if _, err := ResumeEngine(tr, cfg, bad); err == nil {
+			t.Errorf("ResumeEngine accepted clock %d", clock)
+		}
 	}
 	narrow := cfg
 	narrow.Channels = cfg.Channels / 2

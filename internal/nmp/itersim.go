@@ -12,73 +12,77 @@ import (
 // consecutive 64 B blocks in one bank starting at (row, blk), never
 // straddling a row unless the node exceeds the row size. This realizes the
 // paper's layout assumption that MacroNodes sit inside the 8 KB row buffer.
+// The fields are int32, 20 bytes a node: a row index passes 2^31 only past
+// 16 TB of MacroNodes in one bank.
 type nodeLoc struct {
-	rank, bank, row, blk, blocks int
+	rank, bank, row, blk, blocks int32
 }
 
 // allocator packs nodes into a DIMM's rows, rotating across banks so
-// consecutive nodes enjoy bank-level parallelism.
+// consecutive nodes enjoy bank-level parallelism. A cursor steps through
+// the banks in rank-major order, so placing a node takes no division
+// unless it spans several rows.
 type allocator struct {
-	ranks, banks, rowBlocks int
-	nextBank                int
-	fill                    []int // [rank*banks]: blocks used in current row
-	rowAt                   []int // current row per bank
+	ranks, banks, rowBlocks int32
+	rank, bank, next        int32     // the next node's bank; next = rank*banks + bank
+	rows                    []bankRow // [rank*banks + bank]
 }
 
+// bankRow is a bank's current row and the blocks used in it.
+type bankRow struct{ row, fill int32 }
+
 func newAllocator(cfg dram.Config) allocator {
-	n := cfg.Ranks * cfg.BanksPerRank
 	return allocator{
-		ranks:     cfg.Ranks,
-		banks:     cfg.BanksPerRank,
-		rowBlocks: cfg.RowBytes / dram.BlockBytes,
-		fill:      make([]int, n),
-		rowAt:     make([]int, n),
+		ranks:     int32(cfg.Ranks),
+		banks:     int32(cfg.BanksPerRank),
+		rowBlocks: int32(cfg.RowBytes / dram.BlockBytes),
+		rows:      make([]bankRow, cfg.Ranks*cfg.BanksPerRank),
 	}
 }
 
 // reset empties every bank so packing starts over from row 0.
 func (a *allocator) reset() {
-	a.nextBank = 0
-	clear(a.fill)
-	clear(a.rowAt)
+	a.rank, a.bank, a.next = 0, 0, 0
+	clear(a.rows)
 }
 
-func (a *allocator) alloc(blocks int) nodeLoc {
-	n := a.ranks * a.banks
-	b := a.nextBank
-	a.nextBank = (a.nextBank + 1) % n
+// alloc places a node of the given blocks at loc.
+func (a *allocator) alloc(blocks int32, loc *nodeLoc) {
+	*loc = nodeLoc{rank: a.rank, bank: a.bank, blocks: blocks}
+	b := &a.rows[a.next]
+	a.next++
+	if a.bank++; a.bank == a.banks {
+		a.bank = 0
+		if a.rank++; a.rank == a.ranks {
+			a.rank, a.next = 0, 0
+		}
+	}
 	if blocks > a.rowBlocks {
 		// Oversized node: occupies whole consecutive rows of one bank.
-		rows := (blocks + a.rowBlocks - 1) / a.rowBlocks
-		loc := nodeLoc{rank: b / a.banks, bank: b % a.banks, row: a.rowAt[b], blk: 0, blocks: blocks}
-		a.rowAt[b] += rows
-		a.fill[b] = 0
-		return loc
+		loc.row = b.row
+		b.row += (blocks + a.rowBlocks - 1) / a.rowBlocks
+		b.fill = 0
+		return
 	}
-	if a.fill[b]+blocks > a.rowBlocks {
-		a.rowAt[b]++
-		a.fill[b] = 0
+	if b.fill+blocks > a.rowBlocks {
+		b.row++
+		b.fill = 0
 	}
-	loc := nodeLoc{rank: b / a.banks, bank: b % a.banks, row: a.rowAt[b], blk: a.fill[b], blocks: blocks}
-	a.fill[b] += blocks
-	return loc
+	loc.row, loc.blk = b.row, b.fill
+	b.fill += blocks
 }
 
 // access reads or writes `blocks` blocks of a node starting at its
 // location, splitting across rows for oversized nodes.
-func access(ch *dram.Channel, earliest sim.Cycle, loc nodeLoc, blocks int, write bool) sim.Cycle {
+func (is *iterSim) access(ch *dram.Channel, earliest sim.Cycle, loc nodeLoc, blocks int, write bool) sim.Cycle {
 	if blocks <= 0 {
 		return earliest
 	}
-	rowBlocks := ch.Config().RowBytes / dram.BlockBytes
 	t := earliest
-	row, blk := loc.row, loc.blk
+	row, blk := int(loc.row), int(loc.blk)
 	for blocks > 0 {
-		n := rowBlocks - blk
-		if n > blocks {
-			n = blocks
-		}
-		t = ch.AccessRow(t, loc.rank, loc.bank, row, n, write)
+		n := min(is.rowBlocks-blk, blocks)
+		t = ch.AccessRow(t, int(loc.rank), int(loc.bank), row, n, write)
 		blocks -= n
 		row++
 		blk = 0
@@ -112,7 +116,8 @@ var iterSimPool sync.Pool
 // callbacks are built once per value and reset in place for each
 // iteration, so a warm step allocates nothing.
 type iterSim struct {
-	shape simShape
+	shape     simShape
+	rowBlocks int // blocks per DRAM row
 
 	// Bound by reset for one iteration, cleared by release.
 	eng  *sim.Engine
@@ -124,13 +129,18 @@ type iterSim struct {
 
 	startAt sim.Cycle
 
-	loc       []nodeLoc
-	dimm      []int
-	homePE    []int // PE index within DIMM, or cpuHome
-	upd       []updState
-	pes       []pe // [dimm*PEsPerChannel + pe]
-	allocs    []allocator
-	dimmCount []int
+	nodes  []node
+	pes    []pe // [dimm*PEsPerChannel + pe]
+	allocs []allocator
+	nextPE []int // [dimm]: the PE the DIMM's next NMP node goes to
+
+	// The PEs' Stage P1 queues, PE after PE: pes[k] loads
+	// queue[pes[k].qpos:pes[k].qend] in order. used lists, ascending, the
+	// PEs whose queue is not empty; peFill counts and then places each
+	// PE's nodes.
+	queue  []p1Job
+	used   []int32
+	peFill []int32
 
 	// Transfers grouped by source node: iter.Transfers[tnOrder[k]] for k
 	// in [tnStart[i], tnStart[i+1]) are node i's, in trace order.
@@ -154,30 +164,65 @@ type iterSim struct {
 	onBegin, onCPURun func()
 }
 
-type updState struct {
-	expected, arrived int
+// node is a MacroNode's state for one iteration: its placement, home and
+// Stage P3 update, in one 64-byte struct, so that routing a TransferNode
+// to it or updating it touches one cache line.
+type node struct {
+	loc               nodeLoc
+	dimm              int32
+	homePE            int32 // PE index within the DIMM, or cpuHome
+	expected, arrived int32 // TransferNodes routed to the node, and landed
 	op                trace.UpdateOp
 	hasOp             bool
 	tnBytes           int64
 }
 
-type pe struct {
-	dimm, idx   int
-	queue       []int
-	qpos        int
-	outstanding int // in-flight Stage P1 loads
-	p1CompFree  sim.Cycle
-	p1Pending   fifo // invalidated nodes whose P1 check is scheduled, in order
-	p2Queue     fifo
-	p2Busy      bool
-	p2Node      int // the node in Stage P2 while p2Busy
-	p3Queue     fifo
-	p3Busy      int // in-flight Stage P3 chains
-	p3Slots     []p3Slot
-	p3Free      []int // indices of idle p3Slots
-	scratch     int64
+// p1Job is one node's Stage P1 work, gathered by reset in one sequential
+// pass over the trace, so that a PE streams through its queue without
+// touching the node arrays.
+type p1Job struct {
+	loc         nodeLoc
+	node        int32
+	d1Blocks    int32
+	exts        int32
+	invalidated bool
+}
 
-	onLoad, onP1, onP2 func()
+// pe is one processing element. The fields every Stage P1 event reads or
+// writes come first, in 56 bytes; the Stage P2 and P3 state after them is
+// touched once per invalidated or updated node.
+type pe struct {
+	ch           *dram.Channel // the PE's channel, bound by begin
+	p1CompFree   sim.Cycle
+	onLoad, onP1 func()
+	qpos, qend   int32 // the nodes still to load: iterSim.queue[qpos:qend]
+	p1Next       int32 // queue position the next P1->P2 handoff scans from
+	outstanding  int32 // in-flight Stage P1 loads
+	dimm, idx    int32
+
+	p2Busy  bool
+	p2Node  int // the node in Stage P2 while p2Busy
+	p2Queue fifo
+	p3Queue fifo
+	p3Busy  int // in-flight Stage P3 chains
+	p3Slots []p3Slot
+	p3Free  []int // indices of idle p3Slots
+	scratch int64
+	onP2    func()
+}
+
+// idle empties the PE's Stage P1–P3 state and frees every P3 slot.
+func (p *pe) idle() {
+	p.p1CompFree, p.outstanding = 0, 0
+	p.p2Busy = false
+	p.p2Queue.reset()
+	p.p3Queue.reset()
+	p.p3Busy = 0
+	p.p3Free = p.p3Free[:0]
+	for s := range p.p3Slots {
+		p.p3Free = append(p.p3Free, s)
+	}
+	p.scratch = 0
 }
 
 // p3Slot carries one in-flight Stage P3 chain to its write-back.
@@ -238,6 +283,9 @@ func acquireIterSim(cfg *Config) *iterSim {
 // release drops the iteration's references and returns is to the pool.
 func (is *iterSim) release() {
 	is.eng, is.chs, is.cfg, is.tr, is.iter, is.res = nil, nil, nil, nil, nil, nil
+	for _, k := range is.used {
+		is.pes[k].ch = nil
+	}
 	iterSimPool.Put(is)
 }
 
@@ -247,26 +295,27 @@ func (is *iterSim) release() {
 // Each callback is built once and scheduled again every time, so the
 // state a callback needs must be findable without capturing it:
 //   - P1 load-done needs only its PE.
-//   - The P1->P2 handoff pops the PE's p1Pending FIFO. A PE's P1 completion
-//     times never decrease and equal times pop in scheduling order, so
-//     handoffs run in the order their nodes were pushed.
+//   - The P1->P2 handoff takes the PE's next invalidated node in queue
+//     order. A PE's P1 completion times never decrease and equal times
+//     pop in scheduling order, so handoffs run in the order the PE loaded
+//     their nodes.
 //   - P2 completion reads p2Node: a PE runs one P2 at a time.
 //   - P3 write-back owns one of P3QueueDepth slots, taken from a free list
 //     while at most P3QueueDepth chains are in flight.
 func newIterSim(shape simShape, cfg *Config) *iterSim {
-	is := &iterSim{shape: shape}
+	is := &iterSim{shape: shape, rowBlocks: shape.rowBytes / dram.BlockBytes}
 	is.onBegin = is.begin
 	is.onCPURun = is.cpuRun
 	depth := p3Depth(cfg)
 	is.pes = make([]pe, shape.channels*shape.pes)
 	for k := range is.pes {
 		p := &is.pes[k]
-		p.dimm, p.idx = k/shape.pes, k%shape.pes
+		p.dimm, p.idx = int32(k/shape.pes), int32(k%shape.pes)
 		p.onLoad = func() {
 			p.outstanding--
 			is.peNext(p)
 		}
-		p.onP1 = func() { is.peP2(p, p.p1Pending.pop()) }
+		p.onP1 = func() { is.peP2(p, is.p1Handoff(p)) }
 		p.onP2 = func() {
 			is.routeTNs(p, p.p2Node)
 			p.p2Busy = false
@@ -277,12 +326,14 @@ func newIterSim(shape simShape, cfg *Config) *iterSim {
 		for s := range p.p3Slots {
 			p.p3Slots[s].onWriteBack = func() { is.p3WriteBack(p, s) }
 		}
+		p.idle()
 	}
 	is.allocs = make([]allocator, shape.channels)
 	for d := range is.allocs {
 		is.allocs[d] = newAllocator(cfg.DRAM)
 	}
-	is.dimmCount = make([]int, shape.channels)
+	is.nextPE = make([]int, shape.channels)
+	is.peFill = make([]int32, len(is.pes))
 	is.xbarFree = make([]sim.Cycle, shape.channels*shape.pes)
 	is.bridgeOut = make([]sim.Cycle, shape.channels)
 	is.bridgeIn = make([]sim.Cycle, shape.channels)
@@ -291,77 +342,98 @@ func newIterSim(shape simShape, cfg *Config) *iterSim {
 
 // reset binds is to one iteration starting at start and lays it out:
 // DIMM placement, PE assignment, transfer grouping and update targets.
+// It idles only the PEs the previous iteration used; the rest have been
+// idle since. Placement makes one pass over the nodes with no search or
+// division: the DIMM by a merge walk of the ascending keys against the
+// quantile edges (trace.DIMMWalk), the blocks by the DIMM allocator's
+// bank cursor, the PE round robin within the DIMM. A counting sort then
+// lays out each PE's Stage P1 queue.
 func (is *iterSim) reset(eng *sim.Engine, chs []*dram.Channel, cfg *Config, tr *trace.Trace, iter *trace.Iteration, start sim.Cycle, res *Result) {
 	is.eng, is.chs, is.cfg, is.tr, is.iter, is.res = eng, chs, cfg, tr, iter, res
 	is.startAt = start
 	is.cpuQueue, is.cpuHead = is.cpuQueue[:0], 0
 	is.cpuIdle = cfg.CPUThreads
 	is.cpuNodes = is.cpuNodes[:0]
-	is.nmpNodes = 0
 	is.lastNMP, is.lastCPU = start, start
-	for k := range is.pes {
-		p := &is.pes[k]
-		p.queue, p.qpos = p.queue[:0], 0
-		p.outstanding, p.p1CompFree = 0, 0
-		p.p1Pending.reset()
-		p.p2Queue.reset()
-		p.p2Busy = false
-		p.p3Queue.reset()
-		p.p3Busy = 0
-		p.p3Free = p.p3Free[:0]
-		for s := range p.p3Slots {
-			p.p3Free = append(p.p3Free, s)
-		}
-		p.scratch = 0
+	// Only the PEs the previous iteration used have left any state.
+	for _, k := range is.used {
+		is.pes[k].idle()
 	}
 	for d := range is.allocs {
 		is.allocs[d].reset()
 	}
-	clear(is.dimmCount)
+	clear(is.nextPE)
+	clear(is.peFill)
 	clear(is.xbarFree)
 	clear(is.bridgeOut)
 	clear(is.bridgeIn)
 
 	// Layout + PE assignment.
 	n := len(iter.Nodes)
-	is.loc = resize(is.loc, n)
-	is.dimm = resize(is.dimm, n)
-	is.homePE = resize(is.homePE, n)
+	is.nodes = resize(is.nodes, n)
+	q := iter.Quantiles
+	if cfg.StaticMapping {
+		q = tr.Quantiles
+	}
+	dimms := trace.NewDIMMWalk(q, cfg.Channels)
 	for i := range iter.Nodes {
 		nd := &iter.Nodes[i]
-		var d int
-		if cfg.StaticMapping {
-			d = tr.DIMMOf(nd.Key, cfg.Channels)
-		} else {
-			d = iter.DIMMOf(nd.Key, cfg.Channels)
-		}
-		is.dimm[i] = d
+		d := dimms.Of(nd.Key)
+		st := &is.nodes[i]
+		*st = node{}
+		st.dimm = int32(d)
 		size := int(nd.D1 + nd.D2)
-		is.loc[i] = is.allocs[d].alloc(dram.BlocksFor(size))
+		is.allocs[d].alloc(int32(dram.BlocksFor(size)), &st.loc)
 		if cfg.HybridThresholdBytes > 0 && size > cfg.HybridThresholdBytes {
-			is.homePE[i] = cpuHome
+			st.homePE = cpuHome
 			is.cpuNodes = append(is.cpuNodes, i)
 			res.NodesCPU++
 			continue
 		}
-		peIdx := is.dimmCount[d] % cfg.PEsPerChannel
-		is.dimmCount[d]++
-		is.homePE[i] = peIdx
-		p := is.pe(d, peIdx)
-		p.queue = append(p.queue, i)
-		is.nmpNodes++
-		res.NodesNMP++
+		peIdx := is.nextPE[d]
+		if is.nextPE[d]++; is.nextPE[d] == is.shape.pes {
+			is.nextPE[d] = 0
+		}
+		st.homePE = int32(peIdx)
+		is.peFill[d*is.shape.pes+peIdx]++
+	}
+	is.nmpNodes = n - len(is.cpuNodes)
+	res.NodesNMP += int64(is.nmpNodes)
+
+	// The P1 queues, by counting sort: each PE's nodes in node order.
+	is.used = is.used[:0]
+	pos := int32(0)
+	for k, c := range is.peFill {
+		if c > 0 {
+			p := &is.pes[k]
+			p.qpos, p.p1Next = pos, pos
+			is.used = append(is.used, int32(k))
+		}
+		is.peFill[k] = pos
+		pos += c
+	}
+	is.queue = resize(is.queue, int(pos))
+	for i := range is.nodes {
+		if st := &is.nodes[i]; st.homePE != cpuHome {
+			k := int(st.dimm)*is.shape.pes + int(st.homePE)
+			nd := &iter.Nodes[i]
+			job := &is.queue[is.peFill[k]]
+			job.loc, job.node, job.d1Blocks = st.loc, int32(i), int32(dram.BlocksFor(int(nd.D1)))
+			job.exts, job.invalidated = nd.Exts, nd.Invalidated
+			is.peFill[k]++
+		}
+	}
+	for _, k := range is.used {
+		is.pes[k].qend = is.peFill[k]
 	}
 
 	// Transfers grouped by source (count, prefix-sum, fill; stable within
 	// a source) and update targets.
-	is.upd = resize(is.upd, n)
-	clear(is.upd)
 	is.tnStart = resize(is.tnStart, n+1)
 	clear(is.tnStart)
 	for _, tn := range iter.Transfers {
 		is.tnStart[tn.SrcIdx+1]++
-		is.upd[tn.DstIdx].expected++
+		is.nodes[tn.DstIdx].expected++
 	}
 	for i := 1; i <= n; i++ {
 		is.tnStart[i] += is.tnStart[i-1]
@@ -380,7 +452,7 @@ func (is *iterSim) reset(eng *sim.Engine, chs []*dram.Channel, cfg *Config, tr *
 		})
 	}
 	for _, u := range iter.Updates {
-		st := &is.upd[u.DstIdx]
+		st := &is.nodes[u.DstIdx]
 		st.op, st.hasOp = u, true
 	}
 }
@@ -392,13 +464,13 @@ func p3Depth(cfg *Config) int { return max(cfg.P3QueueDepth, 1) }
 // kickoff schedules the iteration's opening event at its start time.
 func (is *iterSim) kickoff() { is.eng.At(is.startAt, is.onBegin) }
 
-// begin starts every PE's Stage P1, the CPU-offloaded scans and the
-// updates that wait for no TransferNodes.
+// begin starts the Stage P1 of every PE with nodes, the CPU-offloaded
+// scans and the updates that wait for no TransferNodes.
 func (is *iterSim) begin() {
-	for k := range is.pes {
-		if p := &is.pes[k]; len(p.queue) > 0 {
-			is.peNext(p)
-		}
+	for _, k := range is.used {
+		p := &is.pes[k]
+		p.ch = is.chs[p.dimm]
+		is.peNext(p)
 	}
 	// CPU-offloaded scans.
 	for _, i := range is.cpuNodes {
@@ -412,8 +484,8 @@ func (is *iterSim) begin() {
 		is.cpuSubmit(job)
 	}
 	// Updates that expect no routed TransferNodes start immediately.
-	for i := range is.upd {
-		if is.upd[i].hasOp && is.upd[i].expected == 0 {
+	for i := range is.nodes {
+		if st := &is.nodes[i]; st.hasOp && st.expected == 0 {
 			is.startUpdate(int32(i))
 		}
 	}
@@ -426,11 +498,11 @@ func maxc(a, b sim.Cycle) sim.Cycle {
 	return b
 }
 
-func (is *iterSim) p1Cycles(n *trace.NodeOp) sim.Cycle {
+func (is *iterSim) p1Cycles(exts int32) sim.Cycle {
 	if is.cfg.IdealPE {
 		return 1
 	}
-	return is.cfg.P1Base + is.cfg.P1PerExt*sim.Cycle(n.Exts)
+	return is.cfg.P1Base + is.cfg.P1PerExt*sim.Cycle(exts)
 }
 
 func (is *iterSim) p2Cycles(n *trace.NodeOp) sim.Cycle {
@@ -451,25 +523,30 @@ func (is *iterSim) p3Cycles(tns int) sim.Cycle {
 // in flight ("Buffer for next MNs" in Fig. 10), with the invalidation-check
 // ALU running behind the load stream.
 func (is *iterSim) peNext(p *pe) {
-	depth := is.cfg.PELoadQueueDepth
-	if depth < 1 {
-		depth = 1
-	}
-	for p.outstanding < depth && p.qpos < len(p.queue) {
-		i := p.queue[p.qpos]
+	depth := int32(max(is.cfg.PELoadQueueDepth, 1))
+	for p.outstanding < depth && p.qpos < p.qend {
+		job := &is.queue[p.qpos]
 		p.qpos++
 		p.outstanding++
-		n := &is.iter.Nodes[i]
-		ch := is.chs[p.dimm]
-		d1Blocks := dram.BlocksFor(int(n.D1))
-		loadDone := access(ch, is.eng.Now(), is.loc[i], d1Blocks, false)
-		compDone := maxc(loadDone, p.p1CompFree) + is.p1Cycles(n)
+		loadDone := is.access(p.ch, is.eng.Now(), job.loc, int(job.d1Blocks), false)
+		compDone := maxc(loadDone, p.p1CompFree) + is.p1Cycles(job.exts)
 		p.p1CompFree = compDone
 		is.noteNMP(compDone)
 		is.eng.At(loadDone, p.onLoad)
-		if n.Invalidated {
-			p.p1Pending.push(i)
+		if job.invalidated {
 			is.eng.At(compDone, p.onP1)
+		}
+	}
+}
+
+// p1Handoff returns the PE's next invalidated node in queue order, the one
+// whose P1 check completes now, and moves past it.
+func (is *iterSim) p1Handoff(p *pe) int {
+	for {
+		job := &is.queue[p.p1Next]
+		p.p1Next++
+		if job.invalidated {
+			return int(job.node)
 		}
 	}
 }
@@ -491,12 +568,12 @@ func (is *iterSim) pumpP2(p *pe) {
 	i := p.p2Queue.pop()
 	p.p2Node = i
 	n := &is.iter.Nodes[i]
-	ch := is.chs[p.dimm]
+	ch := p.ch
 	total := dram.BlocksFor(int(n.D1 + n.D2))
 	d2Blocks := total - dram.BlocksFor(int(n.D1))
-	loc := is.loc[i]
-	loc.blk += dram.BlocksFor(int(n.D1))
-	d2Done := access(ch, is.eng.Now(), loc, d2Blocks, false)
+	loc := is.nodes[i].loc
+	loc.blk += int32(dram.BlocksFor(int(n.D1)))
+	d2Done := is.access(ch, is.eng.Now(), loc, d2Blocks, false)
 	p2Done := d2Done + is.p2Cycles(n)
 	is.noteNMP(p2Done)
 	is.eng.At(p2Done, p.onP2)
@@ -507,11 +584,12 @@ func (is *iterSim) pumpP2(p *pe) {
 // P3 routing).
 func (is *iterSim) routeTNs(p *pe, i int) {
 	now := is.eng.Now()
+	srcDimm, srcPE := int(p.dimm), int(p.idx)
 	for _, j := range is.tnOrder[is.tnStart[i]:is.tnStart[i+1]] {
 		tn := &is.iter.Transfers[j]
 		dst := int(tn.DstIdx)
-		dstDimm := is.dimm[dst]
-		dstPE := is.homePE[dst]
+		dstDimm := int(is.nodes[dst].dimm)
+		dstPE := int(is.nodes[dst].homePE)
 		bytes := int(tn.TNBytes)
 		var arrival sim.Cycle
 		switch {
@@ -520,10 +598,10 @@ func (is *iterSim) routeTNs(p *pe, i int) {
 			// host through the channel interface.
 			arrival = now + is.cfg.CPUExtraLatency
 			is.res.TNInterDIMM++ // leaves the DIMM either way
-		case dstDimm == p.dimm && dstPE == p.idx:
+		case dstDimm == srcDimm && dstPE == srcPE:
 			arrival = now + 1
 			is.res.TNSamePE++
-		case dstDimm == p.dimm:
+		case dstDimm == srcDimm:
 			port := &is.xbarFree[dstDimm*is.shape.pes+dstPE]
 			slot := maxc(now, *port)
 			dur := sim.Cycle(float64(bytes)/is.cfg.CrossbarBytesPerCy) + 1
@@ -531,7 +609,7 @@ func (is *iterSim) routeTNs(p *pe, i int) {
 			arrival = slot + dur + is.cfg.CrossbarLatency
 			is.res.TNIntraDIMM++
 		default:
-			out := &is.bridgeOut[p.dimm]
+			out := &is.bridgeOut[srcDimm]
 			slot := maxc(now, *out)
 			dur := sim.Cycle(float64(bytes)/is.cfg.BridgeBytesPerCy) + 1
 			*out = slot + dur
@@ -550,11 +628,11 @@ func (is *iterSim) routeTNs(p *pe, i int) {
 // mailbox); once all TransferNodes for a destination have arrived, its
 // Stage P3 update is eligible.
 func (is *iterSim) deliverTN(dst, bytes int) {
-	st := &is.upd[dst]
+	st := &is.nodes[dst]
 	st.arrived++
 	st.tnBytes += int64(bytes)
-	if is.homePE[dst] != cpuHome {
-		p := is.pe(is.dimm[dst], is.homePE[dst])
+	if st.homePE != cpuHome {
+		p := is.pe(int(st.dimm), int(st.homePE))
 		p.scratch += int64(bytes)
 		if p.scratch > is.res.ScratchPeakBytes {
 			is.res.ScratchPeakBytes = p.scratch
@@ -572,8 +650,9 @@ func (is *iterSim) deliverTN(dst, bytes int) {
 // to the CPU pool for offloaded nodes.
 func (is *iterSim) startUpdate(dst int32) {
 	d := int(dst)
-	if is.homePE[d] == cpuHome {
-		op := &is.upd[d].op
+	st := &is.nodes[d]
+	if st.homePE == cpuHome {
+		op := &st.op
 		is.cpuSubmit(cpuJob{
 			node:    d,
 			read:    int(op.ReadBytes),
@@ -582,7 +661,7 @@ func (is *iterSim) startUpdate(dst int32) {
 		})
 		return
 	}
-	p := is.pe(is.dimm[d], is.homePE[d])
+	p := is.pe(int(st.dimm), int(st.homePE))
 	p.p3Queue.push(d)
 	is.pumpP3(p)
 }
@@ -595,15 +674,15 @@ func (is *iterSim) pumpP3(p *pe) {
 	for p.p3Busy < depth && !p.p3Queue.empty() {
 		p.p3Busy++
 		d := p.p3Queue.pop()
-		st := &is.upd[d]
-		ch := is.chs[p.dimm]
+		st := &is.nodes[d]
+		ch := p.ch
 		readBytes := float64(st.op.ReadBytes) * (1 - is.cfg.ForwardingHitRate)
-		rd := access(ch, is.eng.Now(), is.loc[d], dram.BlocksFor(int(readBytes)), false)
-		comp := rd + is.p3Cycles(st.expected)
+		rd := is.access(ch, is.eng.Now(), st.loc, dram.BlocksFor(int(readBytes)), false)
+		comp := rd + is.p3Cycles(int(st.expected))
 		s := p.p3Free[len(p.p3Free)-1]
 		p.p3Free = p.p3Free[:len(p.p3Free)-1]
 		slot := &p.p3Slots[s]
-		slot.loc = is.loc[d]
+		slot.loc = st.loc
 		slot.wrBlocks = dram.BlocksFor(int(st.op.WriteBytes))
 		slot.tnBytes = st.tnBytes
 		is.eng.At(comp, slot.onWriteBack)
@@ -615,7 +694,7 @@ func (is *iterSim) pumpP3(p *pe) {
 // not stall on it.
 func (is *iterSim) p3WriteBack(p *pe, s int) {
 	slot := &p.p3Slots[s]
-	wr := access(is.chs[p.dimm], is.eng.Now(), slot.loc, slot.wrBlocks, true)
+	wr := is.access(p.ch, is.eng.Now(), slot.loc, slot.wrBlocks, true)
 	is.noteNMP(wr)
 	p.scratch -= slot.tnBytes
 	p.p3Busy--
@@ -648,8 +727,8 @@ func (is *iterSim) cpuRun() {
 	k := is.cpuHead
 	is.cpuHead++
 	job := &is.cpuQueue[k]
-	ch := is.chs[is.dimm[job.node]]
-	t := access(ch, is.eng.Now(), is.loc[job.node], dram.BlocksFor(job.read), false)
+	st := &is.nodes[job.node]
+	t := is.access(is.chs[st.dimm], is.eng.Now(), st.loc, dram.BlocksFor(job.read), false)
 	t += is.cfg.CPUExtraLatency + job.compute
 	is.eng.At(t, is.cpuSteps[k].onRead)
 }
@@ -659,8 +738,8 @@ func (is *iterSim) cpuWrite(k int) {
 	job := &is.cpuQueue[k]
 	done := is.eng.Now()
 	if job.write > 0 {
-		ch := is.chs[is.dimm[job.node]]
-		done = access(ch, done, is.loc[job.node], dram.BlocksFor(job.write), true) + is.cfg.CPUExtraLatency
+		st := &is.nodes[job.node]
+		done = is.access(is.chs[st.dimm], done, st.loc, dram.BlocksFor(job.write), true) + is.cfg.CPUExtraLatency
 	}
 	is.noteCPU(done)
 	is.eng.At(done, is.cpuSteps[k].onWrite)

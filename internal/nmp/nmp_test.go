@@ -1,9 +1,11 @@
 package nmp
 
 import (
+	"math/rand"
 	"testing"
 
 	"nmppak/internal/compact"
+	"nmppak/internal/dram"
 	"nmppak/internal/genome"
 	"nmppak/internal/kmer"
 	"nmppak/internal/pakgraph"
@@ -223,13 +225,14 @@ func TestValidation(t *testing.T) {
 
 func TestAllocatorPacksRows(t *testing.T) {
 	a := newAllocator(DefaultConfig().DRAM)
-	seen := map[[3]int]int{}
+	seen := map[[3]int32]int{}
 	for i := 0; i < 1000; i++ {
-		loc := a.alloc(4) // 256 B nodes
+		var loc nodeLoc
+		a.alloc(4, &loc) // 256 B nodes
 		if loc.blk+4 > 128 {
 			t.Fatalf("node straddles row: %+v", loc)
 		}
-		seen[[3]int{loc.rank, loc.bank, loc.row}] += 4
+		seen[[3]int32{loc.rank, loc.bank, loc.row}] += 4
 	}
 	for k, used := range seen {
 		if used > 128 {
@@ -237,8 +240,70 @@ func TestAllocatorPacksRows(t *testing.T) {
 		}
 	}
 	// Oversized allocation spans rows.
-	big := a.alloc(300)
+	var big nodeLoc
+	a.alloc(300, &big)
 	if big.blocks != 300 || big.blk != 0 {
 		t.Fatalf("oversized alloc %+v", big)
+	}
+}
+
+// refAlloc is the allocator's placement by division: bank b = the node's
+// index modulo ranks*banks, at rank b/banks and bank b%banks.
+type refAlloc struct {
+	ranks, banks, rowBlocks, next int
+	fill, rowAt                   []int
+}
+
+func (a *refAlloc) alloc(blocks int) [5]int {
+	n := a.ranks * a.banks
+	b := a.next
+	a.next = (a.next + 1) % n
+	if blocks > a.rowBlocks {
+		rows := (blocks + a.rowBlocks - 1) / a.rowBlocks
+		loc := [5]int{b / a.banks, b % a.banks, a.rowAt[b], 0, blocks}
+		a.rowAt[b] += rows
+		a.fill[b] = 0
+		return loc
+	}
+	if a.fill[b]+blocks > a.rowBlocks {
+		a.rowAt[b]++
+		a.fill[b] = 0
+	}
+	loc := [5]int{b / a.banks, b % a.banks, a.rowAt[b], a.fill[b], blocks}
+	a.fill[b] += blocks
+	return loc
+}
+
+// The cursor allocator places every node where dividing by the bank count
+// does, over a grid of geometries and node sizes, across a reset.
+func TestAllocatorMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, ranks := range []int{1, 2, 3, 4} {
+		for _, banks := range []int{1, 2, 5, 16} {
+			for _, rowBytes := range []int{64, 1024, 8192} {
+				cfg := dram.DDR4_3200()
+				cfg.Ranks, cfg.BanksPerRank, cfg.RowBytes = ranks, banks, rowBytes
+				rowBlocks := rowBytes / dram.BlockBytes
+				got := newAllocator(cfg)
+				for round := range 2 {
+					got.reset()
+					want := refAlloc{ranks: ranks, banks: banks, rowBlocks: rowBlocks,
+						fill: make([]int, ranks*banks), rowAt: make([]int, ranks*banks)}
+					for i := range 500 {
+						blocks := 1 + rng.Intn(rowBlocks+rowBlocks/2)
+						if i%37 == 0 {
+							blocks = 3*rowBlocks + rng.Intn(rowBlocks) // oversized
+						}
+						var loc nodeLoc
+						got.alloc(int32(blocks), &loc)
+						g := [5]int{int(loc.rank), int(loc.bank), int(loc.row), int(loc.blk), int(loc.blocks)}
+						if w := want.alloc(blocks); g != w {
+							t.Fatalf("%dx%d banks, %d B rows, round %d, node %d (%d blocks): placed at %v, division places at %v",
+								ranks, banks, rowBytes, round, i, blocks, g, w)
+						}
+					}
+				}
+			}
+		}
 	}
 }

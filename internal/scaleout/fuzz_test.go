@@ -1,6 +1,8 @@
 package scaleout
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -108,8 +110,8 @@ const (
 // engine field — node i's resume cursor, clock or iteration-timing count,
 // or one bank, rank or bus field of one of its DRAM channels, picked by
 // pos — to val, re-marshals it and restores it. The contract: an error
-// or a result, never a panic, and never a restore that outlives the time
-// bound.
+// or a result, never a panic, never a restore that outlives the time
+// bound, and never a result whose cycles are negative or run backwards.
 func FuzzRestoreEngineState(f *testing.F) {
 	reads := testReads(f, 3_000)
 	tr := testTrace(f, reads, 32, 3)
@@ -136,6 +138,9 @@ func FuzzRestoreEngineState(f *testing.F) {
 		{0, edWrDataEnd, 6, 1 << 62},
 		{0, edNextRefresh, 0, -(1 << 62)},
 		{1, edBusFree, 1, 1 << 62},
+		{0, edBusFree, 0, math.MaxInt64 - 5},
+		{0, edClock, 0, math.MaxInt64 - 5},
+		{1, edWrDataEnd, 3, math.MinInt64},
 	} {
 		f.Add(seed.node, seed.field, seed.pos, seed.val)
 	}
@@ -152,16 +157,45 @@ func FuzzRestoreEngineState(f *testing.F) {
 		// A Restore past the bound fails the run; its goroutine is left
 		// behind, since nothing can stop a hung one.
 		done := make(chan struct{})
+		var res *Result
 		go func() {
 			defer close(done)
-			Restore(tr, cfg, data) // an error or a result; a panic crashes
+			res, err = Restore(tr, cfg, data) // an error or a result; a panic crashes
 		}()
 		select {
 		case <-done:
 		case <-time.After(20 * time.Second):
 			t.Fatalf("Restore after setting engine field %d (pos %d) of node %d to %d did not return within 20 s", int(field)%numEngineEdits, pos, node, val)
 		}
+		if err == nil {
+			if msg := cyclesRunBackwards(res); msg != "" {
+				t.Fatalf("Restore after setting engine field %d (pos %d) of node %d to %d: %s", int(field)%numEngineEdits, pos, node, val, msg)
+			}
+		}
 	})
+}
+
+// cyclesRunBackwards describes the first cycle count of res that is
+// negative or decreasing — the total, a node's cycles, or an iteration
+// that ends before it starts or starts before the previous one ends — or
+// returns "" when there is none.
+func cyclesRunBackwards(res *Result) string {
+	if res.TotalCycles < 0 {
+		return fmt.Sprintf("TotalCycles %d", res.TotalCycles)
+	}
+	for i, r := range res.NMP {
+		if r.Cycles < 0 {
+			return fmt.Sprintf("node %d ends at cycle %d", i, r.Cycles)
+		}
+		prev := sim.Cycle(0)
+		for k, it := range r.PerIter {
+			if it.Start < prev || it.End < it.Start {
+				return fmt.Sprintf("node %d iteration %d runs [%d, %d] after an iteration ending at %d", i, k, it.Start, it.End, prev)
+			}
+			prev = it.End
+		}
+	}
+	return ""
 }
 
 // editEngine sets the engine field ed of st to val; pos picks the

@@ -10,13 +10,15 @@ import (
 // self-refilling event population (as the hardware models produce) with a
 // scattered timestamp pattern, exercising radix-bucket pushes, refills and
 // the FIFO order of equal-time events. Each iteration starts a fresh
-// Engine, so it also covers taking the buckets from the pool and
-// returning them.
+// Engine, so it also covers taking the queue from the pool and returning
+// it. It reports the refill moves per dispatched event as moves/event.
 func BenchmarkEventKernel(b *testing.B) {
 	const window = 512
 	b.ReportAllocs()
+	var p sim.Probe
 	for b.Loop() {
 		var e sim.Engine
+		e.SetProbe(&p)
 		n := 0
 		var spawn func()
 		spawn = func() {
@@ -34,4 +36,5 @@ func BenchmarkEventKernel(b *testing.B) {
 		e.At(0, spawn)
 		e.Run()
 	}
+	b.ReportMetric(float64(p.Moves)/float64(p.Dispatched), "moves/event")
 }

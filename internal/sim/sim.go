@@ -7,24 +7,43 @@
 // simulator cycle is one PE cycle and one DRAM command slot (0.625 ns).
 //
 // The scheduler is a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
-// JACM 1990). At clamps every event to the current time, so no event is
-// ever scheduled before the last one popped, and that time — the clock —
-// can serve as the radix base: an event at t sits in bucket
-// bits.Len64(t^now), the position of the highest bit where t differs from
-// now. Every event in a lower bucket is earlier than every event in a
-// higher one, and bucket 0 holds exactly the events due now. Pushing is
-// an append. Popping drains bucket 0 from its head; when it is empty, the
-// smallest non-empty bucket is scanned for its minimum, the clock moves
-// there and that bucket is redistributed, in order, into the lower ones.
-// Equal-time events therefore always share a bucket in the order they were
-// scheduled, so ties fire first-in first-out by construction and the pop
-// order — and every simulation outcome — is the same total (time, arrival)
-// order a comparison heap with a sequence-number tie-break would give.
+// JACM 1990) with digits of digitBits bits, laid out like a hierarchical
+// timing wheel (Varghese & Lauck, SOSP 1987). At clamps every event to the
+// current time, so no event is ever scheduled before the last one popped,
+// and that time — the clock — serves as the radix base. An event at t sits
+// at level l = (bits.Len64(t^now)-1)/digitBits, the digit holding the
+// highest bit where t differs from now, in bucket d = digit l of t. So:
+//   - an event at level l agrees with the clock above digit l and is later
+//     in digit l; every event in a lower level, or in a lower bucket of the
+//     same level, is earlier than every event in a higher one;
+//   - each level-0 bucket holds exactly one time, and the lowest one holds
+//     the events due next;
+//   - a bucket's placement depends only on (t, now), and moving the clock
+//     within the lowest non-empty bucket leaves every other event in place.
 //
-// The buckets live in one struct taken from a package-level sync.Pool when
-// the first event arrives in an empty Engine, and returned when Run or
-// Reset leaves it empty. A drained Engine holds no queue
-// storage, and concurrently stepped Engines share the warm buckets.
+// Pushing appends to the event's bucket and updates the bucket's minimum
+// time. Popping takes the head of the lowest level-0 bucket, found through
+// a per-level occupancy bitmap. When level 0 is empty, the lowest
+// non-empty bucket above it is refilled: the clock moves to its minimum and
+// its events move, in order, into the levels below, which are empty.
+// Equal-time events therefore always share a bucket in the order they
+// were scheduled: a refill carries them down in order, and a later push at
+// the same time lands behind them. So ties fire first-in first-out by
+// construction, and the pop order — and every simulation outcome — is the
+// same total (time, arrival) order a comparison heap with a
+// sequence-number tie-break would give. Most scheduling delays of the NMP
+// model lie between 2^5 and 2^10 cycles, so with 6-bit digits an event
+// lands in its final bucket at once or after one move (Probe.Moves counts
+// them).
+//
+// Buckets are intrusive FIFO lists threaded through one slab of event
+// slots, so the storage grows with the number of pending events, not with
+// the number of buckets: a refill relinks slots and copies no event. Freed
+// slots are reused before the slab grows. The bucket table and slab live
+// in one struct taken from a package-level sync.Pool when the first event
+// arrives in an empty Engine, and returned when Run or Reset leaves it
+// empty. A drained Engine holds no queue storage, and concurrently stepped
+// Engines share the warm slabs.
 package sim
 
 import (
@@ -41,48 +60,82 @@ const CyclesPerSecond = 1_600_000_000
 // Seconds converts a cycle count to seconds.
 func Seconds(c Cycle) float64 { return float64(c) / CyclesPerSecond }
 
-type event struct {
-	at Cycle
-	fn func()
+// digitBits is the radix digit width, chosen by measurement. On the
+// benchmark's fleet-fairshare job, digits of 1, 4, 5 and 6 bits moved each
+// event 4.68, 1.78, 1.36 and 1.04 times in refills, and 6 bits was no
+// slower per step than 4 or 5. Six is the widest digit whose level
+// bitmap is one uint64.
+const (
+	digitBits = 6
+	digits    = 1 << digitBits
+	levels    = (64 + digitBits - 1) / digitBits
+)
+
+// slot is one pending event in the slab; next links it to the following
+// event of its bucket, or of the free list.
+type slot struct {
+	at   Cycle
+	fn   func()
+	next int32
 }
 
-// queue is the radix heap's storage, one bucket per bits.Len64 result:
-// bucket i holds the events whose time first differs from the clock in bit
-// i-1. Bucket 0 is consumed from head.
+// bucket is a FIFO list of slab slots. It is valid only while its
+// occupancy bit is set; tail's next link is then unspecified.
+type bucket struct {
+	head, tail int32
+	min        Cycle
+}
+
+// queue is the radix heap's storage.
 type queue struct {
-	b    [65][]event
-	head int
+	occ  [levels]uint64 // bit d of occ[l]: bucket (l, d) is non-empty
+	used uint32         // bit l: occ[l] != 0
+	b    [levels][digits]bucket
+	slab []slot
+	free int32 // first free slab slot, -1 when every slot is in use
 }
 
-var queuePool = sync.Pool{New: func() any { return new(queue) }}
+var queuePool = sync.Pool{New: func() any { return &queue{free: -1} }}
 
-// front returns the earliest pending time and the bucket holding it. The
-// queue must be non-empty; the clock does not move.
-func (q *queue) front(now Cycle) (i int, at Cycle) {
-	if len(q.b[0]) > 0 {
-		return 0, now
+// link appends slot i, at time t, to its bucket relative to base.
+func (q *queue) link(i int32, t, base Cycle) {
+	l := uint(bits.Len64(uint64(t^base)|1)-1) / digitBits
+	shift := digitBits * l % 64 // l < levels: the modulo only spares Go's wide-shift check
+	d := uint64(t) >> shift % digits
+	b := &q.b[l][d]
+	if bit := uint64(1) << d; q.occ[l]&bit == 0 {
+		q.occ[l] |= bit
+		q.used |= 1 << l
+		b.head, b.tail, b.min = i, i, t
+		return
 	}
-	i = 1
-	for len(q.b[i]) == 0 {
-		i++
+	q.slab[b.tail].next = i
+	b.tail = i
+	if t < b.min {
+		b.min = t
 	}
-	at = q.b[i][0].at
-	for _, ev := range q.b[i][1:] {
-		at = min(at, ev.at)
-	}
-	return i, at
 }
 
-// refill moves bucket i, in order, into the buckets below it relative to
-// the new base, its minimum. Bucket 0 and every bucket below i are empty.
-func (q *queue) refill(i int, base Cycle) {
-	src := q.b[i]
-	for _, ev := range src {
-		j := bits.Len64(uint64(ev.at ^ base))
-		q.b[j] = append(q.b[j], ev)
+// refill empties the lowest non-empty bucket, which lies above level 0,
+// into the levels below it relative to its minimum, in order, and returns
+// the number of events moved. Its minimum becomes the lowest level-0 time.
+func (q *queue) refill() (moved int64) {
+	l := bits.TrailingZeros32(q.used)
+	d := bits.TrailingZeros64(q.occ[l])
+	if q.occ[l] &^= 1 << d; q.occ[l] == 0 {
+		q.used &^= 1 << l
 	}
-	clear(src) // release the closure references
-	q.b[i] = src[:0]
+	b := q.b[l][d]
+	for i := b.head; ; {
+		s := &q.slab[i]
+		next := s.next
+		q.link(i, s.at, b.min)
+		moved++
+		if i == b.tail {
+			return moved
+		}
+		i = next
+	}
 }
 
 // Probe collects event-loop statistics when attached to an Engine. A nil
@@ -93,6 +146,9 @@ type Probe struct {
 	Dispatched int64
 	// MaxPending is the high-water mark of pending events.
 	MaxPending int
+	// Moves counts events relocated to a lower level by refills; an event
+	// may move several times before it is due.
+	Moves int64
 }
 
 // Engine is a single-threaded event scheduler. The zero value is ready to
@@ -116,18 +172,18 @@ func (e *Engine) Reset() {
 	if e.q == nil {
 		return
 	}
-	for i := range e.q.b {
-		clear(e.q.b[i]) // release closure references
-		e.q.b[i] = e.q.b[i][:0]
-	}
-	e.q.head = 0
+	q := e.q
+	clear(q.slab) // release closure references
+	q.occ, q.used = [levels]uint64{}, 0
 	e.n = 0
 	e.release()
 }
 
-// release returns the bucket storage to the pool once nothing is pending.
+// release returns the queue to the pool once nothing is pending. Every
+// slot is then free, so the slab restarts empty and fills in order.
 func (e *Engine) release() {
 	if e.n == 0 && e.q != nil {
+		e.q.slab, e.q.free = e.q.slab[:0], -1
 		queuePool.Put(e.q)
 		e.q = nil
 	}
@@ -143,8 +199,16 @@ func (e *Engine) At(t Cycle, fn func()) {
 		q = queuePool.Get().(*queue)
 		e.q = q
 	}
-	i := bits.Len64(uint64(t ^ e.now))
-	q.b[i] = append(q.b[i], event{at: t, fn: fn})
+	i := q.free
+	if i >= 0 {
+		s := &q.slab[i]
+		q.free = s.next
+		s.at, s.fn = t, fn
+	} else {
+		i = int32(len(q.slab))
+		q.slab = append(q.slab, slot{at: t, fn: fn})
+	}
+	q.link(i, t, e.now)
 	e.n++
 	if e.probe != nil && e.n > e.probe.MaxPending {
 		e.probe.MaxPending = e.n
@@ -154,37 +218,39 @@ func (e *Engine) At(t Cycle, fn func()) {
 // After schedules fn d cycles from now.
 func (e *Engine) After(d Cycle, fn func()) { e.At(e.now+d, fn) }
 
-// Run processes events until none remain, returning the final time.
+// Run processes events until none remain, returning the final time. Each
+// turn pops the head of the lowest level-0 bucket, after a refill if level
+// 0 is empty, advances the clock to it, frees its slot and runs it.
 func (e *Engine) Run() Cycle {
 	for e.n > 0 {
-		e.dispatch(e.pop(e.q.front(e.now)))
+		q := e.q
+		if q.occ[0] == 0 {
+			moved := q.refill()
+			if e.probe != nil {
+				e.probe.Moves += moved
+			}
+		}
+		d := bits.TrailingZeros64(q.occ[0])
+		b := &q.b[0][d]
+		i := b.head
+		s := &q.slab[i]
+		if i == b.tail {
+			if q.occ[0] &^= 1 << d; q.occ[0] == 0 {
+				q.used &^= 1
+			}
+		} else {
+			b.head = s.next
+		}
+		e.now = s.at
+		fn := s.fn
+		s.fn = nil // release the closure reference
+		s.next, q.free = q.free, i
+		e.n--
+		if e.probe != nil {
+			e.probe.Dispatched++
+		}
+		fn()
 	}
 	e.release()
 	return e.now
-}
-
-// pop removes the earliest event, which front found in bucket i at time at,
-// advances the clock to it and returns its callback.
-func (e *Engine) pop(i int, at Cycle) func() {
-	q := e.q
-	if i > 0 {
-		q.refill(i, at)
-		e.now = at
-	}
-	ev := &q.b[0][q.head]
-	fn := ev.fn
-	ev.fn = nil // release the closure reference
-	if q.head++; q.head == len(q.b[0]) {
-		q.b[0] = q.b[0][:0]
-		q.head = 0
-	}
-	e.n--
-	return fn
-}
-
-func (e *Engine) dispatch(fn func()) {
-	if e.probe != nil {
-		e.probe.Dispatched++
-	}
-	fn()
 }

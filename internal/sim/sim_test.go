@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -190,22 +191,42 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 }
 
-// offset maps one choice byte to a scheduling offset. The top two bits pick
-// the scale: past times (clamped to now) and ties, near, far, and up to
-// ≈2^40 cycles ahead, where a dormant fault plan sits in the highest
-// buckets.
-func offset(c byte) Cycle {
+// when maps choice bytes to an event time relative to now. The top two
+// bits of the first byte pick the kind:
+//   - past times (clamped to now) and ties;
+//   - near offsets, within one 6-bit digit;
+//   - a digit boundary: 2^k-1, 2^k or 2^k+1 ahead, with k from the byte
+//     and the side from a second byte; k = 63 picks an absolute time
+//     within 255 cycles of MaxInt64, so far-future events pushed at
+//     different clocks share a time;
+//   - up to ≈2^40 cycles ahead, where a dormant fault plan sits in the
+//     highest levels.
+//
+// Sums saturate at MaxInt64.
+func when(now Cycle, next func() byte) Cycle {
+	c := next()
 	v := Cycle(c & 63)
 	switch c >> 6 {
 	case 0:
-		return v - 32
+		return now + v - 32
 	case 1:
-		return v
+		return addSat(now, v)
 	case 2:
-		return v << 12
+		if v == 63 {
+			return math.MaxInt64 - Cycle(next())
+		}
+		return addSat(now, 1<<v+Cycle(next()%3)-1)
 	default:
-		return v<<34 | v
+		return addSat(now, v<<34|v)
 	}
+}
+
+// addSat returns now+d for d >= 0, or MaxInt64 if that overflows.
+func addSat(now, d Cycle) Cycle {
+	if now > math.MaxInt64-d {
+		return math.MaxInt64
+	}
+	return now + d
 }
 
 // drive runs a self-rescheduling event population on s, drawing every
@@ -230,12 +251,12 @@ func drive(s scheduler, choices []byte, maxEvents int64) [][2]int64 {
 		return func() {
 			log = append(log, [2]int64{me, s.Now()})
 			for k := next() % 3; k > 0 && id < maxEvents; k-- {
-				s.At(s.Now()+offset(next()), spawn())
+				s.At(when(s.Now(), next), spawn())
 			}
 		}
 	}
 	for k := next()%16 + 1; k > 0; k-- {
-		s.At(offset(next()), spawn())
+		s.At(when(0, next), spawn())
 	}
 	s.Run()
 	return log
@@ -346,8 +367,19 @@ func TestDrainedEngineHoldsNoStorage(t *testing.T) {
 	}
 }
 
+// Choice-byte builders for FuzzEventOrder's seeds (see when and drive).
+func ahead(k, side int) []byte { return []byte{0x80 | byte(k), byte(side + 1)} } // 2^k+side ahead
+func farEnd(back byte) []byte  { return []byte{0xbf, back} }                     // MaxInt64-back
+func near(v byte) []byte       { return []byte{0x40 | v} }                       // v ahead
+func past(v byte) []byte       { return []byte{32 - v} }                         // v behind, clamped
+
+// seed concatenates choice-byte pieces into one fuzz input.
+func seed(parts ...[]byte) []byte { return slices.Concat(parts...) }
+
 // FuzzEventOrder drives Engine and refEngine with the same fuzzed offsets
-// and fan-outs; their (id, time) logs must be equal.
+// and fan-outs; their (id, time) logs must be equal. The seeds cross
+// every digit boundary, clamp past times, split equal-time bursts across
+// refills and schedule up to MaxInt64.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 64, 200, 1, 2, 255, 70, 130, 5, 0})
@@ -356,7 +388,70 @@ func FuzzEventOrder(f *testing.F) {
 		rand.New(rand.NewSource(seed)).Read(choices)
 		f.Add(choices)
 	}
+	// Delays 2^k-1, 2^k and 2^k+1 at each digit boundary k, from the clock
+	// at 0 and again from the clock each of them sets.
+	for k := digitBits; k < 63; k += digitBits {
+		for _, fan := range []byte{0, 2} {
+			f.Add(seed([]byte{2}, ahead(k, -1), ahead(k, 0), ahead(k, 1),
+				[]byte{fan}, ahead(k, -1), ahead(k, 1), []byte{fan}, ahead(k, 0), near(1),
+				[]byte{2}, ahead(k-1, 1), ahead(k+1, -1)))
+		}
+	}
+	// Past times clamp to the clock and tie with events due now.
+	f.Add(seed([]byte{2}, near(7), past(3), near(0),
+		[]byte{2}, past(32), past(1), []byte{2}, past(0), near(0), []byte{1}, past(5)))
+	// Equal-time bursts split across refills: MaxInt64 and MaxInt64-1 are
+	// scheduled from several clocks, moved down when the clock reaches
+	// them, and scheduled again, directly and by clamping, once it has.
+	f.Add(seed([]byte{3}, farEnd(0), near(5), farEnd(1),
+		[]byte{2}, farEnd(0), ahead(60, 0), []byte{2}, farEnd(1), farEnd(0),
+		[]byte{2}, farEnd(0), past(9), []byte{2}, farEnd(1), farEnd(0),
+		[]byte{2}, past(1), farEnd(0), []byte{2}, farEnd(0), near(0)))
+	// A burst at one time reached through a refill of a high level, with
+	// more of the same time pushed after the refill.
+	f.Add(seed([]byte{4}, ahead(12, 0), ahead(12, 0), near(1), ahead(12, 0),
+		[]byte{2}, near(63), ahead(12, 0), []byte{2}, ahead(12, 0), near(0),
+		[]byte{2}, past(0), past(0), []byte{1}, near(0)))
 	f.Fuzz(func(t *testing.T, choices []byte) {
 		checkDrive(t, choices)
 	})
+}
+
+// TestMovesPerEvent pins the refill cost of the NMP model's delay mix:
+// events scheduled 2^5 to 2^10 cycles ahead move at most twice on
+// average before they fire, and a detached probe counts nothing.
+func TestMovesPerEvent(t *testing.T) {
+	var e Engine
+	var p Probe
+	e.SetProbe(&p)
+	rng := rand.New(rand.NewSource(1))
+	n := 0
+	var spawn func()
+	spawn = func() {
+		if n++; n >= 100_000 {
+			return
+		}
+		for range 1 + n%2 {
+			e.After(Cycle(32+rng.Intn(1024-32+1)), spawn)
+		}
+	}
+	for range 64 {
+		e.At(Cycle(rng.Intn(1024)), spawn)
+	}
+	e.Run()
+	if p.Dispatched == 0 || p.Moves == 0 {
+		t.Fatalf("probe counted %d events and %d moves", p.Dispatched, p.Moves)
+	}
+	if per := float64(p.Moves) / float64(p.Dispatched); per > 2 {
+		t.Fatalf("%.3f moves per event (%d moves, %d events), want at most 2", per, p.Moves, p.Dispatched)
+	}
+	t.Logf("%.3f moves per event over %d events", float64(p.Moves)/float64(p.Dispatched), p.Dispatched)
+	e.SetProbe(nil)
+	before := p
+	e.At(e.Now()+1000, func() {})
+	e.At(e.Now()+5000, func() {})
+	e.Run()
+	if p != before {
+		t.Fatalf("detached probe changed: %+v, was %+v", p, before)
+	}
 }

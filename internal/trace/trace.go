@@ -104,20 +104,70 @@ func (it *Iteration) DIMMOf(key dna.Kmer, nDIMMs int) int {
 	return dimmOf(it.Quantiles, key, nDIMMs)
 }
 
+// dimmOf maps key to the DIMM of its quantile bucket. A table of fewer
+// than two edges has no bucket and maps every key to DIMM 0.
 func dimmOf(q []dna.Kmer, key dna.Kmer, nDIMMs int) int {
-	if len(q) == 0 || nDIMMs <= 1 {
+	if len(q) < 2 || nDIMMs <= 1 {
 		return 0
 	}
+	return bucketDIMM(bucketOf(q, key), len(q)-1, nDIMMs)
+}
+
+// bucketOf returns key's quantile bucket, the first bucket i whose upper
+// edge q[i+1] exceeds key, clamped to the last; q holds two edges or more.
+func bucketOf(q []dna.Kmer, key dna.Kmer) int {
 	buckets := len(q) - 1
-	i := sort.Search(buckets, func(i int) bool { return q[i+1] > key })
-	if i >= buckets {
-		i = buckets - 1
+	return min(sort.Search(buckets, func(i int) bool { return q[i+1] > key }), buckets-1)
+}
+
+// bucketDIMM spreads buckets quantile buckets evenly over nDIMMs DIMMs.
+func bucketDIMM(i, buckets, nDIMMs int) int { return i * nDIMMs / buckets }
+
+// DIMMWalk maps a run of keys to DIMMs exactly as DIMMOf does, by one
+// merge walk over the quantile edges instead of a binary search per key.
+// A key at or above its predecessor moves a bucket cursor forward, so n
+// ascending keys cost O(n + edges) compares and one division per bucket
+// change. A key below its predecessor is searched for, and the walk goes
+// on from its bucket. A table whose edges do not ascend (only a loaded,
+// untrusted trace can hold one) is searched for every key.
+type DIMMWalk struct {
+	q      []dna.Kmer // nil: every key maps to DIMM 0
+	nDIMMs int
+	i, d   int // the cursor's bucket and its DIMM
+	last   dna.Kmer
+	search bool
+}
+
+// NewDIMMWalk starts a walk over the quantile table q for nDIMMs DIMMs.
+func NewDIMMWalk(q []dna.Kmer, nDIMMs int) DIMMWalk {
+	if len(q) < 2 || nDIMMs <= 1 {
+		return DIMMWalk{}
 	}
-	d := i * nDIMMs / buckets
-	if d >= nDIMMs {
-		d = nDIMMs - 1
+	return DIMMWalk{q: q, nDIMMs: nDIMMs, search: !slices.IsSorted(q)}
+}
+
+// Of returns key's DIMM, the value DIMMOf gives under the same table.
+func (w *DIMMWalk) Of(key dna.Kmer) int {
+	switch {
+	case w.q == nil:
+		return 0
+	case w.search:
+		return dimmOf(w.q, key, w.nDIMMs)
 	}
-	return d
+	last := len(w.q) - 2 // the last bucket
+	i := w.i
+	if key < w.last {
+		i = bucketOf(w.q, key)
+	} else {
+		for i < last && w.q[i+1] <= key {
+			i++
+		}
+	}
+	w.last = key
+	if i != w.i {
+		w.i, w.d = i, bucketDIMM(i, last+1, w.nDIMMs)
+	}
+	return w.d
 }
 
 // Digest fingerprints the trace's full contents — shape plus every

@@ -205,6 +205,11 @@ func TestDIMMOfEdgeCases(t *testing.T) {
 	if max != 7 {
 		t.Fatalf("max key maps to %d want 7", max)
 	}
+	// A one-edge table (only a loaded trace can hold one) has no bucket.
+	one := &Iteration{Quantiles: []dna.Kmer{5}}
+	if d := one.DIMMOf(dna.Kmer(9), 8); d != 0 {
+		t.Fatalf("one-edge table maps to %d want 0", d)
+	}
 }
 
 // The digest is a function of the trace's contents: an encode/Load round trip
