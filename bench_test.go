@@ -220,6 +220,41 @@ func BenchmarkKmerCount(b *testing.B) {
 	}
 }
 
+// BenchmarkCountSharded measures the distributed counting prelude on 64
+// nodes: hash ownership over the quick workload's reads, and the skewed
+// scale-out workload's rebalancing minimizer ownership over the same
+// genome with 45% of it in 150-base repeats.
+func BenchmarkCountSharded(b *testing.B) {
+	c, _ := benchSetup(b)
+	b.StopTimer()
+	w := c.W
+	w.RepeatFraction, w.RepeatUnit = 0.45, 150
+	skewed, err := experiments.NewContext(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		p    scaleout.Partitioner
+		ctx  *experiments.Context
+	}{
+		{"hash", scaleout.HashPartitioner{}, c},
+		{"rebalance", scaleout.NewRebalancePartitioner(12, 1), skewed},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := scaleout.DefaultConfig(64)
+			cfg.K, cfg.MinCount, cfg.Workers = w.K, w.MinCount, w.Workers
+			cfg.Partitioner = bc.p
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := scaleout.CountSharded(bc.ctx.Reads, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchScaleOut8x measures the full 8-node distributed pipeline (sharded
 // counting, shard-graph construction, and the compaction replay) under
 // the given replay discipline and interconnect topology, reporting the

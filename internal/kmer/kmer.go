@@ -27,6 +27,7 @@ package kmer
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -239,7 +240,7 @@ func CountNaive(reads []readsim.Read, cfg Config) (*Result, error) {
 	res := &Result{K: cfg.K}
 	var all, tpRaw, tsRaw []uint64 // deliberately not preallocated
 	for _, rd := range reads {
-		ExtractInto(&all, &tpRaw, &tsRaw, rd.Seq, cfg.K)
+		extractInto(&all, &tpRaw, &tsRaw, rd.Seq, cfg.K)
 	}
 	res.TotalExtracted = int64(len(all))
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
@@ -251,11 +252,9 @@ func CountNaive(reads []readsim.Read, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// ExtractInto appends all k-mers of seq to dst and the read's terminal
-// (k-1)-mers to tp/ts (one word each per read of length >= k). Exported
-// for internal/scaleout, whose per-node extraction must match this pass
-// exactly for the sharded merge to reproduce the single-node result.
-func ExtractInto(dst, tp, ts *[]uint64, seq dna.Seq, k int) {
+// extractInto appends all k-mers of seq to dst and the read's terminal
+// (k-1)-mers to tp/ts (one word each per read of length >= k).
+func extractInto(dst, tp, ts *[]uint64, seq dna.Seq, k int) {
 	n := seq.Len()
 	if n < k {
 		return
@@ -281,111 +280,38 @@ func countTerms(raw []uint64, workers int) TermCounts {
 // MergeTerms combines several TermCounts vectors, each sorted ascending by
 // Km, into one ascending vector in which equal keys are summed; nil when
 // every input is empty. Equal keys may occur in several inputs and repeat
-// within one. It is a k-way merge over the run heads, never a re-sort:
-// each record costs about log2(k) comparisons in a loser tree. The output
-// equals concatenating, sorting and summing, because uint32 addition does
+// within one. The records go through a Merger's digit buckets, so the
+// result equals concatenating, sorting and summing: uint32 addition does
 // not depend on order.
 func MergeTerms(lists []TermCounts) TermCounts {
 	total := 0
+	var first, diff uint64
 	for _, l := range lists {
-		total += len(l)
+		for _, e := range l {
+			if total == 0 {
+				first = uint64(e.Km)
+			}
+			total++
+			diff |= uint64(e.Km) ^ first
+		}
 	}
 	if total == 0 {
 		return nil
 	}
-	return AppendMerged(make(TermCounts, 0, total), lists)
-}
-
-// AppendMerged appends the merge MergeTerms computes to dst and returns the
-// extended vector, so a caller can merge into reused scratch. Records
-// already in dst are left as they are, even one whose key equals the
-// merge's first.
-func AppendMerged(dst TermCounts, lists []TermCounts) TermCounts {
-	runs := make([]TermCounts, 0, len(lists))
+	var m Merger
+	m.Reset(total, bits.Len64(diff))
 	for _, l := range lists {
-		if len(l) > 0 {
-			runs = append(runs, l)
+		for _, e := range l {
+			m.Count(e.Km)
 		}
 	}
-	if len(runs) == 0 {
-		return dst
-	}
-	start := len(dst)
-	// Records leave in ascending order, so equal keys are adjacent.
-	emit := func(e Counted) {
-		if n := len(dst); n > start && dst[n-1].Km == e.Km {
-			dst[n-1].Count += e.Count
-		} else {
-			dst = append(dst, e)
+	m.Cursors()
+	for _, l := range lists {
+		for _, e := range l {
+			m.Place(e.Km, e.Count)
 		}
 	}
-	t := newLoserTree(runs)
-	for {
-		w := t.node[0]
-		r := runs[w]
-		if len(r) == 0 {
-			// An exhausted run's sentinel key is the largest Kmer, so
-			// every head still live ties it: the rest are all that key.
-			for _, r := range runs {
-				for _, e := range r {
-					emit(e)
-				}
-			}
-			return dst
-		}
-		emit(r[0])
-		runs[w] = r[1:]
-		t.replay(w)
-	}
-}
-
-// loserTree is a tournament over the heads of k ascending runs. Run i's
-// leaf is k+i and internal node p plays the winners of 2p and 2p+1;
-// node[p] holds the loser of that match and node[0] the overall winner,
-// the run with the smallest head. Advancing the winner replays only the
-// matches on its leaf's path, one cached-key comparison per level.
-type loserTree struct {
-	runs []TermCounts // shared with the caller, which consumes the heads
-	keys []dna.Kmer   // head key of each run; the largest Kmer once empty
-	node []int32
-}
-
-func newLoserTree(runs []TermCounts) *loserTree {
-	k := len(runs)
-	t := &loserTree{runs: runs, keys: make([]dna.Kmer, k), node: make([]int32, k)}
-	win := make([]int32, 2*k)
-	for i, r := range runs {
-		t.keys[i] = r[0].Km
-		win[k+i] = int32(i)
-	}
-	for p := k - 1; p >= 1; p-- {
-		a, b := win[2*p], win[2*p+1]
-		if t.keys[b] < t.keys[a] {
-			a, b = b, a
-		}
-		win[p], t.node[p] = a, b
-	}
-	t.node[0] = win[1] // the root, or the single leaf when k == 1
-	return t
-}
-
-// replay refreshes run w's head key after its head was consumed and plays
-// its path back up to the root.
-func (t *loserTree) replay(w int32) {
-	kc := ^dna.Kmer(0)
-	if r := t.runs[w]; len(r) > 0 {
-		kc = r[0].Km
-	}
-	t.keys[w] = kc
-	cand := w
-	for p := (int(w) + len(t.runs)) >> 1; p > 0; p >>= 1 {
-		o := t.node[p]
-		if ko := t.keys[o]; ko < kc {
-			o, cand, kc = cand, o, ko
-		}
-		t.node[p] = o
-	}
-	t.node[0] = cand
+	return m.Sum()
 }
 
 // CountRuns returns the number of distinct values in a sorted slice.

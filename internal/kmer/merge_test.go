@@ -61,9 +61,11 @@ func decodeRuns(data []byte) []TermCounts {
 	return lists
 }
 
-// FuzzMergeTerms checks the k-way merge against concatenate, sort and sum
-// on runs with keys shared across and repeated within runs, empty runs,
-// and keys at the top of the key space.
+// FuzzMergeTerms checks the digit-bucket merge against concatenate, sort
+// and sum on runs with keys shared across and repeated within runs, empty
+// runs, and keys at the top of the key space: through MergeTerms, and
+// through a warm Merger whose scratch still holds an earlier, larger merge
+// and whose records arrive last run first.
 func FuzzMergeTerms(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -87,6 +89,8 @@ func FuzzMergeTerms(f *testing.F) {
 		}
 		return b
 	}())
+	var warm Merger
+	warm.Reset(1<<14, 64)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lists := decodeRuns(data)
 		in := make([]TermCounts, len(lists))
@@ -97,19 +101,29 @@ func FuzzMergeTerms(f *testing.F) {
 		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
 			t.Fatalf("%d runs: merged %d records, reference %d", len(lists), len(got), len(want))
 		}
-		// Appending behind a record with the merge's first key leaves it be.
-		if len(want) > 0 {
-			prefix := TermCounts{{Km: want[0].Km, Count: 7}}
-			app := AppendMerged(prefix, in)
-			if app[0] != prefix[0] || !slices.Equal(app[1:], want) {
-				t.Fatalf("%d runs: AppendMerged changed the prefix or merged %d records, reference %d",
-					len(lists), len(app)-1, len(want))
-			}
-		}
 		for i := range lists {
 			if !slices.Equal(in[i], lists[i]) {
 				t.Fatalf("run %d modified by the merge", i)
 			}
+		}
+		total := 0
+		for _, l := range lists {
+			total += len(l)
+		}
+		warm.Reset(total, 64)
+		for _, l := range lists {
+			for _, e := range l {
+				warm.Count(e.Km)
+			}
+		}
+		warm.Cursors()
+		for i := len(lists) - 1; i >= 0; i-- {
+			for _, e := range lists[i] {
+				warm.Place(e.Km, e.Count)
+			}
+		}
+		if got := warm.Sum(); !slices.Equal(got, want) {
+			t.Fatalf("%d runs: a warm Merger merged %d records, reference %d", len(lists), len(got), len(want))
 		}
 	})
 }

@@ -7,10 +7,12 @@
 package kmer
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 	"sync"
 
+	"nmppak/internal/dna"
 	"nmppak/internal/par"
 )
 
@@ -236,4 +238,115 @@ func bucketSpan(ends []int, b int) (lo, hi int) {
 		lo = ends[b-1]
 	}
 	return lo, ends[b]
+}
+
+// Merger sums the counts of equal keys over (key, count) records that
+// arrive in any order, the way Count finishes its k-mers: a counting pass
+// sizes one bucket per key digit, a scatter writes every record straight
+// into its slot, and each bucket, a few records long, is then sorted and
+// summed in cache. A merge is Reset, Count for every record, Cursors, Place
+// for every record in any order, then Sum. A Merger keeps its scratch, so
+// merging one input after another allocates only when an input outgrows
+// every earlier one.
+type Merger struct {
+	shift uint
+	mask  uint64
+	cur   []int // per digit: the count, then the scatter cursor, then the bucket end
+	recs  []Counted
+}
+
+// mergeBucketLen is the mean bucket length a merge aims for, short enough
+// for insertion sort.
+const mergeBucketLen = 8
+
+// Reset starts a merge of total records whose keys agree on every bit at
+// or above width.
+func (m *Merger) Reset(total, width int) {
+	d := min(bits.Len(uint(total/mergeBucketLen)), digitBits, width)
+	m.shift = uint(width - d)
+	m.mask = 1<<d - 1
+	if cap(m.cur) < 1<<d {
+		m.cur = make([]int, digitBuckets)
+	}
+	m.cur = m.cur[:1<<d]
+	clear(m.cur)
+	if cap(m.recs) < total {
+		m.recs = make([]Counted, total)
+	}
+	m.recs = m.recs[:total]
+}
+
+// Count tallies a record's key in the counting pass.
+func (m *Merger) Count(key dna.Kmer) { m.cur[uint64(key)>>m.shift&m.mask]++ }
+
+// Cursors ends the counting pass: every bucket's count becomes its write
+// cursor.
+func (m *Merger) Cursors() {
+	sum := 0
+	for i, c := range m.cur {
+		m.cur[i] = sum
+		sum += c
+	}
+}
+
+// Place writes a record into the next slot of its key's bucket.
+func (m *Merger) Place(key dna.Kmer, count uint32) {
+	b := uint64(key) >> m.shift & m.mask
+	m.recs[m.cur[b]] = Counted{Km: key, Count: count}
+	m.cur[b]++
+}
+
+// Sum sorts and sums every bucket in turn and returns the merged records,
+// ascending by key with equal keys summed. The result is the Merger's
+// scratch, valid until its next Reset.
+//
+// A bucket mostly holds a few keys, many of them in several copies, so
+// each record is first folded into an equal key already seen, found by a
+// scan, and only the distinct keys are then sorted by insertion. Past
+// insertionMax distinct keys the rest of the bucket is sorted by
+// comparison instead.
+func (m *Merger) Sum() []Counted {
+	out, lo := 0, 0
+	for _, hi := range m.cur {
+		b := m.recs[lo:hi]
+		lo = hi
+		d, i := 0, 0 // b[:d] holds distinct keys, summed; b[i:] is unread
+		for ; i < len(b) && d < insertionMax; i++ {
+			e := b[i]
+			j := 0
+			for j < d && b[j].Km != e.Km {
+				j++
+			}
+			if j < d {
+				b[j].Count += e.Count
+				continue
+			}
+			b[d] = e
+			d++
+		}
+		if i == len(b) {
+			for i := 1; i < d; i++ {
+				e := b[i]
+				j := i
+				for j > 0 && b[j-1].Km > e.Km {
+					b[j] = b[j-1]
+					j--
+				}
+				b[j] = e
+			}
+			out += copy(m.recs[out:], b[:d])
+			continue
+		}
+		b = b[:d+copy(b[d:], b[i:])]
+		slices.SortFunc(b, func(x, y Counted) int { return cmp.Compare(x.Km, y.Km) })
+		for i := 0; i < len(b); {
+			e := b[i]
+			for i++; i < len(b) && b[i].Km == e.Km; i++ {
+				e.Count += b[i].Count
+			}
+			m.recs[out] = e
+			out++
+		}
+	}
+	return m.recs[:out]
 }

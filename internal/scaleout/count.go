@@ -3,6 +3,7 @@ package scaleout
 import (
 	"cmp"
 	"errors"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -23,7 +24,7 @@ const (
 
 // ShardedCount is the outcome of distributed k-mer counting: reads are
 // split round-robin across nodes, each node extracts and locally
-// pre-aggregates its k-mers (sort + dedup, PaKman's combining step), the
+// pre-aggregates its k-mers (dedup, PaKman's combining step), the
 // partial counts travel all-to-all to their owners, and each owner merges
 // and prunes. The union of the per-node results is byte-identical to a
 // single-node kmer.Count run, which TestShardedCountMergeEquivalence
@@ -47,6 +48,15 @@ type ShardedCount struct {
 // CountSharded runs the distributed counting pass. Partition, k and
 // MinCount come from cfg; reads are split round-robin so every node gets a
 // near-equal share regardless of input order.
+//
+// Every source runs kmer.Count's two passes with the owner as the
+// outermost partition (countSource): a counting pass resolves each word's
+// owner once, as the read rolls by, and sizes its owner × top-digit
+// bucket; extraction writes each word straight into its slot; and each
+// bucket is deduplicated in cache, which leaves every owner's records in
+// one span of the source's key and count columns. Each owner then sums the
+// records all sources ship it through a kmer.Merger's digit buckets, which
+// also sorts them, and prunes.
 func CountSharded(reads []readsim.Read, cfg Config) (*ShardedCount, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -56,7 +66,6 @@ func CountSharded(reads []readsim.Read, cfg Config) (*ShardedCount, error) {
 	if err := kc.Validate(); err != nil {
 		return nil, err
 	}
-	p := cfg.Partitioner
 
 	sc := &ShardedCount{
 		K:                cfg.K,
@@ -71,74 +80,62 @@ func CountSharded(reads []readsim.Read, cfg Config) (*ShardedCount, error) {
 		sc.ReadsPerNode[i%n]++
 	}
 
-	// Per-node extraction + local pre-aggregation, each node in parallel
+	// Per-node extraction and local pre-aggregation, each node in parallel
 	// (the intra-node parallelism of kmer.Count is already exercised by the
 	// single-node path; here the unit of concurrency is the virtual node).
-	// Buffers are pre-sized from read counts like kmer.Count's, and every
-	// outgoing record lands in an exact-size flat vector per stream, so a
-	// source allocates a fixed number of times whatever the node count.
-	outboxes := make([][numStreams][][]kmer.Counted, n) // [src][stream][dst]
+	srcs := make([]source, n)
 	par.ForIdx(n, cfg.Workers, func(src int) {
-		total, terms := 0, 0
-		for ri := src; ri < len(reads); ri += n {
-			if c := reads[ri].Seq.Len() - cfg.K + 1; c > 0 {
-				total += c
-				terms++
-			}
-		}
-		raw := make([]uint64, 0, total)
-		tpRaw := make([]uint64, 0, terms)
-		tsRaw := make([]uint64, 0, terms)
-		for ri := src; ri < len(reads); ri += n {
-			kmer.ExtractInto(&raw, &tpRaw, &tsRaw, reads[ri].Seq, cfg.K)
-		}
-		sc.ExtractedPerNode[src] = int64(len(raw))
-		kmer.ParallelSortUint64(raw, 1)
-		kmer.ParallelSortUint64(tpRaw, 1)
-		kmer.ParallelSortUint64(tsRaw, 1)
-		// Every read contributes at least one k-mer, so own fits each
-		// stream's distinct words in turn.
-		own := make([]int32, len(raw))
-		cnt := make([]int32, n)
-		outboxes[src] = [numStreams][][]kmer.Counted{
-			kmerStream:   routeRuns(raw, p, cfg.K, own, cnt),
-			prefixStream: routeRuns(tpRaw, p, cfg.K-1, own, cnt),
-			suffixStream: routeRuns(tsRaw, p, cfg.K-1, own, cnt),
-		}
+		srcs[src] = countSource(reads, src, cfg)
 	})
-
-	for src := 0; src < n; src++ {
-		for s := range outboxes[src] {
-			for dst, b := range outboxes[src][s] {
-				sc.CountExchange[src][dst] += int64(len(b)) * countRecordBytes
+	for src := range srcs {
+		sc.ExtractedPerNode[src] = int64(srcs[src].extracted)
+		for s := 0; s < numStreams; s++ {
+			for dst := 0; dst < n; dst++ {
+				recs := srcs[src].seg[2*(s*n+dst)+1]
+				sc.CountExchange[src][dst] += int64(recs) * countRecordBytes
+				if s == kmerStream {
+					sc.RecordsToNode[dst] += int64(recs)
+				}
 			}
 		}
 	}
 
-	// Owner-side merge: every source's bucket is already ascending, so the
-	// owner k-way merges them and sums equal keys, then prunes. Pruning
-	// after the exchange sees the complete count of every owned k-mer, so
-	// it is exactly the single-node threshold. The merged k-mers go to
-	// pooled scratch; only the survivors get a vector of their own.
+	// Owner-side merge: the owner sums equal keys over every source's
+	// records, then prunes. Pruning after the exchange sees the complete
+	// count of every owned k-mer, so it is exactly the single-node
+	// threshold. The merge runs in a reused Merger; only the terminal
+	// tables and the surviving k-mers get vectors of their own.
 	minCount := max(cfg.MinCount, 1)
 	par.ForIdx(n, cfg.Workers, func(dst int) {
-		runs := make([]kmer.TermCounts, n)
-		gather := func(s int) []kmer.TermCounts {
-			for src := range outboxes {
-				runs[src] = outboxes[src][s][dst]
+		m := mergers.Get().(*kmer.Merger)
+		defer mergers.Put(m)
+		merge := func(s, kk int) []kmer.Counted {
+			total := 0
+			for i := range srcs {
+				total += srcs[i].seg[2*(s*n+dst)+1]
 			}
-			return runs
+			m.Reset(total, 2*kk)
+			for i := range srcs {
+				ws, _ := srcs[i].out(s, dst, n)
+				for _, w := range ws {
+					m.Count(dna.Kmer(w))
+				}
+			}
+			m.Cursors()
+			for i := range srcs {
+				ws, cs := srcs[i].out(s, dst, n)
+				for j, w := range ws {
+					m.Place(dna.Kmer(w), cs[j])
+				}
+			}
+			return m.Sum()
 		}
 		res := &kmer.Result{
 			K:          cfg.K,
-			TermPrefix: kmer.MergeTerms(gather(prefixStream)),
-			TermSuffix: kmer.MergeTerms(gather(suffixStream)),
+			TermPrefix: termCounts(merge(prefixStream, cfg.K-1)),
+			TermSuffix: termCounts(merge(suffixStream, cfg.K-1)),
 		}
-		for _, r := range gather(kmerStream) {
-			sc.RecordsToNode[dst] += int64(len(r))
-		}
-		scratch := mergeScratch.Get().(*kmer.TermCounts)
-		recs := kmer.AppendMerged((*scratch)[:0], runs)
+		recs := merge(kmerStream, cfg.K)
 		kept := 0
 		for _, e := range recs {
 			res.TotalExtracted += int64(e.Count)
@@ -157,15 +154,24 @@ func CountSharded(reads []readsim.Read, cfg Config) (*ShardedCount, error) {
 				}
 			}
 		}
-		*scratch = recs
-		mergeScratch.Put(scratch)
 		sc.Shards[dst] = res
 	})
 	return sc, nil
 }
 
-// mergeScratch holds the owner-side merge buffers CountSharded reuses.
-var mergeScratch = sync.Pool{New: func() any { return new(kmer.TermCounts) }}
+// termCounts copies merged terminal records out of a Merger's scratch; nil
+// when there are none.
+func termCounts(recs []kmer.Counted) kmer.TermCounts {
+	if len(recs) == 0 {
+		return nil
+	}
+	return slices.Clone(recs)
+}
+
+// mergers holds the owner-side Mergers CountSharded reuses. A Merger
+// grows to the largest owner it has summed, which at a few nodes is most
+// of the input, so the pool lets a collection reclaim it.
+var mergers = sync.Pool{New: func() any { return new(kmer.Merger) }}
 
 // The three record streams a counting source ships: distinct k-mers keyed
 // by the k-mer, and read-terminal prefixes and suffixes keyed by the
@@ -177,50 +183,225 @@ const (
 	numStreams
 )
 
-// routeRuns buckets the distinct words of a sorted stream of kk-mers by
-// owner: each run of equal words becomes one (word, multiplicity) record
-// in the bucket of the node that owns it, and every bucket stays
-// ascending. The owner of each run is computed once, into own (at least
-// one slot per run), and counted in cnt (one slot per node); then the
-// records are filled into one flat vector of exactly the run count, of
-// which each bucket is a capped window, so filling one bucket can never
-// spill into the next. Empty buckets are nil.
-func routeRuns(sorted []uint64, p Partitioner, kk int, own, cnt []int32) [][]kmer.Counted {
-	clear(cnt)
-	n := len(cnt)
-	runs := 0
-	for i := 0; i < len(sorted); runs++ {
-		j := i + 1
-		for j < len(sorted) && sorted[j] == sorted[i] {
+// A source's buckets hold about sourceBucketLen words each, under a digit
+// of at most sourceDigitMax bits, and one of at most sourceScanMax words is
+// deduplicated by scanning.
+const (
+	sourceBucketLen = 4
+	sourceDigitMax  = 11
+	sourceScanMax   = 32
+)
+
+// source is what one counting node ships, in two columns: for stream s and
+// owner dst, the distinct words bound there and beside each its
+// multiplicity on this node.
+type source struct {
+	words  []uint64
+	counts []uint32
+	// seg[2*(s*n+dst)] is the first slot of that span and seg[2*(s*n+dst)+1]
+	// its record count.
+	seg       []int
+	extracted int // raw k-mer instances before dedup
+}
+
+// out returns the words and counts the source ships to owner dst on stream
+// s.
+func (src *source) out(s, dst, n int) ([]uint64, []uint32) {
+	i := 2 * (s*n + dst)
+	lo, hi := src.seg[i], src.seg[i]+src.seg[i+1]
+	return src.words[lo:hi], src.counts[lo:hi]
+}
+
+// streamSlots is one stream's slot layout in a source's columns: its slots
+// start at base, and its buckets are owner × digit, owner outermost, the
+// digit being the word's top ds bits.
+type streamSlots struct {
+	base      int
+	ds, shift uint
+	cur       []int // per bucket: the count, then the write cursor, then the end
+}
+
+func (l *streamSlots) bucket(owner uint32, w uint64) int {
+	return int(owner)<<l.ds | int(w>>l.shift)
+}
+
+// sourceScratch is a counting source's reused digit tables.
+type sourceScratch struct{ cur []int }
+
+// sourceScratches holds the digit tables CountSharded's sources reuse.
+var sourceScratches = sync.Pool{New: func() any { return new(sourceScratch) }}
+
+// countSource extracts the k-mers and terminal (k-1)-mers of source src's
+// reads (every n-th read from src) and pre-aggregates them per owner, in
+// the two passes of kmer.Count. (a) A counting pass resolves the owner of
+// every k-mer once (ownersOf) and of every terminal word, keeping them in
+// the count column in read order, and sizes each owner × digit bucket.
+// (b) Extraction rolls the reads again and writes every word straight into
+// its bucket's next slot. (c) Each bucket collapses into (word,
+// multiplicity) records at the front of its owner's span.
+func countSource(reads []readsim.Read, src int, cfg Config) source {
+	n, k, p := cfg.Nodes, cfg.K, cfg.Partitioner
+	total, terms := 0, 0
+	for ri := src; ri < len(reads); ri += n {
+		if c := reads[ri].Seq.Len() - k + 1; c > 0 {
+			total += c
+			terms++
+		}
+	}
+	sizes := [numStreams]int{total, terms, terms}
+	widths := [numStreams]int{2 * k, 2 * (k - 1), 2 * (k - 1)}
+	scr := sourceScratches.Get().(*sourceScratch)
+	defer sourceScratches.Put(scr)
+	var ls [numStreams]streamSlots
+	slots, tabs := 0, 0
+	for s := range ls {
+		ds := min(bits.Len(uint(sizes[s]/(n*sourceBucketLen))), sourceDigitMax, widths[s])
+		ls[s] = streamSlots{base: slots, ds: uint(ds), shift: uint(widths[s] - ds)}
+		slots += sizes[s]
+		tabs += n << ds
+	}
+	scr.cur = grow(scr.cur, tabs)
+	clear(scr.cur)
+	for s, off := 0, 0; s < numStreams; s++ {
+		nb := n << ls[s].ds
+		ls[s].cur = scr.cur[off : off+nb]
+		off += nb
+	}
+	out := source{
+		words:     make([]uint64, slots),
+		counts:    make([]uint32, slots),
+		seg:       make([]int, 2*numStreams*n),
+		extracted: total,
+	}
+	own := out.counts // every word's owner, in read order, until (c)
+
+	kmask, tmask := dna.KmerMask(k), dna.KmerMask(k-1)
+	km, tp, ts := &ls[kmerStream], &ls[prefixStream], &ls[suffixStream]
+	// (a) Owners and bucket sizes.
+	for ri, at, t := src, 0, 0; ri < len(reads); ri += n {
+		seq := reads[ri].Seq
+		c := seq.Len() - k + 1
+		if c <= 0 {
+			continue
+		}
+		o := own[at : at+c]
+		ownersOf(p, seq, k, n, o)
+		var x, w, first uint64
+		for j := 0; j < seq.Len(); j++ {
+			if j&31 == 0 {
+				w = seq.Word(j >> 5)
+			}
+			x = (x<<2 | w&3) & kmask
+			w >>= 2
+			if j == k-2 {
+				first = x
+			}
+			if j >= k-1 {
+				km.cur[km.bucket(o[j-k+1], x)]++
+			}
+		}
+		last := x & tmask
+		po := uint32(p.Owner(dna.Kmer(first), k-1, n))
+		so := uint32(p.Owner(dna.Kmer(last), k-1, n))
+		own[tp.base+t], own[ts.base+t] = po, so
+		tp.cur[tp.bucket(po, first)]++
+		ts.cur[ts.bucket(so, last)]++
+		at += c
+		t++
+	}
+	for s := range ls {
+		sum := ls[s].base
+		for b, c := range ls[s].cur {
+			ls[s].cur[b] = sum
+			sum += c
+		}
+	}
+	// (b) Every word into its slot.
+	place := func(l *streamSlots, owner uint32, w uint64) {
+		b := l.bucket(owner, w)
+		out.words[l.cur[b]] = w
+		l.cur[b]++
+	}
+	for ri, at, t := src, 0, 0; ri < len(reads); ri += n {
+		seq := reads[ri].Seq
+		c := seq.Len() - k + 1
+		if c <= 0 {
+			continue
+		}
+		o := own[at : at+c]
+		var x, w uint64
+		for j := 0; j < seq.Len(); j++ {
+			if j&31 == 0 {
+				w = seq.Word(j >> 5)
+			}
+			x = (x<<2 | w&3) & kmask
+			w >>= 2
+			if j == k-2 {
+				place(tp, own[tp.base+t], x)
+			}
+			if j >= k-1 {
+				place(km, o[j-k+1], x)
+			}
+		}
+		place(ts, own[ts.base+t], x&tmask)
+		at += c
+		t++
+	}
+	// (c) Collapse each bucket into its owner's span.
+	for s := range ls {
+		l := &ls[s]
+		lo := l.base
+		per := 1 << l.ds
+		for dst := 0; dst < n; dst++ {
+			start := lo
+			w := start
+			for _, hi := range l.cur[dst*per : (dst+1)*per] {
+				w = out.collapse(w, lo, hi)
+				lo = hi
+			}
+			out.seg[2*(s*n+dst)], out.seg[2*(s*n+dst)+1] = start, w-start
+		}
+	}
+	return out
+}
+
+// collapse writes each distinct word of slots [lo, hi), with its
+// multiplicity, to the slots from w (w <= lo) on, and returns the slot
+// after the last. The owner sums in any order, so a short bucket is only
+// deduplicated, each word folding into an equal one found by a scan; a
+// longer one, which holds the copies of a repeat, goes through kmer's sort
+// kernel and collapses its runs.
+func (src *source) collapse(w, lo, hi int) int {
+	words, counts := src.words, src.counts
+	if hi-lo > sourceScanMax {
+		b := words[lo:hi]
+		kmer.ParallelSortUint64(b, 1)
+		for i := 0; i < len(b); {
+			j := i + 1
+			for j < len(b) && b[j] == b[i] {
+				j++
+			}
+			words[w], counts[w] = b[i], uint32(j-i)
+			w++
+			i = j
+		}
+		return w
+	}
+	d := w // words[w:d] are distinct; d never passes the unread slots
+	for i := lo; i < hi; i++ {
+		x := words[i]
+		j := w
+		for j < d && words[j] != x {
 			j++
 		}
-		d := int32(p.Owner(dna.Kmer(sorted[i]), kk, n))
-		own[runs] = d
-		cnt[d]++
-		i = j
-	}
-	buckets := make([][]kmer.Counted, n)
-	if runs == 0 {
-		return buckets
-	}
-	flat := make([]kmer.Counted, runs)
-	off := 0
-	for d, c := range cnt {
-		if c > 0 {
-			buckets[d] = flat[off : off : off+int(c)]
-			off += int(c)
+		if j < d {
+			counts[j]++
+			continue
 		}
+		words[d], counts[d] = x, 1
+		d++
 	}
-	for i, r := 0, 0; i < len(sorted); r++ {
-		j := i + 1
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
-		}
-		d := own[r]
-		buckets[d] = append(buckets[d], kmer.Counted{Km: dna.Kmer(sorted[i]), Count: uint32(j - i)})
-		i = j
-	}
-	return buckets
+	return d
 }
 
 // ShardGraphs is the outcome of distributed MacroNode construction: every
@@ -252,8 +433,8 @@ type graphRec struct {
 // its leading and trailing (k-1)-mers, once when they coincide. It returns
 // a ShardGraphs holding the exchange matrix and per-node receive counts but
 // no graphs, and the delivered records as inbox[src][dst], each ascending
-// by k-mer. Like routeRuns, a source computes each k-mer's two owners once,
-// counts, then fills one exact-size flat vector of capped windows.
+// by k-mer. A source computes each k-mer's two owners once, counts, then
+// fills one exact-size flat vector of capped windows.
 func (sc *ShardedCount) routeGraph(cfg Config) (*ShardGraphs, [][][]graphRec) {
 	n := sc.Nodes
 	p := cfg.Partitioner
@@ -386,10 +567,13 @@ func macroNodeCounts(inbox [][][]graphRec, k, workers int) []int {
 	return counts
 }
 
+// mat returns an n×n matrix whose rows are capped windows of one backing
+// array.
 func mat(n int) [][]int64 {
+	flat := make([]int64, n*n)
 	m := make([][]int64, n)
 	for i := range m {
-		m[i] = make([]int64, n)
+		m[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
 	return m
 }

@@ -264,3 +264,171 @@ func (p BalancedPartitioner) Owner(key dna.Kmer, kk, nodes int) int {
 	}
 	return initialOwner(b, nodes)
 }
+
+// ownersOf writes the owner among nodes of every kk-mer of seq into own,
+// in read order (one slot per kk-mer: seq.Len()-kk+1 of them), exactly as
+// p.Owner assigns each. The known partitioners compute each owner once as
+// the read rolls by: HashPartitioner hashes each kk-mer once, and the
+// minimizer schemes roll the window minimum of the m-mer hashes along the
+// read (Roberts et al., "Reducing storage requirements for biological
+// sequence comparison", Bioinformatics 2004), so every m-mer is hashed once
+// and a bucket is looked up only when the minimum changes. Any other
+// Partitioner is asked per kk-mer.
+func ownersOf(p Partitioner, seq dna.Seq, kk, nodes int, own []uint32) {
+	if len(own) == 0 {
+		return
+	}
+	var mo minOwner
+	switch q := p.(type) {
+	case HashPartitioner, *HashPartitioner:
+		mo = minOwner{kind: perKey}
+	case MinimizerPartitioner:
+		mo = minOwner{kind: minimizerOwned, m: q.M}
+	case *MinimizerPartitioner:
+		mo = minOwner{kind: minimizerOwned, m: q.M}
+	case BalancedPartitioner:
+		mo = balancedOwner(q, nodes)
+	case *BalancedPartitioner:
+		mo = balancedOwner(*q, nodes)
+	case *RebalancePartitioner:
+		mo = minOwner{kind: bucketOwned, m: q.M}
+	}
+	if mo.kind == custom || mo.kind != perKey && mo.m < 1 {
+		km := dna.KmerFromSeq(seq, 0, kk)
+		own[0] = uint32(p.Owner(km, kk, nodes))
+		for i := kk; i < seq.Len(); i++ {
+			km = km.Roll(kk, seq.At(i))
+			own[i-kk+1] = uint32(p.Owner(km, kk, nodes))
+		}
+		return
+	}
+	if nodes <= 1 {
+		clear(own)
+		return
+	}
+	mo.nodes = uint64(nodes)
+	kmask := dna.KmerMask(kk)
+	var x, w uint64
+	if mo.kind == perKey || mo.m >= kk {
+		// The word is its own minimizer, unhashed (minimizerOf).
+		for j := 0; j < seq.Len(); j++ {
+			if j&31 == 0 {
+				w = seq.Word(j >> 5)
+			}
+			x = (x<<2 | w&3) & kmask
+			w >>= 2
+			if j >= kk-1 {
+				own[j-kk+1] = mo.of(x, x)
+			}
+		}
+		return
+	}
+	// ring holds the hashes of the last 32 m-mers, at least a window's
+	// worth (kk-m+1 <= 32). The window minimum is kept with the start of
+	// its m-mer; an m-mer hashing no higher replaces it, and once it slides
+	// out of the window the window is scanned again, about once per half
+	// window. This beats a monotone deque, whose pops mispredict.
+	var ring [32]uint64
+	span := kk - mo.m // the last m-mer of kk-mer i starts at i+span
+	mmask := dna.KmerMask(mo.m)
+	var mm, best, last uint64
+	bestAt := -1
+	var o uint32
+	scatter, fresh := false, true
+	for j := 0; j < seq.Len(); j++ {
+		if j&31 == 0 {
+			w = seq.Word(j >> 5)
+		}
+		b := w & 3
+		w >>= 2
+		x = (x<<2 | b) & kmask
+		mm = (mm<<2 | b) & mmask
+		at := j - mo.m + 1 // start of the m-mer ending at base j
+		if at < 0 {
+			continue
+		}
+		h := mix64(mm)
+		ring[at&31] = h
+		if bestAt < 0 || h <= best {
+			best, bestAt = h, at
+		}
+		i := at - span // the kk-mer ending at base j
+		if i < 0 {
+			continue
+		}
+		if bestAt < i {
+			best, bestAt = ring[i&31], i
+			for q := i + 1; q <= at; q++ {
+				if hq := ring[q&31]; hq <= best {
+					best, bestAt = hq, q
+				}
+			}
+		}
+		if fresh || best != last {
+			last, fresh = best, false
+			o, scatter = mo.bucketOf(best)
+		}
+		if scatter {
+			o = uint32(mix64(x) % mo.nodes)
+		}
+		own[i] = o
+	}
+}
+
+// ownerKind is how ownersOf resolves an owner.
+type ownerKind uint8
+
+const (
+	custom         ownerKind = iota // Partitioner.Owner per word
+	perKey                          // mix64 of the word
+	minimizerOwned                  // mix64 of the minimizer
+	bucketOwned                     // initialOwner of the super-bucket
+	tableOwned                      // a BalancedPartitioner's table row
+)
+
+// minOwner maps a window minimum (or, for perKey and words no longer than
+// the m-mer, the word itself) to its owner under one partitioner.
+type minOwner struct {
+	kind  ownerKind
+	m     int
+	nodes uint64
+	table []uint16
+}
+
+// balancedOwner is p's owner map over nodes: its table when it was built
+// for that node count, else the bucket-coherent hash every other count
+// falls back to.
+func balancedOwner(p BalancedPartitioner, nodes int) minOwner {
+	if nodes == p.nodes && p.table != nil {
+		return minOwner{kind: tableOwned, m: p.M, table: p.table}
+	}
+	return minOwner{kind: bucketOwned, m: p.M}
+}
+
+// bucketOf returns the owner of a word whose minimizer is best, and
+// whether its bucket is spilled, so that each word is owned by its own
+// hash instead.
+func (mo *minOwner) bucketOf(best uint64) (uint32, bool) {
+	switch mo.kind {
+	case minimizerOwned:
+		return uint32(mix64(best) % mo.nodes), false
+	case bucketOwned:
+		return uint32(initialOwner(int(mix64(best)%BalancedBuckets), int(mo.nodes))), false
+	}
+	if o := mo.table[mix64(best)%BalancedBuckets]; o != scatterOwner {
+		return uint32(o), false
+	}
+	return 0, true
+}
+
+// of returns the owner of word x whose minimizer is best.
+func (mo *minOwner) of(best, x uint64) uint32 {
+	if mo.kind == perKey {
+		return uint32(mix64(x) % mo.nodes)
+	}
+	o, scatter := mo.bucketOf(best)
+	if scatter {
+		return uint32(mix64(x) % mo.nodes)
+	}
+	return o
+}

@@ -1,8 +1,10 @@
 package scaleout
 
 import (
+	"math/rand"
 	"testing"
 
+	"nmppak/internal/dna"
 	"nmppak/internal/genome"
 	"nmppak/internal/kmer"
 	"nmppak/internal/readsim"
@@ -153,4 +155,98 @@ func TestBalancedOwnershipPureFunction(t *testing.T) {
 		t.Fatalf("balanced-partitioned sharded count diverged: %d/%d kmers, %d/%d extracted",
 			len(got.Kmers), len(want.Kmers), got.TotalExtracted, want.TotalExtracted)
 	}
+}
+
+// modPartitioner is a Partitioner ownersOf does not know, so it takes the
+// per-word fallback.
+type modPartitioner struct{}
+
+func (modPartitioner) Name() string { return "mod" }
+
+func (modPartitioner) Owner(key dna.Kmer, kk, nodes int) int {
+	return int((uint64(key) + uint64(kk)) % uint64(nodes))
+}
+
+// FuzzRollingOwner checks the rolling owner against Partitioner.Owner on
+// every window of a read, for every partitioner: hash, minimizer,
+// rebalance, a balanced one with a real table (spilled buckets included)
+// asked at its own node count and at the fuzzed one, and a custom one.
+// The input picks k in [2,32], m in [1,k+1], the node count in [1,70]
+// and a read of 1-70 bases.
+func FuzzRollingOwner(f *testing.F) {
+	// The balanced tables come from a small real sample, one per m, built
+	// for tableNodes nodes; a sample this small spills its heavier buckets.
+	const tableNodes = 5
+	g, err := genome.Generate(genome.Config{Length: 3_000, Seed: 2, RepeatFraction: 0.3, RepeatUnit: 90})
+	if err != nil {
+		f.Fatal(err)
+	}
+	reads, err := readsim.Simulate(g, readsim.Config{ReadLen: 100, Coverage: 4, ErrorRate: 0.01, Seed: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sample, err := kmer.Count(reads, kmer.Config{K: 32})
+	if err != nil {
+		f.Fatal(err)
+	}
+	balanced := make([]BalancedPartitioner, dna.MaxK+2)
+	for m := 1; m < len(balanced); m++ {
+		balanced[m] = NewBalancedPartitioner(sample, m, tableNodes)
+	}
+	r := rand.New(rand.NewSource(9))
+	for i := 0; i < 48; i++ {
+		seed := make([]byte, 4+r.Intn(20))
+		r.Read(seed)
+		f.Add(seed)
+	}
+	f.Add([]byte{30, 11, 63, 69, 0xff, 0x00, 0x1b})
+	f.Add([]byte{0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		k := 2 + int(data[0])%(dna.MaxK-1)
+		m := 1 + int(data[1])%(k+1)
+		nodes := 1 + int(data[2])%70
+		n := 1 + int(data[3])%70
+		// Bases come from the rest of the input, then from a generator
+		// seeded by it, so short inputs still make long reads.
+		bases := make([]dna.Base, n)
+		gen := rand.New(rand.NewSource(int64(len(data)) ^ int64(data[3])<<8))
+		for i := range bases {
+			if b := 4 + i/4; b < len(data) {
+				bases[i] = dna.Base(data[b] >> (2 * (i % 4)) & 3)
+			} else {
+				bases[i] = dna.Base(gen.Intn(4))
+			}
+		}
+		seq := dna.FromBases(bases)
+		for _, c := range []struct {
+			p     Partitioner
+			nodes int
+		}{
+			{HashPartitioner{}, nodes},
+			{MinimizerPartitioner{M: m}, nodes},
+			{&MinimizerPartitioner{M: m}, nodes},
+			{NewRebalancePartitioner(m, 1), nodes},
+			{balanced[m], tableNodes},
+			{&balanced[m], tableNodes},
+			{balanced[m], nodes},
+			{modPartitioner{}, nodes},
+		} {
+			if n < k {
+				ownersOf(c.p, seq, k, c.nodes, nil)
+				continue
+			}
+			own := make([]uint32, n-k+1)
+			ownersOf(c.p, seq, k, c.nodes, own)
+			for i, o := range own {
+				key := dna.KmerFromSeq(seq, i, k)
+				if want := c.p.Owner(key, k, c.nodes); int(o) != want {
+					t.Fatalf("%s k=%d m=%d nodes=%d: window %d of %s owned by %d, Owner says %d",
+						c.p.Name(), k, m, c.nodes, i, seq, o, want)
+				}
+			}
+		}
+	})
 }

@@ -55,7 +55,7 @@ func (t traffic) record(res *Result) {
 // the count pass's scratch and an n×QuantileEdges block for the per-node
 // quantile tables. Every slice carve returns is overwritten by the next
 // carve into the same arena, so a sub-iteration lives only while its
-// iteration is in flight. The runtime takes its arenas from a pool
+// iteration is in flight. The runtime takes its arenas from a free list
 // (arenas), which recycles memory only: every iteration is sharded afresh
 // from the trace, and no shard outlives the epoch that stepped it.
 type shardArena struct {
@@ -74,7 +74,42 @@ type shardArena struct {
 
 // arenas recycles shard arenas across the epochs of every run in the
 // process, so a run holds one only while it steps.
-var arenas = sync.Pool{New: func() any { return new(shardArena) }}
+var arenas freeList[shardArena]
+
+// freeList recycles scratch values across calls. Unlike a sync.Pool it
+// survives garbage collections, and it keeps no more values than were
+// ever taken out at once: one per concurrent run it has seen.
+type freeList[T any] struct {
+	mu        sync.Mutex
+	free      []*T
+	out, peak int
+}
+
+// get returns a free value, or a new zero one.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.out++
+	l.peak = max(l.peak, l.out)
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
+	}
+	v := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return v
+}
+
+// put returns v, which get handed out, to the list.
+func (l *freeList[T]) put(v *T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.out--
+	if len(l.free) < l.peak {
+		l.free = append(l.free, v)
+	}
+}
 
 // grow returns s with length n, reusing its backing array when it is large
 // enough; the contents are unspecified.
@@ -253,8 +288,8 @@ func (f *shardFeed) release(it int) {
 // halos returns the halo matrices of iterations [from, to) from the count
 // pass alone, feeding nothing: all a replayed prefix needs.
 func (f *shardFeed) halos(from, to int) [][][]int64 {
-	a := arenas.Get().(*shardArena)
-	defer arenas.Put(a)
+	a := arenas.get()
+	defer arenas.put(a)
 	halos := make([][][]int64, 0, to-from)
 	for it := from; it < to; it++ {
 		halo := mat(len(f.traces))
@@ -313,8 +348,8 @@ func shardFactsOf(tr *trace.Trace, n int, p Partitioner) *shardFacts {
 	key := fmt.Sprintf("scaleout.shardFacts n=%d p=%s", n, partitionerID(p))
 	return tr.Memo(key, func() any {
 		ownerOf := staticOwner(tr, n, p)
-		a := arenas.Get().(*shardArena)
-		defer arenas.Put(a)
+		a := arenas.get()
+		defer arenas.put(a)
 		sf := &shardFacts{quantiles: make([][]dna.Kmer, n)}
 		for it := range tr.Iterations {
 			if it > 0 {

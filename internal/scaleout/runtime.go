@@ -221,8 +221,8 @@ func startEngines(engines []*nmp.Engine, durations [][]sim.Cycle, traces []*trac
 // the epoch's iterations are stepped, so a paused run holds none. Returns
 // the iterations' halo matrices for the drain.
 func (rt *runtime) step(from, to int, pr *probes) [][][]int64 {
-	a := arenas.Get().(*shardArena)
-	defer arenas.Put(a)
+	a := arenas.get()
+	defer arenas.put(a)
 	halos := make([][][]int64, 0, to-from)
 	for it := from; it < to; it++ {
 		halo := mat(rt.n)

@@ -170,6 +170,11 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"rebalance zero period", func(c *Config) { c.Partitioner = &RebalancePartitioner{M: 12} }, "Every"},
 		{"nil rebalance partitioner", func(c *Config) { c.Partitioner = (*RebalancePartitioner)(nil) }, "Partitioner"},
 		{"nil balanced partitioner", func(c *Config) { c.Partitioner = (*BalancedPartitioner)(nil) }, "Partitioner"},
+		{"zero-value minimizer", func(c *Config) { c.Partitioner = MinimizerPartitioner{} }, "minimizer length"},
+		{"negative minimizer length", func(c *Config) { c.Partitioner = MinimizerPartitioner{M: -3} }, "minimizer length"},
+		{"zero-value minimizer pointer", func(c *Config) { c.Partitioner = &MinimizerPartitioner{} }, "minimizer length"},
+		{"zero-value balanced", func(c *Config) { c.Partitioner = BalancedPartitioner{} }, "minimizer length"},
+		{"zero-value balanced pointer", func(c *Config) { c.Partitioner = &BalancedPartitioner{} }, "minimizer length"},
 		{"rebalance past uint16 owners", func(c *Config) {
 			c.Partitioner = NewRebalancePartitioner(12, 1)
 			c.Nodes = 1<<16 + 1

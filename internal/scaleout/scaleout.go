@@ -6,11 +6,12 @@
 // assembler, and this package supplies the missing scale-out story by
 // simulating its distributed structure end to end:
 //
-//  1. Reads are split round-robin across nodes; each node extracts and
-//     pre-aggregates k-mers, ships partial counts to their hash- or
-//     minimizer-determined owners (all-to-all #1), and the owners merge
-//     and prune. The per-node results tile the single-node kmer.Count
-//     output exactly (see CountSharded/Merge).
+//  1. Reads are split round-robin across nodes; each node extracts its
+//     k-mers, resolving each one's hash- or minimizer-determined owner
+//     once as the read rolls by, pre-aggregates them per owner, and ships
+//     the partial counts to their owners (all-to-all #1), which sum them
+//     through digit buckets and prune. The per-node results tile the
+//     single-node kmer.Count output exactly (see CountSharded).
 //  2. Counted k-mers travel to the owners of their boundary (k-1)-mers
 //     (all-to-all #2) and every node builds the MacroNodes it owns
 //     (BuildShardGraphs). Simulate routes the same records but only
@@ -140,6 +141,24 @@ func (c Config) Validate() error {
 	}
 	if v := reflect.ValueOf(c.Partitioner); v.Kind() == reflect.Pointer && v.IsNil() {
 		return fmt.Errorf("scaleout: Partitioner must be set, got a nil %T", c.Partitioner)
+	}
+	// A minimizer shorter than one base hashes the same empty m-mer for
+	// every word, so one node would own everything.
+	var minLen int
+	switch p := c.Partitioner.(type) {
+	case MinimizerPartitioner:
+		minLen = p.M
+	case *MinimizerPartitioner:
+		minLen = p.M
+	case BalancedPartitioner:
+		minLen = p.M
+	case *BalancedPartitioner:
+		minLen = p.M
+	default:
+		minLen = 1
+	}
+	if minLen < 1 {
+		return fmt.Errorf("scaleout: %T needs a minimizer length M >= 1, got M=%d", c.Partitioner, minLen)
 	}
 	if rp, ok := c.Partitioner.(*RebalancePartitioner); ok {
 		if c.Overlap {

@@ -390,6 +390,18 @@ func TestUntrustedInputsError(t *testing.T) {
 			}))
 			return err
 		}},
+		{"SimulateScaleOut/zero-value minimizer partitioner", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Partitioner = nmppak.MinimizerPartitioner{} }))
+			return err
+		}},
+		{"SimulateScaleOut/negative minimizer length", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Partitioner = nmppak.MinimizerPartitioner{M: -3} }))
+			return err
+		}},
+		{"SimulateScaleOut/zero-value balanced partitioner", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Partitioner = nmppak.BalancedPartitioner{} }))
+			return err
+		}},
 		{"SimulateScaleOut/zero NMP config", func() error {
 			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.NMP = nmppak.NMPConfig{} }))
 			return err
