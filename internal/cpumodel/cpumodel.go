@@ -33,48 +33,48 @@ const (
 	FlowSequential
 )
 
-// Config parameterizes the CPU model.
+// Config parameterizes the CPU model: the machine's threads and memory
+// and the process flow. The per-access and compute costs are the
+// constants below.
 type Config struct {
 	Threads  int // paper baseline: 64
 	Channels int
 	DRAM     dram.Config
 	Flow     Flow
-
-	// ExtraLatency is the controller + on-chip interconnect round trip
-	// added to every DRAM access seen from a core.
-	ExtraLatency sim.Cycle
-	// Pointer-chase model: dependent single-line accesses per node visit.
-	ChaseBase   int // hash probe + struct header
-	ChasePerExt float64
-	// L3: chase accesses hit with L3HitRate at L3Latency.
-	L3HitRate float64
-	L3Latency sim.Cycle
-	// Compute model (cycles; covers the software constant factors).
-	ComputeBase    sim.Cycle
-	ComputePerByte float64
-	// BranchFrac adds branch-misprediction time as a fraction of compute.
-	BranchFrac float64
-	// BarrierCycles is the fixed cost of each stage barrier.
-	BarrierCycles sim.Cycle
 }
+
+// The calibrated costs of the 64-thread dual-socket model. The constants
+// are typed: an untyped float constant would be folded exactly at compile
+// time and round differently from the same value in a float64 variable.
+const (
+	// extraLatency is the controller + on-chip interconnect round trip
+	// added to every DRAM access seen from a core.
+	extraLatency sim.Cycle = 60
+	// Pointer-chase model: dependent single-line accesses per node visit
+	// (hash probe + struct header, plus one per extension).
+	chaseBase   int     = 2
+	chasePerExt float64 = 1
+	// Chase accesses hit the L3 with l3HitRate at l3Latency: the
+	// hash-table index and hot vector headers cache well.
+	l3HitRate float64   = 0.8
+	l3Latency sim.Cycle = 40
+	// Compute model (cycles; covers the software constant factors).
+	computeBase    sim.Cycle = 40
+	computePerByte float64   = 0.3
+	// branchFrac adds branch-misprediction time as a fraction of compute.
+	branchFrac float64 = 0.04
+	// barrierCycles is the fixed cost of each stage barrier.
+	barrierCycles sim.Cycle = 500
+)
 
 // DefaultConfig returns the calibrated 64-thread dual-socket model
 // (2x Xeon 8380 equivalent, Table 2).
 func DefaultConfig() Config {
 	return Config{
-		Threads:        64,
-		Channels:       8,
-		DRAM:           dram.DDR4_3200(),
-		Flow:           FlowSequential,
-		ExtraLatency:   60,
-		ChaseBase:      2,
-		ChasePerExt:    1,
-		L3HitRate:      0.8, // hash-table index and hot vector headers cache well
-		L3Latency:      40,
-		ComputeBase:    40,
-		ComputePerByte: 0.3,
-		BranchFrac:     0.04,
-		BarrierCycles:  500,
+		Threads:  64,
+		Channels: 8,
+		DRAM:     dram.DDR4_3200(),
+		Flow:     FlowSequential,
 	}
 }
 
@@ -139,9 +139,6 @@ func (c Config) Validate() error {
 	}
 	if c.Threads > maxThreads || c.Channels > maxChannels {
 		return fmt.Errorf("cpumodel: at most %d threads and %d channels, got %d/%d", maxThreads, maxChannels, c.Threads, c.Channels)
-	}
-	if !(c.L3HitRate >= 0 && c.L3HitRate <= 1) {
-		return fmt.Errorf("cpumodel: L3HitRate %v outside [0,1]", c.L3HitRate)
 	}
 	if err := c.DRAM.Validate(); err != nil {
 		return fmt.Errorf("cpumodel: %w", err)
@@ -275,7 +272,7 @@ func itemsMove(iter *trace.Iteration) []workItem {
 // turns per-thread finish-time differences into sync-futex stall.
 func (m *machine) pass(iter *trace.Iteration, start sim.Cycle, items []workItem) sim.Cycle {
 	if len(items) == 0 {
-		return start + m.cfg.BarrierCycles
+		return start + barrierCycles
 	}
 	threads := m.cfg.Threads
 	ends := make([]sim.Cycle, threads)
@@ -312,8 +309,8 @@ func (m *machine) pass(iter *trace.Iteration, start sim.Cycle, items []workItem)
 	for _, e := range ends {
 		m.bd.SyncFutex += maxEnd - e
 	}
-	m.bd.Other += m.cfg.BarrierCycles * sim.Cycle(threads)
-	return maxEnd + m.cfg.BarrierCycles
+	m.bd.Other += barrierCycles * sim.Cycle(threads)
+	return maxEnd + barrierCycles
 }
 
 // runItem executes one work item on thread th, returning its completion
@@ -363,15 +360,15 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 	// scanned, so only scans and destination updates pay the lookup.
 	skipChase := it.kind == kMove || (cfg.Flow == FlowPipelined && it.kind == kExtract)
 	if !skipChase {
-		chase := cfg.ChaseBase + int(cfg.ChasePerExt*float64(exts))
+		chase := chaseBase + int(chasePerExt*float64(exts))
 		for c := 0; c < chase; c++ {
-			if m.nextRand() < cfg.L3HitRate {
-				t += cfg.L3Latency
-				m.bd.MemL3 += cfg.L3Latency
+			if m.nextRand() < l3HitRate {
+				t += l3Latency
+				m.bd.MemL3 += l3Latency
 			} else {
 				issue := t
 				done := ch.AccessRow(issue, int(node.Key)&1, int(node.Key>>1)&15, int(node.Key>>5)&0x3fff, 1, false)
-				done += cfg.ExtraLatency
+				done += extraLatency
 				m.bd.MemDRAM += done - issue
 				t = done
 			}
@@ -382,14 +379,14 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 	if readBytes > 0 {
 		issue := t
 		done := ch.AccessRow(issue, int(node.Key)&1, int(node.Key>>1)&15, int(node.Key>>5)&0x3fff, dram.BlocksFor(readBytes), false)
-		done += cfg.ExtraLatency
+		done += extraLatency
 		m.bd.MemDRAM += done - issue
 		t = done
 	}
 
 	// Compute (+ branch misprediction share).
-	comp := cfg.ComputeBase + sim.Cycle(cfg.ComputePerByte*float64(readBytes+writeBytes))
-	branch := sim.Cycle(float64(comp) * cfg.BranchFrac)
+	comp := computeBase + sim.Cycle(computePerByte*float64(readBytes+writeBytes))
+	branch := sim.Cycle(float64(comp) * branchFrac)
 	m.bd.Base += comp
 	m.bd.Branch += branch
 	t += comp + branch
@@ -398,7 +395,7 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 	if writeBytes > 0 {
 		issue := t
 		done := ch.AccessRow(issue, int(node.Key)&1, int(node.Key>>1)&15, int(node.Key>>5)&0x3fff, dram.BlocksFor(writeBytes), true)
-		done += cfg.ExtraLatency
+		done += extraLatency
 		m.bd.MemDRAM += done - issue
 		t = done
 	}

@@ -18,36 +18,38 @@ import (
 	"nmppak/internal/trace"
 )
 
-// Config describes the modeled device.
+// Config describes the modeled device's memory capacity; its bandwidth
+// and launch costs are the A100 constants below.
 type Config struct {
-	// PeakBWGBs is the HBM peak bandwidth (A100 40 GB: 1555 GB/s).
-	PeakBWGBs float64
-	// RandomAccessEff is the fraction of peak achieved on the irregular,
-	// 64 B-granular MacroNode access pattern ("fine-grained, irregular
-	// memory access patterns", §6.1). Uncoalesced sector accesses on HBM
-	// typically land at 10-25% of peak.
-	RandomAccessEff float64
-	// LaunchOverheadUs is the kernel launch + device synchronization cost
-	// charged per compaction iteration (the lockstep structure forces one
-	// kernel round per iteration).
-	LaunchOverheadUs float64
 	// MemoryGB is the device memory capacity (A100 variants: 40/80).
 	MemoryGB float64
 }
 
-// A100_40GB returns the paper's GPU baseline device. RandomAccessEff is
-// calibrated so the model lands at the paper's 2.8x over the CPU baseline:
-// the implied effective throughput (a few GB/s) is what dependent 64 B
-// gathers plus atomically synchronized scattered updates achieve on HBM —
-// the paper's own explanation for why the GPU "still significantly
-// underperforms relative to NMP-PaK" on this access pattern.
+// The A100's bandwidth and launch costs. The constants are typed: an
+// untyped float constant would be folded exactly at compile time (as in
+// peakBWGBs * 1e9 * randomAccessEff) and round differently from the same
+// values in float64 variables.
+const (
+	// peakBWGBs is the HBM peak bandwidth (A100 40 GB: 1555 GB/s).
+	peakBWGBs float64 = 1555
+	// randomAccessEff is the fraction of peak achieved on the irregular,
+	// 64 B-granular MacroNode access pattern ("fine-grained, irregular
+	// memory access patterns", §6.1). It is calibrated so the model lands
+	// at the paper's 2.8x over the CPU baseline: the implied effective
+	// throughput (a few GB/s) is what dependent 64 B gathers plus
+	// atomically synchronized scattered updates achieve on HBM — the
+	// paper's own explanation for why the GPU "still significantly
+	// underperforms relative to NMP-PaK" on this access pattern.
+	randomAccessEff float64 = 0.0024
+	// launchOverheadUs is the kernel launch + device synchronization cost
+	// charged per compaction iteration (the lockstep structure forces one
+	// kernel round per iteration).
+	launchOverheadUs float64 = 15
+)
+
+// A100_40GB returns the paper's GPU baseline device.
 func A100_40GB() Config {
-	return Config{
-		PeakBWGBs:        1555,
-		RandomAccessEff:  0.0024,
-		LaunchOverheadUs: 15,
-		MemoryGB:         40,
-	}
+	return Config{MemoryGB: 40}
 }
 
 // Result of a GPU-model run.
@@ -65,16 +67,13 @@ type Result struct {
 // runs the refined (pipelined-flow) algorithm: data1 for every node, data2
 // for invalidated nodes, destination read+write for every update.
 func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
-	if !(cfg.PeakBWGBs > 0 && cfg.RandomAccessEff > 0) {
-		return nil, fmt.Errorf("gpumodel: bandwidth parameters must be positive")
-	}
-	if !(cfg.LaunchOverheadUs >= 0) {
-		return nil, fmt.Errorf("gpumodel: LaunchOverheadUs %v must be non-negative", cfg.LaunchOverheadUs)
+	if !(cfg.MemoryGB > 0) {
+		return nil, fmt.Errorf("gpumodel: MemoryGB %v must be positive", cfg.MemoryGB)
 	}
 	if tr == nil {
 		return nil, fmt.Errorf("gpumodel: nil trace")
 	}
-	effBW := cfg.PeakBWGBs * 1e9 * cfg.RandomAccessEff // bytes/s
+	effBW := peakBWGBs * 1e9 * randomAccessEff // bytes/s
 	var total float64
 	var bytes, peak int64
 	for i := range tr.Iterations {
@@ -99,7 +98,7 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		if ws > peak {
 			peak = ws
 		}
-		total += float64(b)/effBW + cfg.LaunchOverheadUs*1e-6
+		total += float64(b)/effBW + launchOverheadUs*1e-6
 	}
 	res := &Result{
 		Seconds:    total,
@@ -110,7 +109,7 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		Iterations: len(tr.Iterations),
 	}
 	if total > 0 {
-		res.LaunchShare = float64(len(tr.Iterations)) * cfg.LaunchOverheadUs * 1e-6 / total
+		res.LaunchShare = float64(len(tr.Iterations)) * launchOverheadUs * 1e-6 / total
 	}
 	return res, nil
 }

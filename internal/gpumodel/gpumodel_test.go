@@ -56,18 +56,6 @@ func TestSimulateBasics(t *testing.T) {
 	}
 }
 
-func TestHigherBandwidthFaster(t *testing.T) {
-	tr := getTrace(t)
-	slow := A100_40GB()
-	slow.PeakBWGBs = 200
-	fast := A100_40GB()
-	a, _ := Simulate(tr, slow)
-	b, _ := Simulate(tr, fast)
-	if b.Seconds >= a.Seconds {
-		t.Fatal("more bandwidth must be faster")
-	}
-}
-
 func TestInfeasibleWhenTiny(t *testing.T) {
 	tr := getTrace(t)
 	cfg := A100_40GB()

@@ -28,7 +28,7 @@ func TestEngineSnapshotResumeEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < cut; i++ {
-			e.StepIteration(e.NextStart())
+			e.StepIteration()
 		}
 		st, err := e.Snapshot()
 		if err != nil {
@@ -36,7 +36,7 @@ func TestEngineSnapshotResumeEquivalence(t *testing.T) {
 		}
 		// Mutating the donor afterwards must not leak into the snapshot.
 		for !e.Done() {
-			e.StepIteration(e.NextStart())
+			e.StepIteration()
 		}
 		r, err := ResumeEngine(tr, cfg, st)
 		if err != nil {
@@ -46,7 +46,7 @@ func TestEngineSnapshotResumeEquivalence(t *testing.T) {
 			t.Fatalf("cut %d: resumed at next=%d clock=%d", cut, r.Next(), r.Now())
 		}
 		for !r.Done() {
-			r.StepIteration(r.NextStart())
+			r.StepIteration()
 		}
 		if got := r.Result(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut %d: resumed result differs from uninterrupted run:\n%+v\nvs\n%+v", cut, got, want)
@@ -65,7 +65,7 @@ func TestEngineSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.StepIteration(e.NextStart())
+	e.StepIteration()
 	st, err := e.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestEngineSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for !e.Done() {
-		e.StepIteration(e.NextStart())
+		e.StepIteration()
 	}
 	var after bytes.Buffer
 	if err := gob.NewEncoder(&after).Encode(st); err != nil {
@@ -93,7 +93,7 @@ func TestEngineResumeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.StepIteration(e.NextStart())
+	e.StepIteration()
 	st, err := e.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestEngineResumeErrors(t *testing.T) {
 	// A sealed engine has folded channel stats into the result; a snapshot
 	// of it would double-count on resume.
 	for !e.Done() {
-		e.StepIteration(e.NextStart())
+		e.StepIteration()
 	}
 	e.Result()
 	if _, err := e.Snapshot(); err == nil {

@@ -11,19 +11,18 @@ import (
 
 // Engine is a resumable trace replay: one NMP-PaK node whose simulation
 // advances one compaction iteration per StepIteration call instead of
-// running to completion. Between steps the engine is quiescent — no
-// pending events, all DRAM bank state settled into absolute cycle times —
-// so an external driver (the scale-out runtime, internal/scaleout) can
-// interleave its own events between iterations and impose per-iteration
-// start times without perturbing the intra-iteration outcome. Simulate is
-// a thin loop over StepIteration and produces bit-identical results to
-// the pre-refactor monolithic simulator.
+// running to completion. Each iteration starts SyncBarrierCycles after the
+// previous one ends (the runtime's lockstep barrier), so an engine's
+// timeline is fixed by its trace and Config alone. Between steps the
+// engine is quiescent — no pending events, all DRAM bank state settled
+// into absolute cycle times — so it can be snapshotted and resumed
+// (EngineState), and an external driver (the scale-out runtime,
+// internal/scaleout) can step many engines and place their iterations on
+// its own timeline. Simulate is a loop over StepIteration.
 //
-// Time inside an Engine is the node's local clock. StepIteration's
-// notBefore argument is expressed on that clock; drivers that run many
-// engines on a shared global timeline (each with its own local clock)
-// translate between the two by offsetting durations, never by rewinding
-// an engine.
+// Time inside an Engine is the node's local clock. Drivers that run many
+// engines on a shared global timeline translate between the clocks by
+// offsetting durations, never by rewinding an engine.
 type Engine struct {
 	cfg      Config
 	tr       *trace.Trace
@@ -100,32 +99,19 @@ func (e *Engine) AppendBusBusy(dst []int64) []int64 {
 	return dst
 }
 
-// NextStart returns the earliest local time the next iteration may begin:
-// the end of the previous one plus the runtime's lockstep sync barrier
-// (iteration 0 starts at 0). Passing this to StepIteration reproduces the
-// back-to-back schedule of Simulate.
-func (e *Engine) NextStart() sim.Cycle {
-	if e.next == 0 {
-		return 0
-	}
-	return e.clock + e.cfg.SyncBarrierCycles
-}
-
-// StepIteration simulates the next iteration, beginning no earlier than
-// notBefore on the engine's local clock, and returns its timing. The
-// caller controls inter-iteration time: NextStart() gives the single-node
-// schedule, while a distributed driver may hold an iteration back until
-// halo traffic has been delivered. Stepping a finished engine panics.
-func (e *Engine) StepIteration(notBefore sim.Cycle) IterTiming {
+// StepIteration simulates the next iteration, one sync barrier after the
+// previous one ends, and returns its timing. Stepping a finished engine
+// panics.
+func (e *Engine) StepIteration() IterTiming {
 	if e.Done() {
 		panic("nmp: StepIteration past the end of the trace")
 	}
 	if e.final {
 		panic("nmp: StepIteration after Result")
 	}
-	start := notBefore
-	if start < e.clock {
-		start = e.clock
+	var start sim.Cycle // iteration 0 starts at 0
+	if e.next > 0 {
+		start = e.clock + SyncBarrierCycles
 	}
 	iter := &e.tr.Iterations[e.next]
 	is := acquireIterSim(&e.cfg)
@@ -174,15 +160,14 @@ func (e *Engine) Result() *Result {
 }
 
 // Simulate replays a compaction trace on the NMP system: a stepwise
-// Engine driven back-to-back (each iteration starts one sync barrier
-// after the previous one ends).
+// Engine stepped to the end.
 func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	e, err := NewEngine(tr, cfg)
 	if err != nil {
 		return nil, err
 	}
 	for !e.Done() {
-		e.StepIteration(e.NextStart())
+		e.StepIteration()
 	}
 	return e.Result(), nil
 }

@@ -22,7 +22,7 @@ func TestEngineStepwiseMatchesSimulate(t *testing.T) {
 	}
 	for !e.Done() {
 		it := e.Next()
-		ti := e.StepIteration(e.NextStart())
+		ti := e.StepIteration()
 		if ti != want.PerIter[it] {
 			t.Fatalf("iteration %d timing %+v, Simulate %+v", it, ti, want.PerIter[it])
 		}
@@ -33,45 +33,6 @@ func TestEngineStepwiseMatchesSimulate(t *testing.T) {
 	got := e.Result()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("stepwise result differs from Simulate:\n%+v\nvs\n%+v", got, want)
-	}
-}
-
-// External events may interleave between iterations: holding an iteration
-// back (a later notBefore, as the scale-out runtime does while halo
-// traffic is in flight) must delay its start without corrupting the
-// replay — the engine still completes, conserves iteration count, and the
-// delay is visible in the timing.
-func TestEngineDelayedStart(t *testing.T) {
-	tr := getTrace(t)
-	e, err := NewEngine(tr, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const hold = 12_345
-	var prevEnd int64
-	for !e.Done() {
-		ti := e.StepIteration(e.NextStart() + hold)
-		if ti.Start < prevEnd+hold {
-			t.Fatalf("iteration started at %d despite hold-back to >= %d", ti.Start, prevEnd+hold)
-		}
-		if ti.End < ti.Start {
-			t.Fatalf("iteration ends %d before it starts %d", ti.End, ti.Start)
-		}
-		prevEnd = ti.End
-	}
-	res := e.Result()
-	if res.Iterations != len(tr.Iterations) {
-		t.Fatalf("iterations %d, want %d", res.Iterations, len(tr.Iterations))
-	}
-	// notBefore earlier than the local clock must clamp, not rewind.
-	e2, err := NewEngine(tr, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2.StepIteration(0)
-	ti := e2.StepIteration(0) // before NextStart; clamps to the engine clock
-	if ti.Start < e2.Now()-(ti.End-ti.Start) {
-		t.Fatalf("iteration rewound the clock: start %d", ti.Start)
 	}
 }
 
@@ -89,9 +50,9 @@ func TestEngineMisuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for !e.Done() {
-		e.StepIteration(e.NextStart())
+		e.StepIteration()
 	}
-	mustPanic(t, "step past end", func() { e.StepIteration(0) })
+	mustPanic(t, "step past end", func() { e.StepIteration() })
 	e.Result()
 	if got := e.Result(); got.Iterations != e.Iterations() {
 		t.Fatal("Result not idempotent")

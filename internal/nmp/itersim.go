@@ -306,7 +306,7 @@ func newIterSim(shape simShape, cfg *Config) *iterSim {
 	is := &iterSim{shape: shape, rowBlocks: shape.rowBytes / dram.BlockBytes}
 	is.onBegin = is.begin
 	is.onCPURun = is.cpuRun
-	depth := p3Depth(cfg)
+	depth := cfg.P3QueueDepth
 	is.pes = make([]pe, shape.channels*shape.pes)
 	for k := range is.pes {
 		p := &is.pes[k]
@@ -352,7 +352,7 @@ func (is *iterSim) reset(eng *sim.Engine, chs []*dram.Channel, cfg *Config, tr *
 	is.eng, is.chs, is.cfg, is.tr, is.iter, is.res = eng, chs, cfg, tr, iter, res
 	is.startAt = start
 	is.cpuQueue, is.cpuHead = is.cpuQueue[:0], 0
-	is.cpuIdle = cfg.CPUThreads
+	is.cpuIdle = cpuThreads
 	is.cpuNodes = is.cpuNodes[:0]
 	is.lastNMP, is.lastCPU = start, start
 	// Only the PEs the previous iteration used have left any state.
@@ -459,8 +459,6 @@ func (is *iterSim) reset(eng *sim.Engine, chs []*dram.Channel, cfg *Config, tr *
 
 func (is *iterSim) pe(dimm, idx int) *pe { return &is.pes[dimm*is.shape.pes+idx] }
 
-func p3Depth(cfg *Config) int { return max(cfg.P3QueueDepth, 1) }
-
 // kickoff schedules the iteration's opening event at its start time.
 func (is *iterSim) kickoff() { is.eng.At(is.startAt, is.onBegin) }
 
@@ -478,7 +476,7 @@ func (is *iterSim) begin() {
 		job := cpuJob{
 			node:    i,
 			read:    int(n.D1 + n.D2),
-			compute: is.cfg.CPUNodeBaseCycles + sim.Cycle(is.cfg.CPUCyclesPerByte*float64(n.D1+n.D2)),
+			compute: cpuNodeBaseCycles + sim.Cycle(cpuCyclesPerByte*float64(n.D1+n.D2)),
 			extract: n.Invalidated,
 		}
 		is.cpuSubmit(job)
@@ -491,45 +489,38 @@ func (is *iterSim) begin() {
 	}
 }
 
-func maxc(a, b sim.Cycle) sim.Cycle {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func (is *iterSim) p1Cycles(exts int32) sim.Cycle {
 	if is.cfg.IdealPE {
 		return 1
 	}
-	return is.cfg.P1Base + is.cfg.P1PerExt*sim.Cycle(exts)
+	return p1Base + p1PerExt*sim.Cycle(exts)
 }
 
 func (is *iterSim) p2Cycles(n *trace.NodeOp) sim.Cycle {
 	if is.cfg.IdealPE {
 		return 1
 	}
-	return is.cfg.P2Base + is.cfg.P2PerWire*sim.Cycle(n.Wires)
+	return p2Base + p2PerWire*sim.Cycle(n.Wires)
 }
 
 func (is *iterSim) p3Cycles(tns int) sim.Cycle {
 	if is.cfg.IdealPE {
 		return 1
 	}
-	return is.cfg.P3Base + is.cfg.P3PerTN*sim.Cycle(tns)
+	return p3Base + p3PerTN*sim.Cycle(tns)
 }
 
 // peNext pumps the PE's Stage P1: up to PELoadQueueDepth MacroNode loads
 // in flight ("Buffer for next MNs" in Fig. 10), with the invalidation-check
 // ALU running behind the load stream.
 func (is *iterSim) peNext(p *pe) {
-	depth := int32(max(is.cfg.PELoadQueueDepth, 1))
+	depth := int32(is.cfg.PELoadQueueDepth)
 	for p.outstanding < depth && p.qpos < p.qend {
 		job := &is.queue[p.qpos]
 		p.qpos++
 		p.outstanding++
 		loadDone := is.access(p.ch, is.eng.Now(), job.loc, int(job.d1Blocks), false)
-		compDone := maxc(loadDone, p.p1CompFree) + is.p1Cycles(job.exts)
+		compDone := max(loadDone, p.p1CompFree) + is.p1Cycles(job.exts)
 		p.p1CompFree = compDone
 		is.noteNMP(compDone)
 		is.eng.At(loadDone, p.onLoad)
@@ -596,27 +587,27 @@ func (is *iterSim) routeTNs(p *pe, i int) {
 		case dstPE == cpuHome:
 			// Offloaded destination: the TransferNode is handed to the
 			// host through the channel interface.
-			arrival = now + is.cfg.CPUExtraLatency
+			arrival = now + cpuExtraLatency
 			is.res.TNInterDIMM++ // leaves the DIMM either way
 		case dstDimm == srcDimm && dstPE == srcPE:
 			arrival = now + 1
 			is.res.TNSamePE++
 		case dstDimm == srcDimm:
 			port := &is.xbarFree[dstDimm*is.shape.pes+dstPE]
-			slot := maxc(now, *port)
-			dur := sim.Cycle(float64(bytes)/is.cfg.CrossbarBytesPerCy) + 1
+			slot := max(now, *port)
+			dur := sim.Cycle(float64(bytes)/crossbarBytesPerCy) + 1
 			*port = slot + dur
-			arrival = slot + dur + is.cfg.CrossbarLatency
+			arrival = slot + dur + crossbarLatency
 			is.res.TNIntraDIMM++
 		default:
 			out := &is.bridgeOut[srcDimm]
-			slot := maxc(now, *out)
+			slot := max(now, *out)
 			dur := sim.Cycle(float64(bytes)/is.cfg.BridgeBytesPerCy) + 1
 			*out = slot + dur
 			in := &is.bridgeIn[dstDimm]
-			slot2 := maxc(slot+dur+is.cfg.BridgeLatency, *in)
+			slot2 := max(slot+dur+bridgeLatency, *in)
 			*in = slot2 + dur
-			arrival = slot2 + dur + is.cfg.CrossbarLatency
+			arrival = slot2 + dur + crossbarLatency
 			is.res.TNInterDIMM++
 		}
 		is.noteNMP(arrival)
@@ -637,7 +628,7 @@ func (is *iterSim) deliverTN(dst, bytes int) {
 		if p.scratch > is.res.ScratchPeakBytes {
 			is.res.ScratchPeakBytes = p.scratch
 		}
-		if p.scratch > int64(is.cfg.TNScratchBytes) {
+		if p.scratch > tnScratchBytes {
 			is.res.ScratchOverflows++
 		}
 	}
@@ -657,7 +648,7 @@ func (is *iterSim) startUpdate(dst int32) {
 			node:    d,
 			read:    int(op.ReadBytes),
 			write:   int(op.WriteBytes),
-			compute: is.cfg.CPUNodeBaseCycles + sim.Cycle(is.cfg.CPUCyclesPerByte*float64(op.ReadBytes+op.WriteBytes)),
+			compute: cpuNodeBaseCycles + sim.Cycle(cpuCyclesPerByte*float64(op.ReadBytes+op.WriteBytes)),
 		})
 		return
 	}
@@ -670,7 +661,7 @@ func (is *iterSim) startUpdate(dst int32) {
 // the TransferNodes, write the node back; up to P3QueueDepth destination
 // chains overlap.
 func (is *iterSim) pumpP3(p *pe) {
-	depth := p3Depth(is.cfg)
+	depth := is.cfg.P3QueueDepth
 	for p.p3Busy < depth && !p.p3Queue.empty() {
 		p.p3Busy++
 		d := p.p3Queue.pop()
@@ -729,7 +720,7 @@ func (is *iterSim) cpuRun() {
 	job := &is.cpuQueue[k]
 	st := &is.nodes[job.node]
 	t := is.access(is.chs[st.dimm], is.eng.Now(), st.loc, dram.BlocksFor(job.read), false)
-	t += is.cfg.CPUExtraLatency + job.compute
+	t += cpuExtraLatency + job.compute
 	is.eng.At(t, is.cpuSteps[k].onRead)
 }
 
@@ -739,7 +730,7 @@ func (is *iterSim) cpuWrite(k int) {
 	done := is.eng.Now()
 	if job.write > 0 {
 		st := &is.nodes[job.node]
-		done = is.access(is.chs[st.dimm], done, st.loc, dram.BlocksFor(job.write), true) + is.cfg.CPUExtraLatency
+		done = is.access(is.chs[st.dimm], done, st.loc, dram.BlocksFor(job.write), true) + cpuExtraLatency
 	}
 	is.noteCPU(done)
 	is.eng.At(done, is.cpuSteps[k].onWrite)
@@ -759,7 +750,7 @@ func (is *iterSim) cpuFinish(k int) {
 func (is *iterSim) cpuExtract(i int) {
 	now := is.eng.Now()
 	for _, j := range is.tnOrder[is.tnStart[i]:is.tnStart[i+1]] {
-		arrival := now + is.cfg.CPUExtraLatency
+		arrival := now + cpuExtraLatency
 		is.noteCPU(arrival)
 		is.eng.At(arrival, is.deliver[j])
 	}

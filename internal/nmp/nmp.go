@@ -9,7 +9,8 @@
 // (internal/trace) against the DDR4 timing model (internal/dram),
 // processing iterations in lockstep exactly as the paper's runtime
 // requires ("both the CPU and NMP engines must operate on the same
-// iteration in lockstep").
+// iteration in lockstep"): an Engine steps one iteration at a time, each
+// starting SyncBarrierCycles after the previous one ends.
 //
 // Per-PE execution follows Fig. 10: Stage P1 loads "MN data1" (key,
 // prefixes, suffixes) and performs the invalidation check; Stage P2 loads
@@ -20,7 +21,9 @@
 // model (appends, comparisons and bitwise ops scale with the number of
 // extensions/wires), matching the paper's "we faithfully model PEs within
 // Ramulator ... based on the RTL design and the instruction count
-// statistics for each stage".
+// statistics for each stage". That design point is fixed: Config carries
+// only the node geometry and the values the paper's figures and ablations
+// vary, and the rest are package constants.
 package nmp
 
 import (
@@ -30,29 +33,18 @@ import (
 	"nmppak/internal/sim"
 )
 
-// Config parameterizes the NMP system.
+// Config parameterizes the NMP system: the node geometry and the design
+// points the paper's figures and ablations vary. The rest of Table 2's
+// design point (buffers, interconnect, stage compute model, host offload
+// costs) is fixed by the constants below.
 type Config struct {
 	Channels      int // DIMMs == channels (Fig. 9; paper: 8)
 	PEsPerChannel int // paper starts at 32; 16 is the cost-effective point
 	DRAM          dram.Config
 
-	// PE buffer sizing (Table 2). Nodes larger than MNBufBytes cannot be
-	// processed by a PE at all; with hybrid processing disabled they are
-	// streamed with a stall penalty.
-	MNBufBytes     int // 4096
-	TNScratchBytes int // 1024
-
-	// Interconnect.
-	CrossbarLatency    sim.Cycle // port-to-port latency
-	CrossbarBytesPerCy float64   // per output port
-	BridgeLatency      sim.Cycle // DIMM-to-DIMM latency
-	BridgeBytesPerCy   float64   // 25 GB/s at 1.6 GHz = 15.625 B/cycle
-
-	// Stage compute model (cycles), from the per-stage instruction counts:
-	// appending base pairs is shift+OR, plus comparisons per extension.
-	P1Base, P1PerExt  sim.Cycle
-	P2Base, P2PerWire sim.Cycle
-	P3Base, P3PerTN   sim.Cycle
+	// BridgeBytesPerCy is the DIMM-to-DIMM network bridge bandwidth:
+	// 25 GB/s at 1.6 GHz = 15.625 B/cycle.
+	BridgeBytesPerCy float64
 
 	// PELoadQueueDepth is the number of in-flight MacroNode loads a PE's
 	// Stage P1 load unit sustains (Fig. 10's "Buffer for next MNs"
@@ -73,14 +65,6 @@ type Config struct {
 	// NMP work, synchronized at each iteration boundary. 0 disables
 	// offload.
 	HybridThresholdBytes int
-	CPUThreads           int
-	CPUExtraLatency      sim.Cycle // controller/interconnect round trip
-	CPUNodeBaseCycles    sim.Cycle // software overhead per node visit
-	CPUCyclesPerByte     float64   // software processing cost
-
-	// SyncBarrierCycles is the per-iteration lockstep synchronization
-	// cost.
-	SyncBarrierCycles sim.Cycle
 
 	// StaticMapping pins the DIMM range table to the iteration-0
 	// partition instead of refreshing it each iteration (ablation).
@@ -92,45 +76,83 @@ type Config struct {
 	StaticMapping bool
 }
 
-// DefaultConfig returns the paper's system (Table 2) with the calibrated
-// compute model.
+// The fixed part of the design point. The constants are typed: an
+// untyped float constant would be folded exactly at compile time and
+// round differently from the same value in a float64 variable.
+const (
+	// tnScratchBytes is a PE's TransferNode scratchpad (Table 2);
+	// deliveries that fill it past this count as ScratchOverflows.
+	tnScratchBytes = 1024
+
+	// Interconnect: the crossbar's port-to-port latency and bandwidth per
+	// output port, and the DIMM-to-DIMM bridge latency.
+	crossbarLatency    sim.Cycle = 4
+	crossbarBytesPerCy float64   = 16
+	bridgeLatency      sim.Cycle = 40
+
+	// Per-stage instruction-count model (cycles): appending/comparing a
+	// (k-1)-mer against each extension costs tens of ALU operations on
+	// the PE's narrow datapath. At these rates a channel's 25.6 GB/s
+	// saturates at roughly 32 PEs (Fig. 15's knee), and once saturated,
+	// infinitely fast PEs gain nothing (the ideal-PE result of §6.1).
+	p1Base, p1PerExt  sim.Cycle = 50, 25
+	p2Base, p2PerWire sim.Cycle = 50, 25
+	p3Base, p3PerTN   sim.Cycle = 50, 25
+
+	// The host side of hybrid processing (§4.3): its worker threads, the
+	// controller/interconnect round trip, and the software cost of a node
+	// visit (a base plus a per-byte rate).
+	cpuThreads                  = 64
+	cpuExtraLatency   sim.Cycle = 60
+	cpuNodeBaseCycles sim.Cycle = 400
+	cpuCyclesPerByte  float64   = 0.2
+)
+
+// SyncBarrierCycles is the per-iteration lockstep synchronization cost:
+// each iteration starts this long after the previous one ends.
+const SyncBarrierCycles sim.Cycle = 200
+
+// minBridgeBytesPerCy is the lowest bridge bandwidth Validate accepts: a
+// TransferNode holds the bridge for bytes/BridgeBytesPerCy cycles, which
+// at this floor stays inside the cycle range, while at a rate like 1e-300
+// it leaves it and the conversion would price the bridge as free (the
+// floor internal/topo puts on its links).
+const minBridgeBytesPerCy = 1e-3
+
+// DefaultConfig returns the paper's system (Table 2).
 func DefaultConfig() Config {
 	return Config{
-		Channels:      8,
-		PEsPerChannel: 32,
-		DRAM:          dram.DDR4_3200(),
-
-		MNBufBytes:     4096,
-		TNScratchBytes: 1024,
-
-		CrossbarLatency:    4,
-		CrossbarBytesPerCy: 16,
-		BridgeLatency:      40,
-		BridgeBytesPerCy:   15.625, // 25 GB/s (DIMM-Link)
+		Channels:         8,
+		PEsPerChannel:    32,
+		DRAM:             dram.DDR4_3200(),
+		BridgeBytesPerCy: 15.625, // 25 GB/s (DIMM-Link)
 
 		// Double-buffered load unit (Fig. 10 "Buffer for next MNs") and
 		// one destination chain in flight behind the current one.
 		PELoadQueueDepth: 2,
 		P3QueueDepth:     2,
 
-		// Per-stage instruction-count model: appending/comparing a
-		// (k-1)-mer against each extension costs tens of ALU operations
-		// on the PE's narrow datapath. At these rates a channel's 25.6
-		// GB/s saturates at roughly 32 PEs (Fig. 15's knee), and once
-		// saturated, infinitely fast PEs gain nothing (the ideal-PE
-		// result of §6.1).
-		P1Base: 50, P1PerExt: 25,
-		P2Base: 50, P2PerWire: 25,
-		P3Base: 50, P3PerTN: 25,
-
 		HybridThresholdBytes: 1024,
-		CPUThreads:           64,
-		CPUExtraLatency:      60,
-		CPUNodeBaseCycles:    400,
-		CPUCyclesPerByte:     0.2,
-
-		SyncBarrierCycles: 200,
 	}
+}
+
+// Fingerprint renders c in the layout %+v gave it when every part of the
+// design point was a field, the fixed parts filled in from the constants
+// (and the since-removed 4096-byte MacroNode buffer, which no model read).
+// Checkpoint config digests hash this text, so it must not change.
+func (c Config) Fingerprint() string {
+	return fmt.Sprintf("{Channels:%d PEsPerChannel:%d DRAM:%+v MNBufBytes:4096 TNScratchBytes:%d "+
+		"CrossbarLatency:%d CrossbarBytesPerCy:%v BridgeLatency:%d BridgeBytesPerCy:%v "+
+		"P1Base:%d P1PerExt:%d P2Base:%d P2PerWire:%d P3Base:%d P3PerTN:%d "+
+		"PELoadQueueDepth:%d P3QueueDepth:%d IdealPE:%v ForwardingHitRate:%v "+
+		"HybridThresholdBytes:%d CPUThreads:%d CPUExtraLatency:%d CPUNodeBaseCycles:%d CPUCyclesPerByte:%v "+
+		"SyncBarrierCycles:%d StaticMapping:%v}",
+		c.Channels, c.PEsPerChannel, c.DRAM, tnScratchBytes,
+		crossbarLatency, crossbarBytesPerCy, bridgeLatency, c.BridgeBytesPerCy,
+		p1Base, p1PerExt, p2Base, p2PerWire, p3Base, p3PerTN,
+		c.PELoadQueueDepth, c.P3QueueDepth, c.IdealPE, c.ForwardingHitRate,
+		c.HybridThresholdBytes, cpuThreads, cpuExtraLatency, cpuNodeBaseCycles, cpuCyclesPerByte,
+		SyncBarrierCycles, c.StaticMapping)
 }
 
 // Ceilings on the per-node geometry Validate accepts: far above any
@@ -149,13 +171,17 @@ func (c Config) Validate() error {
 	if c.Channels > maxChannels || c.PEsPerChannel > maxPEsPerChannel {
 		return fmt.Errorf("nmp: at most %d channels of %d PEs, got %d/%d", maxChannels, maxPEsPerChannel, c.Channels, c.PEsPerChannel)
 	}
-	if c.BridgeBytesPerCy <= 0 || c.CrossbarBytesPerCy <= 0 {
-		return fmt.Errorf("nmp: interconnect bandwidth must be positive")
+	if !(c.BridgeBytesPerCy >= minBridgeBytesPerCy) {
+		return fmt.Errorf("nmp: bridge bandwidth %g B/cycle below the %g B/cycle floor", c.BridgeBytesPerCy, minBridgeBytesPerCy)
 	}
-	// Offloaded nodes run only on the host threads, so hybrid processing
-	// without any would drop them.
-	if c.HybridThresholdBytes > 0 && c.CPUThreads < 1 {
-		return fmt.Errorf("nmp: hybrid offload needs at least 1 CPU thread, got %d", c.CPUThreads)
+	if c.PELoadQueueDepth < 1 || c.P3QueueDepth < 1 {
+		return fmt.Errorf("nmp: PE queue depths must be >= 1, got P1 %d, P3 %d", c.PELoadQueueDepth, c.P3QueueDepth)
+	}
+	if !(c.ForwardingHitRate >= 0 && c.ForwardingHitRate <= 1) {
+		return fmt.Errorf("nmp: ForwardingHitRate %v outside [0,1]", c.ForwardingHitRate)
+	}
+	if c.HybridThresholdBytes < 0 {
+		return fmt.Errorf("nmp: HybridThresholdBytes must be >= 0, got %d", c.HybridThresholdBytes)
 	}
 	if err := c.DRAM.Validate(); err != nil {
 		return fmt.Errorf("nmp: %w", err)

@@ -1,6 +1,7 @@
 package nmp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -220,6 +221,22 @@ func TestValidation(t *testing.T) {
 	bad.Channels = 0
 	if _, err := Simulate(tr, bad); err == nil {
 		t.Fatal("expected validation error")
+	}
+	// The edges of each accepted range still run: an unlimited bridge (as
+	// internal/topo accepts unlimited links), the bandwidth floor, both
+	// ends of the forwarding hit rate, no offload and unit queue depths.
+	for _, f := range []func(*Config){
+		func(c *Config) { c.BridgeBytesPerCy = math.Inf(1) },
+		func(c *Config) { c.BridgeBytesPerCy = minBridgeBytesPerCy },
+		func(c *Config) { c.ForwardingHitRate = 1 },
+		func(c *Config) { c.HybridThresholdBytes = 0 },
+		func(c *Config) { c.PELoadQueueDepth, c.P3QueueDepth = 1, 1 },
+	} {
+		cfg := DefaultConfig()
+		f(&cfg)
+		if _, err := Simulate(tr, cfg); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
 	}
 }
 

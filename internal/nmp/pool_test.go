@@ -21,7 +21,7 @@ func poolShapes() []Config {
 	add(func(c *Config) { c.PEsPerChannel = 4 })
 	add(func(c *Config) { c.P3QueueDepth = 1 })
 	add(func(c *Config) { c.DRAM.Ranks = 1 })
-	add(func(c *Config) { c.DRAM.RowBytes = 4096; c.HybridThresholdBytes = 64; c.CPUThreads = 2 })
+	add(func(c *Config) { c.DRAM.RowBytes = 4096; c.HybridThresholdBytes = 64 })
 	return cfgs
 }
 
@@ -43,7 +43,7 @@ func stepInterleaved(t *testing.T, cfgs []Config) []*Result {
 		active := false
 		for k, e := range engines {
 			if round >= k && !e.Done() {
-				e.StepIteration(e.NextStart())
+				e.StepIteration()
 			}
 			active = active || !e.Done()
 		}

@@ -465,7 +465,7 @@ func (ck *CheckpointState) matches(tr *trace.Trace, cfg Config, net topo.Network
 			want += d
 		}
 		if st.Next > 0 {
-			want += cfg.NMP.SyncBarrierCycles * sim.Cycle(st.Next-1)
+			want += nmp.SyncBarrierCycles * sim.Cycle(st.Next-1)
 		}
 		if st.Clock != want {
 			return fmt.Errorf("scaleout: checkpoint node %d engine clock %d, its durations and sync barriers sum to %d", i, st.Clock, want)
@@ -479,13 +479,14 @@ func (ck *CheckpointState) matches(tr *trace.Trace, cfg Config, net topo.Network
 // parallelism while computing the (deterministic) result, so a blob may be
 // restored on a machine with a different core count. The "/0" after the
 // cadence is the text's checkpoint I/O rate slot, which reads 0 for the
-// fixed DefaultCheckpointBytesPerCycle; changing the text would orphan
-// every existing blob.
+// fixed DefaultCheckpointBytesPerCycle, and nmp.Config.Fingerprint prints
+// the node model in the layout it had when all of it was settable;
+// changing the text would orphan every existing blob.
 func configDigest(cfg Config, topoName string) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "nodes=%d k=%d min=%d overlap=%v part=%s topo=%s|%+v nmp=%+v sw=%+v ckpt=%d/0 faults=%s",
+	fmt.Fprintf(h, "nodes=%d k=%d min=%d overlap=%v part=%s topo=%s|%+v nmp=%s sw=%+v ckpt=%d/0 faults=%s",
 		cfg.Nodes, cfg.K, cfg.MinCount, cfg.Overlap,
-		partitionerID(cfg.Partitioner), topoName, cfg.Topo, cfg.NMP, software,
+		partitionerID(cfg.Partitioner), topoName, cfg.Topo, cfg.NMP.Fingerprint(), software,
 		cfg.CheckpointEvery, cfg.Faults.Fingerprint())
 	return h.Sum64()
 }

@@ -278,22 +278,8 @@ func ownersOf(p Partitioner, seq dna.Seq, kk, nodes int, own []uint32) {
 	if len(own) == 0 {
 		return
 	}
-	var mo minOwner
-	switch q := p.(type) {
-	case HashPartitioner, *HashPartitioner:
-		mo = minOwner{kind: perKey}
-	case MinimizerPartitioner:
-		mo = minOwner{kind: minimizerOwned, m: q.M}
-	case *MinimizerPartitioner:
-		mo = minOwner{kind: minimizerOwned, m: q.M}
-	case BalancedPartitioner:
-		mo = balancedOwner(q, nodes)
-	case *BalancedPartitioner:
-		mo = balancedOwner(*q, nodes)
-	case *RebalancePartitioner:
-		mo = minOwner{kind: bucketOwned, m: q.M}
-	}
-	if mo.kind == custom || mo.kind != perKey && mo.m < 1 {
+	mo := ownerMap(p, nodes)
+	if mo.kind == custom || mo.noMinimizer() {
 		km := dna.KmerFromSeq(seq, 0, kk)
 		own[0] = uint32(p.Owner(km, kk, nodes))
 		for i := kk; i < seq.Len(); i++ {
@@ -393,6 +379,33 @@ type minOwner struct {
 	m     int
 	nodes uint64
 	table []uint16
+}
+
+// ownerMap resolves p to the way ownersOf computes its owners among
+// nodes, which Config.Validate checks too; a Partitioner it does not know
+// is custom.
+func ownerMap(p Partitioner, nodes int) minOwner {
+	switch q := p.(type) {
+	case HashPartitioner, *HashPartitioner:
+		return minOwner{kind: perKey}
+	case MinimizerPartitioner:
+		return minOwner{kind: minimizerOwned, m: q.M}
+	case *MinimizerPartitioner:
+		return minOwner{kind: minimizerOwned, m: q.M}
+	case BalancedPartitioner:
+		return balancedOwner(q, nodes)
+	case *BalancedPartitioner:
+		return balancedOwner(*q, nodes)
+	case *RebalancePartitioner:
+		return minOwner{kind: bucketOwned, m: q.M}
+	}
+	return minOwner{kind: custom}
+}
+
+// noMinimizer reports whether mo owns words by a minimizer shorter than
+// one base, which hashes the same empty m-mer for every word.
+func (mo *minOwner) noMinimizer() bool {
+	return mo.kind != custom && mo.kind != perKey && mo.m < 1
 }
 
 // balancedOwner is p's owner map over nodes: its table when it was built

@@ -249,7 +249,7 @@ func (rt *runtime) prestep(it int, pr *probes) {
 		if pr != nil {
 			pr.beforeStep(i, it, e)
 		}
-		ti := e.StepIteration(e.NextStart())
+		ti := e.StepIteration()
 		rt.durations[i][it] = ti.End - ti.Start
 		if pr != nil {
 			pr.afterStep(i, it, e, ti)
@@ -296,7 +296,7 @@ func (rt *runtime) run(from, to int) error {
 		}
 		if rt.cfg.Overlap && it > 0 {
 			c.stallBarrier(telemetry.SpanLinkBarrier, it-1, c.lb, 0, true)
-			c.stallBarrier(telemetry.SpanSyncBarrier, it-1, c.sb, 0, false)
+			c.stallBarrier(telemetry.SpanSyncBarrier, it-1, nmp.SyncBarrierCycles, 0, false)
 		}
 		if rt.captureDue(it) {
 			if err := rt.capture(it); err != nil {
@@ -459,11 +459,11 @@ func (rt *runtime) segmentEpoch(it, end int) (int, error) {
 // captures, detection, restore) land in barrier too. Whole-machine waits
 // are recorded on the runtime track and on the live node tracks.
 type phaseClock struct {
-	net    topo.Network
-	iters  int
-	lb, sb sim.Cycle // link and sync barrier between supersteps
-	pr     *probes
-	live   []bool
+	net   topo.Network
+	iters int
+	lb    sim.Cycle // link barrier between supersteps
+	pr    *probes
+	live  []bool
 
 	compute, exchange, barrier sim.Cycle
 	linkBarrier                sim.Cycle
@@ -477,7 +477,6 @@ func newPhaseClock(net topo.Network, cfg Config, iters int) phaseClock {
 		net:   net,
 		iters: iters,
 		lb:    net.BarrierCycles(),
-		sb:    cfg.NMP.SyncBarrierCycles,
 		durs:  make([]sim.Cycle, cfg.Nodes),
 	}
 }
@@ -493,7 +492,7 @@ func (c *phaseClock) restore(ck *CheckpointState) {
 	c.compute, c.exchange = ck.Compute, ck.Exchange
 	c.exchangedBytes = ck.CompactExchangedBytes
 	c.linkBarrier = sim.Cycle(crossed) * c.lb
-	c.barrier = c.linkBarrier + sim.Cycle(crossed)*c.sb
+	c.barrier = c.linkBarrier + sim.Cycle(crossed)*nmp.SyncBarrierCycles
 }
 
 // stall charges a d-cycle whole-machine wait to bucket (one of the
@@ -546,7 +545,7 @@ func (c *phaseClock) superstep(it int, durations [][]sim.Cycle, halo [][]int64) 
 
 	if it+1 < c.iters {
 		c.stallBarrier(telemetry.SpanLinkBarrier, it, c.lb, 0, true)
-		c.stallBarrier(telemetry.SpanSyncBarrier, it, c.sb, 0, false)
+		c.stallBarrier(telemetry.SpanSyncBarrier, it, nmp.SyncBarrierCycles, 0, false)
 		if c.pr != nil {
 			for i := range c.durs {
 				if c.live[i] {
@@ -590,7 +589,8 @@ type ovNode struct {
 // produced.
 func (rt *runtime) schedule(s, e int, halo [][][]int64, off sim.Cycle) *segOutcome {
 	n, m := rt.n, e-s
-	pr, sb, live := rt.pr, rt.clock.sb, rt.live
+	pr, live := rt.pr, rt.live
+	const sb = nmp.SyncBarrierCycles
 	seg := &segOutcome{boundary: make([]sim.Cycle, m)}
 
 	g := &sim.Engine{}
@@ -703,9 +703,7 @@ func (rt *runtime) schedule(s, e int, halo [][][]int64, off sim.Cycle) *segOutco
 			// start is never earlier than readyAt = previous end + sb).
 			if pr != nil && j > 0 {
 				e0 := lastEnd[i]
-				if sb > 0 {
-					pr.node[i].Add(telemetry.SpanSyncBarrier, off+e0, off+e0+sb, int64(it), 0)
-				}
+				pr.node[i].Add(telemetry.SpanSyncBarrier, off+e0, off+e0+sb, int64(it), 0)
 				if at > e0+sb {
 					pr.node[i].Add(telemetry.SpanDeliveryWait, off+e0+sb, off+at, int64(it), 0)
 				}

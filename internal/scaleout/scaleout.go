@@ -142,24 +142,6 @@ func (c Config) Validate() error {
 	if v := reflect.ValueOf(c.Partitioner); v.Kind() == reflect.Pointer && v.IsNil() {
 		return fmt.Errorf("scaleout: Partitioner must be set, got a nil %T", c.Partitioner)
 	}
-	// A minimizer shorter than one base hashes the same empty m-mer for
-	// every word, so one node would own everything.
-	var minLen int
-	switch p := c.Partitioner.(type) {
-	case MinimizerPartitioner:
-		minLen = p.M
-	case *MinimizerPartitioner:
-		minLen = p.M
-	case BalancedPartitioner:
-		minLen = p.M
-	case *BalancedPartitioner:
-		minLen = p.M
-	default:
-		minLen = 1
-	}
-	if minLen < 1 {
-		return fmt.Errorf("scaleout: %T needs a minimizer length M >= 1, got M=%d", c.Partitioner, minLen)
-	}
 	if rp, ok := c.Partitioner.(*RebalancePartitioner); ok {
 		if c.Overlap {
 			return fmt.Errorf("scaleout: RebalancePartitioner requires the BSP discipline (the migration decision is a global synchronization); unset Overlap")
@@ -173,6 +155,11 @@ func (c Config) Validate() error {
 		if c.elastic() {
 			return fmt.Errorf("scaleout: RebalancePartitioner cannot run an elastic config (a recovery fails over from the partitioner's static Owner, not from the migrated ownership table); unset CheckpointEvery and Faults")
 		}
+	}
+	// With a minimizer shorter than one base one node would own every
+	// word. (A RebalancePartitioner's M was checked above.)
+	if mo := ownerMap(c.Partitioner, c.Nodes); mo.noMinimizer() {
+		return fmt.Errorf("scaleout: %T needs a minimizer length M >= 1, got M=%d", c.Partitioner, mo.m)
 	}
 	// The node count sizes every per-node table up front; a blob records
 	// no more nodes than this either.

@@ -261,7 +261,7 @@ func DefaultGPUConfig() GPUConfig { return gpumodel.A100_40GB() }
 func SimulateGPU(tr *Trace, cfg GPUConfig) (*GPUResult, error) { return gpumodel.Simulate(tr, cfg) }
 
 // NewNMPEngine prepares a resumable stepwise replay of tr; drive it with
-// StepIteration/NextStart and seal with Result.
+// StepIteration and seal with Result.
 func NewNMPEngine(tr *Trace, cfg NMPConfig) (*NMPEngine, error) { return nmp.NewEngine(tr, cfg) }
 
 // DefaultScaleOutConfig returns an n-node scale-out system: paper-default

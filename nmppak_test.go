@@ -87,7 +87,7 @@ func TestPublicScaleOutAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for !e.Done() {
-		e.StepIteration(e.NextStart())
+		e.StepIteration()
 	}
 	if got := e.Result(); got.Cycles != want.Cycles {
 		t.Fatalf("stepwise engine %d cycles, SimulateNMP %d", got.Cycles, want.Cycles)
@@ -333,8 +333,16 @@ func TestUntrustedInputsError(t *testing.T) {
 		{"SimulateNMP/huge ranks", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM.Ranks = huge }))},
 		{"SimulateNMP/huge banks per rank", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM.BanksPerRank = huge }))},
 		{"SimulateNMP/refresh as long as its interval", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM.TRFC = c.DRAM.TREFI }))},
-		{"SimulateNMP/hybrid without CPU threads", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.HybridThresholdBytes, c.CPUThreads = 256, 0 }))},
-		{"SimulateNMP/hybrid with negative CPU threads", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.HybridThresholdBytes, c.CPUThreads = 256, -1 }))},
+		{"SimulateNMP/NaN bridge bandwidth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.BridgeBytesPerCy = nan }))},
+		{"SimulateNMP/bridge bandwidth below the floor", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.BridgeBytesPerCy = 1e-300 }))},
+		{"SimulateNMP/forwarding hit rate above 1", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.ForwardingHitRate = 2 }))},
+		{"SimulateNMP/NaN forwarding hit rate", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.ForwardingHitRate = nan }))},
+		{"SimulateNMP/negative forwarding hit rate", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.ForwardingHitRate = -1 }))},
+		{"SimulateNMP/negative hybrid threshold", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.HybridThresholdBytes = -5 }))},
+		{"SimulateNMP/negative load queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.PELoadQueueDepth = -3 }))},
+		{"SimulateNMP/zero load queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.PELoadQueueDepth = 0 }))},
+		{"SimulateNMP/negative P3 queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.P3QueueDepth = -3 }))},
+		{"SimulateNMP/zero P3 queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.P3QueueDepth = 0 }))},
 		{"NewNMPEngine/nil trace", func() error { _, err := nmppak.NewNMPEngine(nil, nmppak.DefaultNMPConfig()); return err }},
 		{"NewNMPEngine/zero config", func() error { _, err := nmppak.NewNMPEngine(tr, nmppak.NMPConfig{}); return err }},
 		{"SimulateCPU/nil trace", simCPU(nil, nmppak.DefaultCPUConfig())},
@@ -344,12 +352,10 @@ func TestUntrustedInputsError(t *testing.T) {
 		{"SimulateCPU/huge threads", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Threads = huge }))},
 		{"SimulateCPU/huge channels", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Channels = huge }))},
 		{"SimulateCPU/zero DRAM", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.DRAM = zeroDRAM }))},
-		{"SimulateCPU/L3 hit rate above 1", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.L3HitRate = 1.5 }))},
-		{"SimulateCPU/NaN L3 hit rate", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.L3HitRate = nan }))},
 		{"SimulateGPU/nil trace", simGPU(nil, nmppak.DefaultGPUConfig())},
 		{"SimulateGPU/zero config", simGPU(tr, nmppak.GPUConfig{})},
-		{"SimulateGPU/NaN bandwidth", simGPU(tr, gpuWith(func(c *nmppak.GPUConfig) { c.PeakBWGBs = nan }))},
-		{"SimulateGPU/negative launch overhead", simGPU(tr, gpuWith(func(c *nmppak.GPUConfig) { c.LaunchOverheadUs = -1 }))},
+		{"SimulateGPU/NaN memory", simGPU(tr, gpuWith(func(c *nmppak.GPUConfig) { c.MemoryGB = nan }))},
+		{"SimulateGPU/negative memory", simGPU(tr, gpuWith(func(c *nmppak.GPUConfig) { c.MemoryGB = -1 }))},
 		{"Assemble/zero config", func() error { _, err := nmppak.Assemble(reads, nmppak.AssemblyConfig{}); return err }},
 		{"Assemble/k above 32", func() error { _, err := nmppak.Assemble(reads, nmppak.AssemblyConfig{K: 33}); return err }},
 		{"CaptureTrace/zero k", func() error { _, _, err := nmppak.CaptureTrace(reads, 0, 0, 0); return err }},
