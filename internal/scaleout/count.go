@@ -434,10 +434,14 @@ type graphRec struct {
 // a ShardGraphs holding the exchange matrix and per-node receive counts but
 // no graphs, and the delivered records as inbox[src][dst], each ascending
 // by k-mer. A source computes each k-mer's two owners once, counts, then
-// fills one exact-size flat vector of capped windows.
+// fills one exact-size flat vector of capped windows; under a minimizer
+// scheme both owners come from one pass over the k-mer's m-mer hashes
+// (endOwners).
 func (sc *ShardedCount) routeGraph(cfg Config) (*ShardGraphs, [][][]graphRec) {
 	n := sc.Nodes
 	p := cfg.Partitioner
+	mo := ownerMap(p, n)
+	mo.nodes = uint64(n)
 	sg := &ShardGraphs{
 		GraphExchange: mat(n),
 		RecvPerNode:   make([]int64, n),
@@ -448,8 +452,7 @@ func (sc *ShardedCount) routeGraph(cfg Config) (*ShardGraphs, [][][]graphRec) {
 		own := make([]int32, 2*len(kms)) // prefix owner, suffix owner
 		cnt := make([]int, n)
 		for i, kc := range kms {
-			po := p.Owner(kc.Km.Prefix(), sc.K-1, n)
-			so := p.Owner(kc.Km.Suffix(sc.K), sc.K-1, n)
+			po, so := mo.endOwners(p, kc.Km, sc.K)
 			own[2*i], own[2*i+1] = int32(po), int32(so)
 			cnt[po]++
 			if so != po {
@@ -576,4 +579,23 @@ func mat(n int) [][]int64 {
 		m[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
 	return m
+}
+
+// matBlock is a reusable set of n×n matrices.
+type matBlock [][][]int64
+
+// take returns k zeroed n×n matrices from the block, adding to it when it
+// holds fewer; they stay valid until the next take. n must not change
+// between takes.
+func (b *matBlock) take(k, n int) [][][]int64 {
+	for len(*b) < k {
+		*b = append(*b, mat(n))
+	}
+	ms := (*b)[:k]
+	for _, m := range ms {
+		for _, row := range m {
+			clear(row)
+		}
+	}
+	return ms
 }

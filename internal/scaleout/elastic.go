@@ -82,15 +82,13 @@ type recoveryPoint struct {
 	blob []byte
 }
 
-// ownerOf resolves a key under the current ownership: a rebalancing
-// run's migrated table, otherwise under the current membership — the
-// static partitioner's owner while it lives, else a deterministic
-// key-hashed survivor; every node computes the same failover assignment
-// without coordination, like the base partitioners.
-func (rt *runtime) ownerOf(key dna.Kmer) int {
-	if rb := rt.rb; rb != nil {
-		return int(rb.table[rb.p.bucket(key, rt.k1)])
-	}
+// ownerOf is the shard feed's owner of a static-partition run: a key's
+// owner under the current membership — the static partitioner's owner
+// while it lives, else a deterministic key-hashed survivor; every node
+// computes the same failover assignment without coordination, like the
+// base partitioners. (A rebalancing run's feed reads its bucket column
+// instead: rebalancer.ownerOf.)
+func (rt *runtime) ownerOf(key dna.Kmer, _ int) int {
 	return failover(rt.cfg.Partitioner.Owner(key, rt.k1, rt.n), key, rt.live, rt.surv)
 }
 
@@ -254,7 +252,7 @@ func (rt *runtime) recover(losses []fault.Event, bIter int) (int, error) {
 	// membership moves from its replica holder (the next live node after
 	// the old owner) to the new owner, over the degraded interconnect.
 	if resume < rt.iters {
-		rt.res.RepartitionBytes += rt.moveNodes(resume, telemetry.SpanRepartition, func(key dna.Kmer) (int, int) {
+		rt.res.RepartitionBytes += rt.moveNodes(resume, telemetry.SpanRepartition, func(key dna.Kmer, _ int) (int, int) {
 			o := rt.cfg.Partitioner.Owner(key, rt.k1, rt.n)
 			from, to := failover(o, key, oldLive, oldSurv), failover(o, key, rt.live, rt.surv)
 			if from != to && !rt.live[from] {

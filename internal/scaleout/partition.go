@@ -434,6 +434,32 @@ func (mo *minOwner) bucketOf(best uint64) (uint32, bool) {
 	return 0, true
 }
 
+// endOwners returns the owners among mo.nodes (which the caller sets) of
+// the leading and trailing (k-1)-mers of k-mer km, exactly as p, the
+// partitioner mo maps, assigns each. A minimizer scheme hashes each of the
+// k-m+1 m-mers of km once: the prefix's minimizer is the least of hashes
+// 0..k-m-1 and the suffix's the least of hashes 1..k-m, so the shared
+// middle is scanned once, and a word no longer than the m-mer is its own
+// minimizer, unhashed (minimizerOf). The hash and custom partitioners are
+// asked per word.
+func (mo *minOwner) endOwners(p Partitioner, km dna.Kmer, k int) (po, so int) {
+	pre, suf := km.Prefix(), km.Suffix(k)
+	if mo.nodes <= 1 || mo.kind == custom || mo.kind == perKey || mo.noMinimizer() {
+		return p.Owner(pre, k-1, int(mo.nodes)), p.Owner(suf, k-1, int(mo.nodes))
+	}
+	if mo.m >= k-1 {
+		return int(mo.of(uint64(pre), uint64(pre))), int(mo.of(uint64(suf), uint64(suf)))
+	}
+	w, mask := uint64(km), dna.KmerMask(mo.m)
+	span := k - mo.m // the last m-mer of km starts at base span
+	mid := ^uint64(0)
+	for i := 1; i < span; i++ {
+		mid = min(mid, mix64(w>>(2*uint(span-i))&mask))
+	}
+	first, last := mix64(w>>(2*uint(span))&mask), mix64(w&mask)
+	return int(mo.of(min(first, mid), uint64(pre))), int(mo.of(min(mid, last), uint64(suf)))
+}
+
 // of returns the owner of word x whose minimizer is best.
 func (mo *minOwner) of(best, x uint64) uint32 {
 	if mo.kind == perKey {

@@ -168,7 +168,9 @@ func (modPartitioner) Owner(key dna.Kmer, kk, nodes int) int {
 }
 
 // FuzzRollingOwner checks the rolling owner against Partitioner.Owner on
-// every window of a read, for every partitioner: hash, minimizer,
+// every window of a read, and the paired owners of each window's leading
+// and trailing (k-1)-mers (endOwners, the graph-construction route)
+// against two Owner calls, for every partitioner: hash, minimizer,
 // rebalance, a balanced one with a real table (spilled buckets included)
 // asked at its own node count and at the fuzzed one, and a custom one.
 // The input picks k in [2,32], m in [1,k+1], the node count in [1,70]
@@ -240,11 +242,19 @@ func FuzzRollingOwner(f *testing.F) {
 			}
 			own := make([]uint32, n-k+1)
 			ownersOf(c.p, seq, k, c.nodes, own)
+			mo := ownerMap(c.p, c.nodes)
+			mo.nodes = uint64(c.nodes)
 			for i, o := range own {
 				key := dna.KmerFromSeq(seq, i, k)
 				if want := c.p.Owner(key, k, c.nodes); int(o) != want {
 					t.Fatalf("%s k=%d m=%d nodes=%d: window %d of %s owned by %d, Owner says %d",
 						c.p.Name(), k, m, c.nodes, i, seq, o, want)
+				}
+				po, so := mo.endOwners(c.p, key, k)
+				wantP, wantS := c.p.Owner(key.Prefix(), k-1, c.nodes), c.p.Owner(key.Suffix(k), k-1, c.nodes)
+				if po != wantP || so != wantS {
+					t.Fatalf("%s k=%d m=%d nodes=%d: window %d of %s has end owners %d, %d; Owner says %d, %d",
+						c.p.Name(), k, m, c.nodes, i, seq, po, so, wantP, wantS)
 				}
 			}
 		}

@@ -65,11 +65,6 @@ func (p *RebalancePartitioner) Name() string {
 	return fmt.Sprintf("rebalance%d/%d", p.M, p.Every)
 }
 
-// bucket maps a word to its minimizer super-bucket.
-func (p *RebalancePartitioner) bucket(key dna.Kmer, kk int) int {
-	return superBucket(key, kk, p.M)
-}
-
 // Owner implements Partitioner with the static initial assignment
 // (initialOwner; the runtime's ownership table starts there and diverges
 // as measurements arrive).
@@ -77,7 +72,7 @@ func (p *RebalancePartitioner) Owner(key dna.Kmer, kk, nodes int) int {
 	if nodes <= 1 {
 		return 0
 	}
-	return initialOwner(p.bucket(key, kk), nodes)
+	return initialOwner(superBucket(key, kk, p.M), nodes)
 }
 
 // migrate mutates the bucket ownership table, moving buckets from
@@ -182,16 +177,21 @@ func (p *RebalancePartitioner) migrate(table []uint16, cum, dur []sim.Cycle, wei
 }
 
 // rebalancer is the migration state of a runtime whose partitioner is a
-// RebalancePartitioner: the ownership table the shard feed reads, the
-// measurements the next migration decision reads and the migration
-// accounting. Migrations bound the BSP epochs (epochEnd): a decision reads
-// the measurements of the iteration before it and rewrites the table, so
-// between two of them ownership is frozen. The decision is itself a
-// global synchronization, so it needs the barrier BSP already has.
+// RebalancePartitioner: the ownership table the shard feed reads through
+// the run's bucket column, the measurements the next migration decision
+// reads and the migration accounting. Migrations bound the BSP epochs
+// (epochEnd): a decision reads the measurements of the iteration before
+// it and rewrites the table, so between two of them ownership is frozen.
+// The decision is itself a global synchronization, so it needs the
+// barrier BSP already has. Every per-visit reader — the shard feed's
+// count pass (ownerOf), the move pricer (move) and the weight rebuild
+// (measure) — takes the visit's super-bucket from col, so a run hashes a
+// key's bucket once, not once per reader and iteration.
 type rebalancer struct {
 	p     *RebalancePartitioner
 	table []uint16 // bucket -> owning node (mutated by migrations)
 	prev  []uint16 // scratch: ownership before the last migration
+	col   bucketColumn
 	// iterBytes[it] is the global traced MacroNode bytes remaining from
 	// iteration it on; the suffix sums estimate how much work remains at
 	// each rebalance point (compaction decays fast, so "rest of run over
@@ -206,15 +206,61 @@ type rebalancer struct {
 	migratedBytes int64
 }
 
+// bucketColumn is a rebalancing run's super-bucket column: buckets[i] is
+// the minimizer super-bucket of node visit i of iteration at. Iterative
+// Compaction only removes MacroNodes, so every key of an iteration is a
+// key of the one before it and both visit lists ascend: advance builds the
+// next iteration's column with one merge walk over the two lists, copying
+// each surviving key's bucket, and hashes only the keys the walk does not
+// find — a key missing from the previous iteration, or one out of
+// ascending order — so a loaded trace that breaks the rule stays exact.
+// Two buffers swap between iterations. A migration rewrites the ownership
+// table, never a bucket, so the column survives migrations unchanged.
+type bucketColumn struct {
+	buckets, spare []uint16
+	at             int // the iteration buckets describes; -1 before the first
+}
+
+// advance makes the column describe iteration it of tr under m-mer
+// minimizers: carried from iteration it-1 when the column describes it,
+// otherwise (the first iteration a run or a resumed session steps) every
+// key hashed.
+func (c *bucketColumn) advance(tr *trace.Trace, it, m int) {
+	if c.at == it {
+		return
+	}
+	nodes := tr.Iterations[it].Nodes
+	var prev []trace.NodeOp
+	if it > 0 && c.at == it-1 {
+		prev = tr.Iterations[it-1].Nodes
+	}
+	kk := tr.K - 1
+	next := grow(c.spare, len(nodes))
+	j := 0
+	for i := range nodes {
+		key := nodes[i].Key
+		for j < len(prev) && prev[j].Key < key {
+			j++
+		}
+		if j < len(prev) && prev[j].Key == key {
+			next[i] = c.buckets[j]
+		} else {
+			next[i] = uint16(superBucket(key, kk, m))
+		}
+	}
+	c.buckets, c.spare, c.at = next, c.buckets, it
+}
+
 // newRebalancer starts the migration state of an n-node run over tr: the
 // static initial assignment when ck is nil, otherwise the blob's migrated
-// table and measurements.
+// table and measurements. Its bucket column starts empty either way.
 func newRebalancer(tr *trace.Trace, n int, p *RebalancePartitioner, ck *CheckpointState) *rebalancer {
 	iters := len(tr.Iterations)
 	rb := &rebalancer{
 		p:         p,
 		table:     make([]uint16, BalancedBuckets),
 		prev:      make([]uint16, BalancedBuckets),
+		col:       bucketColumn{at: -1},
 		iterBytes: make([]float64, iters+1),
 		lastDur:   make([]sim.Cycle, n),
 		cum:       make([]sim.Cycle, n),
@@ -243,9 +289,24 @@ func newRebalancer(tr *trace.Trace, n int, p *RebalancePartitioner, ck *Checkpoi
 	return rb
 }
 
+// ownerOf is the shard feed's owner of node visit i of the iteration the
+// column describes: its bucket's owner under the current table.
+func (rb *rebalancer) ownerOf(_ dna.Kmer, i int) int {
+	return int(rb.table[rb.col.buckets[i]])
+}
+
+// move is a migration's move of node visit i of the iteration the column
+// describes: from its bucket's owner before the migration to its owner
+// after.
+func (rb *rebalancer) move(_ dna.Kmer, i int) (from, to int) {
+	b := rb.col.buckets[i]
+	return int(rb.prev[b]), int(rb.table[b])
+}
+
 // migrateAt runs the migration decision before iteration it when it is a
 // rebalance point, against the measurements accumulated so far, and, when
-// buckets move, prices the transfer over the network.
+// buckets move, advances the bucket column to iteration it and prices the
+// transfer over the network from it.
 //
 // Every live MacroNode appears in its iteration's trace (P1 visits the
 // full live population each iteration), so pricing the move off
@@ -266,10 +327,8 @@ func (rt *runtime) migrateAt(it int) {
 	if !rb.p.migrate(rb.table, rb.cum, rb.lastDur, rb.weight, decay, n) {
 		return
 	}
-	moved := rt.moveNodes(it, telemetry.SpanMigration, func(key dna.Kmer) (int, int) {
-		b := rb.p.bucket(key, rt.k1)
-		return int(rb.prev[b]), int(rb.table[b])
-	})
+	rb.col.advance(rt.tr, it, rb.p.M)
+	moved := rt.moveNodes(it, telemetry.SpanMigration, rb.move)
 	if moved > 0 {
 		rb.migratedBytes += moved
 		rb.rebalances++
@@ -278,16 +337,18 @@ func (rt *runtime) migrateAt(it int) {
 
 // moveNodes is the one pricer of an ownership change before iteration it,
 // shared by rebalance migrations and the elastic re-partition: every
-// MacroNode of the iteration's trace whose key move sends from one node to
+// MacroNode of the iteration's trace whose move — asked with the visit's
+// key and index, as the shard feed's owner is — sends from one node to
 // another is charged at its traced size over the network, as one
-// all-to-all stalling the phase clock as a span of kind. Returns the bytes
+// all-to-all stalling the phase clock as a span of kind. The byte matrix
+// is the runtime's own, cleared and refilled per call. Returns the bytes
 // moved.
-func (rt *runtime) moveNodes(it int, kind telemetry.SpanKind, move func(dna.Kmer) (from, to int)) int64 {
-	m := mat(rt.n)
+func (rt *runtime) moveNodes(it int, kind telemetry.SpanKind, move func(key dna.Kmer, i int) (from, to int)) int64 {
+	m := rt.moves.take(1, rt.n)[0]
 	iter := &rt.tr.Iterations[it]
 	for i := range iter.Nodes {
 		nd := &iter.Nodes[i]
-		if from, to := move(nd.Key); from != to {
+		if from, to := move(nd.Key, i); from != to {
 			m[from][to] += int64(nd.D1 + nd.D2)
 		}
 	}
@@ -300,19 +361,25 @@ func (rt *runtime) moveNodes(it int, kind telemetry.SpanKind, move func(dna.Kmer
 	return mx.TotalBytes
 }
 
-// measure records superstep it's measured busy times and rebuilds the
-// per-bucket bytes that attribute them, for the next migration decision.
-func (rt *runtime) measure(it int) {
+// measure records supersteps [from, to)'s measured busy times and
+// rebuilds the per-bucket bytes that attribute them, for the next
+// migration decision. Only the last superstep's bytes are ever read — by
+// the migration that may open the next epoch and by a checkpoint taken
+// between epochs — so they are built once, from iteration to-1, which the
+// bucket column describes once the epoch is stepped.
+func (rt *runtime) measure(from, to int) {
 	rb := rt.rb
-	for i := range rb.lastDur {
-		rb.lastDur[i] = rt.durations[i][it]
-		rb.cum[i] += rb.lastDur[i]
+	for it := from; it < to; it++ {
+		for i := range rb.lastDur {
+			rb.lastDur[i] = rt.durations[i][it]
+			rb.cum[i] += rb.lastDur[i]
+		}
 	}
 	clear(rb.weight)
-	iter := &rt.tr.Iterations[it]
+	iter := &rt.tr.Iterations[to-1]
 	for i := range iter.Nodes {
 		nd := &iter.Nodes[i]
-		rb.weight[rb.p.bucket(nd.Key, rt.k1)] += int64(nd.D1 + nd.D2)
+		rb.weight[rb.col.buckets[i]] += int64(nd.D1 + nd.D2)
 	}
 }
 

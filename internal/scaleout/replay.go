@@ -128,19 +128,24 @@ func window[T any](s []T, at, c int32) []T {
 	return s[at : at+c : at+c]
 }
 
+// ownerFunc resolves node visit i of the iteration being sharded, whose
+// key is key, to its owning node. A static partition reads the key; a
+// rebalancing run reads visit i's entry of its bucket column.
+type ownerFunc func(key dna.Kmer, i int) int
+
 // count is carve's count pass, and all a replayed iteration needs: it
 // resolves the owner of every node visit, adds the cross-node
 // TransferNode bytes into halo (skipped when nil) and returns the traffic
 // split. It leaves the owners in idx[:len(iter.Nodes)] and the per-node op
 // counts in counts[:3n].
-func (a *shardArena) count(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [][]int64) (t traffic) {
+func (a *shardArena) count(iter *trace.Iteration, n int, ownerOf ownerFunc, halo [][]int64) (t traffic) {
 	m := len(iter.Nodes)
 	a.idx = grow(a.idx, 2*m)
 	a.counts = grow(a.counts, 6*n)
 	owner, counts := a.idx[:m], a.counts[:3*n]
 	clear(counts)
 	for i := range iter.Nodes {
-		o := int32(ownerOf(iter.Nodes[i].Key))
+		o := int32(ownerOf(iter.Nodes[i].Key, i))
 		owner[i] = o
 		counts[o]++
 	}
@@ -163,16 +168,15 @@ func (a *shardArena) count(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) 
 	return t
 }
 
-// carve splits one global iteration across n nodes under ownerOf (a pure
-// key -> node assignment) into the arena and returns the n per-node
-// sub-iterations and the traffic split. Sub-iteration o carries the node
-// visits, local transfers and updates of the keys node o owns, in trace
-// order with indices into its own visits, plus the iteration's stats and
-// its own quantile table; cross-node TransferNode bytes accumulate into
-// halo[src][dst] (when halo is non-nil). Every op slice is a window whose
-// capacity is its length, nil when empty, and a warm arena carves without
-// allocating.
-func (a *shardArena) carve(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [][]int64) ([]trace.Iteration, traffic) {
+// carve splits one global iteration across n nodes under ownerOf into the
+// arena and returns the n per-node sub-iterations and the traffic split.
+// Sub-iteration o carries the node visits, local transfers and updates of
+// the keys node o owns, in trace order with indices into its own visits,
+// plus the iteration's stats and its own quantile table; cross-node
+// TransferNode bytes accumulate into halo[src][dst] (when halo is
+// non-nil). Every op slice is a window whose capacity is its length, nil
+// when empty, and a warm arena carves without allocating.
+func (a *shardArena) carve(iter *trace.Iteration, n int, ownerOf ownerFunc, halo [][]int64) ([]trace.Iteration, traffic) {
 	t := a.count(iter, n, ownerOf, halo)
 	m := len(iter.Nodes)
 	owner, local := a.idx[:m], a.idx[m:2*m]
@@ -241,7 +245,7 @@ func (a *shardArena) carve(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) 
 // ShardedTrace.
 type shardFeed struct {
 	tr      *trace.Trace
-	ownerOf func(dna.Kmer) int
+	ownerOf ownerFunc
 	live    []bool
 	traces  []*trace.Trace
 	traffic // over the iterations fed so far
@@ -250,7 +254,7 @@ type shardFeed struct {
 // newShardFeed returns a feed of n node traces of empty slots. ownerOf and
 // live are read at every carve, so a runtime may re-assign ownership or
 // membership between iterations.
-func newShardFeed(tr *trace.Trace, n int, ownerOf func(dna.Kmer) int, live []bool) shardFeed {
+func newShardFeed(tr *trace.Trace, n int, ownerOf ownerFunc, live []bool) shardFeed {
 	f := shardFeed{tr: tr, ownerOf: ownerOf, live: live, traces: make([]*trace.Trace, n)}
 	for o := range f.traces {
 		f.traces[o] = &trace.Trace{K: tr.K, Iterations: make([]trace.Iteration, len(tr.Iterations))}
@@ -300,9 +304,9 @@ func (f *shardFeed) halos(from, to int) [][][]int64 {
 }
 
 // staticOwner is partitioner p's key -> node assignment over n nodes.
-func staticOwner(tr *trace.Trace, n int, p Partitioner) func(dna.Kmer) int {
+func staticOwner(tr *trace.Trace, n int, p Partitioner) ownerFunc {
 	k1 := tr.K - 1
-	return func(key dna.Kmer) int { return p.Owner(key, k1, n) }
+	return func(key dna.Kmer, _ int) int { return p.Owner(key, k1, n) }
 }
 
 // ShardTrace splits tr across n nodes under partitioner p, feeding every

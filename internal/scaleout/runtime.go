@@ -103,6 +103,11 @@ type runtime struct {
 	engines   []*nmp.Engine
 	durations [][]sim.Cycle
 
+	// halos holds the halo matrices of the epoch in flight (step), moves
+	// the byte matrix of an ownership change (moveNodes); each is refilled
+	// by its next use, since nothing reads a matrix past its epoch.
+	halos, moves matBlock
+
 	// clock holds the phase time over the live membership: the BSP partial
 	// sums (a restored BSP run starts from the checkpointed ones) plus the
 	// elastic protocol stalls.
@@ -162,9 +167,11 @@ func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *
 	}
 	rt.clock = newPhaseClock(rt.deg, cfg, rt.iters)
 	rt.clock.pr, rt.clock.live = pr, rt.live
-	rt.feed = newShardFeed(tr, n, rt.ownerOf, rt.live)
 	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
 		rt.rb = newRebalancer(tr, n, rp, ck)
+		rt.feed = newShardFeed(tr, n, rt.rb.ownerOf, rt.live)
+	} else {
+		rt.feed = newShardFeed(tr, n, rt.ownerOf, rt.live)
 	}
 	if ck != nil {
 		rt.start = ck.ResumeIter
@@ -217,19 +224,22 @@ func startEngines(engines []*nmp.Engine, durations [][]sim.Cycle, traces []*trac
 
 // step feeds iterations [from, to) to the engines one at a time: each is
 // carved into an arena from the pool, pre-stepped on every live engine and
-// released before the next is carved. The arena goes back to the pool when
-// the epoch's iterations are stepped, so a paused run holds none. Returns
-// the iterations' halo matrices for the drain.
+// released before the next is carved. A rebalancing run first advances its
+// bucket column to the iteration, which the feed's owner reads. The arena
+// goes back to the pool when the epoch's iterations are stepped, so a
+// paused run holds none. Returns the iterations' halo matrices for the
+// drain, valid until the next step.
 func (rt *runtime) step(from, to int, pr *probes) [][][]int64 {
 	a := arenas.get()
 	defer arenas.put(a)
-	halos := make([][][]int64, 0, to-from)
+	halos := rt.halos.take(to-from, rt.n)
 	for it := from; it < to; it++ {
-		halo := mat(rt.n)
-		rt.feed.carve(a, it, halo)
+		if rt.rb != nil {
+			rt.rb.col.advance(rt.tr, it, rt.rb.p.M)
+		}
+		rt.feed.carve(a, it, halos[it-from])
 		rt.prestep(it, pr)
 		rt.feed.release(it)
-		halos = append(halos, halo)
 	}
 	return halos
 }
@@ -316,8 +326,8 @@ func (rt *runtime) run(from, to int) error {
 }
 
 // bspEpoch feeds and pre-steps the epoch [from, to), then drains it
-// superstep by superstep; a rebalancing run measures each drained
-// superstep for its next migration decision. While a fault event is still
+// superstep by superstep; a rebalancing run measures the drained
+// supersteps for its next migration decision. While a fault event is still
 // pending the epoch is cut to one iteration, so the boundary pass before
 // every epoch meets the fault exactly where a lockstep run does and no
 // engine is ever stepped past it. Returns the epoch's end.
@@ -328,9 +338,9 @@ func (rt *runtime) bspEpoch(from, to int) int {
 	halos := rt.step(from, to, rt.pr)
 	for j := from; j < to; j++ {
 		rt.clock.superstep(j, rt.durations, halos[j-from])
-		if rt.rb != nil {
-			rt.measure(j)
-		}
+	}
+	if rt.rb != nil {
+		rt.measure(from, to)
 	}
 	return to
 }

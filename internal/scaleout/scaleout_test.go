@@ -358,7 +358,7 @@ func TestShardIterationExactSize(t *testing.T) {
 		t.Fatalf("iteration 0 has only %d nodes", len(first.Nodes))
 	}
 	for _, n := range []int{1, 4, 8} {
-		ownerOf := func(key dna.Kmer) int { return HashPartitioner{}.Owner(key, tr.K-1, n) }
+		ownerOf := func(key dna.Kmer, _ int) int { return HashPartitioner{}.Owner(key, tr.K-1, n) }
 		var a shardArena
 		for it := range tr.Iterations {
 			subs, _ := a.carve(&tr.Iterations[it], n, ownerOf, mat(n))

@@ -127,6 +127,69 @@ func TestSessionSliceEquivalence(t *testing.T) {
 	}
 }
 
+// A rebalancing session checkpointed and resumed mid-run, between
+// rebalance points and on one, hashes the first iteration it steps and
+// carries its bucket column from there: every blob it writes afterwards
+// must be byte-identical to the uninterrupted session's at the same
+// boundary (ownership table and per-bucket weights included), and its
+// Result must equal the uninterrupted run's.
+func TestRebalanceResumeMidRun(t *testing.T) {
+	reads := testReads(t, 20_000)
+	tr := testTrace(t, reads, 32, 3)
+	iters := len(tr.Iterations)
+	if iters < 6 {
+		t.Fatalf("workload too small: %d iterations", iters)
+	}
+	for _, every := range []int{1, 3} {
+		cfg := DefaultConfig(4)
+		cfg.Partitioner = NewRebalancePartitioner(12, every)
+		want, err := Simulate(reads, tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Rebalances == 0 {
+			t.Fatalf("every=%d: no migration; the resume would be vacuous", every)
+		}
+		s, err := NewSession(reads, tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs := make([][]byte, iters)
+		for b := 1; b < iters; b++ {
+			s.Step(1)
+			if blobs[b], err = s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := s.Finish(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("every=%d: checkpointed session differs from Simulate (err %v)", every, err)
+		}
+		for _, cut := range []int{2, 3, iters / 2} {
+			r, err := ResumeSession(tr, cfg, blobs[cut])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := cut + 1; b < iters; b++ {
+				r.Step(1)
+				blob, err := r.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(blob, blobs[b]) {
+					t.Fatalf("every=%d resumed at %d: blob at boundary %d differs from the uninterrupted session's", every, cut, b)
+				}
+			}
+			got, err := r.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("every=%d resumed at %d: result differs from the uninterrupted run:\n%+v\nvs\n%+v", every, cut, got, want)
+			}
+		}
+	}
+}
+
 // Progress differences are the slice costs a fleet scheduler charges; the
 // sum over any slicing must land exactly on TotalCycles, and a resumed
 // session must report the same clock as the one it was carved from.

@@ -79,13 +79,19 @@ func shardNaive(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [
 	return subs, t
 }
 
-// checkCarve carves iter into a and compares the sub-iterations, the
-// traffic split and the halo matrix with shardNaive's.
-func checkCarve(t *testing.T, what string, a *shardArena, iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int) {
+// keyed is the shard feed's owner that reads only the visit's key.
+func keyed(ownerOf func(dna.Kmer) int) ownerFunc {
+	return func(key dna.Kmer, _ int) int { return ownerOf(key) }
+}
+
+// checkCarve carves iter into a under carveOwner and compares the
+// sub-iterations, the traffic split and the halo matrix with shardNaive's
+// under the key -> node assignment ownerOf.
+func checkCarve(t *testing.T, what string, a *shardArena, iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, carveOwner ownerFunc) {
 	t.Helper()
 	wantHalo, gotHalo := mat(n), mat(n)
 	want, wantT := shardNaive(iter, n, ownerOf, wantHalo)
-	got, gotT := a.carve(iter, n, ownerOf, gotHalo)
+	got, gotT := a.carve(iter, n, carveOwner, gotHalo)
 	if gotT != wantT {
 		t.Fatalf("%s: traffic %+v, naive %+v", what, gotT, wantT)
 	}
@@ -107,9 +113,13 @@ func checkCarve(t *testing.T, what string, a *shardArena, iter *trace.Iteration,
 // The arena kernel must shard every iteration exactly as the naive
 // sharder does, under every static partitioner and a rebalance table
 // taken mid-run after migrations, with one arena reused while the
-// iterations shrink and then grow again, so a stale entry would show. Fed
-// through the shard feed under a live mask with a dead node, each live
-// node's slot holds its sub-iteration and the dead node's stays empty.
+// iterations shrink and then grow again, so a stale entry would show. A
+// rebalancing owner must also carve through a bucket column advanced
+// along that order (carried while the iterations shrink, rehashed when
+// they grow), under its initial table, under the mid-run table and under
+// a table that migrates before every iteration. Fed through the shard feed
+// under a live mask with a dead node, each live node's slot holds its
+// sub-iteration and the dead node's stays empty.
 func TestShardArenaMatchesNaive(t *testing.T) {
 	reads := testReads(t, 15_000)
 	tr := testTrace(t, reads, 32, 3)
@@ -134,19 +144,52 @@ func TestShardArenaMatchesNaive(t *testing.T) {
 	for _, n := range []int{1, 3, 8, 64} {
 		owners := map[string]func(dna.Kmer) int{}
 		for _, p := range []Partitioner{HashPartitioner{}, NewMinimizerPartitioner(12), NewBalancedPartitioner(full, 12, n)} {
-			owners[p.Name()] = staticOwner(tr, n, p)
+			owners[p.Name()] = func(key dna.Kmer) int { return p.Owner(key, k1, n) }
 		}
+		var midRun []uint16
 		if n > 1 {
-			owners["rebalance mid-run"] = midRunRebalanceOwner(t, tr, n)
+			midRun = midRunRebalanceTable(t, tr, n)
+			owners["rebalance mid-run"] = tableOwner(midRun, 12, k1)
 		}
 		for name, ownerOf := range owners {
 			a := new(shardArena)
 			for _, it := range order {
-				checkCarve(t, fmt.Sprintf("n=%d %s iteration %d", n, name, it), a, &tr.Iterations[it], n, ownerOf)
+				checkCarve(t, fmt.Sprintf("n=%d %s iteration %d", n, name, it), a, &tr.Iterations[it], n, ownerOf, keyed(ownerOf))
 			}
 		}
 		if n == 1 {
 			continue
+		}
+
+		// Through a bucket column.
+		for _, tc := range []struct {
+			name    string
+			table   []uint16
+			migrate bool
+		}{
+			{"initial table", nil, false},
+			{"mid-run table", midRun, false},
+			{"migrating table", midRun, true},
+		} {
+			rb := newRebalancer(tr, n, NewRebalancePartitioner(12, 1), nil)
+			if tc.table != nil {
+				copy(rb.table, tc.table)
+			}
+			a := new(shardArena)
+			for step, it := range order {
+				if tc.migrate {
+					// Move a seventh of the buckets one node on, a different
+					// seventh each time.
+					for b := range rb.table {
+						if b%7 == step%7 {
+							rb.table[b] = uint16((int(rb.table[b]) + 1) % n)
+						}
+					}
+				}
+				rb.col.advance(tr, it, rb.p.M)
+				checkCarve(t, fmt.Sprintf("n=%d column under the %s, iteration %d", n, tc.name, it),
+					a, &tr.Iterations[it], n, tableOwner(rb.table, rb.p.M, k1), rb.ownerOf)
+			}
 		}
 
 		// Through the feed, node 1 dead and its keys failed over.
@@ -160,7 +203,7 @@ func TestShardArenaMatchesNaive(t *testing.T) {
 		}
 		p := HashPartitioner{}
 		ownerOf := func(key dna.Kmer) int { return failover(p.Owner(key, k1, n), key, live, surv) }
-		f := newShardFeed(tr, n, ownerOf, live)
+		f := newShardFeed(tr, n, keyed(ownerOf), live)
 		a := new(shardArena)
 		for _, it := range order {
 			want, _ := shardNaive(&tr.Iterations[it], n, ownerOf, nil)
@@ -186,9 +229,16 @@ func TestShardArenaMatchesNaive(t *testing.T) {
 	}
 }
 
-// midRunRebalanceOwner steps an n-node rebalancing session through half
-// of tr and returns the key -> node assignment of its migrated table.
-func midRunRebalanceOwner(t *testing.T, tr *trace.Trace, n int) func(dna.Kmer) int {
+// tableOwner is the key -> node assignment of a rebalancing ownership
+// table over m-mer super-buckets of kk-length words; it reads the table
+// at every call.
+func tableOwner(table []uint16, m, kk int) func(dna.Kmer) int {
+	return func(key dna.Kmer) int { return int(table[superBucket(key, kk, m)]) }
+}
+
+// midRunRebalanceTable steps an n-node rebalancing session through half
+// of tr and returns a copy of its migrated ownership table.
+func midRunRebalanceTable(t *testing.T, tr *trace.Trace, n int) []uint16 {
 	t.Helper()
 	cfg := DefaultConfig(n)
 	cfg.Partitioner = NewRebalancePartitioner(12, 1)
@@ -201,8 +251,7 @@ func midRunRebalanceOwner(t *testing.T, tr *trace.Trace, n int) func(dna.Kmer) i
 	if rb.rebalances == 0 {
 		t.Fatalf("n=%d: no migration in the first %d iterations", n, len(tr.Iterations)/2)
 	}
-	table, p, k1 := append([]uint16(nil), rb.table...), rb.p, tr.K-1
-	return func(key dna.Kmer) int { return int(table[p.bucket(key, k1)]) }
+	return append([]uint16(nil), rb.table...)
 }
 
 // FuzzShardArena carves random iterations — node, transfer and update
@@ -237,7 +286,7 @@ func FuzzShardArena(f *testing.F) {
 		a := new(shardArena)
 		for r := 0; r < rounds; r++ {
 			iter := randomIteration(next, 4*int(shape[3*r]), 4*int(shape[3*r+1]), 4*int(shape[3*r+2]))
-			checkCarve(t, fmt.Sprintf("n=%d round %d", n, r), a, iter, n, ownerOf)
+			checkCarve(t, fmt.Sprintf("n=%d round %d", n, r), a, iter, n, ownerOf, keyed(ownerOf))
 		}
 	})
 }
