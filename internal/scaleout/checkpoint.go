@@ -486,27 +486,7 @@ func configDigest(cfg Config, topoName string) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "nodes=%d k=%d min=%d overlap=%v part=%s topo=%s|%+v nmp=%s sw=%+v ckpt=%d/0 faults=%s",
 		cfg.Nodes, cfg.K, cfg.MinCount, cfg.Overlap,
-		partitionerID(cfg.Partitioner), topoName, cfg.Topo, cfg.NMP.Fingerprint(), software,
+		cfg.Partitioner.id(), topoName, cfg.Topo, cfg.NMP.Fingerprint(), software,
 		cfg.CheckpointEvery, cfg.Faults.Fingerprint())
 	return h.Sum64()
-}
-
-// partitionerID renders a partitioner's identity beyond its name: a
-// BalancedPartitioner folds in its assignment-table fingerprint (two
-// same-named instances built from different samples shard differently)
-// and a RebalancePartitioner its (constant) migration trigger.
-func partitionerID(p Partitioner) string {
-	switch pp := p.(type) {
-	case BalancedPartitioner:
-		return fmt.Sprintf("%s#%016x", pp.Name(), pp.Fingerprint())
-	case *BalancedPartitioner:
-		// The pointer form satisfies Partitioner through the value
-		// receivers; identity must not depend on which form the caller
-		// happened to store.
-		return fmt.Sprintf("%s#%016x", pp.Name(), pp.Fingerprint())
-	case *RebalancePartitioner:
-		return fmt.Sprintf("%s@%g", pp.Name(), rebalanceTrigger)
-	default:
-		return p.Name()
-	}
 }

@@ -240,7 +240,7 @@ var sourceScratches = sync.Pool{New: func() any { return new(sourceScratch) }}
 // its bucket's next slot. (c) Each bucket collapses into (word,
 // multiplicity) records at the front of its owner's span.
 func countSource(reads []readsim.Read, src int, cfg Config) source {
-	n, k, p := cfg.Nodes, cfg.K, cfg.Partitioner
+	n, k, mo := cfg.Nodes, cfg.K, cfg.Partitioner.owners(cfg.Nodes)
 	total, terms := 0, 0
 	for ri := src; ri < len(reads); ri += n {
 		if c := reads[ri].Seq.Len() - k + 1; c > 0 {
@@ -285,7 +285,7 @@ func countSource(reads []readsim.Read, src int, cfg Config) source {
 			continue
 		}
 		o := own[at : at+c]
-		ownersOf(p, seq, k, n, o)
+		mo.ownersOf(seq, k, o)
 		var x, w, first uint64
 		for j := 0; j < seq.Len(); j++ {
 			if j&31 == 0 {
@@ -301,8 +301,8 @@ func countSource(reads []readsim.Read, src int, cfg Config) source {
 			}
 		}
 		last := x & tmask
-		po := uint32(p.Owner(dna.Kmer(first), k-1, n))
-		so := uint32(p.Owner(dna.Kmer(last), k-1, n))
+		po := uint32(mo.owner(dna.Kmer(first), k-1))
+		so := uint32(mo.owner(dna.Kmer(last), k-1))
 		own[tp.base+t], own[ts.base+t] = po, so
 		tp.cur[tp.bucket(po, first)]++
 		ts.cur[ts.bucket(so, last)]++
@@ -439,9 +439,7 @@ type graphRec struct {
 // (endOwners).
 func (sc *ShardedCount) routeGraph(cfg Config) (*ShardGraphs, [][][]graphRec) {
 	n := sc.Nodes
-	p := cfg.Partitioner
-	mo := ownerMap(p, n)
-	mo.nodes = uint64(n)
+	mo := cfg.Partitioner.owners(n)
 	sg := &ShardGraphs{
 		GraphExchange: mat(n),
 		RecvPerNode:   make([]int64, n),
@@ -452,7 +450,7 @@ func (sc *ShardedCount) routeGraph(cfg Config) (*ShardGraphs, [][][]graphRec) {
 		own := make([]int32, 2*len(kms)) // prefix owner, suffix owner
 		cnt := make([]int, n)
 		for i, kc := range kms {
-			po, so := mo.endOwners(p, kc.Km, sc.K)
+			po, so := mo.endOwners(kc.Km, sc.K)
 			own[2*i], own[2*i+1] = int32(po), int32(so)
 			cnt[po]++
 			if so != po {
@@ -499,6 +497,7 @@ func (sc *ShardedCount) BuildShardGraphs(cfg Config) (*ShardGraphs, error) {
 		return nil, err
 	}
 	sg, inbox := sc.routeGraph(cfg)
+	mo := cfg.Partitioner.owners(sc.Nodes)
 	sg.Graphs = make([]*pakgraph.Graph, sc.Nodes)
 	errs := make([]error, sc.Nodes)
 	par.ForIdx(sc.Nodes, cfg.Workers, func(dst int) {
@@ -521,7 +520,7 @@ func (sc *ShardedCount) BuildShardGraphs(cfg Config) (*ShardGraphs, error) {
 		}
 		owned := g.Nodes[:0]
 		for i := range g.Nodes {
-			if cfg.Partitioner.Owner(g.Nodes[i].Key, sc.K-1, sc.Nodes) == dst {
+			if mo.owner(g.Nodes[i].Key, sc.K-1) == dst {
 				owned = append(owned, g.Nodes[i])
 			}
 		}

@@ -3,34 +3,50 @@ package scaleout
 import (
 	"testing"
 
-	"nmppak/internal/nmp"
+	"nmppak/internal/dna"
+	"nmppak/internal/kmer"
 )
 
-// TestConfigDigestGolden pins configDigest for the default 4-node config
-// and for one variant of each settable nmp.Config field, changed alone.
+// TestConfigDigestGolden pins configDigest for the default 4-node config,
+// for one variant of each settable nmp.Config field, changed alone, and
+// for each partitioner's identity, in each form a Config may hold it.
 // Every blob ever written carries this digest, so a field printed in the
 // wrong slot, or a value dropped from the text, orphans them; the golden
-// blobs cover only the default NMP config.
+// blobs cover only the default NMP config and the hash partitioner.
 func TestConfigDigestGolden(t *testing.T) {
+	// A fixed small sample for a balanced table.
+	sample := &kmer.Result{K: 32}
+	for i := uint64(1); i <= 64; i++ {
+		sample.Kmers = append(sample.Kmers, kmer.Counted{Km: dna.Kmer(i * 0x9e3779b97f4a7c15), Count: uint32(i)})
+	}
+	bal := NewBalancedPartitioner(sample, 12, 4)
+	part := func(p Partitioner) func(*Config) { return func(c *Config) { c.Partitioner = p } }
 	for _, tc := range []struct {
 		name string
-		edit func(*nmp.Config)
+		edit func(*Config)
 		want uint64
 	}{
-		{"default", func(*nmp.Config) {}, 0x4d212dccf45097ca},
-		{"Channels", func(c *nmp.Config) { c.Channels = 4 }, 0xbac4f94e924220f6},
-		{"PEsPerChannel", func(c *nmp.Config) { c.PEsPerChannel = 16 }, 0xb88722e8dbbc40b4},
-		{"DRAM.RowBytes", func(c *nmp.Config) { c.DRAM.RowBytes = 4096 }, 0x80c0e80cf1e72405},
-		{"BridgeBytesPerCy", func(c *nmp.Config) { c.BridgeBytesPerCy /= 4 }, 0x73d71df056e89d84},
-		{"PELoadQueueDepth", func(c *nmp.Config) { c.PELoadQueueDepth = 1 }, 0xdeafdc6256d0caab},
-		{"P3QueueDepth", func(c *nmp.Config) { c.P3QueueDepth = 1 }, 0x57a9829e7ec63b7d},
-		{"IdealPE", func(c *nmp.Config) { c.IdealPE = true }, 0x294bf9284f257d07},
-		{"ForwardingHitRate", func(c *nmp.Config) { c.ForwardingHitRate = 0.8 }, 0x03c8c5187d29d780},
-		{"HybridThresholdBytes", func(c *nmp.Config) { c.HybridThresholdBytes = 0 }, 0x3775c6d640f74a15},
-		{"StaticMapping", func(c *nmp.Config) { c.StaticMapping = true }, 0x0732db2a12c8946f},
+		{"default", func(*Config) {}, 0x4d212dccf45097ca},
+		{"Channels", func(c *Config) { c.NMP.Channels = 4 }, 0xbac4f94e924220f6},
+		{"PEsPerChannel", func(c *Config) { c.NMP.PEsPerChannel = 16 }, 0xb88722e8dbbc40b4},
+		{"DRAM.RowBytes", func(c *Config) { c.NMP.DRAM.RowBytes = 4096 }, 0x80c0e80cf1e72405},
+		{"BridgeBytesPerCy", func(c *Config) { c.NMP.BridgeBytesPerCy /= 4 }, 0x73d71df056e89d84},
+		{"PELoadQueueDepth", func(c *Config) { c.NMP.PELoadQueueDepth = 1 }, 0xdeafdc6256d0caab},
+		{"P3QueueDepth", func(c *Config) { c.NMP.P3QueueDepth = 1 }, 0x57a9829e7ec63b7d},
+		{"IdealPE", func(c *Config) { c.NMP.IdealPE = true }, 0x294bf9284f257d07},
+		{"ForwardingHitRate", func(c *Config) { c.NMP.ForwardingHitRate = 0.8 }, 0x03c8c5187d29d780},
+		{"HybridThresholdBytes", func(c *Config) { c.NMP.HybridThresholdBytes = 0 }, 0x3775c6d640f74a15},
+		{"StaticMapping", func(c *Config) { c.NMP.StaticMapping = true }, 0x0732db2a12c8946f},
+		{"HashPartitioner", part(HashPartitioner{}), 0x4d212dccf45097ca},
+		{"MinimizerPartitioner", part(MinimizerPartitioner{M: 12}), 0xe415eaa3515abeb3},
+		{"*MinimizerPartitioner", part(&MinimizerPartitioner{M: 12}), 0xe415eaa3515abeb3},
+		{"BalancedPartitioner", part(bal), 0x8a3bb7110c5105a7},
+		{"*BalancedPartitioner", part(&bal), 0x8a3bb7110c5105a7},
+		{"RebalancePartitioner every 1", part(NewRebalancePartitioner(12, 1)), 0x65a752c0720f154a},
+		{"RebalancePartitioner every 3", part(NewRebalancePartitioner(12, 3)), 0x81bb7f155e3b62a4},
 	} {
 		cfg := DefaultConfig(4)
-		tc.edit(&cfg.NMP)
+		tc.edit(&cfg)
 		if got := configDigest(cfg, "fullmesh"); got != tc.want {
 			t.Errorf("%s: configDigest = %#016x, want %#016x", tc.name, got, tc.want)
 		}

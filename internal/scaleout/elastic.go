@@ -89,7 +89,7 @@ type recoveryPoint struct {
 // base partitioners. (A rebalancing run's feed reads its bucket column
 // instead: rebalancer.ownerOf.)
 func (rt *runtime) ownerOf(key dna.Kmer, _ int) int {
-	return failover(rt.cfg.Partitioner.Owner(key, rt.k1, rt.n), key, rt.live, rt.surv)
+	return failover(rt.static.owner(key, rt.k1), key, rt.live, rt.surv)
 }
 
 // failover is the owner of key, whose static owner is o, under the live
@@ -253,7 +253,7 @@ func (rt *runtime) recover(losses []fault.Event, bIter int) (int, error) {
 	// the old owner) to the new owner, over the degraded interconnect.
 	if resume < rt.iters {
 		rt.res.RepartitionBytes += rt.moveNodes(resume, telemetry.SpanRepartition, func(key dna.Kmer, _ int) (int, int) {
-			o := rt.cfg.Partitioner.Owner(key, rt.k1, rt.n)
+			o := rt.static.owner(key, rt.k1)
 			from, to := failover(o, key, oldLive, oldSurv), failover(o, key, rt.live, rt.surv)
 			if from != to && !rt.live[from] {
 				from = rt.nextLive(from)

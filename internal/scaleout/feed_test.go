@@ -35,7 +35,7 @@ func TestShardOnDemandMatchesShardTrace(t *testing.T) {
 		for _, p := range []Partitioner{
 			HashPartitioner{}, NewMinimizerPartitioner(12), balA, balB, NewRebalancePartitioner(12, 2),
 		} {
-			name := fmt.Sprintf("n=%d/%s", n, partitionerID(p))
+			name := fmt.Sprintf("n=%d/%s", n, p.id())
 			sf := shardFactsOf(tr, n, p)
 			st := ShardTrace(tr, n, p)
 			if sf.localTNs != st.LocalTNs || sf.remoteTNs != st.RemoteTNs || sf.haloBytes != st.HaloBytes {

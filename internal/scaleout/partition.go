@@ -12,16 +12,23 @@ import (
 // keys (during graph construction and compaction replay) to scale-out
 // nodes. Ownership must be a pure function of the key so that every node
 // computes the same assignment without coordination, exactly as PaKman's
-// MPI ranks do.
+// MPI ranks do. The set is sealed: HashPartitioner, MinimizerPartitioner,
+// BalancedPartitioner and RebalancePartitioner are every partitioner
+// there is, each resolving to one owner map, and Config.Validate checks
+// their parameters.
 type Partitioner interface {
-	// Name identifies the strategy in reports. It must also identify the
-	// Owner function: two partitioners with the same Name must assign
-	// every key alike, unless their identity is refined beyond the name
-	// (BalancedPartitioner folds in its table's Fingerprint). Checkpoint
-	// matching and the per-trace shard memo both key on it.
+	// Name identifies the strategy in reports.
 	Name() string
 	// Owner returns the owning node in [0, nodes) for a length-kk word.
 	Owner(key dna.Kmer, kk, nodes int) int
+	// owners returns the partitioner's owner map over nodes, the one
+	// place a word's owner is decided.
+	owners(nodes int) ownerMap
+	// id is the partitioner's identity: its Name, refined by whatever
+	// else decides its owners, so that two partitioners with the same id
+	// assign every key alike. Checkpoint matching and the per-trace shard
+	// memo both key on it.
+	id() string
 }
 
 // mix64 is the splitmix64 finalizer, a cheap high-quality bit mixer.
@@ -42,12 +49,13 @@ type HashPartitioner struct{}
 func (HashPartitioner) Name() string { return "hash" }
 
 // Owner implements Partitioner.
-func (HashPartitioner) Owner(key dna.Kmer, kk, nodes int) int {
-	if nodes <= 1 {
-		return 0
-	}
-	return int(mix64(uint64(key)) % uint64(nodes))
+func (p HashPartitioner) Owner(key dna.Kmer, kk, nodes int) int {
+	return p.owners(nodes).owner(key, kk)
 }
+
+func (HashPartitioner) owners(nodes int) ownerMap { return ownerMap{kind: perKey, nodes: nodes} }
+
+func (p HashPartitioner) id() string { return p.Name() }
 
 // MinimizerPartitioner owns a key by the hash of its minimizer: the m-mer
 // of the word with the smallest hashed value. Words sharing a minimizer —
@@ -59,11 +67,9 @@ type MinimizerPartitioner struct {
 }
 
 // NewMinimizerPartitioner returns a minimizer partitioner with m-mer
-// length m (the literature's common choice for k=32 is m in [8,16]).
+// length m (the literature's common choice for k=32 is m in [8,16];
+// Config.Validate rejects m < 1).
 func NewMinimizerPartitioner(m int) MinimizerPartitioner {
-	if m < 1 {
-		m = 1
-	}
 	return MinimizerPartitioner{M: m}
 }
 
@@ -72,19 +78,17 @@ func (p MinimizerPartitioner) Name() string { return fmt.Sprintf("minimizer%d", 
 
 // Owner implements Partitioner.
 func (p MinimizerPartitioner) Owner(key dna.Kmer, kk, nodes int) int {
-	if nodes <= 1 {
-		return 0
-	}
-	return int(mix64(p.minimizer(key, kk)) % uint64(nodes))
+	return p.owners(nodes).owner(key, kk)
 }
 
-// minimizer returns the hash-minimal m-mer of the kk-length word.
-func (p MinimizerPartitioner) minimizer(key dna.Kmer, kk int) uint64 {
-	return minimizerOf(key, kk, p.M)
+func (p MinimizerPartitioner) owners(nodes int) ownerMap {
+	return ownerMap{kind: minimizerOwned, m: p.M, nodes: nodes}
 }
 
-// minimizerOf returns the hash-minimal m-mer of a kk-length word (the
-// word itself when m >= kk).
+func (p MinimizerPartitioner) id() string { return p.Name() }
+
+// minimizerOf returns the least hash among the m-mers of a kk-length word
+// (the word itself, unhashed, when m >= kk).
 func minimizerOf(key dna.Kmer, kk, m int) uint64 {
 	if m >= kk {
 		return uint64(key)
@@ -158,11 +162,8 @@ type BalancedPartitioner struct {
 // its count on the super-buckets of its two boundary (k-1)-mers — the
 // MacroNode keys the compaction replay partitions by — and the buckets
 // are then greedy-binned (heavy outliers: scattered). m is the minimizer
-// length (clamped to >= 1). A nil res is an empty sample.
+// length (Config.Validate rejects m < 1). A nil res is an empty sample.
 func NewBalancedPartitioner(res *kmer.Result, m, nodes int) BalancedPartitioner {
-	if m < 1 {
-		m = 1
-	}
 	if nodes < 1 {
 		nodes = 1
 	}
@@ -174,8 +175,8 @@ func NewBalancedPartitioner(res *kmer.Result, m, nodes int) BalancedPartitioner 
 	k1 := res.K - 1
 	var total int64
 	for _, kc := range res.Kmers {
-		weight[p.bucket(kc.Km.Prefix(), k1)] += int64(kc.Count)
-		weight[p.bucket(kc.Km.Suffix(res.K), k1)] += int64(kc.Count)
+		weight[superBucket(kc.Km.Prefix(), k1, m)] += int64(kc.Count)
+		weight[superBucket(kc.Km.Suffix(res.K), k1, m)] += int64(kc.Count)
 		total += 2 * int64(kc.Count)
 	}
 	// Spill the heavy outliers, then LPT the rest: heaviest bucket first
@@ -239,60 +240,75 @@ func (p BalancedPartitioner) Fingerprint() uint64 {
 	return h
 }
 
-// Nodes returns the machine size the assignment table was built for.
-func (p BalancedPartitioner) Nodes() int { return p.nodes }
-
-// bucket maps a word to its minimizer super-bucket.
-func (p BalancedPartitioner) bucket(key dna.Kmer, kk int) int {
-	return superBucket(key, kk, p.M)
-}
-
 // Owner implements Partitioner. For the node count the table was built
 // for, ownership follows the weight-aware binning (spilled buckets:
 // per-key scatter); any other count falls back to hashing the
 // super-bucket (still pure and bucket-coherent, just not weight-aware).
 func (p BalancedPartitioner) Owner(key dna.Kmer, kk, nodes int) int {
-	if nodes <= 1 {
-		return 0
-	}
-	b := p.bucket(key, kk)
-	if nodes == p.nodes && p.table != nil {
-		if o := p.table[b]; o != scatterOwner {
-			return int(o)
-		}
-		return int(mix64(uint64(key)) % uint64(nodes))
-	}
-	return initialOwner(b, nodes)
+	return p.owners(nodes).owner(key, kk)
 }
 
-// ownersOf writes the owner among nodes of every kk-mer of seq into own,
-// in read order (one slot per kk-mer: seq.Len()-kk+1 of them), exactly as
-// p.Owner assigns each. The known partitioners compute each owner once as
-// the read rolls by: HashPartitioner hashes each kk-mer once, and the
-// minimizer schemes roll the window minimum of the m-mer hashes along the
-// read (Roberts et al., "Reducing storage requirements for biological
-// sequence comparison", Bioinformatics 2004), so every m-mer is hashed once
-// and a bucket is looked up only when the minimum changes. Any other
-// Partitioner is asked per kk-mer.
-func ownersOf(p Partitioner, seq dna.Seq, kk, nodes int, own []uint32) {
+func (p BalancedPartitioner) owners(nodes int) ownerMap {
+	if nodes == p.nodes && p.table != nil {
+		return ownerMap{kind: tableOwned, m: p.M, nodes: nodes, table: p.table}
+	}
+	return ownerMap{kind: bucketOwned, m: p.M, nodes: nodes}
+}
+
+// id folds in the table's Fingerprint: two same-named instances built
+// from different samples shard differently.
+func (p BalancedPartitioner) id() string { return fmt.Sprintf("%s#%016x", p.Name(), p.Fingerprint()) }
+
+// ownerKind is how an ownerMap resolves an owner.
+type ownerKind uint8
+
+const (
+	perKey         ownerKind = iota // mix64 of the word
+	minimizerOwned                  // mix64 of the minimizer
+	bucketOwned                     // initialOwner of the super-bucket
+	tableOwned                      // a BalancedPartitioner's table row
+)
+
+// ownerMap is one partitioner's owner assignment over a node count: it
+// maps a word, or a window minimum with the word it belongs to, to its
+// owner. owner is the per-word kernel; ownersOf and endOwners compute the
+// same owners a read or a k-mer at a time.
+type ownerMap struct {
+	kind  ownerKind
+	m     int
+	nodes int
+	table []uint16
+}
+
+// owner returns the owner of the kk-length word key: mix64 of the word
+// for perKey, otherwise the owner of its minimizer (minimizerOf).
+func (mo ownerMap) owner(key dna.Kmer, kk int) int {
+	if mo.nodes <= 1 {
+		return 0
+	}
+	if mo.kind == perKey {
+		return int(mix64(uint64(key)) % uint64(mo.nodes))
+	}
+	return int(mo.of(minimizerOf(key, kk, mo.m), uint64(key)))
+}
+
+// ownersOf writes the owner of every kk-mer of seq into own, in read order
+// (one slot per kk-mer: seq.Len()-kk+1 of them), exactly as owner assigns
+// each, but computes each owner once as the read rolls by: perKey hashes
+// each kk-mer once, and the minimizer schemes roll the window minimum of
+// the m-mer hashes along the read (Roberts et al., "Reducing storage
+// requirements for biological sequence comparison", Bioinformatics 2004),
+// so every m-mer is hashed once and a bucket is looked up only when the
+// minimum changes.
+func (mo ownerMap) ownersOf(seq dna.Seq, kk int, own []uint32) {
 	if len(own) == 0 {
 		return
 	}
-	mo := ownerMap(p, nodes)
-	if mo.kind == custom || mo.noMinimizer() {
-		km := dna.KmerFromSeq(seq, 0, kk)
-		own[0] = uint32(p.Owner(km, kk, nodes))
-		for i := kk; i < seq.Len(); i++ {
-			km = km.Roll(kk, seq.At(i))
-			own[i-kk+1] = uint32(p.Owner(km, kk, nodes))
-		}
-		return
-	}
-	if nodes <= 1 {
+	if mo.nodes <= 1 {
 		clear(own)
 		return
 	}
-	mo.nodes = uint64(nodes)
+	nodes := uint64(mo.nodes)
 	kmask := dna.KmerMask(kk)
 	var x, w uint64
 	if mo.kind == perKey || mo.m >= kk {
@@ -355,78 +371,21 @@ func ownersOf(p Partitioner, seq dna.Seq, kk, nodes int, own []uint32) {
 			o, scatter = mo.bucketOf(best)
 		}
 		if scatter {
-			o = uint32(mix64(x) % mo.nodes)
+			o = uint32(mix64(x) % nodes)
 		}
 		own[i] = o
 	}
 }
 
-// ownerKind is how ownersOf resolves an owner.
-type ownerKind uint8
-
-const (
-	custom         ownerKind = iota // Partitioner.Owner per word
-	perKey                          // mix64 of the word
-	minimizerOwned                  // mix64 of the minimizer
-	bucketOwned                     // initialOwner of the super-bucket
-	tableOwned                      // a BalancedPartitioner's table row
-)
-
-// minOwner maps a window minimum (or, for perKey and words no longer than
-// the m-mer, the word itself) to its owner under one partitioner.
-type minOwner struct {
-	kind  ownerKind
-	m     int
-	nodes uint64
-	table []uint16
-}
-
-// ownerMap resolves p to the way ownersOf computes its owners among
-// nodes, which Config.Validate checks too; a Partitioner it does not know
-// is custom.
-func ownerMap(p Partitioner, nodes int) minOwner {
-	switch q := p.(type) {
-	case HashPartitioner, *HashPartitioner:
-		return minOwner{kind: perKey}
-	case MinimizerPartitioner:
-		return minOwner{kind: minimizerOwned, m: q.M}
-	case *MinimizerPartitioner:
-		return minOwner{kind: minimizerOwned, m: q.M}
-	case BalancedPartitioner:
-		return balancedOwner(q, nodes)
-	case *BalancedPartitioner:
-		return balancedOwner(*q, nodes)
-	case *RebalancePartitioner:
-		return minOwner{kind: bucketOwned, m: q.M}
-	}
-	return minOwner{kind: custom}
-}
-
-// noMinimizer reports whether mo owns words by a minimizer shorter than
-// one base, which hashes the same empty m-mer for every word.
-func (mo *minOwner) noMinimizer() bool {
-	return mo.kind != custom && mo.kind != perKey && mo.m < 1
-}
-
-// balancedOwner is p's owner map over nodes: its table when it was built
-// for that node count, else the bucket-coherent hash every other count
-// falls back to.
-func balancedOwner(p BalancedPartitioner, nodes int) minOwner {
-	if nodes == p.nodes && p.table != nil {
-		return minOwner{kind: tableOwned, m: p.M, table: p.table}
-	}
-	return minOwner{kind: bucketOwned, m: p.M}
-}
-
 // bucketOf returns the owner of a word whose minimizer is best, and
 // whether its bucket is spilled, so that each word is owned by its own
 // hash instead.
-func (mo *minOwner) bucketOf(best uint64) (uint32, bool) {
+func (mo ownerMap) bucketOf(best uint64) (uint32, bool) {
 	switch mo.kind {
 	case minimizerOwned:
-		return uint32(mix64(best) % mo.nodes), false
+		return uint32(mix64(best) % uint64(mo.nodes)), false
 	case bucketOwned:
-		return uint32(initialOwner(int(mix64(best)%BalancedBuckets), int(mo.nodes))), false
+		return uint32(initialOwner(int(mix64(best)%BalancedBuckets), mo.nodes)), false
 	}
 	if o := mo.table[mix64(best)%BalancedBuckets]; o != scatterOwner {
 		return uint32(o), false
@@ -434,20 +393,18 @@ func (mo *minOwner) bucketOf(best uint64) (uint32, bool) {
 	return 0, true
 }
 
-// endOwners returns the owners among mo.nodes (which the caller sets) of
-// the leading and trailing (k-1)-mers of k-mer km, exactly as p, the
-// partitioner mo maps, assigns each. A minimizer scheme hashes each of the
-// k-m+1 m-mers of km once: the prefix's minimizer is the least of hashes
-// 0..k-m-1 and the suffix's the least of hashes 1..k-m, so the shared
-// middle is scanned once, and a word no longer than the m-mer is its own
-// minimizer, unhashed (minimizerOf). The hash and custom partitioners are
-// asked per word.
-func (mo *minOwner) endOwners(p Partitioner, km dna.Kmer, k int) (po, so int) {
-	pre, suf := km.Prefix(), km.Suffix(k)
-	if mo.nodes <= 1 || mo.kind == custom || mo.kind == perKey || mo.noMinimizer() {
-		return p.Owner(pre, k-1, int(mo.nodes)), p.Owner(suf, k-1, int(mo.nodes))
+// endOwners returns the owners of the leading and trailing (k-1)-mers of
+// k-mer km, exactly as owner assigns each. A minimizer scheme hashes each
+// of the k-m+1 m-mers of km once: the prefix's minimizer is the least of
+// hashes 0..k-m-1 and the suffix's the least of hashes 1..k-m, so the
+// shared middle is scanned once, and a word no longer than the m-mer is
+// its own minimizer, unhashed (minimizerOf).
+func (mo ownerMap) endOwners(km dna.Kmer, k int) (po, so int) {
+	if mo.nodes <= 1 {
+		return 0, 0
 	}
-	if mo.m >= k-1 {
+	pre, suf := km.Prefix(), km.Suffix(k)
+	if mo.kind == perKey || mo.m >= k-1 {
 		return int(mo.of(uint64(pre), uint64(pre))), int(mo.of(uint64(suf), uint64(suf)))
 	}
 	w, mask := uint64(km), dna.KmerMask(mo.m)
@@ -461,13 +418,13 @@ func (mo *minOwner) endOwners(p Partitioner, km dna.Kmer, k int) (po, so int) {
 }
 
 // of returns the owner of word x whose minimizer is best.
-func (mo *minOwner) of(best, x uint64) uint32 {
+func (mo ownerMap) of(best, x uint64) uint32 {
 	if mo.kind == perKey {
-		return uint32(mix64(x) % mo.nodes)
+		return uint32(mix64(x) % uint64(mo.nodes))
 	}
 	o, scatter := mo.bucketOf(best)
 	if scatter {
-		return uint32(mix64(x) % mo.nodes)
+		return uint32(mix64(x) % uint64(mo.nodes))
 	}
 	return o
 }

@@ -1,6 +1,7 @@
 package scaleout
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -128,8 +129,8 @@ func TestBalancedOwnershipPureFunction(t *testing.T) {
 	if p.Owner(dnaKmer(12345), 31, 1) != 0 {
 		t.Fatal("single node must own everything")
 	}
-	if p.Nodes() != n {
-		t.Fatalf("Nodes() = %d, want %d", p.Nodes(), n)
+	if p.nodes != n {
+		t.Fatalf("table built for %d nodes, want %d", p.nodes, n)
 	}
 	// Sharded counting must place every k-mer on the node Owner names.
 	cfg := DefaultConfig(n)
@@ -157,24 +158,55 @@ func TestBalancedOwnershipPureFunction(t *testing.T) {
 	}
 }
 
-// modPartitioner is a Partitioner ownersOf does not know, so it takes the
-// per-word fallback.
-type modPartitioner struct{}
-
-func (modPartitioner) Name() string { return "mod" }
-
-func (modPartitioner) Owner(key dna.Kmer, kk, nodes int) int {
-	return int((uint64(key) + uint64(kk)) % uint64(nodes))
+// refOwner is the owner of the kk-length word key under p over nodes
+// nodes, written from each partitioner's documented rule instead of the
+// owner map the package's kernels share: mix64(word) % nodes for the hash
+// partitioner, mix64(minimizerOf) % nodes for the minimizer one, the
+// super-bucket's table row (a spilled row: the word's hash) for a
+// balanced partitioner at the node count its table was built for, and
+// initialOwner of the super-bucket for one at any other count and for a
+// rebalancing one.
+func refOwner(p Partitioner, key dna.Kmer, kk, nodes int) int {
+	if nodes <= 1 {
+		return 0
+	}
+	switch q := p.(type) {
+	case *HashPartitioner:
+		p = *q
+	case *MinimizerPartitioner:
+		p = *q
+	case *BalancedPartitioner:
+		p = *q
+	}
+	switch q := p.(type) {
+	case HashPartitioner:
+		return int(mix64(uint64(key)) % uint64(nodes))
+	case MinimizerPartitioner:
+		return int(mix64(minimizerOf(key, kk, q.M)) % uint64(nodes))
+	case BalancedPartitioner:
+		b := superBucket(key, kk, q.M)
+		if nodes != q.nodes {
+			return initialOwner(b, nodes)
+		}
+		if o := q.table[b]; o != scatterOwner {
+			return int(o)
+		}
+		return int(mix64(uint64(key)) % uint64(nodes))
+	case *RebalancePartitioner:
+		return initialOwner(superBucket(key, kk, q.M), nodes)
+	}
+	panic(fmt.Sprintf("refOwner: no rule for %T", p))
 }
 
-// FuzzRollingOwner checks the rolling owner against Partitioner.Owner on
-// every window of a read, and the paired owners of each window's leading
-// and trailing (k-1)-mers (endOwners, the graph-construction route)
-// against two Owner calls, for every partitioner: hash, minimizer,
-// rebalance, a balanced one with a real table (spilled buckets included)
-// asked at its own node count and at the fuzzed one, and a custom one.
-// The input picks k in [2,32], m in [1,k+1], the node count in [1,70]
-// and a read of 1-70 bases.
+// FuzzRollingOwner checks the rolling owner (ownersOf) on every window of
+// a read, the paired owners of each window's leading and trailing
+// (k-1)-mers (endOwners, the graph-construction route), and Owner on the
+// window and on both of its ends, against the per-word reference
+// refOwner, for every partitioner: hash, minimizer, rebalance, and a
+// balanced one with a real table (spilled buckets included) asked at its
+// own node count and at the fuzzed one, each with a value and a pointer
+// form. The input picks k in [2,32], m in [1,k+1], the node count in
+// [1,70] and a read of 1-70 bases.
 func FuzzRollingOwner(f *testing.F) {
 	// The balanced tables come from a small real sample, one per m, built
 	// for tableNodes nodes; a sample this small spills its heavier buckets.
@@ -228,33 +260,39 @@ func FuzzRollingOwner(f *testing.F) {
 			nodes int
 		}{
 			{HashPartitioner{}, nodes},
+			{&HashPartitioner{}, nodes},
 			{MinimizerPartitioner{M: m}, nodes},
 			{&MinimizerPartitioner{M: m}, nodes},
 			{NewRebalancePartitioner(m, 1), nodes},
 			{balanced[m], tableNodes},
 			{&balanced[m], tableNodes},
 			{balanced[m], nodes},
-			{modPartitioner{}, nodes},
+			{&balanced[m], nodes},
 		} {
+			mo := c.p.owners(c.nodes)
 			if n < k {
-				ownersOf(c.p, seq, k, c.nodes, nil)
+				mo.ownersOf(seq, k, nil)
 				continue
 			}
 			own := make([]uint32, n-k+1)
-			ownersOf(c.p, seq, k, c.nodes, own)
-			mo := ownerMap(c.p, c.nodes)
-			mo.nodes = uint64(c.nodes)
+			mo.ownersOf(seq, k, own)
 			for i, o := range own {
 				key := dna.KmerFromSeq(seq, i, k)
-				if want := c.p.Owner(key, k, c.nodes); int(o) != want {
-					t.Fatalf("%s k=%d m=%d nodes=%d: window %d of %s owned by %d, Owner says %d",
-						c.p.Name(), k, m, c.nodes, i, seq, o, want)
+				pre, suf := key.Prefix(), key.Suffix(k)
+				want := refOwner(c.p, key, k, c.nodes)
+				wantP, wantS := refOwner(c.p, pre, k-1, c.nodes), refOwner(c.p, suf, k-1, c.nodes)
+				if int(o) != want {
+					t.Fatalf("%T %s k=%d m=%d nodes=%d: window %d of %s rolled to owner %d, reference %d",
+						c.p, c.p.Name(), k, m, c.nodes, i, seq, o, want)
 				}
-				po, so := mo.endOwners(c.p, key, k)
-				wantP, wantS := c.p.Owner(key.Prefix(), k-1, c.nodes), c.p.Owner(key.Suffix(k), k-1, c.nodes)
-				if po != wantP || so != wantS {
-					t.Fatalf("%s k=%d m=%d nodes=%d: window %d of %s has end owners %d, %d; Owner says %d, %d",
-						c.p.Name(), k, m, c.nodes, i, seq, po, so, wantP, wantS)
+				if po, so := mo.endOwners(key, k); po != wantP || so != wantS {
+					t.Fatalf("%T %s k=%d m=%d nodes=%d: window %d of %s has end owners %d, %d; reference %d, %d",
+						c.p, c.p.Name(), k, m, c.nodes, i, seq, po, so, wantP, wantS)
+				}
+				got := [3]int{c.p.Owner(key, k, c.nodes), c.p.Owner(pre, k-1, c.nodes), c.p.Owner(suf, k-1, c.nodes)}
+				if got != [3]int{want, wantP, wantS} {
+					t.Fatalf("%T %s k=%d m=%d nodes=%d: window %d of %s: Owner of the window and its ends %v, reference %v",
+						c.p, c.p.Name(), k, m, c.nodes, i, seq, got, [3]int{want, wantP, wantS})
 				}
 			}
 		}

@@ -49,14 +49,9 @@ const rebalanceTrigger = 1.05
 const maxRebalanceNodes = 1 << 16
 
 // NewRebalancePartitioner returns a rebalancing partitioner with m-mer
-// buckets migrated every `every` iterations.
+// buckets migrated every `every` iterations (Config.Validate rejects
+// m < 1 and every < 1).
 func NewRebalancePartitioner(m, every int) *RebalancePartitioner {
-	if m < 1 {
-		m = 1
-	}
-	if every < 1 {
-		every = 1
-	}
 	return &RebalancePartitioner{M: m, Every: every}
 }
 
@@ -69,11 +64,15 @@ func (p *RebalancePartitioner) Name() string {
 // (initialOwner; the runtime's ownership table starts there and diverges
 // as measurements arrive).
 func (p *RebalancePartitioner) Owner(key dna.Kmer, kk, nodes int) int {
-	if nodes <= 1 {
-		return 0
-	}
-	return initialOwner(superBucket(key, kk, p.M), nodes)
+	return p.owners(nodes).owner(key, kk)
 }
+
+func (p *RebalancePartitioner) owners(nodes int) ownerMap {
+	return ownerMap{kind: bucketOwned, m: p.M, nodes: nodes}
+}
+
+// id folds in the (constant) migration trigger.
+func (p *RebalancePartitioner) id() string { return fmt.Sprintf("%s@%g", p.Name(), rebalanceTrigger) }
 
 // migrate mutates the bucket ownership table, moving buckets from
 // predicted stragglers to predicted idle nodes so that the end-of-run

@@ -305,8 +305,8 @@ func (f *shardFeed) halos(from, to int) [][][]int64 {
 
 // staticOwner is partitioner p's key -> node assignment over n nodes.
 func staticOwner(tr *trace.Trace, n int, p Partitioner) ownerFunc {
-	k1 := tr.K - 1
-	return func(key dna.Kmer, _ int) int { return p.Owner(key, k1, n) }
+	k1, mo := tr.K-1, p.owners(n)
+	return func(key dna.Kmer, _ int) int { return mo.owner(key, k1) }
 }
 
 // ShardTrace splits tr across n nodes under partitioner p, feeding every
@@ -349,7 +349,7 @@ type shardFacts struct {
 // come from the count pass of each iteration plus the node split of
 // iteration 0; no sub-trace outlives the call.
 func shardFactsOf(tr *trace.Trace, n int, p Partitioner) *shardFacts {
-	key := fmt.Sprintf("scaleout.shardFacts n=%d p=%s", n, partitionerID(p))
+	key := fmt.Sprintf("scaleout.shardFacts n=%d p=%s", n, p.id())
 	return tr.Memo(key, func() any {
 		ownerOf := staticOwner(tr, n, p)
 		a := arenas.get()

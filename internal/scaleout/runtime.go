@@ -84,6 +84,9 @@ type runtime struct {
 	res *Result // prelude outcome, finished by seal
 
 	n, iters, k1 int
+	// static is the partitioner's owner map over the n nodes, where every
+	// run starts and a static-partition run stays.
+	static ownerMap
 	// start is the first iteration the engines step live; the overlapped
 	// schedule replays the iterations before it from their recorded
 	// durations.
@@ -151,6 +154,7 @@ func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *
 		n:         n,
 		iters:     len(tr.Iterations),
 		k1:        tr.K - 1,
+		static:    cfg.Partitioner.owners(n),
 		engines:   make([]*nmp.Engine, n),
 		durations: make([][]sim.Cycle, n),
 		every:     cfg.CheckpointEvery,

@@ -158,7 +158,7 @@ func (c Config) Validate() error {
 	}
 	// With a minimizer shorter than one base one node would own every
 	// word. (A RebalancePartitioner's M was checked above.)
-	if mo := ownerMap(c.Partitioner, c.Nodes); mo.noMinimizer() {
+	if mo := c.Partitioner.owners(c.Nodes); mo.kind != perKey && mo.m < 1 {
 		return fmt.Errorf("scaleout: %T needs a minimizer length M >= 1, got M=%d", c.Partitioner, mo.m)
 	}
 	// The node count sizes every per-node table up front; a blob records

@@ -256,8 +256,10 @@ func midRunRebalanceTable(t *testing.T, tr *trace.Trace, n int) []uint16 {
 
 // FuzzShardArena carves random iterations — node, transfer and update
 // counts and indices — over 1 to 70 nodes under a random, possibly skewed
-// owner function, two or three of them through one arena, and compares
-// each with the naive sharder.
+// bucket table, two or three of them through one arena, and compares each
+// with the naive sharder, once with the owner read from the visit's key
+// and once through a carried column indexed by visit, with a third of the
+// table migrating between rounds.
 func FuzzShardArena(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte{10, 5, 5})
 	f.Add(uint8(7), uint64(2), []byte{200, 100, 50, 3, 1, 0, 90, 90, 90})
@@ -279,14 +281,31 @@ func FuzzShardArena(f *testing.F) {
 		for b := range table {
 			table[b] = int(next() % uint64(span))
 		}
-		ownerOf := func(key dna.Kmer) int { return table[mix64(uint64(key)^seed)%64] }
+		bucket := func(key dna.Kmer) int { return int(mix64(uint64(key)^seed) % 64) }
+		ownerOf := func(key dna.Kmer) int { return table[bucket(key)] }
+		// The same assignment read as rebalancer.ownerOf reads it: by visit
+		// index, through a column of the visits' buckets carried beside the
+		// iteration, never from the key.
+		var col []int
+		colOwner := func(_ dna.Kmer, i int) int { return table[col[i]] }
 
 		rounds := 2 + len(shape)%2
 		shape = append(shape, make([]byte, 3*rounds)...)
 		a := new(shardArena)
 		for r := 0; r < rounds; r++ {
 			iter := randomIteration(next, 4*int(shape[3*r]), 4*int(shape[3*r+1]), 4*int(shape[3*r+2]))
+			col = col[:0]
+			for _, v := range iter.Nodes {
+				col = append(col, bucket(v.Key))
+			}
 			checkCarve(t, fmt.Sprintf("n=%d round %d", n, r), a, iter, n, ownerOf, keyed(ownerOf))
+			checkCarve(t, fmt.Sprintf("n=%d round %d, column", n, r), a, iter, n, ownerOf, colOwner)
+			// Migrate a third of the buckets before the next round.
+			for b := range table {
+				if b%3 == r%3 {
+					table[b] = int(next() % uint64(n))
+				}
+			}
 		}
 	})
 }

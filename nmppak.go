@@ -80,7 +80,9 @@ type (
 	// own events between iterations (SimulateNMP is a thin loop over it).
 	NMPEngine = nmp.Engine
 	// Partitioner assigns k-mer and MacroNode-key ownership to scale-out
-	// nodes; ownership is a pure function of the key.
+	// nodes; ownership is a pure function of the key. The interface is
+	// sealed: the four partitioners below are the whole set, and
+	// ScaleOutConfig.Validate checks their parameters.
 	Partitioner = scaleout.Partitioner
 	// HashPartitioner scatters every key independently (maximal balance,
 	// no locality).

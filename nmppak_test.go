@@ -408,6 +408,22 @@ func TestUntrustedInputsError(t *testing.T) {
 			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Partitioner = nmppak.BalancedPartitioner{} }))
 			return err
 		}},
+		{"SimulateScaleOut/zero minimizer length through NewMinimizerPartitioner", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Partitioner = nmppak.NewMinimizerPartitioner(0) }))
+			return err
+		}},
+		{"SimulateScaleOut/zero minimizer length through NewBalancedPartitioner", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Partitioner = nmppak.NewBalancedPartitioner(nil, 0, 2) }))
+			return err
+		}},
+		{"SimulateScaleOut/zero minimizer length through NewRebalancePartitioner", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Partitioner = nmppak.NewRebalancePartitioner(0, 1) }))
+			return err
+		}},
+		{"SimulateScaleOut/zero rebalance period", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Partitioner = nmppak.NewRebalancePartitioner(12, 0) }))
+			return err
+		}},
 		{"SimulateScaleOut/zero NMP config", func() error {
 			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.NMP = nmppak.NMPConfig{} }))
 			return err
