@@ -51,6 +51,14 @@ const (
 	FlowSequential
 )
 
+// Validate rejects a value that names neither flow.
+func (f Flow) Validate() error {
+	if f != FlowPipelined && f != FlowSequential {
+		return fmt.Errorf("unknown process flow %d", int(f))
+	}
+	return nil
+}
+
 // Options configures a compaction run.
 type Options struct {
 	Workers int
@@ -133,6 +141,9 @@ func Run(g *pakgraph.Graph, opt Options) (*Result, error) {
 	}
 	if g.K < 2 || g.K > dna.MaxK {
 		return nil, fmt.Errorf("compact: invalid graph k=%d, want [2,%d]", g.K, dna.MaxK)
+	}
+	if err := opt.Flow.Validate(); err != nil {
+		return nil, fmt.Errorf("compact: %w", err)
 	}
 	// Every sweep runs over g.Nodes in its ascending key order, and update
 	// targets are found in it by binary search.

@@ -11,36 +11,31 @@
 // Iterations end with a barrier; the imbalance between threads' finish
 // times is the sync-futex stall the paper measures at 39.4%.
 //
-// Two flows mirror internal/compact's engines: FlowSequential (the paper's
-// CPU baseline — three full sweeps per iteration with TransferNodes
-// spilled to memory and all nodes rewritten) and FlowPipelined (the
-// refined node-granular flow, the "CPU-PaK" configuration).
+// It runs either of internal/compact's flows: compact.FlowSequential (the
+// paper's CPU baseline — three full sweeps per iteration with
+// TransferNodes spilled to memory and all nodes rewritten) or
+// compact.FlowPipelined (the refined node-granular flow, the "CPU-PaK"
+// configuration). Every channel is the DDR4-3200 of internal/dram's
+// constants.
 package cpumodel
 
 import (
 	"fmt"
 
+	"nmppak/internal/compact"
+	"nmppak/internal/dna"
 	"nmppak/internal/dram"
 	"nmppak/internal/sim"
 	"nmppak/internal/trace"
 )
 
-// Flow selects the process flow, mirroring compact.Flow.
-type Flow int
-
-const (
-	FlowPipelined Flow = iota
-	FlowSequential
-)
-
 // Config parameterizes the CPU model: the machine's threads and memory
-// and the process flow. The per-access and compute costs are the
-// constants below.
+// channels and the process flow. The per-access and compute costs are the
+// constants below, and each channel's geometry and timing internal/dram's.
 type Config struct {
 	Threads  int // paper baseline: 64
 	Channels int
-	DRAM     dram.Config
-	Flow     Flow
+	Flow     compact.Flow
 }
 
 // The calibrated costs of the 64-thread dual-socket model. The constants
@@ -73,8 +68,7 @@ func DefaultConfig() Config {
 	return Config{
 		Threads:  64,
 		Channels: 8,
-		DRAM:     dram.DDR4_3200(),
-		Flow:     FlowSequential,
+		Flow:     compact.FlowSequential,
 	}
 }
 
@@ -140,7 +134,7 @@ func (c Config) Validate() error {
 	if c.Threads > maxThreads || c.Channels > maxChannels {
 		return fmt.Errorf("cpumodel: at most %d threads and %d channels, got %d/%d", maxThreads, maxChannels, c.Threads, c.Channels)
 	}
-	if err := c.DRAM.Validate(); err != nil {
+	if err := c.Flow.Validate(); err != nil {
 		return fmt.Errorf("cpumodel: %w", err)
 	}
 	return nil
@@ -156,7 +150,7 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	}
 	channels := make([]*dram.Channel, cfg.Channels)
 	for i := range channels {
-		channels[i] = dram.NewChannel(cfg.DRAM)
+		channels[i] = dram.NewChannel()
 	}
 	m := &machine{cfg: cfg, chs: channels, tr: tr, rngState: 0x9e3779b97f4a7c15}
 	var now sim.Cycle
@@ -174,7 +168,7 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		res.BytesRead += ch.Stats.BytesRead
 		res.BytesWrite += ch.Stats.BytesWritten
 	}
-	peak := cfg.DRAM.PeakBytesPerCycle() * float64(now) * float64(cfg.Channels)
+	peak := dram.PeakBytesPerCycle * float64(now) * float64(cfg.Channels)
 	if peak > 0 {
 		res.Utilization = float64(res.BytesRead+res.BytesWrite) / peak
 	}
@@ -206,7 +200,7 @@ func (m *machine) runIteration(iter *trace.Iteration, start sim.Cycle) sim.Cycle
 		m.tnIn[tn.DstIdx] += int(tn.TNBytes)
 	}
 	switch m.cfg.Flow {
-	case FlowSequential:
+	case compact.FlowSequential:
 		// Pass 1: P1 sweep over all nodes (data1 only).
 		t := m.pass(iter, start, itemsScan(iter, kScan))
 		// Pass 2: P2 sweep re-reading invalidated nodes and spilling
@@ -218,7 +212,7 @@ func (m *machine) runIteration(iter *trace.Iteration, start sim.Cycle) sim.Cycle
 		items = append(items, itemsUpdates(iter)...)
 		items = append(items, itemsMove(iter)...)
 		return m.pass(iter, t, items)
-	default: // FlowPipelined
+	default: // compact.FlowPipelined
 		items := itemsScan(iter, kScan)
 		items = append(items, itemsExtractFused(iter)...)
 		items = append(items, itemsUpdates(iter)...)
@@ -333,7 +327,7 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 	case kExtract:
 		node = &iter.Nodes[it.node]
 		exts = int(node.Exts)
-		if cfg.Flow == FlowSequential {
+		if cfg.Flow == compact.FlowSequential {
 			readBytes = int(node.D1 + node.D2)
 			writeBytes = m.tnOut[int32(it.node)] // spill TransferNodes
 		} else {
@@ -345,7 +339,7 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 		exts = int(node.Exts)
 		readBytes = int(up.ReadBytes)
 		writeBytes = int(up.WriteBytes)
-		if cfg.Flow == FlowSequential {
+		if cfg.Flow == compact.FlowSequential {
 			readBytes += m.tnIn[up.DstIdx] // read spilled TNs back
 		}
 	case kMove:
@@ -354,11 +348,12 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 	}
 
 	ch := m.chs[iter.DIMMOf(node.Key, cfg.Channels)]
+	rk, bk, row := addrOf(node.Key)
 
 	// Dependent pointer chase. Pure rewrites (moves) skip it, and in the
 	// fused pipelined flow extraction reuses the node the thread just
 	// scanned, so only scans and destination updates pay the lookup.
-	skipChase := it.kind == kMove || (cfg.Flow == FlowPipelined && it.kind == kExtract)
+	skipChase := it.kind == kMove || (cfg.Flow == compact.FlowPipelined && it.kind == kExtract)
 	if !skipChase {
 		chase := chaseBase + int(chasePerExt*float64(exts))
 		for c := 0; c < chase; c++ {
@@ -367,7 +362,7 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 				m.bd.MemL3 += l3Latency
 			} else {
 				issue := t
-				done := ch.AccessRow(issue, int(node.Key)&1, int(node.Key>>1)&15, int(node.Key>>5)&0x3fff, 1, false)
+				done := ch.AccessRow(issue, rk, bk, row, 1, false)
 				done += extraLatency
 				m.bd.MemDRAM += done - issue
 				t = done
@@ -378,7 +373,7 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 	// Streaming payload read.
 	if readBytes > 0 {
 		issue := t
-		done := ch.AccessRow(issue, int(node.Key)&1, int(node.Key>>1)&15, int(node.Key>>5)&0x3fff, dram.BlocksFor(readBytes), false)
+		done := ch.AccessRow(issue, rk, bk, row, dram.BlocksFor(readBytes), false)
 		done += extraLatency
 		m.bd.MemDRAM += done - issue
 		t = done
@@ -394,12 +389,30 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 	// Write-back.
 	if writeBytes > 0 {
 		issue := t
-		done := ch.AccessRow(issue, int(node.Key)&1, int(node.Key>>1)&15, int(node.Key>>5)&0x3fff, dram.BlocksFor(writeBytes), true)
+		done := ch.AccessRow(issue, rk, bk, row, dram.BlocksFor(writeBytes), true)
 		done += extraLatency
 		m.bd.MemDRAM += done - issue
 		t = done
 	}
 	return t
+}
+
+// The node address map: a key's low bits pick the rank, the next bits the
+// bank, and the 14 bits above them the row.
+const (
+	rankBits = 1 // log2(dram.Ranks)
+	bankBits = 4 // log2(dram.BanksPerRank)
+)
+
+// Each pair of conversions compiles only while a width matches its count.
+const (
+	_, _ = uint(dram.Ranks - 1<<rankBits), uint(1<<rankBits - dram.Ranks)
+	_, _ = uint(dram.BanksPerRank - 1<<bankBits), uint(1<<bankBits - dram.BanksPerRank)
+)
+
+// addrOf maps a node key to its rank, bank and row.
+func addrOf(key dna.Kmer) (rank, bank, row int) {
+	return int(key) & (dram.Ranks - 1), int(key>>rankBits) & (dram.BanksPerRank - 1), int(key>>(rankBits+bankBits)) & 0x3fff
 }
 
 // nextRand is a small deterministic xorshift in [0,1).

@@ -82,7 +82,7 @@ func TestPipelinedFasterThanSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Flow = FlowPipelined
+	cfg.Flow = compact.FlowPipelined
 	pip, err := Simulate(getTrace(t), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -15,115 +15,62 @@
 //
 // The live state is the snapshot type: a Channel runs on its embedded
 // ChannelState (state.go), so State is a plain deep copy and
-// ResumeChannel checks a decoded ChannelState against the Config and
+// ResumeChannel checks a decoded ChannelState against the constants and
 // adopts it — one shape for the running model and its checkpoint.
 package dram
 
 import (
-	"fmt"
-
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
 )
 
-// Config holds the channel geometry and timing parameters in 1.6 GHz
-// cycles (DDR4-3200: one command-clock cycle = 0.625 ns).
-type Config struct {
-	Ranks        int // ranks per channel (paper: 2)
-	BanksPerRank int // DDR4: 16
-	RowBytes     int // row buffer size (8 KB)
-
-	// Core timing (cycles). Defaults follow DDR4-3200AA (22-22-22).
-	TRCD  int // ACT -> RD/WR
-	TRP   int // PRE -> ACT
-	TCL   int // RD -> first data
-	TCWL  int // WR -> first data
-	TBL   int // data burst length on the bus (BL8 = 4 clocks)
-	TRAS  int // ACT -> PRE
-	TRRD  int // ACT -> ACT, different bank, same rank
-	TFAW  int // four-activate window per rank
-	TWR   int // end of write data -> PRE
-	TRTP  int // RD -> PRE
-	TWTR  int // end of write data -> RD (same rank)
-	TRFC  int // refresh cycle time
-	TREFI int // refresh interval
-}
-
-// DDR4_3200 returns the paper's memory configuration (Table 2).
-func DDR4_3200() Config {
-	return Config{
-		Ranks:        2,
-		BanksPerRank: 16,
-		RowBytes:     8192,
-		TRCD:         22,
-		TRP:          22,
-		TCL:          22,
-		TCWL:         16,
-		TBL:          4,
-		TRAS:         52,
-		TRRD:         6,
-		TFAW:         26,
-		TWR:          24,
-		TRTP:         12,
-		TWTR:         12,
-		TRFC:         560,   // 350 ns
-		TREFI:        12480, // 7.8 us
-	}
-}
-
-// Ceilings on the channel geometry Validate accepts: far above any DIMM,
-// low enough that a channel's per-bank state stays bounded.
+// The channel's geometry and timing: the paper's DDR4-3200 (Table 2),
+// timings in 1.6 GHz cycles (one command-clock cycle = 0.625 ns) at
+// DDR4-3200AA (22-22-22). The constants are typed int: an expression
+// such as sim.Cycle(TRCD + TCL + TBL) sums in int before converting,
+// exactly as the model's timing algebra is written.
 const (
-	maxRanks        = 1 << 6
-	maxBanksPerRank = 1 << 8
+	Ranks        int = 2    // ranks per channel
+	BanksPerRank int = 16   // DDR4
+	RowBytes     int = 8192 // row buffer size (8 KB)
+
+	TRCD  int = 22    // ACT -> RD/WR
+	TRP   int = 22    // PRE -> ACT
+	TCL   int = 22    // RD -> first data
+	TCWL  int = 16    // WR -> first data
+	TBL   int = 4     // data burst length on the bus (BL8 = 4 clocks)
+	TRAS  int = 52    // ACT -> PRE
+	TRRD  int = 6     // ACT -> ACT, different bank, same rank
+	TFAW  int = 26    // four-activate window per rank
+	TWR   int = 24    // end of write data -> PRE
+	TRTP  int = 12    // RD -> PRE
+	TWTR  int = 12    // end of write data -> RD (same rank)
+	TRFC  int = 560   // refresh cycle time (350 ns)
+	TREFI int = 12480 // refresh interval (7.8 us)
 )
 
-// Cycle bounds of the timing model. MaxTiming caps each timing parameter
-// (≈10 ms, over 1,300 refresh intervals of DDR4-3200) and MaxCycle every
-// timestamp a resumed channel or engine may hold (≈8 simulated days).
-// With both, no sum in AccessRow comes near int64's range: a train of
-// 2^25 bursts, the most a node of int32 bytes needs, adds at most
-// 2^49 cycles to a timestamp below 2^50.
-const (
-	MaxTiming = 1 << 24
-	MaxCycle  = sim.Cycle(1) << 50
-)
+// AccessRow skips every refresh due before an access at once, which holds
+// only if a refresh ends before the next is due: this conversion fails to
+// compile unless TRFC < TREFI.
+const _ = uint(TREFI - TRFC - 1)
+
+// MaxCycle bounds every timestamp a resumed channel or engine may hold
+// (≈8 simulated days). Every timing above is below 2^14 cycles, so no sum
+// in AccessRow comes near int64's range: a train of 2^25 bursts, the most
+// a node of int32 bytes needs, adds at most 2^27 cycles to a timestamp
+// below 2^50.
+const MaxCycle = sim.Cycle(1) << 50
 
 // farPast is NewChannel's initial ACT and write-data time, early enough
 // that no window constraint binds at cycle 0. No timing field of a
 // channel's state is ever earlier.
 const farPast = sim.Cycle(-1 << 30)
 
-// Validate rejects a geometry or timing the channel model cannot run.
-func (c Config) Validate() error {
-	if c.Ranks < 1 || c.BanksPerRank < 1 {
-		return fmt.Errorf("dram: need at least 1 rank and 1 bank per rank, got %d/%d", c.Ranks, c.BanksPerRank)
-	}
-	if c.Ranks > maxRanks || c.BanksPerRank > maxBanksPerRank {
-		return fmt.Errorf("dram: at most %d ranks of %d banks, got %d/%d", maxRanks, maxBanksPerRank, c.Ranks, c.BanksPerRank)
-	}
-	if c.RowBytes < BlockBytes {
-		return fmt.Errorf("dram: RowBytes %d holds no %d-byte burst", c.RowBytes, BlockBytes)
-	}
-	if c.TBL < 1 || c.TREFI < 1 {
-		return fmt.Errorf("dram: TBL and TREFI must be positive, got %d/%d", c.TBL, c.TREFI)
-	}
-	if c.TRFC >= c.TREFI {
-		return fmt.Errorf("dram: TRFC %d must be below TREFI %d (a refresh must end before the next is due)", c.TRFC, c.TREFI)
-	}
-	for _, v := range []int{c.TRCD, c.TRP, c.TCL, c.TCWL, c.TBL, c.TRAS, c.TRRD, c.TFAW, c.TWR, c.TRTP, c.TWTR, c.TRFC, c.TREFI} {
-		if v < 0 || v > MaxTiming {
-			return fmt.Errorf("dram: timing parameter %d outside [0, %d] cycles", v, MaxTiming)
-		}
-	}
-	return nil
-}
-
 // BlockBytes is the burst granularity (one BL8 burst on a x64 DIMM).
 const BlockBytes = 64
 
 // PeakBytesPerCycle is the channel's data-bus peak (64 B per tBL=4 cycles).
-func (c Config) PeakBytesPerCycle() float64 { return BlockBytes / float64(c.TBL) }
+const PeakBytesPerCycle float64 = BlockBytes / float64(TBL)
 
 // Stats aggregates channel activity.
 type Stats struct {
@@ -139,19 +86,9 @@ type Stats struct {
 // TotalBytes moved in both directions.
 func (s *Stats) TotalBytes() int64 { return s.BytesRead + s.BytesWritten }
 
-// Utilization is achieved bandwidth as a fraction of peak over [0, end].
-func (s *Stats) Utilization(cfg Config, end sim.Cycle) float64 {
-	if end <= 0 {
-		return 0
-	}
-	peak := cfg.PeakBytesPerCycle() * float64(end)
-	return float64(s.TotalBytes()) / peak
-}
-
 // Channel is one DDR4 channel with its banks and shared data bus, running
 // on its embedded ChannelState.
 type Channel struct {
-	cfg Config
 	ChannelState
 	// probe, when non-nil, receives one data-bus occupancy span per burst
 	// train (nil = telemetry disabled, zero overhead beyond one branch).
@@ -163,21 +100,21 @@ type Channel struct {
 // global time with Track.ShiftRange.
 func (ch *Channel) SetProbe(t *telemetry.Track) { ch.probe = t }
 
-// NewChannel builds an idle channel from cfg, which must pass Validate:
-// every bank closed, every rank's first refresh due at TREFI.
-func NewChannel(cfg Config) *Channel {
-	ch := &Channel{cfg: cfg}
-	ch.Banks = make([][]BankState, cfg.Ranks)
+// NewChannel builds an idle channel: every bank closed, every rank's
+// first refresh due at TREFI.
+func NewChannel() *Channel {
+	ch := &Channel{}
+	ch.Banks = make([][]BankState, Ranks)
 	for r := range ch.Banks {
-		ch.Banks[r] = make([]BankState, cfg.BanksPerRank)
+		ch.Banks[r] = make([]BankState, BanksPerRank)
 		for b := range ch.Banks[r] {
 			ch.Banks[r][b].OpenRow = -1
 		}
 	}
-	ch.Ranks = make([]RankState, cfg.Ranks)
+	ch.Ranks = make([]RankState, Ranks)
 	for r := range ch.Ranks {
 		rk := &ch.Ranks[r]
-		rk.NextRefresh = sim.Cycle(cfg.TREFI)
+		rk.NextRefresh = sim.Cycle(TREFI)
 		rk.LastActAt = farPast
 		rk.WrDataEnd = farPast
 		for i := range rk.ActTimes {
@@ -186,9 +123,6 @@ func NewChannel(cfg Config) *Channel {
 	}
 	return ch
 }
-
-// Config returns the channel configuration.
-func (ch *Channel) Config() Config { return ch.cfg }
 
 // BlocksFor returns the number of 64 B bursts needed for n bytes.
 func BlocksFor(n int) int {
@@ -207,7 +141,6 @@ func (ch *Channel) AccessRow(earliest sim.Cycle, rk, bk, row, blocks int, write 
 	if blocks <= 0 {
 		return earliest
 	}
-	cfg := &ch.cfg
 	b := &ch.Banks[rk][bk]
 	r := &ch.Ranks[rk]
 
@@ -216,9 +149,9 @@ func (ch *Channel) AccessRow(earliest sim.Cycle, rk, bk, row, blocks int, write 
 	// window, slide past it. Every refresh due by t is skipped at once:
 	// with TRFC < TREFI only the last of them can still hold t back.
 	if t >= r.NextRefresh {
-		trefi := sim.Cycle(cfg.TREFI)
+		trefi := sim.Cycle(TREFI)
 		last := r.NextRefresh + (t-r.NextRefresh)/trefi*trefi
-		if end := last + sim.Cycle(cfg.TRFC); t < end {
+		if end := last + sim.Cycle(TRFC); t < end {
 			t = end
 		}
 		r.NextRefresh = last + trefi
@@ -234,32 +167,32 @@ func (ch *Channel) AccessRow(earliest sim.Cycle, rk, bk, row, blocks int, write 
 		actReady := t
 		if b.HasOpen {
 			pre := maxCycle(t, b.ReadyPre)
-			actReady = pre + sim.Cycle(cfg.TRP)
+			actReady = pre + sim.Cycle(TRP)
 		} else if b.PreDoneAt > actReady {
 			actReady = b.PreDoneAt
 		}
 		// tRRD from the rank's last ACT and the tFAW window.
-		if v := r.LastActAt + sim.Cycle(cfg.TRRD); v > actReady {
+		if v := r.LastActAt + sim.Cycle(TRRD); v > actReady {
 			actReady = v
 		}
-		if v := r.ActTimes[r.ActPtr] + sim.Cycle(cfg.TFAW); v > actReady {
+		if v := r.ActTimes[r.ActPtr] + sim.Cycle(TFAW); v > actReady {
 			actReady = v
 		}
 		act := actReady
 		b.ActAt = act
 		b.HasOpen = true
 		b.OpenRow = row
-		b.ReadyPre = act + sim.Cycle(cfg.TRAS)
+		b.ReadyPre = act + sim.Cycle(TRAS)
 		r.ActTimes[r.ActPtr] = act
 		r.ActPtr = (r.ActPtr + 1) % 4
 		r.LastActAt = act
 		ch.Stats.Activates++
-		t = act + sim.Cycle(cfg.TRCD)
+		t = act + sim.Cycle(TRCD)
 	}
 
 	// Write-to-read turnaround.
 	if !write {
-		if v := r.WrDataEnd + sim.Cycle(cfg.TWTR); v > t {
+		if v := r.WrDataEnd + sim.Cycle(TWTR); v > t {
 			t = v
 		}
 	}
@@ -273,15 +206,15 @@ func (ch *Channel) AccessRow(earliest sim.Cycle, rk, bk, row, blocks int, write 
 	// command slot plus the latency and the bus pointer; after the first,
 	// both have advanced by tBL, so the bursts run back to back and the
 	// train ends blocks*tBL after the first one starts.
-	lat := sim.Cycle(cfg.TCL)
+	lat := sim.Cycle(TCL)
 	if write {
-		lat = sim.Cycle(cfg.TCWL)
+		lat = sim.Cycle(TCWL)
 	}
 	if ch.BusFree < earliest {
 		ch.BusFree = earliest
 	}
 	busStart := ch.BusFree
-	train := sim.Cycle(blocks) * sim.Cycle(cfg.TBL)
+	train := sim.Cycle(blocks) * sim.Cycle(TBL)
 	done := maxCycle(t+lat, busStart) + train
 	t = done - lat // next command slot
 	ch.BusFree += train
@@ -297,13 +230,13 @@ func (ch *Channel) AccessRow(earliest sim.Cycle, rk, bk, row, blocks int, write 
 	}
 	if write {
 		r.WrDataEnd = done
-		if v := done + sim.Cycle(cfg.TWR); v > b.ReadyPre {
+		if v := done + sim.Cycle(TWR); v > b.ReadyPre {
 			b.ReadyPre = v
 		}
 		ch.Stats.Writes++
 		ch.Stats.BytesWritten += int64(blocks * BlockBytes)
 	} else {
-		if v := t - lat + sim.Cycle(cfg.TRTP); v > b.ReadyPre {
+		if v := t - lat + sim.Cycle(TRTP); v > b.ReadyPre {
 			b.ReadyPre = v
 		}
 		ch.Stats.Reads++

@@ -8,11 +8,10 @@ import (
 )
 
 func TestRowHitFasterThanMiss(t *testing.T) {
-	ch := NewChannel(DDR4_3200())
-	cfg := ch.Config()
+	ch := NewChannel()
 	// First access: row miss (ACT + RCD + CL + BL).
 	d1 := ch.AccessRow(0, 0, 0, 5, 1, false)
-	wantMiss := sim.Cycle(cfg.TRCD + cfg.TCL + cfg.TBL)
+	wantMiss := sim.Cycle(TRCD + TCL + TBL)
 	if d1 != wantMiss {
 		t.Fatalf("miss latency %d want %d", d1, wantMiss)
 	}
@@ -27,13 +26,12 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 }
 
 func TestRowConflictRequiresPrecharge(t *testing.T) {
-	ch := NewChannel(DDR4_3200())
-	cfg := ch.Config()
+	ch := NewChannel()
 	d1 := ch.AccessRow(0, 0, 0, 5, 1, false)
 	// Different row in the same bank: PRE + ACT. tRAS from the first ACT
 	// dominates the earliest PRE.
 	d2 := ch.AccessRow(d1, 0, 0, 9, 1, false)
-	minGap := sim.Cycle(cfg.TRP + cfg.TRCD + cfg.TCL + cfg.TBL)
+	minGap := sim.Cycle(TRP + TRCD + TCL + TBL)
 	if d2-d1 < minGap {
 		t.Fatalf("conflict gap %d < %d", d2-d1, minGap)
 	}
@@ -45,12 +43,12 @@ func TestRowConflictRequiresPrecharge(t *testing.T) {
 func TestBankParallelismBeatsSameBank(t *testing.T) {
 	// 8 single-burst accesses to different rows: across banks they overlap
 	// (bus-limited), in one bank they serialize on tRC-ish gaps.
-	same := NewChannel(DDR4_3200())
+	same := NewChannel()
 	var doneSame sim.Cycle
 	for i := 0; i < 8; i++ {
 		doneSame = same.AccessRow(0, 0, 0, i, 1, false)
 	}
-	diff := NewChannel(DDR4_3200())
+	diff := NewChannel()
 	var doneDiff sim.Cycle
 	for i := 0; i < 8; i++ {
 		d := diff.AccessRow(0, 0, i, 0, 1, false)
@@ -63,14 +61,19 @@ func TestBankParallelismBeatsSameBank(t *testing.T) {
 	}
 }
 
+// utilization is achieved bandwidth as a fraction of peak over [0, end].
+func utilization(s *Stats, end sim.Cycle) float64 {
+	return float64(s.TotalBytes()) / (PeakBytesPerCycle * float64(end))
+}
+
 func TestStreamingApproachesPeakBandwidth(t *testing.T) {
-	ch := NewChannel(DDR4_3200())
+	ch := NewChannel()
 	// Stream 128 blocks (one full row) repeatedly across banks.
 	var done sim.Cycle
 	for b := 0; b < 16; b++ {
 		done = ch.AccessRow(done, 0, b, 0, 128, false)
 	}
-	util := ch.Stats.Utilization(ch.Config(), done)
+	util := utilization(&ch.Stats, done)
 	if util < 0.85 {
 		t.Fatalf("streaming utilization %.2f < 0.85", util)
 	}
@@ -80,7 +83,7 @@ func TestStreamingApproachesPeakBandwidth(t *testing.T) {
 }
 
 func TestUtilizationNeverExceedsPeak(t *testing.T) {
-	ch := NewChannel(DDR4_3200())
+	ch := NewChannel()
 	var done sim.Cycle
 	for i := 0; i < 200; i++ {
 		d := ch.AccessRow(sim.Cycle(i), i%2, i%16, i%7, 1+i%9, i%3 == 0)
@@ -88,7 +91,7 @@ func TestUtilizationNeverExceedsPeak(t *testing.T) {
 			done = d
 		}
 	}
-	if util := ch.Stats.Utilization(ch.Config(), done); util > 1.0001 {
+	if util := utilization(&ch.Stats, done); util > 1.0001 {
 		t.Fatalf("utilization %v > 1", util)
 	}
 	if ch.Stats.TotalBytes() == 0 {
@@ -97,18 +100,17 @@ func TestUtilizationNeverExceedsPeak(t *testing.T) {
 }
 
 func TestWriteReadTurnaround(t *testing.T) {
-	ch := NewChannel(DDR4_3200())
-	cfg := ch.Config()
+	ch := NewChannel()
 	dw := ch.AccessRow(0, 0, 0, 3, 1, true)
 	dr := ch.AccessRow(dw, 0, 0, 3, 1, false)
 	// Read data cannot start before write data end + tWTR + tCL.
-	if dr < dw+sim.Cycle(cfg.TWTR) {
+	if dr < dw+sim.Cycle(TWTR) {
 		t.Fatalf("read completed %d, too soon after write end %d", dr, dw)
 	}
 }
 
 func TestMonotoneNonDecreasingCompletion(t *testing.T) {
-	ch := NewChannel(DDR4_3200())
+	ch := NewChannel()
 	var prev sim.Cycle
 	for i := 0; i < 500; i++ {
 		d := ch.AccessRow(prev, (i/16)%2, i%16, i%3, 1+(i%4), i%5 == 0)
@@ -120,18 +122,17 @@ func TestMonotoneNonDecreasingCompletion(t *testing.T) {
 }
 
 func TestRefreshInterference(t *testing.T) {
-	cfg := DDR4_3200()
-	ch := NewChannel(cfg)
+	ch := NewChannel()
 	// Access right at the refresh deadline: should be pushed past tRFC.
-	at := sim.Cycle(cfg.TREFI)
+	at := sim.Cycle(TREFI)
 	d := ch.AccessRow(at, 0, 0, 0, 1, false)
-	if d < at+sim.Cycle(cfg.TRFC) {
-		t.Fatalf("refresh not applied: done %d < %d", d, at+sim.Cycle(cfg.TRFC))
+	if d < at+sim.Cycle(TRFC) {
+		t.Fatalf("refresh not applied: done %d < %d", d, at+sim.Cycle(TRFC))
 	}
 }
 
 func TestEarliestRespected(t *testing.T) {
-	ch := NewChannel(DDR4_3200())
+	ch := NewChannel()
 	d := ch.AccessRow(1000, 0, 0, 0, 1, false)
 	if d < 1000 {
 		t.Fatalf("completed %d before earliest 1000", d)
@@ -150,48 +151,8 @@ func TestBlocksFor(t *testing.T) {
 }
 
 func TestPeakBytesPerCycle(t *testing.T) {
-	if got := DDR4_3200().PeakBytesPerCycle(); got != 16 {
-		t.Fatalf("peak = %v want 16 B/cycle (25.6 GB/s at 1.6 GHz)", got)
-	}
-}
-
-// A refresh that lasts as long as its interval never ends before the next
-// is due, so Validate must reject it.
-func TestValidateRejectsRefreshOverrun(t *testing.T) {
-	cfg := DDR4_3200()
-	cfg.TRFC = cfg.TREFI - 1
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("TRFC just below TREFI rejected: %v", err)
-	}
-	for _, trfc := range []int{cfg.TREFI, cfg.TREFI + 1} {
-		cfg.TRFC = trfc
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("Validate accepted TRFC %d with TREFI %d", trfc, cfg.TREFI)
-		}
-	}
-}
-
-// Every timing parameter is capped at MaxTiming, so that no sum in
-// AccessRow can wrap.
-func TestValidateCapsTimings(t *testing.T) {
-	fields := []func(*Config) *int{
-		func(c *Config) *int { return &c.TRCD }, func(c *Config) *int { return &c.TRP },
-		func(c *Config) *int { return &c.TCL }, func(c *Config) *int { return &c.TCWL },
-		func(c *Config) *int { return &c.TBL }, func(c *Config) *int { return &c.TRAS },
-		func(c *Config) *int { return &c.TRRD }, func(c *Config) *int { return &c.TFAW },
-		func(c *Config) *int { return &c.TWR }, func(c *Config) *int { return &c.TRTP },
-		func(c *Config) *int { return &c.TWTR }, func(c *Config) *int { return &c.TREFI },
-	}
-	for i, field := range fields {
-		cfg := DDR4_3200()
-		*field(&cfg) = MaxTiming
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("field %d at MaxTiming rejected: %v", i, err)
-		}
-		*field(&cfg) = MaxTiming + 1
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("field %d past MaxTiming accepted", i)
-		}
+	if PeakBytesPerCycle != 16 {
+		t.Fatalf("peak = %v want 16 B/cycle (25.6 GB/s at 1.6 GHz)", PeakBytesPerCycle)
 	}
 }
 
@@ -199,8 +160,7 @@ func TestValidateCapsTimings(t *testing.T) {
 // land where walking the refreshes one interval at a time does, however
 // far past the pending refresh the access arrives.
 func TestRefreshSkipMatchesPerIntervalWalk(t *testing.T) {
-	cfg := DDR4_3200()
-	trefi, trfc := sim.Cycle(cfg.TREFI), sim.Cycle(cfg.TRFC)
+	trefi, trfc := sim.Cycle(TREFI), sim.Cycle(TRFC)
 	for _, at := range []sim.Cycle{0, trefi - 1, trefi, trefi + trfc - 1, trefi + trfc, 2*trefi - 1,
 		2 * trefi, 7*trefi + 3, 40*trefi + trfc, 1 << 40} {
 		// The per-interval walk the skip replaces.
@@ -211,8 +171,8 @@ func TestRefreshSkipMatchesPerIntervalWalk(t *testing.T) {
 			}
 			next += trefi
 		}
-		ch := NewChannel(cfg)
-		want := start + sim.Cycle(cfg.TRCD+cfg.TCL+cfg.TBL)
+		ch := NewChannel()
+		want := start + sim.Cycle(TRCD+TCL+TBL)
 		if got := ch.AccessRow(at, 0, 0, 0, 1, false); got != want {
 			t.Errorf("access at %d done %d, want %d", at, got, want)
 		}
@@ -225,7 +185,6 @@ func TestRefreshSkipMatchesPerIntervalWalk(t *testing.T) {
 // State is a deep copy, and ResumeChannel continues from it exactly as the
 // donor channel does.
 func TestStateResumeEquivalence(t *testing.T) {
-	cfg := DDR4_3200()
 	access := func(ch *Channel, from, to int) sim.Cycle {
 		var d sim.Cycle
 		for i := from; i < to; i++ {
@@ -233,11 +192,11 @@ func TestStateResumeEquivalence(t *testing.T) {
 		}
 		return d
 	}
-	donor := NewChannel(cfg)
+	donor := NewChannel()
 	access(donor, 0, 300)
 	st := donor.State()
 	want := access(donor, 300, 900)
-	ch, err := ResumeChannel(cfg, st)
+	ch, err := ResumeChannel(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +206,9 @@ func TestStateResumeEquivalence(t *testing.T) {
 }
 
 // ResumeChannel is the check a decoded checkpoint's DRAM state passes
-// through: a shape that does not match the config, or a rank state the
+// through: a shape that does not match the geometry, or a rank state the
 // timing model never produces, is an error.
 func TestResumeChannelRejects(t *testing.T) {
-	cfg := DDR4_3200()
 	for _, tc := range []struct {
 		name string
 		edit func(*ChannelState)
@@ -260,7 +218,7 @@ func TestResumeChannelRejects(t *testing.T) {
 		{"short bank row", func(s *ChannelState) { s.Banks[1] = s.Banks[1][:3] }},
 		{"ActPtr past the ring", func(s *ChannelState) { s.Ranks[0].ActPtr = 4 }},
 		{"negative ActPtr", func(s *ChannelState) { s.Ranks[1].ActPtr = -1 }},
-		{"NextRefresh before TREFI", func(s *ChannelState) { s.Ranks[0].NextRefresh = sim.Cycle(cfg.TREFI) - 1 }},
+		{"NextRefresh before TREFI", func(s *ChannelState) { s.Ranks[0].NextRefresh = sim.Cycle(TREFI) - 1 }},
 		{"NextRefresh far in the past", func(s *ChannelState) { s.Ranks[1].NextRefresh = -(1 << 62) }},
 		{"NextRefresh past the ceiling", func(s *ChannelState) { s.Ranks[0].NextRefresh = MaxCycle + 1 }},
 		{"BusFree near the int64 limit", func(s *ChannelState) { s.BusFree = math.MaxInt64 - 5 }},
@@ -273,18 +231,18 @@ func TestResumeChannelRejects(t *testing.T) {
 		{"LastActAt before the far past", func(s *ChannelState) { s.Ranks[0].LastActAt = farPast - 1 }},
 		{"WrDataEnd past the ceiling", func(s *ChannelState) { s.Ranks[1].WrDataEnd = math.MaxInt64 }},
 	} {
-		st := NewChannel(cfg).State()
+		st := NewChannel().State()
 		tc.edit(&st)
-		if _, err := ResumeChannel(cfg, st); err == nil {
+		if _, err := ResumeChannel(st); err == nil {
 			t.Errorf("%s: ResumeChannel accepted the state", tc.name)
 		}
 	}
-	if _, err := ResumeChannel(cfg, NewChannel(cfg).State()); err != nil {
+	if _, err := ResumeChannel(NewChannel().State()); err != nil {
 		t.Fatalf("ResumeChannel rejected a fresh channel's state: %v", err)
 	}
-	edge := NewChannel(cfg).State()
+	edge := NewChannel().State()
 	edge.BusFree, edge.Banks[0][0].ActAt, edge.Ranks[1].LastActAt = MaxCycle, MaxCycle, farPast
-	if _, err := ResumeChannel(cfg, edge); err != nil {
+	if _, err := ResumeChannel(edge); err != nil {
 		t.Fatalf("ResumeChannel rejected timestamps at the bounds: %v", err)
 	}
 }

@@ -29,7 +29,7 @@ type RankState struct {
 // timing constraint, the data-bus reservation pointer and the accumulated
 // statistics. A Channel runs on it directly, so a snapshot is a deep copy
 // and a resume adopts a decoded one — the channel's behaviour is a pure
-// function of (Config, ChannelState, access stream).
+// function of (ChannelState, access stream).
 type ChannelState struct {
 	Banks [][]BankState // [rank][bank]
 	Ranks []RankState
@@ -49,21 +49,21 @@ func (ch *Channel) State() ChannelState {
 	return st
 }
 
-// ResumeChannel builds a channel of cfg, which must pass Validate, that
-// continues from st — typically decoded from a checkpoint, so untrusted.
-// It checks st's shape against cfg's geometry and the invariants the
-// timing model keeps (every ActPtr indexes ActTimes; no rank's next
-// refresh lies before the first, at TREFI; every bank, rank and bus
-// timestamp lies in [farPast, MaxCycle], so no later sum wraps), then
-// adopts st: the channel owns st's slices.
-func ResumeChannel(cfg Config, st ChannelState) (*Channel, error) {
-	if len(st.Banks) != cfg.Ranks || len(st.Ranks) != cfg.Ranks {
-		return nil, fmt.Errorf("dram: state has %d ranks (%d rank entries), config has %d",
-			len(st.Banks), len(st.Ranks), cfg.Ranks)
+// ResumeChannel builds a channel that continues from st — typically
+// decoded from a checkpoint, so untrusted. It checks st's shape against
+// Ranks and BanksPerRank and the invariants the timing model keeps (every
+// ActPtr indexes ActTimes; no rank's next refresh lies before the first,
+// at TREFI; every bank, rank and bus timestamp lies in [farPast,
+// MaxCycle], so no later sum wraps), then adopts st: the channel owns
+// st's slices.
+func ResumeChannel(st ChannelState) (*Channel, error) {
+	if len(st.Banks) != Ranks || len(st.Ranks) != Ranks {
+		return nil, fmt.Errorf("dram: state has %d ranks (%d rank entries), want %d",
+			len(st.Banks), len(st.Ranks), Ranks)
 	}
 	for r, banks := range st.Banks {
-		if len(banks) != cfg.BanksPerRank {
-			return nil, fmt.Errorf("dram: state rank %d has %d banks, config has %d", r, len(banks), cfg.BanksPerRank)
+		if len(banks) != BanksPerRank {
+			return nil, fmt.Errorf("dram: state rank %d has %d banks, want %d", r, len(banks), BanksPerRank)
 		}
 		for b := range banks {
 			bk := &banks[b]
@@ -80,15 +80,15 @@ func ResumeChannel(cfg Config, st ChannelState) (*Channel, error) {
 		if rk.ActPtr < 0 || rk.ActPtr >= len(rk.ActTimes) {
 			return nil, fmt.Errorf("dram: state rank %d ActPtr %d outside [0, %d)", r, rk.ActPtr, len(rk.ActTimes))
 		}
-		if rk.NextRefresh < sim.Cycle(cfg.TREFI) {
-			return nil, fmt.Errorf("dram: state rank %d NextRefresh %d before the first refresh at TREFI %d", r, rk.NextRefresh, cfg.TREFI)
+		if rk.NextRefresh < sim.Cycle(TREFI) {
+			return nil, fmt.Errorf("dram: state rank %d NextRefresh %d before the first refresh at TREFI %d", r, rk.NextRefresh, TREFI)
 		}
 		a := rk.ActTimes
 		if !inRange(a[0], a[1], a[2], a[3], rk.LastActAt, rk.WrDataEnd, rk.NextRefresh) {
 			return nil, fmt.Errorf("dram: state rank %d holds a timestamp outside [%d, %d]", r, farPast, MaxCycle)
 		}
 	}
-	return &Channel{cfg: cfg, ChannelState: st}, nil
+	return &Channel{ChannelState: st}, nil
 }
 
 // inRange reports whether every timestamp lies in [farPast, MaxCycle].

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"nmppak/internal/compact"
 	"nmppak/internal/cpumodel"
 	"nmppak/internal/gpumodel"
 	"nmppak/internal/hybrid"
@@ -52,7 +53,7 @@ func RunSystems(c *Context) (*SystemRuns, error) {
 	}
 	// CPU-PaK: the refined pipelined flow on the CPU.
 	pcfg := cpumodel.DefaultConfig()
-	pcfg.Flow = cpumodel.FlowPipelined
+	pcfg.Flow = compact.FlowPipelined
 	if runs.CPUPaK, err = cpumodel.Simulate(tr, pcfg); err != nil {
 		return nil, err
 	}

@@ -51,9 +51,9 @@ func (e *Engine) Snapshot() (EngineState, error) {
 // trace and configuration the snapshot was taken under, positioned to step
 // iteration st.Next. Iterations before st.Next are never read again, so a
 // caller that reconstructs tr may substitute empty placeholders for them.
-// Every channel state is checked against cfg (dram.ResumeChannel), since
-// st is typically decoded from an untrusted blob; so are the clock, which
-// must lie in [0, dram.MaxCycle], and the result, whose totals Result()
+// Every channel state is checked by dram.ResumeChannel, since st is
+// typically decoded from an untrusted blob; so are the clock, which must
+// lie in [0, dram.MaxCycle], and the result, whose totals Result()
 // seals (Mem, BytesRead, BytesWrite, Iterations, Cycles, Seconds,
 // Utilization) must still be empty, as Snapshot leaves them. The engine
 // owns st's slices — the result's and every channel's — and steps them
@@ -81,7 +81,7 @@ func ResumeEngine(tr *trace.Trace, cfg Config, st EngineState) (*Engine, error) 
 	}
 	e := &Engine{cfg: cfg, tr: tr, channels: make([]*dram.Channel, cfg.Channels), res: st.Res, next: st.Next, clock: st.Clock}
 	for i, cs := range st.Channels {
-		ch, err := dram.ResumeChannel(cfg.DRAM, cs)
+		ch, err := dram.ResumeChannel(cs)
 		if err != nil {
 			return nil, fmt.Errorf("nmp: channel %d: %w", i, err)
 		}

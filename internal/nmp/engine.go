@@ -42,7 +42,7 @@ func NewEngine(tr *trace.Trace, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, tr: tr, channels: make([]*dram.Channel, cfg.Channels)}
 	for i := range e.channels {
-		e.channels[i] = dram.NewChannel(cfg.DRAM)
+		e.channels[i] = dram.NewChannel()
 	}
 	return e, nil
 }
@@ -151,7 +151,7 @@ func (e *Engine) Result() *Result {
 			e.res.BytesRead += ch.Stats.BytesRead
 			e.res.BytesWrite += ch.Stats.BytesWritten
 		}
-		peak := e.cfg.DRAM.PeakBytesPerCycle() * float64(e.res.Cycles) * float64(e.cfg.Channels)
+		peak := dram.PeakBytesPerCycle * float64(e.res.Cycles) * float64(e.cfg.Channels)
 		if peak > 0 {
 			e.res.Utilization = float64(e.res.BytesRead+e.res.BytesWrite) / peak
 		}

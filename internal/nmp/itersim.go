@@ -23,21 +23,25 @@ type nodeLoc struct {
 // the banks in rank-major order, so placing a node takes no division
 // unless it spans several rows.
 type allocator struct {
-	ranks, banks, rowBlocks int32
-	rank, bank, next        int32     // the next node's bank; next = rank*banks + bank
-	rows                    []bankRow // [rank*banks + bank]
+	rank, bank, next int32     // the next node's bank; next = rank*dram.BanksPerRank + bank
+	rows             []bankRow // [rank*dram.BanksPerRank + bank]
 }
+
+// rowBlocks is the number of 64 B blocks in a DRAM row.
+const rowBlocks = dram.RowBytes / dram.BlockBytes
+
+// A DIMM's bank and row geometry in the allocator's int32.
+const (
+	allocRanks     = int32(dram.Ranks)
+	allocBanks     = int32(dram.BanksPerRank)
+	allocRowBlocks = int32(rowBlocks)
+)
 
 // bankRow is a bank's current row and the blocks used in it.
 type bankRow struct{ row, fill int32 }
 
-func newAllocator(cfg dram.Config) allocator {
-	return allocator{
-		ranks:     int32(cfg.Ranks),
-		banks:     int32(cfg.BanksPerRank),
-		rowBlocks: int32(cfg.RowBytes / dram.BlockBytes),
-		rows:      make([]bankRow, cfg.Ranks*cfg.BanksPerRank),
-	}
+func newAllocator() allocator {
+	return allocator{rows: make([]bankRow, dram.Ranks*dram.BanksPerRank)}
 }
 
 // reset empties every bank so packing starts over from row 0.
@@ -51,20 +55,20 @@ func (a *allocator) alloc(blocks int32, loc *nodeLoc) {
 	*loc = nodeLoc{rank: a.rank, bank: a.bank, blocks: blocks}
 	b := &a.rows[a.next]
 	a.next++
-	if a.bank++; a.bank == a.banks {
+	if a.bank++; a.bank == allocBanks {
 		a.bank = 0
-		if a.rank++; a.rank == a.ranks {
+		if a.rank++; a.rank == allocRanks {
 			a.rank, a.next = 0, 0
 		}
 	}
-	if blocks > a.rowBlocks {
+	if blocks > allocRowBlocks {
 		// Oversized node: occupies whole consecutive rows of one bank.
 		loc.row = b.row
-		b.row += (blocks + a.rowBlocks - 1) / a.rowBlocks
+		b.row += (blocks + allocRowBlocks - 1) / allocRowBlocks
 		b.fill = 0
 		return
 	}
-	if b.fill+blocks > a.rowBlocks {
+	if b.fill+blocks > allocRowBlocks {
 		b.row++
 		b.fill = 0
 	}
@@ -81,7 +85,7 @@ func (is *iterSim) access(ch *dram.Channel, earliest sim.Cycle, loc nodeLoc, blo
 	t := earliest
 	row, blk := int(loc.row), int(loc.blk)
 	for blocks > 0 {
-		n := min(is.rowBlocks-blk, blocks)
+		n := min(rowBlocks-blk, blocks)
 		t = ch.AccessRow(t, int(loc.rank), int(loc.bank), row, n, write)
 		blocks -= n
 		row++
@@ -96,14 +100,10 @@ const cpuHome = -1 // nodePE value for CPU-offloaded nodes
 // A pooled iterSim is reused only by an iteration of the same shape.
 type simShape struct {
 	channels, pes, p3Depth int
-	ranks, banks, rowBytes int
 }
 
 func shapeOf(cfg *Config) simShape {
-	return simShape{
-		channels: cfg.Channels, pes: cfg.PEsPerChannel, p3Depth: cfg.P3QueueDepth,
-		ranks: cfg.DRAM.Ranks, banks: cfg.DRAM.BanksPerRank, rowBytes: cfg.DRAM.RowBytes,
-	}
+	return simShape{channels: cfg.Channels, pes: cfg.PEsPerChannel, p3Depth: cfg.P3QueueDepth}
 }
 
 // iterSimPool recycles iteration scratch across StepIteration calls and
@@ -116,8 +116,7 @@ var iterSimPool sync.Pool
 // callbacks are built once per value and reset in place for each
 // iteration, so a warm step allocates nothing.
 type iterSim struct {
-	shape     simShape
-	rowBlocks int // blocks per DRAM row
+	shape simShape
 
 	// Bound by reset for one iteration, cleared by release.
 	eng  *sim.Engine
@@ -277,7 +276,7 @@ func acquireIterSim(cfg *Config) *iterSim {
 	if is, ok := iterSimPool.Get().(*iterSim); ok && is.shape == shape {
 		return is
 	}
-	return newIterSim(shape, cfg)
+	return newIterSim(shape)
 }
 
 // release drops the iteration's references and returns is to the pool.
@@ -302,11 +301,11 @@ func (is *iterSim) release() {
 //   - P2 completion reads p2Node: a PE runs one P2 at a time.
 //   - P3 write-back owns one of P3QueueDepth slots, taken from a free list
 //     while at most P3QueueDepth chains are in flight.
-func newIterSim(shape simShape, cfg *Config) *iterSim {
-	is := &iterSim{shape: shape, rowBlocks: shape.rowBytes / dram.BlockBytes}
+func newIterSim(shape simShape) *iterSim {
+	is := &iterSim{shape: shape}
 	is.onBegin = is.begin
 	is.onCPURun = is.cpuRun
-	depth := cfg.P3QueueDepth
+	depth := shape.p3Depth
 	is.pes = make([]pe, shape.channels*shape.pes)
 	for k := range is.pes {
 		p := &is.pes[k]
@@ -330,7 +329,7 @@ func newIterSim(shape simShape, cfg *Config) *iterSim {
 	}
 	is.allocs = make([]allocator, shape.channels)
 	for d := range is.allocs {
-		is.allocs[d] = newAllocator(cfg.DRAM)
+		is.allocs[d] = newAllocator()
 	}
 	is.nextPE = make([]int, shape.channels)
 	is.peFill = make([]int32, len(is.pes))

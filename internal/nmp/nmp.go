@@ -23,7 +23,8 @@
 // Ramulator ... based on the RTL design and the instruction count
 // statistics for each stage". That design point is fixed: Config carries
 // only the node geometry and the values the paper's figures and ablations
-// vary, and the rest are package constants.
+// vary, the rest are package constants, and every channel is the DDR4-3200
+// of internal/dram's constants.
 package nmp
 
 import (
@@ -36,11 +37,11 @@ import (
 // Config parameterizes the NMP system: the node geometry and the design
 // points the paper's figures and ablations vary. The rest of Table 2's
 // design point (buffers, interconnect, stage compute model, host offload
-// costs) is fixed by the constants below.
+// costs) is fixed by the constants below, and the memory (DDR4-3200
+// geometry and timing) by internal/dram's.
 type Config struct {
 	Channels      int // DIMMs == channels (Fig. 9; paper: 8)
 	PEsPerChannel int // paper starts at 32; 16 is the cost-effective point
-	DRAM          dram.Config
 
 	// BridgeBytesPerCy is the DIMM-to-DIMM network bridge bandwidth:
 	// 25 GB/s at 1.6 GHz = 15.625 B/cycle.
@@ -124,7 +125,6 @@ func DefaultConfig() Config {
 	return Config{
 		Channels:         8,
 		PEsPerChannel:    32,
-		DRAM:             dram.DDR4_3200(),
 		BridgeBytesPerCy: 15.625, // 25 GB/s (DIMM-Link)
 
 		// Double-buffered load unit (Fig. 10 "Buffer for next MNs") and
@@ -138,16 +138,21 @@ func DefaultConfig() Config {
 
 // Fingerprint renders c in the layout %+v gave it when every part of the
 // design point was a field, the fixed parts filled in from the constants
-// (and the since-removed 4096-byte MacroNode buffer, which no model read).
-// Checkpoint config digests hash this text, so it must not change.
+// (and the since-removed 4096-byte MacroNode buffer, which no model read),
+// DRAM printed as its Config struct was. Checkpoint config digests hash
+// this text, so it must not change.
 func (c Config) Fingerprint() string {
-	return fmt.Sprintf("{Channels:%d PEsPerChannel:%d DRAM:%+v MNBufBytes:4096 TNScratchBytes:%d "+
+	return fmt.Sprintf("{Channels:%d PEsPerChannel:%d "+
+		"DRAM:{Ranks:%d BanksPerRank:%d RowBytes:%d TRCD:%d TRP:%d TCL:%d TCWL:%d TBL:%d "+
+		"TRAS:%d TRRD:%d TFAW:%d TWR:%d TRTP:%d TWTR:%d TRFC:%d TREFI:%d} MNBufBytes:4096 TNScratchBytes:%d "+
 		"CrossbarLatency:%d CrossbarBytesPerCy:%v BridgeLatency:%d BridgeBytesPerCy:%v "+
 		"P1Base:%d P1PerExt:%d P2Base:%d P2PerWire:%d P3Base:%d P3PerTN:%d "+
 		"PELoadQueueDepth:%d P3QueueDepth:%d IdealPE:%v ForwardingHitRate:%v "+
 		"HybridThresholdBytes:%d CPUThreads:%d CPUExtraLatency:%d CPUNodeBaseCycles:%d CPUCyclesPerByte:%v "+
 		"SyncBarrierCycles:%d StaticMapping:%v}",
-		c.Channels, c.PEsPerChannel, c.DRAM, tnScratchBytes,
+		c.Channels, c.PEsPerChannel,
+		dram.Ranks, dram.BanksPerRank, dram.RowBytes, dram.TRCD, dram.TRP, dram.TCL, dram.TCWL, dram.TBL,
+		dram.TRAS, dram.TRRD, dram.TFAW, dram.TWR, dram.TRTP, dram.TWTR, dram.TRFC, dram.TREFI, tnScratchBytes,
 		crossbarLatency, crossbarBytesPerCy, bridgeLatency, c.BridgeBytesPerCy,
 		p1Base, p1PerExt, p2Base, p2PerWire, p3Base, p3PerTN,
 		c.PELoadQueueDepth, c.P3QueueDepth, c.IdealPE, c.ForwardingHitRate,
@@ -157,10 +162,13 @@ func (c Config) Fingerprint() string {
 
 // Ceilings on the per-node geometry Validate accepts: far above any
 // simulated DIMM, low enough that the per-channel and per-PE state an
-// engine allocates up front stays bounded.
+// engine allocates up front stays bounded. maxP3QueueDepth likewise bounds
+// the P3QueueDepth destination-chain slots every PE allocates up front:
+// 512 times the double buffer of the paper's design.
 const (
 	maxChannels      = 1 << 10
 	maxPEsPerChannel = 1 << 10
+	maxP3QueueDepth  = 1 << 10
 )
 
 // Validate checks the configuration.
@@ -177,14 +185,14 @@ func (c Config) Validate() error {
 	if c.PELoadQueueDepth < 1 || c.P3QueueDepth < 1 {
 		return fmt.Errorf("nmp: PE queue depths must be >= 1, got P1 %d, P3 %d", c.PELoadQueueDepth, c.P3QueueDepth)
 	}
+	if c.P3QueueDepth > maxP3QueueDepth {
+		return fmt.Errorf("nmp: P3 queue depth at most %d, got %d", maxP3QueueDepth, c.P3QueueDepth)
+	}
 	if !(c.ForwardingHitRate >= 0 && c.ForwardingHitRate <= 1) {
 		return fmt.Errorf("nmp: ForwardingHitRate %v outside [0,1]", c.ForwardingHitRate)
 	}
 	if c.HybridThresholdBytes < 0 {
 		return fmt.Errorf("nmp: HybridThresholdBytes must be >= 0, got %d", c.HybridThresholdBytes)
-	}
-	if err := c.DRAM.Validate(); err != nil {
-		return fmt.Errorf("nmp: %w", err)
 	}
 	return nil
 }

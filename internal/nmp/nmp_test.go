@@ -224,13 +224,15 @@ func TestValidation(t *testing.T) {
 	}
 	// The edges of each accepted range still run: an unlimited bridge (as
 	// internal/topo accepts unlimited links), the bandwidth floor, both
-	// ends of the forwarding hit rate, no offload and unit queue depths.
+	// ends of the forwarding hit rate, no offload, unit queue depths and the
+	// deepest P3 queue.
 	for _, f := range []func(*Config){
 		func(c *Config) { c.BridgeBytesPerCy = math.Inf(1) },
 		func(c *Config) { c.BridgeBytesPerCy = minBridgeBytesPerCy },
 		func(c *Config) { c.ForwardingHitRate = 1 },
 		func(c *Config) { c.HybridThresholdBytes = 0 },
 		func(c *Config) { c.PELoadQueueDepth, c.P3QueueDepth = 1, 1 },
+		func(c *Config) { c.P3QueueDepth = maxP3QueueDepth },
 	} {
 		cfg := DefaultConfig()
 		f(&cfg)
@@ -241,7 +243,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestAllocatorPacksRows(t *testing.T) {
-	a := newAllocator(DefaultConfig().DRAM)
+	a := newAllocator()
 	seen := map[[3]int32]int{}
 	for i := 0; i < 1000; i++ {
 		var loc nodeLoc
@@ -292,34 +294,25 @@ func (a *refAlloc) alloc(blocks int) [5]int {
 }
 
 // The cursor allocator places every node where dividing by the bank count
-// does, over a grid of geometries and node sizes, across a reset.
+// does, over node sizes up to one and a half rows and oversized nodes,
+// across a reset.
 func TestAllocatorMatchesDivision(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, ranks := range []int{1, 2, 3, 4} {
-		for _, banks := range []int{1, 2, 5, 16} {
-			for _, rowBytes := range []int{64, 1024, 8192} {
-				cfg := dram.DDR4_3200()
-				cfg.Ranks, cfg.BanksPerRank, cfg.RowBytes = ranks, banks, rowBytes
-				rowBlocks := rowBytes / dram.BlockBytes
-				got := newAllocator(cfg)
-				for round := range 2 {
-					got.reset()
-					want := refAlloc{ranks: ranks, banks: banks, rowBlocks: rowBlocks,
-						fill: make([]int, ranks*banks), rowAt: make([]int, ranks*banks)}
-					for i := range 500 {
-						blocks := 1 + rng.Intn(rowBlocks+rowBlocks/2)
-						if i%37 == 0 {
-							blocks = 3*rowBlocks + rng.Intn(rowBlocks) // oversized
-						}
-						var loc nodeLoc
-						got.alloc(int32(blocks), &loc)
-						g := [5]int{int(loc.rank), int(loc.bank), int(loc.row), int(loc.blk), int(loc.blocks)}
-						if w := want.alloc(blocks); g != w {
-							t.Fatalf("%dx%d banks, %d B rows, round %d, node %d (%d blocks): placed at %v, division places at %v",
-								ranks, banks, rowBytes, round, i, blocks, g, w)
-						}
-					}
-				}
+	got := newAllocator()
+	for round := range 2 {
+		got.reset()
+		want := refAlloc{ranks: dram.Ranks, banks: dram.BanksPerRank, rowBlocks: rowBlocks,
+			fill: make([]int, dram.Ranks*dram.BanksPerRank), rowAt: make([]int, dram.Ranks*dram.BanksPerRank)}
+		for i := range 500 {
+			blocks := 1 + rng.Intn(rowBlocks+rowBlocks/2)
+			if i%37 == 0 {
+				blocks = 3*rowBlocks + rng.Intn(rowBlocks) // oversized
+			}
+			var loc nodeLoc
+			got.alloc(int32(blocks), &loc)
+			g := [5]int{int(loc.rank), int(loc.bank), int(loc.row), int(loc.blk), int(loc.blocks)}
+			if w := want.alloc(blocks); g != w {
+				t.Fatalf("round %d, node %d (%d blocks): placed at %v, division places at %v", round, i, blocks, g, w)
 			}
 		}
 	}

@@ -20,8 +20,7 @@ func poolShapes() []Config {
 	add(func(c *Config) { c.Channels = 4 })
 	add(func(c *Config) { c.PEsPerChannel = 4 })
 	add(func(c *Config) { c.P3QueueDepth = 1 })
-	add(func(c *Config) { c.DRAM.Ranks = 1 })
-	add(func(c *Config) { c.DRAM.RowBytes = 4096; c.HybridThresholdBytes = 64 })
+	add(func(c *Config) { c.HybridThresholdBytes = 64 })
 	return cfgs
 }
 

@@ -29,7 +29,6 @@ func TestConfigDigestGolden(t *testing.T) {
 		{"default", func(*Config) {}, 0x4d212dccf45097ca},
 		{"Channels", func(c *Config) { c.NMP.Channels = 4 }, 0xbac4f94e924220f6},
 		{"PEsPerChannel", func(c *Config) { c.NMP.PEsPerChannel = 16 }, 0xb88722e8dbbc40b4},
-		{"DRAM.RowBytes", func(c *Config) { c.NMP.DRAM.RowBytes = 4096 }, 0x80c0e80cf1e72405},
 		{"BridgeBytesPerCy", func(c *Config) { c.NMP.BridgeBytesPerCy /= 4 }, 0x73d71df056e89d84},
 		{"PELoadQueueDepth", func(c *Config) { c.NMP.PELoadQueueDepth = 1 }, 0xdeafdc6256d0caab},
 		{"P3QueueDepth", func(c *Config) { c.NMP.P3QueueDepth = 1 }, 0x57a9829e7ec63b7d},

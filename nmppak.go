@@ -59,11 +59,15 @@ type (
 	Seq = dna.Seq
 	// Trace is a recorded Iterative Compaction event stream.
 	Trace = trace.Trace
-	// NMPConfig parameterizes the near-memory-processing system model.
+	// NMPConfig parameterizes the near-memory-processing system model:
+	// channels, PEs and the design points the paper varies. Every channel
+	// is DDR4-3200, with no memory setting.
 	NMPConfig = nmp.Config
 	// NMPResult is the NMP simulation outcome.
 	NMPResult = nmp.Result
-	// CPUConfig parameterizes the multicore baseline model.
+	// CPUConfig parameterizes the multicore baseline model: threads,
+	// channels and the process flow. Every channel is DDR4-3200, with no
+	// memory setting.
 	CPUConfig = cpumodel.Config
 	// CPUResult is the CPU simulation outcome.
 	CPUResult = cpumodel.Result

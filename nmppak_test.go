@@ -316,7 +316,6 @@ func TestUntrustedInputsError(t *testing.T) {
 		return func() error { _, err := nmppak.SimulateGPU(tr, cfg); return err }
 	}
 	nan := math.NaN()
-	zeroDRAM := nmppak.NMPConfig{}.DRAM
 	// Counts this large panic at once in a make; smaller ones that do
 	// allocate could exhaust the host before failing.
 	const huge = 1 << 60
@@ -326,13 +325,9 @@ func TestUntrustedInputsError(t *testing.T) {
 	}{
 		{"SimulateNMP/nil trace", simNMP(nil, nmppak.DefaultNMPConfig())},
 		{"SimulateNMP/zero config", simNMP(tr, nmppak.NMPConfig{})},
-		{"SimulateNMP/zero DRAM", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM = zeroDRAM }))},
 		{"SimulateNMP/negative channels", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.Channels = -1 }))},
 		{"SimulateNMP/huge channels", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.Channels = huge }))},
 		{"SimulateNMP/huge PEs per channel", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.PEsPerChannel = huge }))},
-		{"SimulateNMP/huge ranks", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM.Ranks = huge }))},
-		{"SimulateNMP/huge banks per rank", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM.BanksPerRank = huge }))},
-		{"SimulateNMP/refresh as long as its interval", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.DRAM.TRFC = c.DRAM.TREFI }))},
 		{"SimulateNMP/NaN bridge bandwidth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.BridgeBytesPerCy = nan }))},
 		{"SimulateNMP/bridge bandwidth below the floor", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.BridgeBytesPerCy = 1e-300 }))},
 		{"SimulateNMP/forwarding hit rate above 1", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.ForwardingHitRate = 2 }))},
@@ -343,6 +338,7 @@ func TestUntrustedInputsError(t *testing.T) {
 		{"SimulateNMP/zero load queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.PELoadQueueDepth = 0 }))},
 		{"SimulateNMP/negative P3 queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.P3QueueDepth = -3 }))},
 		{"SimulateNMP/zero P3 queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.P3QueueDepth = 0 }))},
+		{"SimulateNMP/huge P3 queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.P3QueueDepth = huge }))},
 		{"NewNMPEngine/nil trace", func() error { _, err := nmppak.NewNMPEngine(nil, nmppak.DefaultNMPConfig()); return err }},
 		{"NewNMPEngine/zero config", func() error { _, err := nmppak.NewNMPEngine(tr, nmppak.NMPConfig{}); return err }},
 		{"SimulateCPU/nil trace", simCPU(nil, nmppak.DefaultCPUConfig())},
@@ -351,13 +347,14 @@ func TestUntrustedInputsError(t *testing.T) {
 		{"SimulateCPU/zero channels", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Channels = 0 }))},
 		{"SimulateCPU/huge threads", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Threads = huge }))},
 		{"SimulateCPU/huge channels", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Channels = huge }))},
-		{"SimulateCPU/zero DRAM", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.DRAM = zeroDRAM }))},
+		{"SimulateCPU/unknown flow", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Flow = 7 }))},
 		{"SimulateGPU/nil trace", simGPU(nil, nmppak.DefaultGPUConfig())},
 		{"SimulateGPU/zero config", simGPU(tr, nmppak.GPUConfig{})},
 		{"SimulateGPU/NaN memory", simGPU(tr, gpuWith(func(c *nmppak.GPUConfig) { c.MemoryGB = nan }))},
 		{"SimulateGPU/negative memory", simGPU(tr, gpuWith(func(c *nmppak.GPUConfig) { c.MemoryGB = -1 }))},
 		{"Assemble/zero config", func() error { _, err := nmppak.Assemble(reads, nmppak.AssemblyConfig{}); return err }},
 		{"Assemble/k above 32", func() error { _, err := nmppak.Assemble(reads, nmppak.AssemblyConfig{K: 33}); return err }},
+		{"Assemble/unknown flow", func() error { _, err := nmppak.Assemble(reads, nmppak.AssemblyConfig{K: 32, Flow: 7}); return err }},
 		{"CaptureTrace/zero k", func() error { _, _, err := nmppak.CaptureTrace(reads, 0, 0, 0); return err }},
 		{"CaptureTrace/negative k", func() error { _, _, err := nmppak.CaptureTrace(reads, -5, 0, 0); return err }},
 		{"CountKmers/zero k", func() error { _, err := nmppak.CountKmers(reads, 0, 0); return err }},
@@ -428,10 +425,6 @@ func TestUntrustedInputsError(t *testing.T) {
 			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.NMP = nmppak.NMPConfig{} }))
 			return err
 		}},
-		{"SimulateScaleOut/zero DRAM", func() error {
-			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.NMP.DRAM = zeroDRAM }))
-			return err
-		}},
 		{"CheckpointScaleOut/nil trace", func() error {
 			_, err := nmppak.CheckpointScaleOut(reads, nil, soWith(func(*nmppak.ScaleOutConfig) {}), 1)
 			return err
@@ -483,10 +476,6 @@ func TestUntrustedInputsError(t *testing.T) {
 		}},
 		{"Fleet.Run/demand above fleet", func() error {
 			_, err := nmppak.Fleet{Nodes: 1}.Run([]nmppak.FleetJob{{Trace: tr, Config: soWith(func(*nmppak.ScaleOutConfig) {}), Reads: reads}})
-			return err
-		}},
-		{"Fleet.Run/zero DRAM", func() error {
-			_, err := nmppak.Fleet{Nodes: 4}.Run([]nmppak.FleetJob{{Trace: tr, Config: soWith(func(c *nmppak.ScaleOutConfig) { c.NMP.DRAM = zeroDRAM }), Reads: reads}})
 			return err
 		}},
 	} {
