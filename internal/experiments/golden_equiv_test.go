@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"encoding/gob"
 	"fmt"
 	"hash/fnv"
+	"io"
+	"os"
+	"os/exec"
 	"testing"
 
 	"nmppak/internal/compact"
@@ -233,5 +237,50 @@ func TestGoldenContigs(t *testing.T) {
 				want.batches, got, len(out.Contigs), len(out.CompactStats), transfers,
 				want.hash, want.contigs, want.iters, want.transfers)
 		}
+	}
+}
+
+// gobHistoryEnv marks the child process of TestBlobIndependentOfGobHistory.
+const gobHistoryEnv = "NMPPAK_TEST_GOB_HISTORY_CHILD"
+
+// A checkpoint blob must not depend on what the process gob-encoded
+// before: gob numbers types from a process-wide counter, so a blob written
+// through a fresh gob.Encoder changed length and hash after one unrelated
+// encode. The test re-executes its own binary; the child gob-encodes an
+// unrelated type, then writes the golden 4-node blob and checks its
+// length and hash.
+func TestBlobIndependentOfGobHistory(t *testing.T) {
+	if os.Getenv(gobHistoryEnv) != "1" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBlobIndependentOfGobHistory$", "-test.count=1")
+		cmd.Env = append(os.Environ(), gobHistoryEnv+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("child process: %v\n%s", err, out)
+		}
+		return
+	}
+	type unrelated struct {
+		Name  string
+		Sizes []int
+	}
+	if err := gob.NewEncoder(io.Discard).Encode(unrelated{"first", []int{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewContext(QuickWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := scaleout.Checkpoint(c.Reads, tr, scaleout.DefaultConfig(4), goldenBlobIter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(blob)
+	if len(blob) != goldenBlobLen || h.Sum64() != goldenBlobHash {
+		t.Fatalf("after an unrelated gob encode the blob is %d bytes, hash %#x; golden %d bytes, %#x",
+			len(blob), h.Sum64(), goldenBlobLen, goldenBlobHash)
 	}
 }

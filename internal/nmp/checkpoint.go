@@ -27,20 +27,35 @@ type EngineState struct {
 	Channels []dram.ChannelState
 }
 
-// Snapshot deep-copies the engine's state. The engine must be quiescent
-// (it always is between StepIteration calls) and not yet sealed by
-// Result(), so its result has no per-channel Mem totals to copy.
-func (e *Engine) Snapshot() (EngineState, error) {
+// View returns the engine's quiescent state without copying it: the
+// result's iteration timings and every channel's bank and rank arrays are
+// the engine's live ones, so the view is valid until the next
+// StepIteration, and the caller must not modify it or resume from it.
+// The engine must not yet be sealed by Result(), so its result has no
+// per-channel Mem totals.
+func (e *Engine) View() (EngineState, error) {
 	if e.final {
-		return EngineState{}, fmt.Errorf("nmp: Snapshot after Result")
+		return EngineState{}, fmt.Errorf("nmp: engine state read after Result")
 	}
-	st := EngineState{
-		Next:     e.next,
-		Clock:    e.clock,
-		Res:      e.res,
-		Channels: make([]dram.ChannelState, len(e.channels)),
+	if e.view == nil {
+		e.view = make([]dram.ChannelState, len(e.channels))
 	}
-	st.Res.PerIter = append([]IterTiming(nil), e.res.PerIter...)
+	for i, ch := range e.channels {
+		e.view[i] = ch.ChannelState
+	}
+	return EngineState{Next: e.next, Clock: e.clock, Res: e.res, Channels: e.view}, nil
+}
+
+// Snapshot deep-copies the engine's state: View with none of the
+// engine's memory, so it stays valid as the engine steps on and may be
+// resumed.
+func (e *Engine) Snapshot() (EngineState, error) {
+	st, err := e.View()
+	if err != nil {
+		return EngineState{}, err
+	}
+	st.Res.PerIter = append([]IterTiming(nil), st.Res.PerIter...)
+	st.Channels = make([]dram.ChannelState, len(e.channels))
 	for i, ch := range e.channels {
 		st.Channels[i] = ch.State()
 	}

@@ -29,9 +29,10 @@ type Engine struct {
 	channels []*dram.Channel
 	kernel   sim.Engine
 	res      Result
-	next     int       // index of the next iteration to step
-	clock    sim.Cycle // local end time of the last stepped iteration
-	final    bool      // Result() has sealed the aggregate fields
+	next     int                 // index of the next iteration to step
+	clock    sim.Cycle           // local end time of the last stepped iteration
+	final    bool                // Result() has sealed the aggregate fields
+	view     []dram.ChannelState // View's channel states, refilled per call
 }
 
 // NewEngine validates the configuration and prepares a stepwise replay of

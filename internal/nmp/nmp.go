@@ -165,11 +165,25 @@ func (c Config) Fingerprint() string {
 // engine allocates up front stays bounded. maxP3QueueDepth likewise bounds
 // the P3QueueDepth destination-chain slots every PE allocates up front:
 // 512 times the double buffer of the paper's design.
+//
+// maxP3Slots bounds the three together: an engine's Channels ×
+// PEsPerChannel × P3QueueDepth destination-chain slots, about 100 bytes of
+// iteration scratch each, so an engine's scratch stays within a few
+// hundred MB. Each cap alone would allow 2^30 slots. The paper's design
+// has 512 (8 × 32 × 2) and the deepest P3 queue on it 2^18.
 const (
 	maxChannels      = 1 << 10
 	maxPEsPerChannel = 1 << 10
 	maxP3QueueDepth  = 1 << 10
+	maxP3Slots       = 1 << 20
 )
+
+// P3Slots is the engine's destination-chain slot count, Channels ×
+// PEsPerChannel × P3QueueDepth: the footprint Validate bounds by
+// maxP3Slots.
+func (c Config) P3Slots() int64 {
+	return int64(c.Channels) * int64(c.PEsPerChannel) * int64(c.P3QueueDepth)
+}
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -187,6 +201,10 @@ func (c Config) Validate() error {
 	}
 	if c.P3QueueDepth > maxP3QueueDepth {
 		return fmt.Errorf("nmp: P3 queue depth at most %d, got %d", maxP3QueueDepth, c.P3QueueDepth)
+	}
+	if n := c.P3Slots(); n > maxP3Slots {
+		return fmt.Errorf("nmp: %d channels × %d PEs × P3 depth %d is %d P3 slots, above the %d ceiling",
+			c.Channels, c.PEsPerChannel, c.P3QueueDepth, n, maxP3Slots)
 	}
 	if !(c.ForwardingHitRate >= 0 && c.ForwardingHitRate <= 1) {
 		return fmt.Errorf("nmp: ForwardingHitRate %v outside [0,1]", c.ForwardingHitRate)

@@ -35,6 +35,15 @@
 // small (engine timing state + durations, not the trace) and keeps one
 // source of truth.
 //
+// A blob is the magic, a version tag and CheckpointState in
+// encoding/gob's wire format. The bytes are gob's, but no reflection
+// writes or reads them: codec.go's hand-written encoder emits a pinned
+// type section, then the value message, straight from the runtime's live
+// state, and its decoder reads them back into fresh memory. A capture
+// reads the engines and the migration state in place (nmp.Engine.View)
+// instead of deep-copying them, and an elastic capture writes into the
+// buffer of the blob it replaces.
+//
 // Restore refuses blobs it cannot honour: short or truncated blobs, an
 // unknown version tag, and any drift between the blob's recorded identity
 // (node count, K, discipline, partitioner, topology, full config digest,
@@ -42,9 +51,7 @@
 package scaleout
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -73,7 +80,8 @@ const (
 )
 
 // checkpointMagic prefixes every blob, before the little-endian uint32
-// version tag and the gob-encoded CheckpointState payload.
+// version tag and the payload: CheckpointState in encoding/gob's wire
+// format, written and read by hand (codec.go) after a pinned type section.
 const checkpointMagic = "NMPPAK-CKPT\n"
 
 // ErrElasticConfig is wrapped by Checkpoint, Restore and the Session
@@ -226,40 +234,40 @@ func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter in
 	return blob, nil
 }
 
-// blob marshals the runtime's state at boundary it as a checkpoint blob:
-// the identity and prelude header, then one section — an elastic run's
-// membership and committed traffic (no BSP partial sums: its global clock
-// never rolls back), otherwise the BSP partial sums and a rebalancing
-// run's migration state — then the executed durations and the per-node
-// engine snapshots. Session.Checkpoint, the periodic elastic capture and
-// the post-recovery baseline all write through it, so an incrementally
-// advanced session snapshots byte-identically to a one-shot Checkpoint at
-// the same boundary.
-func (rt *runtime) blob(it int) ([]byte, error) {
-	cfg, name, c := rt.cfg, rt.deg.Name(), &rt.clock
-	ck := &CheckpointState{
-		Version:               CheckpointVersion,
-		ConfigDigest:          configDigest(cfg, name),
-		TraceDigest:           rt.tr.Digest(),
-		Nodes:                 cfg.Nodes,
-		K:                     cfg.K,
-		Overlap:               cfg.Overlap,
-		Partitioner:           cfg.Partitioner.Name(),
-		Topology:              name,
-		Count:                 rt.res.Count,
-		Construct:             rt.res.Construct,
-		PerNode:               rt.res.PerNode,
-		PreludeExchangedBytes: rt.res.ExchangedBytes,
-		ResumeIter:            it,
-		Durations:             make([][]sim.Cycle, rt.n),
-		Engines:               make([]nmp.EngineState, rt.n),
+// blob appends the runtime's state at boundary it to dst as a checkpoint
+// blob: the identity and prelude header, then one section — an elastic
+// run's membership and committed traffic (no BSP partial sums: its global
+// clock never rolls back), otherwise the BSP partial sums and a
+// rebalancing run's migration state — then the executed durations and
+// the per-node engine states. The CheckpointState it marshals reads the
+// live state in place: durations, per-node statistics, the live mask, the
+// migration state and every engine's View. Session.Checkpoint, the
+// periodic elastic capture and the post-recovery baseline all write
+// through it, so an incrementally advanced session snapshots
+// byte-identically to a one-shot Checkpoint at the same boundary.
+func (rt *runtime) blob(it int, dst []byte) ([]byte, error) {
+	cfg, c := rt.cfg, &rt.clock
+	if rt.ident == nil {
+		name := rt.deg.Name()
+		rt.ident = &CheckpointState{
+			Version:      CheckpointVersion,
+			ConfigDigest: configDigest(cfg, name),
+			TraceDigest:  rt.tr.Digest(),
+			Nodes:        cfg.Nodes,
+			K:            cfg.K,
+			Overlap:      cfg.Overlap,
+			Partitioner:  cfg.Partitioner.Name(),
+			Topology:     name,
+		}
 	}
+	ck := *rt.ident
+	ck.Count, ck.Construct, ck.PerNode = rt.res.Count, rt.res.Construct, rt.res.PerNode
+	ck.PreludeExchangedBytes, ck.ResumeIter = rt.res.ExchangedBytes, it
+	ck.Durations = make([][]sim.Cycle, rt.n)
+	ck.Engines = make([]nmp.EngineState, rt.n)
 	if cfg.elastic() {
 		t := rt.feed.traffic
-		ck.Elastic = &ElasticState{
-			Live:     append([]bool(nil), rt.live...),
-			LocalTNs: t.localTNs, RemoteTNs: t.remoteTNs, HaloBytes: t.haloBytes,
-		}
+		ck.Elastic = &ElasticState{Live: rt.live, LocalTNs: t.localTNs, RemoteTNs: t.remoteTNs, HaloBytes: t.haloBytes}
 	} else {
 		ck.Compute, ck.Exchange, ck.CompactExchangedBytes = c.compute, c.exchange, c.exchangedBytes
 		if rt.rb != nil {
@@ -267,14 +275,13 @@ func (rt *runtime) blob(it int) ([]byte, error) {
 		}
 	}
 	for i, e := range rt.engines {
-		ck.Durations[i] = append([]sim.Cycle(nil), rt.durations[i][:it]...)
-		st, err := e.Snapshot()
-		if err != nil {
+		ck.Durations[i] = rt.durations[i][:it]
+		var err error
+		if ck.Engines[i], err = e.View(); err != nil {
 			return nil, err
 		}
-		ck.Engines[i] = st
 	}
-	return ck.Marshal()
+	return ck.appendTo(dst)
 }
 
 // Restore reconstructs a distributed run from a checkpoint blob — taken
@@ -314,23 +321,18 @@ func (ck *CheckpointState) resumedResult(cfg Config, net topo.Network) *Result {
 	}
 }
 
-// Marshal encodes the checkpoint as magic + version tag + gob payload.
-// Encoding is deterministic: the same state always yields the same bytes.
+// Marshal encodes the checkpoint as magic + version tag + payload, the
+// payload being encoding/gob's bytes for ck written by hand (codec.go):
+// the pinned type section, then the value. Encoding is deterministic:
+// the same state always yields the same bytes.
 func (ck *CheckpointState) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(checkpointMagic)
-	var vtag [4]byte
-	binary.LittleEndian.PutUint32(vtag[:], ck.Version)
-	buf.Write(vtag[:])
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		return nil, fmt.Errorf("scaleout: checkpoint encode: %w", err)
-	}
-	return buf.Bytes(), nil
+	return ck.appendTo(nil)
 }
 
 // UnmarshalCheckpoint decodes and structurally validates a checkpoint
 // blob. It returns an error — never panics — on truncated input, a wrong
-// magic or version tag, or internally inconsistent state.
+// magic or version tag, or internally inconsistent state. The decoded
+// state shares no memory with blob.
 func UnmarshalCheckpoint(blob []byte) (*CheckpointState, error) {
 	head := len(checkpointMagic) + 4
 	if len(blob) < head {
@@ -343,13 +345,9 @@ func UnmarshalCheckpoint(blob []byte) (*CheckpointState, error) {
 	if v != CheckpointVersion {
 		return nil, fmt.Errorf("scaleout: checkpoint version %d unsupported (this build reads version %d)", v, CheckpointVersion)
 	}
-	ck := &CheckpointState{}
-	r := bytes.NewReader(blob[head:])
-	if err := gob.NewDecoder(r).Decode(ck); err != nil {
-		return nil, fmt.Errorf("scaleout: checkpoint decode (truncated or corrupt blob): %w", err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("scaleout: checkpoint blob has %d trailing bytes past the payload", r.Len())
+	ck, err := decodeCheckpoint(blob[head:])
+	if err != nil {
+		return nil, err
 	}
 	if ck.Version != v {
 		return nil, fmt.Errorf("scaleout: checkpoint header version %d does not match payload version %d", v, ck.Version)

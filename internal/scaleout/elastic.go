@@ -136,20 +136,39 @@ func (rt *runtime) epochEnd(it, to int) int {
 	return end
 }
 
-// capture replaces the newest checkpoint with a periodic one and charges
-// the capture stall.
+// capture replaces the newest checkpoint with a periodic one, written
+// into the replaced blob's buffer, and charges the capture stall.
 func (rt *runtime) capture(it int) error {
-	blob, err := rt.blob(it)
+	blob, err := rt.keep(it)
 	if err != nil {
 		return err
 	}
 	d := sim.Cycle(len(blob) / DefaultCheckpointBytesPerCycle)
-	rt.ckpt = &recoveryPoint{iter: it, blob: blob}
 	rt.res.Checkpoints++
 	rt.res.CheckpointBytes += int64(len(blob))
 	rt.res.CheckpointCycles += d
 	rt.clock.stallBarrier(telemetry.SpanCheckpoint, it, d, int64(len(blob)), false)
 	return nil
+}
+
+// keep makes the state at boundary it the recovery checkpoint, written
+// into the buffer of the one it replaces (nothing else holds that blob:
+// a recovery has already decoded it into fresh memory), and returns the
+// blob.
+func (rt *runtime) keep(it int) ([]byte, error) {
+	var buf []byte
+	if rt.ckpt != nil {
+		buf = rt.ckpt.blob[:0]
+	}
+	blob, err := rt.blob(it, buf)
+	if err != nil {
+		return nil, err
+	}
+	if rt.ckpt == nil {
+		rt.ckpt = &recoveryPoint{}
+	}
+	rt.ckpt.iter, rt.ckpt.blob = it, blob
+	return blob, nil
 }
 
 // boundary processes the iteration boundary before iteration it: every
@@ -265,11 +284,9 @@ func (rt *runtime) recover(losses []fault.Event, bIter int) (int, error) {
 	// The old checkpoint describes the dead membership; replace it with a
 	// free baseline at the resume point (the state is already in memory),
 	// so a later loss restores here instead of replaying from scratch.
-	blob, err := rt.blob(resume)
-	if err != nil {
+	if _, err := rt.keep(resume); err != nil {
 		return 0, err
 	}
-	rt.ckpt = &recoveryPoint{iter: resume, blob: blob}
 	rt.res.Recoveries++
 	return resume, nil
 }

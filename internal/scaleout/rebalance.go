@@ -383,13 +383,14 @@ func (rt *runtime) measure(from, to int) {
 }
 
 // state is the run's migration checkpoint section; t is the halo
-// accounting over the iterations executed so far.
+// accounting over the iterations executed so far. Its slices are the
+// rebalancer's own, valid until the run advances.
 func (rb *rebalancer) state(t traffic) *RebalanceState {
 	return &RebalanceState{
-		Table:         append([]uint16(nil), rb.table...),
-		Cum:           append([]sim.Cycle(nil), rb.cum...),
-		LastDur:       append([]sim.Cycle(nil), rb.lastDur...),
-		Weight:        append([]int64(nil), rb.weight...),
+		Table:         rb.table,
+		Cum:           rb.cum,
+		LastDur:       rb.lastDur,
+		Weight:        rb.weight,
 		LocalTNs:      t.localTNs,
 		RemoteTNs:     t.remoteTNs,
 		HaloBytes:     t.haloBytes,

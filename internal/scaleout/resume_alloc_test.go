@@ -146,3 +146,66 @@ func TestCountShardedBytes(t *testing.T) {
 		t.Fatalf("CountSharded at n=%d allocates %d bytes per call, bound %d", cfg.Nodes, got, bound)
 	}
 }
+
+// A warm elastic capture writes its blob into the buffer of the one it
+// replaces and reads every engine's state in place, so it allocates a
+// few per-run slices (the durations and engine-state headers the
+// CheckpointState carries) and nothing per engine or per DRAM channel:
+// the same count at 2 and 8 nodes.
+func TestCaptureAllocs(t *testing.T) {
+	reads := testReads(t, 20_000)
+	tr := testTrace(t, reads, 32, 3)
+	const bound = 2
+	for _, nodes := range []int{2, 4, 8} {
+		cfg := DefaultConfig(nodes)
+		cfg.CheckpointEvery = 2
+		s, err := open(reads, tr, cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Step(4)
+		if s.run.ckpt == nil {
+			t.Fatal("no capture in the first four iterations")
+		}
+		capture := func() {
+			if err := s.run.capture(s.next); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := testing.AllocsPerRun(20, capture)
+		t.Logf("%d nodes: %v allocations per capture", nodes, got)
+		if got > bound {
+			t.Errorf("warm capture at %d nodes makes %v allocations, bound %d", nodes, got, bound)
+		}
+	}
+}
+
+// Session.Checkpoint sizes the blob before writing it, so it allocates
+// the blob once, at its exact size, plus the same few per-run slices as
+// a capture.
+func TestSessionCheckpointAllocs(t *testing.T) {
+	reads := testReads(t, 20_000)
+	tr := testTrace(t, reads, 32, 3)
+	const bound = 3
+	for _, nodes := range []int{2, 8} {
+		s, err := NewSession(reads, tr, DefaultConfig(nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Step(3)
+		var blob []byte
+		checkpoint := func() {
+			if blob, err = s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := testing.AllocsPerRun(20, checkpoint)
+		t.Logf("%d nodes: %v allocations per Session.Checkpoint", nodes, got)
+		if got > bound {
+			t.Errorf("Session.Checkpoint at %d nodes makes %v allocations, bound %d (the blob and two slices)", nodes, got, bound)
+		}
+		if len(blob) != cap(blob) {
+			t.Errorf("Session.Checkpoint at %d nodes returns %d bytes in a %d-byte buffer", nodes, len(blob), cap(blob))
+		}
+	}
+}

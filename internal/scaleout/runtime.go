@@ -128,6 +128,9 @@ type runtime struct {
 	// ckpt is the newest recovery checkpoint, the one a recovery restores
 	// (nil before the first capture).
 	ckpt *recoveryPoint
+	// ident is the identity header of the run's blobs (version, digests,
+	// shape and names), built by the first blob.
+	ident *CheckpointState
 
 	// pr is the run's telemetry glue; nil disables every recording site.
 	pr *probes

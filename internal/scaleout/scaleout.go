@@ -185,8 +185,21 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	return c.NMP.Validate()
+	if err := c.NMP.Validate(); err != nil {
+		return err
+	}
+	if n := int64(c.Nodes) * c.NMP.P3Slots(); n > maxRunP3Slots {
+		return fmt.Errorf("scaleout: %d nodes × %d P3 slots each is %d, above the run's %d ceiling",
+			c.Nodes, c.NMP.P3Slots(), n, maxRunP3Slots)
+	}
+	return nil
 }
+
+// maxRunP3Slots bounds a run's machine size: Nodes × the engine's
+// nmp.Config.P3Slots. Nodes and each engine's geometry are capped alone
+// too, but together they would allow 2^36 slots. The largest run here,
+// 64 nodes of the paper's design, has 2^15.
+const maxRunP3Slots = 1 << 24
 
 // elastic reports whether the compaction replay captures recovery
 // checkpoints or applies a fault plan (elastic.go). Checkpoint, Restore

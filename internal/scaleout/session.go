@@ -176,8 +176,8 @@ func (s *Session) Progress() sim.Cycle {
 }
 
 // Checkpoint exports the session's state at the current boundary as a
-// versioned blob, byte-identical to scaleout.Checkpoint(reads, tr, cfg,
-// s.Next()). The session stays usable; a preempting scheduler typically
+// versioned blob of its exact size, byte-identical to
+// scaleout.Checkpoint(reads, tr, cfg, s.Next()). The session stays usable; a preempting scheduler typically
 // drops it and later calls ResumeSession with the blob.
 func (s *Session) Checkpoint() ([]byte, error) {
 	if s.done {
@@ -186,7 +186,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	return s.run.blob(s.next)
+	return s.run.blob(s.next, nil)
 }
 
 // Finish advances any remaining iterations, seals the phase and returns

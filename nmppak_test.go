@@ -339,6 +339,15 @@ func TestUntrustedInputsError(t *testing.T) {
 		{"SimulateNMP/negative P3 queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.P3QueueDepth = -3 }))},
 		{"SimulateNMP/zero P3 queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.P3QueueDepth = 0 }))},
 		{"SimulateNMP/huge P3 queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.P3QueueDepth = huge }))},
+		// Each geometry cap alone allows 2^30 P3 slots per engine; the
+		// footprint ceiling bounds their product.
+		{"SimulateNMP/P3 slots past the ceiling", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) {
+			c.Channels, c.PEsPerChannel, c.P3QueueDepth = 1<<10, 1<<10, 1<<10
+		}))},
+		{"NewNMPEngine/P3 slots past the ceiling", func() error {
+			_, err := nmppak.NewNMPEngine(tr, nmpWith(func(c *nmppak.NMPConfig) { c.Channels, c.PEsPerChannel = 1<<10, 1<<10 }))
+			return err
+		}},
 		{"NewNMPEngine/nil trace", func() error { _, err := nmppak.NewNMPEngine(nil, nmppak.DefaultNMPConfig()); return err }},
 		{"NewNMPEngine/zero config", func() error { _, err := nmppak.NewNMPEngine(tr, nmppak.NMPConfig{}); return err }},
 		{"SimulateCPU/nil trace", simCPU(nil, nmppak.DefaultCPUConfig())},
@@ -368,6 +377,14 @@ func TestUntrustedInputsError(t *testing.T) {
 		{"SimulateScaleOut/zero config", func() error { _, err := nmppak.SimulateScaleOut(reads, tr, nmppak.ScaleOutConfig{}); return err }},
 		{"SimulateScaleOut/huge node count", func() error {
 			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Nodes = huge }))
+			return err
+		}},
+		{"SimulateScaleOut/P3 slots past the run ceiling", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Nodes = 1 << 16 }))
+			return err
+		}},
+		{"SimulateScaleOut/deep P3 queues on many nodes", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Nodes, c.NMP.P3QueueDepth = 128, 1<<10 }))
 			return err
 		}},
 		{"SimulateScaleOut/unpriceable link degrade", func() error {
