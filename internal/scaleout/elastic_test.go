@@ -227,6 +227,50 @@ func TestElasticLinkFaults(t *testing.T) {
 	}
 }
 
+// The run's one Flight routes every pair during the prelude, before the
+// compaction phase applies its link faults; a cut must still reroute, and
+// a slowdown still stretch, every message after it. So a run whose faults
+// land at cycle 0 drains its compaction phase exactly as a runtime over a
+// Flight that has routed nothing yet, in both disciplines.
+func TestLinkFaultsReachTheRunFlight(t *testing.T) {
+	reads := testReads(t, 20_000)
+	tr := testTrace(t, reads, 32, 3)
+	for _, overlap := range []bool{false, true} {
+		cfg := DefaultConfig(8)
+		cfg.Overlap = overlap
+		cfg.Topo = topo.Torus(0, 0) // torus4x2: cutting 0 -> 1 detours
+		cfg.Faults = &fault.Plan{Events: []fault.Event{
+			{Kind: fault.LinkOutage, Cycle: 0, Src: 0, Dst: 1},
+			{Kind: fault.LinkDegrade, Cycle: 0, Src: 2, Dst: 3, Factor: 0.5},
+		}}
+		whole, err := Simulate(reads, tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := cfg.Topo.Build(cfg.Nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := &Result{Nodes: cfg.Nodes, PerNode: make([]NodeStats, cfg.Nodes)}
+		rt, err := newRuntime(tr, topo.NewFlight(topo.NewDegraded(net)), cfg, res, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !overlap {
+			if err := rt.run(0, rt.iters); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rt.seal(); err != nil {
+			t.Fatal(err)
+		}
+		if whole.Compact != res.Compact || whole.FaultsInjected != 2 {
+			t.Errorf("overlap=%v: compaction phase %+v after the prelude routed every pair, %+v on a fresh Flight (%d faults injected)",
+				overlap, whole.Compact, res.Compact, whole.FaultsInjected)
+		}
+	}
+}
+
 // An instrumented recovered run must surface the fault, detection,
 // restore and re-partition on the timeline, and its telemetry comm
 // accounting must still reproduce the runtime's bit for bit.

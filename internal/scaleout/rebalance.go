@@ -19,7 +19,6 @@ import (
 	"nmppak/internal/dna"
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
-	"nmppak/internal/topo"
 	"nmppak/internal/trace"
 )
 
@@ -352,7 +351,7 @@ func (rt *runtime) moveNodes(it int, kind telemetry.SpanKind, move func(key dna.
 		}
 	}
 	c := &rt.clock
-	mx := topo.ExchangeProbed(c.net, m, c.pr.linkAt(c.now()))
+	mx := c.fl.Exchange(m, c.pr.linkAt(c.now()))
 	if mx.TotalBytes > 0 {
 		c.exchangedBytes += mx.TotalBytes
 		c.stall(&c.exchange, kind, it, mx.Cycles, mx.TotalBytes)

@@ -16,7 +16,7 @@
 //     the local sync barrier and (b) every iteration-i halo message
 //     destined to j has been delivered. There is no global barrier; halo
 //     messages route hop-by-hop through the same contended topology links
-//     (topo.Flight) that price topo.Exchange.
+//     that price the BSP exchanges, on the run's one topo.Flight.
 //
 // In both modes each engine advances on its local back-to-back clock
 // (identical to nmp.Simulate), so per-iteration durations — and therefore
@@ -136,22 +136,23 @@ type runtime struct {
 	pr *probes
 }
 
-// newRuntime builds the compaction runtime cfg selects, with the run's
-// telemetry glue pr attached (nil: uninstrumented): fresh when ck is nil,
-// otherwise at the blob's pause point with restored engines, recorded
-// durations and BSP partial sums. res is the prelude outcome the run
-// finishes. A resumed run re-shards nothing before the pause point: the
-// node traces' slots there stay empty, and the iteration-0 quantile tables
-// come from the trace's memoized shard facts under the partitioner's
-// static assignment, which every run starts from. A static partition takes
-// its whole-trace traffic split from those facts too; a rebalancing run
-// sharded its past under migrated tables, so its traffic so far comes
-// from the blob's RebalanceState.
-func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *CheckpointState, pr *probes) (*runtime, error) {
+// newRuntime builds the compaction runtime cfg selects over the run's
+// Flight fl, whose network is the Degraded wrapper the run's fault events
+// degrade in place, with the run's telemetry glue pr attached (nil:
+// uninstrumented): fresh when ck is nil, otherwise at the blob's pause
+// point with restored engines, recorded durations and BSP partial sums.
+// res is the prelude outcome the run finishes. A resumed run re-shards
+// nothing before the pause point: the node traces' slots there stay empty,
+// and the iteration-0 quantile tables come from the trace's memoized shard
+// facts under the partitioner's static assignment, which every run starts
+// from. A static partition takes its whole-trace traffic split from those
+// facts too; a rebalancing run sharded its past under migrated tables, so
+// its traffic so far comes from the blob's RebalanceState.
+func newRuntime(tr *trace.Trace, fl *topo.Flight, cfg Config, res *Result, ck *CheckpointState, pr *probes) (*runtime, error) {
 	n := cfg.Nodes
 	rt := &runtime{
 		tr:        tr,
-		deg:       topo.NewDegraded(net),
+		deg:       fl.Network().(*topo.Degraded),
 		cfg:       cfg,
 		res:       res,
 		n:         n,
@@ -172,7 +173,7 @@ func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *
 		rt.live[i] = true
 		rt.surv = append(rt.surv, i)
 	}
-	rt.clock = newPhaseClock(rt.deg, cfg, rt.iters)
+	rt.clock = newPhaseClock(fl, cfg, rt.iters)
 	rt.clock.pr, rt.clock.live = pr, rt.live
 	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
 		rt.rb = newRebalancer(tr, n, rp, ck)
@@ -476,7 +477,7 @@ func (rt *runtime) segmentEpoch(it, end int) (int, error) {
 // captures, detection, restore) land in barrier too. Whole-machine waits
 // are recorded on the runtime track and on the live node tracks.
 type phaseClock struct {
-	net   topo.Network
+	fl    *topo.Flight // the run's network, priced message by message
 	iters int
 	lb    sim.Cycle // link barrier between supersteps
 	pr    *probes
@@ -489,11 +490,11 @@ type phaseClock struct {
 	durs []sim.Cycle // superstep scratch
 }
 
-func newPhaseClock(net topo.Network, cfg Config, iters int) phaseClock {
+func newPhaseClock(fl *topo.Flight, cfg Config, iters int) phaseClock {
 	return phaseClock{
-		net:   net,
+		fl:    fl,
 		iters: iters,
-		lb:    net.BarrierCycles(),
+		lb:    fl.Network().BarrierCycles(),
 		durs:  make([]sim.Cycle, cfg.Nodes),
 	}
 }
@@ -556,7 +557,7 @@ func (c *phaseClock) superstep(it int, durations [][]sim.Cycle, halo [][]int64) 
 	}
 	c.compute += slowest
 
-	hx := topo.ExchangeProbed(c.net, halo, c.pr.linkAt(c.now()))
+	hx := c.fl.Exchange(halo, c.pr.linkAt(c.now()))
 	c.exchangedBytes += hx.TotalBytes
 	c.stall(&c.exchange, telemetry.SpanExchangeWait, it, hx.Cycles, hx.TotalBytes)
 
@@ -637,10 +638,12 @@ func (rt *runtime) schedule(s, e int, halo [][][]int64, off sim.Cycle) *segOutco
 			}
 		}
 	}
-	fl := topo.NewFlight(rt.deg, g)
+	var lp *topo.Probe
 	if pr != nil {
-		fl.SetProbe(&topo.Probe{Links: pr.links, Offset: off})
+		lp = &topo.Probe{Links: pr.links, Offset: off}
 	}
+	fl := rt.clock.fl
+	fl.Reset(g, lp)
 	note := func(t sim.Cycle) {
 		if t > seg.makespan {
 			seg.makespan = t
@@ -690,28 +693,28 @@ func (rt *runtime) schedule(s, e int, halo [][][]int64, off sim.Cycle) *segOutco
 		// Flight reserves the first route link immediately (the sender's
 		// serializing injection port) and store-and-forwards through every
 		// contended downstream link, the same occupancy discipline
-		// topo.Exchange uses.
+		// topo.Exchange uses. The tag is the segment iteration.
 		for k := 1; k < n; k++ {
 			dst := (i + k) % n
 			if !live[dst] {
 				continue
 			}
-			b := halo[j][i][dst]
-			if b <= 0 {
-				continue
+			if b := halo[j][i][dst]; b > 0 {
+				fl.Send(i, dst, b, int32(j))
 			}
-			d := dst
-			fl.Send(i, d, b, func() {
-				note(g.Now())
-				nodes[d].pendingIn[j]--
-				tryStart(d, j+1, i)
-			})
 		}
 		if j+1 < m {
 			nd.readyAt = now + sb
 			tryStart(i, j+1, -1)
 		}
 	}
+	// A delivery of iteration s+j's halo from src may unblock dst's next
+	// iteration.
+	fl.OnDeliver(func(src, dst int, j int32) {
+		note(g.Now())
+		nodes[dst].pendingIn[j]--
+		tryStart(dst, int(j)+1, src)
+	})
 	begin = func(i, j int, at sim.Cycle) {
 		g.At(at, func() {
 			it := s + j

@@ -214,7 +214,7 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 		t.Helper()
 		cfg.Workers = workers
 		res := &Result{Nodes: cfg.Nodes, PerNode: make([]NodeStats, cfg.Nodes)}
-		rt, err := newRuntime(tr, net, cfg, res, nil, nil)
+		rt, err := newRuntime(tr, topo.NewFlight(topo.NewDegraded(net)), cfg, res, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -317,10 +317,11 @@ func Simulate(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Result, error
 // (phase 1) and MacroNode construction (phase 2) — and returns a Result
 // with those phases and the per-node software statistics filled in. The
 // checkpoint layer snapshots exactly these fields, so a restored run can
-// skip the software phases entirely. A non-nil pr records the phase spans
-// and the exchanges' link occupancy on the run's timeline.
-func runPrelude(reads []readsim.Read, cfg Config, net topo.Network, pr *probes) (*Result, error) {
-	n := cfg.Nodes
+// skip the software phases entirely. The run's Flight fl prices both
+// exchanges; a non-nil pr records the phase spans and the exchanges' link
+// occupancy on the run's timeline.
+func runPrelude(reads []readsim.Read, cfg Config, fl *topo.Flight, pr *probes) (*Result, error) {
+	n, net := cfg.Nodes, fl.Network()
 	res := &Result{
 		Nodes: n, Partitioner: cfg.Partitioner.Name(), Topology: net.Name(),
 		PerNode: make([]NodeStats, n),
@@ -346,7 +347,7 @@ func runPrelude(reads []readsim.Read, cfg Config, net topo.Network, pr *probes) 
 		res.PerNode[i].KmersExtracted = e
 		res.PerNode[i].KmersOwned = len(sc.Shards[i].Kmers)
 	}
-	cx := topo.ExchangeProbed(net, sc.CountExchange, pr.linkAt(extract+merge))
+	cx := fl.Exchange(sc.CountExchange, pr.linkAt(extract+merge))
 	res.Count = PhaseCycles{Compute: extract + merge, Exchange: cx.Cycles, Barrier: net.BarrierCycles()}
 	res.ExchangedBytes += cx.TotalBytes
 
@@ -364,7 +365,7 @@ func runPrelude(reads []readsim.Read, cfg Config, net topo.Network, pr *probes) 
 		}
 		res.PerNode[i].MacroNodes = macroNodes[i]
 	}
-	gx := topo.ExchangeProbed(net, sg.GraphExchange, pr.linkAt(res.Count.Total()+construct))
+	gx := fl.Exchange(sg.GraphExchange, pr.linkAt(res.Count.Total()+construct))
 	res.Construct = PhaseCycles{Compute: construct, Exchange: gx.Cycles, Barrier: net.BarrierCycles()}
 	res.ExchangedBytes += gx.TotalBytes
 	if pr != nil {

@@ -12,6 +12,7 @@ import (
 	"nmppak/internal/nmp"
 	"nmppak/internal/pakgraph"
 	"nmppak/internal/readsim"
+	"nmppak/internal/topo"
 	"nmppak/internal/trace"
 )
 
@@ -242,7 +243,7 @@ func TestPreludeMacroNodesMatchShardGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := runPrelude(reads, cfg, net, nil)
+			res, err := runPrelude(reads, cfg, topo.NewFlight(net), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,6 +39,7 @@ import (
 
 	"nmppak/internal/readsim"
 	"nmppak/internal/sim"
+	"nmppak/internal/topo"
 	"nmppak/internal/trace"
 )
 
@@ -88,8 +89,11 @@ func open(reads []readsim.Read, tr *trace.Trace, cfg Config, ck *CheckpointState
 	if cfg.Telemetry != nil {
 		s.pr = newProbes(cfg.Telemetry, net, cfg, s.iters)
 	}
+	// One Flight prices every message of the run, over the wrapper that
+	// fault events degrade in place.
+	fl := topo.NewFlight(topo.NewDegraded(net))
 	if ck == nil {
-		if s.res, err = runPrelude(reads, cfg, net, s.pr); err != nil {
+		if s.res, err = runPrelude(reads, cfg, fl, s.pr); err != nil {
 			return nil, err
 		}
 	} else {
@@ -101,7 +105,7 @@ func open(reads []readsim.Read, tr *trace.Trace, cfg Config, ck *CheckpointState
 			s.pr.prelude(s.res)
 		}
 	}
-	if s.run, err = newRuntime(tr, net, cfg, s.res, ck, s.pr); err != nil {
+	if s.run, err = newRuntime(tr, fl, cfg, s.res, ck, s.pr); err != nil {
 		return nil, err
 	}
 	return s, nil

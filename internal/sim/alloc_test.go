@@ -41,9 +41,10 @@ func TestEngineAllocs(t *testing.T) {
 	}
 }
 
-// TestFreshEngineAllocs covers the topo.Exchange pattern: a new Engine per
-// call, drained by Run. Its buckets come warm from the pool, so once warm
-// the call allocates nothing.
+// TestFreshEngineAllocs covers a fresh Engine per scheduling round, drained
+// by Run: topo.Flight.Exchange restarts its own Engine on every call, and
+// the overlapped scale-out schedule starts one per segment. Its buckets
+// come warm from the pool, so once warm the round allocates nothing.
 func TestFreshEngineAllocs(t *testing.T) {
 	fn := func() {}
 	round := func() {

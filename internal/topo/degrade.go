@@ -2,8 +2,8 @@
 // one whose links can lose bandwidth or go down mid-run, the topology
 // half of the scaleout fault model (internal/fault). Degradation is
 // expressed against the underlying topology's minimal routes — the
-// physical channels a src -> dst message would cross — and observed by
-// every Flight created afterwards:
+// physical channels a src -> dst message would cross — and observed by a
+// Flight over the wrapper from its next Reset on:
 //
 //   - Slow multiplies the store-and-forward occupancy of each route link
 //     by 1/factor (factor = surviving bandwidth fraction), so messages
@@ -39,6 +39,10 @@ type Degraded struct {
 	cut []bool
 	// scratch backs allocation-free route inspection.
 	scratch []int
+	// gen counts the Slow and CutRoute calls that changed the link state,
+	// cutGen is gen as the last CutRoute left it; a Flight compares them
+	// with the generation it last read at.
+	gen, cutGen uint64
 }
 
 // NewDegraded wraps net; wrapping a Degraded network returns it
@@ -49,10 +53,6 @@ func NewDegraded(net Network) *Degraded {
 	}
 	return &Degraded{Network: net}
 }
-
-// slowdowns exposes the multiplier table to NewFlight (nil while no link
-// has been slowed).
-func (d *Degraded) slowdowns() []float64 { return d.slow }
 
 // checkPair validates a routed channel endpoint pair.
 func (d *Degraded) checkPair(src, dst int) error {
@@ -97,6 +97,7 @@ func (d *Degraded) Slow(src, dst int, factor float64) error {
 	for _, l := range d.scratch {
 		d.slow[l] *= 1 / factor
 	}
+	d.gen++
 	return nil
 }
 
@@ -125,6 +126,8 @@ func (d *Degraded) CutRoute(src, dst int) error {
 	for _, l := range seg {
 		d.cut[l] = true
 	}
+	d.gen++
+	d.cutGen = d.gen
 	return nil
 }
 

@@ -87,9 +87,11 @@ func FuzzRoute(f *testing.F) {
 		// delivery time.
 		b := int64(msgBytes%1_000_000) + 1
 		eng := &sim.Engine{}
-		fl := NewFlight(net, eng)
+		fl := NewFlight(net)
+		fl.Reset(eng, nil)
 		delivered := sim.Cycle(-1)
-		fl.Send(s, d, b, func() { delivered = eng.Now() })
+		fl.OnDeliver(func(int, int, int32) { delivered = eng.Now() })
+		fl.Send(s, d, b, 0)
 		eng.Run()
 		dur := fl.Dur(b)
 		end := dur // link 0 is reserved at Send time, from cycle 0

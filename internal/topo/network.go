@@ -63,26 +63,64 @@ func (l *linkSpec) treeBarrier(hopLat int) sim.Cycle {
 // event, so downstream contention resolves in deterministic
 // (time, issue-order) arrival order. A message holds each link for
 // bytes/BytesPerCycle (+1 launch) cycles, store-and-forward, and pays
-// LatencyCycles between consecutive links; deliver fires when the final
+// LatencyCycles between consecutive links; it is delivered when the final
 // link releases it. On a FullMesh this reproduces the pre-refactor
 // egress/ingress port discipline cycle for cycle.
+//
+// A message is a record in the Flight's slab, not a chain of closures:
+// its route offset, hop, duration, bytes and the caller's tag. Each slab
+// slot carries one event handler, bound when the slot is created, that
+// reserves the message's next link or delivers it; a delivered message's
+// slot is reused by the next Send. Routes live in one flat link array,
+// filled per node pair on first use. A Flight is reusable: the scaleout
+// runtime builds one per run and Resets it before every exchange and
+// every overlapped schedule segment, so a warm Flight sends, forwards and
+// delivers without allocating.
 type Flight struct {
-	net  Network
-	eng  *sim.Engine
+	net Network
+	// deg is net when it is a Degraded wrapper, and gen the generation of
+	// its link state the slowdowns and routes were last read at.
+	deg *Degraded
+	gen uint64
+	eng *sim.Engine
+	// own is Exchange's timeline, restarted at cycle 0 by every call.
+	own  sim.Engine
 	n    int
 	lat  sim.Cycle
 	bpc  float64
 	free []sim.Cycle // per-link busy-until
-	// routes lazily caches the minimal route per ordered node pair
-	// (routes are static for the network's lifetime); in-flight message
-	// closures borrow the cached slices.
-	routes [][]int
+	// links holds every route filled so far back to back, and span[src*n+dst]
+	// locates the src -> dst route in it (end 0: not routed yet). Routes
+	// stay valid until a CutRoute changes them.
+	links []int
+	span  []routeSpan
 	// slow holds per-link occupancy multipliers when the network is a
 	// Degraded wrapper with degraded links; nil (every healthy network,
 	// and a Degraded one nothing has happened to yet) keeps the hot path
 	// a single branch.
 	slow []float64
 	pr   *Probe
+	// msgs is the slab of messages; idle is its first free slot (-1: none).
+	msgs []msg
+	idle int32
+	// deliver is the handler the current reset's deliveries call (nil:
+	// none), last the latest delivery time since the reset.
+	deliver func(src, dst int, tag int32)
+	last    sim.Cycle
+}
+
+// routeSpan locates one pair's route in Flight.links: [off, end).
+type routeSpan struct{ off, end int32 }
+
+// msg is one message in flight, or a free slab slot.
+type msg struct {
+	pos, end int32     // the next route link to reserve in links, route end
+	dur      sim.Cycle // per-link store-and-forward occupancy
+	b        int64
+	src, dst int32
+	tag      int32
+	next     int32  // the next free slot, while this one is free
+	fire     func() // the slot's event handler (Flight.fire), bound once
 }
 
 // Probe mirrors every link reservation a Flight makes onto telemetry
@@ -101,29 +139,51 @@ func (p *Probe) record(link int, start, end sim.Cycle, b int64, req sim.Cycle) {
 	p.Links[link].Add(telemetry.SpanLink, p.Offset+start, p.Offset+end, b, int64(p.Offset+req))
 }
 
-// SetProbe attaches (or, with nil, detaches) a link-occupancy probe.
-func (f *Flight) SetProbe(p *Probe) { f.pr = p }
-
-// NewFlight prepares a Flight over net scheduling on eng. A Degraded
-// network's per-link slowdowns are captured here, so the Flight must be
-// created after the degradation events it should observe (the scaleout
-// runtime builds a fresh Flight per exchange or schedule segment).
-func NewFlight(net Network, eng *sim.Engine) *Flight {
+// NewFlight prepares a Flight over net. Reset binds it to an engine
+// before its first Send; Exchange runs on its own.
+func NewFlight(net Network) *Flight {
 	n := net.Nodes()
 	f := &Flight{
-		net:    net,
-		eng:    eng,
-		n:      n,
-		lat:    net.LatencyCycles(),
-		bpc:    net.BytesPerCycle(),
-		free:   make([]sim.Cycle, net.NumLinks()),
-		routes: make([][]int, n*n),
+		net:  net,
+		n:    n,
+		lat:  net.LatencyCycles(),
+		bpc:  net.BytesPerCycle(),
+		free: make([]sim.Cycle, net.NumLinks()),
+		span: make([]routeSpan, n*n),
+		idle: -1,
 	}
 	if d, ok := net.(*Degraded); ok {
-		f.slow = d.slowdowns()
+		f.deg, f.gen, f.slow = d, d.gen, d.slow
 	}
 	return f
 }
+
+// Network returns the network the Flight routes over.
+func (f *Flight) Network() Network { return f.net }
+
+// Reset starts a new scheduling round on eng with link-occupancy probe pr
+// (nil: unrecorded): every link is idle and no delivery handler is set.
+// The previous round's engine must have run dry, so that every slab slot
+// is free. A Degraded network's link state is read here, so the round
+// observes every Slow and CutRoute made before it; the routes are
+// refilled only if a CutRoute has changed them since the last reset.
+func (f *Flight) Reset(eng *sim.Engine, pr *Probe) {
+	f.eng, f.pr = eng, pr
+	clear(f.free)
+	f.deliver, f.last = nil, 0
+	if d := f.deg; d != nil && d.gen != f.gen {
+		f.slow = d.slow
+		if d.cutGen > f.gen {
+			f.links = f.links[:0]
+			clear(f.span)
+		}
+		f.gen = d.gen
+	}
+}
+
+// OnDeliver sets the handler every delivery of the current round calls,
+// with the message's endpoints and the tag it was sent with.
+func (f *Flight) OnDeliver(h func(src, dst int, tag int32)) { f.deliver = h }
 
 // linkDur scales the base store-and-forward occupancy by link l's
 // degradation multiplier; the nil fast path keeps healthy networks
@@ -138,15 +198,16 @@ func (f *Flight) linkDur(l int, dur sim.Cycle) sim.Cycle {
 	return dur
 }
 
-// route returns the (cached) minimal route from src to dst.
-func (f *Flight) route(src, dst int) []int {
-	i := src*f.n + dst
-	r := f.routes[i]
-	if r == nil {
-		r = f.net.AppendRoute(make([]int, 0, 8), src, dst)
-		f.routes[i] = r
+// route returns where the minimal src -> dst route lies in f.links,
+// routing the pair on first use.
+func (f *Flight) route(src, dst int) (off, end int32) {
+	s := &f.span[src*f.n+dst]
+	if s.end == 0 {
+		s.off = int32(len(f.links))
+		f.links = f.net.AppendRoute(f.links, src, dst)
+		s.end = int32(len(f.links))
 	}
-	return r
+	return s.off, s.end
 }
 
 // Dur is the per-link store-and-forward occupancy of a b-byte message.
@@ -154,47 +215,60 @@ func (f *Flight) Dur(b int64) sim.Cycle {
 	return sim.Cycle(float64(b)/f.bpc) + 1
 }
 
-// Send routes one b-byte message from src to dst, calling deliver when
-// the final link completes. Messages with src == dst or b <= 0 are the
+// Send routes one b-byte message from src to dst; its delivery calls the
+// round's handler with tag. Messages with src == dst or b <= 0 are the
 // caller's responsibility to skip.
-func (f *Flight) Send(src, dst int, b int64, deliver func()) {
-	path := f.route(src, dst)
-	dur := f.Dur(b)
-	req := f.eng.Now()
-	slot := f.free[path[0]]
-	if req > slot {
-		slot = req
+func (f *Flight) Send(src, dst int, b int64, tag int32) {
+	off, end := f.route(src, dst)
+	i := f.idle
+	if i >= 0 {
+		f.idle = f.msgs[i].next
+	} else {
+		i = int32(len(f.msgs))
+		f.msgs = append(f.msgs, msg{fire: f.handler(i)})
 	}
-	d0 := f.linkDur(path[0], dur)
-	f.free[path[0]] = slot + d0
-	if f.pr != nil {
-		f.pr.record(path[0], slot, slot+d0, b, req)
-	}
-	f.hop(path, 1, slot+d0, dur, b, deliver)
+	f.msgs[i] = msg{pos: off, end: end, dur: f.Dur(b), b: b, src: int32(src), dst: int32(dst), tag: tag, fire: f.msgs[i].fire}
+	f.advance(i)
 }
 
-// hop advances the message past link h-1 (released at prevEnd): it either
-// delivers, or schedules the reservation of link h after the inter-link
-// latency.
-func (f *Flight) hop(path []int, h int, prevEnd, dur sim.Cycle, b int64, deliver func()) {
-	if h == len(path) {
-		f.eng.At(prevEnd, deliver)
+// handler binds slot i's event handler; it is made once per slot, when
+// the slab grows.
+func (f *Flight) handler(i int32) func() { return func() { f.fire(i) } }
+
+// advance reserves message i's next route link at the current time, then
+// schedules the slot's handler for what follows the link's release: the
+// next reservation after the inter-link latency, or the delivery.
+func (f *Flight) advance(i int32) {
+	m := &f.msgs[i]
+	l := f.links[m.pos]
+	m.pos++
+	req := f.eng.Now()
+	slot := max(req, f.free[l])
+	end := slot + f.linkDur(l, m.dur)
+	f.free[l] = end
+	if f.pr != nil {
+		f.pr.record(l, slot, end, m.b, req)
+	}
+	if m.pos < m.end {
+		end += f.lat
+	}
+	f.eng.At(end, m.fire)
+}
+
+// fire is message i's event: it reserves the next link, or, past the last
+// one, frees the slot and delivers.
+func (f *Flight) fire(i int32) {
+	m := &f.msgs[i]
+	if m.pos < m.end {
+		f.advance(i)
 		return
 	}
-	f.eng.At(prevEnd+f.lat, func() {
-		l := path[h]
-		req := f.eng.Now()
-		slot := f.free[l]
-		if req > slot {
-			slot = req
-		}
-		ld := f.linkDur(l, dur)
-		f.free[l] = slot + ld
-		if f.pr != nil {
-			f.pr.record(l, slot, slot+ld, b, req)
-		}
-		f.hop(path, h+1, slot+ld, dur, b, deliver)
-	})
+	src, dst, tag := int(m.src), int(m.dst), m.tag
+	m.next, f.idle = f.idle, i
+	f.last = max(f.last, f.eng.Now())
+	if f.deliver != nil {
+		f.deliver(src, dst, tag)
+	}
 }
 
 // ExchangeStats summarizes one all-to-all exchange.
@@ -205,32 +279,22 @@ type ExchangeStats struct {
 }
 
 // Exchange runs an all-to-all personalized exchange of bytes[src][dst]
-// over the network and returns its completion time. Senders issue their
+// over the network on a fresh timeline and returns its completion time;
+// when pr is non-nil every per-link reservation is mirrored onto
+// pr.Links, shifted by pr.Offset into global time. Senders issue their
 // messages in the classic shifted schedule (node s sends to s+1, s+2, ...
 // mod n) so that early rounds do not all target the same receiver;
 // contention beyond the first link resolves in arrival order on the event
 // kernel, which keeps the result deterministic. Diagonal entries (local
-// data) cost nothing.
-func Exchange(net Network, bytes [][]int64) ExchangeStats {
-	return ExchangeProbed(net, bytes, nil)
-}
-
-// ExchangeProbed is Exchange with link-occupancy recording: when pr is
-// non-nil every per-link reservation of the exchange is mirrored onto
-// pr.Links, shifted by pr.Offset into global time. The returned stats are
-// identical to Exchange's.
-func ExchangeProbed(net Network, bytes [][]int64, pr *Probe) ExchangeStats {
+// data) cost nothing. Exchange resets the Flight.
+func (f *Flight) Exchange(bytes [][]int64, pr *Probe) ExchangeStats {
 	var st ExchangeStats
-	n := net.Nodes()
+	n := f.n
 	if n <= 1 {
 		return st
 	}
-	// A fresh engine needs no pre-sizing: its event buckets come warm from
-	// the sim package's pool and go back when Run drains them.
-	eng := &sim.Engine{}
-	f := NewFlight(net, eng)
-	f.SetProbe(pr)
-	finish := sim.Cycle(0)
+	f.own = sim.Engine{}
+	f.Reset(&f.own, pr)
 	for src := 0; src < n; src++ {
 		for off := 1; off < n; off++ {
 			dst := (src + off) % n
@@ -240,14 +304,16 @@ func ExchangeProbed(net Network, bytes [][]int64, pr *Probe) ExchangeStats {
 			}
 			st.TotalBytes += b
 			st.Messages++
-			f.Send(src, dst, b, func() {
-				if now := eng.Now(); now > finish {
-					finish = now
-				}
-			})
+			f.Send(src, dst, b, 0)
 		}
 	}
-	eng.Run()
-	st.Cycles = finish
+	f.own.Run()
+	st.Cycles = f.last
 	return st
+}
+
+// Exchange prices one all-to-all exchange of bytes[src][dst] over net on
+// a Flight of its own (see Flight.Exchange).
+func Exchange(net Network, bytes [][]int64) ExchangeStats {
+	return NewFlight(net).Exchange(bytes, nil)
 }

@@ -148,6 +148,16 @@ func (c Config) dragonflyShape(n int) (groupSize int) {
 // payload leaves it and the conversion would price the link as free.
 const minBytesPerCycle = 1e-3
 
+// maxLatencyCycles is the highest link latency Validate accepts: 2^32
+// cycles, about 2.7 s per link at 1.6 GHz, a million times a 1 us NIC
+// hop. Up to 2^16 nodes, the most a scaleout run allows, the worst
+// barrier crosses under 2^21 latency transitions (a 2^16-node torus ring:
+// 2 × 16 tree hops of 2^15 + 1 transitions each) and the worst route,
+// a detour around a cut on that ring, under 2^17, so neither leaves
+// 2^53 cycles. An unbounded latency wraps them: at 2^58 cycles an 8×8
+// torus's barrier is negative.
+const maxLatencyCycles = 1 << 32
+
 // ValidateDegrade checks a link-degrade factor against the configuration:
 // the factor must lie in (0, 1] and leave the links at least
 // minBytesPerCycle, so that a degraded link still prices every message
@@ -164,10 +174,10 @@ func (c Config) ValidateDegrade(factor float64) error {
 }
 
 // Validate checks the configuration against a machine size, rejecting a
-// link bandwidth that is NaN or below minBytesPerCycle, and impossible
-// shapes: a torus whose dimensions do not multiply to the node count
-// (including half-specified dimensions) and a dragonfly group size that
-// does not divide it.
+// link bandwidth that is NaN or below minBytesPerCycle, a link latency
+// outside [0, maxLatencyCycles], and impossible shapes: a torus whose
+// dimensions do not multiply to the node count (including half-specified
+// dimensions) and a dragonfly group size that does not divide it.
 func (c Config) Validate(nodes int) error {
 	if nodes < 1 {
 		return fmt.Errorf("topo: node count must be >= 1, got %d", nodes)
@@ -175,8 +185,8 @@ func (c Config) Validate(nodes int) error {
 	if !(c.BytesPerCycle >= minBytesPerCycle) {
 		return fmt.Errorf("topo: link bandwidth must be at least %g B/cycle, got %v", minBytesPerCycle, c.BytesPerCycle)
 	}
-	if c.LatencyCycles < 0 {
-		return fmt.Errorf("topo: link latency must be non-negative, got %d", c.LatencyCycles)
+	if c.LatencyCycles < 0 || c.LatencyCycles > maxLatencyCycles {
+		return fmt.Errorf("topo: link latency must be in [0, %d] cycles, got %d", int64(maxLatencyCycles), c.LatencyCycles)
 	}
 	switch c.Kind {
 	case FullMesh:

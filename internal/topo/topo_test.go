@@ -103,6 +103,8 @@ func TestConfigValidateShapes(t *testing.T) {
 		{"unpriceable bandwidth", Config{Kind: FullMesh, BytesPerCycle: 1e-300}, 4, "bandwidth"},
 		{"infinite bandwidth", Config{Kind: FullMesh, BytesPerCycle: math.Inf(1)}, 4, ""},
 		{"negative latency", Config{Kind: FullMesh, BytesPerCycle: 1, LatencyCycles: -1}, 4, "latency"},
+		{"latency past the cycle range", Config{Kind: Torus2D, TorusX: 8, TorusY: 8, BytesPerCycle: 1, LatencyCycles: 1 << 58}, 64, "latency"},
+		{"latency at the ceiling", Config{Kind: Torus2D, BytesPerCycle: 1, LatencyCycles: maxLatencyCycles}, 64, ""},
 		{"bad node count", Default(), 0, "node count"},
 		{"non-rectangular torus", Torus(3, 2), 8, "rectangular"},
 		{"half-specified torus", Torus(4, 0), 8, "rectangular"},
@@ -154,6 +156,28 @@ func TestConfigValidateShapes(t *testing.T) {
 		}
 		if net.Name() != tc.name {
 			t.Errorf("%v on %d nodes: name %q, want %q", tc.cfg.Kind, tc.nodes, net.Name(), tc.name)
+		}
+	}
+}
+
+// At the latency ceiling, the largest machine a run allows must still
+// price its barrier and its longest minimal route far inside the cycle
+// range, on every topology, including the 2^16-node ring, whose barrier
+// and diameter are the worst.
+func TestLatencyCeilingKeepsCyclesInRange(t *testing.T) {
+	const nodes = 1 << 16
+	for _, c := range []Config{Default(), Torus(0, 0), Torus(nodes, 1), DragonflyGroups(0)} {
+		c.LatencyCycles = maxLatencyCycles
+		net := build(t, c, nodes)
+		if b := net.BarrierCycles(); b <= 0 || b >= 1<<53 {
+			t.Errorf("%s: barrier %d cycles at the latency ceiling", net.Name(), b)
+		}
+		worst := 0
+		for _, dst := range []int{1, nodes / 2, nodes/2 + 255, nodes - 1} {
+			worst = max(worst, len(net.AppendRoute(nil, 0, dst))-1)
+		}
+		if lat := sim.Cycle(worst) * net.LatencyCycles(); lat <= 0 || lat >= 1<<53 {
+			t.Errorf("%s: a %d-transition route pays %d latency cycles at the ceiling", net.Name(), worst, lat)
 		}
 	}
 }
@@ -323,14 +347,17 @@ func TestToposlowerThanMeshAndDeterministic(t *testing.T) {
 func TestFlightChannelContention(t *testing.T) {
 	net := build(t, testLink(Torus2D), 8) // torus4x2
 	eng := &sim.Engine{}
-	f := NewFlight(net, eng)
-	var first, second sim.Cycle
+	f := NewFlight(net)
+	f.Reset(eng, nil)
+	var at [2]sim.Cycle
+	f.OnDeliver(func(_, _ int, tag int32) { at[tag] = eng.Now() })
 	// On the 4x2 torus, 0->1 routes [egress0, chan(0,+x), ingress1] and
 	// 0->2 routes [egress0, chan(0,+x), chan(1,+x), ingress2]: the two
 	// messages share the egress port and node 0's +x channel.
-	f.Send(0, 1, 1000, func() { first = eng.Now() })
-	f.Send(0, 2, 1000, func() { second = eng.Now() })
+	f.Send(0, 1, 1000, 0)
+	f.Send(0, 2, 1000, 1)
 	eng.Run()
+	first, second := at[0], at[1]
 	if first == 0 || second == 0 {
 		t.Fatal("messages not delivered")
 	}

@@ -410,6 +410,13 @@ func TestUntrustedInputsError(t *testing.T) {
 			}))
 			return err
 		}},
+		{"SimulateScaleOut/link latency past the cycle range", func() error {
+			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) {
+				c.Nodes, c.Topo = 64, nmppak.TorusTopo(8, 8)
+				c.Topo.LatencyCycles = 1 << 58 // the barrier would wrap negative
+			}))
+			return err
+		}},
 		{"SimulateScaleOut/zero-value minimizer partitioner", func() error {
 			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.Partitioner = nmppak.MinimizerPartitioner{} }))
 			return err
