@@ -208,15 +208,35 @@ func BenchmarkAblationNoHybrid(b *testing.B) {
 	benchNMP(b, cfg)
 }
 
-// BenchmarkKmerCount measures one optimized counting pass over the quick
-// workload's reads (the §4.5 software path in isolation).
+// BenchmarkKmerCount measures one optimized counting pass (the §4.5
+// software path in isolation) over the quick workload's reads, and over
+// the input of the assemble-100x benchmark workload: the quick workload at
+// 100 kb and 100x coverage.
 func BenchmarkKmerCount(b *testing.B) {
 	c, _ := benchSetup(b)
-	cfg := kmer.Config{K: c.W.K, Workers: c.W.Workers, MinCount: c.W.MinCount}
-	for i := 0; i < b.N; i++ {
-		if _, err := kmer.Count(c.Reads, cfg); err != nil {
-			b.Fatal(err)
-		}
+	b.StopTimer()
+	w := c.W
+	w.GenomeLen, w.Coverage = 100_000, 100
+	deep, err := experiments.NewContext(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		ctx  *experiments.Context
+	}{
+		{"quick", c},
+		{"assemble-100x", deep},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := kmer.Config{K: w.K, Workers: w.Workers, MinCount: w.MinCount}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := kmer.Count(bc.ctx.Reads, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -5,15 +5,20 @@
 //
 //   - Count: the paper's refined algorithm (§4.5), built around one
 //     vector. (a) Parallel sliding-window extraction over per-worker read
-//     ranges, run twice: a counting pass sizes every top-digit bucket, and
-//     (b) the extraction pass writes each k-mer straight into its slot of
-//     one exact-size, preallocated vector, so the merge of per-worker
-//     vectors is the sort's first scatter. (c) The parallel sort finishes
-//     each bucket in cache (the MSD kernel in sort.go) and tallies its
-//     distinct and pruned k-mers while it is still there; the tallies,
-//     prefix-summed, size the result exactly. This is the path behind the
-//     416× k-mer counting speedup the paper reports; every buffer is sized
-//     up front, so the hot loops perform no growth allocations.
+//     ranges, rolling each read 2 bits at a time from its packed words,
+//     run twice: a counting pass sizes every top-digit bucket, and (b) the
+//     extraction pass writes each k-mer straight into its slot of one
+//     exact-size, preallocated vector, so the merge of per-worker vectors
+//     is the top-digit partition. (c) Where the paper's parallel sort
+//     finishes each bucket, each bucket is instead tallied in cache in a
+//     bounded hash table (tally.go), its pruned k-mers counted straight
+//     from the table, and only its kept k-mers sorted; the kept counts,
+//     prefix-summed, size the result exactly. A bucket too long for the
+//     table is split on an MSD digit first, and one whose keys collide
+//     past a probe budget is sorted (the MSD kernel in sort.go) instead.
+//     This is the path behind the 416× k-mer counting speedup the paper
+//     reports; every buffer is sized up front, so the hot loops perform no
+//     growth allocations.
 //   - CountNaive: the prior-work flow the paper profiles as "W/O SW-opt" —
 //     a single growing vector, serial extraction and serial comparison
 //     sort.
@@ -29,7 +34,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 
 	"nmppak/internal/dna"
 	"nmppak/internal/par"
@@ -118,8 +122,9 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 	nb := 1 << (uint(2*k) - shift)
 	mask := dna.KmerMask(k)
 
-	// (a) A counting pass re-rolls every worker's reads to size the top
-	// digit buckets and the terminal vectors (§4.5 a, b).
+	// (a) A counting pass rolls every worker's reads, 2 bits at a time
+	// from their packed words, to size the top digit buckets and the
+	// terminal vectors (§4.5 a, b).
 	nChunks := max(min(w, len(reads)), 1)
 	chunk := (len(reads) + nChunks - 1) / nChunks
 	span := func(ci int) []readsim.Read {
@@ -140,10 +145,13 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 					continue
 				}
 				terms[ci]++
-				x := uint64(dna.KmerFromSeq(seq, 0, k))
-				cnt[x>>shift]++
-				for i := k; i < n; i++ {
-					x = (x<<2 | uint64(seq.At(i))) & mask
+				x, word := prime(seq, k)
+				for i := k - 1; i < n; i++ {
+					if i&31 == 0 {
+						word = seq.Word(i >> 5)
+					}
+					x = (x<<2 | word&3) & mask
+					word >>= 2
 					cnt[x>>shift]++
 				}
 			}
@@ -156,8 +164,9 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 		nTerms += c
 	}
 
-	// (b) Extraction writes every k-mer straight into its bucket of one
-	// exact-size vector: the first scatter of the sort costs nothing extra.
+	// (b) Extraction rolls the reads again and writes every k-mer straight
+	// into its bucket of one exact-size vector: the partition the tally
+	// works on costs nothing extra.
 	all := make([]uint64, total)
 	tpRaw := make([]uint64, nTerms)
 	tsRaw := make([]uint64, nTerms)
@@ -171,13 +180,14 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 				if n < k {
 					continue
 				}
-				km := dna.KmerFromSeq(seq, 0, k)
-				tpRaw[t] = uint64(km.Prefix())
-				x := uint64(km)
-				all[pos[x>>shift]] = x
-				pos[x>>shift]++
-				for i := k; i < n; i++ {
-					x = (x<<2 | uint64(seq.At(i))) & mask
+				x, word := prime(seq, k)
+				tpRaw[t] = x
+				for i := k - 1; i < n; i++ {
+					if i&31 == 0 {
+						word = seq.Word(i >> 5)
+					}
+					x = (x<<2 | word&3) & mask
+					word >>= 2
 					all[pos[x>>shift]] = x
 					pos[x>>shift]++
 				}
@@ -193,42 +203,46 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 		return all[lo:hi]
 	}
 
-	// (c) Each bucket is sorted, deduplicated and pruned in cache; its
-	// kept count, prefix-summed, places it in the exact-size output.
+	// (c) Each bucket is tallied in cache, and its head rewritten with the
+	// k-mers it keeps, ascending; its kept count, prefix-summed, places it
+	// in the exact-size output.
 	minCount := max(cfg.MinCount, 1)
 	offs := make([]int, nb+1)
-	var prunedKinds, prunedMass atomic.Int64
-	par.ForIdx(nb, w, func(b int) {
-		v := bucket(b)
-		if len(v) == 0 {
-			return
-		}
-		sortBucket(v)
-		tl := tallyRuns(v, minCount)
-		offs[b+1] = tl.kept
-		prunedKinds.Add(tl.prunedKinds)
-		prunedMass.Add(tl.prunedMass)
-	})
+	heads := make([]int, nb)
+	prunedKinds, prunedMass := tallyBuckets(nb, w, bucket, minCount, heads, offs[1:])
 	for b := 0; b < nb; b++ {
 		offs[b+1] += offs[b]
 	}
 	res := &Result{
 		K:              k,
 		TotalExtracted: int64(total),
-		PrunedKinds:    prunedKinds.Load(),
-		PrunedMass:     prunedMass.Load(),
+		PrunedKinds:    prunedKinds,
+		PrunedMass:     prunedMass,
 	}
 	if kept := offs[nb]; kept > 0 {
 		res.Kmers = make([]Counted, kept)
 		par.ForIdx(nb, w, func(b int) {
 			if lo, hi := offs[b], offs[b+1]; lo < hi {
-				appendKept(res.Kmers[lo:lo:hi], bucket(b), minCount)
+				readHead(res.Kmers[lo:hi], bucket(b)[:heads[b]], minCount)
 			}
 		})
 	}
 	res.TermPrefix = countTerms(tpRaw, w)
 	res.TermSuffix = countTerms(tsRaw, w)
 	return res, nil
+}
+
+// prime rolls the first k-1 bases of seq, at least k long, into x, and
+// returns the rest of its first packed word, from base k-1 on. The word
+// holds base j in bits [2j, 2j+2) and a rolled k-mer its first base
+// highest, so x is the word with its 2-bit groups reversed, shifted down
+// to k-1 bases.
+func prime(seq dna.Seq, k int) (x, w uint64) {
+	w = seq.Word(0)
+	x = bits.ReverseBytes64(w)
+	x = x>>4&0x0f0f0f0f0f0f0f0f | x&0x0f0f0f0f0f0f0f0f<<4
+	x = x>>2&0x3333333333333333 | x&0x3333333333333333<<2
+	return x >> uint(2*(33-k)), w >> uint(2*(k-1))
 }
 
 // CountNaive runs the unoptimized flow: one growing vector, serial

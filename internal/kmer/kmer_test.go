@@ -115,12 +115,18 @@ func TestCountMatchesCountNaive(t *testing.T) {
 }
 
 // FuzzCountVsNaive builds reads from the fuzz bytes, two bits per base,
-// with the first byte choosing k and each read's length, and requires
-// Count to equal CountNaive in full.
+// with the first byte choosing k and each read's length, up to 255 bases,
+// so that rolling crosses several packed-word boundaries; bases past the
+// end of the input are A. It requires Count to equal CountNaive in full.
 func FuzzCountVsNaive(f *testing.F) {
 	f.Add([]byte{31, 40, 0x1b, 0xe4, 0x93, 0x6c, 0xff, 0x00, 0x55, 0xaa, 0x12, 0x34}, uint8(2), uint8(0))
 	f.Add([]byte{2, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(3), uint8(2))
 	f.Add([]byte{5, 0, 7, 200, 201, 202, 203}, uint8(64), uint8(1))
+	long := []byte{30, 140}
+	for i := range 35 {
+		long = append(long, byte(i*37+11))
+	}
+	f.Add(append(long, 100, 0xe4, 0x1b), uint8(3), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, workers, minCount uint8) {
 		if len(data) == 0 {
 			return
@@ -128,7 +134,7 @@ func FuzzCountVsNaive(f *testing.F) {
 		k := 2 + int(data[0])%(dna.MaxK-1)
 		var reads []readsim.Read
 		for rest := data[1:]; len(rest) > 0; {
-			n := int(rest[0]) % 48 // bases in this read
+			n := int(rest[0]) // bases in this read
 			rest = rest[1:]
 			bases := make([]dna.Base, n)
 			for i := range bases {

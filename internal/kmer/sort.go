@@ -1,9 +1,14 @@
 // Most-significant-digit bucket sort for packed k-mer words — the
 // stdlib-only substitute for the __gnu_parallel::sort the paper's optimized
-// k-mer counting uses (§4.5 c). One kernel serves every caller: a single
-// scatter on the top digit splits the input into buckets small enough to
-// sit in L1/L2, and each bucket is then finished in cache, in parallel,
-// without comparator calls.
+// k-mer counting uses (§4.5 c). A single scatter on the top digit splits
+// the input into buckets small enough to sit in L1/L2, and each bucket is
+// then finished in cache, in parallel, without comparator calls. Count no
+// longer sorts its k-mer stream this way: it tallies each bucket in a hash
+// table (tally.go) and sorts only the kept k-mers, and it falls back to
+// this kernel only for a bucket whose keys collide past the probe budget.
+// The kernel still sorts the terminal (k-1)-mers (countTerms), the
+// MacroNode keys and the scale-out collapse (ParallelSortUint64), and its
+// digit step (split) also divides a bucket too long for the tally table.
 package kmer
 
 import (
@@ -75,26 +80,47 @@ func sortBucket(a []uint64) {
 	sorters.Put(t)
 }
 
-// msd sorts a in place using s, of the same length, as scratch. The digit
-// sits just below the highest bit on which the words of a differ, so bits
-// they share cost nothing, and its width follows the length, about four
-// words per sub-bucket. Every level consumes at least seven bits, so no
-// input is quadratic.
+// msd sorts a in place using s, of the same length, as scratch. Its digit
+// width follows the length, about four words per sub-bucket. Every level
+// consumes at least seven bits, so no input is quadratic.
 func (t *sorter) msd(a, s []uint64, depth int) {
-	n := len(a)
-	if n <= cmpSortMax {
+	if len(a) <= cmpSortMax {
 		smallSort(a)
 		return
 	}
+	c := t.split(a, s, depth, 4)
+	if c == nil {
+		return // all equal
+	}
+	// Finish each sub-bucket in s with a's window as its scratch, then
+	// copy the sorted run back.
+	lo := 0
+	for _, hi := range c {
+		if hi-lo > 1 {
+			t.msd(s[lo:hi], a[lo:hi], depth+1)
+		}
+		lo = hi
+	}
+	copy(a, s)
+}
+
+// split is one MSD digit step: it scatters a into s, of the same length,
+// by a digit just below the highest bit on which the words of a differ, so
+// bits they share cost nothing, and returns the sub-bucket ends in s,
+// ascending. The digit's width aims at about per words per sub-bucket. It
+// returns nil, leaving s untouched, when every word of a is equal. The
+// ends live in the digit table of depth, valid until the next split at
+// that depth.
+func (t *sorter) split(a, s []uint64, depth, per int) []int {
 	var diff uint64
 	for _, x := range a {
 		diff |= x ^ a[0]
 	}
 	if diff == 0 {
-		return // all equal
+		return nil
 	}
 	hb := bits.Len64(diff)
-	d := min(bits.Len(uint(n/4)), digitBits, hb)
+	d := min(max(bits.Len(uint(len(a)/per)), 1), digitBits, hb)
 	shift := uint(hb - d)
 	mask := uint64(1)<<d - 1
 	c := t.table(depth)[:1<<d]
@@ -112,16 +138,7 @@ func (t *sorter) msd(a, s []uint64, depth int) {
 		s[c[b]] = x
 		c[b]++
 	}
-	// c[i] is now the end of sub-bucket i. Finish each in s with a's
-	// window as its scratch, then copy the sorted run back.
-	lo := 0
-	for _, hi := range c {
-		if hi-lo > 1 {
-			t.msd(s[lo:hi], a[lo:hi], depth+1)
-		}
-		lo = hi
-	}
-	copy(a, s)
+	return c
 }
 
 // smallSort sorts a (sub-)bucket of at most cmpSortMax words.

@@ -8,6 +8,7 @@ package topo
 import (
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 )
 
@@ -49,5 +50,26 @@ func TestFlightExchangeAllocs(t *testing.T) {
 		if st.Messages != tc.msgs || st.Cycles <= 0 {
 			t.Errorf("%s: exchange sent %d messages in %d cycles, want %d messages", tc.name, st.Messages, st.Cycles, tc.msgs)
 		}
+	}
+}
+
+// TestFlightExchangeGrowsSlabOnce pins a cold Flight's slab growth: every
+// message of an exchange is in flight before its engine runs, so the first
+// exchange sizes the slab in one step, to the capacity one slices.Grow for
+// that many messages gives, instead of doubling its way there.
+func TestFlightExchangeGrowsSlabOnce(t *testing.T) {
+	const n = 16
+	dense := mat(n)
+	for s := range dense {
+		for d := range dense[s] {
+			if s != d && (s+d)%7 != 0 {
+				dense[s][d] = int64(500 + s*d)
+			}
+		}
+	}
+	f := NewFlight(build(t, testLink(Torus2D), n))
+	st := f.Exchange(dense, nil)
+	if want := cap(slices.Grow([]msg(nil), int(st.Messages))); len(f.msgs) != int(st.Messages) || cap(f.msgs) != want {
+		t.Errorf("slab len %d cap %d after %d messages, want len %d cap %d", len(f.msgs), cap(f.msgs), st.Messages, st.Messages, want)
 	}
 }

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"slices"
+
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
 )
@@ -295,6 +297,17 @@ func (f *Flight) Exchange(bytes [][]int64, pr *Probe) ExchangeStats {
 	}
 	f.own = sim.Engine{}
 	f.Reset(&f.own, pr)
+	// Every message is in flight before the engine runs, so the slab needs
+	// a slot for each: grow it once, not by append doubling.
+	msgs := 0
+	for src, row := range bytes[:n] {
+		for dst, b := range row[:n] {
+			if b > 0 && dst != src {
+				msgs++
+			}
+		}
+	}
+	f.msgs = slices.Grow(f.msgs, max(msgs-len(f.msgs), 0))
 	for src := 0; src < n; src++ {
 		for off := 1; off < n; off++ {
 			dst := (src + off) % n
