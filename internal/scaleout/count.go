@@ -2,7 +2,7 @@ package scaleout
 
 import (
 	"cmp"
-	"errors"
+	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -409,6 +409,8 @@ func (src *source) collapse(w, lo, hi int) int {
 // (k-1)-mers (PaKman's second all-to-all), and each node builds the
 // MacroNodes it owns. The shard graphs tile the single-node PaK-graph:
 // their key sets partition it and every node is structurally identical.
+// Simulate's prelude counts the exchange and receives (construction) and
+// leaves Graphs nil.
 type ShardGraphs struct {
 	Graphs []*pakgraph.Graph
 	// GraphExchange[src][dst] is the construction-exchange traffic; a
@@ -417,156 +419,109 @@ type ShardGraphs struct {
 	RecvPerNode   []int64 // construction records each node processes
 }
 
-// graphRec is one k-mer delivered to a key owner, with the roles it plays
-// there (a k-mer is a suffix extension of its leading (k-1)-mer's node and
-// a prefix extension of its trailing one's; both keys may be owned by the
-// same node).
-type graphRec struct {
-	km       dna.Kmer
-	count    uint32
-	sufAtPre bool // owner holds Prefix(km): add suffix extension
-	preAtSuf bool // owner holds Suffix(km): add prefix extension
-}
-
-// routeGraph runs the construction all-to-all that BuildShardGraphs and
-// the simulated prelude share: every counted k-mer goes to the owners of
-// its leading and trailing (k-1)-mers, once when they coincide. It returns
-// a ShardGraphs holding the exchange matrix and per-node receive counts but
-// no graphs, and the delivered records as inbox[src][dst], each ascending
-// by k-mer. A source computes each k-mer's two owners once, counts, then
-// fills one exact-size flat vector of capped windows; under a minimizer
-// scheme both owners come from one pass over the k-mer's m-mer hashes
-// (endOwners).
-func (sc *ShardedCount) routeGraph(cfg Config) (*ShardGraphs, [][][]graphRec) {
-	n := sc.Nodes
+// construction counts the construction all-to-all that Simulate and
+// BuildShardGraphs share, with no records: every kept k-mer goes to the
+// owners of its leading and trailing (k-1)-mers, once when they coincide.
+// It returns a ShardGraphs holding the exchange matrix and per-node receive
+// counts but no graphs, and each owner's MacroNode count, which is the
+// number of distinct (k-1)-mers among the k-mer ends it owns. A source
+// resolves each k-mer's two owners once (endOwners), fills its exchange
+// row and counts the ends it gives each owner; a second pass writes every
+// end into its owner's span of one vector, owner-major; and each owner
+// sorts its span and counts the runs.
+func (sc *ShardedCount) construction(cfg Config) (*ShardGraphs, []int) {
+	n, k := sc.Nodes, sc.K
 	mo := cfg.Partitioner.owners(n)
-	sg := &ShardGraphs{
-		GraphExchange: mat(n),
-		RecvPerNode:   make([]int64, n),
+	sg := &ShardGraphs{GraphExchange: mat(n), RecvPerNode: make([]int64, n)}
+	// Source src's k-mers own slots 2*at[src] to 2*at[src+1] of own: each
+	// k-mer's prefix owner, then its suffix owner.
+	at := make([]int, n+1)
+	for src, sh := range sc.Shards {
+		at[src+1] = at[src] + len(sh.Kmers)
 	}
-	inbox := make([][][]graphRec, n)
+	own := make([]int32, 2*at[n])
+	// ends[src*n+dst] is the number of ends source src gives owner dst,
+	// then its write cursor in keys.
+	ends := make([]int, n*n)
 	par.ForIdx(n, cfg.Workers, func(src int) {
-		kms := sc.Shards[src].Kmers
-		own := make([]int32, 2*len(kms)) // prefix owner, suffix owner
-		cnt := make([]int, n)
-		for i, kc := range kms {
-			po, so := mo.endOwners(kc.Km, sc.K)
-			own[2*i], own[2*i+1] = int32(po), int32(so)
+		o, row, cnt := own[2*at[src]:2*at[src+1]], sg.GraphExchange[src], ends[src*n:(src+1)*n]
+		for i, kc := range sc.Shards[src].Kmers {
+			po, so := mo.endOwners(kc.Km, k)
+			o[2*i], o[2*i+1] = int32(po), int32(so)
 			cnt[po]++
+			cnt[so]++
+			row[po]++ // records, until priced below
 			if so != po {
-				cnt[so]++
+				row[so]++
 			}
 		}
-		total := 0
-		for _, c := range cnt {
-			total += c
-		}
-		flat := make([]graphRec, total)
-		bs := make([][]graphRec, n)
-		off := 0
-		for dst, c := range cnt {
-			if c > 0 {
-				bs[dst] = flat[off : off : off+c]
-				off += c
-			}
-			sg.GraphExchange[src][dst] = int64(c) * graphRecordBytes
-		}
-		for i, kc := range kms {
-			po, so := own[2*i], own[2*i+1]
-			if po == so {
-				bs[po] = append(bs[po], graphRec{km: kc.Km, count: kc.Count, sufAtPre: true, preAtSuf: true})
-			} else {
-				bs[po] = append(bs[po], graphRec{km: kc.Km, count: kc.Count, sufAtPre: true})
-				bs[so] = append(bs[so], graphRec{km: kc.Km, count: kc.Count, preAtSuf: true})
-			}
-		}
-		inbox[src] = bs
 	})
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			sg.RecvPerNode[dst] += int64(len(inbox[src][dst]))
+	// span[dst] is the first slot of owner dst's ends in keys.
+	span := make([]int, n+1)
+	for dst := 0; dst < n; dst++ {
+		span[dst+1] = span[dst]
+		for src := 0; src < n; src++ {
+			c := ends[src*n+dst]
+			ends[src*n+dst] = span[dst+1]
+			span[dst+1] += c
+			sg.RecvPerNode[dst] += sg.GraphExchange[src][dst]
+			sg.GraphExchange[src][dst] *= graphRecordBytes
 		}
 	}
-	return sg, inbox
+	keys := make([]uint64, span[n])
+	par.ForIdx(n, cfg.Workers, func(src int) {
+		o, cur := own[2*at[src]:2*at[src+1]], ends[src*n:(src+1)*n]
+		for i, kc := range sc.Shards[src].Kmers {
+			po, so := o[2*i], o[2*i+1]
+			keys[cur[po]] = uint64(kc.Km.Prefix())
+			cur[po]++
+			keys[cur[so]] = uint64(kc.Km.Suffix(k))
+			cur[so]++
+		}
+	})
+	macroNodes := make([]int, n)
+	par.ForIdx(n, cfg.Workers, func(dst int) {
+		ks := keys[span[dst]:span[dst+1]]
+		kmer.ParallelSortUint64(ks, 1)
+		macroNodes[dst] = kmer.CountRuns(ks)
+	})
+	return sg, macroNodes
 }
 
 // BuildShardGraphs runs distributed MacroNode construction over a sharded
-// count.
+// count; cfg must have the count's node count and k. The exchange is
+// construction's. A node receives every k-mer touching a key it owns, and
+// each such node is the single-node graph's node of that key, so the shard
+// graphs are one pakgraph.Build over the shards' k-mers in ascending order
+// with its nodes split by key owner.
 func (sc *ShardedCount) BuildShardGraphs(cfg Config) (*ShardGraphs, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sg, inbox := sc.routeGraph(cfg)
-	mo := cfg.Partitioner.owners(sc.Nodes)
-	sg.Graphs = make([]*pakgraph.Graph, sc.Nodes)
-	errs := make([]error, sc.Nodes)
-	par.ForIdx(sc.Nodes, cfg.Workers, func(dst int) {
-		kms := make([]kmer.Counted, 0, sg.RecvPerNode[dst])
-		for src := range inbox {
-			for _, r := range inbox[src][dst] {
-				kms = append(kms, kmer.Counted{Km: r.km, Count: r.count})
-			}
-		}
-		// A k-mer reaches an owner at most once, and every k-mer touching
-		// an owned key reaches it, so building the received k-mers in
-		// ascending order reproduces each owned node exactly as the
-		// single-node pakgraph.Build makes it. The other nodes of that
-		// graph hold only part of their extensions and are dropped.
-		slices.SortFunc(kms, func(a, b kmer.Counted) int { return cmp.Compare(a.Km, b.Km) })
-		g, err := pakgraph.Build(&kmer.Result{K: sc.K, Kmers: kms})
-		if err != nil {
-			errs[dst] = err
-			return
-		}
-		owned := g.Nodes[:0]
-		for i := range g.Nodes {
-			if mo.owner(g.Nodes[i].Key, sc.K-1) == dst {
-				owned = append(owned, g.Nodes[i])
-			}
-		}
-		clear(g.Nodes[len(owned):])
-		g.Nodes = owned
-		sg.Graphs[dst] = g
-	})
-	if err := errors.Join(errs...); err != nil {
+	if cfg.Nodes != sc.Nodes || cfg.K != sc.K {
+		return nil, fmt.Errorf("scaleout: building shard graphs for %d nodes at k=%d over a count of %d nodes at k=%d",
+			cfg.Nodes, cfg.K, sc.Nodes, sc.K)
+	}
+	sg, macroNodes := sc.construction(cfg)
+	var kms []kmer.Counted
+	for _, sh := range sc.Shards {
+		kms = append(kms, sh.Kmers...)
+	}
+	slices.SortFunc(kms, func(a, b kmer.Counted) int { return cmp.Compare(a.Km, b.Km) })
+	g, err := pakgraph.Build(&kmer.Result{K: sc.K, Kmers: kms})
+	if err != nil {
 		return nil, err
 	}
+	sg.Graphs = make([]*pakgraph.Graph, sc.Nodes)
+	for dst := range sg.Graphs {
+		sg.Graphs[dst] = &pakgraph.Graph{K: sc.K, Nodes: make([]pakgraph.MacroNode, 0, macroNodes[dst])}
+	}
+	mo := cfg.Partitioner.owners(sc.Nodes)
+	for _, mn := range g.Nodes {
+		gs := sg.Graphs[mo.owner(mn.Key, sc.K-1)]
+		gs.Nodes = append(gs.Nodes, mn)
+	}
 	return sg, nil
-}
-
-// macroNodeCounts returns the number of MacroNodes each owner holds, which
-// is the number of distinct keys among the records it receives: the
-// leading (k-1)-mer of a suffix-extension record and the trailing one of a
-// prefix-extension record. It equals BuildShardGraphs' Graphs[dst].Len()
-// without building a node.
-func macroNodeCounts(inbox [][][]graphRec, k, workers int) []int {
-	n := len(inbox)
-	counts := make([]int, n)
-	par.ForIdx(n, workers, func(dst int) {
-		keys := 0
-		for src := range inbox {
-			for _, r := range inbox[src][dst] {
-				if r.sufAtPre && r.preAtSuf {
-					keys++
-				}
-			}
-			keys += len(inbox[src][dst])
-		}
-		buf := make([]uint64, 0, keys)
-		for src := range inbox {
-			for _, r := range inbox[src][dst] {
-				if r.sufAtPre {
-					buf = append(buf, uint64(r.km.Prefix()))
-				}
-				if r.preAtSuf {
-					buf = append(buf, uint64(r.km.Suffix(k)))
-				}
-			}
-		}
-		kmer.ParallelSortUint64(buf, 1)
-		counts[dst] = kmer.CountRuns(buf)
-	})
-	return counts
 }
 
 // mat returns an n×n matrix whose rows are capped windows of one backing

@@ -14,8 +14,9 @@
 //     single-node kmer.Count output exactly (see CountSharded).
 //  2. Counted k-mers travel to the owners of their boundary (k-1)-mers
 //     (all-to-all #2) and every node builds the MacroNodes it owns
-//     (BuildShardGraphs). Simulate routes the same records but only
-//     counts the MacroNodes, the one graph fact its model uses.
+//     (BuildShardGraphs). Simulate routes no record: it counts the
+//     exchange, each node's receives and its distinct keys, the three
+//     facts its model uses.
 //  3. Iterative Compaction replays in per-iteration lockstep, BSP style:
 //     each node runs its shard of the global trace on its own
 //     internal/nmp system, cross-node TransferNodes are exchanged over
@@ -314,8 +315,9 @@ func Simulate(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Result, error
 }
 
 // runPrelude executes the pre-compaction pipeline — distributed counting
-// (phase 1) and MacroNode construction (phase 2) — and returns a Result
-// with those phases and the per-node software statistics filled in. The
+// (phase 1) and MacroNode construction (phase 2), whose exchange, receives
+// and MacroNodes are counted, not built — and returns a Result with those
+// phases and the per-node software statistics filled in. The
 // checkpoint layer snapshots exactly these fields, so a restored run can
 // skip the software phases entirely. The run's Flight fl prices both
 // exchanges; a non-nil pr records the phase spans and the exchanges' link
@@ -352,11 +354,10 @@ func runPrelude(reads []readsim.Read, cfg Config, fl *topo.Flight, pr *probes) (
 	res.ExchangedBytes += cx.TotalBytes
 
 	// Phase 2: distributed MacroNode construction. The model needs only
-	// each node's MacroNode count, so the records are routed as
-	// BuildShardGraphs routes them and their distinct keys counted, without
-	// building the graphs.
-	sg, inbox := sc.routeGraph(cfg)
-	macroNodes := macroNodeCounts(inbox, cfg.K, cfg.Workers)
+	// the exchange matrix, the records each node receives and each node's
+	// MacroNode count, so construction counts them, with no records routed
+	// and no graph built.
+	sg, macroNodes := sc.construction(cfg)
 	var construct sim.Cycle
 	for i := 0; i < n; i++ {
 		c := sim.Cycle(software.ConstructCyclesPerRecord * float64(sg.RecvPerNode[i]))

@@ -108,9 +108,10 @@ func TestShardedCountMergeEquivalence(t *testing.T) {
 }
 
 // Shard graphs must tile the single-node PaK-graph: the key sets partition
-// it, and every MacroNode equals the global node of its key. MinCount 1
-// keeps the sequencing-error k-mers, whose forks give nodes several
-// extensions per side, so the comparison also pins extension order.
+// it, every MacroNode equals the global node of its key, and each lives on
+// the node that owns its key. MinCount 1 keeps the sequencing-error
+// k-mers, whose forks give nodes several extensions per side, so the
+// comparison also pins extension order.
 func TestShardGraphEquivalence(t *testing.T) {
 	reads := testReads(t, 20_000)
 	for _, minCount := range []uint32{3, 1} {
@@ -123,49 +124,55 @@ func TestShardGraphEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []int{1, 3, 4} {
-			cfg := DefaultConfig(n)
-			cfg.MinCount = minCount
-			sc, err := CountSharded(reads, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sg, err := sc.BuildShardGraphs(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Key ownership partitions the global graph, so the shard
-			// graphs' sizes sum to the single-node node count.
-			total := 0
-			for _, g := range sg.Graphs {
-				total += g.Len()
-			}
-			if total != want.Len() {
-				t.Fatalf("min=%d n=%d: %d shard MacroNodes vs %d global", minCount, n, total, want.Len())
-			}
-			// A shard on its own has cross-shard extensions (its neighbors
-			// live elsewhere), so structural validation runs on the
-			// stitched union.
-			merged := &pakgraph.Graph{K: 32}
-			for _, g := range sg.Graphs {
-				if err := merged.Merge(g); err != nil {
+			for _, p := range []Partitioner{HashPartitioner{}, NewMinimizerPartitioner(12), NewBalancedPartitioner(res, 12, n)} {
+				cfg := DefaultConfig(n)
+				cfg.MinCount = minCount
+				cfg.Partitioner = p
+				sc, err := CountSharded(reads, cfg)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := merged.Validate(); err != nil {
-				t.Fatalf("min=%d n=%d: merged shard graphs invalid: %v", minCount, n, err)
-			}
-			for i, g := range sg.Graphs {
-				if err := g.CheckOrder(); err != nil {
-					t.Fatalf("min=%d n=%d shard %d: %v", minCount, n, i, err)
+				sg, err := sc.BuildShardGraphs(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for j := range g.Nodes {
-					mn := &g.Nodes[j]
-					ref := want.Node(mn.Key)
-					if ref == nil {
-						t.Fatalf("min=%d n=%d shard %d: node %v not in global graph", minCount, n, i, mn.Key)
+				// Key ownership partitions the global graph, so the shard
+				// graphs' sizes sum to the single-node node count.
+				total := 0
+				for _, g := range sg.Graphs {
+					total += g.Len()
+				}
+				if total != want.Len() {
+					t.Fatalf("%s min=%d n=%d: %d shard MacroNodes vs %d global", p.Name(), minCount, n, total, want.Len())
+				}
+				// A shard on its own has cross-shard extensions (its
+				// neighbors live elsewhere), so structural validation runs
+				// on the stitched union.
+				merged := &pakgraph.Graph{K: 32}
+				for _, g := range sg.Graphs {
+					if err := merged.Merge(g); err != nil {
+						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(mn, ref) {
-						t.Fatalf("min=%d n=%d shard %d: node %v differs from the global node", minCount, n, i, mn.Key)
+				}
+				if err := merged.Validate(); err != nil {
+					t.Fatalf("%s min=%d n=%d: merged shard graphs invalid: %v", p.Name(), minCount, n, err)
+				}
+				for i, g := range sg.Graphs {
+					if err := g.CheckOrder(); err != nil {
+						t.Fatalf("%s min=%d n=%d shard %d: %v", p.Name(), minCount, n, i, err)
+					}
+					for j := range g.Nodes {
+						mn := &g.Nodes[j]
+						if o := p.Owner(mn.Key, 31, n); o != i {
+							t.Fatalf("%s min=%d n=%d: node %v on shard %d, owned by %d", p.Name(), minCount, n, mn.Key, i, o)
+						}
+						ref := want.Node(mn.Key)
+						if ref == nil {
+							t.Fatalf("%s min=%d n=%d shard %d: node %v not in global graph", p.Name(), minCount, n, i, mn.Key)
+						}
+						if !reflect.DeepEqual(mn, ref) {
+							t.Fatalf("%s min=%d n=%d shard %d: node %v differs from the global node", p.Name(), minCount, n, i, mn.Key)
+						}
 					}
 				}
 			}
@@ -173,9 +180,30 @@ func TestShardGraphEquivalence(t *testing.T) {
 	}
 }
 
+// BuildShardGraphs must refuse a config whose node count or k differs from
+// the count's: its graphs would be keyed and owned for another run.
+func TestBuildShardGraphsConfigMismatch(t *testing.T) {
+	reads := testReads(t, 5_000)
+	sc, err := CountSharded(reads, DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"nodes", func() Config { return DefaultConfig(8) }},
+		{"k", func() Config { cfg := DefaultConfig(4); cfg.K = 21; return cfg }},
+	} {
+		if sg, err := sc.BuildShardGraphs(c.cfg()); err == nil {
+			t.Fatalf("%s: a count at 4 nodes and k=32 built %d shard graphs, want an error", c.name, len(sg.Graphs))
+		}
+	}
+}
+
 // graphFacts is what MacroNode construction over a sharded count yields
 // per node, computed here the direct way: per-k-mer owner lookups, map key
-// sets, no routing buffers.
+// sets, no counting buffers.
 type graphFacts struct {
 	exchange   [][]int64
 	recv       []int64
@@ -208,30 +236,35 @@ func referenceGraphFacts(sc *ShardedCount, p Partitioner) graphFacts {
 	return f
 }
 
-// The prelude counts MacroNodes instead of building them. Its per-node
-// counts must equal the sizes of the shard graphs BuildShardGraphs builds,
-// and both paths must report the construction exchange and receive counts
-// of a direct per-k-mer computation, for every partitioner up to 64 nodes.
+// The prelude counts the construction all-to-all instead of building the
+// graphs. Its counts, the prelude's per-node MacroNodes and the shard
+// graphs BuildShardGraphs builds must all equal a direct per-k-mer
+// computation, for every partitioner up to 64 nodes; at 64 nodes the
+// balanced partitioner spills buckets, which endOwners resolves per word.
 func TestPreludeMacroNodesMatchShardGraphs(t *testing.T) {
 	reads := testReads(t, 20_000)
-	for _, p := range []Partitioner{HashPartitioner{}, NewMinimizerPartitioner(12), NewRebalancePartitioner(12, 1)} {
-		for _, n := range []int{1, 3, 4, 64} {
+	full, err := kmer.Count(reads, kmer.Config{K: 32, MinCount: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 3, 4, 64} {
+		for _, p := range []Partitioner{HashPartitioner{}, NewMinimizerPartitioner(12), NewRebalancePartitioner(12, 1), NewBalancedPartitioner(full, 12, n)} {
 			cfg := DefaultConfig(n)
 			cfg.Partitioner = p
 			sc, err := CountSharded(reads, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := referenceGraphFacts(sc, p)
+			counted, macroNodes := sc.construction(cfg)
 			sg, err := sc.BuildShardGraphs(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			routed, _ := sc.routeGraph(cfg)
-			want := referenceGraphFacts(sc, p)
 			for _, c := range []struct {
 				path string
 				sg   *ShardGraphs
-			}{{"BuildShardGraphs", sg}, {"routeGraph", routed}} {
+			}{{"construction", counted}, {"BuildShardGraphs", sg}} {
 				if !reflect.DeepEqual(c.sg.GraphExchange, want.exchange) {
 					t.Fatalf("%s n=%d: %s construction exchange differs from the direct computation", p.Name(), n, c.path)
 				}
@@ -248,23 +281,25 @@ func TestPreludeMacroNodesMatchShardGraphs(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, g := range sg.Graphs {
-				if got := res.PerNode[i].MacroNodes; got != g.Len() || got != want.macroNodes[i] {
-					t.Fatalf("%s n=%d node %d: prelude counts %d MacroNodes, shard graph has %d, direct key count %d",
-						p.Name(), n, i, got, g.Len(), want.macroNodes[i])
+				if got := res.PerNode[i].MacroNodes; got != want.macroNodes[i] || macroNodes[i] != got || g.Len() != got {
+					t.Fatalf("%s n=%d node %d: prelude counts %d MacroNodes, construction %d, shard graph has %d, direct key count %d",
+						p.Name(), n, i, got, macroNodes[i], g.Len(), want.macroNodes[i])
 				}
 			}
 		}
 	}
 }
 
-// A warm CountSharded allocates O(n) times at n nodes: a fixed number of
-// exact-size vectors per source and per owner, never one growing list per
-// (source, owner) pair.
+// A warm CountSharded, and a warm construction count over its result,
+// allocate O(n) times at n nodes: a fixed number of exact-size vectors per
+// source and per owner, never one growing list per (source, owner) pair
+// or one record per k-mer.
 func TestCountShardedAllocsLinearInNodes(t *testing.T) {
 	reads := testReads(t, 20_000)
 	const n = 64
 	cfg := DefaultConfig(n)
-	if _, err := CountSharded(reads, cfg); err != nil {
+	sc, err := CountSharded(reads, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
@@ -274,6 +309,11 @@ func TestCountShardedAllocsLinearInNodes(t *testing.T) {
 	})
 	if bound := float64(48 * n); allocs > bound {
 		t.Fatalf("CountSharded at n=%d allocates %v times, bound %v", n, allocs, bound)
+	}
+	sc.construction(cfg)
+	allocs = testing.AllocsPerRun(3, func() { sc.construction(cfg) })
+	if bound := float64(16 * n); allocs > bound {
+		t.Fatalf("construction count at n=%d allocates %v times, bound %v", n, allocs, bound)
 	}
 }
 
