@@ -340,7 +340,7 @@ func BenchmarkScaleOut8xTorus(b *testing.B) { benchScaleOut8x(b, false, topo.Tor
 // BenchmarkScaleOut8xDragonfly measures the BSP machine on a dragonfly
 // (all-to-all groups, per-group-pair global channels).
 func BenchmarkScaleOut8xDragonfly(b *testing.B) {
-	benchScaleOut8x(b, false, topo.DragonflyGroups(0))
+	benchScaleOut8x(b, false, topo.DragonflyGroups())
 }
 
 // BenchmarkTenancyFleet measures one multi-tenant fleet simulation: six

@@ -83,7 +83,7 @@ func main() {
 		fmt.Printf("truncated blob:       %v\n", err)
 	}
 	wrong := cfg
-	wrong.Topo = nmppak.DragonflyTopo(0)
+	wrong.Topo = nmppak.DragonflyTopo()
 	if _, err := nmppak.RestoreScaleOut(tr, wrong, saved); err != nil {
 		fmt.Printf("wrong topology:       %v\n", err)
 	}

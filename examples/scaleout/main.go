@@ -77,7 +77,7 @@ func main() {
 	for _, tc := range []nmppak.TopoConfig{
 		nmppak.DefaultTopo(),
 		nmppak.TorusTopo(0, 0),
-		nmppak.DragonflyTopo(0),
+		nmppak.DragonflyTopo(),
 	} {
 		for _, overlap := range []bool{false, true} {
 			cfg := nmppak.DefaultScaleOutConfig(8)

@@ -38,12 +38,9 @@ type Config struct {
 	// MinContigLen filters the reported contigs.
 	MinContigLen int
 	// Observer, when set, receives compaction events (used for trace
-	// capture; attach only with Batches==1 so iteration indices are
-	// unambiguous).
+	// capture). Run rejects it with more than one batch, whose compaction
+	// runs would restart the iteration indices of one trace.
 	Observer compact.Observer
-	// NaiveKmerCounting selects the unoptimized single-vector serial
-	// counting path (the "W/O SW-opt" configuration of Fig. 12).
-	NaiveKmerCounting bool
 }
 
 // StageTimes records wall-clock per pipeline stage (Fig. 5's breakdown).
@@ -90,6 +87,9 @@ func Run(reads []readsim.Read, cfg Config) (*Output, error) {
 	if cfg.Batches > len(reads) && len(reads) > 0 {
 		cfg.Batches = len(reads)
 	}
+	if cfg.Observer != nil && cfg.Batches > 1 {
+		return nil, fmt.Errorf("assemble: an Observer traces one compaction run, got %d batches", cfg.Batches)
+	}
 	out := &Output{}
 
 	// Stage A: distribute reads into batches.
@@ -101,14 +101,7 @@ func Run(reads []readsim.Read, cfg Config) (*Output, error) {
 	for bi, batch := range batches {
 		// Stage B: k-mer counting.
 		t0 = time.Now()
-		var res *kmer.Result
-		var err error
-		kcfg := kmer.Config{K: cfg.K, Workers: cfg.Workers, MinCount: cfg.MinCount}
-		if cfg.NaiveKmerCounting {
-			res, err = kmer.CountNaive(batch, kcfg)
-		} else {
-			res, err = kmer.Count(batch, kcfg)
-		}
+		res, err := kmer.Count(batch, kmer.Config{K: cfg.K, Workers: cfg.Workers, MinCount: cfg.MinCount})
 		if err != nil {
 			return nil, fmt.Errorf("assemble: batch %d: %w", bi, err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"nmppak/internal/compact"
 	"nmppak/internal/genome"
+	"nmppak/internal/kmer"
 	"nmppak/internal/metrics"
 	"nmppak/internal/readsim"
 	"nmppak/internal/trace"
@@ -143,18 +144,86 @@ func TestObserverReceivesTrace(t *testing.T) {
 	}
 }
 
+// TestNaiveAndOptimizedAgree checks the assembly's counting statistics,
+// summed over batches, against the serial reference counter run on the
+// same batches.
 func TestNaiveAndOptimizedAgree(t *testing.T) {
-	_, reads := workload(t, 3000, 10, 0, 27)
-	a, err := Run(reads, Config{K: 32, Workers: 4})
+	_, reads := workload(t, 3000, 10, 0.01, 27)
+	cfg := Config{K: 32, Workers: 4, MinCount: 2, Batches: 3}
+	out, err := Run(reads, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(reads, Config{K: 32, Workers: 1, NaiveKmerCounting: true})
+	var distinct, pruned int64
+	for _, batch := range splitBatches(reads, cfg.Batches) {
+		res, err := kmer.CountNaive(batch, kmer.Config{K: cfg.K, Workers: 1, MinCount: cfg.MinCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct += int64(len(res.Kmers))
+		pruned += res.PrunedKinds
+	}
+	if out.KmerDistinct != distinct || out.KmerPruned != pruned || pruned == 0 {
+		t.Fatalf("assembly counted %d distinct / %d pruned k-mers, the naive reference %d / %d",
+			out.KmerDistinct, out.KmerPruned, distinct, pruned)
+	}
+}
+
+// TestMinContigLenFilter checks that MinContigLen drops exactly the
+// contigs shorter than it: the filtered run reports the unfiltered run's
+// contigs of at least that length, in the same order, and nothing else.
+func TestMinContigLenFilter(t *testing.T) {
+	_, reads := workload(t, 20000, 30, 0.01, 22)
+	const minLen = 100
+	all, err := Run(reads, Config{K: 32, Workers: 4, MinCount: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Summary.TotalBases != b.Summary.TotalBases || a.Summary.N50 != b.Summary.N50 {
-		t.Fatalf("naive and optimized paths disagree: %+v vs %+v", a.Summary, b.Summary)
+	kept, err := Run(reads, Config{K: 32, Workers: 4, MinCount: 3, MinContigLen: minLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, c := range all.Contigs {
+		if c.Len() >= minLen {
+			want = append(want, c.String())
+		}
+	}
+	if len(want) == len(all.Contigs) {
+		t.Fatalf("workload has no contig shorter than %d bases; the filter is untested", minLen)
+	}
+	if len(kept.Contigs) != len(want) {
+		t.Fatalf("filter kept %d contigs, want the %d of %d at least %d bases long",
+			len(kept.Contigs), len(want), len(all.Contigs), minLen)
+	}
+	for i, c := range kept.Contigs {
+		if c.Len() < minLen || c.String() != want[i] {
+			t.Fatalf("contig %d (%d bases) is not the unfiltered run's %d-th long contig", i, c.Len(), i)
+		}
+	}
+}
+
+// TestObserverNeedsOneBatch checks that Run refuses an Observer unless the
+// run compacts once: each batch's compaction would restart the iteration
+// indices of the one trace. Batches is capped at the read count first.
+func TestObserverNeedsOneBatch(t *testing.T) {
+	_, reads := workload(t, 3000, 10, 0, 29)
+	for _, tc := range []struct {
+		name    string
+		reads   []readsim.Read
+		batches int
+		wantErr bool
+	}{
+		{"one batch", reads, 1, false},
+		{"default batches", reads, 0, false},
+		{"three batches", reads, 3, true},
+		{"two batches", reads, 2, true},
+		{"three batches of one read", reads[:1], 3, false},
+	} {
+		_, err := Run(tc.reads, Config{K: 32, Workers: 2, Batches: tc.batches, Observer: trace.NewBuilder(32)})
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: error %v, want error %v", tc.name, err, tc.wantErr)
+		}
 	}
 }
 

@@ -146,7 +146,7 @@ func (c Case) Config(fx *Fixture) (scaleout.Config, error) {
 	case topo.Torus2D:
 		cfg.Topo = topo.Torus(0, 0)
 	case topo.Dragonfly:
-		cfg.Topo = topo.DragonflyGroups(0)
+		cfg.Topo = topo.DragonflyGroups()
 	default:
 		return cfg, fmt.Errorf("conformance: unknown topology kind %v", c.Topo)
 	}

@@ -29,13 +29,13 @@ import (
 	"nmppak/internal/trace"
 )
 
-// Config parameterizes the CPU model: the machine's threads and memory
-// channels and the process flow. The per-access and compute costs are the
-// constants below, and each channel's geometry and timing internal/dram's.
+// Config parameterizes the CPU model: the machine's threads and the
+// process flow. The per-access and compute costs are the constants below,
+// and the memory (dram.Channels channels, their geometry and timing)
+// internal/dram's.
 type Config struct {
-	Threads  int // paper baseline: 64
-	Channels int
-	Flow     compact.Flow
+	Threads int // paper baseline: 64
+	Flow    compact.Flow
 }
 
 // The calibrated costs of the 64-thread dual-socket model. The constants
@@ -66,9 +66,8 @@ const (
 // (2x Xeon 8380 equivalent, Table 2).
 func DefaultConfig() Config {
 	return Config{
-		Threads:  64,
-		Channels: 8,
-		Flow:     compact.FlowSequential,
+		Threads: 64,
+		Flow:    compact.FlowSequential,
 	}
 }
 
@@ -119,20 +118,14 @@ const (
 	kMove                  // rewrite node (reallocation)
 )
 
-// Ceilings on the host geometry Validate accepts: far above any simulated
-// CPU, low enough that the per-thread and per-channel state stays bounded.
-const (
-	maxThreads  = 1 << 16
-	maxChannels = 1 << 10
-)
+// maxThreads is the most threads Validate accepts: far above any
+// simulated CPU, low enough that the per-thread state stays bounded.
+const maxThreads = 1 << 16
 
 // Validate rejects a machine the model cannot run.
 func (c Config) Validate() error {
-	if c.Threads < 1 || c.Channels < 1 {
-		return fmt.Errorf("cpumodel: need at least 1 thread and 1 channel, got %d/%d", c.Threads, c.Channels)
-	}
-	if c.Threads > maxThreads || c.Channels > maxChannels {
-		return fmt.Errorf("cpumodel: at most %d threads and %d channels, got %d/%d", maxThreads, maxChannels, c.Threads, c.Channels)
+	if c.Threads < 1 || c.Threads > maxThreads {
+		return fmt.Errorf("cpumodel: threads must be in [1, %d], got %d", maxThreads, c.Threads)
 	}
 	if err := c.Flow.Validate(); err != nil {
 		return fmt.Errorf("cpumodel: %w", err)
@@ -148,7 +141,7 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("cpumodel: nil trace")
 	}
-	channels := make([]*dram.Channel, cfg.Channels)
+	channels := make([]*dram.Channel, dram.Channels)
 	for i := range channels {
 		channels[i] = dram.NewChannel()
 	}
@@ -168,7 +161,7 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		res.BytesRead += ch.Stats.BytesRead
 		res.BytesWrite += ch.Stats.BytesWritten
 	}
-	peak := dram.PeakBytesPerCycle * float64(now) * float64(cfg.Channels)
+	peak := dram.PeakBytesPerCycle * float64(now) * float64(dram.Channels)
 	if peak > 0 {
 		res.Utilization = float64(res.BytesRead+res.BytesWrite) / peak
 	}
@@ -347,7 +340,7 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 		writeBytes = int(node.D1 + node.D2)
 	}
 
-	ch := m.chs[iter.DIMMOf(node.Key, cfg.Channels)]
+	ch := m.chs[iter.DIMMOf(node.Key, dram.Channels)]
 	rk, bk, row := addrOf(node.Key)
 
 	// Dependent pointer chase. Pure rewrites (moves) skip it, and in the

@@ -49,6 +49,11 @@ const (
 	TREFI int = 12480 // refresh interval (7.8 us)
 )
 
+// Channels is a node's channel count: eight DDR4 channels of one DIMM
+// each (Fig. 9, Table 2). The NMP engine puts its PEs in each DIMM's
+// buffer chip, and the CPU model shares the same eight channels.
+const Channels int = 8
+
 // AccessRow skips every refresh due before an access at once, which holds
 // only if a refresh ends before the next is due: this conversion fails to
 // compile unless TRFC < TREFI.

@@ -189,7 +189,7 @@ func Scaling(c *Context) (*Report, error) {
 	}{
 		{"mesh", topo.Default()},
 		{"torus", topo.Torus(0, 0)},
-		{"dfly", topo.DragonflyGroups(0)},
+		{"dfly", topo.DragonflyGroups()},
 	}
 	tt := &report.Table{
 		Title:   "Topology sweep (routed contention vs. the idealized full mesh)",

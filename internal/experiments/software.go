@@ -267,9 +267,9 @@ func Footprint(c *Context) (*Report, error) {
 		return nil, err
 	}
 
-	baseline := footprint.Estimate(gAll, resAll.TotalExtracted, 1, footprint.BaselineParams(), 0.02)
-	optWhole := footprint.Estimate(gAll, resAll.TotalExtracted, 1, footprint.OptimizedParams(), 0.02)
-	optBatched := footprint.Estimate(gBatch, resAll.TotalExtracted, 10, footprint.OptimizedParams(), 0.02)
+	baseline := footprint.Estimate(gAll, resAll.TotalExtracted, 1, footprint.BaselineParams())
+	optWhole := footprint.Estimate(gAll, resAll.TotalExtracted, 1, footprint.OptimizedParams())
+	optBatched := footprint.Estimate(gBatch, resAll.TotalExtracted, 10, footprint.OptimizedParams())
 
 	mgmt := footprint.Ratio(baseline, optWhole)
 	overall := footprint.Ratio(baseline, optBatched)

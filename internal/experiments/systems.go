@@ -352,7 +352,7 @@ func Table3(c *Context) (*Report, error) {
 	for _, r := range power.Table3() {
 		tab.AddRow(r.Name, fmt.Sprintf("%.3f", r.AreaMM2), fmt.Sprintf("%.1f", r.PowerMW))
 	}
-	s := power.Analyze(16)
+	s := power.Analyze()
 	tab.AddRow("area overhead vs 100mm^2 buffer chip", report.Percent(s.AreaOverhead), "")
 	tab.AddRow("power overhead vs 13W DIMM", "", report.Percent(s.PowerOverhead))
 	area, pw := s.PEAreaMM2, s.PEPowerMW
@@ -378,11 +378,10 @@ func HybridReport(c *Context) (*Report, error) {
 		Title:   "Hybrid CPU-NMP split vs offload threshold",
 		Headers: []string{"threshold", "CPU nodes", "CPU node frac", "CPU byte frac", "CPU/NMP time (model)"},
 	}
-	m := hybrid.DefaultOverlapModel()
 	measured := map[string]float64{}
 	for _, th := range []int{512, 1024, 2048, 4096} {
 		s := hybrid.Split(tr, th)
-		ratio := m.CPUOverNMP(s)
+		ratio := hybrid.CPUOverNMP(s)
 		tab.AddRow(fmt.Sprintf("%dB", th), s.NodesCPU, report.Percent(s.FracCPUNodes),
 			report.Percent(s.FracCPUBytes), fmt.Sprintf("%.2f", ratio))
 		if th == 1024 {

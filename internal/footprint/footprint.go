@@ -20,11 +20,17 @@ import (
 	"nmppak/internal/pakgraph"
 )
 
-// Params captures the software-organization overheads.
+// The overheads both organizations share: the per-node hash-map
+// bookkeeping (bucket, hash, key copy) in bytes, and the compacted-graph
+// residue each batch leaves behind (tens of MB in the paper) as a fraction
+// of the batch graph. Typed, so Estimate rounds as with float64 fields.
+const (
+	mapEntryOverhead float64 = 48
+	residueFraction  float64 = 0.02
+)
+
+// Params captures the overheads that differ between the organizations.
 type Params struct {
-	// MapEntryOverhead is the per-node hash-map bookkeeping (bucket,
-	// hash, key copy).
-	MapEntryOverhead int
 	// ValueCopies is how many transient copies of a node payload the
 	// by-value baseline keeps live on the call stack / in temporaries
 	// during construction and compaction (the §4.5 analysis).
@@ -41,7 +47,6 @@ type Params struct {
 // BaselineParams models the original PaKman organization.
 func BaselineParams() Params {
 	return Params{
-		MapEntryOverhead:       48,
 		ValueCopies:            1.0, // one extra live copy from by-value calls
 		VectorSlack:            1.4,
 		KmerBufferBytesPerKmer: 16, // single giant vector, repeated doubling
@@ -51,7 +56,6 @@ func BaselineParams() Params {
 // OptimizedParams models the §4.5 pointer-based organization.
 func OptimizedParams() Params {
 	return Params{
-		MapEntryOverhead:       48,
 		ValueCopies:            0, // pointers: no duplicate payloads
 		VectorSlack:            1.0,
 		KmerBufferBytesPerKmer: 9, // preallocated exact-size per-thread vectors
@@ -60,17 +64,16 @@ func OptimizedParams() Params {
 
 // Estimate computes the peak resident bytes for assembling a dataset of
 // totalKmers whose per-batch graph is g, processed in `batches` sequential
-// batches under params p. The compacted-graph residue each batch leaves
-// behind (tens of MB in the paper) is approximated by residueFraction of
-// the batch graph.
-func Estimate(g *pakgraph.Graph, totalKmers int64, batches int, p Params, residueFraction float64) int64 {
+// batches under params p, with each earlier batch's residue
+// (residueFraction of the batch graph) still resident.
+func Estimate(g *pakgraph.Graph, totalKmers int64, batches int, p Params) int64 {
 	if batches < 1 {
 		batches = 1
 	}
 	var graphBytes int64
 	for i := range g.Nodes {
 		payload := float64(g.Nodes[i].SizeBytes())
-		perNode := payload*(1+p.ValueCopies)*p.VectorSlack + float64(p.MapEntryOverhead)
+		perNode := payload*(1+p.ValueCopies)*p.VectorSlack + mapEntryOverhead
 		graphBytes += int64(perNode)
 	}
 	kmerBytes := totalKmers / int64(batches) * int64(p.KmerBufferBytesPerKmer)

@@ -32,8 +32,8 @@ func buildGraph(t testing.TB) (*pakgraph.Graph, int64) {
 
 func TestOptimizedSmallerThanBaseline(t *testing.T) {
 	g, kmers := buildGraph(t)
-	base := Estimate(g, kmers, 1, BaselineParams(), 0.02)
-	opt := Estimate(g, kmers, 1, OptimizedParams(), 0.02)
+	base := Estimate(g, kmers, 1, BaselineParams())
+	opt := Estimate(g, kmers, 1, OptimizedParams())
 	if opt >= base {
 		t.Fatalf("optimized %d >= baseline %d", opt, base)
 	}
@@ -50,9 +50,9 @@ func TestBatchingReducesFootprintRoughlyLinearly(t *testing.T) {
 	// itself is not possible here, so we check the k-mer buffer component
 	// scales and the combined §4.4+§4.5 ratio lands near the paper's 14x
 	// when the graph also shrinks 10x (simulated via a subgraph).
-	whole := Estimate(g, kmers, 1, BaselineParams(), 0.02)
+	whole := Estimate(g, kmers, 1, BaselineParams())
 	sub := subgraph(g, 10)
-	batched := Estimate(sub, kmers, 10, OptimizedParams(), 0.02)
+	batched := Estimate(sub, kmers, 10, OptimizedParams())
 	r := Ratio(whole, batched)
 	if r < 6 || r > 30 {
 		t.Fatalf("combined reduction %.1fx outside plausible range (paper: 14x)", r)

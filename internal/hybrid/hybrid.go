@@ -49,36 +49,25 @@ func Split(tr *trace.Trace, thresholdBytes int) SplitStats {
 	return s
 }
 
-// OverlapModel estimates, per iteration, the CPU-side service demand as a
-// fraction of the NMP-side demand under a simple service-rate model: NMP
-// throughput scales with PEs x channels at near-memory bandwidth, the CPU
-// with its thread count at far-memory latency. It reproduces the §4.3
-// analysis that sizes the threshold so CPU work hides under NMP work.
-type OverlapModel struct {
-	// Service cost in abstract cycles per byte on each side.
-	NMPCyclesPerByte float64
-	CPUCyclesPerByte float64
-	NMPParallelism   float64 // PEs x channels
-	CPUParallelism   float64 // threads
-}
+// The overlap model's service rates, in abstract cycles per byte and
+// parallelism: NMP throughput scales with PEs × channels at near-memory
+// bandwidth, here §4.3's cost-effective point of 16 PEs on each of the 8
+// channels (nmp.DefaultConfig has 32), and the 64-thread CPU pays ~4x per
+// byte for far-memory access and software overheads. Typed, so
+// CPUOverNMP rounds as with float64 fields.
+const (
+	nmpCyclesPerByte float64 = 0.25
+	cpuCyclesPerByte float64 = 1.0
+	nmpParallelism   float64 = 16 * 8
+	cpuParallelism   float64 = 64
+)
 
-// DefaultOverlapModel mirrors the simulator defaults (16 PEs x 8 channels
-// vs 64 threads; the CPU pays ~4x per byte for far-memory access and
-// software overheads).
-func DefaultOverlapModel() OverlapModel {
-	return OverlapModel{
-		NMPCyclesPerByte: 0.25,
-		CPUCyclesPerByte: 1.0,
-		NMPParallelism:   128,
-		CPUParallelism:   64,
-	}
-}
-
-// CPUOverNMP returns the ratio of CPU time to NMP time for a split; values
-// below 1 mean the CPU work hides completely under the NMP work.
-func (m OverlapModel) CPUOverNMP(s SplitStats) float64 {
-	nmp := float64(s.BytesNMP) * m.NMPCyclesPerByte / m.NMPParallelism
-	cpu := float64(s.BytesCPU) * m.CPUCyclesPerByte / m.CPUParallelism
+// CPUOverNMP estimates a split's CPU-side service demand as a fraction of
+// its NMP-side demand, the §4.3 analysis that sizes the threshold: below 1
+// the CPU work hides completely under the NMP work.
+func CPUOverNMP(s SplitStats) float64 {
+	nmp := float64(s.BytesNMP) * nmpCyclesPerByte / nmpParallelism
+	cpu := float64(s.BytesCPU) * cpuCyclesPerByte / cpuParallelism
 	if nmp == 0 {
 		return 0
 	}

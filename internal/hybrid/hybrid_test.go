@@ -44,16 +44,15 @@ func TestSplitDisabled(t *testing.T) {
 }
 
 func TestOverlapModel(t *testing.T) {
-	m := DefaultOverlapModel()
 	tr := synthTrace([]int{100, 100, 100, 100, 100, 100, 100, 100, 100, 2000})
 	s := Split(tr, 1024)
-	r := m.CPUOverNMP(s)
+	r := CPUOverNMP(s)
 	if r <= 0 {
 		t.Fatalf("ratio %v", r)
 	}
 	// All offloaded -> NMP side empty -> ratio defined as 0.
 	all := Split(tr, 10)
-	if got := m.CPUOverNMP(all); got == 0 && all.BytesNMP != 0 {
+	if got := CPUOverNMP(all); got == 0 && all.BytesNMP != 0 {
 		t.Fatal("inconsistent overlap")
 	}
 }

@@ -91,10 +91,10 @@ func ResumeEngine(tr *trace.Trace, cfg Config, st EngineState) (*Engine, error) 
 		return nil, fmt.Errorf("nmp: state result carries sealed totals (%d Mem entries, %d/%d bytes, %d iterations, %d cycles)",
 			len(r.Mem), r.BytesRead, r.BytesWrite, r.Iterations, r.Cycles)
 	}
-	if len(st.Channels) != cfg.Channels {
-		return nil, fmt.Errorf("nmp: state has %d channels, config has %d", len(st.Channels), cfg.Channels)
+	if len(st.Channels) != dram.Channels {
+		return nil, fmt.Errorf("nmp: state has %d channels, a node has %d", len(st.Channels), dram.Channels)
 	}
-	e := &Engine{cfg: cfg, tr: tr, channels: make([]*dram.Channel, cfg.Channels), res: st.Res, next: st.Next, clock: st.Clock}
+	e := &Engine{cfg: cfg, tr: tr, channels: make([]*dram.Channel, dram.Channels), res: st.Res, next: st.Next, clock: st.Clock}
 	for i, cs := range st.Channels {
 		ch, err := dram.ResumeChannel(cs)
 		if err != nil {

@@ -149,9 +149,9 @@ func TestEngineResumeErrors(t *testing.T) {
 			t.Errorf("ResumeEngine accepted clock %d", clock)
 		}
 	}
-	narrow := cfg
-	narrow.Channels = cfg.Channels / 2
-	if _, err := ResumeEngine(tr, narrow, st); err == nil {
+	bad = st
+	bad.Channels = st.Channels[:len(st.Channels)/2]
+	if _, err := ResumeEngine(tr, cfg, bad); err == nil {
 		t.Error("ResumeEngine accepted a channel-count mismatch")
 	}
 	// A sealed engine has folded channel stats into the result; a snapshot

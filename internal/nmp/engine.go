@@ -41,7 +41,7 @@ func NewEngine(tr *trace.Trace, cfg Config) (*Engine, error) {
 	if err := checkInputs(tr, cfg); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, tr: tr, channels: make([]*dram.Channel, cfg.Channels)}
+	e := &Engine{cfg: cfg, tr: tr, channels: make([]*dram.Channel, dram.Channels)}
 	for i := range e.channels {
 		e.channels[i] = dram.NewChannel()
 	}
@@ -152,7 +152,7 @@ func (e *Engine) Result() *Result {
 			e.res.BytesRead += ch.Stats.BytesRead
 			e.res.BytesWrite += ch.Stats.BytesWritten
 		}
-		peak := dram.PeakBytesPerCycle * float64(e.res.Cycles) * float64(e.cfg.Channels)
+		peak := dram.PeakBytesPerCycle * float64(e.res.Cycles) * float64(dram.Channels)
 		if peak > 0 {
 			e.res.Utilization = float64(e.res.BytesRead+e.res.BytesWrite) / peak
 		}

@@ -41,7 +41,7 @@ func TestEngineMisuse(t *testing.T) {
 		t.Fatal("NewEngine accepted a nil trace")
 	}
 	bad := DefaultConfig()
-	bad.Channels = 0
+	bad.PEsPerChannel = 0
 	if _, err := NewEngine(getTrace(t), bad); err == nil {
 		t.Fatal("NewEngine accepted an invalid config")
 	}

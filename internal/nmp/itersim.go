@@ -99,11 +99,11 @@ const cpuHome = -1 // nodePE value for CPU-offloaded nodes
 // simShape is every Config field an iterSim's fixed-size state depends on.
 // A pooled iterSim is reused only by an iteration of the same shape.
 type simShape struct {
-	channels, pes, p3Depth int
+	pes, p3Depth int
 }
 
 func shapeOf(cfg *Config) simShape {
-	return simShape{channels: cfg.Channels, pes: cfg.PEsPerChannel, p3Depth: cfg.P3QueueDepth}
+	return simShape{pes: cfg.PEsPerChannel, p3Depth: cfg.P3QueueDepth}
 }
 
 // iterSimPool recycles iteration scratch across StepIteration calls and
@@ -306,7 +306,7 @@ func newIterSim(shape simShape) *iterSim {
 	is.onBegin = is.begin
 	is.onCPURun = is.cpuRun
 	depth := shape.p3Depth
-	is.pes = make([]pe, shape.channels*shape.pes)
+	is.pes = make([]pe, dram.Channels*shape.pes)
 	for k := range is.pes {
 		p := &is.pes[k]
 		p.dimm, p.idx = int32(k/shape.pes), int32(k%shape.pes)
@@ -327,15 +327,15 @@ func newIterSim(shape simShape) *iterSim {
 		}
 		p.idle()
 	}
-	is.allocs = make([]allocator, shape.channels)
+	is.allocs = make([]allocator, dram.Channels)
 	for d := range is.allocs {
 		is.allocs[d] = newAllocator()
 	}
-	is.nextPE = make([]int, shape.channels)
+	is.nextPE = make([]int, dram.Channels)
 	is.peFill = make([]int32, len(is.pes))
-	is.xbarFree = make([]sim.Cycle, shape.channels*shape.pes)
-	is.bridgeOut = make([]sim.Cycle, shape.channels)
-	is.bridgeIn = make([]sim.Cycle, shape.channels)
+	is.xbarFree = make([]sim.Cycle, dram.Channels*shape.pes)
+	is.bridgeOut = make([]sim.Cycle, dram.Channels)
+	is.bridgeIn = make([]sim.Cycle, dram.Channels)
 	return is
 }
 
@@ -374,7 +374,7 @@ func (is *iterSim) reset(eng *sim.Engine, chs []*dram.Channel, cfg *Config, tr *
 	if cfg.StaticMapping {
 		q = tr.Quantiles
 	}
-	dimms := trace.NewDIMMWalk(q, cfg.Channels)
+	dimms := trace.NewDIMMWalk(q, dram.Channels)
 	for i := range iter.Nodes {
 		nd := &iter.Nodes[i]
 		d := dimms.Of(nd.Key)

@@ -34,13 +34,12 @@ import (
 	"nmppak/internal/sim"
 )
 
-// Config parameterizes the NMP system: the node geometry and the design
-// points the paper's figures and ablations vary. The rest of Table 2's
-// design point (buffers, interconnect, stage compute model, host offload
-// costs) is fixed by the constants below, and the memory (DDR4-3200
+// Config parameterizes the NMP system: the design points the paper's
+// figures and ablations vary. The rest of Table 2's design point (buffers,
+// interconnect, stage compute model, host offload costs) is fixed by the
+// constants below, and the memory (dram.Channels DDR4-3200 channels, their
 // geometry and timing) by internal/dram's.
 type Config struct {
-	Channels      int // DIMMs == channels (Fig. 9; paper: 8)
 	PEsPerChannel int // paper starts at 32; 16 is the cost-effective point
 
 	// BridgeBytesPerCy is the DIMM-to-DIMM network bridge bandwidth:
@@ -123,7 +122,6 @@ const minBridgeBytesPerCy = 1e-3
 // DefaultConfig returns the paper's system (Table 2).
 func DefaultConfig() Config {
 	return Config{
-		Channels:         8,
 		PEsPerChannel:    32,
 		BridgeBytesPerCy: 15.625, // 25 GB/s (DIMM-Link)
 
@@ -150,7 +148,7 @@ func (c Config) Fingerprint() string {
 		"PELoadQueueDepth:%d P3QueueDepth:%d IdealPE:%v ForwardingHitRate:%v "+
 		"HybridThresholdBytes:%d CPUThreads:%d CPUExtraLatency:%d CPUNodeBaseCycles:%d CPUCyclesPerByte:%v "+
 		"SyncBarrierCycles:%d StaticMapping:%v}",
-		c.Channels, c.PEsPerChannel,
+		dram.Channels, c.PEsPerChannel,
 		dram.Ranks, dram.BanksPerRank, dram.RowBytes, dram.TRCD, dram.TRP, dram.TCL, dram.TCWL, dram.TBL,
 		dram.TRAS, dram.TRRD, dram.TFAW, dram.TWR, dram.TRTP, dram.TWTR, dram.TRFC, dram.TREFI, tnScratchBytes,
 		crossbarLatency, crossbarBytesPerCy, bridgeLatency, c.BridgeBytesPerCy,
@@ -161,37 +159,33 @@ func (c Config) Fingerprint() string {
 }
 
 // Ceilings on the per-node geometry Validate accepts: far above any
-// simulated DIMM, low enough that the per-channel and per-PE state an
-// engine allocates up front stays bounded. maxP3QueueDepth likewise bounds
-// the P3QueueDepth destination-chain slots every PE allocates up front:
-// 512 times the double buffer of the paper's design.
+// simulated DIMM, low enough that the per-PE state an engine allocates up
+// front stays bounded. maxP3QueueDepth likewise bounds the P3QueueDepth
+// destination-chain slots every PE allocates up front: 512 times the
+// double buffer of the paper's design.
 //
-// maxP3Slots bounds the three together: an engine's Channels ×
+// maxP3Slots bounds the two together: an engine's dram.Channels ×
 // PEsPerChannel × P3QueueDepth destination-chain slots, about 100 bytes of
 // iteration scratch each, so an engine's scratch stays within a few
-// hundred MB. Each cap alone would allow 2^30 slots. The paper's design
-// has 512 (8 × 32 × 2) and the deepest P3 queue on it 2^18.
+// hundred MB. The two caps alone would allow 2^23 slots. The paper's
+// design has 512 (8 × 32 × 2) and the deepest P3 queue on it 2^18.
 const (
-	maxChannels      = 1 << 10
 	maxPEsPerChannel = 1 << 10
 	maxP3QueueDepth  = 1 << 10
 	maxP3Slots       = 1 << 20
 )
 
-// P3Slots is the engine's destination-chain slot count, Channels ×
+// P3Slots is the engine's destination-chain slot count, dram.Channels ×
 // PEsPerChannel × P3QueueDepth: the footprint Validate bounds by
 // maxP3Slots.
 func (c Config) P3Slots() int64 {
-	return int64(c.Channels) * int64(c.PEsPerChannel) * int64(c.P3QueueDepth)
+	return int64(dram.Channels) * int64(c.PEsPerChannel) * int64(c.P3QueueDepth)
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Channels < 1 || c.PEsPerChannel < 1 {
-		return fmt.Errorf("nmp: need at least 1 channel and 1 PE, got %d/%d", c.Channels, c.PEsPerChannel)
-	}
-	if c.Channels > maxChannels || c.PEsPerChannel > maxPEsPerChannel {
-		return fmt.Errorf("nmp: at most %d channels of %d PEs, got %d/%d", maxChannels, maxPEsPerChannel, c.Channels, c.PEsPerChannel)
+	if c.PEsPerChannel < 1 || c.PEsPerChannel > maxPEsPerChannel {
+		return fmt.Errorf("nmp: PEs per channel must be in [1, %d], got %d", maxPEsPerChannel, c.PEsPerChannel)
 	}
 	if !(c.BridgeBytesPerCy >= minBridgeBytesPerCy) {
 		return fmt.Errorf("nmp: bridge bandwidth %g B/cycle below the %g B/cycle floor", c.BridgeBytesPerCy, minBridgeBytesPerCy)
@@ -204,7 +198,7 @@ func (c Config) Validate() error {
 	}
 	if n := c.P3Slots(); n > maxP3Slots {
 		return fmt.Errorf("nmp: %d channels × %d PEs × P3 depth %d is %d P3 slots, above the %d ceiling",
-			c.Channels, c.PEsPerChannel, c.P3QueueDepth, n, maxP3Slots)
+			dram.Channels, c.PEsPerChannel, c.P3QueueDepth, n, maxP3Slots)
 	}
 	if !(c.ForwardingHitRate >= 0 && c.ForwardingHitRate <= 1) {
 		return fmt.Errorf("nmp: ForwardingHitRate %v outside [0,1]", c.ForwardingHitRate)

@@ -218,7 +218,7 @@ func TestScratchpadTracked(t *testing.T) {
 func TestValidation(t *testing.T) {
 	tr := getTrace(t)
 	bad := DefaultConfig()
-	bad.Channels = 0
+	bad.PEsPerChannel = 0
 	if _, err := Simulate(tr, bad); err == nil {
 		t.Fatal("expected validation error")
 	}

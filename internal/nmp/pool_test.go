@@ -17,7 +17,6 @@ func poolShapes() []Config {
 		cfgs = append(cfgs, c)
 	}
 	add(func(c *Config) {})
-	add(func(c *Config) { c.Channels = 4 })
 	add(func(c *Config) { c.PEsPerChannel = 4 })
 	add(func(c *Config) { c.P3QueueDepth = 1 })
 	add(func(c *Config) { c.HybridThresholdBytes = 64 })

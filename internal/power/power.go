@@ -35,7 +35,11 @@ func Totals(components []Component) (areaMM2, powerMW float64) {
 	return areaMM2, powerMW
 }
 
-// System summarizes an n-PE deployment against the host DIMM budget.
+// pesPerChip is the PE count §6.5 places in each DIMM's buffer chip: the
+// 16-PE cost-effective point of Fig. 15.
+const pesPerChip = 16
+
+// System summarizes a buffer chip's PEs against the host DIMM budget.
 type System struct {
 	PEs           int
 	PEAreaMM2     float64
@@ -48,15 +52,15 @@ type System struct {
 	PowerOverhead float64 // fraction of DIMM power
 }
 
-// Analyze computes the Table 3 bottom line for n PEs per buffer chip.
-func Analyze(n int) System {
+// Analyze computes the Table 3 bottom line for a buffer chip's PEs.
+func Analyze() System {
 	area, pw := Totals(PEDesign())
 	s := System{
-		PEs:           n,
+		PEs:           pesPerChip,
 		PEAreaMM2:     area,
 		PEPowerMW:     pw,
-		TotalAreaMM2:  area * float64(n),
-		TotalPowerMW:  pw * float64(n),
+		TotalAreaMM2:  area * pesPerChip,
+		TotalPowerMW:  pw * pesPerChip,
 		BufferChipMM2: 100,
 		DIMMPowerW:    13,
 	}
@@ -73,7 +77,7 @@ type TableRow struct {
 }
 
 // Table3 renders the paper's Table 3 rows: per-component totals, one PE,
-// and 16 PEs.
+// and a buffer chip's pesPerChip PEs.
 func Table3() []TableRow {
 	var rows []TableRow
 	for _, c := range PEDesign() {
@@ -85,6 +89,6 @@ func Table3() []TableRow {
 	}
 	pe, pw := Totals(PEDesign())
 	rows = append(rows, TableRow{Name: "PE", AreaMM2: pe, PowerMW: pw})
-	rows = append(rows, TableRow{Name: "16 PEs", AreaMM2: pe * 16, PowerMW: pw * 16})
+	rows = append(rows, TableRow{Name: fmt.Sprintf("%d PEs", pesPerChip), AreaMM2: pe * pesPerChip, PowerMW: pw * pesPerChip})
 	return rows
 }

@@ -18,7 +18,7 @@ func TestPEMatchesTable3(t *testing.T) {
 }
 
 func TestSixteenPEOverheadNegligible(t *testing.T) {
-	s := Analyze(16)
+	s := Analyze()
 	if !approx(s.TotalAreaMM2, 1.75, 0.1) {
 		t.Fatalf("16-PE area %.3f, Table 3 says 1.763", s.TotalAreaMM2)
 	}
@@ -80,7 +80,7 @@ func compareGPU(workingSetGB float64) gpuComparison {
 	if gpus < 1 {
 		gpus = 1
 	}
-	nmpPEs := 8 * 16
+	nmpPEs := 8 * pesPerChip
 	_, pePowerMW := Totals(PEDesign())
 	peArea, _ := Totals(PEDesign())
 	c := gpuComparison{

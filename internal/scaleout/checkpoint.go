@@ -477,14 +477,15 @@ func (ck *CheckpointState) matches(tr *trace.Trace, cfg Config, net topo.Network
 // parallelism while computing the (deterministic) result, so a blob may be
 // restored on a machine with a different core count. The "/0" after the
 // cadence is the text's checkpoint I/O rate slot, which reads 0 for the
-// fixed DefaultCheckpointBytesPerCycle, and nmp.Config.Fingerprint prints
-// the node model in the layout it had when all of it was settable;
-// changing the text would orphan every existing blob.
+// fixed DefaultCheckpointBytesPerCycle, and nmp.Config.Fingerprint and
+// topo.Config.Fingerprint print the node model and the interconnect in
+// the layouts they had when all of them was settable; changing the text
+// would orphan every existing blob.
 func configDigest(cfg Config, topoName string) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "nodes=%d k=%d min=%d overlap=%v part=%s topo=%s|%+v nmp=%s sw=%+v ckpt=%d/0 faults=%s",
+	fmt.Fprintf(h, "nodes=%d k=%d min=%d overlap=%v part=%s topo=%s|%s nmp=%s sw=%+v ckpt=%d/0 faults=%s",
 		cfg.Nodes, cfg.K, cfg.MinCount, cfg.Overlap,
-		cfg.Partitioner.id(), topoName, cfg.Topo, cfg.NMP.Fingerprint(), software,
+		cfg.Partitioner.id(), topoName, cfg.Topo.Fingerprint(), cfg.NMP.Fingerprint(), software,
 		cfg.CheckpointEvery, cfg.Faults.Fingerprint())
 	return h.Sum64()
 }

@@ -69,7 +69,7 @@ func TestElasticRecoveryMatrix(t *testing.T) {
 	}{
 		{"mesh", topo.Default()},
 		{"torus", topo.Torus(0, 0)},
-		{"dragonfly", topo.DragonflyGroups(0)},
+		{"dragonfly", topo.DragonflyGroups()},
 	}
 	for _, tp := range topos {
 		for _, overlap := range []bool{false, true} {

@@ -21,7 +21,7 @@ import (
 func TestOverlapNeverSlowerThanBSP(t *testing.T) {
 	reads := testReads(t, 20_000)
 	tr := testTrace(t, reads, 32, 3)
-	for _, tc := range []topo.Config{topo.Default(), topo.Torus(0, 0), topo.DragonflyGroups(0)} {
+	for _, tc := range []topo.Config{topo.Default(), topo.Torus(0, 0), topo.DragonflyGroups()} {
 		for _, n := range []int{1, 2, 4, 8} {
 			for _, p := range []Partitioner{HashPartitioner{}, NewMinimizerPartitioner(12)} {
 				bsp := DefaultConfig(n)
@@ -165,7 +165,6 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"unpriceable link", func(c *Config) { c.Topo.BytesPerCycle = 1e-300 }, "bandwidth"},
 		{"latency", func(c *Config) { c.Topo.LatencyCycles = -1 }, "latency"},
 		{"torus", func(c *Config) { c.Topo.Kind = topo.Torus2D; c.Topo.TorusX, c.Topo.TorusY = 3, 1 }, "rectangular"},
-		{"dragonfly", func(c *Config) { c.Topo.Kind = topo.Dragonfly; c.Topo.GroupSize = 3 }, "divide"},
 		{"overlap+rebalance", func(c *Config) { c.Partitioner = NewRebalancePartitioner(12, 1); c.Overlap = true }, "BSP"},
 		{"rebalance zero period", func(c *Config) { c.Partitioner = &RebalancePartitioner{M: 12} }, "Every"},
 		{"nil rebalance partitioner", func(c *Config) { c.Partitioner = (*RebalancePartitioner)(nil) }, "Partitioner"},
@@ -179,7 +178,7 @@ func TestConfigValidateErrors(t *testing.T) {
 			c.Partitioner = NewRebalancePartitioner(12, 1)
 			c.Nodes = 1<<16 + 1
 		}, "ownership table"},
-		{"nmp", func(c *Config) { c.NMP.Channels = 0 }, "channel"},
+		{"nmp", func(c *Config) { c.NMP.PEsPerChannel = 0 }, "PEs per channel"},
 	} {
 		cfg := base
 		tc.mut(&cfg)
@@ -226,7 +225,7 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 	topos := map[string]topo.Config{
 		"fullmesh":  topo.Default(),
 		"torus":     topo.Torus(0, 0),
-		"dragonfly": topo.DragonflyGroups(0),
+		"dragonfly": topo.DragonflyGroups(),
 	}
 	for name, tc := range topos {
 		t.Run(name, func(t *testing.T) {

@@ -20,6 +20,7 @@ package scaleout
 import (
 	"fmt"
 
+	"nmppak/internal/dram"
 	"nmppak/internal/nmp"
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
@@ -70,7 +71,7 @@ type probes struct {
 // records for an iters-iteration compaction phase.
 func newProbes(c *telemetry.Collector, net topo.Network, cfg Config, iters int) *probes {
 	n := cfg.Nodes
-	chs := cfg.NMP.Channels
+	chs := dram.Channels
 	pr := &probes{c: c}
 	pr.phases = c.NewTrack(telemetry.TrackRuntime, 0, "phases")
 	pr.node = make([]*telemetry.Track, n)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"nmppak/internal/dram"
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
 	"nmppak/internal/topo"
@@ -150,8 +151,8 @@ func TestTelemetryConservation(t *testing.T) {
 				case telemetry.TrackDRAM:
 					// Bus windows never overlap and sum exactly to the
 					// channel's BusBusyCycles.
-					node := trk.ID / cfg.NMP.Channels
-					ch := trk.ID % cfg.NMP.Channels
+					node := trk.ID / dram.Channels
+					ch := trk.ID % dram.Channels
 					var busy sim.Cycle
 					var at sim.Cycle
 					for i, s := range byStart(trk.Spans) {

@@ -64,15 +64,12 @@ func (d *dragonfly) AppendRoute(path []int, src, dst int) []int {
 
 // BarrierCycles prices each tree hop at the worst-case unloaded route:
 // local -> global -> local -> ingress (4 latency transitions) once the
-// machine spans more than one multi-node group; with single-node groups
-// the local forwarding hops vanish (every node is its own gateway, 2
-// transitions), and a single group is a clique (1 wire crossing).
+// machine spans more than one group (whose groups then have several
+// nodes each, see dragonflyShape); a single group is a clique (1 wire
+// crossing).
 func (d *dragonfly) BarrierCycles() sim.Cycle {
-	switch {
-	case d.groups > 1 && d.g > 1:
+	if d.groups > 1 {
 		return d.treeBarrier(4)
-	case d.groups > 1:
-		return d.treeBarrier(2)
 	}
 	return d.treeBarrier(1)
 }

@@ -41,7 +41,7 @@ func FuzzRoute(f *testing.F) {
 		case 1:
 			cfg = Torus(0, 0)
 		case 2:
-			cfg = DragonflyGroups(0)
+			cfg = DragonflyGroups()
 		}
 		net, err := cfg.Build(nodes)
 		if err != nil {

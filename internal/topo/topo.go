@@ -15,7 +15,7 @@
 //     routing; messages share the per-node directed channels of every
 //     intermediate hop, so neighboring traffic contends even when sources
 //     and destinations differ.
-//   - Dragonfly: groups of GroupSize nodes, each group an all-to-all
+//   - Dragonfly: near-square groups of nodes, each group an all-to-all
 //     clique, with one global channel per ordered group pair hosted by a
 //     deterministic gateway node; minimal routing goes local → global →
 //     local, concentrating inter-group traffic on the global channels.
@@ -58,8 +58,8 @@ func (k Kind) String() string {
 }
 
 // Config declares an interconnect: a topology family, its shape, and the
-// per-link parameters every topology shares. The zero shape fields select
-// an automatic shape (near-square torus, near-square dragonfly groups),
+// per-link parameters every topology shares. Zero torus dimensions select
+// an automatic near-square shape (dragonfly groups are always near-square),
 // so the same Config can be reused across machine sizes.
 type Config struct {
 	Kind Kind
@@ -71,9 +71,14 @@ type Config struct {
 	// TorusX, TorusY are the Torus2D dimensions; both zero auto-factors
 	// the node count into the most nearly square grid.
 	TorusX, TorusY int
-	// GroupSize is the Dragonfly group size; zero picks the smallest
-	// divisor of the node count that is >= sqrt(node count).
-	GroupSize int
+}
+
+// Fingerprint renders c in the layout %+v gave it when the dragonfly
+// group size was a field (always 0, the automatic shape, outside tests).
+// Checkpoint config digests hash this text, so it must not change.
+func (c Config) Fingerprint() string {
+	return fmt.Sprintf("{Kind:%v LatencyCycles:%d BytesPerCycle:%v TorusX:%d TorusY:%d GroupSize:0}",
+		c.Kind, c.LatencyCycles, c.BytesPerCycle, c.TorusX, c.TorusY)
 }
 
 // Default returns the default interconnect: a 25 GB/s, 1 us full mesh —
@@ -92,12 +97,11 @@ func Torus(x, y int) Config {
 	return c
 }
 
-// DragonflyGroups returns the default link parameters on a dragonfly with
-// the given group size (zero: auto).
-func DragonflyGroups(groupSize int) Config {
+// DragonflyGroups returns the default link parameters on a dragonfly of
+// near-square groups (dragonflyShape).
+func DragonflyGroups() Config {
 	c := Default()
 	c.Kind = Dragonfly
-	c.GroupSize = groupSize
 	return c
 }
 
@@ -119,24 +123,17 @@ func (c Config) torusShape(n int) (x, y int) {
 	return x, y
 }
 
-// dragonflyShape resolves the configured group size for n nodes: zero
-// picks the smallest divisor of n that is >= sqrt(n) (so groups are at
-// least as wide as they are many, the canonical dragonfly balance).
-func (c Config) dragonflyShape(n int) (groupSize int) {
-	g := c.GroupSize
-	if g == 0 {
-		start := intSqrt(n)
-		if start*start < n {
-			start++ // ceil(sqrt(n))
-		}
-		for g = start; g < n; g++ {
-			if n%g == 0 {
-				break
-			}
-		}
-		if g < 1 || n%g != 0 {
-			g = n
-		}
+// dragonflyShape is the group size for n nodes: the smallest divisor of n
+// that is >= sqrt(n), so groups are at least as wide as they are many, the
+// canonical dragonfly balance. A machine of more than one group therefore
+// never has single-node groups.
+func dragonflyShape(n int) (groupSize int) {
+	g := intSqrt(n)
+	if g*g < n {
+		g++ // ceil(sqrt(n))
+	}
+	for n%g != 0 {
+		g++
 	}
 	return g
 }
@@ -175,9 +172,8 @@ func (c Config) ValidateDegrade(factor float64) error {
 
 // Validate checks the configuration against a machine size, rejecting a
 // link bandwidth that is NaN or below minBytesPerCycle, a link latency
-// outside [0, maxLatencyCycles], and impossible shapes: a torus whose
-// dimensions do not multiply to the node count (including half-specified
-// dimensions) and a dragonfly group size that does not divide it.
+// outside [0, maxLatencyCycles], and a torus whose dimensions do not
+// multiply to the node count (including half-specified dimensions).
 func (c Config) Validate(nodes int) error {
 	if nodes < 1 {
 		return fmt.Errorf("topo: node count must be >= 1, got %d", nodes)
@@ -189,7 +185,7 @@ func (c Config) Validate(nodes int) error {
 		return fmt.Errorf("topo: link latency must be in [0, %d] cycles, got %d", int64(maxLatencyCycles), c.LatencyCycles)
 	}
 	switch c.Kind {
-	case FullMesh:
+	case FullMesh, Dragonfly:
 	case Torus2D:
 		if c.TorusX < 0 || c.TorusY < 0 {
 			return fmt.Errorf("topo: torus dimensions must be non-negative, got %dx%d", c.TorusX, c.TorusY)
@@ -197,14 +193,6 @@ func (c Config) Validate(nodes int) error {
 		x, y := c.torusShape(nodes)
 		if x < 1 || y < 1 || nodes%x != 0 || nodes/x != y { // x*y may overflow
 			return fmt.Errorf("topo: torus %dx%d is not a rectangular tiling of %d nodes", x, y, nodes)
-		}
-	case Dragonfly:
-		if c.GroupSize < 0 {
-			return fmt.Errorf("topo: dragonfly group size must be non-negative, got %d", c.GroupSize)
-		}
-		g := c.dragonflyShape(nodes)
-		if g < 1 || nodes%g != 0 {
-			return fmt.Errorf("topo: dragonfly group size %d does not divide %d nodes", g, nodes)
 		}
 	default:
 		return fmt.Errorf("topo: unknown topology kind %d", int(c.Kind))
@@ -225,7 +213,7 @@ func (c Config) Build(nodes int) (Network, error) {
 		ls.links = 2*nodes + 4*nodes
 		return &torus2D{linkSpec: ls, x: x, y: y}, nil
 	case Dragonfly:
-		g := c.dragonflyShape(nodes)
+		g := dragonflyShape(nodes)
 		groups := nodes / g
 		ls.links = 2*nodes + groups*g*(g-1) + groups*(groups-1)
 		return &dragonfly{linkSpec: ls, g: g, groups: groups}, nil

@@ -69,22 +69,15 @@ func TestFullMeshExchangeModel(t *testing.T) {
 	if build(t, lc, 5).BarrierCycles() != build(t, lc, 8).BarrierCycles() {
 		t.Fatal("5 nodes needs the same tree depth as 8")
 	}
-	// Degenerate dragonfly shapes collapse to their actual worst routes:
-	// single-node groups skip the local forwarding hops (2 latency
-	// transitions: egress -> global -> ingress), a single group is a
-	// clique priced like the mesh (1).
-	dfly := func(g int) Config {
-		c := testLink(Dragonfly)
-		c.GroupSize = g
-		return c
-	}
-	if got := build(t, dfly(1), 8).BarrierCycles(); got != 2*3*100*2 {
-		t.Fatalf("single-node-group dragonfly barrier = %d, want 1200", got)
-	}
-	if got := build(t, dfly(8), 8).BarrierCycles(); got != 2*3*100 {
+	// A dragonfly's barrier prices its actual worst route: a single
+	// group (a prime node count) is a clique priced like the mesh (1
+	// latency transition), several groups cross local -> global -> local
+	// -> ingress (4).
+	dfly := testLink(Dragonfly)
+	if got := build(t, dfly, 7).BarrierCycles(); got != 2*3*100 {
 		t.Fatalf("single-group dragonfly barrier = %d, want 600", got)
 	}
-	if got := build(t, dfly(4), 8).BarrierCycles(); got != 2*3*100*4 {
+	if got := build(t, dfly, 8).BarrierCycles(); got != 2*3*100*4 {
 		t.Fatalf("two-group dragonfly barrier = %d, want 2400", got)
 	}
 }
@@ -112,9 +105,7 @@ func TestConfigValidateShapes(t *testing.T) {
 		{"torus wider than int", Torus(1<<62+1, 4), 4, "rectangular"}, // x*y wraps to 4
 		{"torus taller than int", Torus(4, 1<<62+1), 4, "rectangular"},
 		{"prime auto torus is a ring", Torus(0, 0), 7, ""}, // 7x1 is legal
-		{"dragonfly group too big", DragonflyGroups(16), 8, "divide"},
-		{"dragonfly group non-divisor", DragonflyGroups(3), 8, "divide"},
-		{"negative dragonfly group", DragonflyGroups(-2), 8, "non-negative"},
+		{"prime dragonfly is one group", DragonflyGroups(), 7, ""},
 		{"unknown kind", Config{Kind: Kind(99), BytesPerCycle: 1}, 4, "unknown"},
 	} {
 		err := tc.cfg.Validate(tc.nodes)
@@ -145,10 +136,10 @@ func TestConfigValidateShapes(t *testing.T) {
 		{Torus(4, 2), 8, "torus4x2"},
 		{Torus(0, 0), 8, "torus4x2"},
 		{Torus(0, 0), 16, "torus4x4"},
-		{DragonflyGroups(4), 8, "dragonfly2x4"},
-		{DragonflyGroups(0), 8, "dragonfly2x4"},
-		{DragonflyGroups(0), 64, "dragonfly8x8"},
-		{DragonflyGroups(8), 8, "dragonfly1x8"}, // single group: a clique
+		{DragonflyGroups(), 8, "dragonfly2x4"},
+		{DragonflyGroups(), 12, "dragonfly3x4"},
+		{DragonflyGroups(), 64, "dragonfly8x8"},
+		{DragonflyGroups(), 7, "dragonfly1x7"}, // single group: a clique
 	} {
 		net, err := tc.cfg.Build(tc.nodes)
 		if err != nil {
@@ -166,7 +157,7 @@ func TestConfigValidateShapes(t *testing.T) {
 // and diameter are the worst.
 func TestLatencyCeilingKeepsCyclesInRange(t *testing.T) {
 	const nodes = 1 << 16
-	for _, c := range []Config{Default(), Torus(0, 0), Torus(nodes, 1), DragonflyGroups(0)} {
+	for _, c := range []Config{Default(), Torus(0, 0), Torus(nodes, 1), DragonflyGroups()} {
 		c.LatencyCycles = maxLatencyCycles
 		net := build(t, c, nodes)
 		if b := net.BarrierCycles(); b <= 0 || b >= 1<<53 {
@@ -218,7 +209,7 @@ func TestConfigValidateDegrade(t *testing.T) {
 // Routes must begin at the source's egress port, end at the destination's
 // ingress port, be minimal in length, and be deterministic.
 func TestRouteStructure(t *testing.T) {
-	for _, c := range []Config{Default(), Torus(4, 2), DragonflyGroups(4)} {
+	for _, c := range []Config{Default(), Torus(4, 2), DragonflyGroups()} {
 		net := build(t, c, 8)
 		for src := 0; src < 8; src++ {
 			for dst := 0; dst < 8; dst++ {
@@ -282,7 +273,7 @@ func TestTorusRouteLength(t *testing.T) {
 // inter-group messages cross exactly one global channel, and all traffic
 // between the same group pair shares it.
 func TestDragonflyRoutes(t *testing.T) {
-	net := build(t, DragonflyGroups(4), 8)
+	net := build(t, DragonflyGroups(), 8)
 	d := net.(*dragonfly)
 	if got := net.AppendRoute(nil, 0, 1); len(got) != 2 {
 		t.Fatalf("intra-group route %v should be direct", got)

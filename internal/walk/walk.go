@@ -19,16 +19,16 @@ import (
 	"nmppak/internal/pakgraph"
 )
 
-// Options controls contig generation.
-type Options struct {
-	// MinLen drops contigs shorter than this many bases (0 keeps all).
-	MinLen int
-}
+// Options controls contig generation. It has no fields: every contig is
+// returned and callers filter by length (assemble.Config.MinContigLen).
+// It stays so that callers outside this module, such as the benchmark
+// module, keep compiling.
+type Options struct{}
 
 // Contigs walks g and returns the spelled contigs, longest first.
 // Completed contigs finished during compaction should be appended by the
 // caller (assemble does this).
-func Contigs(g *pakgraph.Graph, opt Options) []dna.Seq {
+func Contigs(g *pakgraph.Graph, _ Options) []dna.Seq {
 	k1 := g.K1()
 	// used[i][wi] marks wire wi of g.Nodes[i] as walked.
 	used := make([][]bool, g.Len())
@@ -57,15 +57,6 @@ func Contigs(g *pakgraph.Graph, opt Options) []dna.Seq {
 		}
 	}
 
-	if opt.MinLen > 0 {
-		kept := out[:0]
-		for _, c := range out {
-			if c.Len() >= opt.MinLen {
-				kept = append(kept, c)
-			}
-		}
-		out = kept
-	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Len() != out[j].Len() {
 			return out[i].Len() > out[j].Len()

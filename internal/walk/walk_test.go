@@ -151,20 +151,6 @@ func TestContigsAreGenomeSubstrings(t *testing.T) {
 	}
 }
 
-func TestMinLenFilter(t *testing.T) {
-	g := buildGraph(t, 6, 0, readsFromStrings(strings.Repeat("ACGT", 30), "ACGTTTA"))
-	all := Contigs(g, Options{})
-	long := Contigs(g, Options{MinLen: 50})
-	if len(long) >= len(all) {
-		t.Fatalf("filter did not drop short contigs: %d vs %d", len(long), len(all))
-	}
-	for _, c := range long {
-		if c.Len() < 50 {
-			t.Fatal("short contig leaked through filter")
-		}
-	}
-}
-
 func TestContigsSortedLongestFirst(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	g := buildGraph(t, 7, 0, readsFromStrings(randDNA(r, 500), randDNA(r, 100), randDNA(r, 50)))

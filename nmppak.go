@@ -286,9 +286,8 @@ func DefaultTopo() TopoConfig { return topo.Default() }
 func TorusTopo(x, y int) TopoConfig { return topo.Torus(x, y) }
 
 // DragonflyTopo returns the default link parameters on a dragonfly of
-// all-to-all groups joined by per-group-pair global channels (zero group
-// size: auto near-square).
-func DragonflyTopo(groupSize int) TopoConfig { return topo.DragonflyGroups(groupSize) }
+// near-square all-to-all groups joined by per-group-pair global channels.
+func DragonflyTopo() TopoConfig { return topo.DragonflyGroups() }
 
 // NewRebalancePartitioner returns a measurement-driven rebalancing
 // partitioner: minimizer super-buckets of m-mers, migrated between

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nmppak"
+	"nmppak/internal/trace"
 )
 
 // TestPublicAPIEndToEnd drives the whole public surface: genome, reads,
@@ -132,7 +133,7 @@ func TestPublicScaleOutAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []nmppak.TopoConfig{nmppak.TorusTopo(2, 2), nmppak.DragonflyTopo(2)} {
+	for _, tc := range []nmppak.TopoConfig{nmppak.TorusTopo(2, 2), nmppak.DragonflyTopo()} {
 		cfg := nmppak.DefaultScaleOutConfig(4)
 		cfg.MinCount = 1
 		cfg.Topo = tc
@@ -325,8 +326,7 @@ func TestUntrustedInputsError(t *testing.T) {
 	}{
 		{"SimulateNMP/nil trace", simNMP(nil, nmppak.DefaultNMPConfig())},
 		{"SimulateNMP/zero config", simNMP(tr, nmppak.NMPConfig{})},
-		{"SimulateNMP/negative channels", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.Channels = -1 }))},
-		{"SimulateNMP/huge channels", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.Channels = huge }))},
+		{"SimulateNMP/negative PEs per channel", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.PEsPerChannel = -1 }))},
 		{"SimulateNMP/huge PEs per channel", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.PEsPerChannel = huge }))},
 		{"SimulateNMP/NaN bridge bandwidth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.BridgeBytesPerCy = nan }))},
 		{"SimulateNMP/bridge bandwidth below the floor", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.BridgeBytesPerCy = 1e-300 }))},
@@ -339,13 +339,13 @@ func TestUntrustedInputsError(t *testing.T) {
 		{"SimulateNMP/negative P3 queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.P3QueueDepth = -3 }))},
 		{"SimulateNMP/zero P3 queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.P3QueueDepth = 0 }))},
 		{"SimulateNMP/huge P3 queue depth", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) { c.P3QueueDepth = huge }))},
-		// Each geometry cap alone allows 2^30 P3 slots per engine; the
-		// footprint ceiling bounds their product.
+		// The PE and P3-depth caps together allow 2^23 P3 slots on a
+		// node's 8 channels; the footprint ceiling bounds their product.
 		{"SimulateNMP/P3 slots past the ceiling", simNMP(tr, nmpWith(func(c *nmppak.NMPConfig) {
-			c.Channels, c.PEsPerChannel, c.P3QueueDepth = 1<<10, 1<<10, 1<<10
+			c.PEsPerChannel, c.P3QueueDepth = 1<<10, 1<<10
 		}))},
 		{"NewNMPEngine/P3 slots past the ceiling", func() error {
-			_, err := nmppak.NewNMPEngine(tr, nmpWith(func(c *nmppak.NMPConfig) { c.Channels, c.PEsPerChannel = 1<<10, 1<<10 }))
+			_, err := nmppak.NewNMPEngine(tr, nmpWith(func(c *nmppak.NMPConfig) { c.PEsPerChannel, c.P3QueueDepth = 1<<10, 1<<8 }))
 			return err
 		}},
 		{"NewNMPEngine/nil trace", func() error { _, err := nmppak.NewNMPEngine(nil, nmppak.DefaultNMPConfig()); return err }},
@@ -353,9 +353,7 @@ func TestUntrustedInputsError(t *testing.T) {
 		{"SimulateCPU/nil trace", simCPU(nil, nmppak.DefaultCPUConfig())},
 		{"SimulateCPU/zero config", simCPU(tr, nmppak.CPUConfig{})},
 		{"SimulateCPU/negative threads", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Threads = -1 }))},
-		{"SimulateCPU/zero channels", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Channels = 0 }))},
 		{"SimulateCPU/huge threads", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Threads = huge }))},
-		{"SimulateCPU/huge channels", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Channels = huge }))},
 		{"SimulateCPU/unknown flow", simCPU(tr, cpuWith(func(c *nmppak.CPUConfig) { c.Flow = 7 }))},
 		{"SimulateGPU/nil trace", simGPU(nil, nmppak.DefaultGPUConfig())},
 		{"SimulateGPU/zero config", simGPU(tr, nmppak.GPUConfig{})},
@@ -364,6 +362,10 @@ func TestUntrustedInputsError(t *testing.T) {
 		{"Assemble/zero config", func() error { _, err := nmppak.Assemble(reads, nmppak.AssemblyConfig{}); return err }},
 		{"Assemble/k above 32", func() error { _, err := nmppak.Assemble(reads, nmppak.AssemblyConfig{K: 33}); return err }},
 		{"Assemble/unknown flow", func() error { _, err := nmppak.Assemble(reads, nmppak.AssemblyConfig{K: 32, Flow: 7}); return err }},
+		{"Assemble/observer on several batches", func() error {
+			_, err := nmppak.Assemble(reads, nmppak.AssemblyConfig{K: 32, Batches: 3, Observer: trace.NewBuilder(32)})
+			return err
+		}},
 		{"CaptureTrace/zero k", func() error { _, _, err := nmppak.CaptureTrace(reads, 0, 0, 0); return err }},
 		{"CaptureTrace/negative k", func() error { _, _, err := nmppak.CaptureTrace(reads, -5, 0, 0); return err }},
 		{"CountKmers/zero k", func() error { _, err := nmppak.CountKmers(reads, 0, 0); return err }},
