@@ -1,6 +1,6 @@
-// Command nmppak assembles short reads (FASTQ) into contigs (FASTA) with
-// the PaKman pipeline, optionally simulating the run on the NMP-PaK
-// hardware model.
+// Command nmppak assembles short reads (FASTQ or FASTA, told apart by
+// the first non-blank byte) into contigs (FASTA) with the PaKman
+// pipeline, optionally simulating the run on the NMP-PaK hardware model.
 //
 // Usage:
 //
@@ -9,8 +9,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -23,7 +25,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("nmppak: ")
 	var (
-		in        = flag.String("in", "", "input FASTQ file (required)")
+		in        = flag.String("in", "", "input FASTQ or FASTA file (required)")
 		out       = flag.String("out", "contigs.fasta", "output FASTA file")
 		k         = flag.Int("k", 32, "k-mer length (2..32)")
 		minCount  = flag.Int("min-count", 3, "k-mer pruning threshold")
@@ -48,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	recs, err := fastx.ReadFastq(f)
+	recs, err := readReads(f)
 	f.Close()
 	if err != nil {
 		log.Fatal(err)
@@ -96,6 +98,33 @@ func main() {
 	log.Printf("assembled %d contigs, N50 %d, total %d bp",
 		aout.Summary.Contigs, aout.Summary.N50, aout.Summary.TotalBases)
 	writeContigs(*out, aout.Contigs, *minContig)
+}
+
+// readReads reads FASTQ or FASTA records, the format chosen by the first
+// byte that is not blank: '@' or '>'. An input of blanks holds no reads;
+// any other first byte is an error.
+func readReads(r io.Reader) ([]fastx.Record, error) {
+	br := bufio.NewReader(r)
+	for {
+		b, err := br.ReadByte()
+		if err == io.EOF {
+			return nil, nil
+		} else if err != nil {
+			return nil, err
+		}
+		// UnreadByte cannot fail right after a ReadByte.
+		switch b {
+		case ' ', '\t', '\r', '\n':
+			continue
+		case '@':
+			_ = br.UnreadByte()
+			return fastx.ReadFastq(br)
+		case '>':
+			_ = br.UnreadByte()
+			return fastx.ReadFasta(br)
+		}
+		return nil, fmt.Errorf("input starts with %q, neither FASTQ ('@') nor FASTA ('>')", b)
+	}
 }
 
 // acgtRuns splits a read at every base outside ACGT (an N, say) and keeps

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
+
+	"nmppak/internal/fastx"
 )
 
 // A read with non-ACGT bases keeps its ACGT runs of at least k bases; the
@@ -28,6 +32,33 @@ func TestACGTRuns(t *testing.T) {
 		if !slices.Equal(runs, c.runs) || dropped != c.dropped {
 			t.Errorf("%s: acgtRuns(%q, %d) = %q, %d dropped; want %q, %d",
 				c.name, c.seq, c.k, runs, dropped, c.runs, c.dropped)
+		}
+	}
+}
+
+// The -in file is FASTQ or FASTA by its first non-blank byte; a file
+// that starts with anything else is an error, not an empty read set.
+func TestReadReads(t *testing.T) {
+	want := []fastx.Record{{ID: "r1", Seq: "ACGTACGT"}, {ID: "r2", Seq: "GGCCAA"}}
+	fastq := []fastx.Record{{ID: "r1", Seq: "ACGTACGT", Qual: "IIIIIIII"}, {ID: "r2", Seq: "GGCCAA", Qual: "IIIIII"}}
+	for _, c := range []struct {
+		name, in string
+		want     []fastx.Record
+	}{
+		{"FASTQ", "@r1\nACGTACGT\n+\nIIIIIIII\n@r2\nGGCCAA\n+\nIIIIII\n", fastq},
+		{"FASTQ after blank lines", "\n \r\n@r1\nACGTACGT\n+\nIIIIIIII\n@r2\nGGCCAA\n+\nIIIIII\n", fastq},
+		{"FASTA", ">r1\nACGT\nACGT\n>r2\nGGCCAA\n", want},
+		{"FASTA after blank lines", "\t\n\n>r1\nACGTACGT\n>r2\nGGCC\nAA\n", want},
+		{"blank", " \n\n", nil},
+	} {
+		got, err := readReads(strings.NewReader(c.in))
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: readReads = %+v, %v; want %+v", c.name, got, err, c.want)
+		}
+	}
+	for _, in := range []string{"ACGTACGT\n", "\n#r1\nACGT\n"} {
+		if recs, err := readReads(strings.NewReader(in)); err == nil {
+			t.Errorf("readReads(%q) = %+v with no error; want an error for neither FASTQ nor FASTA", in, recs)
 		}
 	}
 }

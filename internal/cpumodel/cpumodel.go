@@ -141,11 +141,10 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("cpumodel: nil trace")
 	}
-	channels := make([]*dram.Channel, dram.Channels)
-	for i := range channels {
-		channels[i] = dram.NewChannel()
+	m := &machine{cfg: cfg, tr: tr, rngState: 0x9e3779b97f4a7c15}
+	for i := range m.chs {
+		m.chs[i] = dram.NewChannel(&m.mem[i])
 	}
-	m := &machine{cfg: cfg, chs: channels, tr: tr, rngState: 0x9e3779b97f4a7c15}
 	var now sim.Cycle
 	for it := range tr.Iterations {
 		now = m.runIteration(&tr.Iterations[it], now)
@@ -156,10 +155,11 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		Breakdown:  m.bd,
 		Iterations: len(tr.Iterations),
 	}
-	for _, ch := range channels {
-		res.Mem = append(res.Mem, ch.Stats)
-		res.BytesRead += ch.Stats.BytesRead
-		res.BytesWrite += ch.Stats.BytesWritten
+	for i := range m.mem {
+		st := &m.mem[i].Stats
+		res.Mem = append(res.Mem, *st)
+		res.BytesRead += st.BytesRead
+		res.BytesWrite += st.BytesWritten
 	}
 	peak := dram.PeakBytesPerCycle * float64(now) * float64(dram.Channels)
 	if peak > 0 {
@@ -170,7 +170,8 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 
 type machine struct {
 	cfg Config
-	chs []*dram.Channel
+	mem [dram.Channels]dram.ChannelState
+	chs [dram.Channels]dram.Channel // chs[i] runs on mem[i]
 	tr  *trace.Trace
 	bd  Breakdown
 	// eng is reused across passes; its event buckets come from the sim
@@ -340,7 +341,7 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 		writeBytes = int(node.D1 + node.D2)
 	}
 
-	ch := m.chs[iter.DIMMOf(node.Key, dram.Channels)]
+	ch := &m.chs[iter.DIMMOf(node.Key, dram.Channels)]
 	rk, bk, row := addrOf(node.Key)
 
 	// Dependent pointer chase. Pure rewrites (moves) skip it, and in the

@@ -13,10 +13,11 @@
 // one row of one bank, which is exactly how MacroNodes are laid out (the
 // paper leans on MacroNodes fitting the 8 KB row buffer; see §3.4).
 //
-// The live state is the snapshot type: a Channel runs on its embedded
-// ChannelState (state.go), so State is a plain deep copy and
-// ResumeChannel checks a decoded ChannelState against the constants and
-// adopts it — one shape for the running model and its checkpoint.
+// The live state is the snapshot type: a Channel runs in place on a
+// ChannelState (state.go), a fixed-size value whose arrays the geometry
+// constants size, so a snapshot is an assignment and ResumeChannel only
+// checks a decoded state's timing invariants before running on it — one
+// shape for the running model and its checkpoint.
 package dram
 
 import (
@@ -92,9 +93,10 @@ type Stats struct {
 func (s *Stats) TotalBytes() int64 { return s.BytesRead + s.BytesWritten }
 
 // Channel is one DDR4 channel with its banks and shared data bus, running
-// on its embedded ChannelState.
+// in place on a ChannelState it does not own: NewChannel and
+// ResumeChannel bind it to the caller's state.
 type Channel struct {
-	ChannelState
+	*ChannelState
 	// probe, when non-nil, receives one data-bus occupancy span per burst
 	// train (nil = telemetry disabled, zero overhead beyond one branch).
 	probe *telemetry.Track
@@ -105,20 +107,16 @@ type Channel struct {
 // global time with Track.ShiftRange.
 func (ch *Channel) SetProbe(t *telemetry.Track) { ch.probe = t }
 
-// NewChannel builds an idle channel: every bank closed, every rank's
-// first refresh due at TREFI.
-func NewChannel() *Channel {
-	ch := &Channel{}
-	ch.Banks = make([][]BankState, Ranks)
-	for r := range ch.Banks {
-		ch.Banks[r] = make([]BankState, BanksPerRank)
-		for b := range ch.Banks[r] {
-			ch.Banks[r][b].OpenRow = -1
+// NewChannel sets st to an idle channel's state — every bank closed,
+// every rank's first refresh due at TREFI — and returns a channel running
+// on it.
+func NewChannel(st *ChannelState) Channel {
+	*st = ChannelState{}
+	for r := range st.Banks {
+		for b := range st.Banks[r] {
+			st.Banks[r][b].OpenRow = -1
 		}
-	}
-	ch.Ranks = make([]RankState, Ranks)
-	for r := range ch.Ranks {
-		rk := &ch.Ranks[r]
+		rk := &st.Ranks[r]
 		rk.NextRefresh = sim.Cycle(TREFI)
 		rk.LastActAt = farPast
 		rk.WrDataEnd = farPast
@@ -126,7 +124,7 @@ func NewChannel() *Channel {
 			rk.ActTimes[i] = farPast
 		}
 	}
-	return ch
+	return Channel{ChannelState: st}
 }
 
 // BlocksFor returns the number of 64 B bursts needed for n bytes.
@@ -161,8 +159,9 @@ func (ch *Channel) AccessRow(earliest sim.Cycle, rk, bk, row, blocks int, write 
 		}
 		r.NextRefresh = last + trefi
 		// A refresh closes all rows in the rank.
-		for i := range ch.Banks[rk] {
-			ch.Banks[rk][i].HasOpen = false
+		banks := &ch.Banks[rk]
+		for i := range banks {
+			banks[i].HasOpen = false
 		}
 	}
 

@@ -7,8 +7,14 @@ import (
 	"nmppak/internal/sim"
 )
 
+// idle returns a channel running on an idle state of its own.
+func idle() *Channel {
+	ch := NewChannel(new(ChannelState))
+	return &ch
+}
+
 func TestRowHitFasterThanMiss(t *testing.T) {
-	ch := NewChannel()
+	ch := idle()
 	// First access: row miss (ACT + RCD + CL + BL).
 	d1 := ch.AccessRow(0, 0, 0, 5, 1, false)
 	wantMiss := sim.Cycle(TRCD + TCL + TBL)
@@ -26,7 +32,7 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 }
 
 func TestRowConflictRequiresPrecharge(t *testing.T) {
-	ch := NewChannel()
+	ch := idle()
 	d1 := ch.AccessRow(0, 0, 0, 5, 1, false)
 	// Different row in the same bank: PRE + ACT. tRAS from the first ACT
 	// dominates the earliest PRE.
@@ -43,12 +49,12 @@ func TestRowConflictRequiresPrecharge(t *testing.T) {
 func TestBankParallelismBeatsSameBank(t *testing.T) {
 	// 8 single-burst accesses to different rows: across banks they overlap
 	// (bus-limited), in one bank they serialize on tRC-ish gaps.
-	same := NewChannel()
+	same := idle()
 	var doneSame sim.Cycle
 	for i := 0; i < 8; i++ {
 		doneSame = same.AccessRow(0, 0, 0, i, 1, false)
 	}
-	diff := NewChannel()
+	diff := idle()
 	var doneDiff sim.Cycle
 	for i := 0; i < 8; i++ {
 		d := diff.AccessRow(0, 0, i, 0, 1, false)
@@ -67,7 +73,7 @@ func utilization(s *Stats, end sim.Cycle) float64 {
 }
 
 func TestStreamingApproachesPeakBandwidth(t *testing.T) {
-	ch := NewChannel()
+	ch := idle()
 	// Stream 128 blocks (one full row) repeatedly across banks.
 	var done sim.Cycle
 	for b := 0; b < 16; b++ {
@@ -83,7 +89,7 @@ func TestStreamingApproachesPeakBandwidth(t *testing.T) {
 }
 
 func TestUtilizationNeverExceedsPeak(t *testing.T) {
-	ch := NewChannel()
+	ch := idle()
 	var done sim.Cycle
 	for i := 0; i < 200; i++ {
 		d := ch.AccessRow(sim.Cycle(i), i%2, i%16, i%7, 1+i%9, i%3 == 0)
@@ -100,7 +106,7 @@ func TestUtilizationNeverExceedsPeak(t *testing.T) {
 }
 
 func TestWriteReadTurnaround(t *testing.T) {
-	ch := NewChannel()
+	ch := idle()
 	dw := ch.AccessRow(0, 0, 0, 3, 1, true)
 	dr := ch.AccessRow(dw, 0, 0, 3, 1, false)
 	// Read data cannot start before write data end + tWTR + tCL.
@@ -110,7 +116,7 @@ func TestWriteReadTurnaround(t *testing.T) {
 }
 
 func TestMonotoneNonDecreasingCompletion(t *testing.T) {
-	ch := NewChannel()
+	ch := idle()
 	var prev sim.Cycle
 	for i := 0; i < 500; i++ {
 		d := ch.AccessRow(prev, (i/16)%2, i%16, i%3, 1+(i%4), i%5 == 0)
@@ -122,7 +128,7 @@ func TestMonotoneNonDecreasingCompletion(t *testing.T) {
 }
 
 func TestRefreshInterference(t *testing.T) {
-	ch := NewChannel()
+	ch := idle()
 	// Access right at the refresh deadline: should be pushed past tRFC.
 	at := sim.Cycle(TREFI)
 	d := ch.AccessRow(at, 0, 0, 0, 1, false)
@@ -132,7 +138,7 @@ func TestRefreshInterference(t *testing.T) {
 }
 
 func TestEarliestRespected(t *testing.T) {
-	ch := NewChannel()
+	ch := idle()
 	d := ch.AccessRow(1000, 0, 0, 0, 1, false)
 	if d < 1000 {
 		t.Fatalf("completed %d before earliest 1000", d)
@@ -171,7 +177,7 @@ func TestRefreshSkipMatchesPerIntervalWalk(t *testing.T) {
 			}
 			next += trefi
 		}
-		ch := NewChannel()
+		ch := idle()
 		want := start + sim.Cycle(TRCD+TCL+TBL)
 		if got := ch.AccessRow(at, 0, 0, 0, 1, false); got != want {
 			t.Errorf("access at %d done %d, want %d", at, got, want)
@@ -182,8 +188,8 @@ func TestRefreshSkipMatchesPerIntervalWalk(t *testing.T) {
 	}
 }
 
-// State is a deep copy, and ResumeChannel continues from it exactly as the
-// donor channel does.
+// A channel's state copies by assignment, and ResumeChannel continues from
+// the copy exactly as the donor channel does.
 func TestStateResumeEquivalence(t *testing.T) {
 	access := func(ch *Channel, from, to int) sim.Cycle {
 		var d sim.Cycle
@@ -192,30 +198,28 @@ func TestStateResumeEquivalence(t *testing.T) {
 		}
 		return d
 	}
-	donor := NewChannel()
+	donor := idle()
 	access(donor, 0, 300)
-	st := donor.State()
+	st := *donor.ChannelState
 	want := access(donor, 300, 900)
-	ch, err := ResumeChannel(st)
+	ch, err := ResumeChannel(&st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := access(ch, 300, 900); got != want || ch.Stats != donor.Stats || ch.BusFree != donor.BusFree {
+	if got := access(&ch, 300, 900); got != want || ch.Stats != donor.Stats || ch.BusFree != donor.BusFree {
 		t.Fatalf("resumed channel diverged: done %d vs %d, stats %+v vs %+v", got, want, ch.Stats, donor.Stats)
 	}
 }
 
 // ResumeChannel is the check a decoded checkpoint's DRAM state passes
-// through: a shape that does not match the geometry, or a rank state the
-// timing model never produces, is an error.
+// through: a bank, rank or bus state the timing model never produces is
+// an error. The state's shape is the geometry's by type; a wire list of
+// another length is the codec's to reject (internal/scaleout).
 func TestResumeChannelRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		edit func(*ChannelState)
 	}{
-		{"missing rank", func(s *ChannelState) { s.Banks, s.Ranks = s.Banks[:1], s.Ranks[:1] }},
-		{"bank rows and rank entries disagree", func(s *ChannelState) { s.Ranks = s.Ranks[:1] }},
-		{"short bank row", func(s *ChannelState) { s.Banks[1] = s.Banks[1][:3] }},
 		{"ActPtr past the ring", func(s *ChannelState) { s.Ranks[0].ActPtr = 4 }},
 		{"negative ActPtr", func(s *ChannelState) { s.Ranks[1].ActPtr = -1 }},
 		{"NextRefresh before TREFI", func(s *ChannelState) { s.Ranks[0].NextRefresh = sim.Cycle(TREFI) - 1 }},
@@ -231,16 +235,16 @@ func TestResumeChannelRejects(t *testing.T) {
 		{"LastActAt before the far past", func(s *ChannelState) { s.Ranks[0].LastActAt = farPast - 1 }},
 		{"WrDataEnd past the ceiling", func(s *ChannelState) { s.Ranks[1].WrDataEnd = math.MaxInt64 }},
 	} {
-		st := NewChannel().State()
-		tc.edit(&st)
+		st := idle().ChannelState
+		tc.edit(st)
 		if _, err := ResumeChannel(st); err == nil {
 			t.Errorf("%s: ResumeChannel accepted the state", tc.name)
 		}
 	}
-	if _, err := ResumeChannel(NewChannel().State()); err != nil {
+	if _, err := ResumeChannel(idle().ChannelState); err != nil {
 		t.Fatalf("ResumeChannel rejected a fresh channel's state: %v", err)
 	}
-	edge := NewChannel().State()
+	edge := idle().ChannelState
 	edge.BusFree, edge.Banks[0][0].ActAt, edge.Ranks[1].LastActAt = MaxCycle, MaxCycle, farPast
 	if _, err := ResumeChannel(edge); err != nil {
 		t.Fatalf("ResumeChannel rejected timestamps at the bounds: %v", err)

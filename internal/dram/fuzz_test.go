@@ -148,8 +148,8 @@ func FuzzAccessRow(f *testing.F) {
 		access{step: 0, flags: accBack, row: 2, blocks: 0},
 	))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ch := NewChannel()
-		ref := refChannel{NewChannel().State()}
+		ch := idle()
+		ref := refChannel{*idle().ChannelState}
 		var now sim.Cycle
 		for i := 0; i+6 <= len(data) && i < 6*256; i += 6 {
 			a := access{uint16(data[i]) | uint16(data[i+1])<<8, data[i+2], data[i+3], uint16(data[i+4]) | uint16(data[i+5])<<8}
@@ -172,7 +172,7 @@ func FuzzAccessRow(f *testing.F) {
 					i/6, earliest, rk, bk, row, blocks, write, got, want)
 			}
 		}
-		if got := ch.State(); !reflect.DeepEqual(got, ref.ChannelState) {
+		if got := *ch.ChannelState; !reflect.DeepEqual(got, ref.ChannelState) {
 			t.Fatalf("final state %+v, reference %+v", got, ref.ChannelState)
 		}
 	})

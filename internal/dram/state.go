@@ -27,68 +27,49 @@ type RankState struct {
 
 // ChannelState is a channel's complete timing state: every bank and rank
 // timing constraint, the data-bus reservation pointer and the accumulated
-// statistics. A Channel runs on it directly, so a snapshot is a deep copy
-// and a resume adopts a decoded one — the channel's behaviour is a pure
-// function of (ChannelState, access stream).
+// statistics. It is a plain value sized by the geometry constants, so a
+// snapshot is an assignment. A Channel runs on one in place — the
+// channel's behaviour is a pure function of (ChannelState, access
+// stream).
 type ChannelState struct {
-	Banks [][]BankState // [rank][bank]
-	Ranks []RankState
+	Banks [Ranks][BanksPerRank]BankState // [rank][bank]
+	Ranks [Ranks]RankState
 	// BusFree is the earliest cycle at which the next data burst may begin.
 	BusFree sim.Cycle
 	Stats   Stats
 }
 
-// State deep-copies the channel's timing state.
-func (ch *Channel) State() ChannelState {
-	st := ch.ChannelState
-	st.Banks = make([][]BankState, len(ch.Banks))
-	for r := range ch.Banks {
-		st.Banks[r] = append([]BankState(nil), ch.Banks[r]...)
-	}
-	st.Ranks = append([]RankState(nil), ch.Ranks...)
-	return st
-}
-
-// ResumeChannel builds a channel that continues from st — typically
-// decoded from a checkpoint, so untrusted. It checks st's shape against
-// Ranks and BanksPerRank and the invariants the timing model keeps (every
-// ActPtr indexes ActTimes; no rank's next refresh lies before the first,
-// at TREFI; every bank, rank and bus timestamp lies in [farPast,
-// MaxCycle], so no later sum wraps), then adopts st: the channel owns
-// st's slices.
-func ResumeChannel(st ChannelState) (*Channel, error) {
-	if len(st.Banks) != Ranks || len(st.Ranks) != Ranks {
-		return nil, fmt.Errorf("dram: state has %d ranks (%d rank entries), want %d",
-			len(st.Banks), len(st.Ranks), Ranks)
-	}
-	for r, banks := range st.Banks {
-		if len(banks) != BanksPerRank {
-			return nil, fmt.Errorf("dram: state rank %d has %d banks, want %d", r, len(banks), BanksPerRank)
-		}
-		for b := range banks {
-			bk := &banks[b]
+// ResumeChannel returns a channel that continues from st in place — st
+// typically decoded from a checkpoint, so untrusted. It first checks the
+// invariants the timing model keeps: every ActPtr indexes ActTimes; no
+// rank's next refresh lies before the first, at TREFI; every bank, rank
+// and bus timestamp lies in [farPast, MaxCycle], so no later sum wraps.
+func ResumeChannel(st *ChannelState) (Channel, error) {
+	for r := range st.Banks {
+		for b := range st.Banks[r] {
+			bk := &st.Banks[r][b]
 			if !inRange(bk.ActAt, bk.ReadyPre, bk.ReadyCmd, bk.PreDoneAt) {
-				return nil, fmt.Errorf("dram: state rank %d bank %d holds a timestamp outside [%d, %d]", r, b, farPast, MaxCycle)
+				return Channel{}, fmt.Errorf("dram: state rank %d bank %d holds a timestamp outside [%d, %d]", r, b, farPast, MaxCycle)
 			}
 		}
 	}
 	if !inRange(st.BusFree) {
-		return nil, fmt.Errorf("dram: state bus free at %d, outside [%d, %d]", st.BusFree, farPast, MaxCycle)
+		return Channel{}, fmt.Errorf("dram: state bus free at %d, outside [%d, %d]", st.BusFree, farPast, MaxCycle)
 	}
 	for r := range st.Ranks {
 		rk := &st.Ranks[r]
 		if rk.ActPtr < 0 || rk.ActPtr >= len(rk.ActTimes) {
-			return nil, fmt.Errorf("dram: state rank %d ActPtr %d outside [0, %d)", r, rk.ActPtr, len(rk.ActTimes))
+			return Channel{}, fmt.Errorf("dram: state rank %d ActPtr %d outside [0, %d)", r, rk.ActPtr, len(rk.ActTimes))
 		}
 		if rk.NextRefresh < sim.Cycle(TREFI) {
-			return nil, fmt.Errorf("dram: state rank %d NextRefresh %d before the first refresh at TREFI %d", r, rk.NextRefresh, TREFI)
+			return Channel{}, fmt.Errorf("dram: state rank %d NextRefresh %d before the first refresh at TREFI %d", r, rk.NextRefresh, TREFI)
 		}
 		a := rk.ActTimes
 		if !inRange(a[0], a[1], a[2], a[3], rk.LastActAt, rk.WrDataEnd, rk.NextRefresh) {
-			return nil, fmt.Errorf("dram: state rank %d holds a timestamp outside [%d, %d]", r, farPast, MaxCycle)
+			return Channel{}, fmt.Errorf("dram: state rank %d holds a timestamp outside [%d, %d]", r, farPast, MaxCycle)
 		}
 	}
-	return &Channel{ChannelState: st}, nil
+	return Channel{ChannelState: st}, nil
 }
 
 // inRange reports whether every timestamp lies in [farPast, MaxCycle].

@@ -8,6 +8,8 @@ package nmp
 import (
 	"runtime/debug"
 	"testing"
+
+	"nmppak/internal/dram"
 )
 
 // A warm StepIteration resets pooled scratch in place: a whole Simulate
@@ -34,5 +36,36 @@ func TestSimulateAllocsIndependentOfPECount(t *testing.T) {
 	if d := wide - narrow; d > 8 || d < -8 {
 		t.Fatalf("Simulate allocates %.0f times with 32 PEs/channel and %.0f with 4 (%d iterations): scratch is rebuilt per step",
 			wide, narrow, len(tr.Iterations))
+	}
+}
+
+// An engine's channel states are one block: NewEngine allocates the
+// engine and the block, and ResumeEngine only the engine, adopting the
+// snapshot's block. Neither count grows with dram.Channels.
+func TestEngineAllocsIndependentOfChannels(t *testing.T) {
+	tr := getTrace(t)
+	cfg := DefaultConfig()
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := NewEngine(tr, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2 {
+		t.Errorf("NewEngine makes %v allocations for %d channels, want at most 2 (the engine and its channel block)", got, dram.Channels)
+	}
+	e, err := NewEngine(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.StepIteration()
+	st, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := ResumeEngine(tr, cfg, st); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Errorf("ResumeEngine makes %v allocations for %d channels, want at most 1 (the engine)", got, dram.Channels)
 	}
 }

@@ -23,42 +23,34 @@ type EngineState struct {
 	// Res is the mid-run accumulated result (aggregate fields unsealed:
 	// Result() has not been called).
 	Res Result
-	// Channels holds one timing snapshot per DRAM channel.
-	Channels []dram.ChannelState
+	// Channels is the block of every DRAM channel's timing state, one
+	// allocation per engine, so a state passes it on without copying it.
+	Channels *[dram.Channels]dram.ChannelState
 }
 
 // View returns the engine's quiescent state without copying it: the
-// result's iteration timings and every channel's bank and rank arrays are
-// the engine's live ones, so the view is valid until the next
-// StepIteration, and the caller must not modify it or resume from it.
-// The engine must not yet be sealed by Result(), so its result has no
-// per-channel Mem totals.
+// result's iteration timings and the channel block are the engine's live
+// ones, so the view is valid until the next StepIteration, and the caller
+// must not modify it or resume from it. The engine must not yet be sealed
+// by Result(), so its result has no per-channel Mem totals.
 func (e *Engine) View() (EngineState, error) {
 	if e.final {
 		return EngineState{}, fmt.Errorf("nmp: engine state read after Result")
 	}
-	if e.view == nil {
-		e.view = make([]dram.ChannelState, len(e.channels))
-	}
-	for i, ch := range e.channels {
-		e.view[i] = ch.ChannelState
-	}
-	return EngineState{Next: e.next, Clock: e.clock, Res: e.res, Channels: e.view}, nil
+	return EngineState{Next: e.next, Clock: e.clock, Res: e.res, Channels: e.mem}, nil
 }
 
-// Snapshot deep-copies the engine's state: View with none of the
-// engine's memory, so it stays valid as the engine steps on and may be
-// resumed.
+// Snapshot copies the engine's state: View with none of the engine's
+// memory — the iteration timings and the channel block copied once — so
+// it stays valid as the engine steps on and may be resumed.
 func (e *Engine) Snapshot() (EngineState, error) {
 	st, err := e.View()
 	if err != nil {
 		return EngineState{}, err
 	}
 	st.Res.PerIter = append([]IterTiming(nil), st.Res.PerIter...)
-	st.Channels = make([]dram.ChannelState, len(e.channels))
-	for i, ch := range e.channels {
-		st.Channels[i] = ch.State()
-	}
+	mem := *e.mem
+	st.Channels = &mem
 	return st, nil
 }
 
@@ -66,13 +58,14 @@ func (e *Engine) Snapshot() (EngineState, error) {
 // trace and configuration the snapshot was taken under, positioned to step
 // iteration st.Next. Iterations before st.Next are never read again, so a
 // caller that reconstructs tr may substitute empty placeholders for them.
-// Every channel state is checked by dram.ResumeChannel, since st is
-// typically decoded from an untrusted blob; so are the clock, which must
-// lie in [0, dram.MaxCycle], and the result, whose totals Result()
-// seals (Mem, BytesRead, BytesWrite, Iterations, Cycles, Seconds,
-// Utilization) must still be empty, as Snapshot leaves them. The engine
-// owns st's slices — the result's and every channel's — and steps them
-// in place, so the caller must not read or resume from st again.
+// st is typically decoded from an untrusted blob, so ResumeEngine checks
+// it: the channel block must be present and every channel state passes
+// dram.ResumeChannel; the clock must lie in [0, dram.MaxCycle]; and the
+// result's totals that Result() seals (Mem, BytesRead, BytesWrite,
+// Iterations, Cycles, Seconds, Utilization) must still be empty, as
+// Snapshot leaves them. The engine adopts st's memory — the result's
+// iteration timings and the channel block — and steps it in place, so
+// the caller must not read or resume from st again.
 func ResumeEngine(tr *trace.Trace, cfg Config, st EngineState) (*Engine, error) {
 	if err := checkInputs(tr, cfg); err != nil {
 		return nil, err
@@ -91,16 +84,15 @@ func ResumeEngine(tr *trace.Trace, cfg Config, st EngineState) (*Engine, error) 
 		return nil, fmt.Errorf("nmp: state result carries sealed totals (%d Mem entries, %d/%d bytes, %d iterations, %d cycles)",
 			len(r.Mem), r.BytesRead, r.BytesWrite, r.Iterations, r.Cycles)
 	}
-	if len(st.Channels) != dram.Channels {
-		return nil, fmt.Errorf("nmp: state has %d channels, a node has %d", len(st.Channels), dram.Channels)
+	if st.Channels == nil {
+		return nil, fmt.Errorf("nmp: state has no channel states")
 	}
-	e := &Engine{cfg: cfg, tr: tr, channels: make([]*dram.Channel, dram.Channels), res: st.Res, next: st.Next, clock: st.Clock}
-	for i, cs := range st.Channels {
-		ch, err := dram.ResumeChannel(cs)
-		if err != nil {
+	e := &Engine{cfg: cfg, tr: tr, mem: st.Channels, res: st.Res, next: st.Next, clock: st.Clock}
+	for i := range e.channels {
+		var err error
+		if e.channels[i], err = dram.ResumeChannel(&e.mem[i]); err != nil {
 			return nil, fmt.Errorf("nmp: channel %d: %w", i, err)
 		}
-		e.channels[i] = ch
 	}
 	return e, nil
 }

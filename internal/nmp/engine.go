@@ -26,13 +26,13 @@ import (
 type Engine struct {
 	cfg      Config
 	tr       *trace.Trace
-	channels []*dram.Channel
+	mem      *[dram.Channels]dram.ChannelState // every channel's state, one block
+	channels [dram.Channels]dram.Channel       // channels[i] runs on mem[i]
 	kernel   sim.Engine
 	res      Result
-	next     int                 // index of the next iteration to step
-	clock    sim.Cycle           // local end time of the last stepped iteration
-	final    bool                // Result() has sealed the aggregate fields
-	view     []dram.ChannelState // View's channel states, refilled per call
+	next     int       // index of the next iteration to step
+	clock    sim.Cycle // local end time of the last stepped iteration
+	final    bool      // Result() has sealed the aggregate fields
 }
 
 // NewEngine validates the configuration and prepares a stepwise replay of
@@ -41,9 +41,9 @@ func NewEngine(tr *trace.Trace, cfg Config) (*Engine, error) {
 	if err := checkInputs(tr, cfg); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, tr: tr, channels: make([]*dram.Channel, dram.Channels)}
+	e := &Engine{cfg: cfg, tr: tr, mem: new([dram.Channels]dram.ChannelState)}
 	for i := range e.channels {
-		e.channels[i] = dram.NewChannel()
+		e.channels[i] = dram.NewChannel(&e.mem[i])
 	}
 	return e, nil
 }
@@ -81,11 +81,11 @@ func (e *Engine) SetKernelProbe(p *sim.Probe) { e.kernel.SetProbe(p) }
 // unprobed). Spans land on the engine's local clock; drivers re-base them
 // with Track.ShiftRange after each step.
 func (e *Engine) SetDRAMProbes(tracks []*telemetry.Track) {
-	for i, ch := range e.channels {
+	for i := range e.channels {
 		if i < len(tracks) {
-			ch.SetProbe(tracks[i])
+			e.channels[i].SetProbe(tracks[i])
 		} else {
-			ch.SetProbe(nil)
+			e.channels[i].SetProbe(nil)
 		}
 	}
 }
@@ -94,8 +94,8 @@ func (e *Engine) SetDRAMProbes(tracks []*telemetry.Track) {
 // dst (drivers diff successive calls to attribute DRAM-bound time to one
 // iteration).
 func (e *Engine) AppendBusBusy(dst []int64) []int64 {
-	for _, ch := range e.channels {
-		dst = append(dst, ch.Stats.BusBusyCycles)
+	for i := range e.mem {
+		dst = append(dst, e.mem[i].Stats.BusBusyCycles)
 	}
 	return dst
 }
@@ -116,7 +116,7 @@ func (e *Engine) StepIteration() IterTiming {
 	}
 	iter := &e.tr.Iterations[e.next]
 	is := acquireIterSim(&e.cfg)
-	is.reset(&e.kernel, e.channels, &e.cfg, e.tr, iter, start, &e.res)
+	is.reset(&e.kernel, &e.channels, &e.cfg, e.tr, iter, start, &e.res)
 	is.kickoff()
 	e.kernel.Run()
 	end := e.kernel.Now()
@@ -147,10 +147,11 @@ func (e *Engine) Result() *Result {
 		e.res.Iterations = e.next
 		e.res.Cycles = e.clock
 		e.res.Seconds = sim.Seconds(e.res.Cycles)
-		for _, ch := range e.channels {
-			e.res.Mem = append(e.res.Mem, ch.Stats)
-			e.res.BytesRead += ch.Stats.BytesRead
-			e.res.BytesWrite += ch.Stats.BytesWritten
+		for i := range e.mem {
+			st := &e.mem[i].Stats
+			e.res.Mem = append(e.res.Mem, *st)
+			e.res.BytesRead += st.BytesRead
+			e.res.BytesWrite += st.BytesWritten
 		}
 		peak := dram.PeakBytesPerCycle * float64(e.res.Cycles) * float64(dram.Channels)
 		if peak > 0 {

@@ -21,10 +21,12 @@ type nodeLoc struct {
 // allocator packs nodes into a DIMM's rows, rotating across banks so
 // consecutive nodes enjoy bank-level parallelism. A cursor steps through
 // the banks in rank-major order, so placing a node takes no division
-// unless it spans several rows.
+// unless it spans several rows. The zero allocator is empty: packing
+// starts from row 0 of every bank.
 type allocator struct {
-	rank, bank, next int32     // the next node's bank; next = rank*dram.BanksPerRank + bank
-	rows             []bankRow // [rank*dram.BanksPerRank + bank]
+	// The next node's bank; next = rank*dram.BanksPerRank + bank.
+	rank, bank, next int32
+	rows             [dram.Ranks * dram.BanksPerRank]bankRow // [next]
 }
 
 // rowBlocks is the number of 64 B blocks in a DRAM row.
@@ -39,16 +41,6 @@ const (
 
 // bankRow is a bank's current row and the blocks used in it.
 type bankRow struct{ row, fill int32 }
-
-func newAllocator() allocator {
-	return allocator{rows: make([]bankRow, dram.Ranks*dram.BanksPerRank)}
-}
-
-// reset empties every bank so packing starts over from row 0.
-func (a *allocator) reset() {
-	a.rank, a.bank, a.next = 0, 0, 0
-	clear(a.rows)
-}
 
 // alloc places a node of the given blocks at loc.
 func (a *allocator) alloc(blocks int32, loc *nodeLoc) {
@@ -120,7 +112,7 @@ type iterSim struct {
 
 	// Bound by reset for one iteration, cleared by release.
 	eng  *sim.Engine
-	chs  []*dram.Channel
+	chs  *[dram.Channels]dram.Channel
 	cfg  *Config
 	tr   *trace.Trace
 	iter *trace.Iteration
@@ -130,8 +122,8 @@ type iterSim struct {
 
 	nodes  []node
 	pes    []pe // [dimm*PEsPerChannel + pe]
-	allocs []allocator
-	nextPE []int // [dimm]: the PE the DIMM's next NMP node goes to
+	allocs [dram.Channels]allocator
+	nextPE [dram.Channels]int // [dimm]: the PE the DIMM's next NMP node goes to
 
 	// The PEs' Stage P1 queues, PE after PE: pes[k] loads
 	// queue[pes[k].qpos:pes[k].qend] in order. used lists, ascending, the
@@ -148,8 +140,8 @@ type iterSim struct {
 	deliver []func() // deliver[j] lands iter.Transfers[j]
 
 	xbarFree  []sim.Cycle // [dimm*PEsPerChannel + pe] output-port free time
-	bridgeOut []sim.Cycle
-	bridgeIn  []sim.Cycle
+	bridgeOut [dram.Channels]sim.Cycle
+	bridgeIn  [dram.Channels]sim.Cycle
 
 	cpuQueue []cpuJob // positions are stable within an iteration
 	cpuHead  int
@@ -288,8 +280,8 @@ func (is *iterSim) release() {
 	iterSimPool.Put(is)
 }
 
-// newIterSim builds the fixed-size state of a shape: the PEs with their
-// event callbacks, the per-channel allocators and the interconnect ports.
+// newIterSim builds the state a shape sizes: the PEs with their event
+// callbacks, fill counts and crossbar output ports.
 //
 // Each callback is built once and scheduled again every time, so the
 // state a callback needs must be findable without capturing it:
@@ -327,15 +319,8 @@ func newIterSim(shape simShape) *iterSim {
 		}
 		p.idle()
 	}
-	is.allocs = make([]allocator, dram.Channels)
-	for d := range is.allocs {
-		is.allocs[d] = newAllocator()
-	}
-	is.nextPE = make([]int, dram.Channels)
 	is.peFill = make([]int32, len(is.pes))
 	is.xbarFree = make([]sim.Cycle, dram.Channels*shape.pes)
-	is.bridgeOut = make([]sim.Cycle, dram.Channels)
-	is.bridgeIn = make([]sim.Cycle, dram.Channels)
 	return is
 }
 
@@ -347,7 +332,7 @@ func newIterSim(shape simShape) *iterSim {
 // quantile edges (trace.DIMMWalk), the blocks by the DIMM allocator's
 // bank cursor, the PE round robin within the DIMM. A counting sort then
 // lays out each PE's Stage P1 queue.
-func (is *iterSim) reset(eng *sim.Engine, chs []*dram.Channel, cfg *Config, tr *trace.Trace, iter *trace.Iteration, start sim.Cycle, res *Result) {
+func (is *iterSim) reset(eng *sim.Engine, chs *[dram.Channels]dram.Channel, cfg *Config, tr *trace.Trace, iter *trace.Iteration, start sim.Cycle, res *Result) {
 	is.eng, is.chs, is.cfg, is.tr, is.iter, is.res = eng, chs, cfg, tr, iter, res
 	is.startAt = start
 	is.cpuQueue, is.cpuHead = is.cpuQueue[:0], 0
@@ -358,14 +343,12 @@ func (is *iterSim) reset(eng *sim.Engine, chs []*dram.Channel, cfg *Config, tr *
 	for _, k := range is.used {
 		is.pes[k].idle()
 	}
-	for d := range is.allocs {
-		is.allocs[d].reset()
-	}
-	clear(is.nextPE)
+	clear(is.allocs[:])
+	clear(is.nextPE[:])
 	clear(is.peFill)
 	clear(is.xbarFree)
-	clear(is.bridgeOut)
-	clear(is.bridgeIn)
+	clear(is.bridgeOut[:])
+	clear(is.bridgeIn[:])
 
 	// Layout + PE assignment.
 	n := len(iter.Nodes)
@@ -466,7 +449,7 @@ func (is *iterSim) kickoff() { is.eng.At(is.startAt, is.onBegin) }
 func (is *iterSim) begin() {
 	for _, k := range is.used {
 		p := &is.pes[k]
-		p.ch = is.chs[p.dimm]
+		p.ch = &is.chs[p.dimm]
 		is.peNext(p)
 	}
 	// CPU-offloaded scans.
@@ -718,7 +701,7 @@ func (is *iterSim) cpuRun() {
 	is.cpuHead++
 	job := &is.cpuQueue[k]
 	st := &is.nodes[job.node]
-	t := is.access(is.chs[st.dimm], is.eng.Now(), st.loc, dram.BlocksFor(job.read), false)
+	t := is.access(&is.chs[st.dimm], is.eng.Now(), st.loc, dram.BlocksFor(job.read), false)
 	t += cpuExtraLatency + job.compute
 	is.eng.At(t, is.cpuSteps[k].onRead)
 }
@@ -729,7 +712,7 @@ func (is *iterSim) cpuWrite(k int) {
 	done := is.eng.Now()
 	if job.write > 0 {
 		st := &is.nodes[job.node]
-		done = is.access(is.chs[st.dimm], done, st.loc, dram.BlocksFor(job.write), true) + cpuExtraLatency
+		done = is.access(&is.chs[st.dimm], done, st.loc, dram.BlocksFor(job.write), true) + cpuExtraLatency
 	}
 	is.noteCPU(done)
 	is.eng.At(done, is.cpuSteps[k].onWrite)

@@ -243,7 +243,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestAllocatorPacksRows(t *testing.T) {
-	a := newAllocator()
+	var a allocator
 	seen := map[[3]int32]int{}
 	for i := 0; i < 1000; i++ {
 		var loc nodeLoc
@@ -295,12 +295,12 @@ func (a *refAlloc) alloc(blocks int) [5]int {
 
 // The cursor allocator places every node where dividing by the bank count
 // does, over node sizes up to one and a half rows and oversized nodes,
-// across a reset.
+// across a reset to the zero allocator, as iterSim.reset clears it.
 func TestAllocatorMatchesDivision(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	got := newAllocator()
+	var got allocator
 	for round := range 2 {
-		got.reset()
+		got = allocator{}
 		want := refAlloc{ranks: dram.Ranks, banks: dram.BanksPerRank, rowBlocks: rowBlocks,
 			fill: make([]int, dram.Ranks*dram.BanksPerRank), rowAt: make([]int, dram.Ranks*dram.BanksPerRank)}
 		for i := range 500 {

@@ -17,7 +17,10 @@
 //     number (the first field is number 0, after -1), and a struct ends
 //     with a zero delta;
 //   - a zero number, an empty string, an empty or nil slice and a nil
-//     pointer are omitted; a nested struct and an array are always sent;
+//     pointer are omitted; a nested struct and an array are always sent,
+//     and so are the engine's channel block and a channel's bank and rank
+//     arrays, which the section declares as slices, at their lengths (8
+//     channels, 2 bank rows of 16, 2 ranks);
 //   - a slice or array is its element count, then every element, zero or
 //     not; a zero struct element is just its terminator;
 //   - a uint below 128 is one byte, otherwise the negated byte count and
@@ -32,7 +35,8 @@
 // size. Decoding reads only blobs that carry checkpointTypes and checks
 // every count against the bytes left before it allocates. It rejects
 // whatever gob would reject, and a little more: a struct that runs out
-// before its terminator and bytes left in the message after the value.
+// before its terminator, bytes left in the message after the value, and
+// a channel, bank or rank list missing or not of its array's length.
 // Everything it returns is freshly allocated, never aliasing the blob.
 
 package scaleout
@@ -455,6 +459,25 @@ func elems[T any](c *codec, s *[]T) int {
 	return len(*s)
 }
 
+// fixed walks the length of a Go array sent as a list or array of n
+// elements: encoding writes n, and decoding rejects any other count.
+func (c *codec) fixed(n int, what string) {
+	if !c.dec {
+		c.put(uint64(n))
+	} else if got := c.get(); got != uint64(n) {
+		c.fail("%s of %d elements, want %d", what, got, n)
+	}
+}
+
+// need reports whether a field the state always holds was walked; a
+// decoded blob that lacks it is corrupt.
+func (c *codec) need(sent bool, name string) bool {
+	if !sent && c.dec {
+		c.fail("no %s field", name)
+	}
+	return sent
+}
+
 // The element walkers send every element, zero or not.
 
 func (c *codec) int64(x *int64) {
@@ -561,8 +584,11 @@ func (c *codec) engine(st *nmp.EngineState) {
 	if c.sub(2) {
 		c.result(&st.Res)
 	}
-	for i := range list(c, 3, &st.Channels) {
-		c.channel(&st.Channels[i])
+	if c.need(ptr(c, 3, &st.Channels), "Channels") {
+		c.fixed(len(st.Channels), "Channels list")
+		for i := range st.Channels {
+			c.channel(&st.Channels[i])
+		}
 	}
 	c.close(s)
 }
@@ -621,13 +647,20 @@ func (c *codec) stats(st *dram.Stats) {
 
 func (c *codec) channel(ch *dram.ChannelState) {
 	s := c.open()
-	for r := range list(c, 0, &ch.Banks) {
-		for b := range elems(c, &ch.Banks[r]) {
-			c.bank(&ch.Banks[r][b])
+	if c.need(c.sub(0), "Banks") {
+		c.fixed(len(ch.Banks), "Banks list")
+		for r := range ch.Banks {
+			c.fixed(len(ch.Banks[r]), "bank row")
+			for b := range ch.Banks[r] {
+				c.bank(&ch.Banks[r][b])
+			}
 		}
 	}
-	for r := range list(c, 1, &ch.Ranks) {
-		c.rank(&ch.Ranks[r])
+	if c.need(c.sub(1), "Ranks") {
+		c.fixed(len(ch.Ranks), "Ranks list")
+		for r := range ch.Ranks {
+			c.rank(&ch.Ranks[r])
+		}
 	}
 	num(c, 2, &ch.BusFree)
 	if c.sub(3) {
@@ -650,12 +683,7 @@ func (c *codec) bank(b *dram.BankState) {
 func (c *codec) rank(r *dram.RankState) {
 	s := c.open()
 	if c.sub(0) {
-		// An array: its length, always sent, must match.
-		if !c.dec {
-			c.put(uint64(len(r.ActTimes)))
-		} else if n := c.get(); n != uint64(len(r.ActTimes)) {
-			c.fail("ActTimes array of %d elements, want %d", n, len(r.ActTimes))
-		}
+		c.fixed(len(r.ActTimes), "ActTimes array")
 		for i := range r.ActTimes {
 			c.int64(&r.ActTimes[i])
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,37 +12,195 @@ import (
 	"strings"
 	"testing"
 
+	"nmppak/internal/dram"
 	"nmppak/internal/nmp"
+	"nmppak/internal/sim"
 )
 
-// gobFirst makes CheckpointState this test binary's first gob use, before
-// any test runs: gob numbers types from a process-wide counter, so the
-// reference encoder then writes checkpointTypes byte for byte whatever
-// other tests encode, in whatever order -shuffle runs them.
-var gobFirst = gobReference(&CheckpointState{})
+// gobCheckpointState mirrors CheckpointState for encoding/gob, which
+// writes a Go array as a type of its own: the engine's channel block and
+// a channel's bank and rank arrays are here the slices checkpointTypes
+// was pinned with. Its fields follow CheckpointState's one for one
+// (mirror fails otherwise); the types they share are the real ones.
+type gobCheckpointState struct {
+	Version               uint32
+	ConfigDigest          uint64
+	TraceDigest           uint64
+	Nodes                 int
+	K                     int
+	Overlap               bool
+	Partitioner           string
+	Topology              string
+	Count                 PhaseCycles
+	Construct             PhaseCycles
+	PerNode               []NodeStats
+	PreludeExchangedBytes int64
+	ResumeIter            int
+	Durations             [][]sim.Cycle
+	Engines               []gobEngineState
+	Compute               sim.Cycle
+	Exchange              sim.Cycle
+	CompactExchangedBytes int64
+	Rebalance             *RebalanceState
+	Elastic               *ElasticState
+}
 
-// gobReference is the blob encoding/gob writes for ck: magic, version tag
-// and a fresh encoder's stream.
-func gobReference(ck *CheckpointState) []byte {
+type gobEngineState struct {
+	Next     int
+	Clock    sim.Cycle
+	Res      nmp.Result
+	Channels []gobChannelState
+}
+
+type gobChannelState struct {
+	Banks   [][]dram.BankState
+	Ranks   []dram.RankState
+	BusFree sim.Cycle
+	Stats   dram.Stats
+}
+
+// mirrorTypes is the type section gob writes for gobCheckpointState:
+// checkpointTypes with the mirror's type names.
+var mirrorTypes = renamed(checkpointTypes, map[string]string{
+	"CheckpointState":     "gobCheckpointState",
+	"EngineState":         "gobEngineState",
+	"[]nmp.EngineState":   "[]scaleout.gobEngineState",
+	"ChannelState":        "gobChannelState",
+	"[]dram.ChannelState": "[]scaleout.gobChannelState",
+})
+
+// renamed rewrites the type names in a gob type section, one definition
+// message at a time: a name is a length-prefixed string, and the only
+// count a definition holds besides the message's own length.
+func renamed(types string, names map[string]string) string {
+	d := codec{dec: true, b: []byte(types)}
+	var out []byte
+	for len(d.b) > 0 {
+		n := d.get()
+		msg := string(d.b[:n])
+		d.b = d.b[n:]
+		for from, to := range names {
+			msg = strings.Replace(msg, string(rune(len(from)))+from, string(rune(len(to)))+to, 1)
+		}
+		out = append(appendUint(out, uint64(len(msg))), msg...)
+	}
+	return string(out)
+}
+
+// mirror sets dst to src field by field, where one is a CheckpointState
+// and the other a gobCheckpointState, or parts of them: a slice stands
+// for an array, or a pointer to one, of the same elements. It reports
+// false when the field lists differ or a slice does not fit its array.
+func mirror(dst, src reflect.Value) bool {
+	if dst.Type() == src.Type() {
+		dst.Set(src)
+		return true
+	}
+	switch src.Kind() {
+	case reflect.Struct:
+		if dst.NumField() != src.NumField() {
+			return false
+		}
+		for i := range src.NumField() {
+			if dst.Type().Field(i).Name != src.Type().Field(i).Name || !mirror(dst.Field(i), src.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Pointer:
+		if src.IsNil() {
+			return true
+		}
+		if dst.Kind() == reflect.Pointer {
+			dst.Set(reflect.New(dst.Type().Elem()))
+			dst = dst.Elem()
+		}
+		return mirror(dst, src.Elem())
+	case reflect.Slice:
+		if src.IsNil() {
+			return dst.Kind() != reflect.Array // a nil slice or block; an array is never missing
+		}
+		if dst.Kind() == reflect.Pointer {
+			dst.Set(reflect.New(dst.Type().Elem()))
+			dst = dst.Elem()
+		}
+		fallthrough
+	case reflect.Array:
+		if dst.Kind() == reflect.Slice {
+			dst.Set(reflect.MakeSlice(dst.Type(), src.Len(), src.Len()))
+		} else if dst.Len() != src.Len() {
+			return false
+		}
+		for i := range src.Len() {
+			if !mirror(dst.Index(i), src.Index(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// gobStream is the stream a fresh gob.Encoder writes for m.
+func gobStream(m *gobCheckpointState) []byte {
 	var buf bytes.Buffer
-	buf.WriteString(checkpointMagic)
-	binary.Write(&buf, binary.LittleEndian, ck.Version)
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
 }
 
-// gobDecode decodes a blob's payload with encoding/gob, rejecting
-// trailing bytes.
-func gobDecode(blob []byte) (*CheckpointState, error) {
+// mirrorOf is ck's mirror.
+func mirrorOf(ck *CheckpointState) *gobCheckpointState {
+	m := new(gobCheckpointState)
+	if !mirror(reflect.ValueOf(m).Elem(), reflect.ValueOf(ck).Elem()) {
+		panic("gobCheckpointState does not mirror CheckpointState")
+	}
+	return m
+}
+
+// gobFirst makes the mirror this test binary's first gob use, before any
+// test runs: gob numbers types from a process-wide counter, so the
+// reference encoder then writes mirrorTypes byte for byte whatever other
+// tests encode, in whatever order -shuffle runs them.
+var gobFirst = gobStream(&gobCheckpointState{})
+
+// mirrorBlob is the blob encoding/gob writes for m: magic, version tag,
+// checkpointTypes and the value message a fresh encoder writes after
+// mirrorTypes.
+func mirrorBlob(m *gobCheckpointState) []byte {
+	blob := binary.LittleEndian.AppendUint32([]byte(checkpointMagic), m.Version)
+	blob = append(blob, checkpointTypes...)
+	return append(blob, gobStream(m)[len(mirrorTypes):]...)
+}
+
+// gobReference is the blob encoding/gob writes for ck.
+func gobReference(ck *CheckpointState) []byte { return mirrorBlob(mirrorOf(ck)) }
+
+// gobMirror decodes a blob's payload with encoding/gob into the mirror,
+// rejecting trailing bytes.
+func gobMirror(blob []byte) (*gobCheckpointState, error) {
 	r := bytes.NewReader(blob[len(checkpointMagic)+4:])
-	ck := new(CheckpointState)
-	if err := gob.NewDecoder(r).Decode(ck); err != nil {
+	m := new(gobCheckpointState)
+	if err := gob.NewDecoder(r).Decode(m); err != nil {
 		return nil, err
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", r.Len())
+	}
+	return m, nil
+}
+
+// gobDecode decodes a blob's payload with encoding/gob, rejecting
+// trailing bytes and a state that does not fit the arrays.
+func gobDecode(blob []byte) (*CheckpointState, error) {
+	m, err := gobMirror(blob)
+	if err != nil {
+		return nil, err
+	}
+	ck := new(CheckpointState)
+	if !mirror(reflect.ValueOf(ck).Elem(), reflect.ValueOf(m).Elem()) {
+		return nil, errors.New("the state does not fit the engine and DRAM arrays")
 	}
 	return ck, nil
 }
@@ -66,12 +225,12 @@ func valueMessage(t testing.TB, blob []byte) []byte {
 	return nil
 }
 
-// checkGobTypes checks that gob writes checkpointTypes for
-// CheckpointState in this binary.
+// checkGobTypes checks that gob writes checkpointTypes, under the
+// mirror's type names, for the mirror of CheckpointState in this binary.
 func checkGobTypes(t testing.TB) {
 	t.Helper()
-	if !strings.HasPrefix(string(gobFirst[len(checkpointMagic)+4:]), checkpointTypes) {
-		t.Errorf("encoding/gob's type section for CheckpointState is not checkpointTypes: a type reachable from it changed, " +
+	if !strings.HasPrefix(string(gobFirst), mirrorTypes) {
+		t.Errorf("encoding/gob's type section for gobCheckpointState is not checkpointTypes renamed: a type reachable from it changed, " +
 			"or this binary used gob before the gobFirst package variable")
 	}
 }
@@ -140,7 +299,8 @@ func randomState(r *rand.Rand) *CheckpointState {
 // fill sets v, recursively, to a random value: numbers are zero, ±1, an
 // extreme, small or random bits; floats also NaN, ±Inf and -0; strings
 // empty, short or past one length byte; slices nil, empty, short or, for
-// scalars, past one count byte; pointers nil or set.
+// scalars, past one count byte; pointers nil or set, an engine's channel
+// block always set.
 func fill(r *rand.Rand, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Bool:
@@ -184,7 +344,9 @@ func fill(r *rand.Rand, v reflect.Value) {
 			fill(r, v.Field(i))
 		}
 	case reflect.Pointer:
-		if r.Intn(2) == 0 {
+		// An engine's channel block is always set: the decoder rejects a
+		// state without one.
+		if v.Type().Elem().Kind() == reflect.Array || r.Intn(2) == 0 {
 			p := reflect.New(v.Type().Elem())
 			fill(r, p.Elem())
 			v.Set(p)
@@ -205,7 +367,7 @@ func TestCheckpointCodecMatchesGob(t *testing.T) {
 		checkCodec(t, randomState(r))
 	}
 	checkCodec(t, &CheckpointState{})
-	checkCodec(t, &CheckpointState{Rebalance: &RebalanceState{}, Elastic: &ElasticState{}, Engines: []nmp.EngineState{{}}})
+	checkCodec(t, &CheckpointState{Rebalance: &RebalanceState{}, Elastic: &ElasticState{}, Engines: []nmp.EngineState{{Channels: new([dram.Channels]dram.ChannelState)}}})
 	for _, blob := range realBlobs(t) {
 		ck, err := UnmarshalCheckpoint(blob)
 		if err != nil {
@@ -215,6 +377,50 @@ func TestCheckpointCodecMatchesGob(t *testing.T) {
 			t.Fatalf("a %d-byte runtime blob differs from gob's %d bytes", len(blob), len(want))
 		}
 		checkCodec(t, ck)
+	}
+}
+
+// The engine and DRAM state are fixed-size arrays, so a state of another
+// shape can only come from the wire: a blob that encoding/gob reads, with
+// a channel list, bank list, bank row or rank list of another length, or
+// without the channel, bank or rank field, is corrupt, and
+// UnmarshalCheckpoint rejects it.
+func TestCheckpointCodecRejectsShapes(t *testing.T) {
+	blob := realBlobs(t)[1]
+	for _, tc := range []struct {
+		name, want string
+		edit       func(e *gobEngineState)
+	}{
+		{"7 channels", "Channels list of 7", func(e *gobEngineState) { e.Channels = e.Channels[:7] }},
+		{"9 channels", "Channels list of 9", func(e *gobEngineState) { e.Channels = append(e.Channels, e.Channels[0]) }},
+		{"1 bank row", "Banks list of 1", func(e *gobEngineState) { e.Channels[3].Banks = e.Channels[3].Banks[:1] }},
+		{"3 bank rows", "Banks list of 3", func(e *gobEngineState) {
+			e.Channels[3].Banks = append(e.Channels[3].Banks, e.Channels[3].Banks[0])
+		}},
+		{"a bank row of 15", "bank row of 15", func(e *gobEngineState) { e.Channels[5].Banks[1] = e.Channels[5].Banks[1][:15] }},
+		{"a bank row of 17", "bank row of 17", func(e *gobEngineState) {
+			e.Channels[5].Banks[0] = append(e.Channels[5].Banks[0], dram.BankState{})
+		}},
+		{"1 rank", "Ranks list of 1", func(e *gobEngineState) { e.Channels[7].Ranks = e.Channels[7].Ranks[:1] }},
+		{"3 ranks", "Ranks list of 3", func(e *gobEngineState) {
+			e.Channels[7].Ranks = append(e.Channels[7].Ranks, e.Channels[7].Ranks[0])
+		}},
+		{"no channels", "no Channels field", func(e *gobEngineState) { e.Channels = nil }},
+		{"no banks", "no Banks field", func(e *gobEngineState) { e.Channels[2].Banks = nil }},
+		{"no ranks", "no Ranks field", func(e *gobEngineState) { e.Channels[2].Ranks = nil }},
+	} {
+		m, err := gobMirror(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(&m.Engines[1])
+		bad := mirrorBlob(m)
+		if _, err := gobMirror(bad); err != nil {
+			t.Fatalf("%s: encoding/gob rejects the blob: %v", tc.name, err)
+		}
+		if _, err := UnmarshalCheckpoint(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: UnmarshalCheckpoint returned %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nmppak/internal/dram"
 	"nmppak/internal/nmp"
 	"nmppak/internal/readsim"
 	"nmppak/internal/sim"
@@ -199,7 +200,9 @@ func cyclesRunBackwards(res *Result) string {
 }
 
 // editEngine sets the engine field ed of st to val; pos picks the
-// channel, rank, bank and tFAW slot a DRAM field lives in.
+// channel, rank, bank and tFAW slot a DRAM field lives in, from the
+// geometry's fixed arrays, so a uint16 pos reaches every bank and rank of
+// every channel.
 func editEngine(st *nmp.EngineState, ed, pos int, val int64) {
 	switch ed {
 	case edNext:
@@ -213,15 +216,15 @@ func editEngine(st *nmp.EngineState, ed, pos int, val int64) {
 		st.Res.PerIter = append(st.Res.PerIter, make([]nmp.IterTiming, max(n-len(st.Res.PerIter), 0))...)[:n]
 		return
 	}
-	ch := &st.Channels[pos%len(st.Channels)]
-	pos /= len(st.Channels)
+	ch := &st.Channels[pos%dram.Channels]
+	pos /= dram.Channels
 	if ed == edBusFree {
 		ch.BusFree = sim.Cycle(val)
 		return
 	}
-	r := pos % len(ch.Ranks)
-	pos /= len(ch.Ranks)
-	rk, bk := &ch.Ranks[r], &ch.Banks[r][pos%len(ch.Banks[r])]
+	r := pos % dram.Ranks
+	pos /= dram.Ranks
+	rk, bk := &ch.Ranks[r], &ch.Banks[r][pos%dram.BanksPerRank]
 	switch ed {
 	case edOpenRow:
 		bk.OpenRow = int(val)

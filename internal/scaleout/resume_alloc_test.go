@@ -147,11 +147,17 @@ func TestCountShardedBytes(t *testing.T) {
 	}
 }
 
+// stateBytesPerNode bounds the bytes a checkpoint's CheckpointState
+// allocates per node: one durations header and one engine state (248 B
+// on 64-bit), which holds the engine's channel block by pointer. A copy
+// of the block (dram.Channels channel states, 13,952 B) is far past it.
+const stateBytesPerNode = 320
+
 // A warm elastic capture writes its blob into the buffer of the one it
 // replaces and reads every engine's state in place, so it allocates a
 // few per-run slices (the durations and engine-state headers the
 // CheckpointState carries) and nothing per engine or per DRAM channel:
-// the same count at 2 and 8 nodes.
+// the same count at 2 and 8 nodes, and a few hundred bytes per node.
 func TestCaptureAllocs(t *testing.T) {
 	reads := testReads(t, 20_000)
 	tr := testTrace(t, reads, 32, 3)
@@ -173,16 +179,25 @@ func TestCaptureAllocs(t *testing.T) {
 			}
 		}
 		got := testing.AllocsPerRun(20, capture)
-		t.Logf("%d nodes: %v allocations per capture", nodes, got)
+		b := heapBytes(func() {
+			for range 10 {
+				capture()
+			}
+		}) / 10
+		t.Logf("%d nodes: %v allocations and %d B per capture", nodes, got, b)
 		if got > bound {
 			t.Errorf("warm capture at %d nodes makes %v allocations, bound %d", nodes, got, bound)
+		}
+		if max := uint64(stateBytesPerNode * nodes); b > max {
+			t.Errorf("warm capture at %d nodes allocates %d B, bound %d B", nodes, b, max)
 		}
 	}
 }
 
 // Session.Checkpoint sizes the blob before writing it, so it allocates
 // the blob once, at its exact size, plus the same few per-run slices as
-// a capture.
+// a capture; in bytes, the blob rounded up to its size class (at most an
+// eighth more) and a few hundred bytes per node.
 func TestSessionCheckpointAllocs(t *testing.T) {
 	reads := testReads(t, 20_000)
 	tr := testTrace(t, reads, 32, 3)
@@ -200,9 +215,17 @@ func TestSessionCheckpointAllocs(t *testing.T) {
 			}
 		}
 		got := testing.AllocsPerRun(20, checkpoint)
-		t.Logf("%d nodes: %v allocations per Session.Checkpoint", nodes, got)
+		b := heapBytes(func() {
+			for range 10 {
+				checkpoint()
+			}
+		}) / 10
+		t.Logf("%d nodes: %v allocations and %d B (blob %d B) per Session.Checkpoint", nodes, got, b, cap(blob))
 		if got > bound {
 			t.Errorf("Session.Checkpoint at %d nodes makes %v allocations, bound %d (the blob and two slices)", nodes, got, bound)
+		}
+		if max := uint64(cap(blob)*9/8 + stateBytesPerNode*nodes); b > max {
+			t.Errorf("Session.Checkpoint at %d nodes allocates %d B for a %d B blob, bound %d B", nodes, b, cap(blob), max)
 		}
 		if len(blob) != cap(blob) {
 			t.Errorf("Session.Checkpoint at %d nodes returns %d bytes in a %d-byte buffer", nodes, len(blob), cap(blob))
