@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 
 	"nmppak"
@@ -28,13 +29,19 @@ func main() {
 		in        = flag.String("in", "", "input FASTQ or FASTA file (required)")
 		out       = flag.String("out", "contigs.fasta", "output FASTA file")
 		k         = flag.Int("k", 32, "k-mer length (2..32)")
-		minCount  = flag.Int("min-count", 3, "k-mer pruning threshold")
+		minCount  = flag.Int64("min-count", 3, "k-mer pruning threshold (0..4294967295)")
 		batches   = flag.Int("batches", 1, "sequential batches (§4.4 batch processing)")
 		minContig = flag.Int("min-contig", 200, "minimum reported contig length")
 		simulate  = flag.Bool("simulate", false, "also replay compaction on the NMP hardware model")
 	)
 	flag.Parse()
 	if *in == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
+	mc, err := checkFlags(*minCount, *batches)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nmppak: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -76,7 +83,7 @@ func main() {
 	log.Printf("loaded %d reads", len(reads))
 
 	if *simulate {
-		tr, aout, err := nmppak.CaptureTrace(reads, *k, uint32(*minCount), 0)
+		tr, aout, err := nmppak.CaptureTrace(reads, *k, mc, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -90,7 +97,7 @@ func main() {
 	}
 
 	aout, err := nmppak.Assemble(reads, nmppak.AssemblyConfig{
-		K: *k, MinCount: uint32(*minCount), Batches: *batches, MinContigLen: *minContig,
+		K: *k, MinCount: mc, Batches: *batches, MinContigLen: *minContig,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -98,6 +105,20 @@ func main() {
 	log.Printf("assembled %d contigs, N50 %d, total %d bp",
 		aout.Summary.Contigs, aout.Summary.N50, aout.Summary.TotalBases)
 	writeContigs(*out, aout.Contigs, *minContig)
+}
+
+// checkFlags checks the flags that are narrowed before use and returns the
+// pruning threshold as the pipeline takes it: -min-count must fit a
+// uint32, which would otherwise wrap (-1 to a threshold that prunes every
+// k-mer), and -batches must be at least 1.
+func checkFlags(minCount int64, batches int) (uint32, error) {
+	if minCount < 0 || minCount > math.MaxUint32 {
+		return 0, fmt.Errorf("-min-count %d is outside [0, %d]", minCount, uint32(math.MaxUint32))
+	}
+	if batches < 1 {
+		return 0, fmt.Errorf("-batches %d is below 1", batches)
+	}
+	return uint32(minCount), nil
 }
 
 // readReads reads FASTQ or FASTA records, the format chosen by the first

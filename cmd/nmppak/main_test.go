@@ -62,3 +62,30 @@ func TestReadReads(t *testing.T) {
 		}
 	}
 }
+
+// Out-of-range numeric flags are usage errors, not values that wrap or
+// fall back: one row per bad value, the defaults, and the ends of the
+// -min-count range.
+func TestCheckFlags(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		minCount  int64
+		batches   int
+		want      uint32
+		wantError bool
+	}{
+		{"defaults", 3, 1, 3, false},
+		{"min-count 0", 0, 1, 0, false},
+		{"min-count 2^32-1", 1<<32 - 1, 1, 1<<32 - 1, false},
+		{"min-count -1", -1, 1, 0, true},
+		{"min-count 2^32", 1 << 32, 1, 0, true},
+		{"batches 0", 3, 0, 0, true},
+		{"batches -3", 3, -3, 0, true},
+	} {
+		got, err := checkFlags(c.minCount, c.batches)
+		if (err != nil) != c.wantError || got != c.want {
+			t.Errorf("%s: checkFlags(%d, %d) = %d, %v; want %d, error %t",
+				c.name, c.minCount, c.batches, got, err, c.want, c.wantError)
+		}
+	}
+}

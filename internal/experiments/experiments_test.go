@@ -251,8 +251,6 @@ func TestSWOptRejectsMismatch(t *testing.T) {
 	for name, mutate := range map[string]func(r *kmer.Result){
 		"k-mer":       func(r *kmer.Result) { r.Kmers[len(r.Kmers)/2].Km ^= 1 },
 		"count":       func(r *kmer.Result) { r.Kmers[0].Count++ },
-		"term prefix": func(r *kmer.Result) { r.TermPrefix[0].Count++ },
-		"term suffix": func(r *kmer.Result) { r.TermSuffix = r.TermSuffix[1:] },
 		"pruned mass": func(r *kmer.Result) { r.PrunedMass++ },
 	} {
 		bad, err := kmer.Count(reads, cfg)

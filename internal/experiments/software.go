@@ -235,8 +235,7 @@ func SWOpt(c *Context) (*Report, error) {
 }
 
 // sameCounts reports whether the optimized and naive counting passes agree
-// on every field of their results: k-mers, counts, terminal tables and
-// pruning statistics.
+// on every field of their results: k-mers, counts and pruning statistics.
 func sameCounts(opt, naive *kmer.Result) error {
 	if !reflect.DeepEqual(opt, naive) {
 		return fmt.Errorf("swopt: implementations disagree")

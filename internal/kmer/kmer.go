@@ -23,11 +23,9 @@
 //     a single growing vector, serial extraction and serial comparison
 //     sort.
 //
-// Counting also records read-terminal (k-1)-mers (how many reads begin and
-// end at each (k-1)-mer), which MacroNode construction needs to place
-// terminal prefix/suffix markers, and supports an error-pruning threshold
-// (k-mers observed fewer than MinCount times are discarded), the mechanism
-// that links batch size to contig quality in Table 1.
+// Counting supports an error-pruning threshold (k-mers observed fewer than
+// MinCount times are discarded), the mechanism that links batch size to
+// contig quality in Table 1.
 package kmer
 
 import (
@@ -53,47 +51,10 @@ type Counted struct {
 	Count uint32
 }
 
-// TermCounts is a terminal-(k-1)-mer multiplicity table stored as a flat
-// (kmer, count) vector sorted ascending by Km — built in one pass from the
-// already-sorted terminal stream, replacing the hash maps the counting
-// pass previously grew entry by entry.
-type TermCounts []Counted
-
-// Get returns the count recorded for km (0 when absent) by binary search.
-func (t TermCounts) Get(km dna.Kmer) uint32 {
-	lo, hi := 0, len(t)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t[mid].Km < km {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(t) && t[lo].Km == km {
-		return t[lo].Count
-	}
-	return 0
-}
-
-// Total sums all recorded counts.
-func (t TermCounts) Total() uint64 {
-	var s uint64
-	for _, e := range t {
-		s += uint64(e.Count)
-	}
-	return s
-}
-
 // Result is the outcome of a counting pass.
 type Result struct {
 	K     int
 	Kmers []Counted // sorted ascending (lexicographic under A<C<T<G)
-	// TermPrefix records, per (k-1)-mer x, the number of reads whose first
-	// (k-1)-mer is x; TermSuffix the number whose last (k-1)-mer is x.
-	// These become terminal extension counts in MacroNode construction.
-	TermPrefix TermCounts
-	TermSuffix TermCounts
 
 	TotalExtracted int64 // raw k-mer instances before dedup
 	PrunedKinds    int64 // distinct k-mers dropped by MinCount
@@ -123,18 +84,15 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 	mask := dna.KmerMask(k)
 
 	// (a) A counting pass rolls every worker's reads, 2 bits at a time
-	// from their packed words, to size the top digit buckets and the
-	// terminal vectors (§4.5 a, b).
+	// from their packed words, to size the top digit buckets (§4.5 a, b).
 	nChunks := max(min(w, len(reads)), 1)
 	chunk := (len(reads) + nChunks - 1) / nChunks
 	span := func(ci int) []readsim.Read {
 		return reads[min(ci*chunk, len(reads)):min((ci+1)*chunk, len(reads))]
 	}
 	// cur[ci*nb+b] is chunk ci's count of bucket-b k-mers, turned by
-	// prefixCursors into its write cursor; terms[ci] likewise for the
-	// terminal words of its reads.
+	// prefixCursors into its write cursor.
 	cur := make([]int, nChunks*nb)
-	terms := make([]int, nChunks)
 	par.For(nChunks, w, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			cnt := cur[ci*nb : (ci+1)*nb]
@@ -144,7 +102,6 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 				if n < k {
 					continue
 				}
-				terms[ci]++
 				x, word := prime(seq, k)
 				for i := k - 1; i < n; i++ {
 					if i&31 == 0 {
@@ -158,22 +115,14 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 		}
 	})
 	total := prefixCursors(cur, nb)
-	nTerms := 0
-	for ci, c := range terms {
-		terms[ci] = nTerms
-		nTerms += c
-	}
 
 	// (b) Extraction rolls the reads again and writes every k-mer straight
 	// into its bucket of one exact-size vector: the partition the tally
 	// works on costs nothing extra.
 	all := make([]uint64, total)
-	tpRaw := make([]uint64, nTerms)
-	tsRaw := make([]uint64, nTerms)
 	par.For(nChunks, w, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			pos := cur[ci*nb : (ci+1)*nb]
-			t := terms[ci]
 			for _, rd := range span(ci) {
 				seq := rd.Seq
 				n := seq.Len()
@@ -181,7 +130,6 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 					continue
 				}
 				x, word := prime(seq, k)
-				tpRaw[t] = x
 				for i := k - 1; i < n; i++ {
 					if i&31 == 0 {
 						word = seq.Word(i >> 5)
@@ -191,8 +139,6 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 					all[pos[x>>shift]] = x
 					pos[x>>shift]++
 				}
-				tsRaw[t] = uint64(dna.Kmer(x).Suffix(k))
-				t++
 			}
 		}
 	})
@@ -227,8 +173,6 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 			}
 		})
 	}
-	res.TermPrefix = countTerms(tpRaw, w)
-	res.TermSuffix = countTerms(tsRaw, w)
 	return res, nil
 }
 
@@ -252,80 +196,28 @@ func CountNaive(reads []readsim.Read, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{K: cfg.K}
-	var all, tpRaw, tsRaw []uint64 // deliberately not preallocated
+	var all []uint64 // deliberately not preallocated
 	for _, rd := range reads {
-		extractInto(&all, &tpRaw, &tsRaw, rd.Seq, cfg.K)
+		extractInto(&all, rd.Seq, cfg.K)
 	}
 	res.TotalExtracted = int64(len(all))
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	sort.Slice(tpRaw, func(i, j int) bool { return tpRaw[i] < tpRaw[j] })
-	sort.Slice(tsRaw, func(i, j int) bool { return tsRaw[i] < tsRaw[j] })
-	res.TermPrefix, _, _ = dedup(tpRaw, 1)
-	res.TermSuffix, _, _ = dedup(tsRaw, 1)
 	res.Kmers, res.PrunedKinds, res.PrunedMass = dedup(all, cfg.MinCount)
 	return res, nil
 }
 
-// extractInto appends all k-mers of seq to dst and the read's terminal
-// (k-1)-mers to tp/ts (one word each per read of length >= k).
-func extractInto(dst, tp, ts *[]uint64, seq dna.Seq, k int) {
+// extractInto appends all k-mers of seq to dst.
+func extractInto(dst *[]uint64, seq dna.Seq, k int) {
 	n := seq.Len()
 	if n < k {
 		return
 	}
 	km := dna.KmerFromSeq(seq, 0, k)
 	*dst = append(*dst, uint64(km))
-	*tp = append(*tp, uint64(km.Prefix()))
 	for i := k; i < n; i++ {
 		km = km.Roll(k, seq.At(i))
 		*dst = append(*dst, uint64(km))
 	}
-	*ts = append(*ts, uint64(km.Suffix(k)))
-}
-
-// countTerms sorts a raw terminal word stream and collapses it into a
-// TermCounts vector.
-func countTerms(raw []uint64, workers int) TermCounts {
-	ParallelSortUint64(raw, workers)
-	terms, _, _ := dedup(raw, 1)
-	return terms
-}
-
-// MergeTerms combines several TermCounts vectors, each sorted ascending by
-// Km, into one ascending vector in which equal keys are summed; nil when
-// every input is empty. Equal keys may occur in several inputs and repeat
-// within one. The records go through a Merger's digit buckets, so the
-// result equals concatenating, sorting and summing: uint32 addition does
-// not depend on order.
-func MergeTerms(lists []TermCounts) TermCounts {
-	total := 0
-	var first, diff uint64
-	for _, l := range lists {
-		for _, e := range l {
-			if total == 0 {
-				first = uint64(e.Km)
-			}
-			total++
-			diff |= uint64(e.Km) ^ first
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	var m Merger
-	m.Reset(total, bits.Len64(diff))
-	for _, l := range lists {
-		for _, e := range l {
-			m.Count(e.Km)
-		}
-	}
-	m.Cursors()
-	for _, l := range lists {
-		for _, e := range l {
-			m.Place(e.Km, e.Count)
-		}
-	}
-	return m.Sum()
 }
 
 // CountRuns returns the number of distinct values in a sorted slice.

@@ -90,8 +90,8 @@ func TestCountMatchesCountNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("reads=%d %+v: Count differs from CountNaive (distinct %d vs %d, prefixes %d vs %d, suffixes %d vs %d)",
-				len(reads), cfg, len(a.Kmers), len(b.Kmers), len(a.TermPrefix), len(b.TermPrefix), len(a.TermSuffix), len(b.TermSuffix))
+			t.Fatalf("reads=%d %+v: Count differs from CountNaive (distinct %d vs %d)",
+				len(reads), cfg, len(a.Kmers), len(b.Kmers))
 		}
 	}
 	all := edgeReads(t)
@@ -181,34 +181,6 @@ func TestTotalExtracted(t *testing.T) {
 	}
 }
 
-func TestTerminalCounts(t *testing.T) {
-	reads := simReads(t, 2000, 5, 0, 8)
-	res, err := Count(reads, Config{K: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, ts := res.TermPrefix.Total(), res.TermSuffix.Total()
-	if int(tp) != len(reads) || int(ts) != len(reads) {
-		t.Fatalf("terminal totals tp=%d ts=%d want %d", tp, ts, len(reads))
-	}
-	// Both vectors sorted strictly ascending.
-	for i := 1; i < len(res.TermPrefix); i++ {
-		if res.TermPrefix[i-1].Km >= res.TermPrefix[i].Km {
-			t.Fatal("TermPrefix not sorted strictly ascending")
-		}
-	}
-	for i := 1; i < len(res.TermSuffix); i++ {
-		if res.TermSuffix[i-1].Km >= res.TermSuffix[i].Km {
-			t.Fatal("TermSuffix not sorted strictly ascending")
-		}
-	}
-	// Spot-check: the first read's first 31-mer must appear in TermPrefix.
-	first := dna.KmerFromSeq(reads[0].Seq, 0, 31)
-	if res.TermPrefix.Get(first) == 0 {
-		t.Fatal("first read's leading 31-mer missing from TermPrefix")
-	}
-}
-
 func TestPruningDropsErrorKmers(t *testing.T) {
 	reads := simReads(t, 20000, 30, 0.01, 9)
 	unpruned, err := Count(reads, Config{K: 32, MinCount: 1})
@@ -245,68 +217,27 @@ func TestCountValidation(t *testing.T) {
 	}
 }
 
-func TestTermCountsGet(t *testing.T) {
-	tc := TermCounts{{Km: 2, Count: 1}, {Km: 5, Count: 3}, {Km: 9, Count: 2}}
-	for km, want := range map[dna.Kmer]uint32{0: 0, 2: 1, 3: 0, 5: 3, 9: 2, 10: 0} {
-		if got := tc.Get(km); got != want {
-			t.Errorf("Get(%d) = %d, want %d", km, got, want)
-		}
-	}
-	if TermCounts(nil).Get(1) != 0 {
-		t.Error("nil TermCounts lookup must be 0")
-	}
-	if tc.Total() != 6 {
-		t.Errorf("Total = %d, want 6", tc.Total())
-	}
-}
-
-// TestCountAllocs pins the allocation count of one optimized counting
-// pass: every buffer is pre-sized by the counting pass, so allocs/op must
-// stay a small constant regardless of the k-mer volume.
-func TestCountAllocs(t *testing.T) {
-	reads := simReads(t, 20000, 10, 0.005, 12)
-	cfg := Config{K: 31, Workers: 1, MinCount: 2}
-	if _, err := Count(reads, cfg); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Count(reads, cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// 2,000 reads produce 140k raw k-mer instances; the pass itself needs
-	// only the bucket tables, the one k-mer vector, the two terminal
-	// vectors and the three result vectors, plus closures and pooled sort
-	// scratch. 40 leaves headroom over the measured count without letting
-	// per-element or per-bucket growth regressions through.
-	if allocs > 40 {
-		t.Errorf("Count allocated %v times per pass, want <= 40", allocs)
-	}
-}
-
-func TestParallelSortUint64(t *testing.T) {
+func TestSortUint64(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	for _, n := range []int{0, 1, 100, 4095, 4096, 100000} {
-		for _, w := range []int{1, 2, 7, 16} {
-			v := make([]uint64, n)
-			for i := range v {
-				v[i] = r.Uint64() % 1000
-			}
-			want := append([]uint64(nil), v...)
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			ParallelSortUint64(v, w)
-			for i := range v {
-				if v[i] != want[i] {
-					t.Fatalf("n=%d w=%d: mismatch at %d", n, w, i)
-				}
+		v := make([]uint64, n)
+		for i := range v {
+			v[i] = r.Uint64() % 1000
+		}
+		want := append([]uint64(nil), v...)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		SortUint64(v)
+		for i := range v {
+			if v[i] != want[i] {
+				t.Fatalf("n=%d: mismatch at %d", n, i)
 			}
 		}
 	}
 }
 
-func TestParallelSortProperty(t *testing.T) {
+func TestSortProperty(t *testing.T) {
 	f := func(v []uint64) bool {
-		ParallelSortUint64(v, 8)
+		SortUint64(v)
 		return sort.SliceIsSorted(v, func(i, j int) bool { return v[i] < v[j] })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -2,6 +2,7 @@ package kmer
 
 import (
 	"cmp"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,10 +10,10 @@ import (
 	"nmppak/internal/dna"
 )
 
-// referenceMerge is the merge MergeTerms replaced: concatenate, sort by
-// key, sum equal keys; nil when there is nothing to merge.
-func referenceMerge(lists []TermCounts) TermCounts {
-	var all TermCounts
+// referenceMerge is what a Merger computes: concatenate, sort by key, sum
+// equal keys.
+func referenceMerge(lists [][]Counted) []Counted {
+	var all []Counted
 	for _, l := range lists {
 		all = append(all, l...)
 	}
@@ -20,7 +21,7 @@ func referenceMerge(lists []TermCounts) TermCounts {
 		return nil
 	}
 	slices.SortFunc(all, func(a, b Counted) int { return cmp.Compare(a.Km, b.Km) })
-	out := TermCounts{all[0]}
+	out := []Counted{all[0]}
 	for _, e := range all[1:] {
 		if last := &out[len(out)-1]; last.Km == e.Km {
 			last.Count += e.Count
@@ -38,11 +39,11 @@ func referenceMerge(lists []TermCounts) TermCounts {
 // one, so keys repeat within and across runs and, in the top window, many
 // runs end on the largest keys. Counts reach the top byte so that sums
 // wrap.
-func decodeRuns(data []byte) []TermCounts {
+func decodeRuns(data []byte) [][]Counted {
 	if len(data) == 0 {
 		return nil
 	}
-	lists := make([]TermCounts, int(data[0]&0x7f)%71)
+	lists := make([][]Counted, int(data[0]&0x7f)%71)
 	base, width := dna.Kmer(0), dna.Kmer(256)
 	if data[0]&0x80 != 0 {
 		base, width = ^dna.Kmer(0)-15, 16
@@ -61,12 +62,13 @@ func decodeRuns(data []byte) []TermCounts {
 	return lists
 }
 
-// FuzzMergeTerms checks the digit-bucket merge against concatenate, sort
-// and sum on runs with keys shared across and repeated within runs, empty
-// runs, and keys at the top of the key space: through MergeTerms, and
-// through a warm Merger whose scratch still holds an earlier, larger merge
-// and whose records arrive last run first.
-func FuzzMergeTerms(f *testing.F) {
+// FuzzMerger checks the digit-bucket merge against concatenate, sort and
+// sum on runs with keys shared across and repeated within runs, empty
+// runs, and keys at the top of the key space: through a fresh Merger at
+// the narrowest width the keys allow, its records in run order, and
+// through a warm Merger at the full width whose scratch still holds an
+// earlier, larger merge and whose records arrive last run first.
+func FuzzMerger(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 1, 0, 0, 0, 2})
@@ -93,22 +95,33 @@ func FuzzMergeTerms(f *testing.F) {
 	warm.Reset(1<<14, 64)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lists := decodeRuns(data)
-		in := make([]TermCounts, len(lists))
-		for i, l := range lists {
-			in[i] = slices.Clone(l)
-		}
-		got, want := MergeTerms(in), referenceMerge(lists)
-		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
-			t.Fatalf("%d runs: merged %d records, reference %d", len(lists), len(got), len(want))
-		}
-		for i := range lists {
-			if !slices.Equal(in[i], lists[i]) {
-				t.Fatalf("run %d modified by the merge", i)
+		want := referenceMerge(lists)
+		total := 0
+		var first, diff uint64
+		for _, l := range lists {
+			for _, e := range l {
+				if total == 0 {
+					first = uint64(e.Km)
+				}
+				total++
+				diff |= uint64(e.Km) ^ first
 			}
 		}
-		total := 0
+		var cold Merger
+		cold.Reset(total, bits.Len64(diff))
 		for _, l := range lists {
-			total += len(l)
+			for _, e := range l {
+				cold.Count(e.Km)
+			}
+		}
+		cold.Cursors()
+		for _, l := range lists {
+			for _, e := range l {
+				cold.Place(e.Km, e.Count)
+			}
+		}
+		if got := cold.Sum(); !slices.Equal(got, want) {
+			t.Fatalf("%d runs: a fresh Merger merged %d records, reference %d", len(lists), len(got), len(want))
 		}
 		warm.Reset(total, 64)
 		for _, l := range lists {

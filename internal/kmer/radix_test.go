@@ -8,58 +8,62 @@ import (
 	"testing"
 )
 
-// FuzzRadixVsSortSlice cross-checks ParallelSortUint64 against sort.Slice
-// on arbitrary word streams: the serial and parallel top-digit paths, the
-// in-bucket digits and the small-bucket insertion and slices.Sort paths.
+// FuzzRadixVsSortSlice cross-checks SortUint64 against sort.Slice on
+// arbitrary word streams: the MSD digit steps and the small-bucket
+// insertion and slices.Sort paths.
 func FuzzRadixVsSortSlice(f *testing.F) {
-	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(4))
-	// Long enough for the parallel top-digit pass at two workers, with the
-	// top 16 bits zero.
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	// A full 11-bit first digit, with the top 16 bits zero.
 	r := rand.New(rand.NewSource(42))
-	f.Add(wordBytes(2*parallelChunkMin+100, func(int) uint64 { return r.Uint64() >> 16 }), uint8(7))
+	f.Add(wordBytes(2*longSort+100, func(int) uint64 { return r.Uint64() >> 16 }))
 	// All-equal words; words sharing their top 40 bits, one giant
 	// top-digit bucket; fewer than 11 used bits; and lengths on either side
-	// of each small-input cutoff.
-	f.Add(wordBytes(3*parallelChunkMin, func(int) uint64 { return 0x0123456789abcdef }), uint8(2))
-	f.Add(wordBytes(3*parallelChunkMin, func(i int) uint64 { return 0xfedcba9876<<24 | mix(i)&(1<<24-1) }), uint8(2))
-	f.Add(wordBytes(3*parallelChunkMin, func(i int) uint64 { return mix(i) & 0x3ff }), uint8(2))
-	for _, n := range []int{insertionMax, insertionMax + 1, cmpSortMax, cmpSortMax + 1, 2*parallelChunkMin - 1, 2 * parallelChunkMin} {
-		f.Add(wordBytes(n, mix), uint8(2))
+	// of each small-input cutoff and of the length at which the first
+	// digit widens to all 11 bits.
+	f.Add(wordBytes(3*longSort, func(int) uint64 { return 0x0123456789abcdef }))
+	f.Add(wordBytes(3*longSort, func(i int) uint64 { return 0xfedcba9876<<24 | mix(i)&(1<<24-1) }))
+	f.Add(wordBytes(3*longSort, func(i int) uint64 { return mix(i) & 0x3ff }))
+	for _, n := range []int{insertionMax, insertionMax + 1, cmpSortMax, cmpSortMax + 1, 2*digitBuckets - 1, 2 * digitBuckets} {
+		f.Add(wordBytes(n, mix))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		v := make([]uint64, len(data)/8)
 		for i := range v {
 			v[i] = binary.LittleEndian.Uint64(data[8*i:])
 		}
 		want := append([]uint64(nil), v...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		ParallelSortUint64(v, int(workers))
+		SortUint64(v)
 		for i := range v {
 			if v[i] != want[i] {
-				t.Fatalf("mismatch at %d: %#x want %#x (n=%d workers=%d)", i, v[i], want[i], len(v), workers)
+				t.Fatalf("mismatch at %d: %#x want %#x (n=%d)", i, v[i], want[i], len(v))
 			}
 		}
 	})
 }
 
-// TestRadixLargeRandom forces the parallel top-digit pass (two workers or more)
-// across worker counts and bit widths.
+// longSort is an input length whose first MSD digit takes all 11 bits,
+// about four words per sub-bucket.
+const longSort = 4 * digitBuckets
+
+// TestRadixLargeRandom sorts inputs past a full first digit across bit
+// widths, down to one used bit.
 func TestRadixLargeRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, shift := range []uint{0, 16, 40, 63} {
-		for _, w := range []int{1, 3, 8, 64} {
-			n := parallelChunkMin*2 + r.Intn(1000)
+		for range 4 {
+			n := longSort*2 + r.Intn(1000)
 			v := make([]uint64, n)
 			for i := range v {
 				v[i] = r.Uint64() >> shift
 			}
 			want := append([]uint64(nil), v...)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			ParallelSortUint64(v, w)
+			SortUint64(v)
 			for i := range v {
 				if v[i] != want[i] {
-					t.Fatalf("shift=%d w=%d: mismatch at %d", shift, w, i)
+					t.Fatalf("shift=%d n=%d: mismatch at %d", shift, n, i)
 				}
 			}
 		}
@@ -97,7 +101,7 @@ func BenchmarkRadixSort(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(v, src)
-		ParallelSortUint64(v, 0)
+		SortUint64(v)
 	}
 }
 
@@ -115,8 +119,8 @@ func BenchmarkComparatorSort(b *testing.B) {
 	}
 }
 
-// BenchmarkSortSizes measures ParallelSortUint64 on random words from a
-// serial-path input up to a k-mer stream the size of assemble-100x's.
+// BenchmarkSortSizes measures SortUint64 on random words from a
+// top-digit-sized input up to a k-mer stream the size of assemble-100x's.
 func BenchmarkSortSizes(b *testing.B) {
 	for _, n := range []int{4096, 13_000, 100_000, 1 << 20, 6_900_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -127,7 +131,7 @@ func BenchmarkSortSizes(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(v, src)
-				ParallelSortUint64(v, 0)
+				SortUint64(v)
 			}
 		})
 	}

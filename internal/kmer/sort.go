@@ -1,14 +1,15 @@
 // Most-significant-digit bucket sort for packed k-mer words — the
 // stdlib-only substitute for the __gnu_parallel::sort the paper's optimized
-// k-mer counting uses (§4.5 c). A single scatter on the top digit splits
-// the input into buckets small enough to sit in L1/L2, and each bucket is
-// then finished in cache, in parallel, without comparator calls. Count no
-// longer sorts its k-mer stream this way: it tallies each bucket in a hash
-// table (tally.go) and sorts only the kept k-mers, and it falls back to
-// this kernel only for a bucket whose keys collide past the probe budget.
-// The kernel still sorts the terminal (k-1)-mers (countTerms), the
-// MacroNode keys and the scale-out collapse (ParallelSortUint64), and its
-// digit step (split) also divides a bucket too long for the tally table.
+// k-mer counting uses (§4.5 c). Each digit step scatters its input on a
+// digit just below the highest bit the words differ on, and every
+// sub-bucket is finished in cache without comparator calls. Count does not
+// sort its k-mer stream this way: it tallies each top-digit bucket in a
+// hash table (tally.go) and sorts only the kept k-mers, falling back to
+// this kernel only for a bucket whose keys collide past the probe budget,
+// and its digit step (split) divides a bucket too long for the tally
+// table. SortUint64 sorts the MacroNode keys and the scale-out collapse
+// and construction keys on one goroutine: each of those callers is serial
+// or already runs one sort per worker.
 package kmer
 
 import (
@@ -18,7 +19,6 @@ import (
 	"sync"
 
 	"nmppak/internal/dna"
-	"nmppak/internal/par"
 )
 
 const (
@@ -34,10 +34,6 @@ const (
 	// bits at a time.
 	insertionMax = 32
 	cmpSortMax   = 256
-
-	// Each worker of the parallel top-digit pass scans at least this many
-	// words, comfortably more than its digit table.
-	parallelChunkMin = 4 * digitBuckets
 )
 
 // sorter is one goroutine's bucket-sorting state: a digit table per
@@ -68,9 +64,9 @@ func (t *sorter) table(d int) *[digitBuckets]int {
 	return t.tabs[d]
 }
 
-// sortBucket sorts a in place. It is the kernel every sort in the package
-// ends in; only a bucket too long for smallSort takes a pooled sorter.
-func sortBucket(a []uint64) {
+// SortUint64 sorts a ascending, in place. Only an input too long for
+// smallSort takes a pooled sorter.
+func SortUint64(a []uint64) {
 	if len(a) <= cmpSortMax {
 		smallSort(a)
 		return
@@ -162,75 +158,6 @@ func insertionSort(a []uint64) {
 	}
 }
 
-// ParallelSortUint64 sorts v ascending. The first digit is the top 11 bits
-// of the width v uses, found by OR-reduction; one parallel histogram and
-// scatter pass on it leaves up to 2048 buckets in a pooled scratch vector,
-// and par.ForIdx copies each bucket back and sorts it in cache
-// (sortBucket). Inputs too short to split across workers go straight to
-// sortBucket.
-func ParallelSortUint64(v []uint64, workers int) {
-	n := len(v)
-	w := min(par.Threads(workers), n/parallelChunkMin)
-	if w <= 1 {
-		sortBucket(v)
-		return
-	}
-	t := sorters.Get().(*sorter)
-	defer sorters.Put(t)
-	bounds := make([]int, w+1)
-	for i := range bounds {
-		bounds[i] = n * i / w
-	}
-	ors := make([]uint64, w)
-	par.For(w, w, func(lo, hi int) {
-		for wi := lo; wi < hi; wi++ {
-			var o uint64
-			for _, x := range v[bounds[wi]:bounds[wi+1]] {
-				o |= x
-			}
-			ors[wi] = o
-		}
-	})
-	var or uint64
-	for _, o := range ors {
-		or |= o
-	}
-	width := bits.Len64(or)
-	if width == 0 {
-		return // all zero
-	}
-	shift := uint(max(width-digitBits, 0))
-	nb := 1 << (uint(width) - shift)
-
-	cur := make([]int, w*nb)
-	par.For(w, w, func(lo, hi int) {
-		for wi := lo; wi < hi; wi++ {
-			cnt := cur[wi*nb : (wi+1)*nb]
-			for _, x := range v[bounds[wi]:bounds[wi+1]] {
-				cnt[x>>shift]++
-			}
-		}
-	})
-	prefixCursors(cur, nb)
-	buf := t.buf(n)
-	par.For(w, w, func(lo, hi int) {
-		for wi := lo; wi < hi; wi++ {
-			cnt := cur[wi*nb : (wi+1)*nb]
-			for _, x := range v[bounds[wi]:bounds[wi+1]] {
-				b := x >> shift
-				buf[cnt[b]] = x
-				cnt[b]++
-			}
-		}
-	})
-	ends := cur[(w-1)*nb:]
-	par.ForIdx(nb, w, func(b int) {
-		lo, hi := bucketSpan(ends, b)
-		copy(v[lo:hi], buf[lo:hi])
-		sortBucket(v[lo:hi])
-	})
-}
-
 // prefixCursors turns per-worker bucket counts, cur[wi*nb+b], into scatter
 // cursors in place and returns the total count. Buckets are laid out in
 // order, and within a bucket worker wi's words precede worker wi+1's, so
@@ -258,13 +185,14 @@ func bucketSpan(ends []int, b int) (lo, hi int) {
 }
 
 // Merger sums the counts of equal keys over (key, count) records that
-// arrive in any order, the way Count finishes its k-mers: a counting pass
-// sizes one bucket per key digit, a scatter writes every record straight
-// into its slot, and each bucket, a few records long, is then sorted and
-// summed in cache. A merge is Reset, Count for every record, Cursors, Place
-// for every record in any order, then Sum. A Merger keeps its scratch, so
-// merging one input after another allocates only when an input outgrows
-// every earlier one.
+// arrive in any order, such as the k-mer records every scale-out source
+// ships one owner: a counting pass sizes one bucket per key digit, a
+// scatter writes every record straight into its slot, and each bucket, a
+// few records long, is then sorted and summed in cache, the way Count
+// partitions its k-mer stream. A merge is Reset, Count for every record,
+// Cursors, Place for every record in any order, then Sum. A Merger keeps
+// its scratch, so merging one input after another allocates only when an
+// input outgrows every earlier one.
 type Merger struct {
 	shift uint
 	mask  uint64

@@ -141,9 +141,7 @@ func TestCountTallyEdges(t *testing.T) {
 	for _, c := range cases {
 		var words []uint64
 		for _, rd := range c.reads {
-			var all, tp, ts []uint64
-			extractInto(&all, &tp, &ts, rd.Seq, c.k)
-			words = append(words, all...)
+			extractInto(&words, rd.Seq, c.k)
 		}
 		if got := topBucketLen(words, c.k); got <= c.bucket {
 			t.Fatalf("%s: longest bucket %d words, want over %d", c.name, got, c.bucket)

@@ -123,7 +123,7 @@ func Build(res *kmer.Result) (*Graph, error) {
 	for _, kc := range res.Kmers {
 		keys = append(keys, uint64(kc.Km.Prefix()), uint64(kc.Km.Suffix(res.K)))
 	}
-	kmer.ParallelSortUint64(keys, 1)
+	kmer.SortUint64(keys)
 	keys = slices.Compact(keys)
 	g := &Graph{K: res.K, Nodes: make([]MacroNode, len(keys))}
 	for i, key := range keys {

@@ -28,7 +28,8 @@ const (
 // partial counts travel all-to-all to their owners, and each owner merges
 // and prunes. The union of the per-node results is byte-identical to a
 // single-node kmer.Count run, which TestShardedCountMergeEquivalence
-// asserts.
+// asserts. The all-to-all also carries PaKman's read-terminal (k-1)-mer
+// records, which CountExchange prices and no owner keeps.
 type ShardedCount struct {
 	K     int
 	Nodes int
@@ -40,8 +41,9 @@ type ShardedCount struct {
 	ReadsPerNode     []int
 	ExtractedPerNode []int64 // raw k-mer instances before local dedup
 	RecordsToNode    []int64 // partial-count records each owner merges
-	// CountExchange[src][dst] is the bytes of partial-count records node
-	// src ships to owner dst (diagonal = locally retained, free).
+	// CountExchange[src][dst] is the bytes of partial-count and terminal
+	// records node src ships to owner dst (diagonal = locally retained,
+	// free).
 	CountExchange [][]int64
 }
 
@@ -55,8 +57,10 @@ type ShardedCount struct {
 // bucket; extraction writes each word straight into its slot; and each
 // bucket is deduplicated in cache, which leaves every owner's records in
 // one span of the source's key and count columns. Each owner then sums the
-// records all sources ship it through a kmer.Merger's digit buckets, which
-// also sorts them, and prunes.
+// k-mer records all sources ship it through a kmer.Merger's digit buckets,
+// which also sorts them, and prunes. The sources collapse their terminal
+// words too, since their distinct count per owner prices the terminal
+// records in CountExchange, but the owners merge only the k-mers.
 func CountSharded(reads []readsim.Read, cfg Config) (*ShardedCount, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -100,42 +104,31 @@ func CountSharded(reads []readsim.Read, cfg Config) (*ShardedCount, error) {
 		}
 	}
 
-	// Owner-side merge: the owner sums equal keys over every source's
+	// Owner-side merge: the owner sums equal k-mers over every source's
 	// records, then prunes. Pruning after the exchange sees the complete
 	// count of every owned k-mer, so it is exactly the single-node
-	// threshold. The merge runs in a reused Merger; only the terminal
-	// tables and the surviving k-mers get vectors of their own.
+	// threshold. The merge runs in a reused Merger; only the surviving
+	// k-mers get a vector of their own.
 	minCount := max(cfg.MinCount, 1)
 	par.ForIdx(n, cfg.Workers, func(dst int) {
 		m := mergers.Get().(*kmer.Merger)
 		defer mergers.Put(m)
-		merge := func(s, kk int) []kmer.Counted {
-			total := 0
-			for i := range srcs {
-				total += srcs[i].seg[2*(s*n+dst)+1]
+		m.Reset(int(sc.RecordsToNode[dst]), 2*cfg.K)
+		for i := range srcs {
+			ws, _ := srcs[i].out(kmerStream, dst, n)
+			for _, w := range ws {
+				m.Count(dna.Kmer(w))
 			}
-			m.Reset(total, 2*kk)
-			for i := range srcs {
-				ws, _ := srcs[i].out(s, dst, n)
-				for _, w := range ws {
-					m.Count(dna.Kmer(w))
-				}
-			}
-			m.Cursors()
-			for i := range srcs {
-				ws, cs := srcs[i].out(s, dst, n)
-				for j, w := range ws {
-					m.Place(dna.Kmer(w), cs[j])
-				}
-			}
-			return m.Sum()
 		}
-		res := &kmer.Result{
-			K:          cfg.K,
-			TermPrefix: termCounts(merge(prefixStream, cfg.K-1)),
-			TermSuffix: termCounts(merge(suffixStream, cfg.K-1)),
+		m.Cursors()
+		for i := range srcs {
+			ws, cs := srcs[i].out(kmerStream, dst, n)
+			for j, w := range ws {
+				m.Place(dna.Kmer(w), cs[j])
+			}
 		}
-		recs := merge(kmerStream, cfg.K)
+		recs := m.Sum()
+		res := &kmer.Result{K: cfg.K}
 		kept := 0
 		for _, e := range recs {
 			res.TotalExtracted += int64(e.Count)
@@ -159,23 +152,14 @@ func CountSharded(reads []readsim.Read, cfg Config) (*ShardedCount, error) {
 	return sc, nil
 }
 
-// termCounts copies merged terminal records out of a Merger's scratch; nil
-// when there are none.
-func termCounts(recs []kmer.Counted) kmer.TermCounts {
-	if len(recs) == 0 {
-		return nil
-	}
-	return slices.Clone(recs)
-}
-
 // mergers holds the owner-side Mergers CountSharded reuses. A Merger
 // grows to the largest owner it has summed, which at a few nodes is most
 // of the input, so the pool lets a collection reclaim it.
 var mergers = sync.Pool{New: func() any { return new(kmer.Merger) }}
 
 // The three record streams a counting source ships: distinct k-mers keyed
-// by the k-mer, and read-terminal prefixes and suffixes keyed by the
-// (k-1)-mer.
+// by the k-mer, which the owners merge, and read-terminal prefixes and
+// suffixes keyed by the (k-1)-mer, which only CountExchange counts.
 const (
 	kmerStream = iota
 	prefixStream
@@ -375,7 +359,7 @@ func (src *source) collapse(w, lo, hi int) int {
 	words, counts := src.words, src.counts
 	if hi-lo > sourceScanMax {
 		b := words[lo:hi]
-		kmer.ParallelSortUint64(b, 1)
+		kmer.SortUint64(b)
 		for i := 0; i < len(b); {
 			j := i + 1
 			for j < len(b) && b[j] == b[i] {
@@ -482,7 +466,7 @@ func (sc *ShardedCount) construction(cfg Config) (*ShardGraphs, []int) {
 	macroNodes := make([]int, n)
 	par.ForIdx(n, cfg.Workers, func(dst int) {
 		ks := keys[span[dst]:span[dst+1]]
-		kmer.ParallelSortUint64(ks, 1)
+		kmer.SortUint64(ks)
 		macroNodes[dst] = kmer.CountRuns(ks)
 	})
 	return sg, macroNodes

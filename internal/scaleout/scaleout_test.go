@@ -1,7 +1,9 @@
 package scaleout
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nmppak/internal/assemble"
@@ -34,22 +36,17 @@ func testReads(t testing.TB, length int) []readsim.Read {
 
 // mergeShards reassembles the global counting result from the shards,
 // ordered and structured exactly like kmer.Count's. The shards hold
-// disjoint ascending key sets, so a merge of them is already the global
+// disjoint key sets, so concatenating and sorting them is the global
 // order.
 func mergeShards(sc *ShardedCount) *kmer.Result {
 	res := &kmer.Result{K: sc.K}
-	kmLists := make([]kmer.TermCounts, len(sc.Shards))
-	tpLists := make([]kmer.TermCounts, len(sc.Shards))
-	tsLists := make([]kmer.TermCounts, len(sc.Shards))
-	for i, sh := range sc.Shards {
-		kmLists[i], tpLists[i], tsLists[i] = sh.Kmers, sh.TermPrefix, sh.TermSuffix
+	for _, sh := range sc.Shards {
+		res.Kmers = append(res.Kmers, sh.Kmers...)
 		res.TotalExtracted += sh.TotalExtracted
 		res.PrunedKinds += sh.PrunedKinds
 		res.PrunedMass += sh.PrunedMass
 	}
-	res.Kmers = kmer.MergeTerms(kmLists)
-	res.TermPrefix = kmer.MergeTerms(tpLists)
-	res.TermSuffix = kmer.MergeTerms(tsLists)
+	slices.SortFunc(res.Kmers, func(a, b kmer.Counted) int { return cmp.Compare(a.Km, b.Km) })
 	return res
 }
 
@@ -66,7 +63,7 @@ func testTrace(t testing.TB, reads []readsim.Read, k int, minCount uint32) *trac
 }
 
 // Sharded counting must merge to the byte-identical single-node result:
-// same k-mers, counts, terminal maps and pruning statistics, for any node
+// same k-mers, counts and pruning statistics, for any node
 // count and every partitioner, up to the 64 nodes of the benchmark's
 // scale-out workloads with the skewed one's rebalancing partitioner.
 func TestShardedCountMergeEquivalence(t *testing.T) {
@@ -87,9 +84,6 @@ func TestShardedCountMergeEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(got.Kmers, want.Kmers) {
 				t.Fatalf("%s n=%d: merged k-mers differ (%d vs %d entries)", p.Name(), n, len(got.Kmers), len(want.Kmers))
 			}
-			if !reflect.DeepEqual(got.TermPrefix, want.TermPrefix) || !reflect.DeepEqual(got.TermSuffix, want.TermSuffix) {
-				t.Fatalf("%s n=%d: terminal maps differ", p.Name(), n)
-			}
 			if got.TotalExtracted != want.TotalExtracted || got.PrunedKinds != want.PrunedKinds || got.PrunedMass != want.PrunedMass {
 				t.Fatalf("%s n=%d: stats differ: %d/%d/%d vs %d/%d/%d", p.Name(), n,
 					got.TotalExtracted, got.PrunedKinds, got.PrunedMass,
@@ -102,6 +96,74 @@ func TestShardedCountMergeEquivalence(t *testing.T) {
 						t.Fatalf("%s n=%d: k-mer on node %d owned by %d", p.Name(), n, i, o)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestCountExchangeMatchesReference rebuilds the counting all-to-all's
+// accounting from the reads with maps: source src holds every n-th read
+// from src, and per (source, owner) it ships one 12-byte record per
+// distinct k-mer and per distinct first and last (k-1)-mer of its reads at
+// least k long, the diagonal included. Only the k-mer records reach an
+// owner's merge. The terminal records are priced though no owner keeps
+// them. Reads shorter than k, and exactly k, sit among the simulated ones.
+func TestCountExchangeMatchesReference(t *testing.T) {
+	const k = 32
+	reads := testReads(t, 20_000)
+	src := reads[0].Seq
+	for _, l := range []int{0, 1, k - 1, k, k + 1} {
+		reads = append(reads, readsim.Read{Seq: src.Slice(0, l)})
+	}
+	type key struct {
+		src, dst int
+		w        dna.Kmer
+	}
+	for _, p := range []Partitioner{HashPartitioner{}, NewMinimizerPartitioner(12), NewRebalancePartitioner(12, 1)} {
+		for _, n := range []int{1, 2, 3, 8, 64} {
+			kmers, prefixes, suffixes := map[key]bool{}, map[key]bool{}, map[key]bool{}
+			extracted := make([]int64, n)
+			for ri, rd := range reads {
+				s, l := ri%n, rd.Seq.Len()
+				if l < k {
+					continue
+				}
+				for i := 0; i+k <= l; i++ {
+					km := dna.KmerFromSeq(rd.Seq, i, k)
+					kmers[key{s, p.Owner(km, k, n), km}] = true
+					extracted[s]++
+				}
+				first, last := dna.KmerFromSeq(rd.Seq, 0, k-1), dna.KmerFromSeq(rd.Seq, l-k+1, k-1)
+				prefixes[key{s, p.Owner(first, k-1, n), first}] = true
+				suffixes[key{s, p.Owner(last, k-1, n), last}] = true
+			}
+			toNode := make([]int64, n)
+			exchange := mat(n)
+			for kk := range kmers {
+				toNode[kk.dst]++
+				exchange[kk.src][kk.dst] += countRecordBytes
+			}
+			for _, m := range []map[key]bool{prefixes, suffixes} {
+				for kk := range m {
+					exchange[kk.src][kk.dst] += countRecordBytes
+				}
+			}
+
+			cfg := DefaultConfig(n)
+			cfg.K = k
+			cfg.Partitioner = p
+			sc, err := CountSharded(reads, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sc.ExtractedPerNode, extracted) {
+				t.Errorf("%s n=%d: ExtractedPerNode %v, reference %v", p.Name(), n, sc.ExtractedPerNode, extracted)
+			}
+			if !reflect.DeepEqual(sc.RecordsToNode, toNode) {
+				t.Errorf("%s n=%d: RecordsToNode %v, reference %v", p.Name(), n, sc.RecordsToNode, toNode)
+			}
+			if !reflect.DeepEqual(sc.CountExchange, exchange) {
+				t.Errorf("%s n=%d: CountExchange differs from the reference", p.Name(), n)
 			}
 		}
 	}
