@@ -46,12 +46,35 @@ import (
 	"nmppak/internal/experiments"
 )
 
+// usage prints the command lines and exits with status 2.
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: experiments [-quick] [-scale N] <fig5|fig6|fig7|fig8|fig12|fig13|fig14|fig15|table1|table3|comm|super|hybrid|footprint|gpucap|swopt|ablation|scaling|faults|tenancy|all>")
+	fmt.Fprintln(os.Stderr, "       experiments [-quick] [-scale N] -checkpoint <file>")
+	fmt.Fprintln(os.Stderr, "       experiments [-quick] [-scale N] -restore <file>")
+	fmt.Fprintln(os.Stderr, "       experiments [-quick] [-scale N] -timeline <out.json> [-inject]")
+	os.Exit(2)
+}
+
+// checkFlags rejects the numeric flags that would otherwise fall back to
+// a default without a word: a negative -scale would run the default
+// genome, and a negative -workers one worker per core. -scale 0 means no
+// override and -workers 0 one worker per core.
+func checkFlags(scale, workers int) error {
+	if scale < 0 {
+		return fmt.Errorf("-scale %d is negative", scale)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers %d is negative", workers)
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var (
 		quick      = flag.Bool("quick", false, "use the small test workload")
-		scale      = flag.Int("scale", 0, "override genome length (bp)")
+		scale      = flag.Int("scale", 0, "override genome length (bp; 0 = the workload's own)")
 		checkpoint = flag.String("checkpoint", "", "pause the scale-out run mid-compaction and write the checkpoint blob to this `file` (atomic temp-file + rename)")
 		restore    = flag.String("restore", "", "resume the scale-out run from this checkpoint `file` and verify against the uninterrupted run")
 		timeline   = flag.String("timeline", "", "capture an instrumented 8-node torus overlapped run and write the Chrome-trace JSON to this `file`")
@@ -65,13 +88,13 @@ func main() {
 			modes++
 		}
 	}
+	if err := checkFlags(*scale, *workers); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		usage()
+	}
 	if (flag.NArg() != 1 && modes == 0) || (flag.NArg() > 0 && modes > 0) || modes > 1 ||
 		(*inject && *timeline == "") {
-		fmt.Fprintln(os.Stderr, "usage: experiments [-quick] [-scale N] <fig5|fig6|fig7|fig8|fig12|fig13|fig14|fig15|table1|table3|comm|super|hybrid|footprint|gpucap|swopt|ablation|scaling|faults|tenancy|all>")
-		fmt.Fprintln(os.Stderr, "       experiments [-quick] [-scale N] -checkpoint <file>")
-		fmt.Fprintln(os.Stderr, "       experiments [-quick] [-scale N] -restore <file>")
-		fmt.Fprintln(os.Stderr, "       experiments [-quick] [-scale N] -timeline <out.json> [-inject]")
-		os.Exit(2)
+		usage()
 	}
 	w := experiments.DefaultWorkload()
 	if *quick {

@@ -91,7 +91,7 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 		return reads[min(ci*chunk, len(reads)):min((ci+1)*chunk, len(reads))]
 	}
 	// cur[ci*nb+b] is chunk ci's count of bucket-b k-mers, turned by
-	// prefixCursors into its write cursor.
+	// PrefixCursors into its write cursor.
 	cur := make([]int, nChunks*nb)
 	par.For(nChunks, w, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
@@ -114,7 +114,7 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 			}
 		}
 	})
-	total := prefixCursors(cur, nb)
+	total := PrefixCursors(cur, nb)
 
 	// (b) Extraction rolls the reads again and writes every k-mer straight
 	// into its bucket of one exact-size vector: the partition the tally
@@ -145,7 +145,7 @@ func Count(reads []readsim.Read, cfg Config) (*Result, error) {
 
 	ends := cur[(nChunks-1)*nb:]
 	bucket := func(b int) []uint64 {
-		lo, hi := bucketSpan(ends, b)
+		lo, hi := BucketSpan(ends, b)
 		return all[lo:hi]
 	}
 

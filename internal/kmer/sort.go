@@ -7,18 +7,15 @@
 // hash table (tally.go) and sorts only the kept k-mers, falling back to
 // this kernel only for a bucket whose keys collide past the probe budget,
 // and its digit step (split) divides a bucket too long for the tally
-// table. SortUint64 sorts the MacroNode keys and the scale-out collapse
+// table. SortUint64 sorts the MacroNode keys and the scale-out read ends
 // and construction keys on one goroutine: each of those callers is serial
 // or already runs one sort per worker.
 package kmer
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 	"sync"
-
-	"nmppak/internal/dna"
 )
 
 const (
@@ -158,12 +155,13 @@ func insertionSort(a []uint64) {
 	}
 }
 
-// prefixCursors turns per-worker bucket counts, cur[wi*nb+b], into scatter
-// cursors in place and returns the total count. Buckets are laid out in
-// order, and within a bucket worker wi's words precede worker wi+1's, so
-// once every worker has scattered, the last worker's cursors stand at the
+// PrefixCursors turns per-writer bucket counts, cur[wi*nb+b], into scatter
+// cursors in place and returns the total count; Count's writers are its
+// workers, the scale-out count's its sources. Buckets are laid out in
+// order, and within a bucket writer wi's words precede writer wi+1's, so
+// once every writer has scattered, the last writer's cursors stand at the
 // bucket ends.
-func prefixCursors(cur []int, nb int) int {
+func PrefixCursors(cur []int, nb int) int {
 	w := len(cur) / nb
 	sum := 0
 	for b := 0; b < nb; b++ {
@@ -176,122 +174,10 @@ func prefixCursors(cur []int, nb int) int {
 	return sum
 }
 
-// bucketSpan returns the bounds of bucket b given the bucket ends.
-func bucketSpan(ends []int, b int) (lo, hi int) {
+// BucketSpan returns the bounds of bucket b given the bucket ends.
+func BucketSpan(ends []int, b int) (lo, hi int) {
 	if b > 0 {
 		lo = ends[b-1]
 	}
 	return lo, ends[b]
-}
-
-// Merger sums the counts of equal keys over (key, count) records that
-// arrive in any order, such as the k-mer records every scale-out source
-// ships one owner: a counting pass sizes one bucket per key digit, a
-// scatter writes every record straight into its slot, and each bucket, a
-// few records long, is then sorted and summed in cache, the way Count
-// partitions its k-mer stream. A merge is Reset, Count for every record,
-// Cursors, Place for every record in any order, then Sum. A Merger keeps
-// its scratch, so merging one input after another allocates only when an
-// input outgrows every earlier one.
-type Merger struct {
-	shift uint
-	mask  uint64
-	cur   []int // per digit: the count, then the scatter cursor, then the bucket end
-	recs  []Counted
-}
-
-// mergeBucketLen is the mean bucket length a merge aims for, short enough
-// for insertion sort.
-const mergeBucketLen = 8
-
-// Reset starts a merge of total records whose keys agree on every bit at
-// or above width.
-func (m *Merger) Reset(total, width int) {
-	d := min(bits.Len(uint(total/mergeBucketLen)), digitBits, width)
-	m.shift = uint(width - d)
-	m.mask = 1<<d - 1
-	if cap(m.cur) < 1<<d {
-		m.cur = make([]int, digitBuckets)
-	}
-	m.cur = m.cur[:1<<d]
-	clear(m.cur)
-	if cap(m.recs) < total {
-		m.recs = make([]Counted, total)
-	}
-	m.recs = m.recs[:total]
-}
-
-// Count tallies a record's key in the counting pass.
-func (m *Merger) Count(key dna.Kmer) { m.cur[uint64(key)>>m.shift&m.mask]++ }
-
-// Cursors ends the counting pass: every bucket's count becomes its write
-// cursor.
-func (m *Merger) Cursors() {
-	sum := 0
-	for i, c := range m.cur {
-		m.cur[i] = sum
-		sum += c
-	}
-}
-
-// Place writes a record into the next slot of its key's bucket.
-func (m *Merger) Place(key dna.Kmer, count uint32) {
-	b := uint64(key) >> m.shift & m.mask
-	m.recs[m.cur[b]] = Counted{Km: key, Count: count}
-	m.cur[b]++
-}
-
-// Sum sorts and sums every bucket in turn and returns the merged records,
-// ascending by key with equal keys summed. The result is the Merger's
-// scratch, valid until its next Reset.
-//
-// A bucket mostly holds a few keys, many of them in several copies, so
-// each record is first folded into an equal key already seen, found by a
-// scan, and only the distinct keys are then sorted by insertion. Past
-// insertionMax distinct keys the rest of the bucket is sorted by
-// comparison instead.
-func (m *Merger) Sum() []Counted {
-	out, lo := 0, 0
-	for _, hi := range m.cur {
-		b := m.recs[lo:hi]
-		lo = hi
-		d, i := 0, 0 // b[:d] holds distinct keys, summed; b[i:] is unread
-		for ; i < len(b) && d < insertionMax; i++ {
-			e := b[i]
-			j := 0
-			for j < d && b[j].Km != e.Km {
-				j++
-			}
-			if j < d {
-				b[j].Count += e.Count
-				continue
-			}
-			b[d] = e
-			d++
-		}
-		if i == len(b) {
-			for i := 1; i < d; i++ {
-				e := b[i]
-				j := i
-				for j > 0 && b[j-1].Km > e.Km {
-					b[j] = b[j-1]
-					j--
-				}
-				b[j] = e
-			}
-			out += copy(m.recs[out:], b[:d])
-			continue
-		}
-		b = b[:d+copy(b[d:], b[i:])]
-		slices.SortFunc(b, func(x, y Counted) int { return cmp.Compare(x.Km, y.Km) })
-		for i := 0; i < len(b); {
-			e := b[i]
-			for i++; i < len(b) && b[i].Km == e.Km; i++ {
-				e.Count += b[i].Count
-			}
-			m.recs[out] = e
-			out++
-		}
-	}
-	return m.recs[:out]
 }

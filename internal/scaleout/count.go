@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"nmppak/internal/dna"
 	"nmppak/internal/kmer"
@@ -23,13 +23,13 @@ const (
 )
 
 // ShardedCount is the outcome of distributed k-mer counting: reads are
-// split round-robin across nodes, each node extracts and locally
-// pre-aggregates its k-mers (dedup, PaKman's combining step), the
-// partial counts travel all-to-all to their owners, and each owner merges
-// and prunes. The union of the per-node results is byte-identical to a
-// single-node kmer.Count run, which TestShardedCountMergeEquivalence
-// asserts. The all-to-all also carries PaKman's read-terminal (k-1)-mer
-// records, which CountExchange prices and no owner keeps.
+// split round-robin across nodes, each node extracts its k-mers and
+// pre-aggregates them (dedup, PaKman's combining step), the partial counts
+// travel all-to-all to their owners, and each owner sums and prunes. The
+// union of the per-node results is byte-identical to a single-node
+// kmer.Count run, which TestShardedCountMergeEquivalence asserts. The
+// all-to-all also carries PaKman's read-terminal (k-1)-mer records, which
+// CountExchange prices and no owner keeps.
 type ShardedCount struct {
 	K     int
 	Nodes int
@@ -40,7 +40,9 @@ type ShardedCount struct {
 
 	ReadsPerNode     []int
 	ExtractedPerNode []int64 // raw k-mer instances before local dedup
-	RecordsToNode    []int64 // partial-count records each owner merges
+	// RecordsToNode[dst] is the partial-count records owner dst sums: one
+	// per source and distinct k-mer of that source's reads dst owns.
+	RecordsToNode []int64
 	// CountExchange[src][dst] is the bytes of partial-count and terminal
 	// records node src ships to owner dst (diagonal = locally retained,
 	// free).
@@ -51,28 +53,23 @@ type ShardedCount struct {
 // MinCount come from cfg; reads are split round-robin so every node gets a
 // near-equal share regardless of input order.
 //
-// Every source runs kmer.Count's two passes with the owner as the
-// outermost partition (countSource): a counting pass resolves each word's
-// owner once, as the read rolls by, and sizes its owner × top-digit
-// bucket; extraction writes each word straight into its slot; and each
-// bucket is deduplicated in cache, which leaves every owner's records in
-// one span of the source's key and count columns. Each owner then sums the
-// k-mer records all sources ship it through a kmer.Merger's digit buckets,
-// which also sorts them, and prunes. The sources collapse their terminal
-// words too, since their distinct count per owner prices the terminal
-// records in CountExchange, but the owners merge only the k-mers.
+// It builds no record. (a) Each source rolls its reads to size its share
+// of every top-digit bucket and (b) again to write its k-mers there, so a
+// bucket holds its words in ascending source order. (c) Tallying each
+// bucket then yields the owners' kept k-mers and every (source, owner)
+// record count at once. Each source's first and last (k-1)-mers are
+// sorted and deduplicated apart: a terminal record per word and owner.
 func CountSharded(reads []readsim.Read, cfg Config) (*ShardedCount, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.Nodes
-	kc := kmer.Config{K: cfg.K, MinCount: cfg.MinCount}
-	if err := kc.Validate(); err != nil {
+	n, k := cfg.Nodes, cfg.K
+	if err := (kmer.Config{K: k, MinCount: cfg.MinCount}).Validate(); err != nil {
 		return nil, err
 	}
 
 	sc := &ShardedCount{
-		K:                cfg.K,
+		K:                k,
 		Nodes:            n,
 		Shards:           make([]*kmer.Result, n),
 		ReadsPerNode:     make([]int, n),
@@ -80,312 +77,322 @@ func CountSharded(reads []readsim.Read, cfg Config) (*ShardedCount, error) {
 		RecordsToNode:    make([]int64, n),
 		CountExchange:    mat(n),
 	}
-	for i := range reads {
+	// Source src has at[src+1]-at[src] reads at least k long.
+	at := make([]int, n+1)
+	total := 0
+	for i, rd := range reads {
 		sc.ReadsPerNode[i%n]++
+		if c := rd.Seq.Len() - k + 1; c > 0 {
+			sc.ExtractedPerNode[i%n] += int64(c)
+			at[i%n+1]++
+			total += c
+		}
+	}
+	for src := 0; src < n; src++ {
+		at[src+1] += at[src]
 	}
 
-	// Per-node extraction and local pre-aggregation, each node in parallel
-	// (the intra-node parallelism of kmer.Count is already exercised by the
-	// single-node path; here the unit of concurrency is the virtual node).
-	srcs := make([]source, n)
+	// A source's share of a bucket is about countBucketLen words, so the
+	// cursors stay a fraction of the words.
+	ds := min(bits.Len(uint(total/(n*countBucketLen))), countDigitMax, 2*k)
+	nb, shift := 1<<ds, uint(2*k-ds)
+	cur := make([]int, n*nb) // cur[src*nb+b]: source src's count, cursor, then end in bucket b
+	ends := make([]uint64, 2*at[n])
+	mo := cfg.Partitioner.owners(n)
+	kmask, tmask := dna.KmerMask(k), dna.KmerMask(k-1)
+
+	// roll rolls source src's reads at least k long. Without place it
+	// counts their k-mers per bucket in the source's row of cur and keeps
+	// their ends; with place, the row holds cursors and every k-mer goes
+	// to its bucket's.
+	var words []uint64
+	roll := func(src int, place bool) {
+		pos := cur[src*nb : (src+1)*nb]
+		pre, e := ends[2*at[src]:], at[src+1]-at[src]
+		for ri := src; ri < len(reads); ri += n {
+			seq := reads[ri].Seq
+			if seq.Len() < k {
+				continue
+			}
+			var x, w uint64
+			for j := 0; j < seq.Len(); j++ {
+				if j&31 == 0 {
+					w = seq.Word(j >> 5)
+				}
+				x = (x<<2 | w&3) & kmask
+				w >>= 2
+				if j < k-1 {
+					continue
+				}
+				if place {
+					words[pos[x>>shift]] = x
+				}
+				pos[x>>shift]++
+			}
+			if !place {
+				pre[0], pre[e] = uint64(dna.KmerFromSeq(seq, 0, k-1)), x&tmask
+				pre = pre[1:]
+			}
+		}
+	}
+
+	// (a) Bucket sizes, and each source's read ends priced: the first
+	// (k-1)-mers, then the last.
 	par.ForIdx(n, cfg.Workers, func(src int) {
-		srcs[src] = countSource(reads, src, cfg)
-	})
-	for src := range srcs {
-		sc.ExtractedPerNode[src] = int64(srcs[src].extracted)
-		for s := 0; s < numStreams; s++ {
-			for dst := 0; dst < n; dst++ {
-				recs := srcs[src].seg[2*(s*n+dst)+1]
-				sc.CountExchange[src][dst] += int64(recs) * countRecordBytes
-				if s == kmerStream {
-					sc.RecordsToNode[dst] += int64(recs)
+		roll(src, false)
+		row := sc.CountExchange[src]
+		for _, ws := range [2][]uint64{ends[2*at[src] : at[src]+at[src+1]], ends[at[src]+at[src+1] : 2*at[src+1]]} {
+			kmer.SortUint64(ws)
+			for i, x := range ws {
+				if i == 0 || x != ws[i-1] {
+					row[mo.owner(dna.Kmer(x), k-1)] += countRecordBytes
 				}
 			}
 		}
-	}
+	})
+	// (b) Every k-mer into its source's share of its bucket.
+	kmer.PrefixCursors(cur, nb)
+	words = make([]uint64, total)
+	par.ForIdx(n, cfg.Workers, func(src int) { roll(src, true) })
 
-	// Owner-side merge: the owner sums equal k-mers over every source's
-	// records, then prunes. Pruning after the exchange sees the complete
-	// count of every owned k-mer, so it is exactly the single-node
-	// threshold. The merge runs in a reused Merger; only the surviving
-	// k-mers get a vector of their own.
+	// (c) The workers take the buckets one at a time; heads[b] is the
+	// length of the head bucket b's tally rewrote.
+	last := cur[(n-1)*nb:] // the bucket ends
 	minCount := max(cfg.MinCount, 1)
-	par.ForIdx(n, cfg.Workers, func(dst int) {
-		m := mergers.Get().(*kmer.Merger)
-		defer mergers.Put(m)
-		m.Reset(int(sc.RecordsToNode[dst]), 2*cfg.K)
-		for i := range srcs {
-			ws, _ := srcs[i].out(kmerStream, dst, n)
-			for _, w := range ws {
-				m.Count(dna.Kmer(w))
+	ts := make([]tally, min(par.Threads(cfg.Workers), nb))
+	heads := make([]int, nb)
+	var next atomic.Int64
+	par.For(len(ts), len(ts), func(wi, _ int) {
+		t := &ts[wi]
+		t.mo, t.n, t.k = mo, n, k
+		t.recs, t.owners = make([]int64, n*n), make([]ownerTally, n)
+		for b := int(next.Add(1)) - 1; b < nb; b = int(next.Add(1)) - 1 {
+			lo, hi := kmer.BucketSpan(last, b)
+			if lo == hi {
+				continue
+			}
+			t.start(hi - lo)
+			for src, from := 0, lo; src < n; src++ {
+				t.add(src, words[from:cur[src*nb+b]])
+				from = cur[src*nb+b]
+			}
+			heads[b] = t.finish(words[lo:hi], minCount)
+		}
+	})
+
+	for _, t := range ts {
+		for src, row := range sc.CountExchange {
+			for dst, r := range t.recs[src*n : (src+1)*n] {
+				sc.RecordsToNode[dst] += r
+				row[dst] += r * countRecordBytes
 			}
 		}
-		m.Cursors()
-		for i := range srcs {
-			ws, cs := srcs[i].out(kmerStream, dst, n)
-			for j, w := range ws {
-				m.Place(dna.Kmer(w), cs[j])
-			}
-		}
-		recs := m.Sum()
-		res := &kmer.Result{K: cfg.K}
-		kept := 0
-		for _, e := range recs {
-			res.TotalExtracted += int64(e.Count)
-			if e.Count >= minCount {
-				kept++
-			} else {
-				res.PrunedKinds++
-				res.PrunedMass += int64(e.Count)
-			}
+	}
+	for dst := range sc.Shards {
+		res, kept := &kmer.Result{K: k}, int64(0)
+		for _, t := range ts {
+			o := t.owners[dst]
+			res.TotalExtracted += o.extracted
+			res.PrunedKinds += o.prunedKinds
+			res.PrunedMass += o.prunedMass
+			kept += o.kept
 		}
 		if kept > 0 {
 			res.Kmers = make([]kmer.Counted, 0, kept)
-			for _, e := range recs {
-				if e.Count >= minCount {
-					res.Kmers = append(res.Kmers, e)
-				}
-			}
 		}
 		sc.Shards[dst] = res
-	})
+	}
+	// The heads, in bucket order, hold the kept words in ascending order.
+	for b, h := range heads {
+		lo, _ := kmer.BucketSpan(last, b)
+		for i, head := 0, words[lo:lo+h]; i < len(head); {
+			x, j := head[i], i+1
+			var c, o uint32
+			if minCount >= 2 {
+				c, o, j = uint32(head[j]>>32), uint32(head[j]), j+1
+			} else {
+				for j < len(head) && head[j] == x {
+					j++
+				}
+				c, o = uint32(j-i), uint32(mo.owner(dna.Kmer(x), k))
+			}
+			sh := sc.Shards[o]
+			sh.Kmers, i = append(sh.Kmers, kmer.Counted{Km: dna.Kmer(x), Count: c}), j
+		}
+	}
 	return sc, nil
 }
 
-// mergers holds the owner-side Mergers CountSharded reuses. A Merger
-// grows to the largest owner it has summed, which at a few nodes is most
-// of the input, so the pool lets a collection reclaim it.
-var mergers = sync.Pool{New: func() any { return new(kmer.Merger) }}
-
-// The three record streams a counting source ships: distinct k-mers keyed
-// by the k-mer, which the owners merge, and read-terminal prefixes and
-// suffixes keyed by the (k-1)-mer, which only CountExchange counts.
 const (
-	kmerStream = iota
-	prefixStream
-	suffixStream
-	numStreams
+	// countBucketLen is the words per source a counting bucket aims for,
+	// and countDigitMax caps its digit at kmer.Count's width.
+	countBucketLen = 16
+	countDigitMax  = 11
+
+	// probeBudget caps a bucket's probes past the home slot, per word. A
+	// real bucket spends well under one; one of words crafted to collide
+	// finishes in a Go map, so no input makes counting quadratic.
+	probeBudget = 4
+
+	// fibMul is 2^64 over the golden ratio: a word times fibMul, shifted
+	// down, spreads words that differ only in their low bases.
+	fibMul = 0x9e3779b97f4a7c15
 )
 
-// A source's buckets hold about sourceBucketLen words each, under a digit
-// of at most sourceDigitMax bits, and one of at most sourceScanMax words is
-// deduplicated by scanning.
-const (
-	sourceBucketLen = 4
-	sourceDigitMax  = 11
-	sourceScanMax   = 32
-)
-
-// source is what one counting node ships, in two columns: for stream s and
-// owner dst, the distinct words bound there and beside each its
-// multiplicity on this node.
-type source struct {
-	words  []uint64
-	counts []uint32
-	// seg[2*(s*n+dst)] is the first slot of that span and seg[2*(s*n+dst)+1]
-	// its record count.
-	seg       []int
-	extracted int // raw k-mer instances before dedup
+// slot is one distinct word of a bucket.
+type slot struct {
+	x     uint64
+	n     uint32 // copies
+	owner uint32
+	src   int32 // the last source that hit the word
 }
 
-// out returns the words and counts the source ships to owner dst on stream
-// s.
-func (src *source) out(s, dst, n int) ([]uint64, []uint32) {
-	i := 2 * (s*n + dst)
-	lo, hi := src.seg[i], src.seg[i]+src.seg[i+1]
-	return src.words[lo:hi], src.counts[lo:hi]
+// ownerTally is what one worker has counted of one owner's k-mers.
+type ownerTally struct{ extracted, prunedKinds, prunedMass, kept int64 }
+
+// tally is one worker's counting state, the scale-out form of kmer's
+// bucket tally. The bucket in hand has its distinct words in slots, in
+// first-seen order. They are found through idx, an open-addressing table
+// of slot numbers plus one (0: empty) kept at most half full, so it is
+// sized by the distinct words, not their copies; or through over once
+// the probes outrun their budget. recs and owners accumulate over every
+// bucket the worker tallies.
+type tally struct {
+	mo     ownerMap
+	n, k   int
+	slots  []slot
+	idx    []int32
+	shift  uint
+	budget int
+	over   map[uint64]int32
+	prev   int     // the last bucket's distinct words, which size the next table
+	recs   []int64 // recs[src*n+dst]: k-mer records source src ships owner dst
+	owners []ownerTally
 }
 
-// streamSlots is one stream's slot layout in a source's columns: its slots
-// start at base, and its buckets are owner × digit, owner outermost, the
-// digit being the word's top ds bits.
-type streamSlots struct {
-	base      int
-	ds, shift uint
-	cur       []int // per bucket: the count, then the write cursor, then the end
+// start begins a bucket of the given copies.
+func (t *tally) start(copies int) {
+	t.slots, t.over, t.budget = t.slots[:0], nil, 0
+	t.size(2 * min(copies, max(t.prev, 8)))
 }
 
-func (l *streamSlots) bucket(owner uint32, w uint64) int {
-	return int(owner)<<l.ds | int(w>>l.shift)
+// size empties the table and gives it the first power of two of at least
+// m slots.
+func (t *tally) size(m int) {
+	lg := bits.Len(uint(m - 1))
+	t.idx = grow(t.idx, 1<<lg)
+	clear(t.idx)
+	t.shift = uint(64 - lg)
 }
 
-// sourceScratch is a counting source's reused digit tables.
-type sourceScratch struct{ cur []int }
-
-// sourceScratches holds the digit tables CountSharded's sources reuse.
-var sourceScratches = sync.Pool{New: func() any { return new(sourceScratch) }}
-
-// countSource extracts the k-mers and terminal (k-1)-mers of source src's
-// reads (every n-th read from src) and pre-aggregates them per owner, in
-// the two passes of kmer.Count. (a) A counting pass resolves the owner of
-// every k-mer once (ownersOf) and of every terminal word, keeping them in
-// the count column in read order, and sizes each owner × digit bucket.
-// (b) Extraction rolls the reads again and writes every word straight into
-// its bucket's next slot. (c) Each bucket collapses into (word,
-// multiplicity) records at the front of its owner's span.
-func countSource(reads []readsim.Read, src int, cfg Config) source {
-	n, k, mo := cfg.Nodes, cfg.K, cfg.Partitioner.owners(cfg.Nodes)
-	total, terms := 0, 0
-	for ri := src; ri < len(reads); ri += n {
-		if c := reads[ri].Seq.Len() - k + 1; c > 0 {
-			total += c
-			terms++
+// add tallies words of source src. A source's first hit on a word is one
+// more record from src to the word's owner.
+func (t *tally) add(src int, words []uint64) {
+	recs := t.recs[src*t.n : (src+1)*t.n]
+	for _, x := range words {
+		j, fresh := t.at(x)
+		s := &t.slots[j]
+		if fresh {
+			s.owner, s.src = uint32(t.mo.owner(dna.Kmer(x), t.k)), -1
+		}
+		s.n++
+		if s.src != int32(src) {
+			s.src = int32(src)
+			recs[s.owner]++
 		}
 	}
-	sizes := [numStreams]int{total, terms, terms}
-	widths := [numStreams]int{2 * k, 2 * (k - 1), 2 * (k - 1)}
-	scr := sourceScratches.Get().(*sourceScratch)
-	defer sourceScratches.Put(scr)
-	var ls [numStreams]streamSlots
-	slots, tabs := 0, 0
-	for s := range ls {
-		ds := min(bits.Len(uint(sizes[s]/(n*sourceBucketLen))), sourceDigitMax, widths[s])
-		ls[s] = streamSlots{base: slots, ds: uint(ds), shift: uint(widths[s] - ds)}
-		slots += sizes[s]
-		tabs += n << ds
-	}
-	scr.cur = grow(scr.cur, tabs)
-	clear(scr.cur)
-	for s, off := 0, 0; s < numStreams; s++ {
-		nb := n << ls[s].ds
-		ls[s].cur = scr.cur[off : off+nb]
-		off += nb
-	}
-	out := source{
-		words:     make([]uint64, slots),
-		counts:    make([]uint32, slots),
-		seg:       make([]int, 2*numStreams*n),
-		extracted: total,
-	}
-	own := out.counts // every word's owner, in read order, until (c)
+}
 
-	kmask, tmask := dna.KmerMask(k), dna.KmerMask(k-1)
-	km, tp, ts := &ls[kmerStream], &ls[prefixStream], &ls[suffixStream]
-	// (a) Owners and bucket sizes.
-	for ri, at, t := src, 0, 0; ri < len(reads); ri += n {
-		seq := reads[ri].Seq
-		c := seq.Len() - k + 1
-		if c <= 0 {
+// at returns x's slot number, and whether x is new, adding a slot if so.
+func (t *tally) at(x uint64) (int, bool) {
+	if t.over == nil {
+		t.budget += probeBudget
+		mask := uint64(len(t.idx) - 1)
+		for i := x * fibMul >> t.shift; ; i = (i + 1) & mask {
+			e := t.idx[i]
+			if e == 0 {
+				t.slots = append(t.slots, slot{x: x})
+				t.idx[i] = int32(len(t.slots))
+				if 2*len(t.slots) > len(t.idx) {
+					t.rehash()
+				}
+				return len(t.slots) - 1, true
+			}
+			if t.slots[e-1].x == x {
+				return int(e - 1), false
+			}
+			if t.budget--; t.budget < 0 {
+				t.spill()
+				break
+			}
+		}
+	}
+	if j, ok := t.over[x]; ok {
+		return int(j), false
+	}
+	t.over[x] = int32(len(t.slots))
+	t.slots = append(t.slots, slot{x: x})
+	return len(t.slots) - 1, true
+}
+
+// rehash doubles the table and enters every slot again, its probes
+// charged to the budget.
+func (t *tally) rehash() {
+	t.size(2 * len(t.idx))
+	mask := uint64(len(t.idx) - 1)
+	for j, s := range t.slots {
+		i := s.x * fibMul >> t.shift
+		for ; t.idx[i] != 0; i = (i + 1) & mask {
+			if t.budget--; t.budget < 0 {
+				t.spill()
+				return
+			}
+		}
+		t.idx[i] = int32(j + 1)
+	}
+}
+
+// spill moves the bucket's lookup into a Go map.
+func (t *tally) spill() {
+	t.over = make(map[uint64]int32, 2*len(t.slots))
+	for j, s := range t.slots {
+		t.over[s.x] = int32(j)
+	}
+}
+
+// finish adds the bucket's words to their owners' totals and rewrites
+// the head of v, the bucket, with its kept words, ascending, returning the
+// head's length. At minCount 2 or more the head holds a pair per kept
+// word, the word then its copies and owner: each has at least two copies,
+// so its pair fits where they were. Below that every word is kept and the
+// head is the sorted bucket.
+func (t *tally) finish(v []uint64, minCount uint32) (h int) {
+	kept := t.slots[:0]
+	for _, s := range t.slots {
+		o := &t.owners[s.owner]
+		o.extracted += int64(s.n)
+		if s.n < minCount {
+			o.prunedKinds++
+			o.prunedMass += int64(s.n)
 			continue
 		}
-		o := own[at : at+c]
-		mo.ownersOf(seq, k, o)
-		var x, w, first uint64
-		for j := 0; j < seq.Len(); j++ {
-			if j&31 == 0 {
-				w = seq.Word(j >> 5)
-			}
-			x = (x<<2 | w&3) & kmask
-			w >>= 2
-			if j == k-2 {
-				first = x
-			}
-			if j >= k-1 {
-				km.cur[km.bucket(o[j-k+1], x)]++
-			}
-		}
-		last := x & tmask
-		po := uint32(mo.owner(dna.Kmer(first), k-1))
-		so := uint32(mo.owner(dna.Kmer(last), k-1))
-		own[tp.base+t], own[ts.base+t] = po, so
-		tp.cur[tp.bucket(po, first)]++
-		ts.cur[ts.bucket(so, last)]++
-		at += c
-		t++
+		o.kept++
+		kept = append(kept, s)
 	}
-	for s := range ls {
-		sum := ls[s].base
-		for b, c := range ls[s].cur {
-			ls[s].cur[b] = sum
-			sum += c
-		}
-	}
-	// (b) Every word into its slot.
-	place := func(l *streamSlots, owner uint32, w uint64) {
-		b := l.bucket(owner, w)
-		out.words[l.cur[b]] = w
-		l.cur[b]++
-	}
-	for ri, at, t := src, 0, 0; ri < len(reads); ri += n {
-		seq := reads[ri].Seq
-		c := seq.Len() - k + 1
-		if c <= 0 {
+	t.prev = len(t.slots)
+	slices.SortFunc(kept, func(a, b slot) int { return cmp.Compare(a.x, b.x) })
+	for _, s := range kept {
+		if minCount >= 2 {
+			v[h], v[h+1] = s.x, uint64(s.n)<<32|uint64(s.owner)
+			h += 2
 			continue
 		}
-		o := own[at : at+c]
-		var x, w uint64
-		for j := 0; j < seq.Len(); j++ {
-			if j&31 == 0 {
-				w = seq.Word(j >> 5)
-			}
-			x = (x<<2 | w&3) & kmask
-			w >>= 2
-			if j == k-2 {
-				place(tp, own[tp.base+t], x)
-			}
-			if j >= k-1 {
-				place(km, o[j-k+1], x)
-			}
-		}
-		place(ts, own[ts.base+t], x&tmask)
-		at += c
-		t++
-	}
-	// (c) Collapse each bucket into its owner's span.
-	for s := range ls {
-		l := &ls[s]
-		lo := l.base
-		per := 1 << l.ds
-		for dst := 0; dst < n; dst++ {
-			start := lo
-			w := start
-			for _, hi := range l.cur[dst*per : (dst+1)*per] {
-				w = out.collapse(w, lo, hi)
-				lo = hi
-			}
-			out.seg[2*(s*n+dst)], out.seg[2*(s*n+dst)+1] = start, w-start
+		for range s.n {
+			v[h] = s.x
+			h++
 		}
 	}
-	return out
-}
-
-// collapse writes each distinct word of slots [lo, hi), with its
-// multiplicity, to the slots from w (w <= lo) on, and returns the slot
-// after the last. The owner sums in any order, so a short bucket is only
-// deduplicated, each word folding into an equal one found by a scan; a
-// longer one, which holds the copies of a repeat, goes through kmer's sort
-// kernel and collapses its runs.
-func (src *source) collapse(w, lo, hi int) int {
-	words, counts := src.words, src.counts
-	if hi-lo > sourceScanMax {
-		b := words[lo:hi]
-		kmer.SortUint64(b)
-		for i := 0; i < len(b); {
-			j := i + 1
-			for j < len(b) && b[j] == b[i] {
-				j++
-			}
-			words[w], counts[w] = b[i], uint32(j-i)
-			w++
-			i = j
-		}
-		return w
-	}
-	d := w // words[w:d] are distinct; d never passes the unread slots
-	for i := lo; i < hi; i++ {
-		x := words[i]
-		j := w
-		for j < d && words[j] != x {
-			j++
-		}
-		if j < d {
-			counts[j]++
-			continue
-		}
-		words[d], counts[d] = x, 1
-		d++
-	}
-	return d
+	return h
 }
 
 // ShardGraphs is the outcome of distributed MacroNode construction: every

@@ -271,8 +271,8 @@ const (
 
 // ownerMap is one partitioner's owner assignment over a node count: it
 // maps a word, or a window minimum with the word it belongs to, to its
-// owner. owner is the per-word kernel; ownersOf and endOwners compute the
-// same owners a read or a k-mer at a time.
+// owner. owner is the per-word kernel; endOwners computes the same owners
+// for the two ends of a k-mer at once.
 type ownerMap struct {
 	kind  ownerKind
 	m     int
@@ -290,107 +290,6 @@ func (mo ownerMap) owner(key dna.Kmer, kk int) int {
 		return int(mix64(uint64(key)) % uint64(mo.nodes))
 	}
 	return int(mo.of(minimizerOf(key, kk, mo.m), uint64(key)))
-}
-
-// ownersOf writes the owner of every kk-mer of seq into own, in read order
-// (one slot per kk-mer: seq.Len()-kk+1 of them), exactly as owner assigns
-// each, but computes each owner once as the read rolls by: perKey hashes
-// each kk-mer once, and the minimizer schemes roll the window minimum of
-// the m-mer hashes along the read (Roberts et al., "Reducing storage
-// requirements for biological sequence comparison", Bioinformatics 2004),
-// so every m-mer is hashed once and a bucket is looked up only when the
-// minimum changes.
-func (mo ownerMap) ownersOf(seq dna.Seq, kk int, own []uint32) {
-	if len(own) == 0 {
-		return
-	}
-	if mo.nodes <= 1 {
-		clear(own)
-		return
-	}
-	nodes := uint64(mo.nodes)
-	kmask := dna.KmerMask(kk)
-	var x, w uint64
-	if mo.kind == perKey || mo.m >= kk {
-		// The word is its own minimizer, unhashed (minimizerOf).
-		for j := 0; j < seq.Len(); j++ {
-			if j&31 == 0 {
-				w = seq.Word(j >> 5)
-			}
-			x = (x<<2 | w&3) & kmask
-			w >>= 2
-			if j >= kk-1 {
-				own[j-kk+1] = mo.of(x, x)
-			}
-		}
-		return
-	}
-	// ring holds the hashes of the last 32 m-mers, at least a window's
-	// worth (kk-m+1 <= 32). The window minimum is kept with the start of
-	// its m-mer; an m-mer hashing no higher replaces it, and once it slides
-	// out of the window the window is scanned again, about once per half
-	// window. This beats a monotone deque, whose pops mispredict.
-	var ring [32]uint64
-	span := kk - mo.m // the last m-mer of kk-mer i starts at i+span
-	mmask := dna.KmerMask(mo.m)
-	var mm, best, last uint64
-	bestAt := -1
-	var o uint32
-	scatter, fresh := false, true
-	for j := 0; j < seq.Len(); j++ {
-		if j&31 == 0 {
-			w = seq.Word(j >> 5)
-		}
-		b := w & 3
-		w >>= 2
-		x = (x<<2 | b) & kmask
-		mm = (mm<<2 | b) & mmask
-		at := j - mo.m + 1 // start of the m-mer ending at base j
-		if at < 0 {
-			continue
-		}
-		h := mix64(mm)
-		ring[at&31] = h
-		if bestAt < 0 || h <= best {
-			best, bestAt = h, at
-		}
-		i := at - span // the kk-mer ending at base j
-		if i < 0 {
-			continue
-		}
-		if bestAt < i {
-			best, bestAt = ring[i&31], i
-			for q := i + 1; q <= at; q++ {
-				if hq := ring[q&31]; hq <= best {
-					best, bestAt = hq, q
-				}
-			}
-		}
-		if fresh || best != last {
-			last, fresh = best, false
-			o, scatter = mo.bucketOf(best)
-		}
-		if scatter {
-			o = uint32(mix64(x) % nodes)
-		}
-		own[i] = o
-	}
-}
-
-// bucketOf returns the owner of a word whose minimizer is best, and
-// whether its bucket is spilled, so that each word is owned by its own
-// hash instead.
-func (mo ownerMap) bucketOf(best uint64) (uint32, bool) {
-	switch mo.kind {
-	case minimizerOwned:
-		return uint32(mix64(best) % uint64(mo.nodes)), false
-	case bucketOwned:
-		return uint32(initialOwner(int(mix64(best)%BalancedBuckets), mo.nodes)), false
-	}
-	if o := mo.table[mix64(best)%BalancedBuckets]; o != scatterOwner {
-		return uint32(o), false
-	}
-	return 0, true
 }
 
 // endOwners returns the owners of the leading and trailing (k-1)-mers of
@@ -417,14 +316,18 @@ func (mo ownerMap) endOwners(km dna.Kmer, k int) (po, so int) {
 	return int(mo.of(min(first, mid), uint64(pre))), int(mo.of(min(mid, last), uint64(suf)))
 }
 
-// of returns the owner of word x whose minimizer is best.
+// of returns the owner of word x whose minimizer is best. Per-key
+// ownership, and a spilled bucket, own x by its own hash.
 func (mo ownerMap) of(best, x uint64) uint32 {
-	if mo.kind == perKey {
-		return uint32(mix64(x) % uint64(mo.nodes))
+	switch mo.kind {
+	case minimizerOwned:
+		return uint32(mix64(best) % uint64(mo.nodes))
+	case bucketOwned:
+		return uint32(initialOwner(int(mix64(best)%BalancedBuckets), mo.nodes))
+	case tableOwned:
+		if o := mo.table[mix64(best)%BalancedBuckets]; o != scatterOwner {
+			return uint32(o)
+		}
 	}
-	o, scatter := mo.bucketOf(best)
-	if scatter {
-		return uint32(mix64(x) % uint64(mo.nodes))
-	}
-	return o
+	return uint32(mix64(x) % uint64(mo.nodes))
 }

@@ -7,11 +7,13 @@
 // simulating its distributed structure end to end:
 //
 //  1. Reads are split round-robin across nodes; each node extracts its
-//     k-mers, resolving each one's hash- or minimizer-determined owner
-//     once as the read rolls by, pre-aggregates them per owner, and ships
-//     the partial counts to their owners (all-to-all #1), which sum them
-//     through digit buckets and prune. The per-node results tile the
-//     single-node kmer.Count output exactly (see CountSharded).
+//     k-mers, pre-aggregates them per hash- or minimizer-determined owner,
+//     and ships the partial counts to their owners (all-to-all #1), which
+//     sum and prune them. CountSharded ships no record: one count over
+//     all reads, each top-digit bucket in source order, yields the
+//     owners' k-mers and every (source, owner) record count, the facts
+//     the model uses. The per-node results tile the single-node
+//     kmer.Count output exactly.
 //  2. Counted k-mers travel to the owners of their boundary (k-1)-mers
 //     (all-to-all #2) and every node builds the MacroNodes it owns
 //     (BuildShardGraphs). Simulate routes no record: it counts the

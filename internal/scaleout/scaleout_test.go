@@ -101,13 +101,10 @@ func TestShardedCountMergeEquivalence(t *testing.T) {
 	}
 }
 
-// TestCountExchangeMatchesReference rebuilds the counting all-to-all's
-// accounting from the reads with maps: source src holds every n-th read
-// from src, and per (source, owner) it ships one 12-byte record per
-// distinct k-mer and per distinct first and last (k-1)-mer of its reads at
-// least k long, the diagonal included. Only the k-mer records reach an
-// owner's merge. The terminal records are priced though no owner keeps
-// them. Reads shorter than k, and exactly k, sit among the simulated ones.
+// TestCountExchangeMatchesReference checks the counting all-to-all's
+// accounting and the shards against referenceCount, which rebuilds them
+// from the reads with maps and kmer.Count. Reads shorter than k, and
+// exactly k, sit among the simulated ones.
 func TestCountExchangeMatchesReference(t *testing.T) {
 	const k = 32
 	reads := testReads(t, 20_000)
@@ -115,40 +112,8 @@ func TestCountExchangeMatchesReference(t *testing.T) {
 	for _, l := range []int{0, 1, k - 1, k, k + 1} {
 		reads = append(reads, readsim.Read{Seq: src.Slice(0, l)})
 	}
-	type key struct {
-		src, dst int
-		w        dna.Kmer
-	}
 	for _, p := range []Partitioner{HashPartitioner{}, NewMinimizerPartitioner(12), NewRebalancePartitioner(12, 1)} {
 		for _, n := range []int{1, 2, 3, 8, 64} {
-			kmers, prefixes, suffixes := map[key]bool{}, map[key]bool{}, map[key]bool{}
-			extracted := make([]int64, n)
-			for ri, rd := range reads {
-				s, l := ri%n, rd.Seq.Len()
-				if l < k {
-					continue
-				}
-				for i := 0; i+k <= l; i++ {
-					km := dna.KmerFromSeq(rd.Seq, i, k)
-					kmers[key{s, p.Owner(km, k, n), km}] = true
-					extracted[s]++
-				}
-				first, last := dna.KmerFromSeq(rd.Seq, 0, k-1), dna.KmerFromSeq(rd.Seq, l-k+1, k-1)
-				prefixes[key{s, p.Owner(first, k-1, n), first}] = true
-				suffixes[key{s, p.Owner(last, k-1, n), last}] = true
-			}
-			toNode := make([]int64, n)
-			exchange := mat(n)
-			for kk := range kmers {
-				toNode[kk.dst]++
-				exchange[kk.src][kk.dst] += countRecordBytes
-			}
-			for _, m := range []map[key]bool{prefixes, suffixes} {
-				for kk := range m {
-					exchange[kk.src][kk.dst] += countRecordBytes
-				}
-			}
-
 			cfg := DefaultConfig(n)
 			cfg.K = k
 			cfg.Partitioner = p
@@ -156,15 +121,7 @@ func TestCountExchangeMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(sc.ExtractedPerNode, extracted) {
-				t.Errorf("%s n=%d: ExtractedPerNode %v, reference %v", p.Name(), n, sc.ExtractedPerNode, extracted)
-			}
-			if !reflect.DeepEqual(sc.RecordsToNode, toNode) {
-				t.Errorf("%s n=%d: RecordsToNode %v, reference %v", p.Name(), n, sc.RecordsToNode, toNode)
-			}
-			if !reflect.DeepEqual(sc.CountExchange, exchange) {
-				t.Errorf("%s n=%d: CountExchange differs from the reference", p.Name(), n)
-			}
+			checkCount(t, reads, cfg, sc)
 		}
 	}
 }
@@ -354,7 +311,7 @@ func TestPreludeMacroNodesMatchShardGraphs(t *testing.T) {
 
 // A warm CountSharded, and a warm construction count over its result,
 // allocate O(n) times at n nodes: a fixed number of exact-size vectors per
-// source and per owner, never one growing list per (source, owner) pair
+// owner and per worker, never one growing list per (source, owner) pair
 // or one record per k-mer.
 func TestCountShardedAllocsLinearInNodes(t *testing.T) {
 	reads := testReads(t, 20_000)
@@ -369,7 +326,7 @@ func TestCountShardedAllocsLinearInNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if bound := float64(48 * n); allocs > bound {
+	if bound := float64(4 * n); allocs > bound {
 		t.Fatalf("CountSharded at n=%d allocates %v times, bound %v", n, allocs, bound)
 	}
 	sc.construction(cfg)
