@@ -21,6 +21,7 @@ package cpumodel
 
 import (
 	"fmt"
+	"slices"
 
 	"nmppak/internal/compact"
 	"nmppak/internal/dna"
@@ -180,6 +181,9 @@ type machine struct {
 	// Per-iteration TransferNode byte totals by source / destination.
 	tnOut map[int32]int
 	tnIn  map[int32]int
+	// The iteration's DIMM range table, and each node's DIMM under it.
+	quantiles []dna.Kmer
+	dimm      []int32
 	// Deterministic L3-hit pseudo-randomness.
 	rngState uint64
 }
@@ -192,6 +196,12 @@ func (m *machine) runIteration(iter *trace.Iteration, start sim.Cycle) sim.Cycle
 	for _, tn := range iter.Transfers {
 		m.tnOut[tn.SrcIdx] += int(tn.TNBytes)
 		m.tnIn[tn.DstIdx] += int(tn.TNBytes)
+	}
+	m.quantiles = trace.AppendQuantiles(m.quantiles[:0], iter.Nodes)
+	dimms := trace.NewDIMMWalk(m.quantiles, dram.Channels)
+	m.dimm = slices.Grow(m.dimm[:0], len(iter.Nodes))
+	for i := range iter.Nodes {
+		m.dimm = append(m.dimm, int32(dimms.Of(iter.Nodes[i].Key)))
 	}
 	switch m.cfg.Flow {
 	case compact.FlowSequential:
@@ -306,21 +316,18 @@ func (m *machine) pass(iter *trace.Iteration, start sim.Cycle, items []workItem)
 func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it workItem) sim.Cycle {
 	cfg := &m.cfg
 	t := start
-	var node *trace.NodeOp
+	ni := it.node // the node the item touches
+	if it.kind == kUpdate {
+		ni = int(iter.Updates[it.node].DstIdx)
+	}
+	node := &iter.Nodes[ni]
 	var readBytes, writeBytes int
-	var exts int
 	switch it.kind {
 	case kScan:
-		node = &iter.Nodes[it.node]
 		readBytes = int(node.D1)
-		exts = int(node.Exts)
 	case kScanFull:
-		node = &iter.Nodes[it.node]
 		readBytes = int(node.D1 + node.D2)
-		exts = int(node.Exts)
 	case kExtract:
-		node = &iter.Nodes[it.node]
-		exts = int(node.Exts)
 		if cfg.Flow == compact.FlowSequential {
 			readBytes = int(node.D1 + node.D2)
 			writeBytes = m.tnOut[int32(it.node)] // spill TransferNodes
@@ -329,19 +336,16 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 		}
 	case kUpdate:
 		up := &iter.Updates[it.node]
-		node = &iter.Nodes[up.DstIdx]
-		exts = int(node.Exts)
 		readBytes = int(up.ReadBytes)
 		writeBytes = int(up.WriteBytes)
 		if cfg.Flow == compact.FlowSequential {
 			readBytes += m.tnIn[up.DstIdx] // read spilled TNs back
 		}
 	case kMove:
-		node = &iter.Nodes[it.node]
 		writeBytes = int(node.D1 + node.D2)
 	}
 
-	ch := &m.chs[iter.DIMMOf(node.Key, dram.Channels)]
+	ch := &m.chs[m.dimm[ni]]
 	rk, bk, row := addrOf(node.Key)
 
 	// Dependent pointer chase. Pure rewrites (moves) skip it, and in the
@@ -349,7 +353,7 @@ func (m *machine) runItem(iter *trace.Iteration, th int, start sim.Cycle, it wor
 	// scanned, so only scans and destination updates pay the lookup.
 	skipChase := it.kind == kMove || (cfg.Flow == compact.FlowPipelined && it.kind == kExtract)
 	if !skipChase {
-		chase := chaseBase + int(chasePerExt*float64(exts))
+		chase := chaseBase + int(chasePerExt*float64(node.Exts))
 		for c := 0; c < chase; c++ {
 			if m.nextRand() < l3HitRate {
 				t += l3Latency

@@ -22,7 +22,7 @@ func TestCheckpointSaveClampsBoundary(t *testing.T) {
 	dir := t.TempDir()
 
 	short := &Context{W: c.W, Genome: c.Genome, Reads: c.Reads}
-	short.tr = &trace.Trace{K: tr.K, Iterations: tr.Iterations[:1], Quantiles: tr.Quantiles}
+	short.tr = &trace.Trace{K: tr.K, Iterations: tr.Iterations[:1]}
 	rep, err := CheckpointSave(short, filepath.Join(dir, "ck.blob"))
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestCheckpointSaveClampsBoundary(t *testing.T) {
 	}
 
 	empty := &Context{W: c.W, Genome: c.Genome, Reads: c.Reads}
-	empty.tr = &trace.Trace{K: tr.K, Quantiles: tr.Quantiles}
+	empty.tr = &trace.Trace{K: tr.K}
 	if _, err := CheckpointSave(empty, filepath.Join(dir, "no.blob")); err == nil {
 		t.Fatal("empty trace accepted")
 	}

@@ -31,6 +31,10 @@ const (
 	goldenTraceIters    = 18
 	goldenNMPCycles     = 308182
 	goldenCPUCycles     = 16955021
+	// nmp.Simulate under StaticMapping, every iteration placed by
+	// iteration 0's DIMM range table; captured while the trace still
+	// stored the tables the simulators now build from its nodes.
+	goldenStaticNMPCycles = 802007
 	// Scale-out totals under the pre-refactor flat LinkConfig model; the
 	// topology-aware FullMesh must reproduce them cycle for cycle, in
 	// both replay disciplines (captured immediately before the
@@ -108,6 +112,15 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 	if nres.Cycles != goldenNMPCycles {
 		t.Errorf("nmp cycles = %d, golden %d", nres.Cycles, goldenNMPCycles)
+	}
+	static := nmp.DefaultConfig()
+	static.StaticMapping = true
+	sres, err := nmp.Simulate(tr, static)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sres.Cycles != goldenStaticNMPCycles {
+		t.Errorf("nmp cycles under StaticMapping = %d, golden %d", sres.Cycles, goldenStaticNMPCycles)
 	}
 	cres, err := cpumodel.Simulate(tr, cpumodel.DefaultConfig())
 	if err != nil {

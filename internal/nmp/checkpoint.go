@@ -57,7 +57,9 @@ func (e *Engine) Snapshot() (EngineState, error) {
 // ResumeEngine reconstructs an Engine mid-replay from a snapshot: the same
 // trace and configuration the snapshot was taken under, positioned to step
 // iteration st.Next. Iterations before st.Next are never read again, so a
-// caller that reconstructs tr may substitute empty placeholders for them.
+// caller that reconstructs tr may substitute empty placeholders for them,
+// except iteration 0 under StaticMapping, whose nodes every iteration's
+// DIMM table is built from.
 // st is typically decoded from an untrusted blob, so ResumeEngine checks
 // it: the channel block must be present and every channel state passes
 // dram.ResumeChannel; the clock must lie in [0, dram.MaxCycle]; and the

@@ -9,47 +9,59 @@ import (
 
 	"nmppak/internal/dram"
 	"nmppak/internal/sim"
+	"nmppak/internal/trace"
 )
 
 // Snapshotting an engine at every iteration boundary and resuming from the
 // snapshot must finish with a result bit-identical to the uninterrupted
 // replay: the engine's behaviour is a pure function of (trace, config,
-// state), including the DRAM bank timing carried across the boundary.
+// state), including the DRAM bank timing carried across the boundary. The
+// resumed engine replays a trace whose iterations behind the cursor are
+// empty placeholders, but for iteration 0 under StaticMapping, whose DIMM
+// table every iteration is placed by.
 func TestEngineSnapshotResumeEquivalence(t *testing.T) {
 	tr := getTrace(t)
-	cfg := DefaultConfig()
-	want, err := Simulate(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut <= len(tr.Iterations); cut++ {
-		e, err := NewEngine(tr, cfg)
+	static := DefaultConfig()
+	static.StaticMapping = true
+	for _, cfg := range []Config{DefaultConfig(), static} {
+		want, err := Simulate(tr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < cut; i++ {
-			e.StepIteration()
-		}
-		st, err := e.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Mutating the donor afterwards must not leak into the snapshot.
-		for !e.Done() {
-			e.StepIteration()
-		}
-		r, err := ResumeEngine(tr, cfg, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Next() != cut || r.Now() != st.Clock {
-			t.Fatalf("cut %d: resumed at next=%d clock=%d", cut, r.Next(), r.Now())
-		}
-		for !r.Done() {
-			r.StepIteration()
-		}
-		if got := r.Result(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("cut %d: resumed result differs from uninterrupted run:\n%+v\nvs\n%+v", cut, got, want)
+		for cut := 0; cut <= len(tr.Iterations); cut++ {
+			e, err := NewEngine(tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < cut; i++ {
+				e.StepIteration()
+			}
+			st, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Mutating the donor afterwards must not leak into the snapshot.
+			for !e.Done() {
+				e.StepIteration()
+			}
+			ahead := &trace.Trace{K: tr.K, Iterations: make([]trace.Iteration, len(tr.Iterations))}
+			copy(ahead.Iterations[cut:], tr.Iterations[cut:])
+			if cfg.StaticMapping {
+				ahead.Iterations[0] = tr.Iterations[0]
+			}
+			r, err := ResumeEngine(ahead, cfg, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Next() != cut || r.Now() != st.Clock {
+				t.Fatalf("static=%v cut %d: resumed at next=%d clock=%d", cfg.StaticMapping, cut, r.Next(), r.Now())
+			}
+			for !r.Done() {
+				r.StepIteration()
+			}
+			if got := r.Result(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("static=%v cut %d: resumed result differs from uninterrupted run:\n%+v\nvs\n%+v", cfg.StaticMapping, cut, got, want)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package nmp
 import (
 	"sync"
 
+	"nmppak/internal/dna"
 	"nmppak/internal/dram"
 	"nmppak/internal/sim"
 	"nmppak/internal/trace"
@@ -114,7 +115,6 @@ type iterSim struct {
 	eng  *sim.Engine
 	chs  *[dram.Channels]dram.Channel
 	cfg  *Config
-	tr   *trace.Trace
 	iter *trace.Iteration
 	res  *Result
 
@@ -124,6 +124,9 @@ type iterSim struct {
 	pes    []pe // [dimm*PEsPerChannel + pe]
 	allocs [dram.Channels]allocator
 	nextPE [dram.Channels]int // [dimm]: the PE the DIMM's next NMP node goes to
+
+	// The DIMM range table reset places the iteration's nodes by.
+	quantiles []dna.Kmer
 
 	// The PEs' Stage P1 queues, PE after PE: pes[k] loads
 	// queue[pes[k].qpos:pes[k].qend] in order. used lists, ascending, the
@@ -273,7 +276,7 @@ func acquireIterSim(cfg *Config) *iterSim {
 
 // release drops the iteration's references and returns is to the pool.
 func (is *iterSim) release() {
-	is.eng, is.chs, is.cfg, is.tr, is.iter, is.res = nil, nil, nil, nil, nil, nil
+	is.eng, is.chs, is.cfg, is.iter, is.res = nil, nil, nil, nil, nil
 	for _, k := range is.used {
 		is.pes[k].ch = nil
 	}
@@ -324,16 +327,18 @@ func newIterSim(shape simShape) *iterSim {
 	return is
 }
 
-// reset binds is to one iteration starting at start and lays it out:
-// DIMM placement, PE assignment, transfer grouping and update targets.
-// It idles only the PEs the previous iteration used; the rest have been
-// idle since. Placement makes one pass over the nodes with no search or
-// division: the DIMM by a merge walk of the ascending keys against the
-// quantile edges (trace.DIMMWalk), the blocks by the DIMM allocator's
-// bank cursor, the PE round robin within the DIMM. A counting sort then
-// lays out each PE's Stage P1 queue.
+// reset binds is to one iteration of tr starting at start and lays it
+// out: DIMM placement, PE assignment, transfer grouping and update
+// targets. It idles only the PEs the previous iteration used; the rest
+// have been idle since. Placement builds the DIMM range table from the
+// iteration's nodes (iteration 0's under StaticMapping), then makes one
+// pass over the nodes with no search or division: the DIMM by a merge
+// walk of the ascending keys against the table's edges (trace.DIMMWalk),
+// the blocks by the DIMM allocator's bank cursor, the PE round robin
+// within the DIMM. A counting sort then lays out each PE's Stage P1
+// queue.
 func (is *iterSim) reset(eng *sim.Engine, chs *[dram.Channels]dram.Channel, cfg *Config, tr *trace.Trace, iter *trace.Iteration, start sim.Cycle, res *Result) {
-	is.eng, is.chs, is.cfg, is.tr, is.iter, is.res = eng, chs, cfg, tr, iter, res
+	is.eng, is.chs, is.cfg, is.iter, is.res = eng, chs, cfg, iter, res
 	is.startAt = start
 	is.cpuQueue, is.cpuHead = is.cpuQueue[:0], 0
 	is.cpuIdle = cpuThreads
@@ -353,11 +358,12 @@ func (is *iterSim) reset(eng *sim.Engine, chs *[dram.Channels]dram.Channel, cfg 
 	// Layout + PE assignment.
 	n := len(iter.Nodes)
 	is.nodes = resize(is.nodes, n)
-	q := iter.Quantiles
+	mapped := iter.Nodes
 	if cfg.StaticMapping {
-		q = tr.Quantiles
+		mapped = tr.Iterations[0].Nodes
 	}
-	dimms := trace.NewDIMMWalk(q, dram.Channels)
+	is.quantiles = trace.AppendQuantiles(is.quantiles[:0], mapped)
+	dimms := trace.NewDIMMWalk(is.quantiles, dram.Channels)
 	for i := range iter.Nodes {
 		nd := &iter.Nodes[i]
 		d := dimms.Of(nd.Key)

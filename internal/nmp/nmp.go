@@ -67,7 +67,8 @@ type Config struct {
 	HybridThresholdBytes int
 
 	// StaticMapping pins the DIMM range table to the iteration-0
-	// partition instead of refreshing it each iteration (ablation).
+	// partition instead of rebuilding it from each iteration's nodes
+	// (ablation; single-node only, scaleout.Config.Validate rejects it).
 	// Because Iterative Compaction preferentially removes
 	// lexicographically large keys, a static table drains the high-key
 	// DIMMs over time and funnels the surviving population into DIMM 0 —

@@ -29,11 +29,11 @@
 //
 // The sharded sub-traces and link clocks are deliberately NOT in the blob:
 // sharding is a pure function of (trace, partitioner table), so a restore
-// shards only the iterations it still runs (the whole-trace facts it needs
-// of the rest are memoized on the trace), and every topo link clock is
-// reconstructed by the deterministic schedule replay. That keeps the blob
-// small (engine timing state + durations, not the trace) and keeps one
-// source of truth.
+// shards only the iterations it still runs (the whole-trace traffic split
+// it needs of the rest is memoized on the trace), and every topo link
+// clock is reconstructed by the deterministic schedule replay. That keeps
+// the blob small (engine timing state + durations, not the trace) and
+// keeps one source of truth.
 //
 // A blob is the magic, a version tag and CheckpointState in
 // encoding/gob's wire format. The bytes are gob's, but no reflection

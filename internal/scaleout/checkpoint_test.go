@@ -17,28 +17,15 @@ import (
 )
 
 // Checkpointing mid-run and restoring must finish bit-identically to the
-// uninterrupted run, on both disciplines, with and without a static DIMM
-// mapping.
+// uninterrupted run, on both disciplines.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	reads := testReads(t, 20_000)
 	tr := testTrace(t, reads, 32, 3)
 	mid := len(tr.Iterations) / 2
-	for _, c := range []struct {
-		overlap, staticMapping bool
-		p                      Partitioner
-	}{
-		{false, false, nil}, {true, false, nil},
-		// A static DIMM mapping reads each node's iteration-0 quantile
-		// table, which a run resumed past iteration 0 never re-shards.
-		{false, true, nil}, {true, true, nil}, {false, true, NewRebalancePartitioner(12, 2)},
-	} {
+	for _, overlap := range []bool{false, true} {
 		cfg := DefaultConfig(4)
-		cfg.Overlap = c.overlap
-		cfg.NMP.StaticMapping = c.staticMapping
-		if c.p != nil {
-			cfg.Partitioner = c.p
-		}
-		what := fmt.Sprintf("overlap=%v static=%v %s", c.overlap, c.staticMapping, cfg.Partitioner.Name())
+		cfg.Overlap = overlap
+		what := fmt.Sprintf("overlap=%v", overlap)
 		want, err := Simulate(reads, tr, cfg)
 		if err != nil {
 			t.Fatal(err)

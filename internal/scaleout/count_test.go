@@ -16,7 +16,7 @@ import (
 // (source, owner) it ships one 12-byte record per distinct k-mer and per
 // distinct first and last (k-1)-mer of its reads at least k long, the
 // diagonal included; only the k-mer records reach an owner's merge. The
-// shards are kmer.Count at MinCount 1 split by Owner, each pruned at
+// shards are kmer.Count at MinCount 1 split by owner, each pruned at
 // cfg.MinCount with its own statistics.
 func referenceCount(t testing.TB, reads []readsim.Read, cfg Config) *ShardedCount {
 	t.Helper()
@@ -42,12 +42,12 @@ func referenceCount(t testing.TB, reads []readsim.Read, cfg Config) *ShardedCoun
 		}
 		for i := 0; i+k <= l; i++ {
 			km := dna.KmerFromSeq(rd.Seq, i, k)
-			kmers[key{s, p.Owner(km, k, n), km}] = true
+			kmers[key{s, p.owners(n).owner(km, k), km}] = true
 			want.ExtractedPerNode[s]++
 		}
 		first, last := dna.KmerFromSeq(rd.Seq, 0, k-1), dna.KmerFromSeq(rd.Seq, l-k+1, k-1)
-		prefixes[key{s, p.Owner(first, k-1, n), first}] = true
-		suffixes[key{s, p.Owner(last, k-1, n), last}] = true
+		prefixes[key{s, p.owners(n).owner(first, k-1), first}] = true
+		suffixes[key{s, p.owners(n).owner(last, k-1), last}] = true
 	}
 	for kk := range kmers {
 		want.RecordsToNode[kk.dst]++
@@ -68,7 +68,7 @@ func referenceCount(t testing.TB, reads []readsim.Read, cfg Config) *ShardedCoun
 	}
 	minCount := max(cfg.MinCount, 1)
 	for _, kc := range all.Kmers {
-		sh := want.Shards[p.Owner(kc.Km, k, n)]
+		sh := want.Shards[p.owners(n).owner(kc.Km, k)]
 		sh.TotalExtracted += int64(kc.Count)
 		if kc.Count < minCount {
 			sh.PrunedKinds++
@@ -155,7 +155,7 @@ func TestTallySpills(t *testing.T) {
 		if i < 8 {
 			want = 2
 		}
-		o := p.Owner(dna.Kmer(s.x), k, n)
+		o := p.owners(n).owner(dna.Kmer(s.x), k)
 		if s.x != ws[i] || s.n != want || int(s.owner) != o {
 			t.Fatalf("slot %d: word %x, %d copies owned by %d; want %x, %d copies owned by %d", i, s.x, s.n, s.owner, ws[i], want, o)
 		}
@@ -168,7 +168,7 @@ func TestTallySpills(t *testing.T) {
 	}
 	var head []uint64
 	for _, x := range slices.Sorted(slices.Values(ws[8:])) {
-		head = append(head, x, 3<<32|uint64(p.Owner(dna.Kmer(x), k, n)))
+		head = append(head, x, 3<<32|uint64(p.owners(n).owner(dna.Kmer(x), k)))
 	}
 	if h := tl.finish(v, 3); !slices.Equal(v[:h], head) {
 		t.Fatalf("head %x, want the %d words of 3 copies as %x", v[:h], len(ws)-8, head)
@@ -231,7 +231,7 @@ func decodeCount(data []byte) (Config, []readsim.Read, bool) {
 // FuzzCountSharded checks CountSharded against referenceCount: the
 // per-source extraction, the record counts and exchange bytes of the
 // k-mer and terminal records, and every shard against kmer.Count split by
-// Owner. One seed holds words that collide in one bucket's table, so the
+// owner. One seed holds words that collide in one bucket's table, so the
 // tally's map fallback runs.
 func FuzzCountSharded(f *testing.F) {
 	r := rand.New(rand.NewSource(5))

@@ -1,8 +1,6 @@
 package scaleout
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"sync"
@@ -12,12 +10,11 @@ import (
 	"nmppak/internal/trace"
 )
 
-// The memoized whole-trace shard facts a resumed static run reads must be
-// exactly what ShardTrace computes: the traffic split and every node's
-// iteration-0 quantile table, for every node count and partitioner —
-// including the rebalancing partitioner's static initial assignment. Two
-// same-named balanced partitioners with different tables shard
-// differently, so they must get different memo entries.
+// The memoized whole-trace traffic split a resumed static run reads must
+// be exactly what ShardTrace computes, for every node count and
+// partitioner — including the rebalancing partitioner's static initial
+// assignment. Two same-named balanced partitioners with different tables
+// shard differently, so they must get different memo entries.
 func TestShardOnDemandMatchesShardTrace(t *testing.T) {
 	reads := testReads(t, 15_000)
 	tr := testTrace(t, reads, 32, 3)
@@ -36,19 +33,14 @@ func TestShardOnDemandMatchesShardTrace(t *testing.T) {
 			HashPartitioner{}, NewMinimizerPartitioner(12), balA, balB, NewRebalancePartitioner(12, 2),
 		} {
 			name := fmt.Sprintf("n=%d/%s", n, p.id())
-			sf := shardFactsOf(tr, n, p)
+			tt := wholeTraffic(tr, n, p)
 			st := ShardTrace(tr, n, p)
-			if sf.localTNs != st.LocalTNs || sf.remoteTNs != st.RemoteTNs || sf.haloBytes != st.HaloBytes {
+			if tt.localTNs != st.LocalTNs || tt.remoteTNs != st.RemoteTNs || tt.haloBytes != st.HaloBytes {
 				t.Errorf("%s: memo traffic %+v, ShardTrace local %d remote %d halo %d",
-					name, sf.traffic, st.LocalTNs, st.RemoteTNs, st.HaloBytes)
+					name, *tt, st.LocalTNs, st.RemoteTNs, st.HaloBytes)
 			}
-			for o := range st.Traces {
-				if !reflect.DeepEqual(sf.quantiles[o], st.Traces[o].Quantiles) {
-					t.Errorf("%s: node %d iteration-0 quantiles differ from ShardTrace", name, o)
-				}
-			}
-			if again := shardFactsOf(tr, n, p); again != sf {
-				t.Errorf("%s: second lookup recomputed the shard facts", name)
+			if again := wholeTraffic(tr, n, p); again != tt {
+				t.Errorf("%s: second lookup recomputed the traffic split", name)
 			}
 		}
 		if n == 1 {
@@ -58,7 +50,7 @@ func TestShardOnDemandMatchesShardTrace(t *testing.T) {
 			t.Fatalf("n=%d: balanced partitioners %s#%x and %s#%x are not a same-name, different-table pair",
 				n, balA.Name(), balA.Fingerprint(), balB.Name(), balB.Fingerprint())
 		}
-		if shardFactsOf(tr, n, balA) == shardFactsOf(tr, n, balB) {
+		if wholeTraffic(tr, n, balA) == wholeTraffic(tr, n, balB) {
 			t.Errorf("n=%d: same-named balanced partitioners with different tables share a memo entry", n)
 		}
 	}
@@ -100,15 +92,8 @@ func TestConcurrentRunsShareShardMemo(t *testing.T) {
 		}
 	}
 
-	// A copy of the trace carries no memo yet.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
-		t.Fatal(err)
-	}
-	shared, err := trace.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A trace over the same iterations carries no memo yet.
+	shared := &trace.Trace{K: tr.K, Iterations: tr.Iterations}
 	got := make([]*Result, len(runs))
 	errs := make([]error, len(runs))
 	var wg sync.WaitGroup

@@ -19,10 +19,9 @@ import (
 type Partitioner interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// Owner returns the owning node in [0, nodes) for a length-kk word.
-	Owner(key dna.Kmer, kk, nodes int) int
 	// owners returns the partitioner's owner map over nodes, the one
-	// place a word's owner is decided.
+	// place a word's owner is decided: owners(nodes).owner(key, kk) is
+	// the owning node in [0, nodes) of a length-kk word.
 	owners(nodes int) ownerMap
 	// id is the partitioner's identity: its Name, refined by whatever
 	// else decides its owners, so that two partitioners with the same id
@@ -48,11 +47,6 @@ type HashPartitioner struct{}
 // Name implements Partitioner.
 func (HashPartitioner) Name() string { return "hash" }
 
-// Owner implements Partitioner.
-func (p HashPartitioner) Owner(key dna.Kmer, kk, nodes int) int {
-	return p.owners(nodes).owner(key, kk)
-}
-
 func (HashPartitioner) owners(nodes int) ownerMap { return ownerMap{kind: perKey, nodes: nodes} }
 
 func (p HashPartitioner) id() string { return p.Name() }
@@ -75,11 +69,6 @@ func NewMinimizerPartitioner(m int) MinimizerPartitioner {
 
 // Name implements Partitioner.
 func (p MinimizerPartitioner) Name() string { return fmt.Sprintf("minimizer%d", p.M) }
-
-// Owner implements Partitioner.
-func (p MinimizerPartitioner) Owner(key dna.Kmer, kk, nodes int) int {
-	return p.owners(nodes).owner(key, kk)
-}
 
 func (p MinimizerPartitioner) owners(nodes int) ownerMap {
 	return ownerMap{kind: minimizerOwned, m: p.M, nodes: nodes}
@@ -240,14 +229,10 @@ func (p BalancedPartitioner) Fingerprint() uint64 {
 	return h
 }
 
-// Owner implements Partitioner. For the node count the table was built
-// for, ownership follows the weight-aware binning (spilled buckets:
-// per-key scatter); any other count falls back to hashing the
-// super-bucket (still pure and bucket-coherent, just not weight-aware).
-func (p BalancedPartitioner) Owner(key dna.Kmer, kk, nodes int) int {
-	return p.owners(nodes).owner(key, kk)
-}
-
+// owners follows, for the node count the table was built for, the
+// weight-aware binning (spilled buckets: per-key scatter); any other count
+// falls back to hashing the super-bucket (still pure and bucket-coherent,
+// just not weight-aware).
 func (p BalancedPartitioner) owners(nodes int) ownerMap {
 	if nodes == p.nodes && p.table != nil {
 		return ownerMap{kind: tableOwned, m: p.M, nodes: nodes, table: p.table}

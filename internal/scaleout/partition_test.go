@@ -112,27 +112,27 @@ func TestBalancedOwnershipPureFunction(t *testing.T) {
 	for km := uint64(0); km < 30_000; km++ {
 		key := dnaKmer(km * 2654435761)
 		for _, kk := range []int{31, 32} {
-			o := p.Owner(key, kk, n)
+			o := p.owners(n).owner(key, kk)
 			if o < 0 || o >= n {
 				t.Fatalf("owner %d out of range for kk=%d", o, kk)
 			}
-			if o != p.Owner(key, kk, n) || o != q.Owner(key, kk, n) {
+			if o != p.owners(n).owner(key, kk) || o != q.owners(n).owner(key, kk) {
 				t.Fatalf("ownership of %v not a pure function of the key", key)
 			}
 		}
 		// The fallback for machine sizes the table was not built for must
 		// be pure as well.
-		if o := p.Owner(key, 31, 3); o != p.Owner(key, 31, 3) || o < 0 || o >= 3 {
+		if o := p.owners(3).owner(key, 31); o != p.owners(3).owner(key, 31) || o < 0 || o >= 3 {
 			t.Fatalf("fallback ownership impure or out of range")
 		}
 	}
-	if p.Owner(dnaKmer(12345), 31, 1) != 0 {
+	if p.owners(1).owner(dnaKmer(12345), 31) != 0 {
 		t.Fatal("single node must own everything")
 	}
 	if p.nodes != n {
 		t.Fatalf("table built for %d nodes, want %d", p.nodes, n)
 	}
-	// Sharded counting must place every k-mer on the node Owner names.
+	// Sharded counting must place every k-mer on the node that owns it.
 	cfg := DefaultConfig(n)
 	cfg.Partitioner = p
 	sc, err := CountSharded(reads, cfg)
@@ -141,7 +141,7 @@ func TestBalancedOwnershipPureFunction(t *testing.T) {
 	}
 	for i, sh := range sc.Shards {
 		for _, kc := range sh.Kmers {
-			if o := p.Owner(kc.Km, 32, n); o != i {
+			if o := p.owners(n).owner(kc.Km, 32); o != i {
 				t.Fatalf("k-mer on node %d but owned by %d", i, o)
 			}
 		}
@@ -200,12 +200,11 @@ func refOwner(p Partitioner, key dna.Kmer, kk, nodes int) int {
 
 // FuzzRollingOwner checks, on every window of a read, the paired owners
 // of the window's leading and trailing (k-1)-mers (endOwners, the
-// graph-construction route), and Owner on the window and on both of its
-// ends, against the per-word reference
-// refOwner, for every partitioner: hash, minimizer, rebalance, and a
-// balanced one with a real table (spilled buckets included) asked at its
-// own node count and at the fuzzed one, each with a value and a pointer
-// form. The input picks k in [2,32], m in [1,k+1], the node count in
+// graph-construction route), and the owner map's owner of the window and
+// of both its ends, against the per-word reference refOwner, for every
+// partitioner: hash, minimizer, rebalance, and a balanced one with a real
+// table (spilled buckets included) asked at its own node count and at the
+// fuzzed one, each with a value and a pointer form. The input picks k in [2,32], m in [1,k+1], the node count in
 // [1,70] and a read of 1-70 bases.
 func FuzzRollingOwner(f *testing.F) {
 	// The balanced tables come from a small real sample, one per m, built
@@ -279,9 +278,9 @@ func FuzzRollingOwner(f *testing.F) {
 					t.Fatalf("%T %s k=%d m=%d nodes=%d: window %d of %s has end owners %d, %d; reference %d, %d",
 						c.p, c.p.Name(), k, m, c.nodes, i, seq, po, so, wantP, wantS)
 				}
-				got := [3]int{c.p.Owner(key, k, c.nodes), c.p.Owner(pre, k-1, c.nodes), c.p.Owner(suf, k-1, c.nodes)}
+				got := [3]int{mo.owner(key, k), mo.owner(pre, k-1), mo.owner(suf, k-1)}
 				if got != [3]int{want, wantP, wantS} {
-					t.Fatalf("%T %s k=%d m=%d nodes=%d: window %d of %s: Owner of the window and its ends %v, reference %v",
+					t.Fatalf("%T %s k=%d m=%d nodes=%d: window %d of %s: owner of the window and its ends %v, reference %v",
 						c.p, c.p.Name(), k, m, c.nodes, i, seq, got, [3]int{want, wantP, wantS})
 				}
 			}

@@ -59,13 +59,8 @@ func (p *RebalancePartitioner) Name() string {
 	return fmt.Sprintf("rebalance%d/%d", p.M, p.Every)
 }
 
-// Owner implements Partitioner with the static initial assignment
-// (initialOwner; the runtime's ownership table starts there and diverges
-// as measurements arrive).
-func (p *RebalancePartitioner) Owner(key dna.Kmer, kk, nodes int) int {
-	return p.owners(nodes).owner(key, kk)
-}
-
+// owners is the static initial assignment (initialOwner; the runtime's
+// ownership table starts there and diverges as measurements arrive).
 func (p *RebalancePartitioner) owners(nodes int) ownerMap {
 	return ownerMap{kind: bucketOwned, m: p.M, nodes: nodes}
 }

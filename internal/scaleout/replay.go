@@ -2,7 +2,6 @@ package scaleout
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"nmppak/internal/dna"
@@ -52,9 +51,8 @@ func (t traffic) record(res *Result) {
 // shardArena is the reused backing store of one sharded iteration. carve
 // splits a global iteration across n nodes into it: one backing array per
 // op kind, of which each node's sub-iteration holds a clipped window, plus
-// the count pass's scratch and an n×QuantileEdges block for the per-node
-// quantile tables. Every slice carve returns is overwritten by the next
-// carve into the same arena, so a sub-iteration lives only while its
+// the count pass's scratch. Every slice carve returns is overwritten by the
+// next carve into the same arena, so a sub-iteration lives only while its
 // iteration is in flight. The runtime takes its arenas from a free list
 // (arenas), which recycles memory only: every iteration is sharded afresh
 // from the trace, and no shard outlives the epoch that stepped it.
@@ -68,7 +66,6 @@ type shardArena struct {
 	nodes     []trace.NodeOp
 	transfers []trace.TransferOp
 	updates   []trace.UpdateOp
-	quantiles []dna.Kmer
 	subs      []trace.Iteration
 }
 
@@ -172,10 +169,10 @@ func (a *shardArena) count(iter *trace.Iteration, n int, ownerOf ownerFunc, halo
 // arena and returns the n per-node sub-iterations and the traffic split.
 // Sub-iteration o carries the node visits, local transfers and updates of
 // the keys node o owns, in trace order with indices into its own visits,
-// plus the iteration's stats and its own quantile table; cross-node
-// TransferNode bytes accumulate into halo[src][dst] (when halo is
-// non-nil). Every op slice is a window whose capacity is its length, nil
-// when empty, and a warm arena carves without allocating.
+// plus the iteration's stats; cross-node TransferNode bytes accumulate
+// into halo[src][dst] (when halo is non-nil). Every op slice is a window
+// whose capacity is its length, nil when empty, and a warm arena carves
+// without allocating.
 func (a *shardArena) carve(iter *trace.Iteration, n int, ownerOf ownerFunc, halo [][]int64) ([]trace.Iteration, traffic) {
 	t := a.count(iter, n, ownerOf, halo)
 	m := len(iter.Nodes)
@@ -217,20 +214,14 @@ func (a *shardArena) carve(iter *trace.Iteration, n int, ownerOf ownerFunc, halo
 		}
 		counts[k]++
 	}
-	const qe = trace.QuantileEdges
-	a.quantiles = grow(a.quantiles, n*qe)
 	a.subs = grow(a.subs, n)
 	for o := range a.subs {
-		sub := trace.Iteration{
+		a.subs[o] = trace.Iteration{
 			Nodes:     window(a.nodes, start[o], counts[o]),
 			Transfers: window(a.transfers, start[n+o], counts[n+o]),
 			Updates:   window(a.updates, start[2*n+o], counts[2*n+o]),
 			Stats:     iter.Stats,
 		}
-		if sub.Nodes != nil {
-			sub.Quantiles = trace.AppendQuantiles(a.quantiles[o*qe:o*qe:(o+1)*qe], sub.Nodes)
-		}
-		a.subs[o] = sub
 	}
 	return a.subs, t
 }
@@ -264,20 +255,14 @@ func newShardFeed(tr *trace.Trace, n int, ownerOf ownerFunc, live []bool) shardF
 
 // carve shards iteration it into a, adds its traffic split to the feed's
 // and its cross-node bytes into halo, and fills slot it of every live
-// node's trace. At iteration 0 it also sets each live node's static
-// quantile table, copied out of a because nmp.Config.StaticMapping reads
-// it for the whole run.
+// node's trace.
 func (f *shardFeed) carve(a *shardArena, it int, halo [][]int64) {
 	subs, t := a.carve(&f.tr.Iterations[it], len(f.traces), f.ownerOf, halo)
 	f.add(t)
 	for o, sub := range subs {
-		if !f.live[o] {
-			continue
+		if f.live[o] {
+			f.traces[o].Iterations[it] = sub
 		}
-		if it == 0 {
-			f.traces[o].Quantiles = slices.Clone(sub.Quantiles)
-		}
-		f.traces[o].Iterations[it] = sub
 	}
 }
 
@@ -312,10 +297,10 @@ func staticOwner(tr *trace.Trace, n int, p Partitioner) ownerFunc {
 // ShardTrace splits tr across n nodes under partitioner p, feeding every
 // iteration through the runtime's shard feed, each into an arena of its
 // own, so the sub-traces stay valid. With n == 1 the single sub-trace
-// reproduces tr exactly (same nodes, transfers, updates and quantile
-// tables), which is what pins the N=1 scale-out result to the single-node
-// nmp.Simulate outcome. The runtimes never build one: they hold one
-// sharded iteration at a time.
+// reproduces tr exactly (same nodes, transfers and updates), which is
+// what pins the N=1 scale-out result to the single-node nmp.Simulate
+// outcome. The runtimes never build one: they hold one sharded iteration
+// at a time.
 func ShardTrace(tr *trace.Trace, n int, p Partitioner) *ShardedTrace {
 	live := make([]bool, n)
 	for i := range live {
@@ -333,39 +318,22 @@ func ShardTrace(tr *trace.Trace, n int, p Partitioner) *ShardedTrace {
 	}
 }
 
-// shardFacts are the whole-trace facts of a static partition that a run
-// resumed past iteration 0 cannot collect from the iterations it feeds:
-// the traffic split over every iteration, and each node's iteration-0
-// quantile table (the DIMM mapping nmp.Config.StaticMapping reads). A few
-// counters plus n×257 keys.
-type shardFacts struct {
-	traffic
-	quantiles [][]dna.Kmer
-}
-
-// shardFactsOf returns tr's shard facts over n nodes under p, memoized on
-// the trace (trace.Trace.Memo) per node count and partitioner identity, so
-// every resume of every run on tr after the first finds them ready. They
-// come from the count pass of each iteration plus the node split of
-// iteration 0; no sub-trace outlives the call.
-func shardFactsOf(tr *trace.Trace, n int, p Partitioner) *shardFacts {
-	key := fmt.Sprintf("scaleout.shardFacts n=%d p=%s", n, p.id())
+// wholeTraffic returns the traffic split of a static partition over every
+// iteration of tr, the one whole-trace fact a run resumed past iteration 0
+// cannot collect from the iterations it feeds. It comes from the count
+// pass of each iteration and is memoized on the trace (trace.Trace.Memo)
+// per node count and partitioner identity, so every resume of every run
+// on tr after the first finds it ready.
+func wholeTraffic(tr *trace.Trace, n int, p Partitioner) *traffic {
+	key := fmt.Sprintf("scaleout.wholeTraffic n=%d p=%s", n, p.id())
 	return tr.Memo(key, func() any {
 		ownerOf := staticOwner(tr, n, p)
 		a := arenas.get()
 		defer arenas.put(a)
-		sf := &shardFacts{quantiles: make([][]dna.Kmer, n)}
+		t := new(traffic)
 		for it := range tr.Iterations {
-			if it > 0 {
-				sf.add(a.count(&tr.Iterations[it], n, ownerOf, nil))
-				continue
-			}
-			subs, t := a.carve(&tr.Iterations[0], n, ownerOf, nil)
-			sf.add(t)
-			for o := range subs {
-				sf.quantiles[o] = slices.Clone(subs[o].Quantiles)
-			}
+			t.add(a.count(&tr.Iterations[it], n, ownerOf, nil))
 		}
-		return sf
-	}).(*shardFacts)
+		return t
+	}).(*traffic)
 }

@@ -93,11 +93,11 @@ type runtime struct {
 	start int
 
 	feed shardFeed
-	// whole holds the whole-trace shard facts of a static-partition run
+	// whole holds the whole-trace traffic split of a static-partition run
 	// resumed past iteration 0, whose feed never sees the iterations before
 	// start; nil when the feed covers every iteration or the traffic is
 	// restored from the blob's RebalanceState.
-	whole *shardFacts
+	whole *traffic
 
 	// rb is the migration state of a RebalancePartitioner run; nil for a
 	// static partition.
@@ -142,12 +142,11 @@ type runtime struct {
 // uninstrumented): fresh when ck is nil, otherwise at the blob's pause
 // point with restored engines, recorded durations and BSP partial sums.
 // res is the prelude outcome the run finishes. A resumed run re-shards
-// nothing before the pause point: the node traces' slots there stay empty,
-// and the iteration-0 quantile tables come from the trace's memoized shard
-// facts under the partitioner's static assignment, which every run starts
-// from. A static partition takes its whole-trace traffic split from those
-// facts too; a rebalancing run sharded its past under migrated tables, so
-// its traffic so far comes from the blob's RebalanceState.
+// nothing before the pause point: the node traces' slots there stay
+// empty. A static partition takes its whole-trace traffic split from the
+// trace's memo (wholeTraffic); a rebalancing run sharded its past under
+// migrated tables, so its traffic so far comes from the blob's
+// RebalanceState.
 func newRuntime(tr *trace.Trace, fl *topo.Flight, cfg Config, res *Result, ck *CheckpointState, pr *probes) (*runtime, error) {
 	n := cfg.Nodes
 	rt := &runtime{
@@ -190,14 +189,8 @@ func newRuntime(tr *trace.Trace, fl *topo.Flight, cfg Config, res *Result, ck *C
 			rt.feed.traffic = traffic{rs.LocalTNs, rs.RemoteTNs, rs.HaloBytes}
 		}
 	}
-	if rt.start > 0 {
-		facts := shardFactsOf(tr, n, cfg.Partitioner)
-		if rt.rb == nil {
-			rt.whole = facts
-		}
-		for o, t := range rt.feed.traces {
-			t.Quantiles = facts.quantiles[o]
-		}
+	if rt.start > 0 && rt.rb == nil {
+		rt.whole = wholeTraffic(tr, n, cfg.Partitioner)
 	}
 	if err := startEngines(rt.engines, rt.durations, rt.feed.traces, cfg.NMP, rt.iters, ck); err != nil {
 		return nil, err
@@ -359,7 +352,7 @@ func (rt *runtime) bspEpoch(from, to int) int {
 // clock and every engine — survivors complete, casualties frozen at their
 // last committed iteration — reports its result. The traffic accounting
 // is what the feed committed, or, for a static partition resumed past
-// iteration 0, the memoized whole-trace facts.
+// iteration 0, the memoized whole-trace split.
 func (rt *runtime) seal() error {
 	if rt.cfg.Overlap {
 		if rt.pr != nil {
@@ -371,7 +364,7 @@ func (rt *runtime) seal() error {
 	}
 	t := rt.feed.traffic
 	if rt.whole != nil {
-		t = rt.whole.traffic
+		t = *rt.whole
 	}
 	t.record(rt.res)
 	if rt.rb != nil {

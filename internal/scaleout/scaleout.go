@@ -87,7 +87,7 @@ type Config struct {
 	// all-to-alls either way.
 	Overlap bool
 	// NMP is the per-node hardware model; every virtual node runs a full
-	// copy.
+	// copy. Its StaticMapping ablation is single-node only.
 	NMP nmp.Config
 	// CheckpointEvery > 0 captures a full checkpoint of the compaction
 	// replay every that many iterations in memory, replacing the previous
@@ -156,7 +156,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scaleout: RebalancePartitioner's ownership table holds node indices below %d, got Nodes=%d", maxRebalanceNodes, c.Nodes)
 		}
 		if c.elastic() {
-			return fmt.Errorf("scaleout: RebalancePartitioner cannot run an elastic config (a recovery fails over from the partitioner's static Owner, not from the migrated ownership table); unset CheckpointEvery and Faults")
+			return fmt.Errorf("scaleout: RebalancePartitioner cannot run an elastic config (a recovery fails over to the partitioner's static assignment, not to the migrated ownership table); unset CheckpointEvery and Faults")
 		}
 	}
 	// With a minimizer shorter than one base one node would own every
@@ -190,6 +190,11 @@ func (c Config) Validate() error {
 	}
 	if err := c.NMP.Validate(); err != nil {
 		return err
+	}
+	// StaticMapping places every iteration by iteration 0's nodes, and a
+	// node's engine holds only the iteration in flight.
+	if c.NMP.StaticMapping {
+		return fmt.Errorf("scaleout: NMP.StaticMapping is a single-node ablation (nmp.Simulate): it places every iteration by iteration 0's nodes, and a node holds only the iteration in flight; unset it")
 	}
 	if n := int64(c.Nodes) * c.NMP.P3Slots(); n > maxRunP3Slots {
 		return fmt.Errorf("scaleout: %d nodes × %d P3 slots each is %d, above the run's %d ceiling",

@@ -92,7 +92,7 @@ func TestShardedCountMergeEquivalence(t *testing.T) {
 			// Every k-mer must live on the node the partitioner names.
 			for i, sh := range sc.Shards {
 				for _, kc := range sh.Kmers {
-					if o := p.Owner(kc.Km, 32, n); o != i {
+					if o := p.owners(n).owner(kc.Km, 32); o != i {
 						t.Fatalf("%s n=%d: k-mer on node %d owned by %d", p.Name(), n, i, o)
 					}
 				}
@@ -182,7 +182,7 @@ func TestShardGraphEquivalence(t *testing.T) {
 					}
 					for j := range g.Nodes {
 						mn := &g.Nodes[j]
-						if o := p.Owner(mn.Key, 31, n); o != i {
+						if o := p.owners(n).owner(mn.Key, 31); o != i {
 							t.Fatalf("%s min=%d n=%d: node %v on shard %d, owned by %d", p.Name(), minCount, n, mn.Key, i, o)
 						}
 						ref := want.Node(mn.Key)
@@ -239,7 +239,7 @@ func referenceGraphFacts(sc *ShardedCount, p Partitioner) graphFacts {
 	for src, sh := range sc.Shards {
 		for _, kc := range sh.Kmers {
 			pre, suf := kc.Km.Prefix(), kc.Km.Suffix(sc.K)
-			po, so := p.Owner(pre, sc.K-1, n), p.Owner(suf, sc.K-1, n)
+			po, so := p.owners(n).owner(pre, sc.K-1), p.owners(n).owner(suf, sc.K-1)
 			keys[po][pre], keys[so][suf] = true, true
 			f.exchange[src][po] += graphRecordBytes
 			f.recv[po]++
@@ -418,7 +418,7 @@ func TestShardIterationExactSize(t *testing.T) {
 		t.Fatalf("iteration 0 has only %d nodes", len(first.Nodes))
 	}
 	for _, n := range []int{1, 4, 8} {
-		ownerOf := func(key dna.Kmer, _ int) int { return HashPartitioner{}.Owner(key, tr.K-1, n) }
+		ownerOf := func(key dna.Kmer, _ int) int { return HashPartitioner{}.owners(n).owner(key, tr.K-1) }
 		var a shardArena
 		for it := range tr.Iterations {
 			subs, _ := a.carve(&tr.Iterations[it], n, ownerOf, mat(n))
@@ -498,11 +498,11 @@ func TestPartitionerRangeAndDeterminism(t *testing.T) {
 	for _, p := range []Partitioner{HashPartitioner{}, NewMinimizerPartitioner(8), NewRebalancePartitioner(8, 1)} {
 		counts := make([]int, 7)
 		for km := uint64(0); km < 10_000; km++ {
-			o := p.Owner(dnaKmer(km*2654435761), 31, 7)
+			o := p.owners(7).owner(dnaKmer(km*2654435761), 31)
 			if o < 0 || o >= 7 {
 				t.Fatalf("%s: owner %d out of range", p.Name(), o)
 			}
-			if o != p.Owner(dnaKmer(km*2654435761), 31, 7) {
+			if o != p.owners(7).owner(dnaKmer(km*2654435761), 31) {
 				t.Fatalf("%s: nondeterministic", p.Name())
 			}
 			counts[o]++
@@ -512,7 +512,7 @@ func TestPartitionerRangeAndDeterminism(t *testing.T) {
 				t.Fatalf("%s: node %d owns nothing", p.Name(), i)
 			}
 		}
-		if p.Owner(dnaKmer(12345), 31, 1) != 0 {
+		if p.owners(1).owner(dnaKmer(12345), 31) != 0 {
 			t.Fatalf("%s: single node must own everything", p.Name())
 		}
 	}

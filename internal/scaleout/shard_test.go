@@ -74,7 +74,6 @@ func shardNaive(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [
 	}
 	for o := range subs {
 		subs[o].Stats = iter.Stats
-		subs[o].Quantiles = trace.BuildQuantiles(subs[o].Nodes)
 	}
 	return subs, t
 }
@@ -144,7 +143,7 @@ func TestShardArenaMatchesNaive(t *testing.T) {
 	for _, n := range []int{1, 3, 8, 64} {
 		owners := map[string]func(dna.Kmer) int{}
 		for _, p := range []Partitioner{HashPartitioner{}, NewMinimizerPartitioner(12), NewBalancedPartitioner(full, 12, n)} {
-			owners[p.Name()] = func(key dna.Kmer) int { return p.Owner(key, k1, n) }
+			owners[p.Name()] = func(key dna.Kmer) int { return p.owners(n).owner(key, k1) }
 		}
 		var midRun []uint16
 		if n > 1 {
@@ -202,7 +201,7 @@ func TestShardArenaMatchesNaive(t *testing.T) {
 			}
 		}
 		p := HashPartitioner{}
-		ownerOf := func(key dna.Kmer) int { return failover(p.Owner(key, k1, n), key, live, surv) }
+		ownerOf := func(key dna.Kmer) int { return failover(p.owners(n).owner(key, k1), key, live, surv) }
 		f := newShardFeed(tr, n, keyed(ownerOf), live)
 		a := new(shardArena)
 		for _, it := range order {

@@ -10,17 +10,14 @@
 // (source, destination, payload size), and every destination update (bytes
 // read and written). Node identity is positional (mn_idx within the
 // iteration's ascending-key order) plus the node key, from which the
-// simulators derive DIMM placement via the paper's static ascending-range
-// mapping table.
+// simulators derive DIMM placement via the paper's ascending-range mapping
+// table (AppendQuantiles).
 package trace
 
 import (
 	"cmp"
 	"encoding/binary"
-	"encoding/gob"
-	"fmt"
 	"hash/fnv"
-	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -57,28 +54,17 @@ type Iteration struct {
 	Transfers []TransferOp
 	Updates   []UpdateOp
 	Stats     compact.IterStats
-	// Quantiles is this iteration's key-space partition table (257
-	// edges). Because compaction preferentially removes lexicographically
-	// large keys, a static iteration-0 table would drain the high-key
-	// DIMMs and pile survivors into DIMM 0; the runtime refreshes the
-	// range table at each iteration's reallocation, which this field
-	// records.
-	Quantiles []dna.Kmer
 }
 
 // Trace is a complete compaction recording.
 //
-// A Trace is immutable once Builder.Trace or Load returns it: consumers
+// A Trace is immutable once Builder.Trace returns it: consumers
 // read it, possibly from many goroutines, and never modify its contents.
 // Digest and Memo rely on this to derive facts about the trace only once.
 // Handle a Trace through its pointer; it must not be copied by value.
 type Trace struct {
 	K          int
 	Iterations []Iteration
-	// Quantiles are 257 key-space edges computed from the iteration-0 node
-	// population; the simulators map a key to a DIMM by quantile bucket,
-	// reproducing the paper's equal-population ascending-key partition.
-	Quantiles []dna.Kmer
 
 	digestOnce sync.Once
 	digest     uint64
@@ -93,19 +79,9 @@ type memoEntry struct {
 	v    any
 }
 
-// DIMMOf maps a key to a DIMM index in [0, nDIMMs) using the iteration-0
-// quantile table.
-func (t *Trace) DIMMOf(key dna.Kmer, nDIMMs int) int {
-	return dimmOf(t.Quantiles, key, nDIMMs)
-}
-
-// DIMMOf maps a key to a DIMM using this iteration's refreshed table.
-func (it *Iteration) DIMMOf(key dna.Kmer, nDIMMs int) int {
-	return dimmOf(it.Quantiles, key, nDIMMs)
-}
-
-// dimmOf maps key to the DIMM of its quantile bucket. A table of fewer
-// than two edges has no bucket and maps every key to DIMM 0.
+// dimmOf maps key to a DIMM in [0, nDIMMs), the DIMM of its quantile
+// bucket in table q. A table of fewer than two edges has no bucket and
+// maps every key to DIMM 0.
 func dimmOf(q []dna.Kmer, key dna.Kmer, nDIMMs int) int {
 	if len(q) < 2 || nDIMMs <= 1 {
 		return 0
@@ -123,13 +99,13 @@ func bucketOf(q []dna.Kmer, key dna.Kmer) int {
 // bucketDIMM spreads buckets quantile buckets evenly over nDIMMs DIMMs.
 func bucketDIMM(i, buckets, nDIMMs int) int { return i * nDIMMs / buckets }
 
-// DIMMWalk maps a run of keys to DIMMs exactly as DIMMOf does, by one
-// merge walk over the quantile edges instead of a binary search per key.
-// A key at or above its predecessor moves a bucket cursor forward, so n
-// ascending keys cost O(n + edges) compares and one division per bucket
-// change. A key below its predecessor is searched for, and the walk goes
-// on from its bucket. A table whose edges do not ascend (only a loaded,
-// untrusted trace can hold one) is searched for every key.
+// DIMMWalk maps a run of keys to DIMMs under a quantile table, as a
+// binary search of the edges per key would, by one merge walk over the
+// edges. A key at or above its predecessor moves a bucket cursor forward,
+// so n ascending keys cost O(n + edges) compares and one division per
+// bucket change. A key below its predecessor is searched for, and the
+// walk goes on from its bucket. A table whose edges do not ascend (built
+// from nodes out of key order) is searched for every key.
 type DIMMWalk struct {
 	q      []dna.Kmer // nil: every key maps to DIMM 0
 	nDIMMs int
@@ -146,7 +122,7 @@ func NewDIMMWalk(q []dna.Kmer, nDIMMs int) DIMMWalk {
 	return DIMMWalk{q: q, nDIMMs: nDIMMs, search: !slices.IsSorted(q)}
 }
 
-// Of returns key's DIMM, the value DIMMOf gives under the same table.
+// Of returns key's DIMM in [0, nDIMMs).
 func (w *DIMMWalk) Of(key dna.Kmer) int {
 	switch {
 	case w.q == nil:
@@ -174,8 +150,7 @@ func (w *DIMMWalk) Of(key dna.Kmer) int {
 // recorded operation (node keys and sizes, transfer routing and payloads,
 // update volumes) — so a checkpoint cannot be restored against a different
 // trace that merely shares the shape. One FNV-1a pass over the packed
-// fields; the quantile tables are derived from the node streams and need
-// no separate hashing. The pass runs on the first call only: a Trace is
+// fields. The pass runs on the first call only: a Trace is
 // immutable, so later calls (from any goroutine) return the cached value.
 func (t *Trace) Digest() uint64 {
 	t.digestOnce.Do(func() { t.digest = t.computeDigest() })
@@ -244,39 +219,6 @@ func (t *Trace) computeDigest() uint64 {
 		}
 	}
 	return h.Sum64()
-}
-
-// Load reads a gob-encoded trace. The input is untrusted: a trace whose
-// operations reference nodes outside their iteration is rejected.
-func Load(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := gob.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	if err := t.validate(); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// validate checks that every transfer and update names nodes of its own
-// iteration (the simulators index node state by these positions).
-func (t *Trace) validate() error {
-	for i := range t.Iterations {
-		it := &t.Iterations[i]
-		n := int32(len(it.Nodes))
-		for j, tn := range it.Transfers {
-			if tn.SrcIdx < 0 || tn.SrcIdx >= n || tn.DstIdx < 0 || tn.DstIdx >= n {
-				return fmt.Errorf("trace: iteration %d: transfer %d routes node %d to node %d, outside its %d nodes", i, j, tn.SrcIdx, tn.DstIdx, n)
-			}
-		}
-		for j, u := range it.Updates {
-			if u.DstIdx < 0 || u.DstIdx >= n {
-				return fmt.Errorf("trace: iteration %d: update %d targets node %d, outside its %d nodes", i, j, u.DstIdx, n)
-			}
-		}
-	}
-	return nil
 }
 
 // Builder implements compact.Observer and accumulates a Trace.
@@ -353,10 +295,6 @@ func (b *Builder) EndIteration(st compact.IterStats) {
 		})
 	}
 	b.cur.Stats = st
-	b.cur.Quantiles = BuildQuantiles(b.cur.Nodes)
-	if len(b.trace.Iterations) == 0 {
-		b.trace.Quantiles = b.cur.Quantiles
-	}
 	b.trace.Iterations = append(b.trace.Iterations, *b.cur)
 	b.cur = nil
 }
@@ -371,18 +309,14 @@ func (b *Builder) index(key dna.Kmer) (int32, bool) {
 // 256 key-space buckets.
 const QuantileEdges = 257
 
-// BuildQuantiles derives a DIMM mapping table from an iteration's key
-// population (nodes arrive in ascending key order): nil when nodes is
-// empty, otherwise QuantileEdges keys.
-func BuildQuantiles(nodes []NodeOp) []dna.Kmer {
-	if len(nodes) == 0 {
-		return nil
-	}
-	return AppendQuantiles(make([]dna.Kmer, 0, QuantileEdges), nodes)
-}
-
-// AppendQuantiles appends BuildQuantiles(nodes) to dst, so internal/scaleout
-// can carve the per-node tables of a sharded iteration from one block.
+// AppendQuantiles appends the DIMM range table of an iteration's nodes
+// (in ascending key order) to dst: nothing when nodes is empty, otherwise
+// QuantileEdges keys at evenly spaced ranks, the paper's equal-population
+// ascending-key partition. Because compaction preferentially removes
+// lexicographically large keys, a table kept from iteration 0 would drain
+// the high-key DIMMs and pile survivors into DIMM 0, so the simulators
+// rebuild it from each iteration's nodes, as the runtime refreshes it at
+// each reallocation (nmp's StaticMapping ablation keeps iteration 0's).
 func AppendQuantiles(dst []dna.Kmer, nodes []NodeOp) []dna.Kmer {
 	n := len(nodes)
 	if n == 0 {

@@ -1,12 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
-	"reflect"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,9 +14,6 @@ import (
 	"nmppak/internal/pakgraph"
 	"nmppak/internal/readsim"
 )
-
-// save gob-encodes tr, the form Load reads.
-func save(w io.Writer, tr *Trace) error { return gob.NewEncoder(w).Encode(tr) }
 
 func record(t testing.TB, length int, seed int64) *Trace {
 	t.Helper()
@@ -100,83 +93,14 @@ func TestTraceStatsMatchNodes(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tr := record(t, 2000, 3)
-	var buf bytes.Buffer
-	if err := save(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.K != tr.K || len(got.Iterations) != len(tr.Iterations) {
-		t.Fatal("round trip mismatch")
-	}
-	if !reflect.DeepEqual(got.Iterations, tr.Iterations) {
-		t.Fatal("operations mismatch")
-	}
-}
-
-// A saved trace is untrusted input: an operation naming a node outside its
-// iteration must make Load fail with the iteration in the error, not make
-// a later replay index out of range.
-func TestLoadRejectsOutOfRangeIndices(t *testing.T) {
-	tr := record(t, 2000, 3)
-	last := len(tr.Iterations) - 1
-	for _, tc := range []struct {
-		name    string
-		corrupt func(it *Iteration)
-	}{
-		{"transfer src negative", func(it *Iteration) { it.Transfers[0].SrcIdx = -1 }},
-		{"transfer src past end", func(it *Iteration) { it.Transfers[0].SrcIdx = int32(len(it.Nodes)) }},
-		{"transfer dst negative", func(it *Iteration) { it.Transfers[0].DstIdx = -5 }},
-		{"transfer dst past end", func(it *Iteration) { it.Transfers[0].DstIdx = 1 << 30 }},
-		{"update dst negative", func(it *Iteration) { it.Updates[0].DstIdx = -1 }},
-		{"update dst past end", func(it *Iteration) { it.Updates[0].DstIdx = int32(len(it.Nodes)) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := save(&buf, tr); err != nil {
-				t.Fatal(err)
-			}
-			bad, err := Load(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			it := -1
-			for i := last; i >= 0; i-- {
-				if len(bad.Iterations[i].Transfers) > 0 && len(bad.Iterations[i].Updates) > 0 {
-					it = i
-					break
-				}
-			}
-			if it < 0 {
-				t.Fatal("trace has no iteration with both transfers and updates")
-			}
-			tc.corrupt(&bad.Iterations[it])
-			buf.Reset()
-			if err := save(&buf, bad); err != nil {
-				t.Fatal(err)
-			}
-			_, err = Load(&buf)
-			if err == nil {
-				t.Fatal("Load accepted an out-of-range index")
-			}
-			if want := fmt.Sprintf("iteration %d:", it); !strings.Contains(err.Error(), want) {
-				t.Fatalf("error %q does not name %q", err, want)
-			}
-		})
-	}
-}
-
 func TestDIMMMappingBalancedAndOrdered(t *testing.T) {
 	tr := record(t, 4000, 4)
 	const nd = 8
 	counts := make([]int, nd)
 	prev := -1
+	q := AppendQuantiles(nil, tr.Iterations[0].Nodes)
 	for _, n := range tr.Iterations[0].Nodes { // ascending key order
-		d := tr.DIMMOf(n.Key, nd)
+		d := dimmOf(q, n.Key, nd)
 		if d < prev {
 			t.Fatal("DIMM mapping not monotonic in key order")
 		}
@@ -193,45 +117,51 @@ func TestDIMMMappingBalancedAndOrdered(t *testing.T) {
 }
 
 func TestDIMMOfEdgeCases(t *testing.T) {
-	tr := &Trace{}
-	if tr.DIMMOf(dna.Kmer(123), 8) != 0 {
+	if AppendQuantiles(nil, nil) != nil {
+		t.Fatal("an iteration without nodes must have an empty table")
+	}
+	if dimmOf(nil, dna.Kmer(123), 8) != 0 {
 		t.Fatal("empty quantiles must map to 0")
 	}
-	tr2 := record(t, 1000, 5)
-	if tr2.DIMMOf(dna.Kmer(0), 1) != 0 {
+	tr := record(t, 1000, 5)
+	q := AppendQuantiles(nil, tr.Iterations[0].Nodes)
+	if len(q) != QuantileEdges {
+		t.Fatalf("table of %d edges, want %d", len(q), QuantileEdges)
+	}
+	if dimmOf(q, dna.Kmer(0), 1) != 0 {
 		t.Fatal("single DIMM must map to 0")
 	}
-	max := tr2.DIMMOf(dna.Kmer(^uint64(0)), 8)
+	max := dimmOf(q, dna.Kmer(^uint64(0)), 8)
 	if max != 7 {
 		t.Fatalf("max key maps to %d want 7", max)
 	}
-	// A one-edge table (only a loaded trace can hold one) has no bucket.
-	one := &Iteration{Quantiles: []dna.Kmer{5}}
-	if d := one.DIMMOf(dna.Kmer(9), 8); d != 0 {
+	// A one-edge table has no bucket.
+	if d := dimmOf([]dna.Kmer{5}, dna.Kmer(9), 8); d != 0 {
 		t.Fatalf("one-edge table maps to %d want 0", d)
 	}
 }
 
-// The digest is a function of the trace's contents: an encode/Load round trip
+// clone returns a deep copy of tr's contents, its digest not yet taken.
+func clone(tr *Trace) *Trace {
+	c := &Trace{K: tr.K, Iterations: slices.Clone(tr.Iterations)}
+	for i := range c.Iterations {
+		it := &c.Iterations[i]
+		it.Nodes = slices.Clone(it.Nodes)
+		it.Transfers = slices.Clone(it.Transfers)
+		it.Updates = slices.Clone(it.Updates)
+	}
+	return c
+}
+
+// The digest is a function of the trace's contents: a deep copy
 // reproduces it, and changing one recorded operation changes it.
 func TestDigestSurvivesRoundTrip(t *testing.T) {
 	tr := record(t, 2000, 3)
-	var buf bytes.Buffer
-	if err := save(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
-	got, err := Load(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := clone(tr)
 	if got.Digest() != tr.Digest() {
-		t.Fatalf("digest after round trip %#x, before %#x", got.Digest(), tr.Digest())
+		t.Fatalf("digest of the copy %#x, of the original %#x", got.Digest(), tr.Digest())
 	}
-	other, err := Load(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := clone(tr)
 	other.Iterations[len(other.Iterations)-1].Nodes[0].D2++
 	if other.Digest() == tr.Digest() {
 		t.Fatal("a trace with a different node size has the same digest")
@@ -256,14 +186,7 @@ func TestDigestCachedAllocationFree(t *testing.T) {
 // -race).
 func TestDigestConcurrent(t *testing.T) {
 	tr := record(t, 2000, 3)
-	var buf bytes.Buffer
-	if err := save(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := clone(tr)
 	const g = 8
 	got := make([]uint64, g)
 	var wg sync.WaitGroup

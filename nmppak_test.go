@@ -316,6 +316,18 @@ func TestUntrustedInputsError(t *testing.T) {
 	simGPU := func(tr *nmppak.Trace, cfg nmppak.GPUConfig) func() error {
 		return func() error { _, err := nmppak.SimulateGPU(tr, cfg); return err }
 	}
+	// The static DIMM mapping is a single-node ablation; a scale-out
+	// entry point must reject it by name. namesStatic passes on call's
+	// error only when it names the field, so a row fails on any other.
+	static := soWith(func(c *nmppak.ScaleOutConfig) { c.NMP.StaticMapping = true })
+	namesStatic := func(call func() error) func() error {
+		return func() error {
+			if err := call(); err != nil && strings.Contains(err.Error(), "NMP.StaticMapping") {
+				return err
+			}
+			return nil
+		}
+	}
 	nan := math.NaN()
 	// Counts this large panic at once in a make; smaller ones that do
 	// allocate could exhaust the host before failing.
@@ -451,6 +463,7 @@ func TestUntrustedInputsError(t *testing.T) {
 			_, err := nmppak.SimulateScaleOut(reads, tr, soWith(func(c *nmppak.ScaleOutConfig) { c.NMP = nmppak.NMPConfig{} }))
 			return err
 		}},
+		{"SimulateScaleOut/static DIMM mapping", namesStatic(func() error { _, err := nmppak.SimulateScaleOut(reads, tr, static); return err })},
 		{"CheckpointScaleOut/nil trace", func() error {
 			_, err := nmppak.CheckpointScaleOut(reads, nil, soWith(func(*nmppak.ScaleOutConfig) {}), 1)
 			return err
@@ -460,6 +473,7 @@ func TestUntrustedInputsError(t *testing.T) {
 			_, err := nmppak.CheckpointScaleOut(reads, tr, soWith(func(*nmppak.ScaleOutConfig) {}), -1)
 			return err
 		}},
+		{"CheckpointScaleOut/static DIMM mapping", namesStatic(func() error { _, err := nmppak.CheckpointScaleOut(reads, tr, static, 1); return err })},
 		{"RestoreScaleOut/nil blob", func() error {
 			_, err := nmppak.RestoreScaleOut(tr, soWith(func(*nmppak.ScaleOutConfig) {}), nil)
 			return err
@@ -475,6 +489,7 @@ func TestUntrustedInputsError(t *testing.T) {
 			return err
 		}},
 		{"NewScaleOutSession/zero config", func() error { _, err := nmppak.NewScaleOutSession(reads, tr, nmppak.ScaleOutConfig{}); return err }},
+		{"NewScaleOutSession/static DIMM mapping", namesStatic(func() error { _, err := nmppak.NewScaleOutSession(reads, tr, static); return err })},
 		{"ResumeScaleOutSession/nil blob", func() error {
 			_, err := nmppak.ResumeScaleOutSession(tr, soWith(func(*nmppak.ScaleOutConfig) {}), nil)
 			return err
